@@ -14,7 +14,9 @@ Subcommands::
 
 ``--json`` switches any reporting command to a machine-readable report that
 round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error, 2 blown
-computation cap or mixed extensions, 3 violated mathematical precondition.
+computation cap (Moebius generators of an infinite group, a refinement or a
+support enumeration too large) or mixed extensions, 3 violated mathematical
+precondition.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     SymfanoError,
 )
 from .exact import PositiveCombination
-from .groups import DEFAULT_GROUP_CAP, closure, fixed_sublattice, is_symmetric
+from .groups import closure, fixed_sublattice, is_symmetric
 from .quotients import Destabilizer, chow_quotient_fan, is_polystable, polystable_locus
 from .rationals import rat_str
 from .schemas import (
@@ -47,7 +49,7 @@ from .schemas import (
     read_json,
     validate_data,
 )
-from .tvariety import boundary, glct_info, ke_verdict, non_reduced_fibers
+from .tvariety import analyze
 
 REPORT_VERSION = 1
 
@@ -151,32 +153,29 @@ def _cert_dict(cert) -> dict:
 
 def _cmd_tvar_check(args) -> tuple[Report, int]:
     data = read_json(args.file)
-    variety = load_variety(data, group_cap=args.group_cap)
+    variety = load_variety(data)
+    analysis = analyze(variety)
     report = Report(subject=variety.name)
-    report.add("symmetric", is_symmetric(variety.lattice))
-    b = boundary(variety)
+    report.add("symmetric", analysis.symmetric)
     report.add(
         "boundary",
         [
             {"point": str(p), "coeff": "-inf" if is_neg_infinity(c) else rat_str(c)}
-            for p, c in b
+            for p, c in analysis.boundary
         ],
     )
-    nr = non_reduced_fibers(variety)
-    report.add("non_reduced_fibers", [str(p) for p in nr])
-    report.add("non_reduced_count", len(nr))
-    try:
-        info = glct_info(variety)
-    except PreconditionError as exc:
-        info = None
-        report.add("glct", None, route=f"{type(exc).__name__}: {exc}")
-    if info is not None:
-        if variety.explicit_action:
-            res = lct_g(b, variety.moebius_group())
+    report.add("non_reduced_fibers", [str(p) for p in analysis.non_reduced])
+    report.add("non_reduced_count", len(analysis.non_reduced))
+    info = analysis.glct
+    if isinstance(info, PreconditionError):
+        report.add("glct", None, route=f"{type(info).__name__}: {info}")
+    else:
+        res = analysis.quotient_lct
+        if res is not None:  # its witness is the glct's
             report.add(
                 "lct_of_quotient_pair",
                 "infinite" if res.is_infinite else rat_str(res.value),
-                certificate=None if res.witness is None else res.witness.describe(),
+                certificate=info.witness,
             )
         report.add(
             "glct",
@@ -184,10 +183,9 @@ def _cmd_tvar_check(args) -> tuple[Report, int]:
             route="lower-bound" if info.is_lower_bound else "exact",
             certificate=info.witness,
         )
-    try:
-        verdict = ke_verdict(variety)
-    except PreconditionError as exc:
-        report.add("ke_certified", None, route=f"{type(exc).__name__}: {exc}")
+    verdict = analysis.verdict
+    if isinstance(verdict, PreconditionError):
+        report.add("ke_certified", None, route=f"{type(verdict).__name__}: {verdict}")
         _emit(report, args.json)
         return report, EXIT_PRECONDITION
     report.add(
@@ -205,7 +203,7 @@ def _cmd_tvar_check(args) -> tuple[Report, int]:
 def _cmd_lct(args) -> tuple[Report, int]:
     data = read_json(args.file)
     pair, generators = load_pair(data)
-    group = closure(generators, cap=args.group_cap)
+    group = closure(generators)
     report = Report(subject=data.get("name", str(args.file)))
     report.add("group_order", group.order)
     res = lct_g(pair, group)
@@ -221,7 +219,7 @@ def _cmd_lct(args) -> tuple[Report, int]:
 def _cmd_valuable(args) -> tuple[Report, int]:
     data = read_json(args.file)
     pair, generators = load_pair(data)
-    group = closure(generators, cap=args.group_cap)
+    group = closure(generators)
     report = Report(subject=data.get("name", str(args.file)))
     report.add("group_order", group.order)
     ok, witness = is_valuable(pair, group)
@@ -345,31 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group_cap=False):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        if group_cap:
-            p.add_argument(
-                "--group-cap",
-                type=int,
-                default=DEFAULT_GROUP_CAP,
-                help="maximum group order explored during closure",
-            )
 
     tvar = sub.add_parser("tvar", help="complexity-one variety commands")
     tvar_sub = tvar.add_subparsers(dest="tvar_command", required=True)
     check = tvar_sub.add_parser("check", help="full verdict pipeline for a variety file")
     check.add_argument("file")
-    add_common(check, group_cap=True)
+    add_common(check)
     check.set_defaults(func=_cmd_tvar_check)
 
     lct = sub.add_parser("lct", help="equivariant threshold of a marked pair file")
     lct.add_argument("file")
-    add_common(lct, group_cap=True)
+    add_common(lct)
     lct.set_defaults(func=_cmd_lct)
 
     val = sub.add_parser("valuable", help="invariant log canonicity test for a pair file")
     val.add_argument("file")
-    add_common(val, group_cap=True)
+    add_common(val)
     val.set_defaults(func=_cmd_valuable)
 
     git = sub.add_parser("git", help="torus orbit-closedness commands")

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every module.
 
 Three families matter to callers (the CLI maps them to exit codes):
-input/schema problems, blown computation caps, and violated mathematical
-preconditions.
+input/schema problems, blown computation caps (including a group closure
+proven infinite), and violated mathematical preconditions.
 """
 
 
@@ -15,11 +15,12 @@ class InputError(SymfanoError):
 
 
 class ComputationCapError(SymfanoError):
-    """A configurable resource cap was exceeded."""
+    """A computation outgrew a resource cap, or a bound proving its input infinite."""
 
 
 class NotFiniteWithinCap(ComputationCapError):
-    """Group closure did not terminate within the element cap."""
+    """Group closure reached 13 elements, so the group is infinite: finite
+    subgroups of PGL2(Q) have at most 12."""
 
 
 class CapExceeded(ComputationCapError):

@@ -14,7 +14,12 @@ from .errors import IdentityElement, InputError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
 from .rationals import Q, rat, rat_key
 
-DEFAULT_GROUP_CAP = 1000
+# A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
+# of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
+# closure reaching a 13th element proves its group infinite, and an element of
+# finite order has order at most 6.
+MAX_FINITE_GROUP_ORDER = 12
+MAX_FINITE_ELEMENT_ORDER = 6
 
 
 class MoebiusElement:
@@ -70,20 +75,14 @@ class MoebiusElement:
         y = p.x * self.c + p.y * self.d
         return ProjPoint(x, y)
 
-    def projective_order(self, cap: int = DEFAULT_GROUP_CAP) -> int | None:
-        """Smallest k >= 1 with g^k proportional to the identity, or None past cap."""
+    def projective_order(self) -> int | None:
+        """Smallest k >= 1 with g^k proportional to the identity; None for infinite order."""
         g = self
-        for k in range(1, cap + 1):
+        for k in range(1, MAX_FINITE_ELEMENT_ORDER + 1):
             if g.is_identity():
                 return k
             g = g * self
         return None
-
-    def is_parabolic(self) -> bool:
-        """True when the element has a single fixed point (trace^2 = 4 det)."""
-        tr = self.a + self.d
-        det = self.a * self.d - self.b * self.c
-        return tr * tr == 4 * det and not self.is_identity()
 
     def __eq__(self, other):
         if not isinstance(other, MoebiusElement):
@@ -118,8 +117,8 @@ class MoebiusGroup:
         return iter(self.elements)
 
 
-def closure(generators, cap: int = DEFAULT_GROUP_CAP) -> MoebiusGroup:
-    """Projective group generated by ``generators``, provided its order is <= cap."""
+def closure(generators) -> MoebiusGroup:
+    """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite."""
     gens = [g if isinstance(g, MoebiusElement) else MoebiusElement(g) for g in generators]
     seen = {MoebiusElement.identity()}
     frontier = [MoebiusElement.identity()]
@@ -129,9 +128,11 @@ def closure(generators, cap: int = DEFAULT_GROUP_CAP) -> MoebiusGroup:
             for g in gens:
                 for prod in (h * g, g * h):
                     if prod not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) == MAX_FINITE_GROUP_ORDER:
                             raise NotFiniteWithinCap(
-                                f"group closure exceeded cap = {cap} elements"
+                                f"group closure reached {MAX_FINITE_GROUP_ORDER + 1} elements, so "
+                                "the group is infinite: finite subgroups of PGL2(Q) have at most "
+                                f"{MAX_FINITE_GROUP_ORDER}"
                             )
                         seen.add(prod)
                         nxt.append(prod)
@@ -143,7 +144,7 @@ def closure(generators, cap: int = DEFAULT_GROUP_CAP) -> MoebiusGroup:
 class GroupKind:
     """Classification of a finite group of projective 2x2 transformations."""
 
-    family: str  # trivial | cyclic | dihedral | tetrahedral | octahedral | icosahedral
+    family: str  # trivial | cyclic | dihedral
     n: int | None = None
 
     def __str__(self):
@@ -151,21 +152,15 @@ class GroupKind:
 
 
 def classify(group: MoebiusGroup) -> GroupKind:
-    """Classify by group order and maximal projective element order."""
+    """Classify by order and maximal element order; over Q only cyclic and dihedral occur."""
     order = group.order
     if order == 1:
         return GroupKind("trivial")
-    max_order = max(g.projective_order(cap=order + 1) for g in group if not g.is_identity())
+    max_order = max(g.projective_order() for g in group if not g.is_identity())
     if max_order == order:
         return GroupKind("cyclic", order)
-    if order == 12 and max_order == 3:
-        return GroupKind("tetrahedral")
-    if order == 24 and max_order == 4:
-        return GroupKind("octahedral")
-    if order == 60 and max_order == 5:
-        return GroupKind("icosahedral")
-    if order % 2 == 0 and max_order == order // 2:
-        return GroupKind("dihedral", order // 2)
+    if 2 * max_order == order:
+        return GroupKind("dihedral", max_order)
     raise InputError("element orders are inconsistent with a finite projective group")
 
 

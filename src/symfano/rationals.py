@@ -4,9 +4,8 @@ Every quantity in this package is an exact rational (or lives in a single
 quadratic extension of the rationals); there are no floats and no tolerances
 anywhere.  The scalar type is chosen once at import time: ``gmpy2.mpq`` when
 available (a compiled exact rational, roughly an order of magnitude faster),
-otherwise the pure-Python ``fractions.Fraction``.  Set
-``SYMFANO_RATIONALS=fractions`` to force the fallback (used by the benchmark
-in ``benchmarks/``).
+otherwise the pure-Python ``fractions.Fraction``.  ``BACKEND`` names the
+live choice.
 
 Both backends normalise to lowest terms with a positive denominator and hash
 compatibly, so the rest of the package never needs to know which one is live.
@@ -15,26 +14,15 @@ compatibly, so the rest of the package never needs to know which one is live.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .errors import InputError
 
-_FORCED = os.environ.get("SYMFANO_RATIONALS", "").strip().lower()
+try:
+    from gmpy2 import mpq as _mpq
 
-if _FORCED in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED == "gmpy2":
-            raise
-        _mpq = Fraction
-        BACKEND = "fractions"
-else:
-    if _FORCED != "fractions":
-        raise InputError(f"unknown rational backend {_FORCED!r}")
+    BACKEND = "gmpy2"
+except ImportError:
     _mpq = Fraction
     BACKEND = "fractions"
 

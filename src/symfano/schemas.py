@@ -27,7 +27,7 @@ from pathlib import Path
 from .curvepair import MarkedCurvePair, NEG_INFINITY
 from .errors import InputError
 from .exact import IntMatrix, ProjPoint
-from .groups import DEFAULT_GROUP_CAP, LatticeAutGroup, MoebiusElement
+from .groups import LatticeAutGroup, MoebiusElement
 from .polyhedral import Cone, Fan
 from .quotients import WeightMatrix
 from .rationals import parse_rat
@@ -324,7 +324,7 @@ def _require_valid(data: dict, kind: str):
         raise InputError(f"expected a {kind} file, found {actual}")
 
 
-def load_variety(data: dict, group_cap: int = DEFAULT_GROUP_CAP) -> CxOneVariety:
+def load_variety(data: dict) -> CxOneVariety:
     _require_valid(data, "variety")
     fibers = FiberBook(
         Fiber(
@@ -354,7 +354,6 @@ def load_variety(data: dict, group_cap: int = DEFAULT_GROUP_CAP) -> CxOneVariety
         declared=declared,
         fano=data["fano"],
         log_terminal=data["log_terminal"],
-        group_cap=group_cap,
     )
 
 

@@ -14,7 +14,6 @@ import random
 import zlib
 
 from .curvepair import MarkedCurvePair, finite_degree, lct_g
-from .errors import NotFiniteWithinCap
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
 from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, verify_stability_cert
@@ -47,13 +46,7 @@ _GROUP_GENERATORS = (
 
 
 def _group_pool() -> list[MoebiusGroup]:
-    pool = []
-    for gens in _GROUP_GENERATORS:
-        try:
-            pool.append(closure([MoebiusElement(g) for g in gens]))
-        except NotFiniteWithinCap:  # pragma: no cover - pool is curated
-            continue
-    return pool
+    return [closure([MoebiusElement(g) for g in gens]) for gens in _GROUP_GENERATORS]
 
 
 def _conjugate_group(group: MoebiusGroup, h: MoebiusElement) -> MoebiusGroup:

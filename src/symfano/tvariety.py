@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curvepair import MarkedCurvePair, NEG_INFINITY, finite_degree, lct_g
+from .curvepair import LctResult, MarkedCurvePair, NEG_INFINITY, finite_degree, lct_g
 from .errors import (
     DegreeError,
     InputError,
@@ -22,10 +22,10 @@ from .errors import (
     NotInvariant,
     NotLogTerminal,
     NotSymmetric,
+    PreconditionError,
 )
 from .exact import ProjPoint
 from .groups import (
-    DEFAULT_GROUP_CAP,
     LatticeAutGroup,
     MoebiusElement,
     MoebiusGroup,
@@ -124,7 +124,6 @@ class CxOneVariety:
     declared: DeclaredAction | None = None
     fano: bool = True
     log_terminal: bool = True
-    group_cap: int = DEFAULT_GROUP_CAP
     _moebius_group: MoebiusGroup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -183,7 +182,7 @@ class CxOneVariety:
         if not self.explicit_action:
             raise InputError("no explicit induced action was given")
         if self._moebius_group is None:
-            self._moebius_group = closure(self.moebius_generators, cap=self.group_cap)
+            self._moebius_group = closure(self.moebius_generators)
         return self._moebius_group
 
     def marked_permutation_group(self) -> list[tuple[int, ...]]:
@@ -401,13 +400,65 @@ class GlctInfo:
     witness: str | None
 
 
-def _check_verdict_preconditions(variety: CxOneVariety):
-    if not is_symmetric(variety.lattice):
+@dataclass(frozen=True)
+class KEVerdict:
+    certified: bool
+    route: str | None
+    details: dict
+    warnings: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class VarietyAnalysis:
+    """Every quantity of the verdict pipeline, each computed once.  A stopped
+    ``glct`` or ``verdict`` holds its PreconditionError; ``quotient_lct`` is the
+    uncapped boundary threshold, present when an explicit action gave the glct."""
+
+    symmetric: bool
+    boundary: MarkedCurvePair
+    non_reduced: tuple[ProjPoint, ...]
+    quotient_lct: LctResult | None
+    glct: GlctInfo | PreconditionError
+    verdict: KEVerdict | PreconditionError
+
+
+def _check_verdict_preconditions(variety: CxOneVariety, symmetric: bool):
+    if not symmetric:
         raise NotSymmetric(f"{variety.name}: the lattice action fixes a nonzero vector")
     if not variety.fano:
         raise NotFano(f"{variety.name} is not declared Fano")
     if not variety.log_terminal:
         raise NotLogTerminal(f"{variety.name} is not declared log terminal")
+
+
+def analyze(variety: CxOneVariety) -> VarietyAnalysis:
+    """Symmetry, boundary, non-reduced fibers, thresholds and verdict in one pass."""
+    symmetric = is_symmetric(variety.lattice)
+    b = boundary(variety)
+    nr = non_reduced_fibers(variety)
+    try:
+        _check_verdict_preconditions(variety, symmetric)
+    except PreconditionError as exc:
+        return VarietyAnalysis(symmetric, b, nr, None, exc, exc)
+    quotient_lct = None
+    if b.has_neg_infinity:
+        info = MorphismHypothesisViolated(
+            f"{variety.name}: a declared-empty fiber gives a -infinity boundary"
+        )
+    elif variety.explicit_action:
+        # the validated action makes b invariant, so lct_g raises nothing here
+        quotient_lct = lct_g(b, variety.moebius_group())
+        witness = None if quotient_lct.witness is None else quotient_lct.witness.describe()
+        info = GlctInfo(quotient_lct.capped_at_one(), False, witness)
+    else:
+        info = _declared_glct(variety, b)
+    return VarietyAnalysis(symmetric, b, nr, quotient_lct, info, _verdict(variety, nr, info))
+
+
+def _result(value):
+    if isinstance(value, PreconditionError):
+        raise value
+    return value
 
 
 def glct_info(variety: CxOneVariety) -> GlctInfo:
@@ -418,55 +469,42 @@ def glct_info(variety: CxOneVariety) -> GlctInfo:
     below by the smallest size they could have (1 for a cyclic group, else 2)
     and the result is a certified lower bound.
     """
-    _check_verdict_preconditions(variety)
-    b = boundary(variety)
-    if b.has_neg_infinity:
-        raise MorphismHypothesisViolated(
-            f"{variety.name}: a declared-empty fiber gives a -infinity boundary"
-        )
-    if variety.explicit_action:
-        res = lct_g(b, variety.moebius_group())
-        witness = res.witness.describe() if res.witness is not None else None
-        return GlctInfo(res.capped_at_one(), False, witness)
-
-    deg = finite_degree(b)
-    if deg >= 2:
-        return GlctInfo(ONE, False, None)
-    free = TWO - deg
-    coeff_at = {f.point: (Q(f.multiplicity - 1) / Q(f.multiplicity)) for f in variety.fibers}
-    fibs = variety.fibers.fibers
-    perms = variety.marked_permutation_group()
-    seen: set[int] = set()
-    best = None
-    witness = None
-    for i in range(len(fibs)):
-        if i in seen:
-            continue
-        orbit_idx = sorted({p[i] for p in perms})
-        seen.update(orbit_idx)
-        c = coeff_at[fibs[i].point]
-        value = Q(len(orbit_idx)) * (ONE - c) / free
-        if best is None or value < best:
-            best = value
-            witness = f"declared orbit of {fibs[i].point} (size {len(orbit_idx)})"
-    floor_size = 1 if variety.declared.induced_cyclic else 2
-    floor = Q(floor_size) / free
-    if best is None or floor < best:
-        best = floor
-        witness = f"possible unseen orbit of size {floor_size}"
-    return GlctInfo(min(best, ONE), True, witness)
+    return _result(analyze(variety).glct)
 
 
 def glct(variety: CxOneVariety) -> Q:
     return glct_info(variety).value
 
 
-@dataclass(frozen=True)
-class KEVerdict:
-    certified: bool
-    route: str | None
-    details: dict
-    warnings: tuple[str, ...]
+def ke_verdict(variety: CxOneVariety) -> KEVerdict:
+    """Existence verdict for the invariant Einstein metric.
+
+    Certification routes, in order: three or more non-reduced fibers; exactly
+    two swapped by the symmetry; a fixed-point-free induced action; or the
+    threshold exceeding dim/(dim+1).  A False verdict is inconclusive, never a
+    disproof.
+    """
+    return _result(analyze(variety).verdict)
+
+
+def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
+    deg = finite_degree(b)
+    if deg >= 2:
+        return GlctInfo(ONE, False, None)
+    free = TWO - deg
+    fibs = variety.fibers.fibers
+    perms = variety.marked_permutation_group()
+    candidates = []
+    # each declared orbit once, named by its first fiber; a fiber of
+    # multiplicity m has coefficient (m - 1)/m, so 1 - coeff = 1/m
+    for orbit in dict.fromkeys(tuple(sorted({p[i] for p in perms})) for i in range(len(fibs))):
+        f = fibs[orbit[0]]
+        value = Q(len(orbit)) / Q(f.multiplicity) / free
+        candidates.append((value, f"declared orbit of {f.point} (size {len(orbit)})"))
+    floor_size = 1 if variety.declared.induced_cyclic else 2
+    candidates.append((Q(floor_size) / free, f"possible unseen orbit of size {floor_size}"))
+    best, witness = min(candidates, key=lambda c: c[0])  # first minimum wins ties
+    return GlctInfo(min(best, ONE), True, witness)
 
 
 def _swapped_pair(variety: CxOneVariety, p: ProjPoint, q: ProjPoint) -> bool:
@@ -484,17 +522,9 @@ def _fixed_point_free(variety: CxOneVariety) -> bool:
     return not variety.declared.induced_cyclic
 
 
-def ke_verdict(variety: CxOneVariety) -> KEVerdict:
-    """Existence verdict for the invariant Einstein metric.
-
-    Certification routes, in order: three or more non-reduced fibers; exactly
-    two swapped by the symmetry; a fixed-point-free induced action; or the
-    threshold exceeding dim/(dim+1).  A False verdict is inconclusive, never a
-    disproof.
-    """
-    _check_verdict_preconditions(variety)
+def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
+    """Verdict of a variety whose preconditions hold, from its analysed parts."""
     warnings: list[str] = []
-    nr = non_reduced_fibers(variety)
     details: dict = {
         "symmetric": True,
         "non_reduced_fibers": [str(p) for p in nr],
@@ -511,9 +541,7 @@ def ke_verdict(variety: CxOneVariety) -> KEVerdict:
     elif _fixed_point_free(variety):
         route = "fixed-point-free"
 
-    info = None
-    if not boundary(variety).has_neg_infinity:
-        info = glct_info(variety)
+    if isinstance(info, GlctInfo):
         details["glct"] = rat_str(info.value)
         details["glct_is_lower_bound"] = info.is_lower_bound
         if info.witness is not None:
@@ -523,14 +551,12 @@ def ke_verdict(variety: CxOneVariety) -> KEVerdict:
                 "induced action given only as a declared permutation: the threshold "
                 "is a lower bound"
             )
+        if route is None and info.value > threshold:
+            route = "threshold"
+        elif route is None and info.is_lower_bound:
+            warnings.append("declared-action lower bound did not reach the threshold")
     elif route is None:
-        raise MorphismHypothesisViolated(
+        return MorphismHypothesisViolated(
             f"{variety.name}: threshold route needs a boundary without -infinity entries"
         )
-
-    if route is None and info is not None and info.value > threshold:
-        route = "threshold"
-    if route is None and info is not None and info.is_lower_bound and info.value <= threshold:
-        warnings.append("declared-action lower bound did not reach the threshold")
-
     return KEVerdict(route is not None, route, details, tuple(warnings))

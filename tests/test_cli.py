@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from symfano import cli, curvepair, tvariety
 from symfano.cli import Report, run
 from symfano.errors import InputError
 from symfano.schemas import (
@@ -262,11 +263,23 @@ def test_declared_gap_without_route_is_a_precondition_failure(tmp_path, capsys):
     assert "ke_certified: null" in out
 
 
-def test_group_cap_flag(tmp_path, capsys):
-    code, _ = run_capture(capsys, "lct", fixture("pair-triangle.json"), "--group-cap", "6")
+def test_tvar_check_computes_each_quantity_once(monkeypatch, capsys):
+    calls = {"boundary": 0, "lct_g": 0}
+    originals = {"boundary": tvariety.boundary, "lct_g": curvepair.lct_g}
+    for name, original in originals.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # patch every module namespace that holds the function
+        for module in (cli, curvepair, tvariety):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"))
     assert code == 0
-    assert run(["lct", fixture("pair-triangle.json"), "--group-cap", "3"]) == 2
-    capsys.readouterr()
+    assert "lct_of_quotient_pair" in out
+    assert calls == {"boundary": 1, "lct_g": 1}
 
 
 def test_selftest_subcommand(capsys):

@@ -57,7 +57,8 @@ def test_closure_is_closed():
 def test_closure_cap():
     translation = MoebiusElement([[1, 1], [0, 1]])
     with pytest.raises(NotFiniteWithinCap):
-        closure([translation], cap=50)
+        closure([translation])
+    assert translation.projective_order() is None
 
 
 def test_classify():
@@ -69,6 +70,10 @@ def test_classify():
     assert str(classify(klein)) == "dihedral(2)"
     assert str(classify(closure([MoebiusElement([[1, -1], [1, 1]])]))) == "cyclic(4)"
     assert str(classify(closure([MoebiusElement([[2, -1], [1, 1]])]))) == "cyclic(6)"
+    d4 = closure([MoebiusElement([[1, -1], [1, 1]]), MoebiusElement([[-1, 0], [0, 1]])])
+    assert d4.order == 8 and str(classify(d4)) == "dihedral(4)"
+    d6 = closure([MoebiusElement([[2, -1], [1, 1]]), INVOLUTION])
+    assert d6.order == 12 and str(classify(d6)) == "dihedral(6)"
 
 
 def test_has_global_fixed_point():

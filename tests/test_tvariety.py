@@ -305,6 +305,29 @@ def test_declared_action_lower_bound():
     assert any("lower bound" in w for w in verdict.warnings)
 
 
+def test_declared_action_witness_prefers_first_minimal_orbit():
+    lattice = LatticeAutGroup(2, NEG_LATTICE)
+
+    def declared(name, orders, perm, cyclic):
+        fibers = FiberBook(
+            Fiber(pt(i), (VerticalDivisor(f"{name}{i}", m),)) for i, m in enumerate(orders)
+        )
+        return CxOneVariety(
+            name=name, dim=3, fibers=fibers, horizontals=(), lattice=lattice,
+            declared=DeclaredAction((perm,), induced_cyclic=cyclic),
+        )
+
+    # two fixed fibers of multiplicity 2: free degree 1, both orbits give 1/2
+    info = glct_info(declared("tie", (2, 2), (0, 1), True))
+    assert (info.value, info.witness) == (rat(1, 2), "declared orbit of 0 (size 1)")
+    # an orbit of two reduced fibers ties with the unseen-orbit floor 2/2
+    info = glct_info(declared("floor", (1, 1), (1, 0), False))
+    assert (info.value, info.witness) == (1, "declared orbit of 0 (size 2)")
+    # a fixed fiber of multiplicity 2 beats the cyclic floor 1/(3/2)
+    info = glct_info(declared("fixed", (2,), (0,), True))
+    assert (info.value, info.witness) == (rat(1, 3), "declared orbit of 0 (size 1)")
+
+
 def test_declared_action_cyclic_flag_controls_fixed_point_route():
     fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))])
     lattice = LatticeAutGroup(2, NEG_LATTICE)
