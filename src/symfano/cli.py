@@ -14,8 +14,8 @@ Subcommands::
 
 ``--json`` switches any reporting command to a machine-readable report that
 round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error, 2 blown
-computation cap (Moebius generators of an infinite group, a refinement or a
-support enumeration too large) or mixed extensions, 3 violated mathematical
+computation cap (Moebius generators of an infinite group, a support
+enumeration too large) or mixed extensions, 3 violated mathematical
 precondition.
 """
 

@@ -23,10 +23,6 @@ class NotFiniteWithinCap(ComputationCapError):
     subgroups of PGL2(Q) have at most 12."""
 
 
-class CapExceeded(ComputationCapError):
-    """Sign-pattern enumeration would exceed the refinement cap."""
-
-
 class TooManyCoordinates(ComputationCapError):
     """Support enumeration over 2^n subsets refused for large n."""
 

@@ -3,8 +3,8 @@
 Cones are given by integer generators (V-form) or integer halfspace normals
 (H-form); conversion runs a naive double description pass that tracks the
 lineality space explicitly, so cones containing lines (projections create
-them) are first-class.  The refinement operation enumerates sign patterns of
-the input facet hyperplanes, which is exponential and guarded by a hard cap.
+them) are first-class.  The refinement splits cells by the input facet
+hyperplanes one at a time, so it builds only the nonempty sign cells.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -14,48 +14,38 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .exact import IntMatrix, _primitive, integer_kernel
-from .rationals import Q, ZERO, lcm_all, rat
+from .rationals import rat
 
 
-def _dot(u, v) -> int:
+def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _qdot(u, v):
-    return sum((Q(a) * Q(b) for a, b in zip(u, v)), ZERO)
 
 
 def _project_off(lineality, vector):
     """Primitive integer representative of ``vector`` modulo span(lineality).
 
-    Orthogonal projection with exact rational arithmetic, rescaled primitive.
-    Returns the zero tuple when the vector lies in the span.
+    Orthogonal projection without fractions: over an integer-orthogonalised
+    basis, each rejection v <- (o.o)v - (v.o)o is a positive multiple of the
+    rational one, so the primitive result is the same.  Returns the zero
+    tuple when the vector lies in the span.
     """
-    if not lineality:
-        return _primitive(vector)
-    basis = [list(b) for b in lineality]
-    v = [Q(x) for x in vector]
-    # Gram-Schmidt the basis once per call; desk scale makes this cheap
-    ortho: list[list[Q]] = []
-    for b in basis:
-        w = [Q(x) for x in b]
+    def reject(v, ortho):
         for o in ortho:
-            den = _qdot(o, o)
-            if den != 0:
-                coef = _qdot(w, o) / den
-                w = [wi - coef * oi for wi, oi in zip(w, o)]
-        ortho.append(w)
-    for o in ortho:
-        den = _qdot(o, o)
-        if den != 0:
-            coef = _qdot(v, o) / den
-            v = [vi - coef * oi for vi, oi in zip(v, o)]
-    scale = lcm_all([int(x.denominator) for x in v])
-    return _primitive([int(x * scale) for x in v])
+            oo, vo = _dot(o, o), _dot(v, o)
+            if vo:
+                v = _primitive(tuple(oo * x - vo * y for x, y in zip(v, o)))
+        return v
+
+    ortho: list[tuple[int, ...]] = []
+    for b in lineality:
+        w = reject(tuple(b), ortho)
+        if any(w):
+            ortho.append(w)
+    return _primitive(reject(tuple(vector), ortho))
 
 
 def _dd_from_halfspaces(rank: int, halfspaces) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -206,11 +196,11 @@ class Cone:
         return mat.cols - len(integer_kernel(mat))
 
     def contains_point(self, point) -> bool:
-        point = [Q(rat(x)) for x in point]
-        return all(_qdot(h, point) >= 0 for h in self.halfspaces)
+        point = [rat(x) for x in point]
+        return all(_dot(h, point) >= 0 for h in self.halfspaces)
 
     def contains(self, other: "Cone") -> bool:
-        return all(self.contains_point(g) for g in other.generators) if other.generators else True
+        return all(_dot(h, g) >= 0 for g in other.generators for h in self.halfspaces)
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -290,20 +280,32 @@ def image_cone(cone: Cone, p: IntMatrix) -> Cone:
     return Cone(p.rows, (p.apply(g) for g in cone.generators))
 
 
+def _face_within(cone: Cone, part: Cone, other: Cone) -> bool:
+    """Whether the smallest face of ``cone`` containing ``part`` lies in ``other``.
+
+    That face is spanned by the generators of ``cone`` on which every
+    halfspace tight at the sum of the rays of ``part`` vanishes (the sum lies
+    in the relative interior of ``part`` modulo its lineality).
+    """
+    point = [sum(col) for col in zip(*part.rays)] or [0] * cone.ambient_rank
+    tight = [h for h in cone.halfspaces if _dot(h, point) == 0]
+    return all(
+        _dot(h, g) >= 0
+        for g in cone.generators
+        if all(_dot(t, g) == 0 for t in tight)
+        for h in other.halfspaces
+    )
+
+
 def is_face(face: Cone, cone: Cone) -> bool:
     """True when ``face`` equals the part of ``cone`` tight on some halfspaces."""
-    if not cone.contains(face):
-        return False
-    tight = [
-        h
-        for h in cone.halfspaces
-        if all(_dot(h, g) == 0 for g in face.generators)
-    ]
-    cut = Cone.from_halfspaces(
-        cone.ambient_rank,
-        list(cone.halfspaces) + [tuple(-x for x in h) for h in tight],
-    )
-    return cut == face
+    return cone.contains(face) and _face_within(cone, face, face)
+
+
+def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
+    """Whether the intersection of two cones is a face of both."""
+    meet = intersect(c1, c2)
+    return _face_within(c1, meet, c2) and _face_within(c2, meet, c1)
 
 
 @dataclass(frozen=True)
@@ -316,9 +318,10 @@ class Fan:
 
     @property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        out = []
+        """Cones inside no other cone; equal cones count once (the first)."""
+        out: list[Cone] = []
         for c in self.cones:
-            if not any(other is not c and other.contains(c) for other in self.cones):
+            if not any(o.contains(c) and not c.contains(o) for o in self.cones) and c not in out:
                 out.append(c)
         return tuple(out)
 
@@ -326,26 +329,36 @@ class Fan:
         return len(self.cones)
 
     def validate(self):
-        for c1, c2 in itertools.combinations(self.cones, 2):
-            meet = intersect(c1, c2)
-            if not (is_face(meet, c1) and is_face(meet, c2)):
-                raise InputError("cone intersection is not a common face")
+        """Every two cones meet in a common face.
+
+        Checked as: every two maximal cones meet in a common face, and every
+        cone is a face of a maximal cone.  If faces t1, t2 lie in maximal
+        s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.
+        """
+        maximal = self.maximal_cones
+        if not (
+            all(_meets_in_common_face(c1, c2) for c1, c2 in itertools.combinations(maximal, 2))
+            and all(any(is_face(c, m) for m in maximal) for c in self.cones)
+        ):
+            raise InputError("cone intersection is not a common face")
 
 
-DEFAULT_PATTERN_CAP = 2**16
+def common_refinement(cones) -> Fan:
+    """A common refinement of a family of full-dimensional cones that is a fan.
 
-
-def common_refinement(cones, pattern_cap: int = DEFAULT_PATTERN_CAP) -> Fan:
-    """Coarsest common refinement of a family of full-dimensional cones.
-
-    Enumerates closed sign cells of the arrangement of all input facet
-    hyperplanes, keeps the cells contained in at least one input, then merges
-    adjacent cells lying in exactly the same inputs (dropping one sign
-    constraint at a time); merging any two of the surviving cells would cross
-    a facet of some input, which is what makes the result coarsest.  The
-    surviving maximal cells are closed under faces.  Cells of
-    lower-dimensional inputs are invisible to the binary sign search and are
-    dropped; covering the span is the caller's concern.
+    Split: the whole space is split by the input facet hyperplanes one at a
+    time; a cell on one closed side of a hyperplane stays whole, so only
+    nonempty cells are built, and each keeps its sign vector.  The cells
+    inside some input are kept.  Merge: two cells in the same inputs whose
+    sign vectors differ in one place become the cell of the relaxed vector,
+    their union, if it meets every other cell in a common face; the scan
+    restarts after each merge.  So the cells stay a fan, and each lies in
+    exactly the inputs whose interior it meets.  It need not be coarsest, and
+    no coarsest one need exist: beside the cone spanned by (1, 1) and (3, 1),
+    the half-plane {x >= 3y} must be cut along some ray inside it, and no cut
+    is coarser than another.  The cells are closed under faces.  Cells of
+    lower-dimensional inputs are dropped; covering the span is the caller's
+    concern.
     """
     cones = list(cones)
     if not cones:
@@ -353,68 +366,54 @@ def common_refinement(cones, pattern_cap: int = DEFAULT_PATTERN_CAP) -> Fan:
     rank = cones[0].ambient_rank
     if any(c.ambient_rank != rank for c in cones):
         raise InputError("mixed ambient ranks")
+    hyperplanes = sorted({max(h, tuple(-x for x in h)) for cone in cones for h in cone.facet_normals()})
 
-    hyperplanes: list[tuple[int, ...]] = []
-    seen = set()
-    for cone in cones:
-        for h in cone.facet_normals():
-            canon = max(h, tuple(-x for x in h))
-            if canon not in seen:
-                seen.add(canon)
-                hyperplanes.append(canon)
-    hyperplanes.sort()
-
-    k = len(hyperplanes)
-    if 2**k > pattern_cap:
-        raise CapExceeded(f"2^{k} sign patterns exceed the cap {pattern_cap}")
-
-    def cell_of(pattern) -> Cone:
-        return Cone.from_halfspaces(
-            rank, [tuple(s * x for x in hyperplanes[i]) for i, s in sorted(pattern)]
-        )
-
-    def owners_of(cell: Cone) -> frozenset:
-        return frozenset(i for i, cone in enumerate(cones) if cone.contains(cell))
-
-    # pattern -> owner set, for every owned full sign cell
-    cells: dict[frozenset, frozenset] = {}
-    for signs in itertools.product((1, -1), repeat=k):
-        pattern = frozenset(enumerate(signs))
-        owners = owners_of(cell_of(pattern))
-        if owners:
-            cells[pattern] = owners
-
-    # merge across a hyperplane while the two sides lie in the same inputs;
-    # the union of the two cells is exactly the cell of the relaxed pattern
-    merged = True
-    while merged:
-        merged = False
-        for pattern in sorted(cells, key=sorted):
-            if pattern not in cells:
+    split = [((), [], Cone.full_space(rank))]  # (sign vector, cuts made, cell)
+    for h in hyperplanes:
+        out = []
+        for signs, cuts, cell in split:
+            vals = [_dot(h, r) for r in cell.rays]
+            if not any(_dot(h, l) for l in cell.lineality_basis) and not min(vals) < 0 < max(vals):
+                out.append((signs + (1 if max(vals) > 0 else -1,), cuts, cell))
                 continue
+            for s in (1, -1):
+                side = cuts + [tuple(s * x for x in h)]
+                out.append((signs + (s,), side, Cone.from_halfspaces(rank, side)))
+        split = out
+
+    cell_of: dict[frozenset, Cone] = {}
+    cells: dict[frozenset, frozenset] = {}  # sign pattern -> owner set
+    for signs, _, cell in split:
+        owners = frozenset(i for i, cone in enumerate(cones) if cone.contains(cell))
+        if owners:
+            cell_of[frozenset(enumerate(signs))] = cell
+            cells[frozenset(enumerate(signs))] = owners
+
+    @cache
+    def meets_properly(p, q) -> bool:
+        return _meets_in_common_face(cell_of[p], cell_of[q])
+
+    def next_merge():
+        for pattern in sorted(cells, key=sorted):
             for i, s in sorted(pattern):
                 relaxed = pattern - {(i, s)}
                 twin = relaxed | {(i, -s)}
-                if twin in cells and cells[twin] == cells[pattern]:
-                    owners = cells[pattern]
-                    del cells[pattern]
-                    del cells[twin]
-                    cells[relaxed] = owners
-                    merged = True
-                    break
-            if merged:
-                break
+                if cells.get(twin) != cells[pattern]:
+                    continue
+                if relaxed not in cell_of:
+                    cell_of[relaxed] = Cone.from_halfspaces(
+                        rank, [tuple(t * x for x in hyperplanes[j]) for j, t in sorted(relaxed)]
+                    )
+                if all(meets_properly(relaxed, q) for q in cells if q != pattern and q != twin):
+                    return pattern, twin, relaxed
+        return None
 
-    distinct: list[Cone] = []
-    for pattern in sorted(cells, key=sorted):
-        cell = cell_of(pattern)
-        if not any(cell == c for c in distinct):
-            distinct.append(cell)
-    maximal = [c for c in distinct if not any(o is not c and o.contains(c) for o in distinct)]
-    closed: dict = {}
-    for cell in maximal:
-        for face in cell.faces():
-            closed[face.key()] = face
+    while (step := next_merge()) is not None:
+        pattern, twin, relaxed = step
+        cells[relaxed] = cells.pop(pattern)
+        del cells[twin]
+
+    closed = {face.key(): face for pattern in cells for face in cell_of[pattern].faces()}
     fan = Fan(rank, tuple(sorted(closed.values(), key=Cone.key)))
     fan.validate()
     return fan

@@ -171,8 +171,8 @@ def is_polystable_oracle(weight_matrix: WeightMatrix, support) -> bool:
     return True
 
 
-def chow_quotient_fan(fan: Fan, projection: IntMatrix, pattern_cap=None) -> Fan:
-    """Coarsest common refinement of the images of the maximal cones.
+def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
+    """A common refinement of the images of the maximal cones that is a fan.
 
     The projection must be onto the target lattice (all invariant factors 1).
     """
@@ -183,5 +183,4 @@ def chow_quotient_fan(fan: Fan, projection: IntMatrix, pattern_cap=None) -> Fan:
     if len(diag) < projection.rows or any(x != 1 for x in diag[: projection.rows]):
         raise NotSurjective("projection is not onto the target lattice")
     images = [image_cone(c, projection) for c in fan.maximal_cones]
-    kwargs = {} if pattern_cap is None else {"pattern_cap": pattern_cap}
-    return common_refinement(images, **kwargs)
+    return common_refinement(images)

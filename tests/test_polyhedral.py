@@ -1,6 +1,6 @@
 import pytest
 
-from symfano.errors import CapExceeded, InputError
+from symfano.errors import InputError
 from symfano.exact import IntMatrix
 from symfano.polyhedral import (
     Cone,
@@ -119,12 +119,35 @@ def test_refinement_merges_uncut_cells():
     }
 
 
-def test_refinement_cap():
-    cones = []
-    for k in range(17):
-        cones.append(Cone.from_halfspaces(2, [(1, k)]))
-    with pytest.raises(CapExceeded):
-        common_refinement(cones, pattern_cap=2**16)
+def test_refinement_of_17_halfplanes():
+    # 2^17 sign patterns, but only 34 nonempty cells; one lies in no input
+    cones = [Cone.from_halfspaces(2, [(1, k)]) for k in range(17)]
+    fan = common_refinement(cones)
+    fan.validate()
+    assert len(fan.maximal_cones) == 33
+
+
+def test_refinement_three_dimensional_t_junction():
+    # the greedy merge alone leaves (0, 1, 1) inside another cell's 2-face
+    cones = [
+        Cone(3, [(-1, -2, 2), (0, 2, -1), (2, -1, 0)]),
+        Cone(3, [(-2, 0, 1), (-1, 0, -2), (0, 1, 1)]),
+    ]
+    fan = common_refinement(cones)
+    fan.validate()
+    assert len(fan.maximal_cones) == 10
+
+
+def test_refinement_halfplane_meeting_cone_in_a_ray():
+    # the half-plane {x >= 3y} meets the cone in the ray (3, 1), which is no
+    # face of the half-plane, so the half-plane stays cut
+    halfplane = cone2((-3, -1), (0, -1), (3, 1))
+    cone = cone2((1, 1), (3, 1))
+    fan = common_refinement([halfplane, cone])
+    fan.validate()
+    assert len(fan.maximal_cones) == 3
+    assert cone in fan.maximal_cones
+    assert all(halfplane.contains(c) for c in fan.maximal_cones if c != cone)
 
 
 def test_refinement_properties_random(rng, property_cases):
@@ -155,6 +178,37 @@ def test_refinement_properties_random(rng, property_cases):
             for cone in cones:
                 if cone.contains_point(interior_point):
                     assert cone.contains(cell)
+
+
+def test_refinement_properties_random_rank3(rng, property_cases):
+    def random_cone():
+        while True:
+            cone = Cone(3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+            if cone.dim == 3:
+                return cone
+
+    def random_point():
+        return tuple(rat(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
+
+    for _ in range(property_cases // 10):
+        cones = [random_cone() for _ in range(rng.randint(1, 3))]
+        fan = common_refinement(cones)
+        fan.validate()
+        for _ in range(20):
+            point = random_point()
+            assert any(c.contains_point(point) for c in cones) == any(
+                c.contains_point(point) for c in fan.cones
+            )
+        for cell in fan.maximal_cones:
+            interior_point = tuple(sum(g[i] for g in cell.generators) for i in range(3))
+            for cone in cones:
+                if cone.contains_point(interior_point):
+                    assert cone.contains(cell)
+
+
+def test_fan_validate_counts_equal_cones_once():
+    Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).validate()
+    assert Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).maximal_cones == (FIRST_ORTHANT,)
 
 
 def test_fan_validate_rejects_overlap():
