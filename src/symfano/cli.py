@@ -16,7 +16,8 @@ Subcommands::
 round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error, 2 blown
 computation cap (Moebius generators of an infinite group, a support
 enumeration too large) or mixed extensions, 3 violated mathematical
-precondition.
+precondition, 4 internal error (a computed result failed its own run-time
+check; a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -31,13 +32,20 @@ from .curvepair import is_neg_infinity, is_valuable, lct_g
 from .errors import (
     ComputationCapError,
     InputError,
+    InternalError,
     MixedExtension,
     PreconditionError,
     SymfanoError,
 )
 from .exact import PositiveCombination
 from .groups import closure, fixed_sublattice, is_symmetric
-from .quotients import Destabilizer, chow_quotient_fan, is_polystable, polystable_locus
+from .quotients import (
+    Destabilizer,
+    chow_quotient_fan,
+    is_polystable,
+    lower_dimensional_images,
+    polystable_locus,
+)
 from .rationals import rat_str
 from .schemas import (
     detect_kind,
@@ -57,6 +65,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -299,6 +308,12 @@ def _cmd_chow(args) -> tuple[Report, int]:
             for c in out.maximal_cones
         ],
     )
+    flat = lower_dimensional_images(fan, projection)
+    if flat:
+        report.warn(
+            "the images of these maximal cones are lower-dimensional and hold no cell: "
+            + "; ".join("cone(" + ", ".join(str(tuple(g)) for g in c.generators) + ")" for c in flat)
+        )
     _emit(report, args.json)
     return report, EXIT_OK
 
@@ -416,6 +431,9 @@ def run(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except SymfanoError as exc:  # fallback; should not happen
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

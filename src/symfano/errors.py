@@ -1,8 +1,10 @@
 """Exception hierarchy shared by every module.
 
-Three families matter to callers (the CLI maps them to exit codes):
+Four families matter to callers (the CLI maps them to exit codes):
 input/schema problems, blown computation caps (including a group closure
-proven infinite), and violated mathematical preconditions.
+proven infinite), violated mathematical preconditions, and internal errors:
+a result of this package that failed its own run-time check, a bug rather
+than a property of the input.
 """
 
 
@@ -25,6 +27,11 @@ class NotFiniteWithinCap(ComputationCapError):
 
 class TooManyCoordinates(ComputationCapError):
     """Support enumeration over 2^n subsets refused for large n."""
+
+
+class InternalError(SymfanoError):
+    """A computed result failed its run-time check: a certificate that does
+    not verify, or a refinement that is not a fan."""
 
 
 class MixedExtension(SymfanoError):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, MixedExtension, NoRoot
-from .rationals import ONE, ZERO, Q, lcm_all, rat, rat_key, rat_str, rational_sqrt_parts, squarefree_decompose
+from .errors import InputError, InternalError, MixedExtension, NoRoot
+from .rationals import Q, lcm_all, rat, rat_key, rat_str, rational_sqrt_parts, squarefree_decompose
 
 
 def _merge_ext(d1: int | None, d2: int | None) -> int | None:
@@ -508,97 +508,84 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     Exactly one of the two outcomes exists: either a strictly positive rational
     vector lambda (normalised to lambda_i >= 1) with ``w @ lambda = 0``, or an
     integer witness pairing nonnegatively with every column and positively
-    with at least one.  Decided by exact phase-one simplex on
-    ``{w x = -w 1, x >= 0}`` with the witness read off the Farkas dual.
+    with at least one.  Decided by phase-one simplex on ``{w x = -w 1, x >= 0}``
+    with the witness read off the Farkas dual.  The simplex pivots in plain
+    integers, whatever rational backend is live; a rational is built only for
+    the returned coefficients.  Either outcome is re-checked in integers, and
+    a failed check raises ``InternalError``.
     """
     n = w.cols
     if n < 1:
         raise InputError("need at least one column")
-    d = w.rows
-    if d == 0:
-        return PositiveCombination(tuple(ONE for _ in range(n)))
-    rhs = [-sum(w.row(i)) for i in range(d)]
-    feasible, payload = _phase_one([list(w.row(i)) for i in range(d)], rhs)
+    rows = w.entries
+    feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows])
     if feasible:
-        lam = tuple(ONE + x for x in payload)
-        assert all(x >= 1 for x in lam)
-        for i in range(d):
-            assert sum(Q(c) * l for c, l in zip(w.row(i), lam)) == 0
-        return PositiveCombination(lam)
-    v = _integerize(payload)
-    v = tuple(-x for x in v)
-    pairings = [sum(a * b for a, b in zip(v, w.col(j))) for j in range(n)]
-    assert all(p >= 0 for p in pairings) and any(p > 0 for p in pairings)
+        lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
+        if min(nums) < 0 or any(sum(c * l for c, l in zip(row, lam)) for row in rows):
+            raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
+        return PositiveCombination(tuple(Q(l, den) for l in lam))
+    v = tuple(-x for x in _primitive(nums))
+    pairings = [sum(a * b for a, b in zip(v, col)) for col in zip(*rows)]
+    if min(pairings) < 0 or max(pairings) <= 0:
+        raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")
     return SemipositiveWitness(v)
 
 
 def _phase_one(a_rows, rhs):
-    """Feasibility of {A x = b, x >= 0} by exact simplex with Bland's rule.
+    """Feasibility of {A x = b, x >= 0} for integer A, b by simplex with Bland's rule.
 
-    Returns (True, x) on feasibility, else (False, y) with y^T A <= 0 and
-    y^T b > 0 (a Farkas witness for the original row orientation).
+    Fraction-free (Bareiss) pivoting, as in ``IntMatrix.det``: the tableau T
+    and reduced-cost row z hold integers over one common denominator ``den``.
+    A pivot on (l, e) keeps row l and maps every other row x of T and z to
+    (x*piv - x[e]*T[l]) // den, then sets den = piv; each division is exact,
+    and den > 0 because the ratio test only picks piv > 0.
+
+    Returns (True, X, den) with x = X / den feasible, else (False, Y, den)
+    with y = Y / den satisfying y^T A <= 0 and y^T b > 0 (a Farkas witness
+    for the original row orientation).
     """
     m = len(a_rows)
     n = len(a_rows[0])
-    signs = []
-    tab = []
-    for i in range(m):
-        row = [Q(x) for x in a_rows[i]]
-        b = Q(rhs[i])
-        s = 1
-        if b < 0:
-            s = -1
-            row = [-x for x in row]
-            b = -b
-        signs.append(s)
-        tab.append(row + [ONE if j == i else ZERO for j in range(m)] + [b])
     ncols = n + m
-    basis = list(range(n, n + m))
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    tab = [
+        [s * x for x in row] + [int(j == i) for j in range(m)] + [s * b]
+        for i, (row, b, s) in enumerate(zip(a_rows, rhs, signs))
+    ]
+    basis = list(range(n, ncols))
     # reduced-cost row for minimising the artificial sum
-    z = [ZERO] * (ncols + 1)
-    for j in range(ncols):
-        z[j] = (ONE if j >= n else ZERO) - sum(tab[i][j] for i in range(m))
-    z[ncols] = -sum(tab[i][ncols] for i in range(m))
+    z = [int(n <= j < ncols) - sum(col) for j, col in enumerate(zip(*tab))]
+    den = 1
 
-    while True:
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
-        if enter is None:
-            break
+    while (enter := next((j for j in range(ncols) if z[j] < 0), None)) is not None:
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][ncols] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(tab):
+            if row[enter] <= 0:
+                continue
+            if leave is not None:
+                # ratio row[-1] / row[enter] against the best one, cross-multiplied
+                a, b = row[-1] * tab[leave][enter], tab[leave][-1] * row[enter]
+                if a > b or (a == b and basis[i] > basis[leave]):
+                    continue
+            leave = i
         if leave is None:  # phase one is bounded below by zero
-            raise AssertionError("unbounded phase-one objective")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * p for x, p in zip(tab[i], tab[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * p for x, p in zip(z, tab[leave])]
+            raise InternalError("unbounded phase-one objective")
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
+        f = z[enter]
+        z = [(x * piv - f * p) // den for x, p in zip(z, prow)]
+        den = piv
         basis[leave] = enter
 
-    value = -z[ncols]
-    if value == 0:
-        x = [ZERO] * n
-        for i, bj in enumerate(basis):
+    if z[ncols] == 0:
+        x = [0] * n
+        for row, bj in zip(tab, basis):
             if bj < n:
-                x[bj] = tab[i][ncols]
-        return True, x
+                x[bj] = row[-1]
+        return True, x, den
     # dual multipliers from the artificial reduced costs: y_i = 1 - zbar_{art_i}
-    y = [ONE - z[n + i] for i in range(m)]
-    return False, [signs[i] * y[i] for i in range(m)]
-
-
-def _integerize(values) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector."""
-    scale = lcm_all([int(Q(v).denominator) for v in values]) if values else 1
-    ints = [int(Q(v) * scale) for v in values]
-    return _primitive(ints)
+    return False, [s * (den - zj) for s, zj in zip(signs, z[n:ncols])], den

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IdentityElement, InputError, NotFiniteWithinCap
+from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
 from .rationals import Q, rat, rat_key
 
@@ -203,7 +203,7 @@ class Orbit:
 def orbit_of(group: MoebiusGroup, p: ProjPoint) -> Orbit:
     pts = {g.apply(p) for g in group}
     if group.order % len(pts) != 0:
-        raise AssertionError("orbit size does not divide the group order")
+        raise InternalError("orbit size does not divide the group order")
     return Orbit(tuple(sorted(pts, key=ProjPoint.sort_key)), group.order // len(pts))
 
 
@@ -223,8 +223,8 @@ def exceptional_orbits(group: MoebiusGroup) -> list[Orbit]:
             if orb.points not in seen:
                 seen.add(orb.points)
                 orbits.append(orb)
-    for orb in orbits:
-        assert orb.stabilizer_order > 1
+    if any(orb.stabilizer_order == 1 for orb in orbits):
+        raise InternalError("an orbit of fixed points has a trivial stabilizer")
     orbits.sort(key=lambda o: (o.size, tuple(p.sort_key() for p in o.points)))
     return orbits
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .exact import IntMatrix, _primitive, integer_kernel
 from .rationals import rat
 
@@ -415,5 +415,8 @@ def common_refinement(cones) -> Fan:
 
     closed = {face.key(): face for pattern in cells for face in cell_of[pattern].faces()}
     fan = Fan(rank, tuple(sorted(closed.values(), key=Cone.key)))
-    fan.validate()
+    try:
+        fan.validate()
+    except InputError as exc:
+        raise InternalError(f"the refinement is not a fan: {exc}") from None
     return fan

@@ -20,7 +20,7 @@ from .exact import (
     solve_positive_combination,
 )
 from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
-from .rationals import Q
+from .rationals import Q, denom, lcm_all, numer
 
 DIVERGES = "diverges"
 
@@ -52,10 +52,6 @@ class WeightMatrix:
     def column(self, label: str) -> tuple[int, ...]:
         return self.weights.col(self.labels.index(label))
 
-    def submatrix(self, support) -> IntMatrix:
-        idx = [self.labels.index(l) for l in support]
-        return IntMatrix([[self.weights[i, j] for j in idx] for i in range(self.torus_rank)])
-
 
 @dataclass(frozen=True)
 class Destabilizer:
@@ -84,9 +80,14 @@ def is_polystable(weight_matrix: WeightMatrix, support) -> tuple[bool, Stability
     The empty support is the origin, a fixed point with a closed orbit.
     """
     support = _normalize_support(weight_matrix, support)
-    if not support:
+    return _decide(weight_matrix.weights, [weight_matrix.labels.index(l) for l in support])
+
+
+def _decide(weights: IntMatrix, columns) -> tuple[bool, StabilityCert]:
+    """Verdict and certificate for the support made of the given column indices."""
+    if not columns:
         return True, PositiveCombination(())
-    result = solve_positive_combination(weight_matrix.submatrix(support))
+    result = solve_positive_combination(IntMatrix([[row[j] for j in columns] for row in weights.entries]))
     if isinstance(result, PositiveCombination):
         return True, result
     return False, Destabilizer(result.vector)
@@ -97,11 +98,13 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
     support = _normalize_support(weight_matrix, support)
     cols = [weight_matrix.column(l) for l in support]
     if isinstance(cert, PositiveCombination):
-        lam = tuple(cert.coefficients)
-        if len(lam) != len(cols) or any(Q(c) <= 0 for c in lam):
+        lam = [Q(c) for c in cert.coefficients]
+        if len(lam) != len(cols) or any(c <= 0 for c in lam):
             return False
+        scale = lcm_all(denom(c) for c in lam)
+        ints = [numer(c) * (scale // denom(c)) for c in lam]
         return all(
-            sum((Q(c) * Q(col[i]) for c, col in zip(lam, cols)), Q(0)) == 0
+            sum(c * col[i] for c, col in zip(ints, cols)) == 0
             for i in range(weight_matrix.torus_rank)
         )
     if isinstance(cert, Destabilizer):
@@ -138,15 +141,15 @@ def polystable_locus(weight_matrix: WeightMatrix):
     n = weight_matrix.coordinates
     if n > LOCUS_COORDINATE_CAP:
         raise TooManyCoordinates(f"{n} coordinates exceed the 2^n enumeration cap")
-    supports = []
-    for r in range(n + 1):
-        supports.extend(combinations(weight_matrix.labels, r))
-    supports.sort()
-    out = []
-    for support in supports:
-        verdict, cert = is_polystable(weight_matrix, support)
-        out.append((support, verdict, cert))
-    return out
+    labels = weight_matrix.labels
+    subsets = sorted(
+        (columns for r in range(n + 1) for columns in combinations(range(n), r)),
+        key=lambda columns: [labels[j] for j in columns],
+    )
+    return [
+        (tuple(labels[j] for j in columns), *_decide(weight_matrix.weights, columns))
+        for columns in subsets
+    ]
 
 
 def destabilizer_candidates(weight_matrix: WeightMatrix, support) -> tuple[tuple[int, ...], ...]:
@@ -184,3 +187,18 @@ def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
         raise NotSurjective("projection is not onto the target lattice")
     images = [image_cone(c, projection) for c in fan.maximal_cones]
     return common_refinement(images)
+
+
+def lower_dimensional_images(fan: Fan, projection: IntMatrix) -> tuple[Cone, ...]:
+    """The maximal cones of ``fan`` whose image spans less than the target.
+
+    Their images hold no cell of ``chow_quotient_fan``.  An image spans the
+    target exactly when the Gram matrix of its generators is invertible.
+    """
+    out = []
+    for cone in fan.maximal_cones:
+        images = [projection.apply(g) for g in cone.generators]
+        rows = range(projection.rows)
+        if IntMatrix([[sum(u[i] * u[j] for u in images) for j in rows] for i in rows]).det() == 0:
+            out.append(cone)
+    return tuple(out)

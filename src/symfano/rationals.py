@@ -3,9 +3,11 @@
 Every quantity in this package is an exact rational (or lives in a single
 quadratic extension of the rationals); there are no floats and no tolerances
 anywhere.  The scalar type is chosen once at import time: ``gmpy2.mpq`` when
-available (a compiled exact rational, roughly an order of magnitude faster),
-otherwise the pure-Python ``fractions.Fraction``.  ``BACKEND`` names the
-live choice.
+available (a compiled exact rational; its speed-up over ``Fraction`` on this
+package's workloads has not been measured), otherwise the pure-Python
+``fractions.Fraction``.  ``BACKEND`` names the live choice.  The stability
+simplex (``exact.solve_positive_combination``) pivots in plain integers and
+does not depend on it.
 
 Both backends normalise to lowest terms with a positive denominator and hash
 compatibly, so the rest of the package never needs to know which one is live.

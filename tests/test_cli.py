@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from symfano import cli, curvepair, tvariety
+from symfano import cli, curvepair, exact, tvariety
 from symfano.cli import Report, run
 from symfano.errors import InputError
 from symfano.schemas import (
@@ -223,6 +223,28 @@ def test_exit_code_cap_error(tmp_path, capsys):
 def test_exit_code_precondition(capsys):
     assert run(["tvar", "check", fixture("p2-cstar.json")]) == 3
     capsys.readouterr()
+
+
+def test_exit_code_internal_error(monkeypatch, capsys):
+    # a simplex that always claims the all-ones balancing fails the integer check
+    monkeypatch.setattr(exact, "_phase_one", lambda rows, rhs: (True, [0] * len(rows[0]), 1))
+    assert run(["git", "locus", fixture("hyp12-deform.json")]) == 4
+    assert "internal error: phase one returned" in capsys.readouterr().err
+
+
+def test_chow_warns_about_lower_dimensional_images(tmp_path, capsys):
+    data = {
+        "name": "orthant and a ray",
+        "fan": {"rank": 2, "cones": [{"generators": [[1, 0], [0, 1]]}, {"generators": [[-1, -1]]}]},
+        "projection": [[1, 0], [0, 1]],
+    }
+    target = tmp_path / "chow.json"
+    target.write_text(json.dumps(data))
+    code, out = run_capture(capsys, "chow", str(target))
+    assert code == 0 and "maximal_cell_count: 1" in out
+    assert "warning: the images of these maximal cones are lower-dimensional and hold no cell: cone((-1, -1))" in out
+    for name in ("p2-chow.json", "p1xp1-chow.json"):
+        assert "warning" not in run_capture(capsys, "chow", fixture(name))[1]
 
 
 def gap_variety_data(extra_fibers):

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from symfano import exact
 from symfano.errors import InputError, MixedExtension, NoRoot
 from symfano.exact import (
     IntMatrix,
@@ -214,3 +221,75 @@ def test_solve_positive_combination_random(rng, property_cases):
                 assert sum(rat(x) * c for x, c in zip(w.row(i), lam)) == 0
         else:
             check_witness(w, out)
+
+
+def reference_certificate(w):
+    """Phase-one simplex with Bland's rule on a Fraction tableau, the textbook way."""
+    rows, n, m = [list(r) for r in w.entries], w.cols, w.rows
+    signs = [-1 if sum(r) > 0 else 1 for r in rows]  # orient the rhs -w 1 to be >= 0
+    tab = [
+        [Fraction(s * x) for x in r] + [Fraction(int(j == i)) for j in range(m)] + [Fraction(-s * sum(r))]
+        for i, (r, s) in enumerate(zip(rows, signs))
+    ]
+    basis = list(range(n, n + m))
+    z = [int(n <= j < n + m) - sum(col) for j, col in enumerate(zip(*tab))]
+    while (enter := next((j for j in range(n + m) if z[j] < 0), None)) is not None:
+        leave = min(
+            (i for i in range(m) if tab[i][enter] > 0),
+            key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]),
+        )
+        p = tab[leave] = [x / tab[leave][enter] for x in tab[leave]]
+        tab = [r if i == leave else [x - r[enter] * y for x, y in zip(r, p)] for i, r in enumerate(tab)]
+        z = [x - z[enter] * y for x, y in zip(z, p)]
+        basis[leave] = enter
+    if z[-1] == 0:
+        lam = [Fraction(1)] * n
+        for r, b in zip(tab, basis):
+            if b < n:
+                lam[b] += r[-1]
+        return PositiveCombination(tuple(lam))
+    y = [s * (1 - zj) for s, zj in zip(signs, z[n : n + m])]
+    scale = math.lcm(*(v.denominator for v in y))
+    ints = [int(v * scale) for v in y]
+    return SemipositiveWitness(tuple(-v // math.gcd(*ints) for v in ints))
+
+
+def test_phase_one_matches_fraction_reference(rng):
+    for _ in range(600):
+        d, n = rng.randint(1, 4), rng.randint(1, 9)
+        cols = []
+        for _ in range(n):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append([0] * d)
+            elif roll < 0.3 and cols:
+                cols.append(list(rng.choice(cols)))  # duplicates make degenerate ties
+            else:
+                cols.append([rng.randint(-7, 7) for _ in range(d)])
+        w = IntMatrix([[col[i] for col in cols] for i in range(d)])
+        assert solve_positive_combination(w) == reference_certificate(w), w
+
+
+def test_internal_check_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from symfano import exact
+        from symfano.errors import InternalError
+
+        wrong = {
+            "point": lambda rows, rhs: (True, [0] * len(rows[0]), 1),
+            "witness": lambda rows, rhs: (False, [1] * len(rows), 1),
+        }
+        for name, matrix in (("point", [[-2, 1], [1, -2]]), ("witness", [[-1, 1], [1, -1]])):
+            exact._phase_one = wrong[name]
+            try:
+                exact.solve_positive_combination(exact.IntMatrix(matrix))
+            except InternalError:
+                print(name, "InternalError", sys.flags.optimize)
+        """
+    )
+    src = str(Path(exact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["point InternalError 1", "witness InternalError 1"]

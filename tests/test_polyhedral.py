@@ -1,6 +1,6 @@
 import pytest
 
-from symfano.errors import InputError
+from symfano.errors import InputError, InternalError
 from symfano.exact import IntMatrix
 from symfano.polyhedral import (
     Cone,
@@ -215,3 +215,12 @@ def test_fan_validate_rejects_overlap():
     bad = Fan(2, (FIRST_ORTHANT, cone2((1, 1), (-1, 1))))
     with pytest.raises(InputError):
         bad.validate()
+
+
+def test_refinement_that_fails_validation_is_an_internal_error(monkeypatch):
+    def reject(fan):
+        raise InputError("cone intersection is not a common face")
+
+    monkeypatch.setattr(Fan, "validate", reject)
+    with pytest.raises(InternalError, match="the refinement is not a fan"):
+        common_refinement([FIRST_ORTHANT])

@@ -11,9 +11,11 @@ from symfano.quotients import (
     is_polystable,
     is_polystable_oracle,
     limit_support,
+    lower_dimensional_images,
     polystable_locus,
     verify_stability_cert,
 )
+from symfano.rationals import rat
 
 HYP = WeightMatrix(("alpha", "beta", "gamma"), IntMatrix([[-2, 1, 1], [1, -2, 1]]))
 BLOW = WeightMatrix(("alpha", "beta", "gamma", "delta"), IntMatrix([[-1, 1, -1, 1], [1, -1, -1, 1]]))
@@ -195,6 +197,28 @@ def test_chow_project_to_factor():
     )
     fan = chow_quotient_fan(quadrants, IntMatrix([[1, 0]]))
     assert len(fan.cones) == 3  # both halflines and the origin
+
+
+def test_lower_dimensional_images():
+    orthant, ray = Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, -1)])
+    fan = Fan(2, (orthant, ray))
+    assert lower_dimensional_images(fan, IntMatrix.identity(2)) == (ray,)
+    assert lower_dimensional_images(fan, IntMatrix([[1, 0]])) == ()
+    assert lower_dimensional_images(Fan(2, (orthant,)), IntMatrix([[1, -1], [0, 1]])) == ()
+    assert len(chow_quotient_fan(fan, IntMatrix.identity(2)).maximal_cones) == 1
+
+
+def test_verify_stability_cert_rejects_bad_certificates():
+    cols = ("alpha", "beta", "gamma")
+    assert verify_stability_cert(HYP, cols, PositiveCombination((rat(1), rat(1), rat(1))))
+    halves = WeightMatrix(("a", "b"), IntMatrix([[1, -2]]))
+    assert verify_stability_cert(halves, ("a", "b"), PositiveCombination((rat(1), rat(1, 2))))
+    assert not verify_stability_cert(halves, ("a", "b"), PositiveCombination((rat(1, 2), rat(1, 2))))
+    assert not verify_stability_cert(HYP, cols, PositiveCombination((rat(1), rat(1), rat(2))))
+    assert not verify_stability_cert(HYP, cols, PositiveCombination((rat(1), rat(1))))
+    assert not verify_stability_cert(HYP, cols, PositiveCombination((rat(0), rat(0), rat(0))))
+    assert not verify_stability_cert(HYP, ("alpha", "beta"), Destabilizer((0, 0)))
+    assert verify_stability_cert(HYP, ("alpha", "beta"), Destabilizer((-1, -1)))
 
 
 def test_chow_not_surjective():
