@@ -53,10 +53,6 @@ class QuadExtScalar:
     def __setattr__(self, *_):
         raise AttributeError("QuadExtScalar is immutable")
 
-    @classmethod
-    def rational(cls, a) -> "QuadExtScalar":
-        return cls(a)
-
     def _coerce(self, other) -> "QuadExtScalar":
         if isinstance(other, QuadExtScalar):
             return other
@@ -116,7 +112,7 @@ class QuadExtScalar:
         return self._coerce(other) * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)) or type(other).__name__ in ("Fraction", "mpq"):
+        if isinstance(other, (int, str, Q)):
             other = self._coerce(other)
         if not isinstance(other, QuadExtScalar):
             return NotImplemented
@@ -256,9 +252,6 @@ class IntMatrix:
 
     def col(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries)) if self.rows else IntMatrix([[] for _ in range(self.cols)])
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -110,9 +110,6 @@ class MoebiusGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __iter__(self):
         return iter(self.elements)
 

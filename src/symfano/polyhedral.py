@@ -3,8 +3,13 @@
 Cones are given by integer generators (V-form) or integer halfspace normals
 (H-form); conversion runs a naive double description pass that tracks the
 lineality space explicitly, so cones containing lines (projections create
-them) are first-class.  The refinement splits cells by the input facet
-hyperplanes one at a time, so it builds only the nonempty sign cells.
+them) are first-class.  A cone runs each conversion at most once: the double
+description of its generators gives the dual, whose extreme rays are the
+facet normals, and that of its halfspaces gives its own lineality and extreme
+rays (known already for an H-form cone).  Faces are read off the incidence of
+rays and facets, with no further conversion.  The refinement splits cells by
+the input facet hyperplanes one at a time, so it builds only the nonempty
+sign cells.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -144,19 +149,25 @@ class Cone:
         object.__setattr__(self, "generators", tuple(gens))
 
     @classmethod
-    def from_halfspaces(cls, ambient_rank: int, halfspaces) -> "Cone":
-        lin, rays = _dd_from_halfspaces(ambient_rank, halfspaces)
-        gens = list(rays)
-        for l in lin:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        cone = cls(ambient_rank, gens)
-        cone.__dict__["_vform"] = (lin, rays)
+    def _from_vform(cls, ambient_rank: int, lineality, rays) -> "Cone":
+        """The cone with a known lineality basis and extreme rays, which it keeps."""
+        cone = cls(ambient_rank, [*rays, *lineality, *(tuple(-x for x in l) for l in lineality)])
+        cone.__dict__["_canonical"] = (tuple(lineality), tuple(rays))
         return cone
+
+    @classmethod
+    def from_halfspaces(cls, ambient_rank: int, halfspaces) -> "Cone":
+        return cls._from_vform(ambient_rank, *_dd_from_halfspaces(ambient_rank, halfspaces))
 
     @classmethod
     def full_space(cls, ambient_rank: int) -> "Cone":
         return cls.from_halfspaces(ambient_rank, [])
+
+    @cached_property
+    def _dual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(lineality basis, extreme rays) of the dual cone."""
+        lin, rays = _dd_from_halfspaces(self.ambient_rank, self.generators)
+        return tuple(lin), tuple(rays)
 
     @cached_property
     def halfspaces(self) -> tuple[tuple[int, ...], ...]:
@@ -164,20 +175,13 @@ class Cone:
 
         Rays of the dual plus both signs of the dual's lineality basis.
         """
-        lin, rays = _dd_from_halfspaces(self.ambient_rank, self.generators)
-        out = list(rays)
-        for l in lin:
-            out.append(l)
-            out.append(tuple(-x for x in l))
-        return tuple(sorted(out))
+        lin, rays = self._dual
+        return tuple(sorted([*rays, *lin, *(tuple(-x for x in l) for l in lin)]))
 
     @cached_property
     def _canonical(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(lineality basis, extreme rays) computed from the halfspace form."""
-        if "_vform" in self.__dict__:
-            lin, rays = self.__dict__["_vform"]
-        else:
-            lin, rays = _dd_from_halfspaces(self.ambient_rank, self.halfspaces)
+        """(lineality basis, extreme rays) from the halfspace form, unless given."""
+        lin, rays = _dd_from_halfspaces(self.ambient_rank, self.halfspaces)
         return tuple(lin), tuple(rays)
 
     @property
@@ -220,42 +224,34 @@ class Cone:
         oriented = sorted(min(l, tuple(-x for x in l)) for l in lin)
         return (self.dim, tuple(rays), tuple(oriented))
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def facet_normals(self) -> tuple[tuple[int, ...], ...]:
-        """The irredundant inequality normals (equality pairs excluded)."""
-        out = []
-        seen = set()
-        for h in self.halfspaces:
-            neg = tuple(-x for x in h)
-            if neg in seen:
-                continue
-            if any(n == neg for n in self.halfspaces):
-                # equality constraint: part of the span description, not a facet
-                seen.add(h)
-                continue
-            seen.add(h)
-            out.append(h)
-        return tuple(sorted(out))
+        """The irredundant inequality normals: the extreme rays of the dual.
+
+        They are primitive and orthogonal to the dual's lineality, whose two
+        signs give the equalities, so none is an equality or the negative of
+        another.
+        """
+        return self._dual[1]
 
     def faces(self) -> list["Cone"]:
-        """Every face, the cone itself and its minimal face included."""
-        found = {self.key(): self}
-        frontier = [self]
+        """Every face, the cone itself and its minimal face included.
+
+        A face is the cone's lineality space plus the cone over the extreme
+        rays tight on some facet normals, so the faces are the intersections
+        of the facets' sets of tight rays: they are read off the ray-facet
+        incidence (Fukuda-Prodon, *Double description method revisited*,
+        1996), with no double description.  Those rays are primitive and
+        orthogonal to the lineality, so they are the face's canonical rays.
+        """
+        lin, rays = self._canonical
+        tight = [frozenset(i for i, r in enumerate(rays) if _dot(h, r) == 0) for h in self.facet_normals()]
+        everything = frozenset(range(len(rays)))
+        found, frontier = {everything}, {everything}
         while frontier:
-            nxt = []
-            for cone in frontier:
-                for h in cone.facet_normals():
-                    face = Cone.from_halfspaces(
-                        self.ambient_rank,
-                        list(cone.halfspaces) + [tuple(-x for x in h)],
-                    )
-                    if face.key() not in found:
-                        found[face.key()] = face
-                        nxt.append(face)
-            frontier = nxt
-        return sorted(found.values(), key=Cone.key)
+            frontier = {face & t for face in frontier for t in tight} - found
+            found |= frontier
+        faces = [Cone._from_vform(self.ambient_rank, lin, [rays[i] for i in sorted(f)]) for f in found - {everything}]
+        return sorted([self, *faces], key=Cone.key)
 
     def __repr__(self):
         lin, rays = self._canonical
@@ -264,7 +260,7 @@ class Cone:
 
 def dual_cone(cone: Cone) -> Cone:
     """All vectors pairing nonnegatively with the cone; double dual is identity."""
-    return Cone.from_halfspaces(cone.ambient_rank, cone.generators)
+    return Cone._from_vform(cone.ambient_rank, *cone._dual)
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -316,7 +312,7 @@ class Fan:
     ambient_rank: int
     cones: tuple[Cone, ...]
 
-    @property
+    @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         """Cones inside no other cone; equal cones count once (the first)."""
         out: list[Cone] = []

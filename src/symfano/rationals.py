@@ -2,15 +2,10 @@
 
 Every quantity in this package is an exact rational (or lives in a single
 quadratic extension of the rationals); there are no floats and no tolerances
-anywhere.  The scalar type is chosen once at import time: ``gmpy2.mpq`` when
-available (a compiled exact rational; its speed-up over ``Fraction`` on this
-package's workloads has not been measured), otherwise the pure-Python
-``fractions.Fraction``.  ``BACKEND`` names the live choice.  The stability
+anywhere.  The scalar type is ``fractions.Fraction``, which normalises to
+lowest terms with a positive denominator; ``BACKEND`` names it.  The stability
 simplex (``exact.solve_positive_combination``) pivots in plain integers and
-does not depend on it.
-
-Both backends normalise to lowest terms with a positive denominator and hash
-compatibly, so the rest of the package never needs to know which one is live.
+builds rationals only for the coefficients it returns.
 """
 
 from __future__ import annotations
@@ -20,16 +15,10 @@ from fractions import Fraction
 
 from .errors import InputError
 
-try:
-    from gmpy2 import mpq as _mpq
+BACKEND = "fractions"
 
-    BACKEND = "gmpy2"
-except ImportError:
-    _mpq = Fraction
-    BACKEND = "fractions"
-
-#: the live scalar constructor; ``rat`` below is the preferred entry point
-Q = _mpq
+#: the scalar constructor; ``rat`` below is the preferred entry point
+Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -67,8 +56,8 @@ def parse_rat(text) -> Q:
 
 
 def rat_str(x) -> str:
-    """Serialise a rational as ``"p/q"``, or a bare integer when q == 1."""
-    return str(Q(x))
+    """Serialise a rational or an int as ``"p/q"``, or a bare integer when q == 1."""
+    return str(x)
 
 
 def numer(x) -> int:
@@ -80,7 +69,7 @@ def denom(x) -> int:
 
 
 def rat_key(x):
-    """Total-order sort key usable across both backends."""
+    """Deterministic sort key: numerator, then denominator."""
     q = Q(x)
     return (int(q.numerator), int(q.denominator))
 

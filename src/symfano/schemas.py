@@ -302,10 +302,6 @@ def validate_data(data: dict) -> list[str]:
     return out
 
 
-def validate_file(path) -> list[str]:
-    return validate_data(read_json(path))
-
-
 # ---------------------------------------------------------------------------
 # loaders
 # ---------------------------------------------------------------------------

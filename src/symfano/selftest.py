@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import zlib
 
-from .curvepair import MarkedCurvePair, finite_degree, lct_g
+from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
 from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, verify_stability_cert
@@ -252,7 +252,7 @@ def suite_effectivity(rng: random.Random, cases: int) -> list[str]:
         lift = anticanonical_lift(variety, q_y)
         b = boundary(variety)
         dominates = all(
-            q_y.coefficient(p) >= c for p, c in b if hasattr(c, "denominator")
+            q_y.coefficient(p) >= c for p, c in b if not is_neg_infinity(c)
         )
         if is_effective(lift) != dominates:
             failures.append(f"case {k}: effectivity mismatch on {variety.fibers.points()}")

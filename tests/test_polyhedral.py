@@ -86,6 +86,42 @@ def test_faces_of_orthant():
         assert is_face(f, FIRST_ORTHANT)
 
 
+def _reference_facet_normals(cone):
+    """Halfspaces without the pairs h, -h (the equalities)."""
+    return tuple(sorted(h for h in cone.halfspaces if tuple(-x for x in h) not in cone.halfspaces))
+
+
+def _reference_faces(cone):
+    """Faces by a double description per facet: cut each face with -h, breadth first."""
+    found = {cone.key(): cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for h in _reference_facet_normals(c):
+                face = Cone.from_halfspaces(cone.ambient_rank, list(c.halfspaces) + [tuple(-x for x in h)])
+                if face.key() not in found:
+                    found[face.key()] = face
+                    nxt.append(face)
+        frontier = nxt
+    return sorted(found.values(), key=Cone.key)
+
+
+def test_faces_and_facet_normals_match_double_description_reference(rng, property_cases):
+    with_lines = 0
+    for k in range(property_cases):
+        rank = rng.randint(2, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, 6))]
+        cone = Cone.from_halfspaces(rank, vectors) if k % 2 else Cone(rank, vectors)
+        with_lines += bool(cone.lineality_basis)
+        assert cone.facet_normals() == _reference_facet_normals(cone)
+        faces, expected = cone.faces(), _reference_faces(cone)
+        assert [f.key() for f in faces] == [f.key() for f in expected]
+        assert [f.generators for f in faces] == [f.generators for f in expected]
+        assert all(is_face(f, cone) for f in faces)
+    assert 0 < with_lines < property_cases
+
+
 def test_refinement_line():
     fan = common_refinement([Cone.full_space(1), Cone(1, [(1,)]), Cone(1, [(-1,)])])
     assert len(fan.cones) == 3
@@ -209,6 +245,11 @@ def test_refinement_properties_random_rank3(rng, property_cases):
 def test_fan_validate_counts_equal_cones_once():
     Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).validate()
     assert Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).maximal_cones == (FIRST_ORTHANT,)
+
+
+def test_fan_maximal_cones_computed_once():
+    fan = common_refinement([FIRST_ORTHANT, cone2((1, 0), (1, 1))])
+    assert fan.maximal_cones is fan.maximal_cones
 
 
 def test_fan_validate_rejects_overlap():
