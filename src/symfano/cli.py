@@ -23,6 +23,7 @@ check; a bug, not a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -35,12 +36,10 @@ from .errors import (
     InternalError,
     MixedExtension,
     PreconditionError,
-    SymfanoError,
 )
 from .exact import PositiveCombination
 from .groups import closure, fixed_sublattice, is_symmetric
 from .quotients import (
-    Destabilizer,
     chow_quotient_fan,
     is_polystable,
     lower_dimensional_images,
@@ -75,18 +74,6 @@ class Verdict:
     route: str | None = None
     certificate: object = None
 
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "value": self.value,
-            "route": self.route,
-            "certificate": self.certificate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Verdict":
-        return cls(data["claim"], data["value"], data["route"], data["certificate"])
-
 
 @dataclass
 class Report:
@@ -105,7 +92,7 @@ class Report:
         return {
             "report_version": self.report_version,
             "subject": self.subject,
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [dict(vars(v)) for v in self.verdicts],
             "warnings": list(self.warnings),
         }
 
@@ -116,7 +103,7 @@ class Report:
     def from_dict(cls, data: dict) -> "Report":
         return cls(
             subject=data["subject"],
-            verdicts=[Verdict.from_dict(v) for v in data["verdicts"]],
+            verdicts=[Verdict(**v) for v in data["verdicts"]],
             warnings=list(data["warnings"]),
             report_version=data["report_version"],
         )
@@ -140,31 +127,24 @@ class Report:
         return "\n".join(lines)
 
 
-def _emit(report: Report, as_json: bool):
-    print(report.to_json() if as_json else report.render())
-
-
 def _cert_dict(cert) -> dict:
+    """A stability certificate: a PositiveCombination, else a Destabilizer."""
     if isinstance(cert, PositiveCombination):
         return {
             "type": "positive-combination",
             "coefficients": [rat_str(c) for c in cert.coefficients],
         }
-    if isinstance(cert, Destabilizer):
-        return {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
-    raise InputError(f"unknown certificate {cert!r}")
+    return {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report for one input document and returns the
+# exit code; ``run`` reads the file, names the report, prints it and maps errors
 # ---------------------------------------------------------------------------
 
 
-def _cmd_tvar_check(args) -> tuple[Report, int]:
-    data = read_json(args.file)
-    variety = load_variety(data)
-    analysis = analyze(variety)
-    report = Report(subject=variety.name)
+def _tvar_check(report: Report, data: dict, args) -> int:
+    analysis = analyze(load_variety(data))
     report.add("symmetric", analysis.symmetric)
     report.add(
         "boundary",
@@ -195,8 +175,7 @@ def _cmd_tvar_check(args) -> tuple[Report, int]:
     verdict = analysis.verdict
     if isinstance(verdict, PreconditionError):
         report.add("ke_certified", None, route=f"{type(verdict).__name__}: {verdict}")
-        _emit(report, args.json)
-        return report, EXIT_PRECONDITION
+        return EXIT_PRECONDITION
     report.add(
         "ke_certified",
         verdict.certified,
@@ -205,56 +184,43 @@ def _cmd_tvar_check(args) -> tuple[Report, int]:
     )
     for w in verdict.warnings:
         report.warn(w)
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_lct(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _pair_and_group(report: Report, data: dict):
     pair, generators = load_pair(data)
     group = closure(generators)
-    report = Report(subject=data.get("name", str(args.file)))
     report.add("group_order", group.order)
-    res = lct_g(pair, group)
+    return pair, group
+
+
+def _lct(report: Report, data: dict, args) -> int:
+    res = lct_g(*_pair_and_group(report, data))
     report.add(
         "lct",
         "infinite" if res.is_infinite else rat_str(res.value),
         certificate=None if res.witness is None else res.witness.describe(),
     )
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_valuable(args) -> tuple[Report, int]:
-    data = read_json(args.file)
-    pair, generators = load_pair(data)
-    group = closure(generators)
-    report = Report(subject=data.get("name", str(args.file)))
-    report.add("group_order", group.order)
-    ok, witness = is_valuable(pair, group)
+def _valuable(report: Report, data: dict, args) -> int:
+    ok, witness = is_valuable(*_pair_and_group(report, data))
     report.add(
         "valuable",
         ok,
         certificate=None if witness is None else f"violating class: {witness.describe()}",
     )
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _parse_support(text: str) -> tuple[str, ...]:
-    return tuple(s for s in (part.strip() for part in text.split(",")) if s)
-
-
-def _cmd_git_polystable(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _git_polystable(report: Report, data: dict, args) -> int:
     weights, _ = load_weights(data)
-    support = _parse_support(args.support)
+    support = [s for s in (part.strip() for part in args.support.split(",")) if s]
     verdict, cert = is_polystable(weights, support)
-    report = Report(subject=data.get("name", str(args.file)))
-    report.add("support", list(support))
+    report.add("support", support)
     report.add("polystable", verdict, certificate=_cert_dict(cert))
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
 def _claimed_polystable(support, claimed) -> bool:
@@ -263,10 +229,8 @@ def _claimed_polystable(support, claimed) -> bool:
     return any(set(piece) <= set(support) for piece in claimed)
 
 
-def _cmd_git_locus(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _git_locus(report: Report, data: dict, args) -> int:
     weights, claimed = load_weights(data)
-    report = Report(subject=data.get("name", str(args.file)))
     mismatches = []
     polystable_supports = []
     for support, verdict, cert in polystable_locus(weights):
@@ -289,15 +253,12 @@ def _cmd_git_locus(args) -> tuple[Report, int]:
             )
         else:
             report.add("stated_locus_check", "agrees")
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_chow(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _chow(report: Report, data: dict, args) -> int:
     fan, projection = load_chow(data)
     out = chow_quotient_fan(fan, projection)
-    report = Report(subject=data.get("name", str(args.file)))
     report.add("target_rank", out.ambient_rank)
     report.add("cell_count", len(out.cones))
     report.add("maximal_cell_count", len(out.maximal_cones))
@@ -314,114 +275,84 @@ def _cmd_chow(args) -> tuple[Report, int]:
             "the images of these maximal cones are lower-dimensional and hold no cell: "
             + "; ".join("cone(" + ", ".join(str(tuple(g)) for g in c.generators) + ")" for c in flat)
         )
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_lattice_symmetric(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _lattice_symmetric(report: Report, data: dict, args) -> int:
     group = load_lattice(data)
-    report = Report(subject=data.get("name", str(args.file)))
     basis = fixed_sublattice(group)
     report.add("fixed_sublattice_rank", len(basis))
     report.add("fixed_sublattice_basis", [list(v) for v in basis])
     report.add("symmetric", is_symmetric(group))
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_validate(args) -> tuple[Report, int]:
-    data = read_json(args.file)
+def _validate(report: Report, data: dict, args) -> int:
     problems = validate_data(data)
-    report = Report(subject=data.get("name", str(args.file)))
     report.add("format", detect_kind(data) if not problems else "unknown")
+    for p in problems:
+        report.add("problem", p)
     if problems:
-        for p in problems:
-            report.add("problem", p)
-        _emit(report, args.json)
-        return report, EXIT_INPUT
+        return EXIT_INPUT
     report.add("schema", "OK")
-    _emit(report, args.json)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_selftest(args) -> tuple[Report, int]:
-    report, ok = selftest_mod.run_selftest(seed=args.seed, cases=args.cases)
-    _emit(report, args.json)
-    return report, EXIT_OK if ok else EXIT_INPUT
+GROUPS = {
+    "tvar": "complexity-one variety commands",
+    "git": "torus orbit-closedness commands",
+    "lattice": "character lattice commands",
+}
+
+# (words, help, handler) per leaf command, in ``--help`` order; ``selftest``
+# has no handler: it reads no file and builds its own report
+COMMANDS = (
+    (("tvar", "check"), "full verdict pipeline for a variety file", _tvar_check),
+    (("lct",), "equivariant threshold of a marked pair file", _lct),
+    (("valuable",), "invariant log canonicity test for a pair file", _valuable),
+    (("git", "polystable"), "verdict for one support", _git_polystable),
+    (("git", "locus"), "verdicts for every support subset", _git_locus),
+    (("chow",), "refinement fan of the projected maximal cones", _chow),
+    (("lattice", "symmetric"), "fixed sublattice and symmetry test", _lattice_symmetric),
+    (("validate",), "schema diagnostics, no computation", _validate),
+    (("selftest",), "seeded randomized property suites", None),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symfano",
         description="Exact existence certificates for complexity-one torus varieties.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    tvar = sub.add_parser("tvar", help="complexity-one variety commands")
-    tvar_sub = tvar.add_subparsers(dest="tvar_command", required=True)
-    check = tvar_sub.add_parser("check", help="full verdict pipeline for a variety file")
-    check.add_argument("file")
-    add_common(check)
-    check.set_defaults(func=_cmd_tvar_check)
-
-    lct = sub.add_parser("lct", help="equivariant threshold of a marked pair file")
-    lct.add_argument("file")
-    add_common(lct)
-    lct.set_defaults(func=_cmd_lct)
-
-    val = sub.add_parser("valuable", help="invariant log canonicity test for a pair file")
-    val.add_argument("file")
-    add_common(val)
-    val.set_defaults(func=_cmd_valuable)
-
-    git = sub.add_parser("git", help="torus orbit-closedness commands")
-    git_sub = git.add_subparsers(dest="git_command", required=True)
-    poly = git_sub.add_parser("polystable", help="verdict for one support")
-    poly.add_argument("file")
-    poly.add_argument("--support", required=True, help="comma-separated labels (empty for the origin)")
-    add_common(poly)
-    poly.set_defaults(func=_cmd_git_polystable)
-    locus = git_sub.add_parser("locus", help="verdicts for every support subset")
-    locus.add_argument("file")
-    add_common(locus)
-    locus.set_defaults(func=_cmd_git_locus)
-
-    chow = sub.add_parser("chow", help="refinement fan of the projected maximal cones")
-    chow.add_argument("file")
-    add_common(chow)
-    chow.set_defaults(func=_cmd_chow)
-
-    lattice = sub.add_parser("lattice", help="character lattice commands")
-    lattice_sub = lattice.add_subparsers(dest="lattice_command", required=True)
-    symm = lattice_sub.add_parser("symmetric", help="fixed sublattice and symmetry test")
-    symm.add_argument("file")
-    add_common(symm)
-    symm.set_defaults(func=_cmd_lattice_symmetric)
-
-    validate = sub.add_parser("validate", help="schema diagnostics, no computation")
-    validate.add_argument("file")
-    add_common(validate)
-    validate.set_defaults(func=_cmd_validate)
-
-    selftest = sub.add_parser("selftest", help="seeded randomized property suites")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--cases", type=int, default=200)
-    add_common(selftest)
-    selftest.set_defaults(func=_cmd_selftest)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, handler in COMMANDS:
+        if words[:-1] not in subparsers:
+            group = subparsers[()].add_parser(words[0], help=GROUPS[words[0]])
+            subparsers[words[:-1]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
+        leaf = subparsers[words[:-1]].add_parser(words[-1], help=help_text)
+        if handler is None:
+            leaf.add_argument("--seed", type=int, default=0)
+            leaf.add_argument("--cases", type=int, default=200)
+        else:
+            leaf.add_argument("file")
+        if handler is _git_polystable:
+            leaf.add_argument("--support", required=True, help="comma-separated labels (empty for the origin)")
+        leaf.add_argument("--json", action="store_true", help="machine-readable report")
+        leaf.set_defaults(handler=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _, code = args.func(args)
-        return code
+        if args.handler is None:
+            report, ok = selftest_mod.run_selftest(seed=args.seed, cases=args.cases)
+            code = EXIT_OK if ok else EXIT_INPUT
+        else:
+            data = read_json(args.file)
+            report = Report(subject=data.get("name", str(args.file)))
+            code = args.handler(report, data, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -434,9 +365,8 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SymfanoError as exc:  # fallback; should not happen
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    print(report.to_json() if args.json else report.render())
+    return code
 
 
 def main():

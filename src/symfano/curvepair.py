@@ -124,7 +124,7 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
     """
     classes: list[OrbitClass] = []
     coeff_of = {p: c for p, c in pair}
-    marked_orbit_sets: list[tuple[ProjPoint, ...]] = []
+    marked_orbits: set[tuple[ProjPoint, ...]] = set()
     consumed: set[ProjPoint] = set()
     for p, c in pair:
         if p in consumed:
@@ -140,18 +140,11 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
             if not same:
                 raise NotInvariant(f"coefficient not constant on the orbit of {p}")
             consumed.add(q)
-        marked_orbit_sets.append(orb.points)
+        marked_orbits.add(orb.points)
         classes.append(OrbitClass("marked", orb.size, c, orb))
-    marked_sets = set(marked_orbit_sets)
-    marked_points = set(coeff_of)
     for orb in exceptional_orbits(group):
-        if orb.points in marked_sets:
-            continue
-        if any(p in marked_points for p in orb.points):
-            # partially marked exceptional orbit: the loop above would have
-            # flagged it; guard anyway
-            raise NotInvariant(f"exceptional orbit {orb} is partially marked")
-        classes.append(OrbitClass("exceptional", orb.size, ZERO, orb))
+        if orb.points not in marked_orbits:
+            classes.append(OrbitClass("exceptional", orb.size, ZERO, orb))
     classes.append(OrbitClass("generic", group.order, ZERO, None))
     return classes
 

@@ -89,9 +89,6 @@ class QuadExtScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExtScalar":
-        return QuadExtScalar(self.a, -self.b, self.d)
-
     def norm(self) -> Q:
         """Field norm a^2 - d*b^2; zero only for the zero element."""
         if self.d is None:
@@ -189,11 +186,6 @@ class ProjPoint:
     @property
     def is_infinity(self) -> bool:
         return self.y.is_zero()
-
-    def affine(self) -> QuadExtScalar:
-        if self.is_infinity:
-            raise InputError("the point at infinity has no affine coordinate")
-        return self.x
 
     @property
     def extension(self) -> int | None:

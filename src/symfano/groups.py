@@ -149,7 +149,8 @@ class GroupKind:
 
 
 def classify(group: MoebiusGroup) -> GroupKind:
-    """Classify by order and maximal element order; over Q only cyclic and dihedral occur."""
+    """Classify by order and maximal element order; over Q only cyclic and
+    dihedral occur (Beauville), so orders that fit neither are an internal error."""
     order = group.order
     if order == 1:
         return GroupKind("trivial")
@@ -158,7 +159,7 @@ def classify(group: MoebiusGroup) -> GroupKind:
         return GroupKind("cyclic", order)
     if 2 * max_order == order:
         return GroupKind("dihedral", max_order)
-    raise InputError("element orders are inconsistent with a finite projective group")
+    raise InternalError("element orders fit no cyclic or dihedral group")
 
 
 def has_global_fixed_point(group: MoebiusGroup) -> bool:

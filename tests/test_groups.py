@@ -1,10 +1,11 @@
 import pytest
 
-from symfano.errors import IdentityElement, InputError, NotFiniteWithinCap
+from symfano.errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
+    MoebiusGroup,
     classify,
     closure,
     exceptional_orbits,
@@ -74,6 +75,13 @@ def test_classify():
     assert d4.order == 8 and str(classify(d4)) == "dihedral(4)"
     d6 = closure([MoebiusElement([[2, -1], [1, 1]]), INVOLUTION])
     assert d6.order == 12 and str(classify(d6)) == "dihedral(6)"
+
+
+def test_classify_rejects_inconsistent_orders_as_internal_error():
+    # an order-3 element in a group of order 2: no finite subgroup of PGL2(Q)
+    # looks like this, so reaching it is a bug rather than bad input
+    with pytest.raises(InternalError):
+        classify(MoebiusGroup((MoebiusElement.identity(), THREE_CYCLE)))
 
 
 def test_has_global_fixed_point():
