@@ -29,12 +29,10 @@ from .exact import (
     solve_positive_combination,
 )
 from .groups import (
-    GroupKind,
     LatticeAutGroup,
     MoebiusElement,
     MoebiusGroup,
     Orbit,
-    classify,
     closure,
     exceptional_orbits,
     fixed_points,

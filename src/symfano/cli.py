@@ -28,7 +28,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from . import selftest as selftest_mod
 from .curvepair import is_neg_infinity, is_valuable, lct_g
 from .errors import (
     ComputationCapError,
@@ -347,7 +346,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.handler is None:
-            report, ok = selftest_mod.run_selftest(seed=args.seed, cases=args.cases)
+            from .selftest import run_selftest
+
+            report, ok = run_selftest(seed=args.seed, cases=args.cases)
             code = EXIT_OK if ok else EXIT_INPUT
         else:
             data = read_json(args.file)

@@ -2,13 +2,14 @@
 
 Lattice automorphism groups act on the character lattice and decide the
 symmetry test (only 0 fixed).  Finite groups of projective 2x2 transformations
-over Q act on the projective line and feed orbit data to the threshold
-computations.
+over Q act on the projective line; their exceptional orbits, computed once per
+group, give both the threshold computations and the global fixed point test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
@@ -16,10 +17,9 @@ from .rationals import Q, rat, rat_key
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
-# closure reaching a 13th element proves its group infinite, and an element of
-# finite order has order at most 6.
+# closure reaching a 13th element proves its group infinite, and a group has a
+# global fixed point exactly when it is trivial or cyclic.
 MAX_FINITE_GROUP_ORDER = 12
-MAX_FINITE_ELEMENT_ORDER = 6
 
 
 class MoebiusElement:
@@ -75,15 +75,6 @@ class MoebiusElement:
         y = p.x * self.c + p.y * self.d
         return ProjPoint(x, y)
 
-    def projective_order(self) -> int | None:
-        """Smallest k >= 1 with g^k proportional to the identity; None for infinite order."""
-        g = self
-        for k in range(1, MAX_FINITE_ELEMENT_ORDER + 1):
-            if g.is_identity():
-                return k
-            g = g * self
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, MoebiusElement):
             return NotImplemented
@@ -113,6 +104,24 @@ class MoebiusGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def _exceptional_orbits(self) -> tuple[Orbit, ...]:
+        # a fixed point already in a found orbit gives that orbit again
+        orbits: list[Orbit] = []
+        covered: set[ProjPoint] = set()
+        for g in self.elements:
+            if g.is_identity():
+                continue
+            for p in fixed_points(g):
+                if p not in covered:
+                    orb = orbit_of(self, p)
+                    covered.update(orb.points)
+                    orbits.append(orb)
+        if any(orb.stabilizer_order == 1 for orb in orbits):
+            raise InternalError("an orbit of fixed points has a trivial stabilizer")
+        orbits.sort(key=lambda o: (o.size, tuple(p.sort_key() for p in o.points)))
+        return tuple(orbits)
+
 
 def closure(generators) -> MoebiusGroup:
     """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite."""
@@ -135,36 +144,6 @@ def closure(generators) -> MoebiusGroup:
                         nxt.append(prod)
         frontier = nxt
     return MoebiusGroup(tuple(sorted(seen, key=MoebiusElement.sort_key)))
-
-
-@dataclass(frozen=True)
-class GroupKind:
-    """Classification of a finite group of projective 2x2 transformations."""
-
-    family: str  # trivial | cyclic | dihedral
-    n: int | None = None
-
-    def __str__(self):
-        return self.family if self.n is None else f"{self.family}({self.n})"
-
-
-def classify(group: MoebiusGroup) -> GroupKind:
-    """Classify by order and maximal element order; over Q only cyclic and
-    dihedral occur (Beauville), so orders that fit neither are an internal error."""
-    order = group.order
-    if order == 1:
-        return GroupKind("trivial")
-    max_order = max(g.projective_order() for g in group if not g.is_identity())
-    if max_order == order:
-        return GroupKind("cyclic", order)
-    if 2 * max_order == order:
-        return GroupKind("dihedral", max_order)
-    raise InternalError("element orders fit no cyclic or dihedral group")
-
-
-def has_global_fixed_point(group: MoebiusGroup) -> bool:
-    """True iff some point is fixed by every element (iff the group is cyclic)."""
-    return classify(group).family in ("trivial", "cyclic")
 
 
 def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
@@ -209,22 +188,17 @@ def exceptional_orbits(group: MoebiusGroup) -> list[Orbit]:
     """All orbits of points with nontrivial stabilizer, each listed once.
 
     These are the orbits of the fixed points of the nontrivial elements; the
-    trivial group has none.
+    trivial group has none.  They are computed once per group; each call
+    returns a new list.
     """
-    orbits: list[Orbit] = []
-    seen: set[tuple[ProjPoint, ...]] = set()
-    for g in group:
-        if g.is_identity():
-            continue
-        for p in fixed_points(g):
-            orb = orbit_of(group, p)
-            if orb.points not in seen:
-                seen.add(orb.points)
-                orbits.append(orb)
-    if any(orb.stabilizer_order == 1 for orb in orbits):
-        raise InternalError("an orbit of fixed points has a trivial stabilizer")
-    orbits.sort(key=lambda o: (o.size, tuple(p.sort_key() for p in o.points)))
-    return orbits
+    return list(group._exceptional_orbits)
+
+
+def has_global_fixed_point(group: MoebiusGroup) -> bool:
+    """True iff some point is fixed by every element (iff the group is trivial
+    or cyclic): a global fixed point of a nontrivial group is an exceptional
+    orbit of size 1."""
+    return group.order == 1 or any(o.size == 1 for o in exceptional_orbits(group))
 
 
 # ---------------------------------------------------------------------------

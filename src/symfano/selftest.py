@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import zlib
 
+from .cli import Report
 from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
@@ -330,8 +331,6 @@ def suite_seed(base: int, name: str) -> int:
 
 def run_selftest(seed: int = 0, cases: int = 200):
     """Run every suite with its own seeded generator; returns (report, all_ok)."""
-    from .cli import Report  # local import to avoid a cycle
-
     report = Report(subject=f"selftest(seed={seed}, cases={cases})")
     all_ok = True
     for name, suite in SUITES:

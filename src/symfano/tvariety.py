@@ -12,6 +12,7 @@ test, the non-reduced fiber counts, and the threshold criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .curvepair import LctResult, MarkedCurvePair, NEG_INFINITY, finite_degree, lct_g
 from .errors import (
@@ -111,9 +112,13 @@ class DeclaredAction:
     induced_cyclic: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class CxOneVariety:
-    """Complexity-one torus variety given combinatorially."""
+    """Complexity-one torus variety given combinatorially.
+
+    Either symmetry input yields ``permutations``: for each generator, the
+    index of the fiber it sends each marked fiber to.
+    """
 
     name: str
     dim: int
@@ -124,7 +129,7 @@ class CxOneVariety:
     declared: DeclaredAction | None = None
     fano: bool = True
     log_terminal: bool = True
-    _moebius_group: MoebiusGroup | None = field(default=None, repr=False, compare=False)
+    permutations: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -137,65 +142,67 @@ class CxOneVariety:
             raise InputError("divisor names must be globally unique")
         if (self.moebius_generators is None) == (self.declared is None):
             raise InputError("give either Moebius generators or a declared action")
-        if self.moebius_generators is not None:
+        if self.explicit_action:
             if len(self.moebius_generators) != len(self.lattice.generators):
                 raise InputError("Moebius generators must pair with lattice generators")
-            self._validate_explicit_action()
+            perms = tuple(self._induced_permutation(g) for g in self.moebius_generators)
         else:
             if len(self.declared.permutations) != len(self.lattice.generators):
                 raise InputError("permutations must pair with lattice generators")
-            self._validate_declared_action()
-
-    def _validate_explicit_action(self):
-        marked = {f.point: f for f in self.fibers}
-        for g in self.moebius_generators:
-            for f in self.fibers:
-                image = g.apply(f.point)
-                target = marked.get(image)
-                if target is None:
-                    raise NotInvariant(
-                        f"{self.name}: generator sends marked point {f.point} to "
-                        f"unmarked {image}"
-                    )
-                if target.multiplicity != f.multiplicity:
+            perms = self.declared.permutations
+        fibs = self.fibers.fibers
+        for perm in perms:
+            if sorted(perm) != list(range(len(fibs))):
+                raise InputError("declared permutation is not a bijection of the fibers")
+            for f, j in zip(fibs, perm):
+                if f.multiplicity != fibs[j].multiplicity:
                     raise NotInvariant(
                         f"{self.name}: fiber multiplicity not preserved at {f.point}"
                     )
+        object.__setattr__(self, "permutations", perms)
 
-    def _validate_declared_action(self):
-        n = len(self.fibers)
-        fibs = self.fibers.fibers
-        for perm in self.declared.permutations:
-            if sorted(perm) != list(range(n)):
-                raise InputError("declared permutation is not a bijection of the fibers")
-            for i, j in enumerate(perm):
-                if fibs[i].multiplicity != fibs[j].multiplicity:
-                    raise NotInvariant(
-                        f"{self.name}: declared permutation does not preserve multiplicities"
-                    )
+    def _induced_permutation(self, g: MoebiusElement) -> tuple[int, ...]:
+        index = {p: i for i, p in enumerate(self.fibers.points())}
+        perm = []
+        for p in index:
+            image = g.apply(p)
+            if image not in index:
+                raise NotInvariant(
+                    f"{self.name}: generator sends marked point {p} to unmarked {image}"
+                )
+            perm.append(index[image])
+        return tuple(perm)
 
     @property
     def explicit_action(self) -> bool:
         return self.moebius_generators is not None
 
+    @cached_property
+    def _induced_group(self) -> MoebiusGroup:
+        return closure(self.moebius_generators)
+
     def moebius_group(self) -> MoebiusGroup:
         if not self.explicit_action:
             raise InputError("no explicit induced action was given")
-        if self._moebius_group is None:
-            self._moebius_group = closure(self.moebius_generators)
-        return self._moebius_group
+        return self._induced_group
+
+    def induced_cyclic(self) -> bool:
+        """Whether the induced group on the line is trivial or cyclic, that is
+        (Beauville) whether it has a global fixed point."""
+        if self.explicit_action:
+            return has_global_fixed_point(self.moebius_group())
+        return self.declared.induced_cyclic
 
     def marked_permutation_group(self) -> list[tuple[int, ...]]:
-        """Closure of the declared permutations of the marked fibers."""
+        """Closure of the generators' permutations of the marked fibers."""
         n = len(self.fibers)
         ident = tuple(range(n))
         seen = {ident}
         frontier = [ident]
-        gens = list(self.declared.permutations)
         while frontier:
             nxt = []
             for p in frontier:
-                for g in gens:
+                for g in self.permutations:
                     q = tuple(g[p[i]] for i in range(n))
                     if q not in seen:
                         seen.add(q)
@@ -501,25 +508,17 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
         f = fibs[orbit[0]]
         value = Q(len(orbit)) / Q(f.multiplicity) / free
         candidates.append((value, f"declared orbit of {f.point} (size {len(orbit)})"))
-    floor_size = 1 if variety.declared.induced_cyclic else 2
+    floor_size = 1 if variety.induced_cyclic() else 2
     candidates.append((Q(floor_size) / free, f"possible unseen orbit of size {floor_size}"))
     best, witness = min(candidates, key=lambda c: c[0])  # first minimum wins ties
     return GlctInfo(min(best, ONE), True, witness)
 
 
 def _swapped_pair(variety: CxOneVariety, p: ProjPoint, q: ProjPoint) -> bool:
-    if variety.explicit_action:
-        return any(g.apply(p) == q for g in variety.moebius_group())
     fibs = variety.fibers.points()
     i = fibs.index(p)
     j = fibs.index(q)
     return any(perm[i] == j for perm in variety.marked_permutation_group())
-
-
-def _fixed_point_free(variety: CxOneVariety) -> bool:
-    if variety.explicit_action:
-        return not has_global_fixed_point(variety.moebius_group())
-    return not variety.declared.induced_cyclic
 
 
 def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
@@ -538,7 +537,7 @@ def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
         route = "three-non-reduced-fibers"
     elif len(nr) == 2 and _swapped_pair(variety, nr[0], nr[1]):
         route = "swapped-pair"
-    elif _fixed_point_free(variety):
+    elif not variety.induced_cyclic():
         route = "fixed-point-free"
 
     if isinstance(info, GlctInfo):

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
-from symfano.errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
+from symfano import groups
+from symfano.errors import IdentityElement, InputError, NotFiniteWithinCap
 from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
     MoebiusGroup,
-    classify,
     closure,
     exceptional_orbits,
     fixed_points,
@@ -16,14 +18,44 @@ from symfano.groups import (
     orbit_of,
 )
 from symfano.rationals import rat
+from symfano.selftest import _GROUP_GENERATORS, _conjugate_group
 
 INVOLUTION = MoebiusElement([[0, 1], [1, 0]])          # x -> 1/x
 THREE_CYCLE = MoebiusElement([[-1, -1], [1, 0]])       # 0 -> inf -> -1 -> 0
 TRANSPOSITION = MoebiusElement([[1, 0], [-1, -1]])     # fixes 0, swaps -1 and inf
+C4 = MoebiusElement([[1, -1], [1, 1]])                 # order 4, fixes sqrt(-1), -sqrt(-1)
+C6 = MoebiusElement([[2, -1], [1, 1]])                 # order 6
+NEGATION = MoebiusElement([[-1, 0], [0, 1]])           # x -> -x
 
 
 def s3():
     return closure([THREE_CYCLE, TRANSPOSITION])
+
+
+def d4():
+    return closure([C4, NEGATION])
+
+
+def d6():
+    return closure([C6, INVOLUTION])
+
+
+def classify(group: MoebiusGroup) -> str:
+    """Reference: name the group by its order and its largest element order."""
+
+    def element_order(g):
+        power, k = g, 1
+        while not power.is_identity():
+            power, k = power * g, k + 1
+        return k
+
+    if group.order == 1:
+        return "trivial"
+    largest = max(element_order(g) for g in group)
+    if largest == group.order:
+        return f"cyclic({largest})"
+    assert 2 * largest == group.order, "element orders fit no cyclic or dihedral group"
+    return f"dihedral({largest})"
 
 
 def pt(t):
@@ -59,29 +91,47 @@ def test_closure_cap():
     translation = MoebiusElement([[1, 1], [0, 1]])
     with pytest.raises(NotFiniteWithinCap):
         closure([translation])
-    assert translation.projective_order() is None
 
 
-def test_classify():
-    assert str(classify(closure([MoebiusElement.identity()]))) == "trivial"
-    assert str(classify(closure([INVOLUTION]))) == "cyclic(2)"
-    assert str(classify(closure([THREE_CYCLE]))) == "cyclic(3)"
-    assert str(classify(s3())) == "dihedral(3)"
-    klein = closure([INVOLUTION, MoebiusElement([[-1, 0], [0, 1]])])
-    assert str(classify(klein)) == "dihedral(2)"
-    assert str(classify(closure([MoebiusElement([[1, -1], [1, 1]])]))) == "cyclic(4)"
-    assert str(classify(closure([MoebiusElement([[2, -1], [1, 1]])]))) == "cyclic(6)"
-    d4 = closure([MoebiusElement([[1, -1], [1, 1]]), MoebiusElement([[-1, 0], [0, 1]])])
-    assert d4.order == 8 and str(classify(d4)) == "dihedral(4)"
-    d6 = closure([MoebiusElement([[2, -1], [1, 1]]), INVOLUTION])
-    assert d6.order == 12 and str(classify(d6)) == "dihedral(6)"
+def test_global_fixed_point_iff_trivial_or_cyclic():
+    pool = [closure([MoebiusElement(g) for g in gens]) for gens in _GROUP_GENERATORS]
+    pool += [d4(), d6()]
+    assert [classify(g) for g in pool] == [
+        "trivial", "cyclic(2)", "cyclic(2)", "cyclic(2)", "cyclic(3)", "cyclic(4)",
+        "cyclic(6)", "dihedral(3)", "dihedral(2)", "dihedral(4)", "dihedral(6)",
+    ]
+    rng = random.Random(20261018)
+    for group in pool:
+        for k in range(21):
+            conjugate = group
+            if k:
+                while True:
+                    h = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+                    if h[0][0] * h[1][1] != h[0][1] * h[1][0]:
+                        break
+                conjugate = _conjugate_group(group, MoebiusElement(h))
+            kind = classify(conjugate)
+            assert has_global_fixed_point(conjugate) == (not kind.startswith("dihedral")), (kind, k)
 
 
-def test_classify_rejects_inconsistent_orders_as_internal_error():
-    # an order-3 element in a group of order 2: no finite subgroup of PGL2(Q)
-    # looks like this, so reaching it is a bug rather than bad input
-    with pytest.raises(InternalError):
-        classify(MoebiusGroup((MoebiusElement.identity(), THREE_CYCLE)))
+def test_each_exceptional_orbit_built_once(monkeypatch):
+    calls = []
+    original = groups.orbit_of
+
+    def counted(group, p):
+        calls.append(p)
+        return original(group, p)
+
+    monkeypatch.setattr(groups, "orbit_of", counted)
+    for make, classes in ((lambda: closure([C4]), 2), (d4, 3), (d6, 3)):
+        group = make()
+        calls.clear()
+        orbits = exceptional_orbits(group)
+        assert len(orbits) == classes and len(calls) == classes
+        # later calls and the fixed point test reuse the group's orbits
+        again = exceptional_orbits(group)
+        has_global_fixed_point(group)
+        assert again == orbits and again is not orbits and len(calls) == classes
 
 
 def test_has_global_fixed_point():

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from symfano.curvepair import is_neg_infinity, lct_g
@@ -11,10 +14,10 @@ from symfano.errors import (
     NotSymmetric,
 )
 from symfano.exact import ProjPoint
-from symfano.groups import LatticeAutGroup, MoebiusElement
+from symfano.groups import LatticeAutGroup, MoebiusElement, closure, exceptional_orbits, orbit_of
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
-from symfano.selftest import suite_effectivity
+from symfano.selftest import _GROUP_GENERATORS, suite_effectivity
 from symfano.tvariety import (
     CxOneVariety,
     DeclaredAction,
@@ -286,6 +289,84 @@ def test_no_counting_route_pins_threshold_at_one_half(order):
     assert glct(v) == rat(1, 2)
     verdict = ke_verdict(v)
     assert not verdict.certified and verdict.route is None
+
+
+def test_variety_is_immutable_and_closes_its_own_group():
+    fibers = FiberBook(
+        [
+            Fiber(pt(0), (VerticalDivisor("a", 2),)),
+            Fiber(INF, (VerticalDivisor("b", 2),)),
+        ]
+    )
+    v = trivial_symmetry_variety(fibers)
+    assert glct(v) == rat(1, 2) and not ke_verdict(v).certified
+    swap = MoebiusElement([[0, 1], [1, 0]])
+    # no constructor argument can hand the variety a group of other generators
+    with pytest.raises(TypeError):
+        CxOneVariety(
+            name="test", dim=3, fibers=fibers, horizontals=(),
+            lattice=LatticeAutGroup(2, NEG_LATTICE),
+            moebius_generators=(MoebiusElement.identity(),),
+            _moebius_group=closure([swap]),
+        )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.moebius_generators = (swap,)
+    assert v.moebius_group() is v.moebius_group()
+    assert v.moebius_group().order == 1
+
+
+COUNTING_ROUTES = ("three-non-reduced-fibers", "swapped-pair", "fixed-point-free")
+
+
+def _random_explicit_variety(rng: random.Random) -> CxOneVariety:
+    """Fibers on a random union of orbits, one multiplicity pattern per orbit."""
+    moebius = tuple(MoebiusElement(g) for g in rng.choice(_GROUP_GENERATORS))
+    moebius = moebius or (MoebiusElement.identity(),)
+    group = closure(moebius)
+    candidates = exceptional_orbits(group)
+    candidates += [orbit_of(group, pt(t)) for t in rng.sample(range(-5, 6), 3)]
+    candidates.append(orbit_of(group, INF))
+    fibers, extension = [], None
+    for orbit in rng.sample(candidates, rng.randint(0, 4)):
+        ext = orbit.points[0].extension
+        if ext is not None and extension not in (None, ext):
+            continue
+        if any(f.point in orbit.points for f in fibers):
+            continue
+        extension = extension or ext
+        orders = rng.choice(((1,), (2,), (3,), (1, 2), (2, 4)))
+        for p in orbit.points:
+            base = 2 * len(fibers)
+            fibers.append(
+                Fiber(p, tuple(VerticalDivisor(f"d{base + i}", o) for i, o in enumerate(orders)))
+            )
+    return CxOneVariety(
+        name="random", dim=3, fibers=FiberBook(fibers), horizontals=(),
+        lattice=LatticeAutGroup(2, NEG_LATTICE * len(moebius)),
+        moebius_generators=moebius,
+    )
+
+
+def test_explicit_and_declared_actions_agree(property_cases):
+    rng = random.Random(20261018)
+    routes = set()
+    for _ in range(property_cases):
+        v = _random_explicit_variety(rng)
+        points = v.fibers.points()
+        group = v.moebius_group()
+        # the equivalent declared input, derived here without the variety's code
+        perms = tuple(tuple(points.index(g.apply(p)) for p in points) for g in v.moebius_generators)
+        cyclic = any(closure([g]).order == group.order for g in group)
+        d = CxOneVariety(
+            name="random", dim=3, fibers=v.fibers, horizontals=(), lattice=v.lattice,
+            declared=DeclaredAction(perms, induced_cyclic=cyclic),
+        )
+        exact, declared = ke_verdict(v), ke_verdict(d)
+        routes.add(exact.route)
+        if exact.route in COUNTING_ROUTES or declared.route in COUNTING_ROUTES:
+            assert exact.route == declared.route, points
+        assert glct(d) <= glct(v), points
+    assert routes >= {None, *COUNTING_ROUTES}
 
 
 def test_declared_action_lower_bound():
