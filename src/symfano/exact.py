@@ -11,7 +11,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError, MixedExtension, NoRoot
-from .rationals import Q, lcm_all, rat, rat_key, rat_str, rational_sqrt_parts, squarefree_decompose
+from .rationals import (
+    ZERO,
+    Q,
+    lcm_all,
+    rat,
+    rat_key,
+    rat_str,
+    rational_sqrt_parts,
+    reciprocal,
+    squarefree_decompose,
+)
 
 
 def _merge_ext(d1: int | None, d2: int | None) -> int | None:
@@ -22,12 +32,22 @@ def _merge_ext(d1: int | None, d2: int | None) -> int | None:
     raise MixedExtension(f"cannot mix sqrt({d1}) with sqrt({d2})")
 
 
+def _rational(x):
+    """A rational operand of mixed arithmetic: an int or Fraction as it is, else parsed."""
+    return x if isinstance(x, (int, Q)) else rat(x)
+
+
 class QuadExtScalar:
     """Element ``a + b*sqrt(d)`` of Q or of one real/imaginary quadratic extension.
 
     ``d`` is a squarefree integer (never 0 or 1); ``d is None`` marks a plain
     rational, and any value with ``b == 0`` collapses to that form, so equality
     is componentwise across construction paths.
+
+    The public constructor is the input boundary: it coerces both parts and
+    reduces ``d`` to its squarefree part.  Arithmetic starts from canonical
+    values, so it builds its results with ``_make``, which only collapses
+    ``b == 0``.
     """
 
     __slots__ = ("d", "a", "b")
@@ -50,42 +70,63 @@ class QuadExtScalar:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _make(cls, a: Q, b: Q = ZERO, d: int | None = None) -> "QuadExtScalar":
+        """``a + b*sqrt(d)`` from Fraction parts and a squarefree ``d`` (or None)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        if b:
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "d", d)
+        else:
+            object.__setattr__(self, "b", ZERO)
+            object.__setattr__(self, "d", None)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("QuadExtScalar is immutable")
 
-    def _coerce(self, other) -> "QuadExtScalar":
-        if isinstance(other, QuadExtScalar):
-            return other
-        return QuadExtScalar(rat(other))
-
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def is_rational(self) -> bool:
         return self.d is None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        d = _merge_ext(self.d, o.d)
-        return QuadExtScalar(self.a + o.a, self.b + o.b, d)
+        if not isinstance(other, QuadExtScalar):
+            return QuadExtScalar._make(self.a + _rational(other), self.b, self.d)
+        if other.d is None:
+            return QuadExtScalar._make(self.a + other.a, self.b, self.d)
+        if self.d is None:
+            return QuadExtScalar._make(self.a + other.a, other.b, other.d)
+        d = _merge_ext(self.d, other.d)
+        return QuadExtScalar._make(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(-self.a, -self.b, self.d)
+        return QuadExtScalar._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if not isinstance(other, QuadExtScalar):
+            return QuadExtScalar._make(self.a - _rational(other), self.b, self.d)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        d = _merge_ext(self.d, o.d)
-        if d is None:
-            return QuadExtScalar(self.a * o.a)
-        return QuadExtScalar(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        if not isinstance(other, QuadExtScalar):
+            r = _rational(other)
+            return QuadExtScalar._make(self.a * r, self.b * r if self.b else ZERO, self.d)
+        if other.d is None:
+            return QuadExtScalar._make(self.a * other.a, self.b * other.a, self.d)
+        if self.d is None:
+            return QuadExtScalar._make(self.a * other.a, self.a * other.b, other.d)
+        d = _merge_ext(self.d, other.d)
+        return QuadExtScalar._make(
+            self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a, d
+        )
 
     __rmul__ = __mul__
 
@@ -93,30 +134,33 @@ class QuadExtScalar:
         """Field norm a^2 - d*b^2; zero only for the zero element."""
         if self.d is None:
             return self.a * self.a
-        return self.a * self.a - Q(self.d) * self.b * self.b
+        return self.a * self.a - self.d * self.b * self.b
 
     def inverse(self) -> "QuadExtScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self.d is None:
+            return QuadExtScalar._make(reciprocal(self.a))
         n = self.norm()
-        return QuadExtScalar(self.a / n, -self.b / n, self.d)
+        return QuadExtScalar._make(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        if not isinstance(other, QuadExtScalar):
+            r = _rational(other)
+            return QuadExtScalar._make(self.a / r, self.b / r if self.b else ZERO, self.d)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, (int, str, Q)):
-            other = self._coerce(other)
         if not isinstance(other, QuadExtScalar):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return self.d == other.d and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        a, b = self.a, self.b
+        return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.d))
 
     def sort_key(self):
         return (self.d or 0, rat_key(self.a), rat_key(self.b))
@@ -148,11 +192,24 @@ QE_ZERO = QuadExtScalar(0)
 QE_ONE = QuadExtScalar(1)
 
 
+def _scaled_pair(x: QuadExtScalar, y: QuadExtScalar) -> tuple[QuadExtScalar, QuadExtScalar]:
+    """``(x/y, QE_ONE)``, or ``(QE_ONE, QE_ZERO)`` when y is zero, for a nonzero pair."""
+    if y.d is not None:
+        return x * y.inverse(), QE_ONE
+    if not y.a:
+        return QE_ONE, QE_ZERO
+    if y.a == 1:
+        return x, QE_ONE
+    return x * reciprocal(y.a), QE_ONE
+
+
 class ProjPoint:
     """Point of the projective line over Q or one quadratic extension.
 
     Stored in canonical form: the last nonzero coordinate is scaled to 1, so
-    componentwise equality is projective equality.
+    ``y`` is ``QE_ONE`` or ``QE_ZERO`` and componentwise equality is
+    projective equality.  The public constructor validates its coordinates;
+    ``_normalized`` scales a pair known to be nonzero and in one field.
     """
 
     __slots__ = ("x", "y")
@@ -163,41 +220,51 @@ class ProjPoint:
         if not isinstance(y, QuadExtScalar):
             y = QuadExtScalar(rat(y))
         _merge_ext(x.d, y.d)
-        if y.is_zero():
-            if x.is_zero():
-                raise InputError("(0, 0) is not a projective point")
-            x, y = QE_ONE, QE_ZERO
-        else:
-            x, y = x / y, QE_ONE
+        if x.is_zero() and y.is_zero():
+            raise InputError("(0, 0) is not a projective point")
+        x, y = _scaled_pair(x, y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+    @classmethod
+    def _make(cls, x: QuadExtScalar, y: QuadExtScalar) -> "ProjPoint":
+        """The point with canonical coordinates ``(x, y)``, taken as they are."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        return self
+
+    @classmethod
+    def _normalized(cls, x: QuadExtScalar, y: QuadExtScalar) -> "ProjPoint":
+        """The point ``[x : y]`` of a nonzero pair over one field."""
+        return cls._make(*_scaled_pair(x, y))
 
     def __setattr__(self, *_):
         raise AttributeError("ProjPoint is immutable")
 
     @classmethod
     def from_affine(cls, t) -> "ProjPoint":
-        return cls(t if isinstance(t, QuadExtScalar) else QuadExtScalar(rat(t)), QE_ONE)
+        return cls._make(t if isinstance(t, QuadExtScalar) else QuadExtScalar(rat(t)), QE_ONE)
 
     @classmethod
     def infinity(cls) -> "ProjPoint":
-        return cls(QE_ONE, QE_ZERO)
+        return cls._make(QE_ONE, QE_ZERO)
 
     @property
     def is_infinity(self) -> bool:
-        return self.y.is_zero()
+        return not self.y.a
 
     @property
     def extension(self) -> int | None:
-        return _merge_ext(self.x.d, self.y.d)
+        return self.x.d
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self.x == other.x and self.is_infinity == other.is_infinity
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash((self.x, self.is_infinity))
 
     def sort_key(self):
         return (1 if self.is_infinity else 0, self.x.sort_key())
@@ -443,26 +510,26 @@ def quadratic_roots(a, b, c) -> tuple[QuadExtScalar, ...]:
     once.  Irrational pairs are ordered positive-sqrt part first, rational
     pairs larger root first.
     """
-    a, b, c = Q(rat(a)), Q(rat(b)), Q(rat(c))
+    a, b, c = rat(a), rat(b), rat(c)
     if a == 0:
         if b == 0:
             if c == 0:
                 raise InputError("zero polynomial has every root")
             raise NoRoot("constant nonzero polynomial")
-        return (QuadExtScalar(-c / b),)
+        return (QuadExtScalar._make(-c / b),)
     disc = b * b - 4 * a * c
     if disc == 0:
-        return (QuadExtScalar(-b / (2 * a)),)
+        return (QuadExtScalar._make(-b / (2 * a)),)
     s, d = rational_sqrt_parts(disc)
     base = -b / (2 * a)
     if d == 1:
-        r1 = QuadExtScalar(base + s / (2 * a))
-        r2 = QuadExtScalar(base - s / (2 * a))
+        r1 = QuadExtScalar._make(base + s / (2 * a))
+        r2 = QuadExtScalar._make(base - s / (2 * a))
         return (r1, r2) if r1.a > r2.a else (r2, r1)
     half = s / (2 * a)
     if half < 0:
         half = -half
-    return (QuadExtScalar(base, half, d), QuadExtScalar(base, -half, d))
+    return (QuadExtScalar._make(base, half, d), QuadExtScalar._make(base, -half, d))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
-from .rationals import Q, rat, rat_key
+from .rationals import ONE, ZERO, Q, rat, rat_key
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -26,7 +26,9 @@ class MoebiusElement:
     """Invertible projective 2x2 transformation with rational entries.
 
     Stored with the first nonzero entry scaled to 1, so two proportional
-    matrices compare and hash equal.
+    matrices compare and hash equal.  The public constructor validates its
+    input; products and inverses of valid elements are invertible by
+    multiplicativity of the determinant and go through ``_normalized``.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -36,21 +38,34 @@ class MoebiusElement:
             (a, b), (c, d) = matrix
         except (TypeError, ValueError):
             raise InputError("a Moebius element needs a 2x2 matrix") from None
-        a, b, c, d = (Q(rat(x)) for x in (a, b, c, d))
+        a, b, c, d = (rat(x) for x in (a, b, c, d))
         if a * d - b * c == 0:
             raise InputError("Moebius matrix must have nonzero determinant")
-        scale = next(x for x in (a, b, c, d) if x != 0)
-        object.__setattr__(self, "a", a / scale)
-        object.__setattr__(self, "b", b / scale)
-        object.__setattr__(self, "c", c / scale)
-        object.__setattr__(self, "d", d / scale)
+        self._set(a, b, c, d)
+
+    def _set(self, a: Q, b: Q, c: Q, d: Q) -> None:
+        # an invertible matrix with a == 0 has b != 0
+        scale = a if a else b
+        if scale != 1:
+            a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _normalized(cls, a: Q, b: Q, c: Q, d: Q) -> "MoebiusElement":
+        """The class of an invertible matrix of Fractions, taken without checks."""
+        self = object.__new__(cls)
+        self._set(a, b, c, d)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("MoebiusElement is immutable")
 
     @classmethod
     def identity(cls) -> "MoebiusElement":
-        return cls([[1, 0], [0, 1]])
+        return cls._normalized(ONE, ZERO, ZERO, ONE)
 
     @property
     def matrix(self):
@@ -60,20 +75,23 @@ class MoebiusElement:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
     def __mul__(self, other: "MoebiusElement") -> "MoebiusElement":
-        return MoebiusElement(
-            [
-                [self.a * other.a + self.b * other.c, self.a * other.b + self.b * other.d],
-                [self.c * other.a + self.d * other.c, self.c * other.b + self.d * other.d],
-            ]
+        return MoebiusElement._normalized(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
         )
 
     def inverse(self) -> "MoebiusElement":
-        return MoebiusElement([[self.d, -self.b], [-self.c, self.a]])
+        return MoebiusElement._normalized(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        x = p.x * self.a + p.y * self.b
-        y = p.x * self.c + p.y * self.d
-        return ProjPoint(x, y)
+        # a canonical point is (x, 1) or (1, 0)
+        if p.is_infinity:
+            x, y = QuadExtScalar._make(self.a), QuadExtScalar._make(self.c)
+        else:
+            x, y = p.x * self.a + self.b, p.x * self.c + self.d
+        return ProjPoint._normalized(x, y)
 
     def __eq__(self, other):
         if not isinstance(other, MoebiusElement):
@@ -81,7 +99,7 @@ class MoebiusElement:
         return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.sort_key())
 
     def sort_key(self):
         return tuple(rat_key(x) for x in (self.a, self.b, self.c, self.d))
@@ -158,7 +176,7 @@ def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
     if g.c == 0:
         pts.append(ProjPoint.infinity())
         if g.a != g.d:
-            pts.append(ProjPoint.from_affine(QuadExtScalar(g.b / (g.d - g.a))))
+            pts.append(ProjPoint.from_affine(QuadExtScalar._make(g.b / (g.d - g.a))))
     else:
         pts.extend(ProjPoint.from_affine(t) for t in quadratic_roots(g.c, g.d - g.a, -g.b))
     return tuple(sorted(pts, key=ProjPoint.sort_key))

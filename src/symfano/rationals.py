@@ -68,10 +68,14 @@ def denom(x) -> int:
     return int(Q(x).denominator)
 
 
+def reciprocal(q: Q) -> Q:
+    """``1/q`` for a nonzero rational, built in one step."""
+    return Q(q.denominator, q.numerator)
+
+
 def rat_key(x):
-    """Deterministic sort key: numerator, then denominator."""
-    q = Q(x)
-    return (int(q.numerator), int(q.denominator))
+    """Deterministic sort key of a rational or an int: numerator, then denominator."""
+    return (x.numerator, x.denominator)
 
 
 def lcm_all(values) -> int:

@@ -14,6 +14,8 @@ from symfano.exact import (
     IntMatrix,
     PositiveCombination,
     ProjPoint,
+    QE_ONE,
+    QE_ZERO,
     QuadExtScalar,
     SemipositiveWitness,
     integer_kernel,
@@ -148,6 +150,64 @@ def test_quadext_arithmetic():
         s2 + QuadExtScalar(0, 1, 3)
     with pytest.raises(InputError):
         QuadExtScalar(0, 1, 4)
+
+
+def test_quadext_eq_hash_contract():
+    # a QuadExtScalar equals only QuadExtScalars, so equal values hash equal
+    assert (QuadExtScalar(3) == 3) is False
+    assert len({QuadExtScalar(3), 3}) == 2
+    assert (QuadExtScalar(1) == "abc") is False
+    assert QuadExtScalar(1) != "abc"
+    assert len({QuadExtScalar(3), QuadExtScalar(Fraction(6, 2)), QuadExtScalar(1) + 2}) == 1
+    root = QuadExtScalar(0, 1, 8)
+    assert root == QuadExtScalar(0, 2, 2) and hash(root) == hash(QuadExtScalar(0, 2, 2))
+
+
+def _random_scalar(rng, d):
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    b = Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if d is not None else 0
+    return QuadExtScalar(a, b, d)
+
+
+def test_quadext_arithmetic_agrees_with_public_constructor(rng, property_cases):
+    """Results built without re-validation equal their rebuild through the
+    public constructor, componentwise and by hash, and satisfy the field laws."""
+    for _ in range(property_cases):
+        d = rng.choice((None, -3, -1, 2, 5, 6))
+        x = _random_scalar(rng, d)
+        y = _random_scalar(rng, rng.choice((None, d)))
+        r = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        results = [x + y, x - y, x * y, -x, x + r, r + x, x - r, r - x, x * r, r * x]
+        if not y.is_zero():
+            results += [x / y, y.inverse()]
+            assert (x / y) * y == x
+        if r:
+            results.append(x / r)
+            assert (x / r) * r == x
+        if not x.is_zero():
+            results.append(r / x)
+            assert (r / x) * x == QuadExtScalar(r)
+        assert (x - y) + y == x and x + (-x) == QE_ZERO
+        for res in results:
+            rebuilt = QuadExtScalar(res.a, res.b, res.d)
+            assert (res.a, res.b, res.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+            assert type(res.a) is Fraction and type(res.b) is Fraction
+            assert res == rebuilt and hash(res) == hash(rebuilt)
+
+
+def test_projpoint_canonical_form(rng, property_cases):
+    for _ in range(property_cases):
+        d = rng.choice((None, -1, 2, 3))
+        x = _random_scalar(rng, d)
+        y = rng.choice((QE_ZERO, QE_ONE, _random_scalar(rng, None), _random_scalar(rng, d)))
+        if x.is_zero() and y.is_zero():
+            continue
+        p = ProjPoint(x, y)
+        assert p.y in (QE_ZERO, QE_ONE)
+        assert p.is_infinity == (p.y == QE_ZERO)
+        assert p == ProjPoint(p.x, p.y) and hash(p) == hash(ProjPoint(p.x, p.y))
+        if not y.is_zero():
+            assert p.x == x / y
 
 
 def test_projpoint_equality_is_equivalence(rng):

@@ -4,7 +4,7 @@ import pytest
 
 from symfano import groups
 from symfano.errors import IdentityElement, InputError, NotFiniteWithinCap
-from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
+from symfano.exact import QE_ONE, QE_ZERO, IntMatrix, ProjPoint, QuadExtScalar, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
@@ -18,7 +18,7 @@ from symfano.groups import (
     orbit_of,
 )
 from symfano.rationals import rat
-from symfano.selftest import _GROUP_GENERATORS, _conjugate_group
+from symfano.selftest import _GROUP_GENERATORS, _conjugate_group, _group_pool
 
 INVOLUTION = MoebiusElement([[0, 1], [1, 0]])          # x -> 1/x
 THREE_CYCLE = MoebiusElement([[-1, -1], [1, 0]])       # 0 -> inf -> -1 -> 0
@@ -225,6 +225,64 @@ def test_moebius_projective_equality():
     assert MoebiusElement([[0, 2], [2, 0]]) == INVOLUTION
     with pytest.raises(InputError):
         MoebiusElement([[1, 1], [1, 1]])
+
+
+def test_moebius_constructor_validates():
+    with pytest.raises(InputError):
+        MoebiusElement([[1, 2], [2, 4]])
+    with pytest.raises(InputError):
+        MoebiusElement([[0, 0], [0, 0]])
+    for bad in ([[1, 0, 0], [0, 1, 0]], [[1, 0]], [1, 0, 0, 1], 5, [[1, 0], [0]]):
+        with pytest.raises(InputError):
+            MoebiusElement(bad)
+
+
+def reference_apply(g: MoebiusElement, p: ProjPoint) -> ProjPoint:
+    """The general formula, through the validating constructor."""
+    (a, b), (c, d) = g.matrix
+    return ProjPoint(p.x * a + p.y * b, p.x * c + p.y * d)
+
+
+def random_sl2z(rng) -> MoebiusElement:
+    m = IntMatrix.identity(2)
+    for _ in range(3):
+        k = rng.randint(-3, 3)
+        m = m * IntMatrix([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
+    return MoebiusElement(m.entries)
+
+
+def random_points(rng) -> list[ProjPoint]:
+    d = rng.choice((-3, -1, 2, 3, 5))
+    t = rat(rng.randint(-9, 9), rng.randint(1, 5))
+    s = rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return [ProjPoint.infinity(), pt(t), ProjPoint.from_affine(QuadExtScalar(t, s, d))]
+
+
+def test_fast_paths_agree_with_validating_constructors():
+    rng = random.Random(20261018)
+    for group in _group_pool() + [d4(), d6()]:
+        for _ in range(4):
+            conjugate = _conjugate_group(group, random_sl2z(rng))
+            points = random_points(rng)
+            for orbit in exceptional_orbits(conjugate):
+                points.extend(orbit.points)
+            for g in conjugate:
+                (a, b), (c, d) = g.matrix
+                inverse = MoebiusElement([[d, -b], [-c, a]])
+                assert g.inverse() == inverse and g.inverse().matrix == inverse.matrix
+                for h in conjugate:
+                    (e, f), (u, v) = h.matrix
+                    product = g * h
+                    rebuilt = MoebiusElement([[a * e + b * u, a * f + b * v], [c * e + d * u, c * f + d * v]])
+                    assert product == rebuilt and product.matrix == rebuilt.matrix
+                    assert hash(product) == hash(rebuilt)
+                for p in points:
+                    image = g.apply(p)
+                    expected = reference_apply(g, p)
+                    assert image == expected and hash(image) == hash(expected)
+                    assert (image.x, image.y) == (expected.x, expected.y)
+                    assert image.y in (QE_ZERO, QE_ONE)
+                    assert image.is_infinity == (image.y == QE_ZERO)
 
 
 def test_fixed_sublattice_examples():
