@@ -26,9 +26,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
-from .curvepair import is_neg_infinity, is_valuable, lct_g
 from .errors import (
     ComputationCapError,
     InputError,
@@ -36,26 +34,8 @@ from .errors import (
     MixedExtension,
     PreconditionError,
 )
-from .exact import PositiveCombination
-from .groups import closure, fixed_sublattice, is_symmetric
-from .quotients import (
-    chow_quotient_fan,
-    is_polystable,
-    lower_dimensional_images,
-    polystable_locus,
-)
 from .rationals import rat_str
-from .schemas import (
-    detect_kind,
-    load_chow,
-    load_lattice,
-    load_pair,
-    load_variety,
-    load_weights,
-    read_json,
-    validate_data,
-)
-from .tvariety import analyze
+from .schemas import detect_kind, read_json, validate_data
 
 REPORT_VERSION = 1
 
@@ -66,20 +46,37 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class Verdict:
-    claim: str
-    value: object
-    route: str | None = None
-    certificate: object = None
+class _Record:
+    """Value equality and a keyword repr over the instance's fields."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class Report:
-    subject: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    report_version: int = REPORT_VERSION
+class Verdict(_Record):
+    def __init__(self, claim: str, value, route: str | None = None, certificate=None):
+        self.claim = claim
+        self.value = value
+        self.route = route
+        self.certificate = certificate
+
+
+class Report(_Record):
+    def __init__(
+        self,
+        subject: str,
+        verdicts: list[Verdict] | None = None,
+        warnings: list[str] | None = None,
+        report_version: int = REPORT_VERSION,
+    ):
+        self.subject = subject
+        self.verdicts = [] if verdicts is None else verdicts
+        self.warnings = [] if warnings is None else warnings
+        self.report_version = report_version
 
     def add(self, claim, value, route=None, certificate=None):
         self.verdicts.append(Verdict(claim, value, route, certificate))
@@ -126,9 +123,10 @@ class Report:
         return "\n".join(lines)
 
 
-def _cert_dict(cert) -> dict:
-    """A stability certificate: a PositiveCombination, else a Destabilizer."""
-    if isinstance(cert, PositiveCombination):
+def _cert_dict(polystable: bool, cert) -> dict:
+    """A stability certificate: a PositiveCombination for a polystable
+    support, else a Destabilizer."""
+    if polystable:
         return {
             "type": "positive-combination",
             "coefficients": [rat_str(c) for c in cert.coefficients],
@@ -138,11 +136,16 @@ def _cert_dict(cert) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands: each fills the report for one input document and returns the
-# exit code; ``run`` reads the file, names the report, prints it and maps errors
+# exit code; ``run`` reads the file, names the report, prints it and maps errors.
+# Each imports the modules it computes with, so a command loads no others.
 # ---------------------------------------------------------------------------
 
 
 def _tvar_check(report: Report, data: dict, args) -> int:
+    from .curvepair import is_neg_infinity
+    from .schemas import load_variety
+    from .tvariety import analyze
+
     analysis = analyze(load_variety(data))
     report.add("symmetric", analysis.symmetric)
     report.add(
@@ -187,6 +190,9 @@ def _tvar_check(report: Report, data: dict, args) -> int:
 
 
 def _pair_and_group(report: Report, data: dict):
+    from .groups import closure
+    from .schemas import load_pair
+
     pair, generators = load_pair(data)
     group = closure(generators)
     report.add("group_order", group.order)
@@ -194,6 +200,8 @@ def _pair_and_group(report: Report, data: dict):
 
 
 def _lct(report: Report, data: dict, args) -> int:
+    from .curvepair import lct_g
+
     res = lct_g(*_pair_and_group(report, data))
     report.add(
         "lct",
@@ -204,6 +212,8 @@ def _lct(report: Report, data: dict, args) -> int:
 
 
 def _valuable(report: Report, data: dict, args) -> int:
+    from .curvepair import is_valuable
+
     ok, witness = is_valuable(*_pair_and_group(report, data))
     report.add(
         "valuable",
@@ -214,11 +224,14 @@ def _valuable(report: Report, data: dict, args) -> int:
 
 
 def _git_polystable(report: Report, data: dict, args) -> int:
+    from .quotients import is_polystable
+    from .schemas import load_weights
+
     weights, _ = load_weights(data)
     support = [s for s in (part.strip() for part in args.support.split(",")) if s]
     verdict, cert = is_polystable(weights, support)
     report.add("support", support)
-    report.add("polystable", verdict, certificate=_cert_dict(cert))
+    report.add("polystable", verdict, certificate=_cert_dict(verdict, cert))
     return EXIT_OK
 
 
@@ -229,6 +242,9 @@ def _claimed_polystable(support, claimed) -> bool:
 
 
 def _git_locus(report: Report, data: dict, args) -> int:
+    from .quotients import polystable_locus
+    from .schemas import load_weights
+
     weights, claimed = load_weights(data)
     mismatches = []
     polystable_supports = []
@@ -236,7 +252,7 @@ def _git_locus(report: Report, data: dict, args) -> int:
         report.add(
             f"support {{{', '.join(support) or 'empty'}}}",
             verdict,
-            certificate=_cert_dict(cert),
+            certificate=_cert_dict(verdict, cert),
         )
         if verdict:
             polystable_supports.append(list(support))
@@ -256,6 +272,9 @@ def _git_locus(report: Report, data: dict, args) -> int:
 
 
 def _chow(report: Report, data: dict, args) -> int:
+    from .quotients import chow_quotient_fan, lower_dimensional_images
+    from .schemas import load_chow
+
     fan, projection = load_chow(data)
     out = chow_quotient_fan(fan, projection)
     report.add("target_rank", out.ambient_rank)
@@ -278,6 +297,9 @@ def _chow(report: Report, data: dict, args) -> int:
 
 
 def _lattice_symmetric(report: Report, data: dict, args) -> int:
+    from .groups import fixed_sublattice, is_symmetric
+    from .schemas import load_lattice
+
     group = load_lattice(data)
     basis = fixed_sublattice(group)
     report.add("fixed_sublattice_rank", len(basis))

@@ -3,7 +3,8 @@
 One format per subject.  ``validate_data`` reports every structural problem
 with its JSON path and never computes anything; the ``load_*`` functions
 build the domain objects (construction-time checks other than schema shape,
-e.g. unimodularity, live in the domain types).
+e.g. unimodularity, live in the domain types).  Each loader imports its own
+domain types, so validation loads no subject module.
 
 Formats (rationals are ``"p/q"`` strings or bare integers; points are
 ``[x, y]`` homogeneous pairs):
@@ -22,23 +23,9 @@ Formats (rationals are ``"p/q"`` strings or bare integers; points are
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from .curvepair import MarkedCurvePair, NEG_INFINITY
 from .errors import InputError
-from .exact import IntMatrix, ProjPoint
-from .groups import LatticeAutGroup, MoebiusElement
-from .polyhedral import Cone, Fan
-from .quotients import WeightMatrix
 from .rationals import parse_rat
-from .tvariety import (
-    CxOneVariety,
-    DeclaredAction,
-    Fiber,
-    FiberBook,
-    HorizontalDivisor,
-    VerticalDivisor,
-)
 
 
 def read_json(path) -> dict:
@@ -307,10 +294,6 @@ def validate_data(data: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _point(value) -> ProjPoint:
-    return ProjPoint(parse_rat(value[0]), parse_rat(value[1]))
-
-
 def _require_valid(data: dict, kind: str):
     problems = validate_data(data)
     if problems:
@@ -321,10 +304,21 @@ def _require_valid(data: dict, kind: str):
 
 
 def load_variety(data: dict) -> CxOneVariety:
+    from .exact import IntMatrix, ProjPoint
+    from .groups import LatticeAutGroup, MoebiusElement
+    from .tvariety import (
+        CxOneVariety,
+        DeclaredAction,
+        Fiber,
+        FiberBook,
+        HorizontalDivisor,
+        VerticalDivisor,
+    )
+
     _require_valid(data, "variety")
     fibers = FiberBook(
         Fiber(
-            _point(f["point"]),
+            ProjPoint(*map(parse_rat, f["point"])),
             tuple(VerticalDivisor(d["name"], d["order"]) for d in f["divisors"]),
         )
         for f in data["fibers"]
@@ -354,16 +348,23 @@ def load_variety(data: dict) -> CxOneVariety:
 
 
 def load_pair(data: dict) -> tuple[MarkedCurvePair, tuple[MoebiusElement, ...]]:
+    from .curvepair import NEG_INFINITY, MarkedCurvePair
+    from .exact import ProjPoint
+    from .groups import MoebiusElement
+
     _require_valid(data, "pair")
     marked = []
     for entry in data["points"]:
         coeff = NEG_INFINITY if entry["coeff"] == "-inf" else parse_rat(entry["coeff"])
-        marked.append((_point(entry["pt"]), coeff))
+        marked.append((ProjPoint(*map(parse_rat, entry["pt"])), coeff))
     generators = tuple(MoebiusElement(g) for g in data["moebius_generators"])
     return MarkedCurvePair(marked), generators
 
 
 def load_weights(data: dict) -> tuple[WeightMatrix, list[tuple[str, ...]] | None]:
+    from .exact import IntMatrix
+    from .quotients import WeightMatrix
+
     _require_valid(data, "weights")
     wm = WeightMatrix(data["labels"], IntMatrix(data["weights"]))
     claimed = data.get("claimed_polystable_supports_any_of")
@@ -373,6 +374,9 @@ def load_weights(data: dict) -> tuple[WeightMatrix, list[tuple[str, ...]] | None
 
 
 def load_chow(data: dict) -> tuple[Fan, IntMatrix]:
+    from .exact import IntMatrix
+    from .polyhedral import Cone, Fan
+
     _require_valid(data, "chow")
     fan_data = data["fan"]
     rank = fan_data["rank"]
@@ -381,9 +385,14 @@ def load_chow(data: dict) -> tuple[Fan, IntMatrix]:
 
 
 def load_lattice(data: dict) -> LatticeAutGroup:
+    from .exact import IntMatrix
+    from .groups import LatticeAutGroup
+
     _require_valid(data, "lattice")
     return LatticeAutGroup(data["rank"], [IntMatrix(g) for g in data["generators"]])
 
 
 def fixture_path(name: str) -> Path:
+    from pathlib import Path
+
     return Path(__file__).parent / "fixtures" / name

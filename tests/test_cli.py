@@ -99,6 +99,8 @@ def test_report_round_trip():
     again = Report.from_json(text)
     assert again == report
     assert again.to_json() == text
+    assert again != Report("demo") == Report(subject="demo", verdicts=[], warnings=[])
+    assert list(vars(again.verdicts[0])) == ["claim", "value", "route", "certificate"]
 
 
 def test_cli_json_round_trip(capsys):

@@ -1,5 +1,7 @@
-"""The command table: pinned ``--help`` texts and a parser shared across runs."""
+"""The command table: pinned ``--help`` texts, a parser shared across runs,
+and the modules each command loads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -133,13 +135,15 @@ def _argv(command):
     return [str(fixture_path(a)) if a.endswith(".json") else a for a in command]
 
 
-def test_shared_parser_leaks_no_state_between_runs(capsys):
+def _python(*argv):
+    """A fresh interpreter that imports the package from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    alone = [
-        subprocess.run([sys.executable, "-m", "symfano.cli", *_argv(c)], env=env, capture_output=True)
-        for c in SEQUENCE
-    ]
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+
+
+def test_shared_parser_leaks_no_state_between_runs(capsys):
+    alone = [_python("-m", "symfano.cli", *_argv(c)) for c in SEQUENCE]
     expected = [(p.returncode, p.stdout.decode("utf-8")) for p in alone]
     assert [code for code, _ in expected] == [0, 0, 0, 0]
     for order in (SEQUENCE, SEQUENCE[::-1]):
@@ -149,3 +153,48 @@ def test_shared_parser_leaks_no_state_between_runs(capsys):
             together[command] = (code, capsys.readouterr().out)
         assert [together[c] for c in SEQUENCE] == expected
     assert cli.build_parser() is cli.build_parser()
+
+
+# a fresh interpreter runs one command, then names the modules the command
+# loaded beyond those present before ``import symfano.cli``
+LOADED_BY = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+import symfano.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = symfano.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+BASE = {"symfano", "cli", "errors", "rationals", "schemas"}
+LOCUS = BASE | {"exact", "polyhedral", "quotients"}
+GROUPS = BASE | {"exact", "groups"}
+PAIR = GROUPS | {"curvepair"}
+LOADS = {
+    "validate quadric.json": BASE,
+    "git locus hyp12-deform.json": LOCUS,
+    "chow p2-chow.json": LOCUS,
+    "lattice symmetric lattice-rotation.json": GROUPS,
+    "lct pair-involution.json": PAIR,
+    "tvar check bidegree12.json": PAIR | {"tvariety"},
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_command_loads_only_the_modules_it_computes_with(command):
+    code, loaded = json.loads(_python("-c", LOADED_BY, *_argv(command.split())).stdout)
+    assert code == 0
+    assert {m.removeprefix("symfano.") for m in loaded if m.split(".")[0] == "symfano"} == LOADS[command]
+    if command.startswith("validate"):
+        assert "dataclasses" not in loaded
+
+
+def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used():
+    code = (
+        "import json, sys; loaded = lambda: sorted(m for m in sys.modules if m.startswith('symfano'));"
+        " import symfano; first = loaded(); symfano.rat; print(json.dumps([first, loaded()]))"
+    )
+    assert json.loads(_python("-c", code).stdout) == [
+        ["symfano"],
+        ["symfano", "symfano.errors", "symfano.rationals"],
+    ]
