@@ -75,9 +75,6 @@ class MarkedCurvePair:
     def __len__(self):
         return len(self.marked)
 
-    def points(self) -> tuple[ProjPoint, ...]:
-        return tuple(p for p, _ in self.marked)
-
     def coefficient(self, point: ProjPoint):
         for p, c in self.marked:
             if p == point:
@@ -133,11 +130,8 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
         for q in orb.points:
             if q not in coeff_of:
                 raise NotInvariant(f"support is not orbit-closed: {q} is unmarked")
-            cq = coeff_of[q]
-            same = (is_neg_infinity(c) and is_neg_infinity(cq)) or (
-                not is_neg_infinity(c) and not is_neg_infinity(cq) and c == cq
-            )
-            if not same:
+            # NEG_INFINITY is a singleton equal only to itself
+            if coeff_of[q] != c:
                 raise NotInvariant(f"coefficient not constant on the orbit of {p}")
             consumed.add(q)
         marked_orbits.add(orb.points)

@@ -142,7 +142,11 @@ class MoebiusGroup:
 
 
 def closure(generators) -> MoebiusGroup:
-    """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite."""
+    """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite.
+
+    Right products h * g suffice: in a finite group each generator's inverse
+    is a positive power of it, and an infinite group has infinitely many words.
+    """
     gens = [g if isinstance(g, MoebiusElement) else MoebiusElement(g) for g in generators]
     seen = {MoebiusElement.identity()}
     frontier = [MoebiusElement.identity()]
@@ -150,16 +154,16 @@ def closure(generators) -> MoebiusGroup:
         nxt = []
         for h in frontier:
             for g in gens:
-                for prod in (h * g, g * h):
-                    if prod not in seen:
-                        if len(seen) == MAX_FINITE_GROUP_ORDER:
-                            raise NotFiniteWithinCap(
-                                f"group closure reached {MAX_FINITE_GROUP_ORDER + 1} elements, so "
-                                "the group is infinite: finite subgroups of PGL2(Q) have at most "
-                                f"{MAX_FINITE_GROUP_ORDER}"
-                            )
-                        seen.add(prod)
-                        nxt.append(prod)
+                prod = h * g
+                if prod not in seen:
+                    if len(seen) == MAX_FINITE_GROUP_ORDER:
+                        raise NotFiniteWithinCap(
+                            f"group closure reached {MAX_FINITE_GROUP_ORDER + 1} elements, so "
+                            "the group is infinite: finite subgroups of PGL2(Q) have at most "
+                            f"{MAX_FINITE_GROUP_ORDER}"
+                        )
+                    seen.add(prod)
+                    nxt.append(prod)
         frontier = nxt
     return MoebiusGroup(tuple(sorted(seen, key=MoebiusElement.sort_key)))
 
@@ -254,13 +258,10 @@ def fixed_sublattice(group: LatticeAutGroup) -> list[tuple[int, ...]]:
     A vector fixed by every generator is fixed by the whole group, so no
     closure is needed on the lattice side.
     """
-    rank = group.rank
-    ident = IntMatrix.identity(rank)
+    ident = IntMatrix.identity(group.rank)
     stacked = []
     for g in group.generators:
         stacked.extend((g - ident).entries)
-    if not stacked:
-        return [tuple(row) for row in ident.entries]
     return integer_kernel(IntMatrix(stacked))
 
 

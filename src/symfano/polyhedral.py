@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InputError, InternalError
-from .exact import IntMatrix, _primitive, integer_kernel
+from .exact import IntMatrix, _primitive
 from .rationals import rat
 
 
@@ -72,8 +72,6 @@ def _dd_from_halfspaces(rank: int, halfspaces) -> tuple[list[tuple[int, ...]], l
 
     for a in halfspaces:
         a = tuple(int(x) for x in a)
-        if all(x == 0 for x in a):
-            continue
         lin_vals = [_dot(a, l) for l in lineality]
         if any(v != 0 for v in lin_vals):
             idx = next(i for i, v in enumerate(lin_vals) if v != 0)
@@ -194,10 +192,8 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        mat = IntMatrix(self.generators)
-        return mat.cols - len(integer_kernel(mat))
+        # the dual's lineality is the orthogonal complement of the cone's span
+        return self.ambient_rank - len(self._dual[0])
 
     def contains_point(self, point) -> bool:
         point = [rat(x) for x in point]
@@ -320,9 +316,6 @@ class Fan:
             if not any(o.contains(c) and not c.contains(o) for o in self.cones) and c not in out:
                 out.append(c)
         return tuple(out)
-
-    def __len__(self):
-        return len(self.cones)
 
     def validate(self):
         """Every two cones meet in a common face.

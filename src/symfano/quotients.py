@@ -9,13 +9,13 @@ integer arithmetic against the weight matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, NotSurjective, TooManyCoordinates
 from .exact import (
     IntMatrix,
     PositiveCombination,
+    SemipositiveWitness,
     smith_normal_form,
     solve_positive_combination,
 )
@@ -53,13 +53,9 @@ class WeightMatrix:
         return self.weights.col(self.labels.index(label))
 
 
-@dataclass(frozen=True)
-class Destabilizer:
-    """One-parameter subgroup whose limit leaves the orbit: pairs >= 0 with the
-    active weights, > 0 with at least one."""
-
-    vector: tuple[int, ...]
-
+#: One-parameter subgroup whose limit leaves the orbit: pairs >= 0 with the
+#: active weights, > 0 with at least one.  It is the simplex's witness as is.
+Destabilizer = SemipositiveWitness
 
 StabilityCert = PositiveCombination | Destabilizer
 
@@ -88,9 +84,7 @@ def _decide(weights: IntMatrix, columns) -> tuple[bool, StabilityCert]:
     if not columns:
         return True, PositiveCombination(())
     result = solve_positive_combination(IntMatrix([[row[j] for j in columns] for row in weights.entries]))
-    if isinstance(result, PositiveCombination):
-        return True, result
-    return False, Destabilizer(result.vector)
+    return isinstance(result, PositiveCombination), result
 
 
 def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityCert) -> bool:

@@ -74,12 +74,21 @@ def _is_rat(x) -> bool:
     return False
 
 
-def _check_point(value, path, out):
+def _check_point(value, path, out, seen):
+    """Check one point, then add (path, point) to ``seen``: (x, y) repeats a
+    seen (u, v) exactly when x v = u y."""
     if not (isinstance(value, list) and len(value) == 2 and all(_is_rat(v) for v in value)):
         out.append(f"{path}: must be a pair of rationals")
         return
-    if all(parse_rat(v) == 0 for v in value):
+    x, y = (parse_rat(v) for v in value)
+    if x == 0 and y == 0:
         out.append(f"{path}: (0, 0) is not a projective point")
+        return
+    for first, (u, v) in seen:
+        if x * v == u * y:
+            out.append(f"{path}: the same point as {first}")
+            break
+    seen.append((path, (x, y)))
 
 
 def _check_matrix(value, path, out, square=None, integer=True):
@@ -110,6 +119,7 @@ def _validate_variety(data: dict, out: list):
         out.append("dim: must be >= 2")
     fibers = data.get("fibers")
     names = []
+    points = []
     if not isinstance(fibers, list):
         out.append("fibers: missing or not an array")
     else:
@@ -117,7 +127,7 @@ def _validate_variety(data: dict, out: list):
             if not isinstance(fiber, dict):
                 out.append(f"fibers[{i}]: must be an object")
                 continue
-            _check_point(fiber.get("point"), f"fibers[{i}].point", out)
+            _check_point(fiber.get("point"), f"fibers[{i}].point", out, points)
             divisors = fiber.get("divisors")
             if not isinstance(divisors, list):
                 out.append(f"fibers[{i}].divisors: missing or not an array")
@@ -183,11 +193,12 @@ def _validate_pair(data: dict, out: list):
     if not isinstance(points, list):
         out.append("points: missing or not an array")
     else:
+        seen = []
         for i, entry in enumerate(points):
             if not isinstance(entry, dict):
                 out.append(f"points[{i}]: must be an object")
                 continue
-            _check_point(entry.get("pt"), f"points[{i}].pt", out)
+            _check_point(entry.get("pt"), f"points[{i}].pt", out, seen)
             coeff = entry.get("coeff")
             if coeff != "-inf" and not _is_rat(coeff):
                 out.append(f"points[{i}].coeff: must be a rational or \"-inf\"")

@@ -5,8 +5,9 @@ of the quotient line, the list of invariant divisors in the fiber with their
 generic stabilizer orders; every unmarked point implicitly carries a single
 divisor of order 1, and an explicitly empty list records a point missing from
 the image of the quotient map.  On top sit the boundary pair, the pullback and
-canonical-divisor formulas, and the existence verdict combining the symmetry
-test, the non-reduced fiber counts, and the threshold criterion.
+canonical-divisor formulas, and the existence verdict: the symmetry test,
+then Tian's criterion glct > dim/(dim+1), which the counting conditions on
+the fibers decide, since each forces glct = 1 and without one glct <= 1/2.
 """
 
 from __future__ import annotations
@@ -246,9 +247,6 @@ class DivisorOnX:
             generic[k] = generic.get(k, ZERO) + v
         return DivisorOnX(named, generic)
 
-    def __neg__(self) -> "DivisorOnX":
-        return DivisorOnX({k: -v for k, v in self.named.items()}, {k: -v for k, v in self.generic.items()})
-
     def is_zero(self) -> bool:
         return not self.named and not self.generic
 
@@ -486,10 +484,13 @@ def glct(variety: CxOneVariety) -> Q:
 def ke_verdict(variety: CxOneVariety) -> KEVerdict:
     """Existence verdict for the invariant Einstein metric.
 
-    Certification routes, in order: three or more non-reduced fibers; exactly
-    two swapped by the symmetry; a fixed-point-free induced action; or the
-    threshold exceeding dim/(dim+1).  A False verdict is inconclusive, never a
-    disproof.
+    Tian's criterion glct > dim/(dim+1) certifies.  Its routes, in order:
+    three or more non-reduced fibers; exactly two swapped by the symmetry; a
+    fixed-point-free induced action.  Each forces glct = 1.  Without one, the
+    non-reduced fibers are at most two points fixed by a cyclic action, whose
+    minimands (1 - b_p)/(2 - deg) sum to 1 (one fiber of multiplicity m gives
+    1/(m + 1), none gives 1/2), so glct <= 1/2 < 2/3 <= dim/(dim+1).  A False
+    verdict is inconclusive, never a disproof.
     """
     return _result(analyze(variety).verdict)
 
@@ -530,8 +531,6 @@ def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
         "non_reduced_count": len(nr),
         "certification_threshold": f"{variety.dim}/{variety.dim + 1}",
     }
-    threshold = Q(variety.dim) / Q(variety.dim + 1)
-
     route = None
     if len(nr) >= 3:
         route = "three-non-reduced-fibers"
@@ -550,10 +549,8 @@ def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
                 "induced action given only as a declared permutation: the threshold "
                 "is a lower bound"
             )
-        if route is None and info.value > threshold:
-            route = "threshold"
-        elif route is None and info.is_lower_bound:
-            warnings.append("declared-action lower bound did not reach the threshold")
+            if route is None:
+                warnings.append("declared-action lower bound did not reach the threshold")
     elif route is None:
         return MorphismHypothesisViolated(
             f"{variety.name}: threshold route needs a boundary without -infinity entries"

@@ -202,6 +202,197 @@ def test_validate_subcommand(tmp_path, capsys):
     assert code == 1 and "order must be >= 1" in out
 
 
+DROP = object()
+
+
+def edited(name, edits):
+    """The fixture's document with each path set to its value, or removed for DROP."""
+    data = read_json(fixture_path(name))
+    for path, value in edits.items():
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return data
+
+
+def declared(**symmetry):
+    """quadric.json with the given declared-action keys in place of its Moebius generators."""
+    data = edited("quadric.json", {("symmetry", "moebius_generators"): DROP})
+    data["symmetry"].update(symmetry)
+    return data
+
+
+MALFORMED = [
+    (edited("quadric.json", {("name",): DROP}), "name: missing"),
+    (edited("quadric.json", {("fano",): "yes"}), "fano: must be bool"),
+    (edited("quadric.json", {("dim",): 1}), "dim: must be >= 2"),
+    (edited("quadric.json", {("fibers",): {}}), "fibers: missing or not an array"),
+    (edited("quadric.json", {("fibers", 0): 5}), "fibers[0]: must be an object"),
+    (edited("quadric.json", {("fibers", 0, "point"): [1]}), "fibers[0].point: must be a pair of rationals"),
+    (
+        edited("quadric.json", {("fibers", 0, "point"): ["0", "0/5"]}),
+        "fibers[0].point: (0, 0) is not a projective point",
+    ),
+    (
+        edited("quadric.json", {("fibers", 1, "divisors"): DROP}),
+        "fibers[1].divisors: missing or not an array",
+    ),
+    (
+        edited("quadric.json", {("fibers", 1, "divisors", 0): "u2"}),
+        "fibers[1].divisors[0]: must be an object",
+    ),
+    (
+        edited("quadric.json", {("fibers", 1, "divisors", 0, "name"): 2}),
+        "fibers[1].divisors[0].name: missing or not a string",
+    ),
+    (edited("quadric.json", {("horizontal",): [1]}), "horizontal: must be an array of names"),
+    (edited("quadric.json", {("symmetry",): []}), "symmetry: missing or not an object"),
+    (
+        edited("quadric.json", {("symmetry", "lattice_generators"): []}),
+        "symmetry.lattice_generators: must be a nonempty array",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "lattice_generators", 0): []}),
+        "symmetry.lattice_generators[0]: must be a nonempty array of rows",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "lattice_generators", 0, 1): [0]}),
+        "symmetry.lattice_generators[0][1]: ragged row",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "lattice_generators", 0, 1, 1): "-1"}),
+        "symmetry.lattice_generators[0][1][1]: must be an integer",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "lattice_generators", 0): [[-1]]}),
+        "symmetry.lattice_generators[0]: must be 2x2",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "moebius_generators"): DROP}),
+        "symmetry: give either moebius_generators or marked_permutations + induced_cyclic",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "moebius_generators"): []}),
+        "symmetry.moebius_generators: one 2x2 matrix per lattice generator",
+    ),
+    (
+        edited("quadric.json", {("symmetry", "moebius_generators", 0, 0, 0): "1/0"}),
+        "symmetry.moebius_generators[0][0][0]: must be a rational",
+    ),
+    (
+        declared(marked_permutations=[], induced_cyclic=True),
+        "symmetry.marked_permutations: one permutation per lattice generator",
+    ),
+    (
+        declared(marked_permutations=[[0, 0, 1]], induced_cyclic=True),
+        "symmetry.marked_permutations[0]: must be a permutation of 0..2",
+    ),
+    (
+        declared(marked_permutations=[[0, 1, 2]]),
+        "symmetry.induced_cyclic: missing or not a boolean",
+    ),
+    (edited("pair-involution.json", {("points",): {}}), "points: missing or not an array"),
+    (edited("pair-involution.json", {("points", 1): ["1", "0"]}), "points[1]: must be an object"),
+    (
+        edited("pair-involution.json", {("points", 1, "pt"): "infinity"}),
+        "points[1].pt: must be a pair of rationals",
+    ),
+    (
+        edited("pair-involution.json", {("points", 0, "coeff"): "inf"}),
+        'points[0].coeff: must be a rational or "-inf"',
+    ),
+    (
+        edited("pair-involution.json", {("moebius_generators",): []}),
+        "moebius_generators: must be a nonempty array",
+    ),
+    (
+        edited("pair-involution.json", {("moebius_generators", 0, 1): [1, 0, 0]}),
+        "moebius_generators[0][1]: ragged row",
+    ),
+    (edited("hyp12-deform.json", {("labels",): []}), "labels: must be a nonempty array of strings"),
+    (edited("hyp12-deform.json", {("labels", 2): "alpha"}), "labels: must be distinct"),
+    (edited("hyp12-deform.json", {("weights",): [1, 2, 3]}), "weights: must be a nonempty array of rows"),
+    (edited("hyp12-deform.json", {("weights", 1, 2): True}), "weights[1][2]: must be an integer"),
+    (edited("hyp12-deform.json", {("weights",): [[1, 2], [3, 4]]}), "weights: one column per label"),
+    (
+        edited("hyp12-deform.json", {("claimed_polystable_supports_any_of",): ["alpha"]}),
+        "claimed_polystable_supports_any_of: must be an array of label arrays",
+    ),
+    (
+        edited("hyp12-deform.json", {("claimed_polystable_supports_any_of", 0, 1): "delta"}),
+        "claimed_polystable_supports_any_of[0]: unknown label 'delta'",
+    ),
+    (edited("p2-chow.json", {("fan",): [1]}), "fan: missing or not an object"),
+    (edited("p2-chow.json", {("fan", "rank"): 0}), "fan.rank: must be a positive integer"),
+    (edited("p2-chow.json", {("fan", "cones"): []}), "fan.cones: must be a nonempty array"),
+    (
+        edited("p2-chow.json", {("fan", "cones", 1): {"rays": [[0, 1]]}}),
+        "fan.cones[1]: must be an object with generators",
+    ),
+    (
+        edited("p2-chow.json", {("fan", "cones", 1, "generators"): {}}),
+        "fan.cones[1].generators: must be an array",
+    ),
+    (
+        edited("p2-chow.json", {("fan", "cones", 2, "generators", 1): [-1, -1, 0]}),
+        "fan.cones[2].generators[1]: must be an integer vector of length rank",
+    ),
+    (edited("p2-chow.json", {("projection",): DROP}), "projection: must be a nonempty array of rows"),
+    (edited("p2-chow.json", {("projection",): [[1, -1, 0]]}), "projection: columns must match fan.rank"),
+    (edited("lattice-rotation.json", {("rank",): "2"}), "rank: must be a positive integer"),
+    (edited("lattice-rotation.json", {("generators",): {}}), "generators: must be a nonempty array"),
+    (edited("lattice-rotation.json", {("rank",): 3}), "generators[0]: must be 3x3"),
+    (
+        {"name": "nothing to detect", "rank": 2},
+        "unrecognized file format (no fibers/points/weights/fan/generators key)",
+    ),
+    (["fibers"], "top level must be an object"),
+]
+
+
+@pytest.mark.parametrize("document, problem", MALFORMED, ids=[problem for _, problem in MALFORMED])
+def test_validate_reports_each_problem_by_path(tmp_path, capsys, document, problem):
+    target = tmp_path / "malformed.json"
+    target.write_text(json.dumps(document))
+    assert run(["validate", str(target)]) == 1
+    out, err = capsys.readouterr()
+    if isinstance(document, dict):
+        assert f"  problem: {problem}\n" in out
+    else:
+        assert err == f"input error: {target}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "document, problem, commands",
+    [
+        (
+            edited("quadric.json", {("fibers", 1, "point"): ["0", "2"]}),
+            "fibers[1].point: the same point as fibers[0].point",
+            ("tvar check",),
+        ),
+        (
+            edited("pair-involution.json", {("points", 0, "pt"): ["1", "1"], ("points", 1, "pt"): ["2", "2"]}),
+            "points[1].pt: the same point as points[0].pt",
+            ("lct", "valuable"),
+        ),
+    ],
+)
+def test_repeated_point_is_a_schema_problem(tmp_path, capsys, document, problem, commands):
+    # compared as rationals by cross-multiplication: [0, 1] ~ [0, 2], [1, 1] ~ [2, 2]
+    target = tmp_path / "repeated.json"
+    target.write_text(json.dumps(document))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1 and f"  problem: {problem}\n" in out
+    for command in commands:
+        assert run([*command.split(), str(target)]) == 1
+        assert capsys.readouterr().err == f"input error: {problem}\n"
+
+
 def test_exit_code_input_error(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run([ "validate", str(missing)]) == 1
@@ -225,6 +416,16 @@ def test_exit_code_cap_error(tmp_path, capsys):
 def test_exit_code_precondition(capsys):
     assert run(["tvar", "check", fixture("p2-cstar.json")]) == 3
     capsys.readouterr()
+
+
+def test_precondition_error_raised_by_a_computation_exits_3(tmp_path, capsys):
+    data = read_json(fixture_path("pair-involution.json"))
+    for entry in data["points"]:
+        entry["coeff"] = "3/2"
+    target = tmp_path / "pair.json"
+    target.write_text(json.dumps(data))
+    assert run(["valuable", str(target)]) == 3
+    assert capsys.readouterr().err.startswith("precondition violated: CoefficientOutOfRange: ")
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

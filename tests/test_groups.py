@@ -93,6 +93,52 @@ def test_closure_cap():
         closure([translation])
 
 
+def _two_sided_closure(generators):
+    """Reference: close under products with the generators on both sides;
+    None once it passes 12 elements."""
+    seen = {MoebiusElement.identity()}
+    frontier = set(seen)
+    while frontier and len(seen) <= 12:
+        frontier = {p for h in frontier for g in generators for p in (h * g, g * h)} - seen
+        seen |= frontier
+    return None if len(seen) > 12 else sorted(seen, key=MoebiusElement.sort_key)
+
+
+def _random_moebius(rng):
+    while True:
+        h = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+        if h[0][0] * h[1][1] != h[0][1] * h[1][0]:
+            return MoebiusElement(h)
+
+
+def test_one_sided_closure_matches_two_sided_reference(rng, property_cases):
+    finite = [[MoebiusElement(g) for g in gens] for gens in _GROUP_GENERATORS]
+    finite += [[C4, NEGATION], [C6, INVOLUTION], [THREE_CYCLE, TRANSPOSITION, INVOLUTION]]
+    infinite = [
+        [MoebiusElement([[1, 1], [0, 1]])],                           # x -> x + 1
+        [MoebiusElement([[2, 0], [0, 1]])],                           # x -> 2x
+        [NEGATION, MoebiusElement([[-1, 1], [0, 1]])],                # two involutions, product x -> x - 1
+        [C4, THREE_CYCLE],
+    ]
+    kinds = set()
+    for k in range(property_cases):
+        if k % 3 == 2:
+            gens = [_random_moebius(rng) for _ in range(rng.randint(1, 2))]
+        else:
+            gens = rng.choice(finite + infinite)
+            if k % 3:
+                h = _random_moebius(rng)
+                gens = [h * g * h.inverse() for g in gens]
+        expected = _two_sided_closure(gens)
+        kinds.add(expected is None)
+        if expected is None:
+            with pytest.raises(NotFiniteWithinCap):
+                closure(gens)
+        else:
+            assert list(closure(gens).elements) == expected, gens
+    assert kinds == {True, False}
+
+
 def test_global_fixed_point_iff_trivial_or_cyclic():
     pool = [closure([MoebiusElement(g) for g in gens]) for gens in _GROUP_GENERATORS]
     pool += [d4(), d6()]

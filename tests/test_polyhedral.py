@@ -1,7 +1,7 @@
 import pytest
 
 from symfano.errors import InputError, InternalError
-from symfano.exact import IntMatrix
+from symfano.exact import IntMatrix, integer_kernel
 from symfano.polyhedral import (
     Cone,
     Fan,
@@ -120,6 +120,31 @@ def test_faces_and_facet_normals_match_double_description_reference(rng, propert
         assert [f.generators for f in faces] == [f.generators for f in expected]
         assert all(is_face(f, cone) for f in faces)
     assert 0 < with_lines < property_cases
+
+
+def _reference_dim(cone):
+    """Rank of the generators: their number of columns minus their kernel's."""
+    if not cone.generators:
+        return 0
+    mat = IntMatrix(cone.generators)
+    return mat.cols - len(integer_kernel(mat))
+
+
+def test_dim_matches_the_rank_of_the_generators(rng, property_cases):
+    dims = set()
+    for k in range(property_cases):
+        rank = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, 5))]
+        if k % 2:
+            cone = Cone.from_halfspaces(rank, vectors)
+            # a zero normal cuts nothing
+            padded = Cone.from_halfspaces(rank, vectors[: k % 3] + [(0,) * rank] + vectors[k % 3 :])
+            assert padded._canonical == cone._canonical
+        else:
+            cone = Cone(rank, vectors)
+        assert cone.dim == _reference_dim(cone), (rank, vectors, k % 2)
+        dims.add(cone.dim)
+    assert dims == {0, 1, 2, 3, 4}
 
 
 def test_refinement_line():

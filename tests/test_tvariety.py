@@ -366,6 +366,11 @@ def test_explicit_and_declared_actions_agree(property_cases):
         if exact.route in COUNTING_ROUTES or declared.route in COUNTING_ROUTES:
             assert exact.route == declared.route, points
         assert glct(d) <= glct(v), points
+        # a counting route forces glct = 1; without one glct <= 1/2 < dim/(dim+1)
+        if exact.route is None:
+            assert glct(v) <= rat(1, 2) and glct(d) <= rat(1, 2), points
+        else:
+            assert glct(v) == 1, points
     assert routes >= {None, *COUNTING_ROUTES}
 
 
@@ -471,7 +476,7 @@ def test_routes_and_threshold_agree_random(rng, property_cases):
         v = _random_variety(rng)
         verdict = ke_verdict(v)
         value = glct(v)
-        if verdict.certified and verdict.route != "threshold":
+        if verdict.certified:
             assert value == 1
         if not verdict.certified:
             assert value <= threshold
