@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring as _encode_str
 
 from .errors import (
     ComputationCapError,
@@ -93,7 +94,12 @@ class Report(_Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False)
+        """The report as JSON: two-space indent, sorted keys, non-ASCII written
+        unescaped.  The bytes are those of ``json.dumps`` with an indent of 2,
+        sorted keys and ``ensure_ascii`` off, without its pure-Python encoder."""
+        out = []
+        _write_json(self.to_dict(), "\n", out)
+        return "".join(out)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -121,6 +127,52 @@ class Report(_Record):
         for w in self.warnings:
             lines.append(f"  warning: {w}")
         return "\n".join(lines)
+
+
+def _write_json(node, newline: str, out: list) -> None:
+    """Append the indent-2 JSON text of ``node`` to ``out``; ``newline`` is a
+    line break and the indentation of the line that holds ``node``.  Dict keys
+    must be strings; a leaf that is not a str, bool, None or int goes to
+    ``json.dumps``."""
+    if isinstance(node, str):
+        out.append(_encode_str(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif type(node) is int:
+        out.append(int.__repr__(node))
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(node[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is str for x in node):
+            out.append("[" + inner + ("," + inner).join(map(_encode_str, node)) + newline + "]")
+        elif all(type(x) is int for x in node):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, node)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in node:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(node))
 
 
 def _cert_dict(polystable: bool, cert) -> dict:

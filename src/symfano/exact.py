@@ -282,7 +282,11 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
+        for row in entries:
+            for x in row:
+                if type(x) is not int:
+                    raise InputError(f"matrix entry {x!r} is not an int")
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         if any(len(row) != cols for row in entries):
@@ -290,6 +294,15 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _make(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """The matrix of a tuple of int tuples, each of length ``cols``, kept as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")

@@ -83,7 +83,9 @@ def _decide(weights: IntMatrix, columns) -> tuple[bool, StabilityCert]:
     """Verdict and certificate for the support made of the given column indices."""
     if not columns:
         return True, PositiveCombination(())
-    result = solve_positive_combination(IntMatrix([[row[j] for j in columns] for row in weights.entries]))
+    # the entries were checked when ``weights`` was built
+    sub = IntMatrix._make(tuple(tuple(row[j] for j in columns) for row in weights.entries), len(columns))
+    result = solve_positive_combination(sub)
     return isinstance(result, PositiveCombination), result
 
 

@@ -60,10 +60,12 @@ def detect_kind(data: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_rat(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, int):
+    if _is_int(x):
         return True
     if isinstance(x, str):
         try:
@@ -101,7 +103,7 @@ def _check_matrix(value, path, out, square=None, integer=True):
             out.append(f"{path}[{i}]: ragged row")
             return
         for j, x in enumerate(row):
-            if integer and not (isinstance(x, int) and not isinstance(x, bool)):
+            if integer and not _is_int(x):
                 out.append(f"{path}[{i}][{j}]: must be an integer")
             elif not integer and not _is_rat(x):
                 out.append(f"{path}[{i}][{j}]: must be a rational")
@@ -113,10 +115,14 @@ def _validate_variety(data: dict, out: list):
     for key, typ in (("name", str), ("dim", int), ("fano", bool), ("log_terminal", bool)):
         if key not in data:
             out.append(f"{key}: missing")
-        elif not isinstance(data[key], typ):
+        elif not isinstance(data[key], typ) or (typ is int and isinstance(data[key], bool)):
             out.append(f"{key}: must be {typ.__name__}")
-    if isinstance(data.get("dim"), int) and data["dim"] < 2:
-        out.append("dim: must be >= 2")
+    rank = None
+    if _is_int(data.get("dim")):
+        if data["dim"] < 2:
+            out.append("dim: must be >= 2")
+        else:
+            rank = data["dim"] - 1
     fibers = data.get("fibers")
     names = []
     points = []
@@ -141,7 +147,7 @@ def _validate_variety(data: dict, out: list):
                 else:
                     names.append(div["name"])
                 order = div.get("order")
-                if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+                if not _is_int(order) or order < 1:
                     out.append(f"fibers[{i}].divisors[{j}].order: order must be >= 1")
     horizontal = data.get("horizontal", [])
     if not isinstance(horizontal, list) or not all(isinstance(h, str) for h in horizontal):
@@ -155,7 +161,6 @@ def _validate_variety(data: dict, out: list):
     if not isinstance(sym, dict):
         out.append("symmetry: missing or not an object")
         return
-    rank = data["dim"] - 1 if isinstance(data.get("dim"), int) else None
     gens = sym.get("lattice_generators")
     if not isinstance(gens, list) or not gens:
         out.append("symmetry.lattice_generators: must be a nonempty array")
@@ -241,7 +246,7 @@ def _validate_chow(data: dict, out: list):
         out.append("fan: missing or not an object")
         return
     rank = fan.get("rank")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         out.append("fan.rank: must be a positive integer")
         rank = None
     cones = fan.get("cones")
@@ -258,7 +263,7 @@ def _validate_chow(data: dict, out: list):
                 continue
             for j, g in enumerate(gens):
                 if not (isinstance(g, list) and (rank is None or len(g) == rank)
-                        and all(isinstance(x, int) and not isinstance(x, bool) for x in g)):
+                        and all(_is_int(x) for x in g)):
                     out.append(f"fan.cones[{i}].generators[{j}]: must be an integer vector of length rank")
     _check_matrix(data.get("projection"), "projection", out)
     proj = data.get("projection")
@@ -269,7 +274,7 @@ def _validate_chow(data: dict, out: list):
 
 def _validate_lattice(data: dict, out: list):
     rank = data.get("rank")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         out.append("rank: must be a positive integer")
         rank = None
     gens = data.get("generators")

@@ -553,6 +553,6 @@ def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
                 warnings.append("declared-action lower bound did not reach the threshold")
     elif route is None:
         return MorphismHypothesisViolated(
-            f"{variety.name}: threshold route needs a boundary without -infinity entries"
+            f"{variety.name}: no counting route applies to a boundary with -infinity entries"
         )
     return KEVerdict(route is not None, route, details, tuple(warnings))

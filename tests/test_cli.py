@@ -3,7 +3,7 @@ import json
 import pytest
 
 from symfano import cli, curvepair, exact, tvariety
-from symfano.cli import Report, run
+from symfano.cli import Report, Verdict, run
 from symfano.errors import InputError
 from symfano.schemas import (
     detect_kind,
@@ -101,6 +101,56 @@ def test_report_round_trip():
     assert again.to_json() == text
     assert again != Report("demo") == Report(subject="demo", verdicts=[], warnings=[])
     assert list(vars(again.verdicts[0])) == ["claim", "value", "route", "certificate"]
+
+
+TEXTS = [
+    "",
+    "plain",
+    'quote " and backslash \\',
+    "tab\t newline\n nul\x00 unit\x1f del\x7f",
+    "separators \u2028 \u2029",
+    "Kähler–Einstein on ℙ¹×ℙ¹ ✓ \U0001f600",
+]
+
+
+def random_tree(rng, depth):
+    """A JSON-able tree of str-keyed dicts, lists, tuples and str/int/bool/None/float leaves."""
+    leaves = [
+        lambda: rng.choice(TEXTS) + rng.choice(TEXTS),
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice((-1, 1)) * rng.randrange(10**39, 10**40),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((0.5, -2.5e-8, 1e300)),
+    ]
+    kind = rng.randrange(9 if depth > 0 else len(leaves))
+    if kind < len(leaves):
+        return leaves[kind]()
+    size = rng.choice((0, 1, 2, 5))
+    if kind == 5:
+        return {rng.choice(TEXTS) + str(i): random_tree(rng, depth - 1) for i in range(size)}
+    if kind == 6:  # one leaf kind, as in a list of coefficients or of labels
+        leaf = rng.choice(leaves[:4])
+        return [leaf() for _ in range(size)]
+    items = [random_tree(rng, depth - 1) for _ in range(size)]
+    return items if kind == 7 else tuple(items)
+
+
+def test_to_json_is_json_dumps_with_indent_2(rng):
+    # the byte contract: the text json.dumps writes with indent=2, sorted keys, ensure_ascii off
+    for _ in range(400):
+        report = Report(
+            subject=rng.choice(TEXTS),
+            verdicts=[
+                Verdict(rng.choice(TEXTS), random_tree(rng, 4), rng.choice((None, "route")), random_tree(rng, 4))
+                for _ in range(rng.randint(0, 3))
+            ],
+            warnings=[rng.choice(TEXTS) for _ in range(rng.randint(0, 2))],
+        )
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False)
+        assert report.to_json() == expected
+    for value in ({}, [], (), [True, 1], [1, True], ["a", 1], [None, 0], 0, -0.0, True):
+        report = Report("edge", [Verdict("c", value)])
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def test_cli_json_round_trip(capsys):
@@ -367,6 +417,16 @@ def test_validate_reports_each_problem_by_path(tmp_path, capsys, document, probl
         assert err == f"input error: {target}: {problem}\n"
 
 
+@pytest.mark.parametrize("dim, problem", [(True, "dim: must be int"), (1, "dim: must be >= 2")])
+def test_validate_reports_a_bad_dim_once(tmp_path, capsys, dim, problem):
+    # no lattice rank is derived from an invalid dim, so no "must be 0x0" follows
+    target = tmp_path / "dim.json"
+    target.write_text(json.dumps(edited("quadric.json", {("dim",): dim})))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if "problem:" in line] == [f"  problem: {problem}"]
+
+
 @pytest.mark.parametrize(
     "document, problem, commands",
     [
@@ -486,6 +546,7 @@ def test_declared_gap_without_route_is_a_precondition_failure(tmp_path, capsys):
     code, out = run_capture(capsys, "tvar", "check", str(target))
     assert code == 3
     assert "ke_certified: null" in out
+    assert "gap: no counting route applies to a boundary with -infinity entries" in out
 
 
 def test_tvar_check_computes_each_quantity_once(monkeypatch, capsys):

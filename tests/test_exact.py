@@ -54,6 +54,16 @@ def test_snf_random(rng, property_cases):
         snf_invariants(IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
 
 
+def test_intmatrix_accepts_only_ints():
+    big = 10**40
+    assert IntMatrix([(1, -2), [3, big]]).entries == ((1, -2), (3, big))
+    for bad in (1.5, 2.0, Fraction(7, 2), Fraction(4, 1), True, False, "3", None):
+        with pytest.raises(InputError):
+            IntMatrix([[1, 2], [bad, 3]])
+    with pytest.raises(InputError):
+        IntMatrix([[1, 2], [3]])
+
+
 def vector_gcd(v):
     g = 0
     for x in v:

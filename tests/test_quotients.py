@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
+from symfano import exact
 from symfano.errors import InputError, NotSurjective, TooManyCoordinates
-from symfano.exact import IntMatrix, PositiveCombination
+from symfano.exact import IntMatrix, PositiveCombination, solve_positive_combination
 from symfano.polyhedral import Cone, Fan
 from symfano.quotients import (
     DIVERGES,
@@ -121,6 +124,45 @@ def test_oracle_equivalence_random(rng, property_cases):
         verdict, cert = is_polystable(wm, labels)
         assert verdict == is_polystable_oracle(wm, labels)
         assert verify_stability_cert(wm, labels, cert)
+
+
+def test_locus_calls_the_simplex_once_per_nonempty_support(monkeypatch, rng):
+    # the benchmark's exact.simplex_calls counts these calls
+    calls = []
+    original = exact.solve_positive_combination
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    # patch every module namespace that holds the function
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symfano" and getattr(module, "solve_positive_combination", None) is original:
+            monkeypatch.setattr(module, "solve_positive_combination", counted)
+    for n in (1, 3, 6, 8):
+        calls.clear()
+        # a zero column makes supports that a shortcut could settle without the simplex
+        weights = IntMatrix([[0] + [rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(2)])
+        rows = polystable_locus(WeightMatrix([f"x{i}" for i in range(n)], weights))
+        assert len(rows) == 2**n
+        assert len(calls) == 2**n - 1
+
+
+def test_locus_matches_the_simplex_on_validated_submatrices(rng):
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 6)
+        weights = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
+        labels = [f"x{i}" for i in range(n)]
+        for support, verdict, cert in polystable_locus(WeightMatrix(labels, weights)):
+            columns = [labels.index(l) for l in support]
+            if not columns:
+                assert (verdict, cert) == (True, PositiveCombination(()))
+                continue
+            sub = IntMatrix([[row[j] for j in columns] for row in weights.entries])
+            expected = solve_positive_combination(sub)
+            assert cert == expected
+            assert verdict == isinstance(expected, PositiveCombination)
 
 
 def test_locus_cap():
