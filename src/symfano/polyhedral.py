@@ -3,13 +3,16 @@
 Cones are given by integer generators (V-form) or integer halfspace normals
 (H-form); conversion runs a naive double description pass that tracks the
 lineality space explicitly, so cones containing lines (projections create
-them) are first-class.  A cone runs each conversion at most once: the double
-description of its generators gives the dual, whose extreme rays are the
-facet normals, and that of its halfspaces gives its own lineality and extreme
-rays (known already for an H-form cone).  Faces are read off the incidence of
-rays and facets, with no further conversion.  The refinement splits cells by
-the input facet hyperplanes one at a time, so it builds only the nonempty
-sign cells.
+them) are first-class.  The pass is incremental: its state after some
+halfspaces (lineality basis, extreme rays, halfspaces processed) is kept on
+every cone built from halfspaces, and a cone cut out of a known one by more
+halfspaces resumes that state instead of starting from the whole space.  So a
+split cell costs one cut and an intersection the other cone's halfspaces.
+The double description of a cone's generators gives the dual, whose extreme
+rays are the facet normals.  Dimensions, faces and face tests are read off
+the generators and the ray-halfspace incidence, with no further conversion.
+The refinement splits cells by the input facet hyperplanes one at a time, so
+it builds only the nonempty sign cells.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -18,6 +21,7 @@ verifiable exactness over speed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -27,145 +31,192 @@ from .rationals import rat
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
-def _project_off(lineality, vector):
-    """Primitive integer representative of ``vector`` modulo span(lineality).
+def _reject(vector, ortho):
+    """A positive multiple of ``vector`` minus its projection onto span(ortho).
 
     Orthogonal projection without fractions: over an integer-orthogonalised
     basis, each rejection v <- (o.o)v - (v.o)o is a positive multiple of the
-    rational one, so the primitive result is the same.  Returns the zero
-    tuple when the vector lies in the span.
+    rational one.
     """
-    def reject(v, ortho):
-        for o in ortho:
-            oo, vo = _dot(o, o), _dot(v, o)
-            if vo:
-                v = _primitive(tuple(oo * x - vo * y for x, y in zip(v, o)))
-        return v
+    for o in ortho:
+        vo = _dot(vector, o)
+        if vo:
+            oo = _dot(o, o)
+            vector = _primitive(tuple(oo * x - vo * y for x, y in zip(vector, o)))
+    return vector
 
+
+def _orthogonal_basis(vectors) -> list[tuple[int, ...]]:
+    """Integer Gram-Schmidt: pairwise orthogonal vectors spanning span(vectors)."""
     ortho: list[tuple[int, ...]] = []
-    for b in lineality:
-        w = reject(tuple(b), ortho)
+    for b in vectors:
+        w = _reject(tuple(b), ortho)
         if any(w):
             ortho.append(w)
-    return _primitive(reject(tuple(vector), ortho))
+    return ortho
 
 
-def _dd_from_halfspaces(rank: int, halfspaces) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Double description: lineality basis and extreme rays of an H-form cone.
+def _dd_from_halfspaces(rank: int, halfspaces, start=None):
+    """Double description: the state of an H-form cone after more halfspaces.
 
-    Starts from the whole space and adds one halfspace at a time.  A halfspace
-    that cuts the current lineality turns one lineality direction into a ray
-    and projects the others; otherwise the classic positive/negative ray
-    pairing applies, with the combinatorial adjacency test on the zero sets of
-    the halfspaces processed so far.  Rays are kept as primitive
-    representatives orthogonal to the current lineality, which makes
-    deduplication and the adjacency bookkeeping exact.
+    A state is (lineality, rays, zeros, processed): a lineality basis in
+    processing order, the extreme rays (sorted), for each ray the bit mask of
+    the processed halfspaces that vanish on it, and the halfspaces processed
+    so far, which cut out the cone.  ``start=None`` is the whole space; any
+    other start is resumed and left as it is.  A halfspace that cuts the
+    current lineality turns one lineality direction into a ray and projects
+    the others; otherwise the classic positive/negative ray pairing applies,
+    with the combinatorial adjacency test on the zero masks, which are kept
+    up to date as rays change rather than recomputed.  Rays are kept as
+    primitive representatives orthogonal to the current lineality, which
+    makes deduplication and the adjacency bookkeeping exact.
+
+    The lineality pivot is the first basis vector the halfspace does not
+    vanish on, so every basis vector keeps its own coordinate at which the
+    others vanish: the basis is the one of its span for that coordinate set,
+    which is fixed by the span.  A sorted basis would lose that order, so the
+    state keeps the processing order; the rays are canonical in any order.
     """
-    lineality: list[tuple[int, ...]] = [
-        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-    ]
-    rays: list[tuple[int, ...]] = []
-    processed: list[tuple[int, ...]] = []
+    if start is None:
+        lineality = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+        rays: list[tuple[int, ...]] = []
+        zeros: dict[tuple[int, ...], int] = {}
+        processed: list[tuple[int, ...]] = []
+    else:
+        lineality, rays, masks, processed = start
+        lineality, rays, processed = list(lineality), list(rays), list(processed)
+        # bit i of zeros[r] is set when processed[i] vanishes on r
+        zeros = dict(zip(rays, masks))
 
     for a in halfspaces:
-        a = tuple(int(x) for x in a)
+        bit = 1 << len(processed)
+        processed.append(a)
         lin_vals = [_dot(a, l) for l in lineality]
-        if any(v != 0 for v in lin_vals):
-            idx = next(i for i, v in enumerate(lin_vals) if v != 0)
-            l0 = lineality[idx]
-            v0 = lin_vals[idx]
+        idx = next((i for i, v in enumerate(lin_vals) if v), None)
+        if idx is not None:
+            l0, v0 = lineality.pop(idx), lin_vals.pop(idx)
             if v0 < 0:
-                l0 = tuple(-x for x in l0)
-                v0 = -v0
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == idx:
-                    continue
-                vl = lin_vals[i]
-                new_lin.append(_primitive(tuple(v0 * x - vl * y for x, y in zip(l, l0))))
-            lineality = new_lin
-            new_rays = []
+                l0, v0 = tuple(-x for x in l0), -v0
+            lineality = [
+                _primitive(tuple(v0 * x - vl * y for x, y in zip(l, l0))) if vl else l
+                for l, vl in zip(lineality, lin_vals)
+            ]
+            ortho = _orthogonal_basis(lineality)
+            # every earlier halfspace vanishes on the old lineality, so the
+            # moved rays keep their zero sets and now also vanish on a; the
+            # old pivot direction vanishes on all but a
+            moved = {}
             for r in rays:
                 vr = _dot(a, r)
-                new_rays.append(tuple(v0 * x - vr * y for x, y in zip(r, l0)))
-            new_rays.append(l0)
-            rays = _dedupe(
-                _project_off(lineality, r) for r in new_rays
-            )
-            processed.append(a)
+                w = _primitive(_reject(tuple(v0 * x - vr * y for x, y in zip(r, l0)), ortho))
+                if any(w):
+                    moved[w] = zeros[r] | bit
+            w = _primitive(_reject(l0, ortho))
+            moved[w] = bit - 1
+            zeros = moved
+            rays = sorted(moved)
             continue
 
         vals = {r: _dot(a, r) for r in rays}
-        plus = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
+        for r in rays:
+            if not vals[r]:
+                zeros[r] |= bit
         minus = [r for r in rays if vals[r] < 0]
         if not minus:
-            processed.append(a)
-            rays = sorted(plus + zero)
             continue
-        zero_sets = {r: frozenset(i for i, h in enumerate(processed) if _dot(h, r) == 0) for r in rays}
-        combos = []
+        plus = [r for r in rays if vals[r] > 0]
+        kept = [r for r in rays if vals[r] >= 0]
         for p, m in itertools.product(plus, minus):
-            common = zero_sets[p] & zero_sets[m]
-            adjacent = not any(
-                r is not p and r is not m and zero_sets[r] >= common for r in rays
-            )
-            if adjacent:
-                w = tuple(vals[p] * x - vals[m] * y for x, y in zip(m, p))
-                combos.append(_project_off(lineality, w))
-        rays = _dedupe(itertools.chain(plus, zero, combos))
-        processed.append(a)
+            common = zeros[p] & zeros[m]
+            if not any(r is not p and r is not m and zeros[r] & common == common for r in rays):
+                # p and m are orthogonal to the lineality, so w needs no projection
+                w = _primitive(tuple(vals[p] * x - vals[m] * y for x, y in zip(m, p)))
+                zeros[w] = common | bit
+                kept.append(w)
+        rays = _dedupe(kept)
+        zeros = {r: zeros[r] for r in rays}
 
-    return sorted(lineality), sorted(rays)
+    return tuple(lineality), tuple(rays), tuple(zeros[r] for r in rays), tuple(processed)
 
 
 def _dedupe(vectors) -> list[tuple[int, ...]]:
+    """The distinct nonzero vectors, sorted."""
+    return sorted({v for v in vectors if any(v)})
+
+
+def _int_vectors(rank: int, vectors, what: str) -> list[tuple[int, ...]]:
+    """The vectors as int tuples of length ``rank``; anything else is an input error."""
     out = []
-    seen = set()
     for v in vectors:
-        v = tuple(int(x) for x in v)
-        if any(x != 0 for x in v) and v not in seen:
-            seen.add(v)
-            out.append(v)
-    return sorted(out)
+        v = tuple(v)
+        if len(v) != rank:
+            raise InputError(f"{what} has the wrong length")
+        for x in v:
+            if type(x) is not int:
+                raise InputError(f"{what} entry {x!r} is not an int")
+        out.append(v)
+    return out
+
+
+def _negatives(vectors):
+    return [tuple(-x for x in v) for v in vectors]
 
 
 class Cone:
-    """Convex rational polyhedral cone, possibly containing lines."""
+    """Convex rational polyhedral cone, possibly containing lines.
+
+    The public constructors are the input boundary: they accept exactly int
+    vectors of length ``ambient_rank``.  Cones derived from known ones are
+    built without re-checking.
+    """
 
     __slots__ = ("ambient_rank", "generators", "__dict__")
 
     def __init__(self, ambient_rank: int, generators=()):
-        gens = _dedupe(_primitive(tuple(int(x) for x in g)) for g in generators)
-        for g in gens:
-            if len(g) != ambient_rank:
-                raise InputError("generator has the wrong length")
+        gens = _int_vectors(ambient_rank, generators, "generator")
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", tuple(_dedupe(map(_primitive, gens))))
 
     @classmethod
     def _from_vform(cls, ambient_rank: int, lineality, rays) -> "Cone":
-        """The cone with a known lineality basis and extreme rays, which it keeps."""
-        cone = cls(ambient_rank, [*rays, *lineality, *(tuple(-x for x in l) for l in lineality)])
+        """The cone with a known (sorted) lineality basis and extreme rays, which it keeps."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ambient_rank", ambient_rank)
+        object.__setattr__(cone, "generators", tuple(sorted([*rays, *lineality, *_negatives(lineality)])))
         cone.__dict__["_canonical"] = (tuple(lineality), tuple(rays))
         return cone
 
     @classmethod
+    def _from_state(cls, ambient_rank: int, state) -> "Cone":
+        """The cone of a double description state, which it keeps for resuming."""
+        lin, rays, _, processed = state
+        cone = cls._from_vform(ambient_rank, sorted(lin), rays)
+        cone.__dict__["_state"] = state
+        cone.__dict__["_inequalities"] = processed
+        return cone
+
+    @classmethod
     def from_halfspaces(cls, ambient_rank: int, halfspaces) -> "Cone":
-        return cls._from_vform(ambient_rank, *_dd_from_halfspaces(ambient_rank, halfspaces))
+        """{x : <h, x> >= 0 for every h}, keeping its description for resuming."""
+        halfspaces = _int_vectors(ambient_rank, halfspaces, "halfspace")
+        return cls._from_state(ambient_rank, _dd_from_halfspaces(ambient_rank, halfspaces))
 
     @classmethod
     def full_space(cls, ambient_rank: int) -> "Cone":
         return cls.from_halfspaces(ambient_rank, [])
 
+    def _cut(self, halfspaces) -> "Cone":
+        """This cone intersected with more halfspaces, resuming its description."""
+        return Cone._from_state(self.ambient_rank, _dd_from_halfspaces(self.ambient_rank, halfspaces, self._state))
+
     @cached_property
     def _dual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(lineality basis, extreme rays) of the dual cone."""
-        lin, rays = _dd_from_halfspaces(self.ambient_rank, self.generators)
-        return tuple(lin), tuple(rays)
+        lin, rays, _, _ = _dd_from_halfspaces(self.ambient_rank, self.generators)
+        return tuple(sorted(lin)), rays
 
     @cached_property
     def halfspaces(self) -> tuple[tuple[int, ...], ...]:
@@ -174,13 +225,24 @@ class Cone:
         Rays of the dual plus both signs of the dual's lineality basis.
         """
         lin, rays = self._dual
-        return tuple(sorted([*rays, *lin, *(tuple(-x for x in l) for l in lin)]))
+        return tuple(sorted([*rays, *lin, *_negatives(lin)]))
+
+    @cached_property
+    def _inequalities(self) -> tuple[tuple[int, ...], ...]:
+        """Halfspaces that cut out the cone: those it was built from, unless
+        given (a face's are its cone's and the equalities that cut it out)."""
+        return self.halfspaces
+
+    @cached_property
+    def _state(self):
+        """Double description state, unless given: from the whole space, on demand."""
+        return _dd_from_halfspaces(self.ambient_rank, self._inequalities)
 
     @cached_property
     def _canonical(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(lineality basis, extreme rays) from the halfspace form, unless given."""
-        lin, rays = _dd_from_halfspaces(self.ambient_rank, self.halfspaces)
-        return tuple(lin), tuple(rays)
+        """(lineality basis, extreme rays), sorted, from the halfspace form unless given."""
+        lin, rays, _, _ = self._state
+        return tuple(sorted(lin)), rays
 
     @property
     def lineality_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -192,15 +254,15 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        # the dual's lineality is the orthogonal complement of the cone's span
-        return self.ambient_rank - len(self._dual[0])
+        """The rank of the generators: len(lineality) + rank(rays) for a known V-form."""
+        return len(_orthogonal_basis(self.generators))
 
     def contains_point(self, point) -> bool:
         point = [rat(x) for x in point]
-        return all(_dot(h, point) >= 0 for h in self.halfspaces)
+        return all(_dot(h, point) >= 0 for h in self._inequalities)
 
     def contains(self, other: "Cone") -> bool:
-        return all(_dot(h, g) >= 0 for g in other.generators for h in self.halfspaces)
+        return all(_dot(h, g) >= 0 for g in other.generators for h in self._inequalities)
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -218,7 +280,7 @@ class Cone:
         """Deterministic identity key from the canonical V-form."""
         lin, rays = self._canonical
         oriented = sorted(min(l, tuple(-x for x in l)) for l in lin)
-        return (self.dim, tuple(rays), tuple(oriented))
+        return (self.dim, rays, tuple(oriented))
 
     def facet_normals(self) -> tuple[tuple[int, ...], ...]:
         """The irredundant inequality normals: the extreme rays of the dual.
@@ -233,20 +295,28 @@ class Cone:
         """Every face, the cone itself and its minimal face included.
 
         A face is the cone's lineality space plus the cone over the extreme
-        rays tight on some facet normals, so the faces are the intersections
-        of the facets' sets of tight rays: they are read off the ray-facet
-        incidence (Fukuda-Prodon, *Double description method revisited*,
-        1996), with no double description.  Those rays are primitive and
-        orthogonal to the lineality, so they are the face's canonical rays.
+        rays tight on some of the halfspaces that cut the cone out, so the
+        faces are the intersections of the halfspaces' sets of tight rays:
+        they are read off the ray-halfspace incidence (Fukuda-Prodon, *Double
+        description method revisited*, 1996), with no double description.
+        Those rays are primitive and orthogonal to the lineality, so they are
+        the face's canonical rays, and the face is cut out by the cone's
+        halfspaces and the negatives of those tight on it.
         """
         lin, rays = self._canonical
-        tight = [frozenset(i for i, r in enumerate(rays) if _dot(h, r) == 0) for h in self.facet_normals()]
+        inequalities = self._inequalities
+        tight = [frozenset(i for i, r in enumerate(rays) if not _dot(h, r)) for h in inequalities]
         everything = frozenset(range(len(rays)))
         found, frontier = {everything}, {everything}
         while frontier:
             frontier = {face & t for face in frontier for t in tight} - found
             found |= frontier
-        faces = [Cone._from_vform(self.ambient_rank, lin, [rays[i] for i in sorted(f)]) for f in found - {everything}]
+        faces = []
+        for f in found - {everything}:
+            face = Cone._from_vform(self.ambient_rank, lin, [rays[i] for i in sorted(f)])
+            equalities = _negatives(h for h, t in zip(inequalities, tight) if t >= f)
+            face.__dict__["_inequalities"] = (*inequalities, *equalities)
+            faces.append(face)
         return sorted([self, *faces], key=Cone.key)
 
     def __repr__(self):
@@ -260,9 +330,15 @@ def dual_cone(cone: Cone) -> Cone:
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
+    """The intersection: the description of ``c1`` resumed with the halfspaces of ``c2``.
+
+    The result is the one of a double description from the whole space of
+    both halfspace forms: its rays are canonical, and its lineality basis
+    depends only on its span (see ``_dd_from_halfspaces``).
+    """
     if c1.ambient_rank != c2.ambient_rank:
         raise InputError("cannot intersect cones of different ambient rank")
-    return Cone.from_halfspaces(c1.ambient_rank, list(c1.halfspaces) + list(c2.halfspaces))
+    return c1._cut(c2._inequalities)
 
 
 def image_cone(cone: Cone, p: IntMatrix) -> Cone:
@@ -272,32 +348,26 @@ def image_cone(cone: Cone, p: IntMatrix) -> Cone:
     return Cone(p.rows, (p.apply(g) for g in cone.generators))
 
 
-def _face_within(cone: Cone, part: Cone, other: Cone) -> bool:
-    """Whether the smallest face of ``cone`` containing ``part`` lies in ``other``.
-
-    That face is spanned by the generators of ``cone`` on which every
-    halfspace tight at the sum of the rays of ``part`` vanishes (the sum lies
-    in the relative interior of ``part`` modulo its lineality).
-    """
-    point = [sum(col) for col in zip(*part.rays)] or [0] * cone.ambient_rank
-    tight = [h for h in cone.halfspaces if _dot(h, point) == 0]
-    return all(
-        _dot(h, g) >= 0
-        for g in cone.generators
-        if all(_dot(t, g) == 0 for t in tight)
-        for h in other.halfspaces
-    )
-
-
 def is_face(face: Cone, cone: Cone) -> bool:
-    """True when ``face`` equals the part of ``cone`` tight on some halfspaces."""
-    return cone.contains(face) and _face_within(cone, face, face)
+    """True when ``face`` equals the part of ``cone`` tight on some halfspaces.
+
+    Compared on canonical V-forms, with no double description of ``face``: a
+    face of ``cone`` lies in it with the same lineality space, and its rays
+    are exactly the rays of ``cone`` tight on every halfspace of ``cone``
+    that is tight on ``face`` (those tight at the sum of its rays, a point in
+    its relative interior modulo the lineality).
+    """
+    if not cone.contains(face) or len(face.lineality_basis) != len(cone.lineality_basis):
+        return False
+    point = [sum(col) for col in zip(*face.rays)] or [0] * cone.ambient_rank
+    tight = [h for h in cone._inequalities if not _dot(h, point)]
+    return face.rays == tuple(r for r in cone.rays if not any(_dot(h, r) for h in tight))
 
 
 def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
     """Whether the intersection of two cones is a face of both."""
     meet = intersect(c1, c2)
-    return _face_within(c1, meet, c2) and _face_within(c2, meet, c1)
+    return is_face(meet, c1) and is_face(meet, c2)
 
 
 @dataclass(frozen=True)
@@ -310,10 +380,16 @@ class Fan:
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """Cones inside no other cone; equal cones count once (the first)."""
+        """Cones inside no other cone; equal cones count once (the first).
+
+        Only a cone of at least the same dimension can hold another, and the
+        largest are tried first, so a face finds its cone early.
+        """
         out: list[Cone] = []
+        largest_first = sorted(self.cones, key=lambda c: -c.dim)
         for c in self.cones:
-            if not any(o.contains(c) and not c.contains(o) for o in self.cones) and c not in out:
+            bigger = (o for o in largest_first if o.dim >= c.dim)
+            if not any(o.contains(c) and not c.contains(o) for o in bigger) and c not in out:
                 out.append(c)
         return tuple(out)
 
@@ -337,12 +413,13 @@ def common_refinement(cones) -> Fan:
 
     Split: the whole space is split by the input facet hyperplanes one at a
     time; a cell on one closed side of a hyperplane stays whole, so only
-    nonempty cells are built, and each keeps its sign vector.  The cells
-    inside some input are kept.  Merge: two cells in the same inputs whose
-    sign vectors differ in one place become the cell of the relaxed vector,
-    their union, if it meets every other cell in a common face; the scan
-    restarts after each merge.  So the cells stay a fan, and each lies in
-    exactly the inputs whose interior it meets.  It need not be coarsest, and
+    nonempty cells are built, each by resuming its parent's description with
+    one cut, and each keeps its sign vector.  The cells inside some input are
+    kept.  Merge: two cells in the same inputs whose sign vectors differ in
+    one place become the cell of the relaxed vector, their union, if it
+    meets every other cell in a common face; the scan restarts after each
+    merge.  So the cells stay a fan, and each lies in exactly the inputs
+    whose interior it meets.  It need not be coarsest, and
     no coarsest one need exist: beside the cone spanned by (1, 1) and (3, 1),
     the half-plane {x >= 3y} must be cut along some ray inside it, and no cut
     is coarser than another.  The cells are closed under faces.  Cells of
@@ -357,22 +434,21 @@ def common_refinement(cones) -> Fan:
         raise InputError("mixed ambient ranks")
     hyperplanes = sorted({max(h, tuple(-x for x in h)) for cone in cones for h in cone.facet_normals()})
 
-    split = [((), [], Cone.full_space(rank))]  # (sign vector, cuts made, cell)
+    split = [((), Cone.full_space(rank))]  # (sign vector, cell)
     for h in hyperplanes:
         out = []
-        for signs, cuts, cell in split:
+        for signs, cell in split:
             vals = [_dot(h, r) for r in cell.rays]
             if not any(_dot(h, l) for l in cell.lineality_basis) and not min(vals) < 0 < max(vals):
-                out.append((signs + (1 if max(vals) > 0 else -1,), cuts, cell))
+                out.append((signs + (1 if max(vals) > 0 else -1,), cell))
                 continue
             for s in (1, -1):
-                side = cuts + [tuple(s * x for x in h)]
-                out.append((signs + (s,), side, Cone.from_halfspaces(rank, side)))
+                out.append((signs + (s,), cell._cut([tuple(s * x for x in h)])))
         split = out
 
     cell_of: dict[frozenset, Cone] = {}
     cells: dict[frozenset, frozenset] = {}  # sign pattern -> owner set
-    for signs, _, cell in split:
+    for signs, cell in split:
         owners = frozenset(i for i, cone in enumerate(cones) if cone.contains(cell))
         if owners:
             cell_of[frozenset(enumerate(signs))] = cell

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from symfano import cli, polyhedral
 from symfano.errors import InputError, InternalError
 from symfano.exact import IntMatrix, integer_kernel
 from symfano.polyhedral import (
@@ -12,6 +15,7 @@ from symfano.polyhedral import (
     is_face,
 )
 from symfano.rationals import rat
+from symfano.schemas import fixture_path
 
 
 def cone2(*gens):
@@ -21,6 +25,10 @@ def cone2(*gens):
 FIRST_ORTHANT = cone2((1, 0), (0, 1))
 FULL_PLANE = cone2((1, 0), (-1, 0), (0, 1), (0, -1))
 ORIGIN2 = Cone(2, [])
+T_JUNCTION = [
+    Cone(3, [(-1, -2, 2), (0, 2, -1), (2, -1, 0)]),
+    Cone(3, [(-2, 0, 1), (-1, 0, -2), (0, 1, 1)]),
+]
 
 
 def test_dual_examples():
@@ -37,6 +45,35 @@ def test_double_dual_random(rng, property_cases):
         gens = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(0, 4))]
         cone = Cone(rank, gens)
         assert dual_cone(dual_cone(cone)) == cone
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        (Fraction(1, 2), 1),
+        (Fraction(4, 1), 1),
+        (1.7, 1),
+        (2.0, 1),
+        (True, 1),
+        (0, False),
+        ("3", 1),
+        (None, 1),
+        (1,),
+        (1, 0, 5),
+        (0, 0, 0),
+    ],
+)
+@pytest.mark.parametrize("build", [Cone, Cone.from_halfspaces])
+def test_cone_constructors_accept_only_int_vectors_of_the_ambient_rank(build, vector):
+    with pytest.raises(InputError):
+        build(2, [(1, 0), vector])
+
+
+def test_cone_constructors_keep_big_ints():
+    big = 10**40
+    assert Cone(2, [(big, 1)]).generators == ((big, 1),)
+    halfplane = Cone.from_halfspaces(2, [(big, 1)])
+    assert halfplane.rays == ((big, 1),) and halfplane.lineality_basis == ((-1, big),)
 
 
 def test_intersect_examples():
@@ -147,6 +184,124 @@ def test_dim_matches_the_rank_of_the_generators(rng, property_cases):
     assert dims == {0, 1, 2, 3, 4}
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _random_vectors(rng, rank, count):
+    return [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+
+
+def _random_cone(rng, rank):
+    """From generators or halfspaces, and now and then one of its faces."""
+    vectors = _random_vectors(rng, rank, rng.randint(0, 5))
+    cone = Cone.from_halfspaces(rank, vectors) if rng.random() < 0.5 else Cone(rank, vectors)
+    return rng.choice(cone.faces()) if rng.random() < 0.25 else cone
+
+
+def test_resumed_description_equals_the_one_from_the_whole_space(rng, property_cases):
+    lines = set()
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        halfspaces = _random_vectors(rng, rank, rng.randint(0, 7))
+        k = rng.randint(0, len(halfspaces))
+        head, tail = halfspaces[:k], halfspaces[k:]
+        start = polyhedral._dd_from_halfspaces(rank, head)
+        resumed = polyhedral._dd_from_halfspaces(rank, tail, start)
+        assert resumed == polyhedral._dd_from_halfspaces(rank, halfspaces)
+        assert start == polyhedral._dd_from_halfspaces(rank, head)  # left as it was
+        cut, whole = Cone.from_halfspaces(rank, head)._cut(tail), Cone.from_halfspaces(rank, halfspaces)
+        assert (cut.lineality_basis, cut.rays) == (whole.lineality_basis, whole.rays)
+        # the kept zero masks are the ray-halfspace incidences
+        lineality, rays, zeros, processed = resumed
+        assert zeros == tuple(sum(1 << i for i, h in enumerate(processed) if not _dot(h, r)) for r in rays)
+        lines.add(len(lineality))
+    assert lines >= {0, 1, 2}
+
+
+def test_intersect_equals_the_description_of_both_halfspace_forms(rng, property_cases):
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        a, b = _random_cone(rng, rank), _random_cone(rng, rank)
+        meet, both = intersect(a, b), Cone.from_halfspaces(rank, [*a.halfspaces, *b.halfspaces])
+        assert (meet.lineality_basis, meet.rays) == (both.lineality_basis, both.rays)
+        assert meet.generators == both.generators
+
+
+def _reference_is_face(face, cone):
+    """Inside ``cone``, and the smallest face of ``cone`` holding it lies in it:
+    that face is spanned by the generators of ``cone`` on which every
+    halfspace tight at a relative interior point of ``face`` vanishes."""
+    point = [sum(col) for col in zip(*face.rays)] or [0] * cone.ambient_rank
+    tight = [h for h in cone.halfspaces if _dot(h, point) == 0]
+    return cone.contains(face) and all(
+        _dot(h, g) >= 0
+        for g in cone.generators
+        if all(_dot(t, g) == 0 for t in tight)
+        for h in face.halfspaces
+    )
+
+
+def test_is_face_agrees_with_the_smallest_face_test(rng, property_cases):
+    verdicts = {True: 0, False: 0}
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        cone, other = _random_cone(rng, rank), _random_cone(rng, rank)
+        for face in cone.faces():
+            assert is_face(face, cone) and _reference_is_face(face, cone)
+        for candidate in [other, intersect(cone, other), *other.faces()]:
+            verdict = is_face(candidate, cone)
+            assert verdict == _reference_is_face(candidate, cone)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > property_cases // 4
+
+
+def test_cones_built_along_different_paths_are_equal_with_equal_keys(rng, property_cases):
+    """The lineality basis is part of the key, so it must not depend on the path."""
+    lines = 0
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        a = _random_cone(rng, rank)
+        # few halfspaces leave lines, whose basis is the part a path could change
+        b = Cone.from_halfspaces(rank, _random_vectors(rng, rank, rng.randint(0, 2)))
+        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        meet = intersect(a, b)
+        for cone in (intersect(b, a), Cone(rank, meet.generators), Cone.from_halfspaces(rank, meet.halfspaces)):
+            assert cone == meet and cone.key() == meet.key() and hash(cone) == hash(meet)
+        lines += len(meet.lineality_basis) >= 2
+    assert lines > property_cases // 20
+
+
+@pytest.fixture
+def dd_count(monkeypatch):
+    """[calls, halfspaces processed] of the double description from now on."""
+    counted = [0, 0]
+    double_description = polyhedral._dd_from_halfspaces
+
+    def counting(rank, new, start=None):
+        new = list(new)
+        counted[0] += 1
+        counted[1] += len(new)
+        return double_description(rank, new, start)
+
+    monkeypatch.setattr(polyhedral, "_dd_from_halfspaces", counting)
+    return counted
+
+
+# Budgets are counts, not times: a change that brings back double
+# descriptions from the whole space where a known one could be resumed fails.
+@pytest.mark.parametrize("name, budget", [("p2-chow", [10, 13]), ("p1xp1-chow", [12, 17])])
+def test_chow_fixture_double_description_budget(dd_count, capsys, name, budget):
+    assert cli.run(["chow", str(fixture_path(f"{name}.json")), "--json"]) == 0
+    capsys.readouterr()
+    assert dd_count == budget
+
+
+def test_refinement_double_description_budget(dd_count):
+    assert len(common_refinement(T_JUNCTION).maximal_cones) == 10
+    assert dd_count == [144, 461]
+
+
 def test_refinement_line():
     fan = common_refinement([Cone.full_space(1), Cone(1, [(1,)]), Cone(1, [(-1,)])])
     assert len(fan.cones) == 3
@@ -190,11 +345,7 @@ def test_refinement_of_17_halfplanes():
 
 def test_refinement_three_dimensional_t_junction():
     # the greedy merge alone leaves (0, 1, 1) inside another cell's 2-face
-    cones = [
-        Cone(3, [(-1, -2, 2), (0, 2, -1), (2, -1, 0)]),
-        Cone(3, [(-2, 0, 1), (-1, 0, -2), (0, 1, 1)]),
-    ]
-    fan = common_refinement(cones)
+    fan = common_refinement(T_JUNCTION)
     fan.validate()
     assert len(fan.maximal_cones) == 10
 
