@@ -15,9 +15,9 @@ Subcommands::
 ``--json`` switches any reporting command to a machine-readable report that
 round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error, 2 blown
 computation cap (Moebius generators of an infinite group, a support
-enumeration too large) or mixed extensions, 3 violated mathematical
-precondition, 4 internal error (a computed result failed its own run-time
-check; a bug, not a property of the input).
+enumeration too large), 3 violated mathematical precondition, 4 internal
+error (a computed result failed its own run-time check; a bug, not a property
+of the input).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     ComputationCapError,
     InputError,
     InternalError,
-    MixedExtension,
     PreconditionError,
 )
 from .rationals import rat_str
@@ -431,7 +430,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ComputationCapError, MixedExtension) as exc:
+    except ComputationCapError as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CAP
     except PreconditionError as exc:

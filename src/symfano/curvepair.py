@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CoefficientOutOfRange, MixedExtension, NotInvariant
+from .errors import CoefficientOutOfRange, NotInvariant
 from .exact import ProjPoint
 from .groups import MoebiusGroup, Orbit, exceptional_orbits, orbit_of
 from .rationals import ONE, Q, TWO, ZERO, rat
@@ -51,18 +51,12 @@ class MarkedCurvePair:
     def __init__(self, marked):
         entries = []
         seen = set()
-        ext = None
         for point, coeff in marked:
             if not isinstance(point, ProjPoint):
                 raise NotInvariant(f"not a projective point: {point!r}")
             if point in seen:
                 raise CoefficientOutOfRange(f"point {point} marked twice")
             seen.add(point)
-            d = point.extension
-            if d is not None:
-                if ext is not None and ext != d:
-                    raise MixedExtension("marked points span two quadratic extensions")
-                ext = d
             entries.append((point, coeff if is_neg_infinity(coeff) else Q(rat(coeff))))
         object.__setattr__(self, "marked", tuple(entries))
 

@@ -13,7 +13,7 @@ class SymfanoError(Exception):
 
 
 class InputError(SymfanoError):
-    """Malformed input: bad schema, bad matrix shape, non-unimodular generator."""
+    """Malformed input: bad schema or matrix shape, non-unimodular generator, mixed fields."""
 
 
 class ComputationCapError(SymfanoError):
@@ -32,10 +32,6 @@ class TooManyCoordinates(ComputationCapError):
 class InternalError(SymfanoError):
     """A computed result failed its run-time check: a certificate that does
     not verify, or a refinement that is not a fan."""
-
-
-class MixedExtension(SymfanoError):
-    """Two distinct quadratic extensions met in one computation."""
 
 
 class PreconditionError(SymfanoError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError, MixedExtension, NoRoot
+from .errors import InputError, InternalError, NoRoot
 from .rationals import (
     ZERO,
     Q,
@@ -18,18 +18,24 @@ from .rationals import (
     rat,
     rat_key,
     rat_str,
-    rational_sqrt_parts,
     reciprocal,
     squarefree_decompose,
 )
 
 
-def _merge_ext(d1: int | None, d2: int | None) -> int | None:
-    if d1 is None:
-        return d2
-    if d2 is None or d1 == d2:
-        return d1
-    raise MixedExtension(f"cannot mix sqrt({d1}) with sqrt({d2})")
+def _over_one_d(x: "QuadExtScalar", y: "QuadExtScalar") -> tuple[Q, Q, int]:
+    """The sqrt parts of two irrational values over the smaller |d|, as
+    sqrt(d2) = r/|d1| * sqrt(d1) when d1*d2 = r^2; other pairs of d are two fields."""
+    d1, d2 = x.d, y.d
+    if d1 == d2:
+        return x.b, y.b, d1
+    p = d1 * d2
+    r = math.isqrt(p) if p > 0 else 0
+    if r * r != p:
+        raise InputError(f"cannot mix sqrt({d1}) with sqrt({d2})")
+    if abs(d1) < abs(d2):
+        return x.b, y.b * Q(r, abs(d1)), d1
+    return x.b * Q(r, abs(d2)), y.b, d2
 
 
 def _rational(x):
@@ -38,16 +44,18 @@ def _rational(x):
 
 
 class QuadExtScalar:
-    """Element ``a + b*sqrt(d)`` of Q or of one real/imaginary quadratic extension.
+    """Element ``a + b*sqrt(d)`` of Q or of a real/imaginary quadratic extension.
 
-    ``d`` is a squarefree integer (never 0 or 1); ``d is None`` marks a plain
-    rational, and any value with ``b == 0`` collapses to that form, so equality
-    is componentwise across construction paths.
+    ``d`` is an integer that is not a square (``rationals.squarefree_decompose``
+    leaves it squarefree unless it hides the square of a prime above 2^16);
+    ``d is None`` marks a plain rational, and any value with ``b == 0``
+    collapses to that form.  Equality and hashing read an irrational value by
+    ``a``, ``b^2*d`` and the sign of ``b``, which every ``d`` it is written
+    over shares, and arithmetic brings such d together (``_over_one_d``).
 
     The public constructor is the input boundary: it coerces both parts and
-    reduces ``d`` to its squarefree part.  Arithmetic starts from canonical
-    values, so it builds its results with ``_make``, which only collapses
-    ``b == 0``.
+    reduces ``d``.  Arithmetic builds its results with ``_make``, which only
+    collapses ``b == 0``.
     """
 
     __slots__ = ("d", "a", "b")
@@ -99,8 +107,8 @@ class QuadExtScalar:
             return QuadExtScalar._make(self.a + other.a, self.b, self.d)
         if self.d is None:
             return QuadExtScalar._make(self.a + other.a, other.b, other.d)
-        d = _merge_ext(self.d, other.d)
-        return QuadExtScalar._make(self.a + other.a, self.b + other.b, d)
+        b1, b2, d = _over_one_d(self, other)
+        return QuadExtScalar._make(self.a + other.a, b1 + b2, d)
 
     __radd__ = __add__
 
@@ -123,10 +131,8 @@ class QuadExtScalar:
             return QuadExtScalar._make(self.a * other.a, self.b * other.a, self.d)
         if self.d is None:
             return QuadExtScalar._make(self.a * other.a, self.a * other.b, other.d)
-        d = _merge_ext(self.d, other.d)
-        return QuadExtScalar._make(
-            self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a, d
-        )
+        b1, b2, d = _over_one_d(self, other)
+        return QuadExtScalar._make(self.a * other.a + b1 * b2 * d, self.a * b2 + b1 * other.a, d)
 
     __rmul__ = __mul__
 
@@ -153,14 +159,25 @@ class QuadExtScalar:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    def _radicand(self) -> Q:
+        """``b^2*d`` of an irrational value."""
+        b = self.b
+        return Q(b.numerator * b.numerator * self.d, b.denominator * b.denominator)
+
     def __eq__(self, other):
         if not isinstance(other, QuadExtScalar):
             return NotImplemented
-        return self.d == other.d and self.a == other.a and self.b == other.b
+        if self.d is None or other.d is None:
+            return self.d is other.d and self.a == other.a
+        same_sign = (self.b > 0) == (other.b > 0)
+        return same_sign and self.a == other.a and self._radicand() == other._radicand()
 
     def __hash__(self):
-        a, b = self.a, self.b
-        return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.d))
+        a = self.a
+        if self.d is None:
+            return hash((a.numerator, a.denominator, 0, 1, None))
+        r = self._radicand()
+        return hash((a.numerator, a.denominator, r.numerator, r.denominator, self.b > 0))
 
     def sort_key(self):
         return (self.d or 0, rat_key(self.a), rat_key(self.b))
@@ -204,7 +221,7 @@ def _scaled_pair(x: QuadExtScalar, y: QuadExtScalar) -> tuple[QuadExtScalar, Qua
 
 
 class ProjPoint:
-    """Point of the projective line over Q or one quadratic extension.
+    """Point of the projective line over Q or a quadratic extension.
 
     Stored in canonical form: the last nonzero coordinate is scaled to 1, so
     ``y`` is ``QE_ONE`` or ``QE_ZERO`` and componentwise equality is
@@ -219,7 +236,6 @@ class ProjPoint:
             x = QuadExtScalar(rat(x))
         if not isinstance(y, QuadExtScalar):
             y = QuadExtScalar(rat(y))
-        _merge_ext(x.d, y.d)
         if x.is_zero() and y.is_zero():
             raise InputError("(0, 0) is not a projective point")
         x, y = _scaled_pair(x, y)
@@ -253,10 +269,6 @@ class ProjPoint:
     @property
     def is_infinity(self) -> bool:
         return not self.y.a
-
-    @property
-    def extension(self) -> int | None:
-        return self.x.d
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -390,14 +402,12 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def _primitive(vector) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for v in vector:
-        g = math.gcd(g, v)
+def _primitive(vector: tuple[int, ...]) -> tuple[int, ...]:
+    """Divide an int tuple by the gcd of its entries; one with gcd 0 or 1 comes back as is."""
+    g = math.gcd(*vector)
     if g <= 1:
-        return tuple(int(v) for v in vector)
-    return tuple(int(v) // g for v in vector)
+        return vector
+    return tuple(v // g for v in vector)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -517,11 +527,13 @@ def order_from_vertex(vertex) -> int:
 
 
 def quadratic_roots(a, b, c) -> tuple[QuadExtScalar, ...]:
-    """Distinct roots of a*t^2 + b*t + c over Q or one quadratic extension.
+    """Distinct roots of a*t^2 + b*t + c over Q or a quadratic extension.
 
     Degenerate a == 0 yields the single linear root; a double root is returned
-    once.  Irrational pairs are ordered positive-sqrt part first, rational
-    pairs larger root first.
+    once.  The coefficients are scaled to integers A, B, C, and the roots are
+    (-B +- s*sqrt(d)) / 2A with ``B^2 - 4AC = s^2 * d`` by
+    ``squarefree_decompose``.  Irrational pairs are ordered positive-sqrt part
+    first, rational pairs larger root first.
     """
     a, b, c = rat(a), rat(b), rat(c)
     if a == 0:
@@ -530,18 +542,18 @@ def quadratic_roots(a, b, c) -> tuple[QuadExtScalar, ...]:
                 raise InputError("zero polynomial has every root")
             raise NoRoot("constant nonzero polynomial")
         return (QuadExtScalar._make(-c / b),)
+    scale = lcm_all((a.denominator, b.denominator, c.denominator))
+    a, b, c = (x.numerator * (scale // x.denominator) for x in (a, b, c))
     disc = b * b - 4 * a * c
+    base = Q(-b, 2 * a)
     if disc == 0:
-        return (QuadExtScalar._make(-b / (2 * a)),)
-    s, d = rational_sqrt_parts(disc)
-    base = -b / (2 * a)
+        return (QuadExtScalar._make(base),)
+    s, d = squarefree_decompose(disc)
     if d == 1:
-        r1 = QuadExtScalar._make(base + s / (2 * a))
-        r2 = QuadExtScalar._make(base - s / (2 * a))
+        r1 = QuadExtScalar._make(Q(s - b, 2 * a))
+        r2 = QuadExtScalar._make(Q(-s - b, 2 * a))
         return (r1, r2) if r1.a > r2.a else (r2, r1)
-    half = s / (2 * a)
-    if half < 0:
-        half = -half
+    half = Q(s, 2 * abs(a))
     return (QuadExtScalar._make(base, half, d), QuadExtScalar._make(base, -half, d))
 
 
@@ -589,7 +601,7 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
         if min(nums) < 0 or any(sum(c * l for c, l in zip(row, lam)) for row in rows):
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
         return PositiveCombination(tuple(Q(l, den) for l in lam))
-    v = tuple(-x for x in _primitive(nums))
+    v = _primitive(tuple(-x for x in nums))
     pairings = [sum(a * b for a, b in zip(v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:
         raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")

@@ -20,7 +20,7 @@ from .exact import (
     solve_positive_combination,
 )
 from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
-from .rationals import Q, denom, lcm_all, numer
+from .rationals import Q, lcm_all
 
 DIVERGES = "diverges"
 
@@ -97,8 +97,8 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
         lam = [Q(c) for c in cert.coefficients]
         if len(lam) != len(cols) or any(c <= 0 for c in lam):
             return False
-        scale = lcm_all(denom(c) for c in lam)
-        ints = [numer(c) * (scale // denom(c)) for c in lam]
+        scale = lcm_all(c.denominator for c in lam)
+        ints = [c.numerator * (scale // c.denominator) for c in lam]
         return all(
             sum(c * col[i] for c, col in zip(ints, cols)) == 0
             for i in range(weight_matrix.torus_rank)

@@ -1,11 +1,13 @@
 """Exact rational scalars.
 
-Every quantity in this package is an exact rational (or lives in a single
-quadratic extension of the rationals); there are no floats and no tolerances
-anywhere.  The scalar type is ``fractions.Fraction``, which normalises to
-lowest terms with a positive denominator; ``BACKEND`` names it.  The stability
-simplex (``exact.solve_positive_combination``) pivots in plain integers and
-builds rationals only for the coefficients it returns.
+Every quantity in this package is an exact rational, or an element
+``a + b*sqrt(d)`` of a quadratic extension of the rationals with an integer
+``d`` that ``squarefree_decompose`` reduces without factoring it in full;
+there are no floats and no tolerances anywhere.  The scalar type is
+``fractions.Fraction``, which normalises to lowest terms with a positive
+denominator; ``BACKEND`` names it.  The stability simplex
+(``exact.solve_positive_combination``) pivots in plain integers and builds
+rationals only for the coefficients it returns.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ def rat_str(x) -> str:
     return str(x)
 
 
-def numer(x) -> int:
-    return int(Q(x).numerator)
-
-
-def denom(x) -> int:
-    return int(Q(x).denominator)
-
-
 def reciprocal(q: Q) -> Q:
     """``1/q`` for a nonzero rational, built in one step."""
     return Q(q.denominator, q.numerator)
@@ -85,35 +79,36 @@ def lcm_all(values) -> int:
     return out
 
 
+#: primes up to this bound are divided out; one isqrt test finishes the cofactor
+_TRIAL_PRIME_BOUND = 1 << 16
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = s^2 * d`` with ``s >= 1`` and ``d`` squarefree (sign kept on d)."""
+    """Write ``n = s^2 * d`` with ``s >= 1``, the sign of n kept on d.
+
+    Primes up to 2^16 are divided out and the cofactor left by them is tested
+    for a perfect square, so ``d == 1`` exactly when n is a square, and d is
+    squarefree whenever that cofactor is below 2^48 (its prime factors then
+    exceed 2^16, so it is 1, p, p^2 or p*q).  Above that d may keep the square
+    of a large prime: finding the squarefree part is as hard as factoring.
+    """
     if n == 0:
         return 1, 0
     s = 1
     d = -1 if n < 0 else 1
     n = abs(n)
     p = 2
-    while p * p <= n:
-        sq = p * p
-        while n % sq == 0:
-            n //= sq
-            s *= p
+    while p <= _TRIAL_PRIME_BOUND and p * p <= n:
         if n % p == 0:
-            n //= p
-            d *= p
+            sq = p * p
+            while n % sq == 0:
+                n //= sq
+                s *= p
+            if n % p == 0:
+                n //= p
+                d *= p
         p += 1 if p == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
     return s, d * n
-
-
-def rational_sqrt_parts(q) -> tuple[Q, int]:
-    """Write a rational ``q = s^2 * d`` with rational ``s > 0`` and squarefree int ``d``.
-
-    ``d == 1`` means q is a perfect rational square; ``q == 0`` gives (0, 1).
-    """
-    q = Q(q)
-    if q == 0:
-        return ZERO, 1
-    num = int(q.numerator)
-    den = int(q.denominator)
-    s_int, d = squarefree_decompose(num * den)
-    return Q(s_int) / Q(den), d

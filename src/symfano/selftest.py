@@ -78,10 +78,6 @@ def _random_invariant_pair(rng: random.Random, group: MoebiusGroup, max_orbits=3
         coeff = rat(rng.randint(0, 4), 4)
         if degree + coeff * orbit.size >= 2:
             continue
-        ext_new = orbit.points[0].extension
-        ext_old = next((p.extension for p in marked if p.extension is not None), None)
-        if ext_new is not None and ext_old is not None and ext_new != ext_old:
-            continue
         for p in orbit.points:
             marked[p] = coeff
         degree += coeff * orbit.size

@@ -201,6 +201,33 @@ def test_lct_and_valuable(capsys):
     assert code == 0 and "valuable: true" in out
 
 
+BIG_INVOLUTIONS = (
+    (
+        ["1000000000007", "1000000000039"], ["1000000000061", "-1000000000007"],
+        "{1000000000007/1000000000061-2/1000000000061*sqrt(500000000028500000000607)}",
+    ),
+    (
+        ["10000000000000000051", "10000000000000000039"],
+        ["10000000000000000061", "-10000000000000000051"],
+        "{10000000000000000051/10000000000000000061-6/10000000000000000061"
+        "*sqrt(5555555555555555611666666666666666805)}",
+    ),
+)
+
+
+@pytest.mark.parametrize("row0, row1, orbit", BIG_INVOLUTIONS, ids=("13-digit", "20-digit"))
+def test_lct_of_an_involution_with_big_entries(tmp_path, capsys, row0, row1, orbit):
+    # the fixed points' discriminant is reduced without factoring it in full
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({"name": "big", "points": [], "moebius_generators": [[row0, row1]]}))
+    code, out = run_capture(capsys, "lct", str(doc))
+    assert code == 0
+    assert out == (
+        "subject: big\n  group_order: 2\n  lct: 1/2\n"
+        f'    certificate: "exceptional orbit {orbit} of size 1 with coefficient 0"\n'
+    )
+
+
 def test_git_polystable(capsys):
     code, out = run_capture(
         capsys, "git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta,gamma"

@@ -8,7 +8,7 @@ from symfano.curvepair import (
     lct_g,
     orbit_classes,
 )
-from symfano.errors import CoefficientOutOfRange, MixedExtension, NotInvariant
+from symfano.errors import CoefficientOutOfRange, NotInvariant
 from symfano.exact import ProjPoint, quadratic_roots
 from symfano.groups import MoebiusElement, closure
 from symfano.rationals import rat
@@ -93,11 +93,16 @@ def test_lct_preconditions():
         MarkedCurvePair([(pt(0), rat(1, 2)), (pt(0), rat(1, 2))])
 
 
-def test_marked_points_single_extension():
-    s2 = ProjPoint.from_affine(quadratic_roots(1, 0, -2)[0])
-    s3_pt = ProjPoint.from_affine(quadratic_roots(1, 0, -3)[0])
-    with pytest.raises(MixedExtension):
-        MarkedCurvePair([(s2, rat(1, 2)), (s3_pt, rat(1, 2))])
+def test_lct_marked_points_over_two_fields(rng):
+    # D2 = {t, -t, 2/t, -2/t}: exceptional orbits {0, inf}, {+-sqrt(2)} and {+-sqrt(-2)}
+    d2 = closure([MoebiusElement([[-1, 0], [0, 1]]), MoebiusElement([[0, 2], [1, 0]])])
+    real = [ProjPoint.from_affine(t) for t in quadratic_roots(1, 0, -2)]
+    imaginary = [ProjPoint.from_affine(t) for t in quadratic_roots(1, 0, 2)]
+    pair = MarkedCurvePair([(p, rat(1, 2)) for p in real] + [(p, rat(1, 4)) for p in imaginary])
+    res = lct_g(pair, d2)
+    # classes over the free mass 1/2: sqrt(2) orbit 2, sqrt(-2) orbit 3, {0, inf} 4, generic 8
+    assert res.value == 2 and res.witness.orbit.points == tuple(sorted(real, key=ProjPoint.sort_key))
+    assert res.value == lct_oracle(pair, d2, rng)
 
 
 def test_lct_marked_exceptional_orbit_uses_marked_coefficient():

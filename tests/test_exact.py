@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from symfano import exact
-from symfano.errors import InputError, MixedExtension, NoRoot
+from symfano.errors import InputError, NoRoot
 from symfano.exact import (
     IntMatrix,
     PositiveCombination,
@@ -24,7 +24,7 @@ from symfano.exact import (
     smith_normal_form,
     solve_positive_combination,
 )
-from symfano.rationals import parse_rat, rat, rat_str
+from symfano.rationals import parse_rat, rat, rat_str, squarefree_decompose
 
 
 def snf_invariants(a):
@@ -136,6 +136,49 @@ def test_quadratic_roots_random(rng, property_cases):
             assert eval_quadratic(a, b, c, root).is_zero()
 
 
+# primes above the trial-division bound 2^16 of squarefree_decompose
+BIG_PRIMES = (65537, 65539, 65543, 1000003, 2**31 - 1)
+
+
+def test_big_primes_are_prime():
+    for q in BIG_PRIMES:
+        assert q > 2**16 and all(q % p for p in range(2, math.isqrt(q) + 1))
+
+
+def test_squarefree_decompose_past_the_trial_bound(rng):
+    """n = k^2 * m * c with k and m over small primes and c made of primes
+    above 2^16: s^2 * d == n always, d == 1 exactly when n is a square, and d
+    is the squarefree m * c whenever the cofactor c is below 2^48."""
+    for _ in range(60):
+        k = rng.randint(1, 500)
+        m = rng.choice((1, -1, 2, -3, 6, -10, 30, 2 * 3 * 5 * 7 * 11 * 13))
+        q1, q2 = rng.sample(BIG_PRIMES, 2)
+        for c, square_part in ((q1, 1), (q1 * q2, 1), (q1 * q1, q1), (q1 * q1 * q2 * q2, q1 * q2)):
+            n = k * k * m * c
+            s, d = squarefree_decompose(n)
+            assert s >= 1 and s * s * d == n
+            assert (d == 1) == (n > 0 and math.isqrt(n) ** 2 == n)
+            if c < 2**48:
+                assert (s, d) == (k * square_part, m * c // (square_part * square_part))
+    # a cofactor above 2^48 may keep the square of a large prime in d
+    q, r = 2**31 - 1, 1000003
+    s, d = squarefree_decompose(q * q * r)
+    assert s * s * d == q * q * r and d != 1
+    assert squarefree_decompose(4 * q * q * r * r) == (2 * q * r, 1)
+    assert squarefree_decompose(-9 * q * q * r * r) == (3 * q * r, -1)
+
+
+def test_quadratic_roots_rational_past_the_trial_bound():
+    """(t - q)(t + 3q) has the square discriminant 16 q^2, whose cofactor q^2
+    exceeds 2^32: both roots come out rational."""
+    for q in BIG_PRIMES:
+        r1, r2 = quadratic_roots(1, 2 * q, -3 * q * q)
+        assert r1.is_rational() and r2.is_rational()
+        assert (r1.a, r2.a) == (q, -3 * q)
+        r1, r2 = quadratic_roots(Fraction(1, 7), Fraction(2 * q, 7), Fraction(-3 * q * q, 7))
+        assert (r1, r2) == (QuadExtScalar(q), QuadExtScalar(-3 * q))
+
+
 def test_quadext_json_dict():
     x = QuadExtScalar(rat(1, 2), rat(-3), -3)
     assert x.to_json_dict() == {"a": "1/2", "b": "-3", "d": -3}
@@ -156,8 +199,11 @@ def test_quadext_arithmetic():
     assert collapsed.is_rational() and collapsed == QuadExtScalar(rat(5))
     # non-squarefree d is normalized
     assert QuadExtScalar(0, 1, 8) == QuadExtScalar(0, 2, 2)
-    with pytest.raises(MixedExtension):
+    # documents never mix two fields; a library call that does is an input error
+    with pytest.raises(InputError):
         s2 + QuadExtScalar(0, 1, 3)
+    with pytest.raises(InputError):
+        ProjPoint(s2, QuadExtScalar(0, 1, 3))
     with pytest.raises(InputError):
         QuadExtScalar(0, 1, 4)
 
@@ -171,6 +217,43 @@ def test_quadext_eq_hash_contract():
     assert len({QuadExtScalar(3), QuadExtScalar(Fraction(6, 2)), QuadExtScalar(1) + 2}) == 1
     root = QuadExtScalar(0, 1, 8)
     assert root == QuadExtScalar(0, 2, 2) and hash(root) == hash(QuadExtScalar(0, 2, 2))
+
+
+def test_quadext_equality_without_squarefree_d(rng):
+    """d = s^2 * f with a prime above 2^16 in s and in f keeps s^2 inside d,
+    yet both ways of writing the value compare and hash equal."""
+    big = (65537, 65539, 1000003, 2**31 - 1)
+    for _ in range(40):
+        f = rng.choice(big) * rng.choice((1, -1, 2, -3, 6, -10))
+        s = rng.choice(big) * rng.randint(1, 30)
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        hidden, plain = QuadExtScalar(a, b, s * s * f), QuadExtScalar(a, b * s, f)
+        assert hidden.d != plain.d and hidden.d % f == 0
+        assert hidden == plain and plain == hidden and hash(hidden) == hash(plain)
+        assert len({hidden, plain, QuadExtScalar(a, -b * s, f), QuadExtScalar(a + 1, b * s, f)}) == 3
+        assert ProjPoint.from_affine(hidden) == ProjPoint.from_affine(plain)
+        assert hash(ProjPoint.from_affine(hidden)) == hash(ProjPoint.from_affine(plain))
+        # values over the two d combine like values over one
+        other = QuadExtScalar(b, a, f)
+        assert hidden + other == other + hidden == plain + other
+        assert hidden - other == plain - other and other - hidden == other - plain
+        assert hidden * other == other * hidden == plain * other
+        assert (hidden - plain).is_zero() and hidden / plain == QuadExtScalar(1)
+        assert hidden * plain == QuadExtScalar(b * b * s * s * f + a * a, 2 * a * b * s, f)
+    # two equal values over the d 65537^2 * p and p add and multiply
+    p = 65537 * 65539
+    x, y = QuadExtScalar(0, 1, 65537**2 * p), QuadExtScalar(0, 65537, p)
+    assert x.d == 65537**2 * p and y.d == p and x == y
+    assert x + y == QuadExtScalar(0, 2 * 65537, p) and (x - y).is_zero()
+    assert x * y == QuadExtScalar(65537**2 * p)
+    imaginary = QuadExtScalar(1, 1, -(65537**2) * p)
+    assert imaginary == QuadExtScalar(1, 65537, -p)
+    assert imaginary * QuadExtScalar(1, -65537, -p) == QuadExtScalar(1 + 65537**2 * p)
+    with pytest.raises(InputError):
+        x + QuadExtScalar(0, 1, -p)
+    with pytest.raises(InputError):
+        x * QuadExtScalar(0, 1, 65537 * p)
 
 
 def _random_scalar(rng, d):
@@ -245,7 +328,7 @@ def test_projpoint_across_extensions():
     s2 = quadratic_roots(1, 0, -2)[0]
     irrational = ProjPoint.from_affine(s2)
     assert irrational != ProjPoint.from_affine(rat(1))
-    assert irrational.extension == 2
+    assert irrational.x.d == 2
 
 
 def test_rational_serialization():

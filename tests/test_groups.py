@@ -255,6 +255,34 @@ def test_orbit_counting(rng):
                     assert g.apply(p) in orbit.points
 
 
+# 65537 is the first prime above 2^16, and BIG_A^2 + 65537^2 a prime above 2^48
+BIG_A = 16777238
+BIG_PRIME = BIG_A**2 + 65537**2
+BIG_ENTRIES = MoebiusElement([[10**19 + 51, 10**19 + 39], [10**19 + 61, 10**19 + 7]])
+
+
+def test_exceptional_orbits_over_big_fields():
+    """The reduction of a discriminant may keep the square of a prime above
+    2^16, so one orbit can be written over d = p and over d = 65537^2 * p;
+    its points still dedupe, and big entries give the orbits of small ones."""
+    reflection = MoebiusElement([[BIG_A, 65537], [65537, -BIG_A]])
+    d4_big = _conjugate_group(closure([C4, reflection]), MoebiusElement([[65537, 1], [0, 1]]))
+    cases = (
+        (d4_big, [2, 4, 4]),
+        (_conjugate_group(closure([C4]), BIG_ENTRIES), [1, 1]),
+        (_conjugate_group(d6(), BIG_ENTRIES), [2, 6, 6]),
+    )
+    for group, sizes in cases:
+        orbits = exceptional_orbits(group)
+        assert [o.size for o in orbits] == sizes
+        points = [p for o in orbits for p in o.points]
+        assert len(points) == len(set(points))
+        fixed = [p for g in group if not g.is_identity() for p in fixed_points(g)]
+        assert all(p in points for p in fixed)
+    fields = {p.x.d for g in d4_big if not g.is_identity() for p in fixed_points(g)}
+    assert {BIG_PRIME, 65537**2 * BIG_PRIME} <= fields
+
+
 def test_orbit_of():
     trivial = closure([MoebiusElement.identity()])
     orbit = orbit_of(trivial, pt(7))

@@ -326,14 +326,10 @@ def _random_explicit_variety(rng: random.Random) -> CxOneVariety:
     candidates = exceptional_orbits(group)
     candidates += [orbit_of(group, pt(t)) for t in rng.sample(range(-5, 6), 3)]
     candidates.append(orbit_of(group, INF))
-    fibers, extension = [], None
+    fibers = []
     for orbit in rng.sample(candidates, rng.randint(0, 4)):
-        ext = orbit.points[0].extension
-        if ext is not None and extension not in (None, ext):
-            continue
         if any(f.point in orbit.points for f in fibers):
             continue
-        extension = extension or ext
         orders = rng.choice(((1,), (2,), (3,), (1, 2), (2, 4)))
         for p in orbit.points:
             base = 2 * len(fibers)
