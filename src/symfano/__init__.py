@@ -21,7 +21,7 @@ _API = {
         (
             "exact",
             "IntMatrix PositiveCombination ProjPoint QuadExtScalar SemipositiveWitness integer_kernel"
-            " order_from_vertex quadratic_roots smith_normal_form solve_positive_combination",
+            " quadratic_roots smith_normal_form solve_positive_combination",
         ),
         (
             "groups",
@@ -37,9 +37,8 @@ _API = {
         ("rationals", "BACKEND Q rat"),
         (
             "tvariety",
-            "CxOneVariety DeclaredAction DivisorOnX Fiber FiberBook HorizontalDivisor KEVerdict"
-            " PointDivisor VerticalDivisor anticanonical_lift boundary canonical_divisor glct"
-            " glct_info is_effective ke_verdict multiplicity non_reduced_fibers pullback",
+            "CxOneVariety DeclaredAction Fiber FiberBook HorizontalDivisor KEVerdict VerticalDivisor"
+            " anticanonical_lift boundary glct glct_info ke_verdict non_reduced_fibers",
         ),
     )
     for name in names.split()

@@ -348,14 +348,14 @@ def _chow(report: Report, data: dict, args) -> int:
 
 
 def _lattice_symmetric(report: Report, data: dict, args) -> int:
-    from .groups import fixed_sublattice, is_symmetric
+    from .groups import fixed_sublattice
     from .schemas import load_lattice
 
     group = load_lattice(data)
     basis = fixed_sublattice(group)
     report.add("fixed_sublattice_rank", len(basis))
     report.add("fixed_sublattice_basis", [list(v) for v in basis])
-    report.add("symmetric", is_symmetric(group))
+    report.add("symmetric", not basis)
     return EXIT_OK
 
 

@@ -97,9 +97,6 @@ class QuadExtScalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return self.d is None
-
     def __add__(self, other):
         if not isinstance(other, QuadExtScalar):
             return QuadExtScalar._make(self.a + _rational(other), self.b, self.d)
@@ -181,13 +178,6 @@ class QuadExtScalar:
 
     def sort_key(self):
         return (self.d or 0, rat_key(self.a), rat_key(self.b))
-
-    def to_json_dict(self) -> dict:
-        return {"a": rat_str(self.a), "b": rat_str(self.b), "d": self.d}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuadExtScalar":
-        return cls(rat(data["a"]), rat(data["b"]), data["d"])
 
     def __repr__(self):
         return f"QuadExtScalar({self})"
@@ -323,16 +313,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -518,12 +501,6 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
     basis = [v.col(j) for j in range(rank, a.cols)]
     return [tuple(int(x) for x in b) for b in basis]
-
-
-def order_from_vertex(vertex) -> int:
-    """Smallest k >= 1 making k*v integral: the lcm of the reduced denominators."""
-    dens = [int(Q(x).denominator) for x in vertex]
-    return lcm_all(dens) if dens else 1
 
 
 def quadratic_roots(a, b, c) -> tuple[QuadExtScalar, ...]:

@@ -4,8 +4,8 @@ The variety is presented by its quotient data: for finitely many marked points
 of the quotient line, the list of invariant divisors in the fiber with their
 generic stabilizer orders; every unmarked point implicitly carries a single
 divisor of order 1, and an explicitly empty list records a point missing from
-the image of the quotient map.  On top sit the boundary pair, the pullback and
-canonical-divisor formulas, and the existence verdict: the symmetry test,
+the image of the quotient map.  On top sit the boundary pair, the anticanonical
+lift and its threshold bound, and the existence verdict: the symmetry test,
 then Tian's criterion glct > dim/(dim+1), which the counting conditions on
 the fibers decide, since each forces glct = 1 and without one glct <= 1/2.
 """
@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 
 from .curvepair import LctResult, MarkedCurvePair, NEG_INFINITY, finite_degree, lct_g
 from .errors import (
     DegreeError,
     InputError,
+    InternalError,
     MorphismHypothesisViolated,
     NotFano,
     NotInvariant,
@@ -31,11 +33,13 @@ from .groups import (
     LatticeAutGroup,
     MoebiusElement,
     MoebiusGroup,
+    Orbit,
     closure,
     has_global_fixed_point,
     is_symmetric,
+    orbit_of,
 )
-from .rationals import ONE, Q, TWO, ZERO, rat, rat_str
+from .rationals import ONE, Q, TWO, ZERO, rat_str
 
 
 @dataclass(frozen=True)
@@ -212,109 +216,9 @@ class CxOneVariety:
         return sorted(seen)
 
 
-class DivisorOnX:
-    """Rational divisor on the variety: coefficients on the named invariant
-    divisors plus formal multiples of whole fibers over unmarked points."""
-
-    __slots__ = ("named", "generic")
-
-    def __init__(self, named=(), generic=()):
-        named_map = {}
-        for name, c in dict(named).items():
-            c = Q(rat(c))
-            if c != 0:
-                named_map[name] = c
-        generic_map = {}
-        for point, c in dict(generic).items():
-            c = Q(rat(c))
-            if c != 0:
-                generic_map[point] = c
-        object.__setattr__(self, "named", named_map)
-        object.__setattr__(self, "generic", generic_map)
-
-    def __setattr__(self, *_):
-        raise AttributeError("DivisorOnX is immutable")
-
-    def coefficient(self, name: str) -> Q:
-        return self.named.get(name, ZERO)
-
-    def __add__(self, other: "DivisorOnX") -> "DivisorOnX":
-        named = dict(self.named)
-        for k, v in other.named.items():
-            named[k] = named.get(k, ZERO) + v
-        generic = dict(self.generic)
-        for k, v in other.generic.items():
-            generic[k] = generic.get(k, ZERO) + v
-        return DivisorOnX(named, generic)
-
-    def is_zero(self) -> bool:
-        return not self.named and not self.generic
-
-    def __eq__(self, other):
-        if not isinstance(other, DivisorOnX):
-            return NotImplemented
-        return self.named == other.named and self.generic == other.generic
-
-    def items(self):
-        for name in sorted(self.named):
-            yield name, self.named[name]
-        for point in sorted(self.generic, key=ProjPoint.sort_key):
-            yield f"fiber({point})", self.generic[point]
-
-    def __repr__(self):
-        terms = " + ".join(f"{rat_str(c)}*[{n}]" for n, c in self.items())
-        return f"DivisorOnX({terms or '0'})"
-
-
-class PointDivisor:
-    """Rational divisor on the quotient line: finitely many points with
-    coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cmap = {}
-        for point, c in dict(coeffs).items():
-            c = Q(rat(c))
-            if c != 0:
-                cmap[point] = c
-        object.__setattr__(self, "coeffs", cmap)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PointDivisor is immutable")
-
-    def degree(self) -> Q:
-        return sum(self.coeffs.values(), ZERO)
-
-    def coefficient(self, point: ProjPoint) -> Q:
-        return self.coeffs.get(point, ZERO)
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda pc: pc[0].sort_key())
-
-    def is_invariant(self, group: MoebiusGroup) -> bool:
-        for g in group:
-            for p, c in self.coeffs.items():
-                if self.coefficient(g.apply(p)) != c:
-                    return False
-        return True
-
-    def __repr__(self):
-        terms = " + ".join(f"{rat_str(c)}*({p})" for p, c in self.items())
-        return f"PointDivisor({terms or '0'})"
-
-
 # ---------------------------------------------------------------------------
 # Fiber bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def multiplicity(variety: CxOneVariety, point: ProjPoint) -> int:
-    """Largest divisor order in the fiber; 1 when unmarked, 0 on a declared gap."""
-    fiber = variety.fibers.get(point)
-    if fiber is None:
-        return 1
-    return fiber.multiplicity
 
 
 def non_reduced_fibers(variety: CxOneVariety) -> tuple[ProjPoint, ...]:
@@ -339,58 +243,36 @@ def boundary(variety: CxOneVariety) -> MarkedCurvePair:
     return MarkedCurvePair(entries)
 
 
-def pullback(variety: CxOneVariety, point: ProjPoint, coeff) -> DivisorOnX:
-    """Pull a point back through the quotient: each fiber divisor weighted by
-    its order; no horizontal part."""
-    c = Q(rat(coeff))
-    fiber = variety.fibers.get(point)
-    if fiber is None:
-        return DivisorOnX({}, {point: c})
-    return DivisorOnX({d.name: c * d.order for d in fiber.divisors}, {})
+def anticanonical_lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:
+    """Invariant anticanonical divisor lifted from a degree-2 divisor on the line.
 
-
-def _pullback_divisor(variety: CxOneVariety, div: PointDivisor) -> DivisorOnX:
-    total = DivisorOnX()
-    for point, c in div.items():
-        total = total + pullback(variety, point, c)
-    return total
-
-
-def canonical_divisor(variety: CxOneVariety, k_y: PointDivisor) -> DivisorOnX:
-    """Canonical divisor: pullback of one on the quotient, minus the horizontal
-    divisors, plus (order - 1) on each vertical divisor."""
-    if k_y.degree() != -2:
-        raise DegreeError("canonical divisor on the line must have degree -2")
-    out = _pullback_divisor(variety, k_y)
-    out = out + DivisorOnX({h.name: -1 for h in variety.horizontals})
-    out = out + DivisorOnX(
-        {d.name: d.order - 1 for f in variety.fibers for d in f.divisors}
-    )
-    return out
-
-
-def anticanonical_lift(variety: CxOneVariety, q_y: PointDivisor) -> DivisorOnX:
-    """Invariant anticanonical divisor lifted from the quotient.
-
-    Effective exactly when q_y dominates the boundary coefficientwise.
+    A divisor of order m over p gets m*q_y(p) + 1 - m, a horizontal divisor
+    1, and the fiber over an unmarked p, named ``fiber(p)``, gets q_y(p);
+    zero coefficients are left out.  Effective exactly when q_y dominates the
+    boundary coefficientwise.
     """
-    if q_y.degree() != 2:
+    if sum(q_y.values(), ZERO) != 2:
         raise DegreeError("anticanonical divisor on the line must have degree 2")
     if variety.explicit_action:
-        if not q_y.is_invariant(variety.moebius_group()):
-            raise NotInvariant("divisor is not invariant under the induced group")
-    out = _pullback_divisor(variety, q_y)
-    out = out + DivisorOnX({h.name: 1 for h in variety.horizontals})
-    out = out + DivisorOnX(
-        {d.name: 1 - d.order for f in variety.fibers for d in f.divisors}
-    )
-    return out
+        for g in variety.moebius_group():
+            for p, c in q_y.items():
+                if q_y.get(g.apply(p), ZERO) != c:
+                    raise NotInvariant("divisor is not invariant under the induced group")
+    return _lift(variety, q_y)
 
 
-def is_effective(div: DivisorOnX) -> bool:
-    return all(c >= 0 for c in div.named.values()) and all(
-        c >= 0 for c in div.generic.values()
-    )
+def _lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:
+    out = {}
+    for f in variety.fibers:
+        c = q_y.get(f.point, ZERO)
+        for d in f.divisors:
+            out[d.name] = d.order * c + 1 - d.order
+    for h in variety.horizontals:
+        out[h.name] = ONE
+    for p, c in q_y.items():
+        if variety.fibers.get(p) is None:
+            out[f"fiber({p})"] = c
+    return {name: c for name, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +299,15 @@ class KEVerdict:
 class VarietyAnalysis:
     """Every quantity of the verdict pipeline, each computed once.  A stopped
     ``glct`` or ``verdict`` holds its PreconditionError; ``quotient_lct`` is the
-    uncapped boundary threshold, present when an explicit action gave the glct."""
+    uncapped boundary threshold, present when an explicit action gave the glct,
+    and ``divisor`` the invariant D ~ -K_X bounding it from above, present when
+    that threshold is finite."""
 
     symmetric: bool
     boundary: MarkedCurvePair
     non_reduced: tuple[ProjPoint, ...]
     quotient_lct: LctResult | None
+    divisor: dict[str, Q] | None
     glct: GlctInfo | PreconditionError
     verdict: KEVerdict | PreconditionError
 
@@ -444,8 +329,8 @@ def analyze(variety: CxOneVariety) -> VarietyAnalysis:
     try:
         _check_verdict_preconditions(variety, symmetric)
     except PreconditionError as exc:
-        return VarietyAnalysis(symmetric, b, nr, None, exc, exc)
-    quotient_lct = None
+        return VarietyAnalysis(symmetric, b, nr, None, None, exc, exc)
+    quotient_lct = divisor = None
     if b.has_neg_infinity:
         info = MorphismHypothesisViolated(
             f"{variety.name}: a declared-empty fiber gives a -infinity boundary"
@@ -455,9 +340,47 @@ def analyze(variety: CxOneVariety) -> VarietyAnalysis:
         quotient_lct = lct_g(b, variety.moebius_group())
         witness = None if quotient_lct.witness is None else quotient_lct.witness.describe()
         info = GlctInfo(quotient_lct.capped_at_one(), False, witness)
+        if not quotient_lct.is_infinite:
+            divisor = _tight_divisor(variety, b, quotient_lct)
     else:
         info = _declared_glct(variety, b)
-    return VarietyAnalysis(symmetric, b, nr, quotient_lct, info, _verdict(variety, nr, info))
+    verdict = _verdict(variety, nr, info)
+    return VarietyAnalysis(symmetric, b, nr, quotient_lct, divisor, info, verdict)
+
+
+def _tight_divisor(variety: CxOneVariety, b: MarkedCurvePair, res: LctResult) -> dict[str, Q]:
+    """Lift of q_Y = B + f*O, where O is the tight class of size s and
+    f = (2 - deg B)/s, checked against the threshold it bounds.
+
+    Each prime divisor E of D bounds lct(X, D) <= 1/a_E by its valuation, so
+    min(1, 1/max a_E) must equal the capped quotient value.  q_Y is invariant
+    because B is (``lct_g`` checked it) and O is an orbit, so the public
+    lift's re-check is skipped.
+    """
+    group = variety.moebius_group()
+    orbit = res.witness.orbit or _free_orbit(variety, group)
+    f = (TWO - finite_degree(b)) / Q(res.witness.size)
+    q_y = dict(b)
+    for p in orbit.points:
+        q_y[p] = q_y.get(p, ZERO) + f
+    divisor = _lift(variety, q_y)
+    top = max(divisor.values(), default=ZERO)
+    bound = ONE / top if top > 1 else ONE
+    if bound != res.capped_at_one():
+        raise InternalError(
+            f"{variety.name}: divisor bound {rat_str(bound)} misses the threshold "
+            f"{rat_str(res.capped_at_one())}"
+        )
+    return divisor
+
+
+def _free_orbit(variety: CxOneVariety, group: MoebiusGroup) -> Orbit:
+    """Orbit of the first t = 0, 1, 2, ... with |G| points, none of them marked."""
+    marked = set(variety.fibers.points())
+    for t in count():
+        orbit = orbit_of(group, ProjPoint.from_affine(t))
+        if orbit.size == group.order and marked.isdisjoint(orbit.points):
+            return orbit
 
 
 def _result(value):

@@ -267,6 +267,19 @@ def test_lattice_symmetric(capsys):
     assert code == 0 and "symmetric: true" in out
 
 
+def test_lattice_symmetric_computes_the_kernel_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    snf = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    code, out = run_capture(capsys, "lattice", "symmetric", fixture("lattice-rotation.json"))
+    assert code == 0 and "symmetric: true" in out and len(calls) == 1
+    target = tmp_path / "swap.json"
+    target.write_text(json.dumps({"name": "swap", "rank": 2, "generators": [[[0, 1], [1, 0]]]}))
+    code, out = run_capture(capsys, "lattice", "symmetric", str(target))
+    assert code == 0 and "fixed_sublattice_rank: 1" in out and "symmetric: false" in out
+    assert len(calls) == 2
+
+
 def test_validate_subcommand(tmp_path, capsys):
     code, out = run_capture(capsys, "validate", fixture("quadric.json"))
     assert code == 0 and "schema: OK" in out

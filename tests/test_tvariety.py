@@ -1,12 +1,14 @@
 import dataclasses
 import random
+from itertools import count
 
 import pytest
 
-from symfano.curvepair import is_neg_infinity, lct_g
+from symfano.curvepair import finite_degree, is_neg_infinity, lct_g
 from symfano.errors import (
     DegreeError,
     InputError,
+    InternalError,
     MorphismHypothesisViolated,
     NotFano,
     NotInvariant,
@@ -18,25 +20,22 @@ from symfano.groups import LatticeAutGroup, MoebiusElement, closure, exceptional
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
 from symfano.selftest import _GROUP_GENERATORS, suite_effectivity
+from symfano import tvariety
+from symfano.cli import run
 from symfano.tvariety import (
     CxOneVariety,
     DeclaredAction,
-    DivisorOnX,
     Fiber,
     FiberBook,
     HorizontalDivisor,
-    PointDivisor,
     VerticalDivisor,
+    analyze,
     anticanonical_lift,
     boundary,
-    canonical_divisor,
     glct,
     glct_info,
-    is_effective,
     ke_verdict,
-    multiplicity,
     non_reduced_fibers,
-    pullback,
 )
 
 
@@ -73,14 +72,6 @@ def trivial_symmetry_variety(fibers, horizontals=(), dim=3):
     )
 
 
-def test_multiplicity():
-    v = variety("bidegree12")
-    assert multiplicity(v, pt(0)) == 2
-    assert multiplicity(v, pt(1)) == 1
-    assert multiplicity(variety("quadric"), pt(-1)) == 2
-    assert multiplicity(variety("quadric"), pt(0)) == 1
-
-
 def test_non_reduced_fibers():
     assert set(non_reduced_fibers(variety("bidegree12"))) == {pt(0), INF, pt(-1)}
     assert set(non_reduced_fibers(variety("quadric"))) == {pt(-1)}
@@ -107,7 +98,7 @@ def test_boundary_support_is_non_reduced_locus():
 def test_declared_empty_fiber():
     fibers = FiberBook([Fiber(pt(0), ()), Fiber(INF, (VerticalDivisor("w", 2),))])
     v = trivial_symmetry_variety(fibers)
-    assert multiplicity(v, pt(0)) == 0
+    assert v.fibers.get(pt(0)).multiplicity == 0
     b = boundary(v)
     assert is_neg_infinity(b.coefficient(pt(0)))
     assert b.coefficient(INF) == rat(1, 2)
@@ -117,61 +108,25 @@ def test_declared_empty_fiber():
         ke_verdict(v)
 
 
-def test_pullback():
-    v = variety("bidegree12")
-    d = pullback(v, pt(0), rat(1))
-    assert d == DivisorOnX({"u0": 1, "v0": 2})
-    d = pullback(v, pt(5), rat(1))
-    assert d.generic == {pt(5): rat(1)} and not d.named
-    assert pullback(v, pt(0), rat(0)).is_zero()
-
-
-def test_canonical_divisor():
-    v = variety("bidegree12")
-    k = canonical_divisor(v, PointDivisor({pt(0): rat(-1), INF: rat(-1)}))
-    assert k == DivisorOnX({"u0": -1, "v0": -1, "u1": -1, "v1": -1, "v2": 1})
-    with pytest.raises(DegreeError):
-        canonical_divisor(v, PointDivisor({pt(0): rat(-1)}))
-
-
-def test_canonical_divisor_with_horizontal():
-    fibers = FiberBook([])
-    v = trivial_symmetry_variety(fibers, horizontals=(HorizontalDivisor("h"),))
-    k = canonical_divisor(v, PointDivisor({pt(3): rat(-2)}))
-    assert k.named == {"h": rat(-1)} and k.generic == {pt(3): rat(-2)}
-    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("w", 2),))])
-    v = trivial_symmetry_variety(fibers)
-    k = canonical_divisor(v, PointDivisor({pt(9): rat(-2)}))
-    assert k.named == {"w": rat(1)} and k.generic == {pt(9): rat(-2)}
-
-
 def test_anticanonical_lift_effectivity():
     v = variety("bidegree12")
-    q = PointDivisor({pt(0): rat(1, 2), INF: rat(1, 2), pt(-1): rat(1, 2), pt(1): rat(1, 2)})
+    q = {pt(0): rat(1, 2), INF: rat(1, 2), pt(-1): rat(1, 2), pt(1): rat(1, 2)}
     # the marked part is invariant; the extra generic point breaks invariance for S3
     with pytest.raises(NotInvariant):
         anticanonical_lift(v, q)
-    vt = trivial_symmetry_variety(bidegree_fibers())
+    vt = trivial_symmetry_variety(bidegree_fibers(), horizontals=(HorizontalDivisor("h"),))
     lift = anticanonical_lift(vt, q)
-    assert lift.coefficient("u0") == rat(1, 2) and lift.coefficient("v0") == 0
-    assert lift.generic == {pt(1): rat(1, 2)}
-    assert is_effective(lift)
+    assert lift == {
+        "u0": rat(1, 2), "u1": rat(1, 2), "u2": rat(1, 2), "h": 1, f"fiber({pt(1)})": rat(1, 2)
+    }
+    assert min(lift.values()) >= 0
 
-    q2 = PointDivisor({pt(1): rat(2)})
-    lift2 = anticanonical_lift(vt, q2)
-    assert lift2.coefficient("v0") == -1
-    assert not is_effective(lift2)
+    lift2 = anticanonical_lift(vt, {pt(1): rat(2)})
+    assert lift2["v0"] == -1
+    assert min(lift2.values()) < 0
 
     with pytest.raises(DegreeError):
-        anticanonical_lift(vt, PointDivisor({pt(1): rat(1)}))
-
-
-def test_canonical_plus_anticanonical_cancels():
-    vt = trivial_symmetry_variety(bidegree_fibers(), horizontals=(HorizontalDivisor("h"),))
-    k_y = PointDivisor({pt(0): rat(-1), INF: rat(-1)})
-    q_y = PointDivisor({pt(0): rat(1), INF: rat(1)})
-    total = canonical_divisor(vt, k_y) + anticanonical_lift(vt, q_y)
-    assert total.is_zero()
+        anticanonical_lift(vt, {pt(1): rat(1)})
 
 
 def test_effectivity_suite(rng, property_cases):
@@ -483,3 +438,67 @@ def test_glct_matches_direct_lct_on_fixtures():
         v = variety(name)
         res = lct_g(boundary(v), v.moebius_group())
         assert glct(v) == res.capped_at_one()
+
+
+@pytest.mark.parametrize(
+    "name, divisor, bound",
+    [
+        ("quadric", {"u0": 3}, rat(1, 3)),
+        ("quadric-blowup", {"u0": 1, "u1": rat(1, 2), "v1": rat(1, 2), "u2": rat(1, 2), "v2": rat(1, 2)}, 1),
+        ("bidegree12", {f"{x}{i}": rat(2, 3) if x == "u" else rat(1, 3) for x in "uv" for i in range(3)}, 1),
+    ],
+)
+def test_fixture_divisors_bound_the_threshold(name, divisor, bound):
+    v = variety(name)
+    d = analyze(v).divisor
+    assert d == divisor
+    assert min(1, 1 / max(d.values())) == bound == glct(v)
+
+
+def test_generic_tight_class_lifts_the_first_free_orbit():
+    # only a trivial group with reduced fibers leaves the generic class tight;
+    # t = 0 is marked, so the free orbit lifted is {1}
+    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 1),))])
+    v = trivial_symmetry_variety(fibers, horizontals=(HorizontalDivisor("h"),))
+    analysis = analyze(v)
+    assert analysis.quotient_lct.witness.kind == "generic"
+    assert analysis.divisor == {"h": 1, "fiber(1)": 2}
+    assert glct(v) == rat(1, 2)
+
+
+def test_tight_divisor_certifies_the_threshold(property_cases):
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(property_cases):
+        v = _random_explicit_variety(rng)
+        analysis = analyze(v)
+        res = analysis.quotient_lct
+        if res.is_infinite:
+            assert analysis.divisor is None
+            continue
+        kinds.add(res.witness.kind)
+        group = v.moebius_group()
+        orbit = res.witness.orbit or next(
+            o
+            for o in (orbit_of(group, pt(t)) for t in count())
+            if o.size == group.order and not set(o.points) & set(v.fibers.points())
+        )
+        q_y = dict(analysis.boundary)
+        for p in orbit.points:
+            q_y[p] = q_y.get(p, 0) + (2 - finite_degree(analysis.boundary)) / orbit.size
+        # the public lift re-checks the degree and the invariance of q_Y
+        d = anticanonical_lift(v, q_y)
+        assert d == analysis.divisor and min(d.values()) >= 0
+        assert min(1, 1 / max(d.values())) == glct(v)
+    assert kinds == {"marked", "exceptional", "generic"}
+
+
+def test_dropping_the_tight_fiber_is_an_internal_error(monkeypatch, capsys):
+    lift = tvariety._lift
+    monkeypatch.setattr(
+        tvariety, "_lift", lambda v, q_y: lift(v, {p: c for p, c in q_y.items() if p != pt(-1)})
+    )
+    with pytest.raises(InternalError, match="divisor bound 1 misses the threshold 1/3"):
+        glct(variety("quadric"))
+    assert run(["tvar", "check", str(fixture_path("quadric.json"))]) == 4
+    assert "internal error: quadric: divisor bound 1" in capsys.readouterr().err
