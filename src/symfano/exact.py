@@ -215,8 +215,8 @@ class ProjPoint:
 
     Stored in canonical form: the last nonzero coordinate is scaled to 1, so
     ``y`` is ``QE_ONE`` or ``QE_ZERO`` and componentwise equality is
-    projective equality.  The public constructor validates its coordinates;
-    ``_normalized`` scales a pair known to be nonzero and in one field.
+    projective equality.  The public constructor validates and scales its
+    coordinates; ``_make`` takes coordinates already in canonical form.
     """
 
     __slots__ = ("x", "y")
@@ -239,11 +239,6 @@ class ProjPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         return self
-
-    @classmethod
-    def _normalized(cls, x: QuadExtScalar, y: QuadExtScalar) -> "ProjPoint":
-        """The point ``[x : y]`` of a nonzero pair over one field."""
-        return cls._make(*_scaled_pair(x, y))
 
     def __setattr__(self, *_):
         raise AttributeError("ProjPoint is immutable")

@@ -8,12 +8,13 @@ group, give both the threshold computations and the global fixed point test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
-from .exact import IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
-from .rationals import ONE, ZERO, Q, rat, rat_key
+from .exact import QE_ONE, IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
+from .rationals import ZERO, Q, lcm_all, rat, rat_key
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -25,10 +26,13 @@ MAX_FINITE_GROUP_ORDER = 12
 class MoebiusElement:
     """Invertible projective 2x2 transformation with rational entries.
 
-    Stored with the first nonzero entry scaled to 1, so two proportional
-    matrices compare and hash equal.  The public constructor validates its
-    input; products and inverses of valid elements are invertible by
-    multiplicativity of the determinant and go through ``_normalized``.
+    Stored as a primitive integer matrix: entries with gcd 1 and a positive
+    first nonzero entry, so two proportional matrices compare and hash equal
+    and a product costs one gcd.  ``matrix`` gives the same class scaled to a
+    first nonzero entry 1, as rationals.  The public constructor validates its
+    input and clears denominators; products and inverses of valid elements are
+    invertible by multiplicativity of the determinant and go through
+    ``_primitive``.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -38,24 +42,28 @@ class MoebiusElement:
             (a, b), (c, d) = matrix
         except (TypeError, ValueError):
             raise InputError("a Moebius element needs a 2x2 matrix") from None
-        a, b, c, d = (rat(x) for x in (a, b, c, d))
+        entries = [rat(x) for x in (a, b, c, d)]
+        a, b, c, d = entries
         if a * d - b * c == 0:
             raise InputError("Moebius matrix must have nonzero determinant")
-        self._set(a, b, c, d)
+        scale = lcm_all(x.denominator for x in entries)
+        self._set(*(x.numerator * (scale // x.denominator) for x in entries))
 
-    def _set(self, a: Q, b: Q, c: Q, d: Q) -> None:
+    def _set(self, a: int, b: int, c: int, d: int) -> None:
         # an invertible matrix with a == 0 has b != 0
-        scale = a if a else b
-        if scale != 1:
-            a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        g = math.gcd(a, b, c, d)
+        if (a or b) < 0:
+            g = -g
+        if g != 1:
+            a, b, c, d = a // g, b // g, c // g, d // g
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def _normalized(cls, a: Q, b: Q, c: Q, d: Q) -> "MoebiusElement":
-        """The class of an invertible matrix of Fractions, taken without checks."""
+    def _primitive(cls, a: int, b: int, c: int, d: int) -> "MoebiusElement":
+        """The class of an invertible integer matrix, taken without checks."""
         self = object.__new__(cls)
         self._set(a, b, c, d)
         return self
@@ -65,17 +73,19 @@ class MoebiusElement:
 
     @classmethod
     def identity(cls) -> "MoebiusElement":
-        return cls._normalized(ONE, ZERO, ZERO, ONE)
+        return cls._primitive(1, 0, 0, 1)
 
     @property
     def matrix(self):
-        return ((self.a, self.b), (self.c, self.d))
+        """The entries as rationals, scaled to a first nonzero entry 1."""
+        s = self.a or self.b
+        return ((Q(self.a, s), Q(self.b, s)), (Q(self.c, s), Q(self.d, s)))
 
     def is_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
     def __mul__(self, other: "MoebiusElement") -> "MoebiusElement":
-        return MoebiusElement._normalized(
+        return MoebiusElement._primitive(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -83,26 +93,46 @@ class MoebiusElement:
         )
 
     def inverse(self) -> "MoebiusElement":
-        return MoebiusElement._normalized(self.d, -self.b, -self.c, self.a)
+        return MoebiusElement._primitive(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        # a canonical point is (x, 1) or (1, 0)
+        """The image of p, from p = (A + B*sqrt(r) : D) in integers.
+
+        With P + P1*sqrt(r) = a(A + B*sqrt(r)) + bD and R + R1*sqrt(r) =
+        c(A + B*sqrt(r)) + dD, the image is ((P R - P1 R1 r) + (P1 R - P R1)
+        sqrt(r)) / N for N = R^2 - R1^2 r, or infinity when N == 0 (r is 0 or
+        not a square).
+        """
+        x = p.x
         if p.is_infinity:
-            x, y = QuadExtScalar._make(self.a), QuadExtScalar._make(self.c)
+            A, B, D = 1, 0, 0
         else:
-            x, y = p.x * self.a + self.b, p.x * self.c + self.d
-        return ProjPoint._normalized(x, y)
+            u, v = x.a, x.b
+            D = math.lcm(u.denominator, v.denominator)
+            A = u.numerator * (D // u.denominator)
+            B = v.numerator * (D // v.denominator)
+        r = x.d or 0
+        P, P1 = self.a * A + self.b * D, self.a * B
+        R, R1 = self.c * A + self.d * D, self.c * B
+        N = R * R - R1 * R1 * r
+        if not N:
+            return ProjPoint.infinity()
+        im = P1 * R - P * R1
+        return ProjPoint._make(
+            QuadExtScalar._make(Q(P * R - P1 * R1 * r, N), Q(im, N) if im else ZERO, x.d), QE_ONE
+        )
 
     def __eq__(self, other):
         if not isinstance(other, MoebiusElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash((self.a, self.b, self.c, self.d))
 
     def sort_key(self):
-        return tuple(rat_key(x) for x in (self.a, self.b, self.c, self.d))
+        (a, b), (c, d) = self.matrix
+        return (rat_key(a), rat_key(b), rat_key(c), rat_key(d))
 
     def __repr__(self):
         e = self.matrix
@@ -180,7 +210,7 @@ def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
     if g.c == 0:
         pts.append(ProjPoint.infinity())
         if g.a != g.d:
-            pts.append(ProjPoint.from_affine(QuadExtScalar._make(g.b / (g.d - g.a))))
+            pts.append(ProjPoint.from_affine(QuadExtScalar._make(Q(g.b, g.d - g.a))))
     else:
         pts.extend(ProjPoint.from_affine(t) for t in quadratic_roots(g.c, g.d - g.a, -g.b))
     return tuple(sorted(pts, key=ProjPoint.sort_key))

@@ -380,18 +380,23 @@ class Fan:
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """Cones inside no other cone; equal cones count once (the first).
+        """Cones inside no other cone, in ``cones`` order; equal cones count
+        once (the first).
 
-        Only a cone of at least the same dimension can hold another, and the
-        largest are tried first, so a face finds its cone early.
+        The cones are taken largest dimension first, and each is tested only
+        against the maximal cones kept so far, which suffices as containment
+        is transitive.  A kept cone that a new one contains has its dimension,
+        so it is strictly smaller and is dropped.
         """
-        out: list[Cone] = []
-        largest_first = sorted(self.cones, key=lambda c: -c.dim)
-        for c in self.cones:
-            bigger = (o for o in largest_first if o.dim >= c.dim)
-            if not any(o.contains(c) and not c.contains(o) for o in bigger) and c not in out:
-                out.append(c)
-        return tuple(out)
+        cones = self.cones
+        kept: list[int] = []
+        for i in sorted(range(len(cones)), key=lambda i: -cones[i].dim):
+            c = cones[i]
+            if any(cones[k].contains(c) for k in kept):
+                continue
+            kept = [k for k in kept if cones[k].dim != c.dim or not c.contains(cones[k])]
+            kept.append(i)
+        return tuple(cones[i] for i in sorted(kept))
 
     def validate(self):
         """Every two cones meet in a common face.

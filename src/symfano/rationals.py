@@ -7,7 +7,10 @@ there are no floats and no tolerances anywhere.  The scalar type is
 ``fractions.Fraction``, which normalises to lowest terms with a positive
 denominator; ``BACKEND`` names it.  The stability simplex
 (``exact.solve_positive_combination``) pivots in plain integers and builds
-rationals only for the coefficients it returns.
+rationals only for the coefficients it returns; a Moebius element
+(``groups.MoebiusElement``) is a primitive integer matrix, and its action
+builds each part of an image point with one reduction.  ``parse_rat`` builds
+``"p/q"`` with one reduction.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def parse_rat(text) -> Q:
             d = int(den)
             if d == 0:
                 raise InputError(f"zero denominator in {text!r}")
-            return Q(int(num)) / Q(d)
+            return Q(int(num), d)
         return Q(int(s))
     except ValueError:
         raise InputError(f"not a rational: {text!r}") from None

@@ -77,20 +77,26 @@ def _is_rat(x) -> bool:
 
 
 def _check_point(value, path, out, seen):
-    """Check one point, then add (path, point) to ``seen``: (x, y) repeats a
-    seen (u, v) exactly when x v = u y."""
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_rat(v) for v in value)):
+    """Check one point, each coordinate parsed once, then record it in
+    ``seen``: a dict from the affine value x/y (None for infinity) to the path
+    of its first occurrence."""
+    try:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise InputError("not a pair")
+        x, y = parse_rat(value[0]), parse_rat(value[1])
+    except InputError:
         out.append(f"{path}: must be a pair of rationals")
         return
-    x, y = (parse_rat(v) for v in value)
-    if x == 0 and y == 0:
-        out.append(f"{path}: (0, 0) is not a projective point")
-        return
-    for first, (u, v) in seen:
-        if x * v == u * y:
-            out.append(f"{path}: the same point as {first}")
-            break
-    seen.append((path, (x, y)))
+    if not y:
+        if not x:
+            out.append(f"{path}: (0, 0) is not a projective point")
+            return
+        key = None
+    else:
+        key = x / y
+    first = seen.setdefault(key, path)
+    if first != path:
+        out.append(f"{path}: the same point as {first}")
 
 
 def _check_matrix(value, path, out, square=None, integer=True):
@@ -125,7 +131,7 @@ def _validate_variety(data: dict, out: list):
             rank = data["dim"] - 1
     fibers = data.get("fibers")
     names = []
-    points = []
+    points = {}
     if not isinstance(fibers, list):
         out.append("fibers: missing or not an array")
     else:
@@ -198,7 +204,7 @@ def _validate_pair(data: dict, out: list):
     if not isinstance(points, list):
         out.append("points: missing or not an array")
     else:
-        seen = []
+        seen = {}
         for i, entry in enumerate(points):
             if not isinstance(entry, dict):
                 out.append(f"points[{i}]: must be an object")
@@ -294,15 +300,20 @@ _VALIDATORS = {
 }
 
 
-def validate_data(data: dict) -> list[str]:
-    """All structural problems, each with its JSON path; empty means well-formed."""
-    out: list[str] = []
+def _kind_and_problems(data: dict) -> tuple[str | None, list[str]]:
+    """The kind of ``data`` (None when unrecognized) and its structural problems."""
     try:
         kind = detect_kind(data)
     except InputError as exc:
-        return [str(exc)]
+        return None, [str(exc)]
+    out: list[str] = []
     _VALIDATORS[kind](data, out)
-    return out
+    return kind, out
+
+
+def validate_data(data: dict) -> list[str]:
+    """All structural problems, each with its JSON path; empty means well-formed."""
+    return _kind_and_problems(data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +322,9 @@ def validate_data(data: dict) -> list[str]:
 
 
 def _require_valid(data: dict, kind: str):
-    problems = validate_data(data)
+    actual, problems = _kind_and_problems(data)
     if problems:
         raise InputError("; ".join(problems))
-    actual = detect_kind(data)
     if actual != kind:
         raise InputError(f"expected a {kind} file, found {actual}")
 

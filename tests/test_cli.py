@@ -480,14 +480,31 @@ def test_validate_reports_a_bad_dim_once(tmp_path, capsys, dim, problem):
             "points[1].pt: the same point as points[0].pt",
             ("lct", "valuable"),
         ),
+        (
+            edited("pair-involution.json", {("points", 0, "pt"): ["1", "0"], ("points", 1, "pt"): ["-3", "0"]}),
+            "points[1].pt: the same point as points[0].pt",
+            ("lct", "valuable"),
+        ),
+        (
+            edited("pair-involution.json", {("points",): [
+                {"pt": ["1", "2"], "coeff": "1/2"},
+                {"pt": ["-2", "-4"], "coeff": "1/2"},
+                {"pt": ["1/3", "2/3"], "coeff": "1/2"},
+            ]}),
+            "points[1].pt: the same point as points[0].pt; points[2].pt: the same point as points[0].pt",
+            ("lct", "valuable"),
+        ),
     ],
 )
 def test_repeated_point_is_a_schema_problem(tmp_path, capsys, document, problem, commands):
-    # compared as rationals by cross-multiplication: [0, 1] ~ [0, 2], [1, 1] ~ [2, 2]
+    # compared by affine value: [0, 1] ~ [0, 2], [1, 1] ~ [2, 2], [1, 0] ~ [-3, 0];
+    # each later copy names the first
     target = tmp_path / "repeated.json"
     target.write_text(json.dumps(document))
     code, out = run_capture(capsys, "validate", str(target))
-    assert code == 1 and f"  problem: {problem}\n" in out
+    assert code == 1
+    for line in problem.split("; "):
+        assert f"  problem: {line}\n" in out
     for command in commands:
         assert run([*command.split(), str(target)]) == 1
         assert capsys.readouterr().err == f"input error: {problem}\n"

@@ -315,6 +315,7 @@ def test_rational_serialization():
     assert rat_str(rat(-3, 6)) == "-1/2"
     assert rat_str(rat(7)) == "7"
     assert parse_rat("-3/4") == rat(-3, 4)
+    assert parse_rat("1/-2") == rat(-1, 2)
     assert parse_rat(5) == rat(5)
     with pytest.raises(InputError):
         parse_rat("1/0")

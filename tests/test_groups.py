@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -261,12 +262,18 @@ BIG_PRIME = BIG_A**2 + 65537**2
 BIG_ENTRIES = MoebiusElement([[10**19 + 51, 10**19 + 39], [10**19 + 61, 10**19 + 7]])
 
 
+def d4_over_big_fields() -> MoebiusGroup:
+    """A dihedral group of order 8 with fixed points over d = BIG_PRIME and
+    over d = 65537^2 * BIG_PRIME, whose square factor the reduction keeps."""
+    reflection = MoebiusElement([[BIG_A, 65537], [65537, -BIG_A]])
+    return _conjugate_group(closure([C4, reflection]), MoebiusElement([[65537, 1], [0, 1]]))
+
+
 def test_exceptional_orbits_over_big_fields():
     """The reduction of a discriminant may keep the square of a prime above
     2^16, so one orbit can be written over d = p and over d = 65537^2 * p;
     its points still dedupe, and big entries give the orbits of small ones."""
-    reflection = MoebiusElement([[BIG_A, 65537], [65537, -BIG_A]])
-    d4_big = _conjugate_group(closure([C4, reflection]), MoebiusElement([[65537, 1], [0, 1]]))
+    d4_big = d4_over_big_fields()
     cases = (
         (d4_big, [2, 4, 4]),
         (_conjugate_group(closure([C4]), BIG_ENTRIES), [1, 1]),
@@ -312,9 +319,23 @@ def test_moebius_constructor_validates():
 
 
 def reference_apply(g: MoebiusElement, p: ProjPoint) -> ProjPoint:
-    """The general formula, through the validating constructor."""
+    """(a x + b) / (c x + d) in QuadExtScalar arithmetic, infinity by hand."""
     (a, b), (c, d) = g.matrix
-    return ProjPoint(p.x * a + p.y * b, p.x * c + p.y * d)
+    if p.is_infinity:
+        return ProjPoint.infinity() if c == 0 else ProjPoint.from_affine(QuadExtScalar(a / c))
+    denominator = p.x * c + d
+    if denominator.is_zero():
+        return ProjPoint.infinity()
+    return ProjPoint.from_affine((p.x * a + b) / denominator)
+
+
+def same_point(p: ProjPoint, q: ProjPoint) -> bool:
+    """Equal, with equal hashes and the same canonical coordinates."""
+    return (
+        p == q
+        and hash(p) == hash(q)
+        and (p.x.a, p.x.b, p.x.d, p.y.a, p.y.b, p.y.d) == (q.x.a, q.x.b, q.x.d, q.y.a, q.y.b, q.y.d)
+    )
 
 
 def random_sl2z(rng) -> MoebiusElement:
@@ -325,6 +346,13 @@ def random_sl2z(rng) -> MoebiusElement:
     return MoebiusElement(m.entries)
 
 
+def random_gl2q(rng) -> MoebiusElement:
+    while True:
+        m = [[rat(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+            return MoebiusElement(m)
+
+
 def random_points(rng) -> list[ProjPoint]:
     d = rng.choice((-3, -1, 2, 3, 5))
     t = rat(rng.randint(-9, 9), rng.randint(1, 5))
@@ -332,14 +360,22 @@ def random_points(rng) -> list[ProjPoint]:
     return [ProjPoint.infinity(), pt(t), ProjPoint.from_affine(QuadExtScalar(t, s, d))]
 
 
-def test_fast_paths_agree_with_validating_constructors():
+def test_integer_action_agrees_with_quadratic_arithmetic():
+    """Products, inverses and the action on infinity, rational points and the
+    irrational fixed points of C2, C3, C4, C6 (d = 7, -3, -1, -3) and of a
+    group over a d with a hidden square, conjugated by SL2(Z) and GL2(Q)."""
     rng = random.Random(20261018)
-    for group in _group_pool() + [d4(), d6()]:
-        for _ in range(4):
-            conjugate = _conjugate_group(group, random_sl2z(rng))
+    big = d4_over_big_fields()
+    fields = set()
+    for group in _group_pool() + [d4(), d6(), big]:
+        for k in range(6):
+            m = random_sl2z(rng) if k % 2 else random_gl2q(rng)
+            # unconjugated, the big group keeps a d with a hidden square
+            conjugate = group if group is big else _conjugate_group(group, m)
             points = random_points(rng)
             for orbit in exceptional_orbits(conjugate):
                 points.extend(orbit.points)
+            fields.update(p.x.d for p in points)
             for g in conjugate:
                 (a, b), (c, d) = g.matrix
                 inverse = MoebiusElement([[d, -b], [-c, a]])
@@ -350,13 +386,38 @@ def test_fast_paths_agree_with_validating_constructors():
                     rebuilt = MoebiusElement([[a * e + b * u, a * f + b * v], [c * e + d * u, c * f + d * v]])
                     assert product == rebuilt and product.matrix == rebuilt.matrix
                     assert hash(product) == hash(rebuilt)
+                h = rng.choice(conjugate.elements)
                 for p in points:
                     image = g.apply(p)
-                    expected = reference_apply(g, p)
-                    assert image == expected and hash(image) == hash(expected)
-                    assert (image.x, image.y) == (expected.x, expected.y)
+                    assert same_point(image, reference_apply(g, p)), (g, p)
+                    assert same_point(image, ProjPoint(p.x * a + p.y * b, p.x * c + p.y * d))
                     assert image.y in (QE_ZERO, QE_ONE)
                     assert image.is_infinity == (image.y == QE_ZERO)
+                    assert same_point((g * h).apply(p), g.apply(h.apply(p))), (g, h, p)
+    assert {-1, -3, 7, 65537**2 * BIG_PRIME} <= fields
+
+
+def test_proportional_matrices_give_one_element():
+    """Ints, Fractions and "p/q" strings (a negative denominator too) of one
+    matrix under positive and negative scalings give one element."""
+    rng = random.Random(20261019)
+    for group in _group_pool() + [d4(), d6()]:
+        for g in _conjugate_group(group, random_gl2q(rng)):
+            entries = [x for row in g.matrix for x in row]
+            for _ in range(3):
+                scale = rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                scaled = [x * scale for x in entries]
+                lcm = math.lcm(*(x.denominator for x in scaled))
+                forms = (
+                    scaled,
+                    [int(x * lcm) for x in scaled],
+                    [str(x) for x in scaled],
+                    [f"{-x.numerator}/-{x.denominator}" for x in scaled],
+                )
+                for form in forms:
+                    e = MoebiusElement([form[:2], form[2:]])
+                    assert e == g and hash(e) == hash(g)
+                    assert e.sort_key() == g.sort_key() and e.matrix == g.matrix and repr(e) == repr(g)
 
 
 def test_fixed_sublattice_examples():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -421,6 +422,42 @@ def test_refinement_properties_random_rank3(rng, property_cases):
 def test_fan_validate_counts_equal_cones_once():
     Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).validate()
     assert Fan(2, (FIRST_ORTHANT, FIRST_ORTHANT)).maximal_cones == (FIRST_ORTHANT,)
+
+
+def _maximal_by_definition(cones):
+    """Reference: the cones no other cone strictly contains, the first of equals."""
+    out = []
+    for c in cones:
+        if not any(o.contains(c) and not c.contains(o) for o in cones) and c not in out:
+            out.append(c)
+    return out
+
+
+def test_fan_maximal_cones_match_pairwise_definition():
+    """Random collections in ranks 2 to 4, not closed under faces, with cones
+    nested in others of their dimension and repeated (equal, not identical) cones."""
+    rng = random.Random(20261018)
+    for case in range(90):
+        rank = 2 + case % 3
+        cones = []
+        for _ in range(rng.randint(1, 4)):
+            gens = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank + 1))]
+            cone = Cone(rank, gens)
+            cones.append(cone)
+            if rng.random() < 0.5:
+                # the sum of the generators spans, with all but the first, the same space
+                inner = [[sum(col) for col in zip(*gens)], *gens[1:]]
+                cones.append(Cone(rank, inner))
+            if rng.random() < 0.5:
+                faces = cone.faces()
+                cones.extend(rng.sample(faces, min(2, len(faces))))
+        for _ in range(rng.randint(0, 2)):
+            copy = rng.choice(cones)
+            cones.append(Cone(rank, rng.sample(copy.generators, len(copy.generators))))
+        rng.shuffle(cones)
+        expected = _maximal_by_definition(cones)
+        got = Fan(rank, tuple(cones)).maximal_cones
+        assert len(got) == len(expected) and all(g is e for g, e in zip(got, expected)), case
 
 
 def test_fan_maximal_cones_computed_once():
