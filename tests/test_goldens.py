@@ -1,4 +1,5 @@
-"""Every fixture command still prints its recorded report byte for byte.
+"""Every fixture command and every generated case still prints its recorded
+report byte for byte.
 
 ``tests/goldens/commands.txt`` lists each documented command line (run from
 the repository root), one a line, as ``EXIT FILE COMMAND``: its exit code and
@@ -6,6 +7,10 @@ the file under ``tests/goldens/`` that holds its stdout.  A mismatch prints a
 unified diff.  A ``--json`` report also reads back to a report that prints the
 same text.  ``perfbench/goldens.json`` keeps the SHA-256 of each stdout for
 the benchmark, and the two records must agree.
+
+``tests/goldens/corpus/<command>.jsonl`` holds the generated cases that
+``tests/goldens/make_corpus.py`` records: each runs in process on its
+document, and a mismatch prints the case and a unified diff.
 """
 
 import difflib
@@ -47,6 +52,31 @@ def test_fixture_command_matches_golden(command, monkeypatch, capsys):
         pytest.fail("".join(diff), pytrace=False)
     assert code == expected_code
     if "--json" in command.split(" "):
+        assert Report.from_json(out).to_json() == out.rstrip("\n")
+
+
+def _corpus() -> list:
+    cases = []
+    for path in sorted((GOLDEN_DIR / "corpus").glob("*.jsonl")):
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            cases.append(pytest.param(json.loads(line), id=f"{path.stem}-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("case", _corpus())
+def test_generated_case_matches_golden(case, tmp_path, capsys):
+    path = tmp_path / "document.json"
+    if case["document"] is not None:
+        path.write_text(json.dumps(case["document"]), encoding="utf-8")
+    code = run([str(path) if a == "{file}" else a for a in case["argv"]])
+    out = capsys.readouterr().out
+    if (out, code) != (case["stdout"], case["exit"]):
+        diff = difflib.unified_diff(
+            case["stdout"].splitlines(keepends=True), out.splitlines(keepends=True), "golden", "stdout"
+        )
+        shown = {k: case[k] for k in ("argv", "document", "exit")}
+        pytest.fail(f"{json.dumps(shown)}\nexit {code}\n{''.join(diff)}", pytrace=False)
+    if "--json" in case["argv"] and code == 0:
         assert Report.from_json(out).to_json() == out.rstrip("\n")
 
 
