@@ -20,8 +20,8 @@ _API = {
         ("curvepair", "NEG_INFINITY LctResult MarkedCurvePair finite_degree is_valuable lct_g"),
         (
             "exact",
-            "IntMatrix PositiveCombination ProjPoint QuadExtScalar SemipositiveWitness integer_kernel"
-            " quadratic_roots smith_normal_form solve_positive_combination",
+            "IntMatrix PositiveCombination ProjPoint SemipositiveWitness integer_kernel"
+            " smith_normal_form solve_positive_combination",
         ),
         (
             "groups",
@@ -31,8 +31,8 @@ _API = {
         ("polyhedral", "Cone Fan common_refinement dual_cone image_cone intersect"),
         (
             "quotients",
-            "DIVERGES Destabilizer WeightMatrix chow_quotient_fan is_polystable limit_support"
-            " polystable_locus verify_stability_cert",
+            "Destabilizer WeightMatrix chow_quotient_fan is_polystable polystable_locus"
+            " verify_stability_cert",
         ),
         ("rationals", "BACKEND Q rat"),
         (

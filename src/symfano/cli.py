@@ -34,7 +34,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .rationals import rat_str
+from .rationals import rat_str, ratio_str
 from .schemas import detect_kind, read_json, validate_data
 
 REPORT_VERSION = 1
@@ -178,9 +178,10 @@ def _cert_dict(polystable: bool, cert) -> dict:
     """A stability certificate: a PositiveCombination for a polystable
     support, else a Destabilizer."""
     if polystable:
+        den = cert.denominator
         return {
             "type": "positive-combination",
-            "coefficients": [rat_str(c) for c in cert.coefficients],
+            "coefficients": [ratio_str(n, den) for n in cert.numerators],
         }
     return {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
 

@@ -72,7 +72,3 @@ class NotSurjective(PreconditionError):
 
 class IdentityElement(PreconditionError):
     """Fixed points of the projective identity are undefined."""
-
-
-class NoRoot(PreconditionError):
-    """Constant nonzero polynomial has no root."""

@@ -1,6 +1,6 @@
-"""Exact scalar and lattice kernels: quadratic-extension arithmetic, projective
-points, integer matrices with Smith normal form, and the strict-positivity
-alternative for integer weight families.
+"""Exact kernels on integers: points of the projective line over Q or a
+quadratic field, integer matrices with Smith normal form, and the
+strict-positivity alternative for integer weight families.
 
 Everything here is a pure function on immutable values.
 """
@@ -10,267 +10,131 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError, NoRoot
-from .rationals import (
-    ZERO,
-    Q,
-    lcm_all,
-    rat,
-    rat_key,
-    rat_str,
-    reciprocal,
-    squarefree_decompose,
-)
+from .errors import InputError, InternalError
+from .rationals import Q, rat, ratio_key, ratio_str, squarefree_decompose
 
 
-def _over_one_d(x: "QuadExtScalar", y: "QuadExtScalar") -> tuple[Q, Q, int]:
-    """The sqrt parts of two irrational values over the smaller |d|, as
-    sqrt(d2) = r/|d1| * sqrt(d1) when d1*d2 = r^2; other pairs of d are two fields."""
-    d1, d2 = x.d, y.d
-    if d1 == d2:
-        return x.b, y.b, d1
-    p = d1 * d2
-    r = math.isqrt(p) if p > 0 else 0
-    if r * r != p:
-        raise InputError(f"cannot mix sqrt({d1}) with sqrt({d2})")
-    if abs(d1) < abs(d2):
-        return x.b, y.b * Q(r, abs(d1)), d1
-    return x.b * Q(r, abs(d2)), y.b, d2
-
-
-def _rational(x):
-    """A rational operand of mixed arithmetic: an int or Fraction as it is, else parsed."""
-    return x if isinstance(x, (int, Q)) else rat(x)
-
-
-class QuadExtScalar:
-    """Element ``a + b*sqrt(d)`` of Q or of a real/imaginary quadratic extension.
-
-    ``d`` is an integer that is not a square (``rationals.squarefree_decompose``
-    leaves it squarefree unless it hides the square of a prime above 2^16);
-    ``d is None`` marks a plain rational, and any value with ``b == 0``
-    collapses to that form.  Equality and hashing read an irrational value by
-    ``a``, ``b^2*d`` and the sign of ``b``, which every ``d`` it is written
-    over shares, and arithmetic brings such d together (``_over_one_d``).
-
-    The public constructor is the input boundary: it coerces both parts and
-    reduces ``d``.  Arithmetic builds its results with ``_make``, which only
-    collapses ``b == 0``.
-    """
-
-    __slots__ = ("d", "a", "b")
-
-    def __init__(self, a, b=0, d: int | None = None):
-        a = Q(a)
-        b = Q(b)
-        if b == 0:
-            d = None
-        elif d is None:
-            raise InputError("irrational part requires an extension d")
-        else:
-            s, d0 = squarefree_decompose(d)
-            if d0 in (0, 1):
-                raise InputError(f"d={d} is a perfect square or zero")
-            if s != 1:
-                b = b * s
-                d = d0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def _make(cls, a: Q, b: Q = ZERO, d: int | None = None) -> "QuadExtScalar":
-        """``a + b*sqrt(d)`` from Fraction parts and a squarefree ``d`` (or None)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        if b:
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "d", d)
-        else:
-            object.__setattr__(self, "b", ZERO)
-            object.__setattr__(self, "d", None)
-        return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadExtScalar is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def __add__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            return QuadExtScalar._make(self.a + _rational(other), self.b, self.d)
-        if other.d is None:
-            return QuadExtScalar._make(self.a + other.a, self.b, self.d)
-        if self.d is None:
-            return QuadExtScalar._make(self.a + other.a, other.b, other.d)
-        b1, b2, d = _over_one_d(self, other)
-        return QuadExtScalar._make(self.a + other.a, b1 + b2, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtScalar._make(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            return QuadExtScalar._make(self.a - _rational(other), self.b, self.d)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            r = _rational(other)
-            return QuadExtScalar._make(self.a * r, self.b * r if self.b else ZERO, self.d)
-        if other.d is None:
-            return QuadExtScalar._make(self.a * other.a, self.b * other.a, self.d)
-        if self.d is None:
-            return QuadExtScalar._make(self.a * other.a, self.a * other.b, other.d)
-        b1, b2, d = _over_one_d(self, other)
-        return QuadExtScalar._make(self.a * other.a + b1 * b2 * d, self.a * b2 + b1 * other.a, d)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Q:
-        """Field norm a^2 - d*b^2; zero only for the zero element."""
-        if self.d is None:
-            return self.a * self.a
-        return self.a * self.a - self.d * self.b * self.b
-
-    def inverse(self) -> "QuadExtScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.d is None:
-            return QuadExtScalar._make(reciprocal(self.a))
-        n = self.norm()
-        return QuadExtScalar._make(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            r = _rational(other)
-            return QuadExtScalar._make(self.a / r, self.b / r if self.b else ZERO, self.d)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def _radicand(self) -> Q:
-        """``b^2*d`` of an irrational value."""
-        b = self.b
-        return Q(b.numerator * b.numerator * self.d, b.denominator * b.denominator)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            return NotImplemented
-        if self.d is None or other.d is None:
-            return self.d is other.d and self.a == other.a
-        same_sign = (self.b > 0) == (other.b > 0)
-        return same_sign and self.a == other.a and self._radicand() == other._radicand()
-
-    def __hash__(self):
-        a = self.a
-        if self.d is None:
-            return hash((a.numerator, a.denominator, 0, 1, None))
-        r = self._radicand()
-        return hash((a.numerator, a.denominator, r.numerator, r.denominator, self.b > 0))
-
-    def sort_key(self):
-        return (self.d or 0, rat_key(self.a), rat_key(self.b))
-
-    def __repr__(self):
-        return f"QuadExtScalar({self})"
-
-    def __str__(self):
-        if self.d is None:
-            return rat_str(self.a)
-        parts = []
-        if self.a != 0:
-            parts.append(rat_str(self.a))
-        coeff = "" if self.b == 1 else ("-" if self.b == -1 else rat_str(self.b) + "*")
-        term = f"{coeff}sqrt({self.d})"
-        if parts and not term.startswith("-"):
-            return f"{parts[0]}+{term}"
-        return "".join(parts) + term
-
-
-QE_ZERO = QuadExtScalar(0)
-QE_ONE = QuadExtScalar(1)
-
-
-def _scaled_pair(x: QuadExtScalar, y: QuadExtScalar) -> tuple[QuadExtScalar, QuadExtScalar]:
-    """``(x/y, QE_ONE)``, or ``(QE_ONE, QE_ZERO)`` when y is zero, for a nonzero pair."""
-    if y.d is not None:
-        return x * y.inverse(), QE_ONE
-    if not y.a:
-        return QE_ONE, QE_ZERO
-    if y.a == 1:
-        return x, QE_ONE
-    return x * reciprocal(y.a), QE_ONE
+def _rational_pair(x: int, y: int) -> tuple[int, int]:
+    """The primitive pair of (x : y) != (0 : 0) with y > 0, or (1, 0)."""
+    if not y:
+        return (1, 0)
+    g = math.gcd(x, y)
+    if y < 0:
+        g = -g
+    return (x, y) if g == 1 else (x // g, y // g)
 
 
 class ProjPoint:
-    """Point of the projective line over Q or a quadratic extension.
+    """Point of the projective line over Q or a quadratic field, in integers.
 
-    Stored in canonical form: the last nonzero coordinate is scaled to 1, so
-    ``y`` is ``QE_ONE`` or ``QE_ZERO`` and componentwise equality is
-    projective equality.  The public constructor validates and scales its
-    coordinates; ``_make`` takes coordinates already in canonical form.
+    ``coords`` alone decides equality and hashing:
+
+    * a rational point is ``(x, y)``, primitive with ``y > 0``, or ``(1, 0)``
+      for infinity;
+    * a quadratic point is ``(A, B, C, s)``, the root ``(-B + s*sqrt(D))/2A``
+      of the primitive irreducible form ``A x^2 + B xy + C y^2`` with
+      ``A > 0``, ``s`` = 1 or -1 and ``D = B^2 - 4AC`` (``sqrt(D)`` is
+      ``i*sqrt(-D)`` when D < 0).
+
+    ``d`` is the radicand the point prints with, as ``a + b*sqrt(d)``: None
+    for a rational point, else a non-square integer with ``D/d`` the square
+    of a rational.  A point of an orbit keeps the ``d`` of the fixed point it
+    came from, so an orbit prints over one ``d`` even when that ``d`` keeps
+    the square of a prime that ``squarefree_decompose`` cannot find.  The
+    public constructors validate and reduce their input; ``_make`` takes
+    canonical integers as they are.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("coords", "d")
 
     def __init__(self, x, y):
-        if not isinstance(x, QuadExtScalar):
-            x = QuadExtScalar(rat(x))
-        if not isinstance(y, QuadExtScalar):
-            y = QuadExtScalar(rat(y))
-        if x.is_zero() and y.is_zero():
+        x, y = rat(x), rat(y)
+        if not x and not y:
             raise InputError("(0, 0) is not a projective point")
-        x, y = _scaled_pair(x, y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self._set(_rational_pair(x.numerator * y.denominator, y.numerator * x.denominator), None)
+
+    def _set(self, coords: tuple[int, ...], d: int | None) -> None:
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "d", d)
 
     @classmethod
-    def _make(cls, x: QuadExtScalar, y: QuadExtScalar) -> "ProjPoint":
-        """The point with canonical coordinates ``(x, y)``, taken as they are."""
+    def _make(cls, coords: tuple[int, ...], d: int | None) -> "ProjPoint":
+        """The point with canonical ``coords`` and radicand ``d``, taken as they are."""
         self = object.__new__(cls)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self._set(coords, d)
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("ProjPoint is immutable")
 
     @classmethod
-    def from_affine(cls, t) -> "ProjPoint":
-        return cls._make(t if isinstance(t, QuadExtScalar) else QuadExtScalar(rat(t)), QE_ONE)
+    def from_affine(cls, a, b=0, d: int | None = None) -> "ProjPoint":
+        """The point ``a + b*sqrt(d)`` for rationals a, b and an integer d
+        that is not a square; ``d`` is reduced by ``squarefree_decompose``
+        and is needed only when b != 0."""
+        a, b = rat(a), rat(b)
+        if not b:
+            return cls._make((a.numerator, a.denominator), None)
+        if d is None:
+            raise InputError("irrational part requires an extension d")
+        k, d0 = squarefree_decompose(d)
+        if d0 in (0, 1):
+            raise InputError(f"d={d} is a perfect square or zero")
+        # the root (2a + s*sqrt(D))/2 of t^2 - 2a t + a^2 - b^2 d, s the sign
+        # of b; scaled by the lcm of its denominators, the form is primitive
+        middle, last = -2 * a, a * a - b * b * d
+        scale = math.lcm(middle.denominator, last.denominator)
+        coords = (scale, middle.numerator * (scale // middle.denominator),
+                  last.numerator * (scale // last.denominator), 1 if b > 0 else -1)
+        return cls._make(coords, d0)
 
     @classmethod
     def infinity(cls) -> "ProjPoint":
-        return cls._make(QE_ONE, QE_ZERO)
+        return cls._make((1, 0), None)
 
     @property
     def is_infinity(self) -> bool:
-        return not self.y.a
+        return self.coords == (1, 0)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.x == other.x and self.is_infinity == other.is_infinity
+        return self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.x, self.is_infinity))
+        return hash(self.coords)
+
+    def _parts(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``ratio_key`` of a and b of a quadratic point ``a + b*sqrt(d)``: with
+        K = sqrt(D*d), an integer because D/d is a rational square,
+        a = -B/2A and b = s*K/(2A*|d|)."""
+        A, B, C, s = self.coords
+        d = self.d
+        K = math.isqrt((B * B - 4 * A * C) * d)
+        return ratio_key(-B, 2 * A), ratio_key(s * K, 2 * A * abs(d))
 
     def sort_key(self):
-        return (1 if self.is_infinity else 0, self.x.sort_key())
+        """``(0, (0, a, 0))`` for a rational a, ``(1, (0, 1, 0))`` for infinity
+        and ``(0, (d, a, b))`` for ``a + b*sqrt(d)``, each rational as
+        (numerator, denominator)."""
+        if len(self.coords) == 2:
+            x, y = self.coords
+            return (0, (0, (x, y), (0, 1))) if y else (1, (0, (1, 1), (0, 1)))
+        return (0, (self.d, *self._parts()))
 
     def __repr__(self):
         return f"ProjPoint({self})"
 
     def __str__(self):
-        return "inf" if self.is_infinity else str(self.x)
+        if len(self.coords) == 2:
+            x, y = self.coords
+            return ratio_str(x, y) if y else "inf"
+        a, b = self._parts()
+        coeff = "" if b == (1, 1) else ("-" if b == (-1, 1) else ratio_str(*b) + "*")
+        term = f"{coeff}sqrt({self.d})"
+        if not a[0]:
+            return term
+        return ratio_str(*a) + ("" if term.startswith("-") else "+") + term
 
 
 class IntMatrix:
@@ -498,50 +362,58 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in b) for b in basis]
 
 
-def quadratic_roots(a, b, c) -> tuple[QuadExtScalar, ...]:
-    """Distinct roots of a*t^2 + b*t + c over Q or a quadratic extension.
-
-    Degenerate a == 0 yields the single linear root; a double root is returned
-    once.  The coefficients are scaled to integers A, B, C, and the roots are
-    (-B +- s*sqrt(d)) / 2A with ``B^2 - 4AC = s^2 * d`` by
-    ``squarefree_decompose``.  Irrational pairs are ordered positive-sqrt part
-    first, rational pairs larger root first.
-    """
-    a, b, c = rat(a), rat(b), rat(c)
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise InputError("zero polynomial has every root")
-            raise NoRoot("constant nonzero polynomial")
-        return (QuadExtScalar._make(-c / b),)
-    scale = lcm_all((a.denominator, b.denominator, c.denominator))
-    a, b, c = (x.numerator * (scale // x.denominator) for x in (a, b, c))
-    disc = b * b - 4 * a * c
-    base = Q(-b, 2 * a)
-    if disc == 0:
-        return (QuadExtScalar._make(base),)
-    s, d = squarefree_decompose(disc)
-    if d == 1:
-        r1 = QuadExtScalar._make(Q(s - b, 2 * a))
-        r2 = QuadExtScalar._make(Q(-s - b, 2 * a))
-        return (r1, r2) if r1.a > r2.a else (r2, r1)
-    half = Q(s, 2 * abs(a))
-    return (QuadExtScalar._make(base, half, d), QuadExtScalar._make(base, -half, d))
-
-
 # ---------------------------------------------------------------------------
 # Strict-positivity alternative for integer weight families
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PositiveCombination:
-    """Strictly positive rational lambda with sum(lambda_i * w_i) = 0."""
+    """Strictly positive rational lambda with sum(lambda_i * w_i) = 0.
 
-    coefficients: tuple
+    Held as integer ``numerators`` over one ``denominator`` > 0 with no
+    common factor; the public constructor takes the rationals lambda_i and
+    ``coefficients`` builds them again.
+    """
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, coefficients):
+        lam = [rat(c) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in lam))
+        self._set(tuple(c.numerator * (den // c.denominator) for c in lam), den)
+
+    def _set(self, numerators: tuple[int, ...], denominator: int) -> None:
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _make(cls, numerators: list[int], denominator: int) -> "PositiveCombination":
+        """lambda_i = numerators[i] / denominator for ints with denominator > 0."""
+        self = object.__new__(cls)
+        g = math.gcd(denominator, *numerators)
+        self._set(tuple(n // g for n in numerators), denominator // g)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("PositiveCombination is immutable")
+
+    @property
+    def coefficients(self) -> tuple[Q, ...]:
+        return tuple(Q(n, self.denominator) for n in self.numerators)
 
     def __iter__(self):
         return iter(self.coefficients)
+
+    def __eq__(self, other):
+        if not isinstance(other, PositiveCombination):
+            return NotImplemented
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerators, self.denominator))
+
+    def __repr__(self):
+        return f"PositiveCombination(coefficients={self.coefficients!r})"
 
 
 @dataclass(frozen=True)
@@ -559,9 +431,9 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     integer witness pairing nonnegatively with every column and positively
     with at least one.  Decided by phase-one simplex on ``{w x = -w 1, x >= 0}``
     with the witness read off the Farkas dual.  The simplex pivots in plain
-    integers, whatever rational backend is live; a rational is built only for
-    the returned coefficients.  Either outcome is re-checked in integers, and
-    a failed check raises ``InternalError``.
+    integers, and lambda keeps its integer numerators and denominator.  Either
+    outcome is re-checked in integers, and a failed check raises
+    ``InternalError``.
     """
     n = w.cols
     if n < 1:
@@ -572,7 +444,7 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
         lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
         if min(nums) < 0 or any(sum(c * l for c, l in zip(row, lam)) for row in rows):
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
-        return PositiveCombination(tuple(Q(l, den) for l in lam))
+        return PositiveCombination._make(lam, den)
     v = _primitive(tuple(-x for x in nums))
     pairings = [sum(a * b for a, b in zip(v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:

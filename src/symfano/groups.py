@@ -4,6 +4,10 @@ Lattice automorphism groups act on the character lattice and decide the
 symmetry test (only 0 fixed).  Finite groups of projective 2x2 transformations
 over Q act on the projective line; their exceptional orbits, computed once per
 group, give both the threshold computations and the global fixed point test.
+The line is integer data throughout: an element is a primitive integer
+matrix, and a point is a primitive pair or a primitive irreducible binary
+quadratic form with a choice of root (``exact.ProjPoint``), so orbits, fixed
+points, hashes and sort keys build no rationals.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
-from .exact import QE_ONE, IntMatrix, ProjPoint, QuadExtScalar, integer_kernel, quadratic_roots
-from .rationals import ZERO, Q, lcm_all, rat, rat_key
+from .exact import IntMatrix, ProjPoint, _rational_pair, integer_kernel
+from .rationals import Q, lcm_all, rat, ratio_key, squarefree_decompose
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -96,31 +100,30 @@ class MoebiusElement:
         return MoebiusElement._primitive(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        """The image of p, from p = (A + B*sqrt(r) : D) in integers.
+        """The image of p, in integers with one gcd.
 
-        With P + P1*sqrt(r) = a(A + B*sqrt(r)) + bD and R + R1*sqrt(r) =
-        c(A + B*sqrt(r)) + dD, the image is ((P R - P1 R1 r) + (P1 R - P R1)
-        sqrt(r)) / N for N = R^2 - R1^2 r, or infinity when N == 0 (r is 0 or
-        not a square).
+        A rational point (x : y) goes to (a x + b y : c x + d y).  A root of
+        the form F goes to a root of F'(x, y) = F(d x - b y, -c x + a y),
+        whose discriminant is det^2 times F's; the root keeps its sign s
+        relative to F' when det > 0 and changes it when det < 0, and it
+        changes again when F' is negated to make its first coefficient
+        positive.  That coefficient is F(d, -c), never 0 because F has no
+        rational root.  The image keeps p's radicand ``d``.
         """
-        x = p.x
-        if p.is_infinity:
-            A, B, D = 1, 0, 0
-        else:
-            u, v = x.a, x.b
-            D = math.lcm(u.denominator, v.denominator)
-            A = u.numerator * (D // u.denominator)
-            B = v.numerator * (D // v.denominator)
-        r = x.d or 0
-        P, P1 = self.a * A + self.b * D, self.a * B
-        R, R1 = self.c * A + self.d * D, self.c * B
-        N = R * R - R1 * R1 * r
-        if not N:
-            return ProjPoint.infinity()
-        im = P1 * R - P * R1
-        return ProjPoint._make(
-            QuadExtScalar._make(Q(P * R - P1 * R1 * r, N), Q(im, N) if im else ZERO, x.d), QE_ONE
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if len(p.coords) == 2:
+            x, y = p.coords
+            return ProjPoint._make(_rational_pair(a * x + b * y, c * x + d * y), None)
+        A, B, C, s = p.coords
+        A1 = (A * d - B * c) * d + C * c * c
+        B1 = B * (a * d + b * c) - 2 * (A * b * d + C * a * c)
+        C1 = (A * b - B * a) * b + C * a * a
+        g = math.gcd(A1, B1, C1)
+        if (A1 < 0) != (a * d < b * c):
+            s = -s
+        if A1 < 0:
+            g = -g
+        return ProjPoint._make((A1 // g, B1 // g, C1 // g, s), p.d)
 
     def __eq__(self, other):
         if not isinstance(other, MoebiusElement):
@@ -131,8 +134,9 @@ class MoebiusElement:
         return hash((self.a, self.b, self.c, self.d))
 
     def sort_key(self):
-        (a, b), (c, d) = self.matrix
-        return (rat_key(a), rat_key(b), rat_key(c), rat_key(d))
+        """The entries of ``matrix``, each as (numerator, denominator)."""
+        s = self.a or self.b  # the first nonzero entry, which is positive
+        return (ratio_key(self.a, s), ratio_key(self.b, s), ratio_key(self.c, s), ratio_key(self.d, s))
 
     def __repr__(self):
         e = self.matrix
@@ -199,20 +203,31 @@ def closure(generators) -> MoebiusGroup:
 
 
 def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
-    """The one or two fixed points of a non-identity element.
+    """The one or two fixed points of a non-identity element, sorted.
 
-    Affine fixed points solve c t^2 + (d - a) t - b = 0; infinity is fixed
-    iff c == 0.  A single point is returned exactly for parabolic elements.
+    They are the roots of the form c x^2 + (d - a) xy - b y^2, rational
+    exactly when its discriminant D = (d - a)^2 + 4bc is a square.  Otherwise
+    both roots print over the ``d`` that ``squarefree_decompose`` leaves of D.
+    A single point is returned exactly for parabolic elements (D == 0).
     """
     if g.is_identity():
         raise IdentityElement("every point is fixed")
-    pts: list[ProjPoint] = []
-    if g.c == 0:
-        pts.append(ProjPoint.infinity())
-        if g.a != g.d:
-            pts.append(ProjPoint.from_affine(QuadExtScalar._make(Q(g.b, g.d - g.a))))
+    a, b, c, d = g.a, g.b, g.c, g.d
+    disc = (d - a) ** 2 + 4 * b * c
+    r = math.isqrt(disc) if disc >= 0 else -1
+    if r * r == disc:
+        if c:
+            roots = {_rational_pair(a - d + r, 2 * c), _rational_pair(a - d - r, 2 * c)}
+        else:
+            roots = {(1, 0), _rational_pair(b, d - a)}
+        pts = [ProjPoint._make(k, None) for k in roots]
     else:
-        pts.extend(ProjPoint.from_affine(t) for t in quadratic_roots(g.c, g.d - g.a, -g.b))
+        k = math.gcd(c, d - a, b)
+        if c < 0:
+            k = -k
+        form = (c // k, (d - a) // k, -b // k)
+        radicand = squarefree_decompose(disc)[1]
+        pts = [ProjPoint._make((*form, s), radicand) for s in (1, -1)]
     return tuple(sorted(pts, key=ProjPoint.sort_key))
 
 

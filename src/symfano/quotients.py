@@ -20,9 +20,6 @@ from .exact import (
     solve_positive_combination,
 )
 from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
-from .rationals import Q, lcm_all
-
-DIVERGES = "diverges"
 
 LOCUS_COORDINATE_CAP = 20
 
@@ -94,13 +91,12 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
     support = _normalize_support(weight_matrix, support)
     cols = [weight_matrix.column(l) for l in support]
     if isinstance(cert, PositiveCombination):
-        lam = [Q(c) for c in cert.coefficients]
+        # lambda_i = numerators[i] / denominator with denominator > 0
+        lam = cert.numerators
         if len(lam) != len(cols) or any(c <= 0 for c in lam):
             return False
-        scale = lcm_all(c.denominator for c in lam)
-        ints = [c.numerator * (scale // c.denominator) for c in lam]
         return all(
-            sum(c * col[i] for c, col in zip(ints, cols)) == 0
+            sum(c * col[i] for c, col in zip(lam, cols)) == 0
             for i in range(weight_matrix.torus_rank)
         )
     if isinstance(cert, Destabilizer):
@@ -109,26 +105,6 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
         pairings = [sum(a * b for a, b in zip(cert.vector, col)) for col in cols]
         return all(p >= 0 for p in pairings) and any(p > 0 for p in pairings)
     return False
-
-
-def limit_support(weight_matrix: WeightMatrix, support, one_ps) -> tuple[str, ...] | str:
-    """Support of the limit point along a one-parameter subgroup.
-
-    A negative pairing makes some coordinate blow up (``DIVERGES``); otherwise
-    the coordinates pairing to zero survive.
-    """
-    support = _normalize_support(weight_matrix, support)
-    one_ps = tuple(int(x) for x in one_ps)
-    if len(one_ps) != weight_matrix.torus_rank:
-        raise InputError("one-parameter subgroup has the wrong rank")
-    survivors = []
-    for label in support:
-        pairing = sum(a * b for a, b in zip(one_ps, weight_matrix.column(label)))
-        if pairing < 0:
-            return DIVERGES
-        if pairing == 0:
-            survivors.append(label)
-    return tuple(survivors)
 
 
 def polystable_locus(weight_matrix: WeightMatrix):

@@ -1,16 +1,17 @@
 """Exact rational scalars.
 
-Every quantity in this package is an exact rational, or an element
-``a + b*sqrt(d)`` of a quadratic extension of the rationals with an integer
-``d`` that ``squarefree_decompose`` reduces without factoring it in full;
-there are no floats and no tolerances anywhere.  The scalar type is
-``fractions.Fraction``, which normalises to lowest terms with a positive
-denominator; ``BACKEND`` names it.  The stability simplex
-(``exact.solve_positive_combination``) pivots in plain integers and builds
-rationals only for the coefficients it returns; a Moebius element
-(``groups.MoebiusElement``) is a primitive integer matrix, and its action
-builds each part of an image point with one reduction.  ``parse_rat`` builds
-``"p/q"`` with one reduction.
+Every quantity in this package is an exact integer or rational; there are no
+floats and no tolerances anywhere.  The scalar type is ``fractions.Fraction``,
+which normalises to lowest terms with a positive denominator; ``BACKEND``
+names it.  The hot layers avoid it: the stability simplex
+(``exact.solve_positive_combination``) pivots in plain integers and keeps
+its coefficients as integer numerators over one denominator, and the
+projective line (``groups.MoebiusElement``, ``exact.ProjPoint``) is integer
+matrices, pairs and binary quadratic forms.  ``ratio_key`` and ``ratio_str``
+read an integer numerator and denominator as a rational with one gcd, and
+``squarefree_decompose`` reduces the radicand ``d`` that a quadratic point
+prints with, without factoring it in full.  ``parse_rat`` builds ``"p/q"``
+with one reduction.
 """
 
 from __future__ import annotations
@@ -65,14 +66,17 @@ def rat_str(x) -> str:
     return str(x)
 
 
-def reciprocal(q: Q) -> Q:
-    """``1/q`` for a nonzero rational, built in one step."""
-    return Q(q.denominator, q.numerator)
+def ratio_key(n: int, d: int) -> tuple[int, int]:
+    """Sort key of the rational n/d for ints with d > 0: its numerator, then
+    its denominator, reduced with one gcd."""
+    g = math.gcd(n, d)
+    return (n // g, d // g)
 
 
-def rat_key(x):
-    """Deterministic sort key of a rational or an int: numerator, then denominator."""
-    return (x.numerator, x.denominator)
+def ratio_str(n: int, d: int) -> str:
+    """``rat_str`` of n/d for ints with d > 0, reduced with one gcd."""
+    n, d = ratio_key(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def lcm_all(values) -> int:

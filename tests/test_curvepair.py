@@ -9,7 +9,7 @@ from symfano.curvepair import (
     orbit_classes,
 )
 from symfano.errors import CoefficientOutOfRange, NotInvariant
-from symfano.exact import ProjPoint, quadratic_roots
+from symfano.exact import ProjPoint
 from symfano.groups import MoebiusElement, closure
 from symfano.rationals import rat
 from symfano.selftest import _group_pool, _random_invariant_pair, lct_oracle
@@ -96,8 +96,8 @@ def test_lct_preconditions():
 def test_lct_marked_points_over_two_fields(rng):
     # D2 = {t, -t, 2/t, -2/t}: exceptional orbits {0, inf}, {+-sqrt(2)} and {+-sqrt(-2)}
     d2 = closure([MoebiusElement([[-1, 0], [0, 1]]), MoebiusElement([[0, 2], [1, 0]])])
-    real = [ProjPoint.from_affine(t) for t in quadratic_roots(1, 0, -2)]
-    imaginary = [ProjPoint.from_affine(t) for t in quadratic_roots(1, 0, 2)]
+    real = [ProjPoint.from_affine(0, s, 2) for s in (1, -1)]
+    imaginary = [ProjPoint.from_affine(0, s, -2) for s in (1, -1)]
     pair = MarkedCurvePair([(p, rat(1, 2)) for p in real] + [(p, rat(1, 4)) for p in imaginary])
     res = lct_g(pair, d2)
     # classes over the free mass 1/2: sqrt(2) orbit 2, sqrt(-2) orbit 3, {0, inf} 4, generic 8
@@ -115,7 +115,8 @@ def test_lct_marked_exceptional_orbit_uses_marked_coefficient():
 
 
 def test_lct_quadratic_extension_marked_points():
-    omega = [ProjPoint.from_affine(t) for t in quadratic_roots(1, 1, 1)]
+    # the roots (-1 +- sqrt(-3))/2 of t^2 + t + 1
+    omega = [ProjPoint.from_affine(rat(-1, 2), rat(s, 2), -3) for s in (1, -1)]
     pair = MarkedCurvePair([(p, rat(1, 2)) for p in omega])
     cyclic3 = closure([MoebiusElement([[-1, -1], [1, 0]])])
     # each point is separately fixed: two marked orbits of size 1

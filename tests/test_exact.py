@@ -9,21 +9,17 @@ from pathlib import Path
 import pytest
 
 from symfano import exact
-from symfano.errors import InputError, NoRoot
+from symfano.errors import InputError
 from symfano.exact import (
     IntMatrix,
     PositiveCombination,
     ProjPoint,
-    QE_ONE,
-    QE_ZERO,
-    QuadExtScalar,
     SemipositiveWitness,
     integer_kernel,
-    quadratic_roots,
     smith_normal_form,
     solve_positive_combination,
 )
-from symfano.rationals import parse_rat, rat, rat_str, squarefree_decompose
+from symfano.rationals import parse_rat, rat, rat_str, ratio_str, squarefree_decompose
 
 
 def snf_invariants(a):
@@ -91,40 +87,6 @@ def test_integer_kernel_random(rng, property_cases):
         assert len(kernel) + rank == cols
 
 
-def eval_quadratic(a, b, c, root):
-    return QuadExtScalar(rat(a)) * root * root + QuadExtScalar(rat(b)) * root + QuadExtScalar(rat(c))
-
-
-def test_quadratic_roots_examples():
-    r1, r2 = quadratic_roots(1, 0, -2)
-    assert (r1.d, r1.a, r1.b) == (2, 0, 1) and (r2.a, r2.b) == (0, -1)
-    r1, r2 = quadratic_roots(1, 0, -1)
-    assert (r1.a, r2.a) == (1, -1) and r1.d is None
-    r1, r2 = quadratic_roots(1, 1, 1)
-    assert r1.d == -3 and r1.a == rat(-1, 2) and r1.b == rat(1, 2)
-    assert eval_quadratic(1, 1, 1, r1).is_zero() and eval_quadratic(1, 1, 1, r2).is_zero()
-
-
-def test_quadratic_roots_degenerate():
-    (root,) = quadratic_roots(0, 2, 5)
-    assert root.a == rat(-5, 2) and root.d is None
-    (double,) = quadratic_roots(1, -4, 4)
-    assert double.a == 2
-    with pytest.raises(NoRoot):
-        quadratic_roots(0, 0, 5)
-    with pytest.raises(InputError):
-        quadratic_roots(0, 0, 0)
-
-
-def test_quadratic_roots_random(rng, property_cases):
-    for _ in range(property_cases):
-        a, b, c = (rng.randint(-6, 6) for _ in range(3))
-        if (a, b, c) == (0, 0, 0) or (a == 0 and b == 0):
-            continue
-        for root in quadratic_roots(a, b, c):
-            assert eval_quadratic(a, b, c, root).is_zero()
-
-
 # primes above the trial-division bound 2^16 of squarefree_decompose
 BIG_PRIMES = (65537, 65539, 65543, 1000003, 2**31 - 1)
 
@@ -157,130 +119,60 @@ def test_squarefree_decompose_past_the_trial_bound(rng):
     assert squarefree_decompose(-9 * q * q * r * r) == (3 * q * r, -1)
 
 
-def test_quadratic_roots_rational_past_the_trial_bound():
-    """(t - q)(t + 3q) has the square discriminant 16 q^2, whose cofactor q^2
-    exceeds 2^32: both roots come out rational."""
-    for q in BIG_PRIMES:
-        r1, r2 = quadratic_roots(1, 2 * q, -3 * q * q)
-        assert r1.d is None and r2.d is None
-        assert (r1.a, r2.a) == (q, -3 * q)
-        r1, r2 = quadratic_roots(Fraction(1, 7), Fraction(2 * q, 7), Fraction(-3 * q * q, 7))
-        assert (r1, r2) == (QuadExtScalar(q), QuadExtScalar(-3 * q))
+def test_projpoint_eq_hash_contract():
+    # a ProjPoint equals only ProjPoints, so equal points hash equal
+    assert (ProjPoint.from_affine(3) == (3, 1)) is False
+    assert len({ProjPoint.from_affine(3), (3, 1)}) == 2
+    assert ProjPoint.from_affine(1) != "abc"
+    assert len({ProjPoint.from_affine(3), ProjPoint(Fraction(6, 2), 1), ProjPoint("-9", "-3")}) == 1
+    root = ProjPoint.from_affine(0, 1, 8)
+    assert root == ProjPoint.from_affine(0, 2, 2) and hash(root) == hash(ProjPoint.from_affine(0, 2, 2))
+    assert (root.coords, root.d, str(root)) == ((1, 0, -8, 1), 2, "2*sqrt(2)")
+    # b == 0 is a rational point; a square d or a missing d is an input error
+    assert ProjPoint.from_affine(5, 0, 2) == ProjPoint.from_affine(5) and ProjPoint.from_affine(5).d is None
+    for bad in ((0, 1, 4), (0, 1, 0), (1, 1, None)):
+        with pytest.raises(InputError):
+            ProjPoint.from_affine(*bad)
 
 
-def test_quadext_arithmetic():
-    s2 = QuadExtScalar(0, 1, 2)
-    assert (s2 * s2).a == 2 and (s2 * s2).d is None
-    x = QuadExtScalar(rat(1, 2), rat(3), 2)
-    assert (x - x).is_zero()
-    assert (x / x) == QuadExtScalar(1)
-    # b = 0 collapses to the rational marker
-    collapsed = s2 - s2 + QuadExtScalar(5)
-    assert collapsed.d is None and collapsed == QuadExtScalar(rat(5))
-    # non-squarefree d is normalized
-    assert QuadExtScalar(0, 1, 8) == QuadExtScalar(0, 2, 2)
-    # documents never mix two fields; a library call that does is an input error
-    with pytest.raises(InputError):
-        s2 + QuadExtScalar(0, 1, 3)
-    with pytest.raises(InputError):
-        ProjPoint(s2, QuadExtScalar(0, 1, 3))
-    with pytest.raises(InputError):
-        QuadExtScalar(0, 1, 4)
-
-
-def test_quadext_eq_hash_contract():
-    # a QuadExtScalar equals only QuadExtScalars, so equal values hash equal
-    assert (QuadExtScalar(3) == 3) is False
-    assert len({QuadExtScalar(3), 3}) == 2
-    assert (QuadExtScalar(1) == "abc") is False
-    assert QuadExtScalar(1) != "abc"
-    assert len({QuadExtScalar(3), QuadExtScalar(Fraction(6, 2)), QuadExtScalar(1) + 2}) == 1
-    root = QuadExtScalar(0, 1, 8)
-    assert root == QuadExtScalar(0, 2, 2) and hash(root) == hash(QuadExtScalar(0, 2, 2))
-
-
-def test_quadext_equality_without_squarefree_d(rng):
+def test_projpoint_equality_without_squarefree_d(rng):
     """d = s^2 * f with a prime above 2^16 in s and in f keeps s^2 inside d,
-    yet both ways of writing the value compare and hash equal."""
+    yet both ways of writing the point compare and hash equal; each prints
+    over the d it was given."""
     big = (65537, 65539, 1000003, 2**31 - 1)
     for _ in range(40):
         f = rng.choice(big) * rng.choice((1, -1, 2, -3, 6, -10))
         s = rng.choice(big) * rng.randint(1, 30)
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
-        hidden, plain = QuadExtScalar(a, b, s * s * f), QuadExtScalar(a, b * s, f)
+        hidden, plain = ProjPoint.from_affine(a, b, s * s * f), ProjPoint.from_affine(a, b * s, f)
         assert hidden.d != plain.d and hidden.d % f == 0
         assert hidden == plain and plain == hidden and hash(hidden) == hash(plain)
-        assert len({hidden, plain, QuadExtScalar(a, -b * s, f), QuadExtScalar(a + 1, b * s, f)}) == 3
-        assert ProjPoint.from_affine(hidden) == ProjPoint.from_affine(plain)
-        assert hash(ProjPoint.from_affine(hidden)) == hash(ProjPoint.from_affine(plain))
-        # values over the two d combine like values over one
-        other = QuadExtScalar(b, a, f)
-        assert hidden + other == other + hidden == plain + other
-        assert hidden - other == plain - other and other - hidden == other - plain
-        assert hidden * other == other * hidden == plain * other
-        assert (hidden - plain).is_zero() and hidden / plain == QuadExtScalar(1)
-        assert hidden * plain == QuadExtScalar(b * b * s * s * f + a * a, 2 * a * b * s, f)
-    # two equal values over the d 65537^2 * p and p add and multiply
-    p = 65537 * 65539
-    x, y = QuadExtScalar(0, 1, 65537**2 * p), QuadExtScalar(0, 65537, p)
-    assert x.d == 65537**2 * p and y.d == p and x == y
-    assert x + y == QuadExtScalar(0, 2 * 65537, p) and (x - y).is_zero()
-    assert x * y == QuadExtScalar(65537**2 * p)
-    imaginary = QuadExtScalar(1, 1, -(65537**2) * p)
-    assert imaginary == QuadExtScalar(1, 65537, -p)
-    assert imaginary * QuadExtScalar(1, -65537, -p) == QuadExtScalar(1 + 65537**2 * p)
-    with pytest.raises(InputError):
-        x + QuadExtScalar(0, 1, -p)
-    with pytest.raises(InputError):
-        x * QuadExtScalar(0, 1, 65537 * p)
-
-
-def _random_scalar(rng, d):
-    a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    b = Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if d is not None else 0
-    return QuadExtScalar(a, b, d)
-
-
-def test_quadext_arithmetic_agrees_with_public_constructor(rng, property_cases):
-    """Results built without re-validation equal their rebuild through the
-    public constructor, componentwise and by hash, and satisfy the field laws."""
-    for _ in range(property_cases):
-        d = rng.choice((None, -3, -1, 2, 5, 6))
-        x = _random_scalar(rng, d)
-        y = _random_scalar(rng, rng.choice((None, d)))
-        r = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
-        results = [x + y, x - y, x * y, -x, x + r, r + x, x - r, r - x, x * r, r * x]
-        if not y.is_zero():
-            results += [x / y, y.inverse()]
-            assert (x / y) * y == x
-        if r:
-            results.append(x / r)
-            assert (x / r) * r == x
-        if not x.is_zero():
-            results.append(r / x)
-            assert (r / x) * x == QuadExtScalar(r)
-        assert (x - y) + y == x and x + (-x) == QE_ZERO
-        for res in results:
-            rebuilt = QuadExtScalar(res.a, res.b, res.d)
-            assert (res.a, res.b, res.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
-            assert type(res.a) is Fraction and type(res.b) is Fraction
-            assert res == rebuilt and hash(res) == hash(rebuilt)
+        conjugate, shifted = ProjPoint.from_affine(a, -b * s, f), ProjPoint.from_affine(a + 1, b * s, f)
+        assert len({hidden, plain, conjugate, shifted}) == 3
+        assert str(plain) != str(hidden) and f"sqrt({hidden.d})" in str(hidden)
+        # the key reads a and b over the point's own d, here b times the
+        # square root k of the small square factors taken out of s^2 * f
+        k = math.isqrt(s * s * f // hidden.d)
+        assert hidden.sort_key() == (0, (hidden.d, (a.numerator, a.denominator), ((b * k).numerator, (b * k).denominator)))
 
 
 def test_projpoint_canonical_form(rng, property_cases):
     for _ in range(property_cases):
-        d = rng.choice((None, -1, 2, 3))
-        x = _random_scalar(rng, d)
-        y = rng.choice((QE_ZERO, QE_ONE, _random_scalar(rng, None), _random_scalar(rng, d)))
-        if x.is_zero() and y.is_zero():
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        y = rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+        if not x and not y:
             continue
         p = ProjPoint(x, y)
-        assert p.y in (QE_ZERO, QE_ONE)
-        assert p.is_infinity == (p.y == QE_ZERO)
-        assert p == ProjPoint(p.x, p.y) and hash(p) == hash(ProjPoint(p.x, p.y))
-        if not y.is_zero():
-            assert p.x == x / y
+        u, v = p.coords
+        assert v > 0 and math.gcd(u, v) == 1 if v else (u, v) == (1, 0)
+        assert p.is_infinity == (not y) and p.d is None
+        assert p == ProjPoint(*p.coords) and hash(p) == hash(ProjPoint(*p.coords))
+        if y:
+            assert p == ProjPoint.from_affine(x / y) and Fraction(str(p)) == x / y
+            assert p.sort_key() == (0, (0, (u, v), (0, 1)))
+        else:
+            assert str(p) == "inf" and p.sort_key() == (1, (0, (1, 1), (0, 1)))
 
 
 def test_projpoint_equality_is_equivalence(rng):
@@ -299,16 +191,38 @@ def test_projpoint_equality_is_equivalence(rng):
                     assert p == r
     # canonicalization is idempotent
     p = ProjPoint(rat(2), rat(4))
-    assert ProjPoint(p.x, p.y) == p
+    assert ProjPoint(*p.coords) == p
     with pytest.raises(InputError):
         ProjPoint(rat(0), rat(0))
 
 
 def test_projpoint_across_extensions():
-    s2 = quadratic_roots(1, 0, -2)[0]
-    irrational = ProjPoint.from_affine(s2)
+    irrational = ProjPoint.from_affine(0, 1, 2)
     assert irrational != ProjPoint.from_affine(rat(1))
-    assert irrational.x.d == 2
+    assert irrational.d == 2 and str(irrational) == "sqrt(2)"
+    assert irrational != ProjPoint.from_affine(0, 1, -2) != ProjPoint.from_affine(0, 1, 3)
+
+
+def test_positive_combination_keeps_integers(rng):
+    """lambda is held as numerators over one denominator: the public
+    constructor on its coefficients gives it back, and the report renders
+    each coefficient as ``rat_str`` does."""
+    seen = 0
+    for _ in range(200):
+        w = IntMatrix([[rng.randint(-5, 5) for _ in range(5)] for _ in range(2)])
+        out = solve_positive_combination(w)
+        if isinstance(out, PositiveCombination):
+            seen += 1
+            again = PositiveCombination(out.coefficients)
+            assert again == out and hash(again) == hash(out)
+            assert (again.numerators, again.denominator) == (out.numerators, out.denominator)
+            assert out.denominator > 0 and math.gcd(out.denominator, *out.numerators) == 1
+            rendered = [ratio_str(n, out.denominator) for n in out.numerators]
+            assert rendered == [rat_str(c) for c in out.coefficients]
+    assert seen
+    lam = PositiveCombination(("1/2", 3, Fraction(-2, 3)))
+    assert (lam.numerators, lam.denominator) == ((3, 18, -4), 6)
+    assert lam.coefficients == (Fraction(1, 2), Fraction(3), Fraction(-2, 3))
 
 
 def test_rational_serialization():

@@ -1,11 +1,14 @@
+import functools
 import math
 import random
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from symfano import groups
 from symfano.errors import IdentityElement, InputError, NotFiniteWithinCap
-from symfano.exact import QE_ONE, QE_ZERO, IntMatrix, ProjPoint, QuadExtScalar, smith_normal_form
+from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
@@ -18,7 +21,7 @@ from symfano.groups import (
     is_symmetric,
     orbit_of,
 )
-from symfano.rationals import rat
+from symfano.rationals import rat, rat_str, squarefree_decompose
 from symfano.selftest import _GROUP_GENERATORS, _conjugate_group, _group_pool
 
 INVOLUTION = MoebiusElement([[0, 1], [1, 0]])          # x -> 1/x
@@ -200,12 +203,21 @@ def test_fixed_points_examples():
     assert single == ProjPoint.infinity()
     rot = MoebiusElement([[0, -1], [1, 0]])
     a, b = fixed_points(rot)
-    assert {p.x.d for p in (a, b)} == {-1}
+    assert {p.d for p in (a, b)} == {-1}
     for g in (INVOLUTION, THREE_CYCLE, TRANSPOSITION, rot):
         for p in fixed_points(g):
             assert g.apply(p) == p
     with pytest.raises(IdentityElement):
         fixed_points(MoebiusElement([[3, 0], [0, 3]]))
+
+
+def test_fixed_points_rational_past_the_trial_bound():
+    """(t - q)(t + 3q) has the square discriminant 16 q^2, whose cofactor q^2
+    exceeds 2^32: the fixed points of t -> 3q^2/(t + 2q) come out rational."""
+    for q in (65537, 65539, 65543, 1000003, 2**31 - 1):
+        g = MoebiusElement([[0, 3 * q * q], [1, 2 * q]])
+        assert fixed_points(g) == (pt(-3 * q), pt(q))
+        assert all(p.d is None for p in fixed_points(g))
 
 
 def test_exceptional_orbits_involution():
@@ -286,7 +298,7 @@ def test_exceptional_orbits_over_big_fields():
         assert len(points) == len(set(points))
         fixed = [p for g in group if not g.is_identity() for p in fixed_points(g)]
         assert all(p in points for p in fixed)
-    fields = {p.x.d for g in d4_big if not g.is_identity() for p in fixed_points(g)}
+    fields = {p.d for g in d4_big if not g.is_identity() for p in fixed_points(g)}
     assert {BIG_PRIME, 65537**2 * BIG_PRIME} <= fields
 
 
@@ -318,24 +330,103 @@ def test_moebius_constructor_validates():
             MoebiusElement(bad)
 
 
-def reference_apply(g: MoebiusElement, p: ProjPoint) -> ProjPoint:
-    """(a x + b) / (c x + d) in QuadExtScalar arithmetic, infinity by hand."""
+# ---------------------------------------------------------------------------
+# Reference: points as u + v*sqrt(r) in Fraction pairs and the action as
+# (a t + b)/(c t + d) in that arithmetic, independent of the integer forms
+# of exact.ProjPoint.  None is infinity; r is None on a rational point.
+# ---------------------------------------------------------------------------
+
+
+class Quad(NamedTuple):
+    u: Fraction
+    v: Fraction
+    r: int | None
+
+
+def q_mul(x: Quad, y: Quad) -> Quad:
+    r = x.r if x.r is not None else y.r
+    return Quad(x.u * y.u + x.v * y.v * (r or 0), x.u * y.v + x.v * y.u, r)
+
+
+def q_inverse(x: Quad) -> Quad:
+    n = x.u * x.u - x.v * x.v * (x.r or 0)
+    return Quad(x.u / n, -x.v / n, x.r)
+
+
+def reference_apply(g: MoebiusElement, t: Quad | None) -> Quad | None:
     (a, b), (c, d) = g.matrix
-    if p.is_infinity:
-        return ProjPoint.infinity() if c == 0 else ProjPoint.from_affine(QuadExtScalar(a / c))
-    denominator = p.x * c + d
-    if denominator.is_zero():
-        return ProjPoint.infinity()
-    return ProjPoint.from_affine((p.x * a + b) / denominator)
+    if t is None:
+        return None if c == 0 else Quad(a / c, Fraction(0), None)
+    numerator = Quad(a * t.u + b, a * t.v, t.r)
+    denominator = Quad(c * t.u + d, c * t.v, t.r)
+    if not denominator.u and not denominator.v:
+        return None
+    return q_mul(numerator, q_inverse(denominator))
 
 
-def same_point(p: ProjPoint, q: ProjPoint) -> bool:
-    """Equal, with equal hashes and the same canonical coordinates."""
-    return (
-        p == q
-        and hash(p) == hash(q)
-        and (p.x.a, p.x.b, p.x.d, p.y.a, p.y.b, p.y.d) == (q.x.a, q.x.b, q.x.d, q.y.a, q.y.b, q.y.d)
-    )
+def reference_fixed_points(g: MoebiusElement) -> list[Quad | None]:
+    """The roots (a - d +- k*sqrt(r))/2c of c t^2 + (d - a) t - b for the
+    integer entries, with D = (d - a)^2 + 4bc = k^2 r; infinity when c == 0."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if c == 0:
+        return [None] + ([Quad(Fraction(b, d - a), Fraction(0), None)] if a != d else [])
+    k, r = squarefree_decompose((d - a) ** 2 + 4 * b * c)
+    if r == 1:
+        return list({Quad(Fraction(a - d + s * k, 2 * c), Fraction(0), None) for s in (1, -1)})
+    return [Quad(Fraction(a - d, 2 * c), Fraction(s * k, 2 * c), r) for s in (1, -1)]
+
+
+def reference_key(t: Quad | None):
+    if t is None:
+        return (1, (0, (1, 1), (0, 1)))
+    return (0, ((t.r or 0) if t.v else 0, (t.u.numerator, t.u.denominator), (t.v.numerator, t.v.denominator)))
+
+
+def reference_str(t: Quad | None) -> str:
+    if t is None:
+        return "inf"
+    if not t.v:
+        return rat_str(t.u)
+    coeff = "" if t.v == 1 else ("-" if t.v == -1 else rat_str(t.v) + "*")
+    term = f"{coeff}sqrt({t.r})"
+    if not t.u:
+        return term
+    return rat_str(t.u) + ("" if term.startswith("-") else "+") + term
+
+
+def reference_value(t: Quad | None):
+    """What decides equality: u, v^2 r and the sign of v, which every r a
+    value is written over shares."""
+    return None if t is None else (t.u, t.v * t.v * (t.r or 0), t.v > 0)
+
+
+@functools.cache
+def reference_point(t: Quad | None) -> ProjPoint:
+    # cached: the public constructor reduces r by trial division, which takes
+    # milliseconds on the big fields
+    return ProjPoint.infinity() if t is None else ProjPoint.from_affine(t.u, t.v, t.r if t.v else None)
+
+
+def reference_exceptional_orbits(group: MoebiusGroup) -> list[tuple[int, list[str]]]:
+    """(stabilizer order, printed points) of each orbit of fixed points, each
+    built from the first fixed point met in group order, as a report lists them."""
+    orbits, covered = [], set()
+    for g in group:
+        if g.is_identity():
+            continue
+        for p in sorted(reference_fixed_points(g), key=reference_key):
+            if reference_value(p) in covered:
+                continue
+            orbit = {}
+            for h in group:
+                image = reference_apply(h, p)
+                orbit.setdefault(reference_value(image), image)
+            covered.update(orbit)
+            points = sorted(orbit.values(), key=reference_key)
+            orbits.append((len(points), [reference_key(q) for q in points], group.order // len(points),
+                           [reference_str(q) for q in points]))
+    orbits.sort(key=lambda o: (o[0], o[1]))
+    return [(stabilizer, printed) for _, _, stabilizer, printed in orbits]
 
 
 def random_sl2z(rng) -> MoebiusElement:
@@ -353,48 +444,73 @@ def random_gl2q(rng) -> MoebiusElement:
             return MoebiusElement(m)
 
 
-def random_points(rng) -> list[ProjPoint]:
-    d = rng.choice((-3, -1, 2, 3, 5))
+def random_points(rng) -> list[Quad | None]:
+    r = rng.choice((-3, -1, 2, 3, 5))
     t = rat(rng.randint(-9, 9), rng.randint(1, 5))
-    s = rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-    return [ProjPoint.infinity(), pt(t), ProjPoint.from_affine(QuadExtScalar(t, s, d))]
+    v = rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return [None, Quad(t, Fraction(0), None), Quad(t, v, r)]
+
+
+def conjugated_pool(rng, rounds: int) -> list[MoebiusGroup]:
+    """The selftest pool, D4 and D6, each conjugated by ``rounds`` random
+    matrices of SL2(Z) and GL2(Q) in turn, and the D4 over big fields as it
+    is (with a hidden square in one d) and under one conjugation of each
+    kind (its big discriminants cost milliseconds each to reduce)."""
+    big = d4_over_big_fields()
+    out = [big, _conjugate_group(big, random_sl2z(rng)), _conjugate_group(big, random_gl2q(rng))]
+    for group in _group_pool() + [d4(), d6()]:
+        out += [_conjugate_group(group, random_sl2z(rng) if k % 2 else random_gl2q(rng)) for k in range(rounds)]
+    return out
 
 
 def test_integer_action_agrees_with_quadratic_arithmetic():
-    """Products, inverses and the action on infinity, rational points and the
-    irrational fixed points of C2, C3, C4, C6 (d = 7, -3, -1, -3) and of a
-    group over a d with a hidden square, conjugated by SL2(Z) and GL2(Q)."""
+    """Products, inverses, fixed points and the action on infinity, rational
+    points and the quadratic fixed points of C2, C3, C4, C6 (d = 7, -3, -1,
+    -3) and of a group over a d with a hidden square, against the Fraction
+    pair reference, conjugated by SL2(Z) and GL2(Q)."""
     rng = random.Random(20261018)
-    big = d4_over_big_fields()
     fields = set()
-    for group in _group_pool() + [d4(), d6(), big]:
-        for k in range(6):
-            m = random_sl2z(rng) if k % 2 else random_gl2q(rng)
-            # unconjugated, the big group keeps a d with a hidden square
-            conjugate = group if group is big else _conjugate_group(group, m)
-            points = random_points(rng)
-            for orbit in exceptional_orbits(conjugate):
-                points.extend(orbit.points)
-            fields.update(p.x.d for p in points)
-            for g in conjugate:
-                (a, b), (c, d) = g.matrix
-                inverse = MoebiusElement([[d, -b], [-c, a]])
-                assert g.inverse() == inverse and g.inverse().matrix == inverse.matrix
-                for h in conjugate:
-                    (e, f), (u, v) = h.matrix
-                    product = g * h
-                    rebuilt = MoebiusElement([[a * e + b * u, a * f + b * v], [c * e + d * u, c * f + d * v]])
-                    assert product == rebuilt and product.matrix == rebuilt.matrix
-                    assert hash(product) == hash(rebuilt)
-                h = rng.choice(conjugate.elements)
-                for p in points:
-                    image = g.apply(p)
-                    assert same_point(image, reference_apply(g, p)), (g, p)
-                    assert same_point(image, ProjPoint(p.x * a + p.y * b, p.x * c + p.y * d))
-                    assert image.y in (QE_ZERO, QE_ONE)
-                    assert image.is_infinity == (image.y == QE_ZERO)
-                    assert same_point((g * h).apply(p), g.apply(h.apply(p))), (g, h, p)
+    for group in conjugated_pool(rng, 4):
+        points = random_points(rng)
+        for g in group:
+            if not g.is_identity():
+                reference = reference_fixed_points(g)
+                fixed = fixed_points(g)
+                assert [str(p) for p in fixed] == [reference_str(t) for t in sorted(reference, key=reference_key)]
+                assert set(fixed) == {reference_point(t) for t in reference}
+                assert all(g.apply(p) == p for p in fixed), g
+                points.extend(reference)
+        fields.update(t.r for t in points if t is not None and t.v)
+        for g in group:
+            (a, b), (c, d) = g.matrix
+            inverse = MoebiusElement([[d, -b], [-c, a]])
+            assert g.inverse() == inverse and g.inverse().matrix == inverse.matrix
+            for h in group:
+                (e, f), (u, v) = h.matrix
+                product = g * h
+                rebuilt = MoebiusElement([[a * e + b * u, a * f + b * v], [c * e + d * u, c * f + d * v]])
+                assert product == rebuilt and product.matrix == rebuilt.matrix
+                assert hash(product) == hash(rebuilt)
+            h = rng.choice(group.elements)
+            for t in points:
+                p = reference_point(t)
+                image, expected = g.apply(p), reference_apply(g, t)
+                assert image == reference_point(expected) and hash(image) == hash(reference_point(expected)), (g, t)
+                assert (str(image), image.sort_key()) == (reference_str(expected), reference_key(expected))
+                assert image.d == p.d and image.is_infinity == (expected is None)
+                twice = (g * h).apply(p)
+                assert twice == g.apply(h.apply(p)) and str(twice) == str(g.apply(h.apply(p))), (g, h, t)
     assert {-1, -3, 7, 65537**2 * BIG_PRIME} <= fields
+
+
+def test_exceptional_orbits_print_as_the_reference():
+    """Each exceptional orbit prints the points and stabilizer order that the
+    Fraction pair reference gives, in the same order, over every pool group
+    under SL2(Z) and GL2(Q) conjugation."""
+    rng = random.Random(20261020)
+    for group in conjugated_pool(rng, 4):
+        got = [(o.stabilizer_order, [str(p) for p in o.points]) for o in exceptional_orbits(group)]
+        assert got == reference_exceptional_orbits(group)
 
 
 def test_proportional_matrices_give_one_element():
@@ -404,6 +520,7 @@ def test_proportional_matrices_give_one_element():
     for group in _group_pool() + [d4(), d6()]:
         for g in _conjugate_group(group, random_gl2q(rng)):
             entries = [x for row in g.matrix for x in row]
+            assert g.sort_key() == tuple((x.numerator, x.denominator) for x in entries)
             for _ in range(3):
                 scale = rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
                 scaled = [x * scale for x in entries]

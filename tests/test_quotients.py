@@ -7,13 +7,11 @@ from symfano.errors import InputError, NotSurjective, TooManyCoordinates
 from symfano.exact import IntMatrix, PositiveCombination, solve_positive_combination
 from symfano.polyhedral import Cone, Fan
 from symfano.quotients import (
-    DIVERGES,
     Destabilizer,
     WeightMatrix,
     chow_quotient_fan,
     is_polystable,
     is_polystable_oracle,
-    limit_support,
     lower_dimensional_images,
     polystable_locus,
     verify_stability_cert,
@@ -67,32 +65,19 @@ def test_second_family_locus_and_oracle():
         assert ok == is_polystable_oracle(BLOW, support)
 
 
-def test_limit_support_examples():
-    assert limit_support(BLOW, ("alpha", "beta", "gamma"), (-1, -1)) == ("alpha", "beta")
-    assert limit_support(BLOW, ("alpha", "beta"), (0, 0)) == ("alpha", "beta")
-    assert limit_support(BLOW, ("gamma",), (1, 1)) == DIVERGES
-    with pytest.raises(InputError):
-        limit_support(BLOW, ("alpha",), (1,))
-    with pytest.raises(InputError):
-        limit_support(BLOW, ("nope",), (1, 1))
-
-
-def test_limit_support_shrinks(rng, property_cases):
-    labels = BLOW.labels
-    for _ in range(property_cases):
-        support = tuple(l for l in labels if rng.random() < 0.6)
-        v = (rng.randint(-3, 3), rng.randint(-3, 3))
-        out = limit_support(BLOW, support, v)
-        if out != DIVERGES:
-            assert set(out) <= set(support)
-        assert limit_support(BLOW, support, (0, 0)) == support
-
-
 def test_destabilizer_limit_leaves_orbit():
-    ok, cert = is_polystable(BLOW, ("alpha", "beta", "gamma"))
+    """The destabilizer pairs nonnegatively with every active column, so the
+    limit exists, and the columns it pairs to zero are a proper subset, so
+    the limit leaves the orbit."""
+    support = ("alpha", "beta", "gamma")
+    ok, cert = is_polystable(BLOW, support)
     assert not ok
-    out = limit_support(BLOW, ("alpha", "beta", "gamma"), cert.vector)
-    assert out != DIVERGES and set(out) < {"alpha", "beta", "gamma"}
+    pairings = {l: sum(a * b for a, b in zip(cert.vector, BLOW.column(l))) for l in support}
+    assert min(pairings.values()) >= 0
+    assert {l for l, p in pairings.items() if p == 0} < set(support)
+    for bad in (("nope",), ("alpha", "alpha")):
+        with pytest.raises(InputError):
+            is_polystable(BLOW, bad)
 
 
 def test_polystable_unimodular_invariance(rng, property_cases):
