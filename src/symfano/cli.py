@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .rationals import rat_str, ratio_str
-from .schemas import detect_kind, read_json, validate_data
+from .schemas import _check_document, read_json
 
 REPORT_VERSION = 1
 
@@ -361,8 +361,8 @@ def _lattice_symmetric(report: Report, data: dict, args) -> int:
 
 
 def _validate(report: Report, data: dict, args) -> int:
-    problems = validate_data(data)
-    report.add("format", detect_kind(data) if not problems else "unknown")
+    kind, problems, _ = _check_document(data)
+    report.add("format", kind if not problems else "unknown")
     for p in problems:
         report.add("problem", p)
     if problems:

@@ -57,7 +57,7 @@ class MarkedCurvePair:
             if point in seen:
                 raise CoefficientOutOfRange(f"point {point} marked twice")
             seen.add(point)
-            entries.append((point, coeff if is_neg_infinity(coeff) else Q(rat(coeff))))
+            entries.append((point, coeff if is_neg_infinity(coeff) else rat(coeff)))
         object.__setattr__(self, "marked", tuple(entries))
 
     def __setattr__(self, *_):

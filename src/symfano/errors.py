@@ -13,7 +13,7 @@ class SymfanoError(Exception):
 
 
 class InputError(SymfanoError):
-    """Malformed input: bad schema or matrix shape, non-unimodular generator, mixed fields."""
+    """Malformed input: bad schema or matrix shape, non-unimodular generator."""
 
 
 class ComputationCapError(SymfanoError):

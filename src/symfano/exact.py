@@ -11,17 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
-from .rationals import Q, rat, ratio_key, ratio_str, squarefree_decompose
-
-
-def _rational_pair(x: int, y: int) -> tuple[int, int]:
-    """The primitive pair of (x : y) != (0 : 0) with y > 0, or (1, 0)."""
-    if not y:
-        return (1, 0)
-    g = math.gcd(x, y)
-    if y < 0:
-        g = -g
-    return (x, y) if g == 1 else (x // g, y // g)
+from .rationals import Q, rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
 
 
 class ProjPoint:
@@ -51,7 +41,7 @@ class ProjPoint:
         x, y = rat(x), rat(y)
         if not x and not y:
             raise InputError("(0, 0) is not a projective point")
-        self._set(_rational_pair(x.numerator * y.denominator, y.numerator * x.denominator), None)
+        self._set(rational_pair(x.numerator * y.denominator, y.numerator * x.denominator), None)
 
     def _set(self, coords: tuple[int, ...], d: int | None) -> None:
         object.__setattr__(self, "coords", coords)
@@ -358,8 +348,7 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     """Saturated basis of the integer kernel {v : A v = 0}."""
     _, d, v = smith_normal_form(a)
     rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    basis = [v.col(j) for j in range(rank, a.cols)]
-    return [tuple(int(x) for x in b) for b in basis]
+    return [v.col(j) for j in range(rank, a.cols)]
 
 
 # ---------------------------------------------------------------------------

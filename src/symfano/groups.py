@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
-from .exact import IntMatrix, ProjPoint, _rational_pair, integer_kernel
-from .rationals import Q, lcm_all, rat, ratio_key, squarefree_decompose
+from .exact import IntMatrix, ProjPoint, integer_kernel
+from .rationals import Q, rat, rational_pair, ratio_key, squarefree_decompose
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -50,7 +50,7 @@ class MoebiusElement:
         a, b, c, d = entries
         if a * d - b * c == 0:
             raise InputError("Moebius matrix must have nonzero determinant")
-        scale = lcm_all(x.denominator for x in entries)
+        scale = math.lcm(*(x.denominator for x in entries))
         self._set(*(x.numerator * (scale // x.denominator) for x in entries))
 
     def _set(self, a: int, b: int, c: int, d: int) -> None:
@@ -113,7 +113,7 @@ class MoebiusElement:
         a, b, c, d = self.a, self.b, self.c, self.d
         if len(p.coords) == 2:
             x, y = p.coords
-            return ProjPoint._make(_rational_pair(a * x + b * y, c * x + d * y), None)
+            return ProjPoint._make(rational_pair(a * x + b * y, c * x + d * y), None)
         A, B, C, s = p.coords
         A1 = (A * d - B * c) * d + C * c * c
         B1 = B * (a * d + b * c) - 2 * (A * b * d + C * a * c)
@@ -158,16 +158,19 @@ class MoebiusGroup:
 
     @cached_property
     def _exceptional_orbits(self) -> tuple[Orbit, ...]:
-        # a fixed point already in a found orbit gives that orbit again
+        # a fixed point already in a found orbit gives that orbit again, so
+        # only the fixed point that seeds an orbit needs its print radicand
         orbits: list[Orbit] = []
-        covered: set[ProjPoint] = set()
+        covered: set[tuple[int, ...]] = set()
         for g in self.elements:
             if g.is_identity():
                 continue
-            for p in fixed_points(g):
-                if p not in covered:
-                    orb = orbit_of(self, p)
-                    covered.update(orb.points)
+            roots, disc = _fixed_coords(g)
+            for k in roots:
+                if k not in covered:
+                    d = squarefree_decompose(disc)[1] if len(k) == 4 else None
+                    orb = orbit_of(self, ProjPoint._make(k, d))
+                    covered.update(p.coords for p in orb.points)
                     orbits.append(orb)
         if any(orb.stabilizer_order == 1 for orb in orbits):
             raise InternalError("an orbit of fixed points has a trivial stabilizer")
@@ -210,6 +213,14 @@ def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
     both roots print over the ``d`` that ``squarefree_decompose`` leaves of D.
     A single point is returned exactly for parabolic elements (D == 0).
     """
+    roots, disc = _fixed_coords(g)
+    d = squarefree_decompose(disc)[1] if len(roots[0]) == 4 else None
+    return tuple(sorted((ProjPoint._make(k, d) for k in roots), key=ProjPoint.sort_key))
+
+
+def _fixed_coords(g: MoebiusElement) -> tuple[list[tuple[int, ...]], int]:
+    """The ``coords`` of the fixed points of a non-identity element, unsorted,
+    and the discriminant D of their form."""
     if g.is_identity():
         raise IdentityElement("every point is fixed")
     a, b, c, d = g.a, g.b, g.c, g.d
@@ -217,18 +228,13 @@ def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
     r = math.isqrt(disc) if disc >= 0 else -1
     if r * r == disc:
         if c:
-            roots = {_rational_pair(a - d + r, 2 * c), _rational_pair(a - d - r, 2 * c)}
-        else:
-            roots = {(1, 0), _rational_pair(b, d - a)}
-        pts = [ProjPoint._make(k, None) for k in roots]
-    else:
-        k = math.gcd(c, d - a, b)
-        if c < 0:
-            k = -k
-        form = (c // k, (d - a) // k, -b // k)
-        radicand = squarefree_decompose(disc)[1]
-        pts = [ProjPoint._make((*form, s), radicand) for s in (1, -1)]
-    return tuple(sorted(pts, key=ProjPoint.sort_key))
+            return list({rational_pair(a - d + r, 2 * c), rational_pair(a - d - r, 2 * c)}), disc
+        return list({(1, 0), rational_pair(b, d - a)}), disc
+    k = math.gcd(c, d - a, b)
+    if c < 0:
+        k = -k
+    form = (c // k, (d - a) // k, -b // k)
+    return [(*form, 1), (*form, -1)], disc
 
 
 @dataclass(frozen=True)

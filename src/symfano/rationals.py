@@ -8,10 +8,11 @@ names it.  The hot layers avoid it: the stability simplex
 its coefficients as integer numerators over one denominator, and the
 projective line (``groups.MoebiusElement``, ``exact.ProjPoint``) is integer
 matrices, pairs and binary quadratic forms.  ``ratio_key`` and ``ratio_str``
-read an integer numerator and denominator as a rational with one gcd, and
-``squarefree_decompose`` reduces the radicand ``d`` that a quadratic point
-prints with, without factoring it in full.  ``parse_rat`` builds ``"p/q"``
-with one reduction.
+read an integer numerator and denominator as a rational with one gcd;
+``rational_pair`` is the one integer form of a rational point of the line,
+shared by the schema check and the line itself; ``squarefree_decompose``
+reduces the radicand ``d`` that a quadratic point prints with, without
+factoring it in full.  ``parse_rat`` builds ``"p/q"`` with one reduction.
 """
 
 from __future__ import annotations
@@ -79,11 +80,15 @@ def ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
+def rational_pair(x: int, y: int) -> tuple[int, int]:
+    """The primitive pair of (x : y) != (0 : 0) with y > 0, or (1, 0): the
+    ``coords`` of a rational ``exact.ProjPoint``."""
+    if not y:
+        return (1, 0)
+    g = math.gcd(x, y)
+    if y < 0:
+        g = -g
+    return (x, y) if g == 1 else (x // g, y // g)
 
 
 #: primes up to this bound are divided out; one isqrt test finishes the cofactor

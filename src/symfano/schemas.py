@@ -1,10 +1,12 @@
 """JSON file formats: structural validation and loading.
 
-One format per subject.  ``validate_data`` reports every structural problem
-with its JSON path and never computes anything; the ``load_*`` functions
-build the domain objects (construction-time checks other than schema shape,
-e.g. unimodularity, live in the domain types).  Each loader imports its own
-domain types, so validation loads no subject module.
+One format per subject.  One walk checks a document and returns what it
+parsed: ``validate_data`` reports every problem with its JSON path, and the
+``load_*`` functions build the domain objects from the parsed points,
+coefficients and Moebius matrices without parsing again.  Checks beyond
+schema shape (Moebius determinant, unimodularity, invariance) live in the
+public constructors of the domain types.  Each loader imports its own domain
+types, so validation loads no subject module.
 
 Formats (rationals are ``"p/q"`` strings or bare integers; points are
 ``[x, y]`` homogeneous pairs):
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .rationals import parse_rat
+from .rationals import parse_rat, rational_pair
 
 
 def read_json(path) -> dict:
@@ -64,60 +66,61 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_rat(x) -> bool:
-    if _is_int(x):
-        return True
-    if isinstance(x, str):
-        try:
-            parse_rat(x)
-            return True
-        except InputError:
-            return False
-    return False
+def _rational(x):
+    """``parse_rat`` of x, or None when x is not a rational."""
+    try:
+        return parse_rat(x)
+    except InputError:
+        return None
 
 
 def _check_point(value, path, out, seen):
-    """Check one point, each coordinate parsed once, then record it in
-    ``seen``: a dict from the affine value x/y (None for infinity) to the path
-    of its first occurrence."""
+    """One point as ``ProjPoint.coords``, each coordinate parsed once, or None
+    after recording why it is not a point.  ``seen`` maps each pair to the
+    path of its first occurrence, so a repeat is a repeated pair."""
     try:
         if not (isinstance(value, list) and len(value) == 2):
             raise InputError("not a pair")
         x, y = parse_rat(value[0]), parse_rat(value[1])
     except InputError:
         out.append(f"{path}: must be a pair of rationals")
-        return
-    if not y:
-        if not x:
-            out.append(f"{path}: (0, 0) is not a projective point")
-            return
-        key = None
-    else:
-        key = x / y
-    first = seen.setdefault(key, path)
+        return None
+    if not x and not y:
+        out.append(f"{path}: (0, 0) is not a projective point")
+        return None
+    pair = rational_pair(x.numerator * y.denominator, y.numerator * x.denominator)
+    first = seen.setdefault(pair, path)
     if first != path:
         out.append(f"{path}: the same point as {first}")
+    return pair
 
 
 def _check_matrix(value, path, out, square=None, integer=True):
+    """Its rows, rationals parsed once unless ``integer`` (None for an entry
+    that is not one); None when it is not an array of equal rows."""
     if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
         out.append(f"{path}: must be a nonempty array of rows")
-        return
+        return None
     width = len(value[0])
+    rows = []
     for i, row in enumerate(value):
         if len(row) != width:
             out.append(f"{path}[{i}]: ragged row")
-            return
-        for j, x in enumerate(row):
+            return None
+        parsed = row if integer else [_rational(x) for x in row]
+        for j, (x, q) in enumerate(zip(row, parsed)):
             if integer and not _is_int(x):
                 out.append(f"{path}[{i}][{j}]: must be an integer")
-            elif not integer and not _is_rat(x):
+            elif q is None:
                 out.append(f"{path}[{i}][{j}]: must be a rational")
+        rows.append(parsed)
     if square is not None and (len(value) != square or width != square):
         out.append(f"{path}: must be {square}x{square}")
+    return rows
 
 
 def _validate_variety(data: dict, out: list):
+    """The fibers' points and the Moebius generators (None for a declared action)."""
     for key, typ in (("name", str), ("dim", int), ("fano", bool), ("log_terminal", bool)):
         if key not in data:
             out.append(f"{key}: missing")
@@ -131,7 +134,7 @@ def _validate_variety(data: dict, out: list):
             rank = data["dim"] - 1
     fibers = data.get("fibers")
     names = []
-    points = {}
+    points, seen = [], {}
     if not isinstance(fibers, list):
         out.append("fibers: missing or not an array")
     else:
@@ -139,7 +142,7 @@ def _validate_variety(data: dict, out: list):
             if not isinstance(fiber, dict):
                 out.append(f"fibers[{i}]: must be an object")
                 continue
-            _check_point(fiber.get("point"), f"fibers[{i}].point", out, points)
+            points.append(_check_point(fiber.get("point"), f"fibers[{i}].point", out, seen))
             divisors = fiber.get("divisors")
             if not isinstance(divisors, list):
                 out.append(f"fibers[{i}].divisors: missing or not an array")
@@ -166,7 +169,7 @@ def _validate_variety(data: dict, out: list):
     sym = data.get("symmetry")
     if not isinstance(sym, dict):
         out.append("symmetry: missing or not an object")
-        return
+        return points, None
     gens = sym.get("lattice_generators")
     if not isinstance(gens, list) or not gens:
         out.append("symmetry.lattice_generators: must be a nonempty array")
@@ -177,13 +180,16 @@ def _validate_variety(data: dict, out: list):
     declared = "marked_permutations" in sym or "induced_cyclic" in sym
     if explicit == declared:
         out.append("symmetry: give either moebius_generators or marked_permutations + induced_cyclic")
+    moebius = None
     if explicit:
         mg = sym["moebius_generators"]
         if not isinstance(mg, list) or (isinstance(gens, list) and len(mg) != len(gens)):
             out.append("symmetry.moebius_generators: one 2x2 matrix per lattice generator")
         else:
-            for i, g in enumerate(mg):
+            moebius = [
                 _check_matrix(g, f"symmetry.moebius_generators[{i}]", out, square=2, integer=False)
+                for i, g in enumerate(mg)
+            ]
     if declared:
         perms = sym.get("marked_permutations")
         nf = len(fibers) if isinstance(fibers, list) else 0
@@ -197,28 +203,35 @@ def _validate_variety(data: dict, out: list):
                     )
         if not isinstance(sym.get("induced_cyclic"), bool):
             out.append("symmetry.induced_cyclic: missing or not a boolean")
+    return points, moebius
 
 
 def _validate_pair(data: dict, out: list):
-    points = data.get("points")
-    if not isinstance(points, list):
+    """The marked points, their coefficients (None for "-inf") and the Moebius generators."""
+    entries = data.get("points")
+    points, coeffs, moebius = [], [], []
+    if not isinstance(entries, list):
         out.append("points: missing or not an array")
     else:
         seen = {}
-        for i, entry in enumerate(points):
+        for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 out.append(f"points[{i}]: must be an object")
                 continue
-            _check_point(entry.get("pt"), f"points[{i}].pt", out, seen)
+            points.append(_check_point(entry.get("pt"), f"points[{i}].pt", out, seen))
             coeff = entry.get("coeff")
-            if coeff != "-inf" and not _is_rat(coeff):
+            coeffs.append(None if coeff == "-inf" else _rational(coeff))
+            if coeffs[-1] is None and coeff != "-inf":
                 out.append(f"points[{i}].coeff: must be a rational or \"-inf\"")
     mg = data.get("moebius_generators")
     if not isinstance(mg, list) or not mg:
         out.append("moebius_generators: must be a nonempty array")
     else:
-        for i, g in enumerate(mg):
+        moebius = [
             _check_matrix(g, f"moebius_generators[{i}]", out, square=2, integer=False)
+            for i, g in enumerate(mg)
+        ]
+    return points, coeffs, moebius
 
 
 def _validate_weights(data: dict, out: list):
@@ -300,20 +313,21 @@ _VALIDATORS = {
 }
 
 
-def _kind_and_problems(data: dict) -> tuple[str | None, list[str]]:
-    """The kind of ``data`` (None when unrecognized) and its structural problems."""
+def _check_document(data: dict) -> tuple[str | None, list[str], object]:
+    """The kind of ``data`` (None when unrecognized), its structural problems
+    and what its validator parsed (None for a kind with nothing to parse)."""
     try:
         kind = detect_kind(data)
     except InputError as exc:
-        return None, [str(exc)]
+        return None, [str(exc)], None
     out: list[str] = []
-    _VALIDATORS[kind](data, out)
-    return kind, out
+    parsed = _VALIDATORS[kind](data, out)
+    return kind, out, parsed
 
 
 def validate_data(data: dict) -> list[str]:
     """All structural problems, each with its JSON path; empty means well-formed."""
-    return _kind_and_problems(data)[1]
+    return _check_document(data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +336,13 @@ def validate_data(data: dict) -> list[str]:
 
 
 def _require_valid(data: dict, kind: str):
-    actual, problems = _kind_and_problems(data)
+    """What the check of a well-formed ``kind`` document parsed; InputError otherwise."""
+    actual, problems, parsed = _check_document(data)
     if problems:
         raise InputError("; ".join(problems))
     if actual != kind:
         raise InputError(f"expected a {kind} file, found {actual}")
+    return parsed
 
 
 def load_variety(data: dict) -> CxOneVariety:
@@ -341,20 +357,19 @@ def load_variety(data: dict) -> CxOneVariety:
         VerticalDivisor,
     )
 
-    _require_valid(data, "variety")
+    points, moebius = _require_valid(data, "variety")
     fibers = FiberBook(
         Fiber(
-            ProjPoint(*map(parse_rat, f["point"])),
+            ProjPoint._make(pt, None),
             tuple(VerticalDivisor(d["name"], d["order"]) for d in f["divisors"]),
         )
-        for f in data["fibers"]
+        for f, pt in zip(data["fibers"], points)
     )
     sym = data["symmetry"]
     lattice = LatticeAutGroup(data["dim"] - 1, [IntMatrix(g) for g in sym["lattice_generators"]])
-    moebius = None
     declared = None
-    if "moebius_generators" in sym:
-        moebius = tuple(MoebiusElement(g) for g in sym["moebius_generators"])
+    if moebius is not None:
+        moebius = tuple(MoebiusElement(g) for g in moebius)
     else:
         declared = DeclaredAction(
             tuple(tuple(p) for p in sym["marked_permutations"]),
@@ -378,13 +393,12 @@ def load_pair(data: dict) -> tuple[MarkedCurvePair, tuple[MoebiusElement, ...]]:
     from .exact import ProjPoint
     from .groups import MoebiusElement
 
-    _require_valid(data, "pair")
-    marked = []
-    for entry in data["points"]:
-        coeff = NEG_INFINITY if entry["coeff"] == "-inf" else parse_rat(entry["coeff"])
-        marked.append((ProjPoint(*map(parse_rat, entry["pt"])), coeff))
-    generators = tuple(MoebiusElement(g) for g in data["moebius_generators"])
-    return MarkedCurvePair(marked), generators
+    points, coeffs, moebius = _require_valid(data, "pair")
+    marked = [
+        (ProjPoint._make(pt, None), NEG_INFINITY if c is None else c)
+        for pt, c in zip(points, coeffs)
+    ]
+    return MarkedCurvePair(marked), tuple(MoebiusElement(g) for g in moebius)
 
 
 def load_weights(data: dict) -> tuple[WeightMatrix, list[tuple[str, ...]] | None]:

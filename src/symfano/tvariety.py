@@ -198,8 +198,12 @@ class CxOneVariety:
             return has_global_fixed_point(self.moebius_group())
         return self.declared.induced_cyclic
 
-    def marked_permutation_group(self) -> list[tuple[int, ...]]:
-        """Closure of the generators' permutations of the marked fibers."""
+    def marked_permutation_group(self) -> tuple[tuple[int, ...], ...]:
+        """Closure of the generators' permutations of the marked fibers, computed once."""
+        return self._permutation_group
+
+    @cached_property
+    def _permutation_group(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.fibers)
         ident = tuple(range(n))
         seen = {ident}
@@ -213,7 +217,7 @@ class CxOneVariety:
                         seen.add(q)
                         nxt.append(q)
             frontier = nxt
-        return sorted(seen)
+        return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from symfano import cli, curvepair, exact, tvariety
+from symfano import cli, curvepair, exact, rationals, schemas, tvariety
 from symfano.cli import Report, Verdict, run
-from symfano.errors import InputError
+from symfano.errors import InputError, SymfanoError
 from symfano.schemas import (
     detect_kind,
     fixture_path,
@@ -494,11 +495,20 @@ def test_validate_reports_a_bad_dim_once(tmp_path, capsys, dim, problem):
             "points[1].pt: the same point as points[0].pt; points[2].pt: the same point as points[0].pt",
             ("lct", "valuable"),
         ),
+        (
+            edited("pair-involution.json", {("points",): [
+                {"pt": ["2/4", 1], "coeff": "1/2"},
+                {"pt": [1, "2"], "coeff": "1/2"},
+                {"pt": ["1/-2", "-1"], "coeff": "1/2"},
+            ]}),
+            "points[1].pt: the same point as points[0].pt; points[2].pt: the same point as points[0].pt",
+            ("lct", "valuable"),
+        ),
     ],
 )
 def test_repeated_point_is_a_schema_problem(tmp_path, capsys, document, problem, commands):
-    # compared by affine value: [0, 1] ~ [0, 2], [1, 1] ~ [2, 2], [1, 0] ~ [-3, 0];
-    # each later copy names the first
+    # compared as ProjPoint.coords: [0, 1] ~ [0, 2], [1, 1] ~ [2, 2], [1, 0] ~ [-3, 0],
+    # ["2/4", 1] ~ [1, "2"] ~ ["1/-2", "-1"]; each later copy names the first
     target = tmp_path / "repeated.json"
     target.write_text(json.dumps(document))
     code, out = run_capture(capsys, "validate", str(target))
@@ -508,6 +518,102 @@ def test_repeated_point_is_a_schema_problem(tmp_path, capsys, document, problem,
     for command in commands:
         assert run([*command.split(), str(target)]) == 1
         assert capsys.readouterr().err == f"input error: {problem}\n"
+
+
+SPELLINGS = [
+    (["1", "2"], ["2", "4"]),
+    (["2/4", "1"], ["1/2", "1"]),
+    (["1/-2", "1"], ["-1/2", "1"]),
+    (["1/-2", "1"], ["1/2", "1"]),
+    ([3, 1], ["3", "1"]),
+    ([3, 1], ["6/2", 1]),
+    ([3, 1], ["1", "3"]),
+    (["1", "0"], ["-3", "0"]),
+    (["1", "0"], ["0", "1"]),
+    (["0", "-5"], [0, "1/7"]),
+    (["-1", "2"], ["1", "-2"]),
+    (["-1", "2"], ["1", "2"]),
+]
+
+
+@pytest.mark.parametrize("first, second", SPELLINGS)
+def test_a_repeat_is_reported_exactly_for_equal_points(tmp_path, capsys, first, second):
+    document = edited("pair-involution.json", {("points", 0, "pt"): first, ("points", 1, "pt"): second})
+    target = tmp_path / "spellings.json"
+    target.write_text(json.dumps(document))
+    code, out = run_capture(capsys, "validate", str(target))
+    repeated = "  problem: points[1].pt: the same point as points[0].pt\n" in out
+    assert repeated == (exact.ProjPoint(*first) == exact.ProjPoint(*second))
+    assert code == (1 if repeated else 0)
+
+
+@pytest.mark.parametrize(
+    "document, message, commands",
+    [
+        (
+            edited("pair-involution.json", {("moebius_generators", 0): [["1", "2"], ["1/2", "1"]]}),
+            "Moebius matrix must have nonzero determinant",
+            ("lct", "valuable"),
+        ),
+        (
+            edited("quadric.json", {("symmetry", "lattice_generators", 0): [[2, 0], [0, 1]]}),
+            "lattice generators must be unimodular",
+            ("tvar check",),
+        ),
+    ],
+)
+def test_constructor_checks_reject_a_well_formed_document(tmp_path, capsys, document, message, commands):
+    # the schema checks shape only; the public constructors the loaders build
+    # through reject a singular Moebius matrix and a non-unimodular generator
+    target = tmp_path / "document.json"
+    target.write_text(json.dumps(document))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 0
+    assert "  schema: OK\n" in out
+    for command in commands:
+        assert run([*command.split(), str(target)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def _rational_entries(data: dict) -> int:
+    """Point coordinates, finite coefficients and Moebius matrix entries."""
+    if "points" in data:
+        coeffs = sum(entry["coeff"] != "-inf" for entry in data["points"])
+        return 2 * len(data["points"]) + coeffs + 4 * len(data["moebius_generators"])
+    return 2 * len(data["fibers"]) + 4 * len(data["symmetry"].get("moebius_generators", []))
+
+
+def _line_documents() -> list:
+    """Every well-formed pair and variety document of the fixtures and the corpus."""
+    documents = [read_json(path) for path in sorted(fixture_path("").glob("*.json"))]
+    for path in sorted((Path(__file__).parent / "goldens" / "corpus").glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            documents.append(json.loads(line)["document"])
+    return [
+        d for d in documents
+        if isinstance(d, dict) and not validate_data(d) and detect_kind(d) in ("pair", "variety")
+    ]
+
+
+def test_each_rational_is_parsed_once(monkeypatch):
+    calls = []
+    original = rationals.parse_rat
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(rationals, "parse_rat", counted)
+    monkeypatch.setattr(schemas, "parse_rat", counted)
+    documents = _line_documents()
+    assert len(documents) > 100
+    for data in documents:
+        calls.clear()
+        try:
+            (load_pair if "points" in data else load_variety)(data)
+        except SymfanoError:
+            pass  # a constructor check after the parse, e.g. invariance
+        assert len(calls) == _rational_entries(data), data["name"]
 
 
 def test_exit_code_input_error(tmp_path, capsys):

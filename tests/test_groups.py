@@ -281,6 +281,17 @@ def d4_over_big_fields() -> MoebiusGroup:
     return _conjugate_group(closure([C4, reflection]), MoebiusElement([[65537, 1], [0, 1]]))
 
 
+def test_exceptional_orbits_reduce_one_radicand_per_orbit(monkeypatch):
+    # equality needs no radicand, so only the fixed point that seeds an
+    # orbit has its discriminant reduced; the others are already covered
+    calls = []
+    original = groups.squarefree_decompose
+    monkeypatch.setattr(groups, "squarefree_decompose", lambda n: calls.append(n) or original(n))
+    orbits = exceptional_orbits(d4_over_big_fields())
+    assert [o.size for o in orbits] == [2, 4, 4]
+    assert 0 < len(calls) <= len(orbits)
+
+
 def test_exceptional_orbits_over_big_fields():
     """The reduction of a discriminant may keep the square of a prime above
     2^16, so one orbit can be written over d = p and over d = 65537^2 * p;

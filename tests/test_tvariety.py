@@ -365,6 +365,20 @@ def test_declared_action_witness_prefers_first_minimal_orbit():
     assert (info.value, info.witness) == (rat(1, 3), "declared orbit of 0 (size 1)")
 
 
+def test_declared_permutation_group_is_computed_once():
+    # two swapped non-reduced fibers: the threshold and the swapped-pair
+    # route both read the closure of the declared permutations
+    fibers = FiberBook(Fiber(pt(i), (VerticalDivisor(f"s{i}", 2),)) for i in range(2))
+    v = CxOneVariety(
+        name="swap", dim=3, fibers=fibers, horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE),
+        declared=DeclaredAction(((1, 0),), induced_cyclic=True),
+    )
+    assert ke_verdict(v).route == "swapped-pair"
+    group = v.marked_permutation_group()
+    assert group == ((0, 1), (1, 0))
+    assert v.marked_permutation_group() is group
+
+
 def test_declared_action_cyclic_flag_controls_fixed_point_route():
     fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))])
     lattice = LatticeAutGroup(2, NEG_LATTICE)
