@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CoefficientOutOfRange, NotInvariant
+from .errors import CoefficientOutOfRange, InputError, NotInvariant
 from .exact import ProjPoint
 from .groups import MoebiusGroup, Orbit, exceptional_orbits, orbit_of
 from .rationals import ONE, Q, TWO, ZERO, rat
@@ -53,9 +53,9 @@ class MarkedCurvePair:
         seen = set()
         for point, coeff in marked:
             if not isinstance(point, ProjPoint):
-                raise NotInvariant(f"not a projective point: {point!r}")
+                raise InputError(f"not a projective point: {point!r}")
             if point in seen:
-                raise CoefficientOutOfRange(f"point {point} marked twice")
+                raise InputError(f"point {point} marked twice")
             seen.add(point)
             entries.append((point, coeff if is_neg_infinity(coeff) else rat(coeff)))
         object.__setattr__(self, "marked", tuple(entries))

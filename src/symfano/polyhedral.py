@@ -11,8 +11,8 @@ split cell costs one cut and an intersection the other cone's halfspaces.
 The double description of a cone's generators gives the dual, whose extreme
 rays are the facet normals.  Dimensions, faces and face tests are read off
 the generators and the ray-halfspace incidence, with no further conversion.
-The refinement splits cells by the input facet hyperplanes one at a time, so
-it builds only the nonempty sign cells.
+The refinement splits cells by the facet hyperplanes of the full-dimensional
+inputs one at a time, so it builds only the nonempty sign cells.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -414,22 +414,22 @@ class Fan:
 
 
 def common_refinement(cones) -> Fan:
-    """A common refinement of a family of full-dimensional cones that is a fan.
+    """A common refinement of the full-dimensional cones of a family that is a fan.
 
-    Split: the whole space is split by the input facet hyperplanes one at a
-    time; a cell on one closed side of a hyperplane stays whole, so only
-    nonempty cells are built, each by resuming its parent's description with
-    one cut, and each keeps its sign vector.  The cells inside some input are
-    kept.  Merge: two cells in the same inputs whose sign vectors differ in
-    one place become the cell of the relaxed vector, their union, if it
-    meets every other cell in a common face; the scan restarts after each
-    merge.  So the cells stay a fan, and each lies in exactly the inputs
-    whose interior it meets.  It need not be coarsest, and
-    no coarsest one need exist: beside the cone spanned by (1, 1) and (3, 1),
-    the half-plane {x >= 3y} must be cut along some ray inside it, and no cut
-    is coarser than another.  The cells are closed under faces.  Cells of
-    lower-dimensional inputs are dropped; covering the span is the caller's
-    concern.
+    Inputs of lower dimension are dropped before the split: they can hold no
+    cell, so they cut none.  Split: the whole space is split by the other
+    inputs' facet hyperplanes one at a time; a cell on one closed side of a
+    hyperplane stays whole, so only nonempty cells are built, each by
+    resuming its parent's description with one cut, and each keeps its sign
+    vector.  The cells inside some input are kept.  Merge: two cells in the
+    same inputs whose sign vectors differ in one place become the cell of the
+    relaxed vector, their union, if it meets every other cell in a common
+    face; the scan restarts after each merge.  So the cells stay a fan, and
+    each lies in exactly the inputs whose interior it meets.  It need not be
+    coarsest, and no coarsest one need exist: beside the cone spanned by
+    (1, 1) and (3, 1), the half-plane {x >= 3y} must be cut along some ray
+    inside it, and no cut is coarser than another.  The cells are closed
+    under faces.
     """
     cones = list(cones)
     if not cones:
@@ -437,6 +437,7 @@ def common_refinement(cones) -> Fan:
     rank = cones[0].ambient_rank
     if any(c.ambient_rank != rank for c in cones):
         raise InputError("mixed ambient ranks")
+    cones = [c for c in cones if c.dim == rank]
     hyperplanes = sorted({max(h, tuple(-x for x in h)) for cone in cones for h in cone.facet_normals()})
 
     split = [((), Cone.full_space(rank))]  # (sign vector, cell)

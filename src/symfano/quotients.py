@@ -147,7 +147,8 @@ def is_polystable_oracle(weight_matrix: WeightMatrix, support) -> bool:
 
 
 def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
-    """A common refinement of the images of the maximal cones that is a fan.
+    """A common refinement of the full-dimensional images of the maximal
+    cones that is a fan; the others neither hold nor cut a cell.
 
     The projection must be onto the target lattice (all invariant factors 1).
     """
@@ -164,13 +165,6 @@ def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
 def lower_dimensional_images(fan: Fan, projection: IntMatrix) -> tuple[Cone, ...]:
     """The maximal cones of ``fan`` whose image spans less than the target.
 
-    Their images hold no cell of ``chow_quotient_fan``.  An image spans the
-    target exactly when the Gram matrix of its generators is invertible.
+    Their images neither hold nor cut a cell of ``chow_quotient_fan``.
     """
-    out = []
-    for cone in fan.maximal_cones:
-        images = [projection.apply(g) for g in cone.generators]
-        rows = range(projection.rows)
-        if IntMatrix([[sum(u[i] * u[j] for u in images) for j in rows] for i in rows]).det() == 0:
-            out.append(cone)
-    return tuple(out)
+    return tuple(c for c in fan.maximal_cones if image_cone(c, projection).dim < projection.rows)

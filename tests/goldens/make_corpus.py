@@ -62,6 +62,17 @@ BIG_ENTRIES = [[10**19 + 51, 10**19 + 39], [10**19 + 61, 10**19 + 7]]
 BIG_A = 16777238
 D4_BIG = ([[1, -1], [1, 1]], [[BIG_A, 65537], [65537, -BIG_A]])
 D4_BIG_CONJUGATOR = [[65537, 1], [0, 1]]
+# two full-dimensional images and one flat one in rank 3: the flat image
+# neither holds nor cuts a cell
+THREE_CONES_ONE_FLAT = {
+    "name": "three-cones-one-flat",
+    "fan": {"rank": 4, "cones": [
+        {"generators": [[1, -2, -3, 2], [1, 0, 2, 0], [1, 0, -1, -1], [-1, 1, 1, -1]]},
+        {"generators": [[0, -2, -3, 1], [-4, 1, -1, -2], [0, 1, 2, -1], [-1, 1, 1, -1]]},
+        {"generators": [[-1, 2, 4, -2], [2, -1, 0, 0], [0, -3, -1, 2], [1, -1, -1, 1]]},
+    ]},
+    "projection": [[1, 0, 0, -1], [0, 1, 0, 1], [0, 0, 1, 1]],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +397,8 @@ def build() -> dict[str, list[tuple]]:
     loaders = [(["lct", "{file}"], lct), (["tvar", "check", "{file}"], tvar), (["chow", "{file}"], chow)]
     for argv, source in loaders:
         validate.append((argv, malformed(rng, rng.choice(source)[1])))
+    # appended after the samples above, which draw from the chow list
+    chow += [(["chow", "{file}"], THREE_CONES_ONE_FLAT), (["chow", "{file}", "--json"], THREE_CONES_ONE_FLAT)]
     selftest = [(["selftest", "--seed", "3", "--cases", "12"], None)]
     return {
         "lct": lct,

@@ -8,7 +8,7 @@ from symfano.curvepair import (
     lct_g,
     orbit_classes,
 )
-from symfano.errors import CoefficientOutOfRange, NotInvariant
+from symfano.errors import CoefficientOutOfRange, InputError, NotInvariant
 from symfano.exact import ProjPoint
 from symfano.groups import MoebiusElement, closure
 from symfano.rationals import rat
@@ -89,8 +89,10 @@ def test_lct_preconditions():
         lct_g(MarkedCurvePair([(pt(0), rat(3, 2))]), TRIVIAL)
     with pytest.raises(CoefficientOutOfRange):
         lct_g(MarkedCurvePair([(pt(0), NEG_INFINITY)]), TRIVIAL)
-    with pytest.raises(CoefficientOutOfRange):
+    with pytest.raises(InputError):
         MarkedCurvePair([(pt(0), rat(1, 2)), (pt(0), rat(1, 2))])
+    with pytest.raises(InputError, match="not a projective point"):
+        MarkedCurvePair([((0, 1), rat(1, 2))])
 
 
 def test_lct_marked_points_over_two_fields(rng):

@@ -10,11 +10,14 @@ the benchmark, and the two records must agree.
 
 ``tests/goldens/corpus/<command>.jsonl`` holds the generated cases that
 ``tests/goldens/make_corpus.py`` records: each runs in process on its
-document, and a mismatch prints the case and a unified diff.
+document, and a mismatch prints the case and a unified diff.  The corpus
+must also be exactly what the script builds, so a generator edit that was
+not re-recorded, or a corpus line edited by hand, fails.
 """
 
 import difflib
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -78,6 +81,26 @@ def test_generated_case_matches_golden(case, tmp_path, capsys):
         pytest.fail(f"{json.dumps(shown)}\nexit {code}\n{''.join(diff)}", pytrace=False)
     if "--json" in case["argv"] and code == 0:
         assert Report.from_json(out).to_json() == out.rstrip("\n")
+
+
+def test_corpus_is_what_the_generator_builds():
+    spec = importlib.util.spec_from_file_location("make_corpus", GOLDEN_DIR / "make_corpus.py")
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    built = {
+        command: [{"argv": argv, "document": json.loads(json.dumps(document))} for argv, document in cases]
+        for command, cases in make_corpus.build().items()
+    }
+    recorded = {
+        path.stem: [
+            {k: json.loads(line)[k] for k in ("argv", "document")}
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        for path in (GOLDEN_DIR / "corpus").glob("*.jsonl")
+    }
+    assert recorded.keys() == built.keys()
+    for command, cases in built.items():
+        assert recorded[command] == cases, command
 
 
 def test_goldens_agree_with_benchmark_digests():

@@ -30,6 +30,13 @@ T_JUNCTION = [
     Cone(3, [(-1, -2, 2), (0, 2, -1), (2, -1, 0)]),
     Cone(3, [(-2, 0, 1), (-1, 0, -2), (0, 1, 1)]),
 ]
+# the images of the maximal cones of the chow corpus case three-cones-one-flat:
+# two full-dimensional cones and a flat sector between them
+THREE_CONES_ONE_FLAT = [
+    Cone(3, [(-1, 0, -1), (1, 0, 2), (2, -1, -2)]),
+    Cone(3, [(-2, -1, -3), (-1, -1, -2), (1, 0, 1)]),
+    Cone(3, [(-2, -1, 1), (1, 0, 2), (2, -1, 0)]),
+]
 
 
 def test_dual_examples():
@@ -303,6 +310,12 @@ def test_refinement_double_description_budget(dd_count):
     assert dd_count == [144, 461]
 
 
+def test_flat_input_double_description_budget(dd_count):
+    # the flat sector cuts nothing: with its cuts, 14 maximal cells
+    assert len(common_refinement(THREE_CONES_ONE_FLAT).maximal_cones) == 6
+    assert dd_count == [78, 191]
+
+
 def test_refinement_line():
     fan = common_refinement([Cone.full_space(1), Cone(1, [(1,)]), Cone(1, [(-1,)])])
     assert len(fan.cones) == 3
@@ -373,10 +386,20 @@ def test_refinement_properties_random(rng, property_cases):
             if cone.dim == 2:
                 return cone
 
+    def random_ray():
+        while True:
+            ray = cone2((rng.randint(-3, 3), rng.randint(-3, 3)))
+            if ray.dim == 1:
+                return ray
+
     for _ in range(property_cases // 4):
         cones = [random_cone() for _ in range(rng.randint(1, 4))]
         fan = common_refinement(cones)
         fan.validate()
+        # lower-dimensional inputs neither hold nor cut a cell
+        mixed = cones + [random_ray() for _ in range(rng.randint(1, 2))]
+        rng.shuffle(mixed)
+        assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
         # the union is preserved (random rational points, exact membership)
         for _ in range(20):
             point = (rat(rng.randint(-9, 9), rng.randint(1, 3)), rat(rng.randint(-9, 9), rng.randint(1, 3)))
@@ -400,6 +423,13 @@ def test_refinement_properties_random_rank3(rng, property_cases):
             if cone.dim == 3:
                 return cone
 
+    def random_flat_cone():
+        # a ray or a two-dimensional sector
+        while True:
+            cone = Cone(3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(rng.randint(1, 2))])
+            if cone.dim:
+                return cone
+
     def random_point():
         return tuple(rat(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
 
@@ -407,6 +437,10 @@ def test_refinement_properties_random_rank3(rng, property_cases):
         cones = [random_cone() for _ in range(rng.randint(1, 3))]
         fan = common_refinement(cones)
         fan.validate()
+        # lower-dimensional inputs neither hold nor cut a cell
+        mixed = cones + [random_flat_cone() for _ in range(rng.randint(1, 2))]
+        rng.shuffle(mixed)
+        assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
         for _ in range(20):
             point = random_point()
             assert any(c.contains_point(point) for c in cones) == any(

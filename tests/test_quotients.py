@@ -5,7 +5,7 @@ import pytest
 from symfano import exact
 from symfano.errors import InputError, NotSurjective, TooManyCoordinates
 from symfano.exact import IntMatrix, PositiveCombination, solve_positive_combination
-from symfano.polyhedral import Cone, Fan
+from symfano.polyhedral import Cone, Fan, common_refinement, image_cone
 from symfano.quotients import (
     Destabilizer,
     WeightMatrix,
@@ -233,6 +233,21 @@ def test_lower_dimensional_images():
     assert lower_dimensional_images(fan, IntMatrix([[1, 0]])) == ()
     assert lower_dimensional_images(Fan(2, (orthant,)), IntMatrix([[1, -1], [0, 1]])) == ()
     assert len(chow_quotient_fan(fan, IntMatrix.identity(2)).maximal_cones) == 1
+    assert chow_quotient_fan(Fan(2, (ray,)), IntMatrix.identity(2)).cones == ()
+
+
+def test_flat_image_neither_holds_nor_cuts_a_cell():
+    # the chow corpus case three-cones-one-flat: the middle cone's image is flat
+    first = Cone(4, [(1, -2, -3, 2), (1, 0, 2, 0), (1, 0, -1, -1), (-1, 1, 1, -1)])
+    flat = Cone(4, [(0, -2, -3, 1), (-4, 1, -1, -2), (0, 1, 2, -1), (-1, 1, 1, -1)])
+    last = Cone(4, [(-1, 2, 4, -2), (2, -1, 0, 0), (0, -3, -1, 2), (1, -1, -1, 1)])
+    fan, projection = Fan(4, (first, flat, last)), IntMatrix([[1, 0, 0, -1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert lower_dimensional_images(fan, projection) == (flat,)
+    out = chow_quotient_fan(fan, projection)
+    out.validate()
+    full = common_refinement([image_cone(first, projection), image_cone(last, projection)])
+    assert [c.key() for c in out.cones] == [c.key() for c in full.cones]
+    assert (len(out.cones), len(out.maximal_cones)) == (30, 6)
 
 
 def test_verify_stability_cert_rejects_bad_certificates():
