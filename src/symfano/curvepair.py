@@ -15,10 +15,8 @@ stabilizer, and the free orbit class of full group size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CoefficientOutOfRange, InputError, NotInvariant
-from .exact import ProjPoint
+from .exact import ProjPoint, Record
 from .groups import MoebiusGroup, Orbit, exceptional_orbits, orbit_of
 from .rationals import ONE, Q, TWO, ZERO, rat
 
@@ -93,14 +91,21 @@ def finite_degree(pair: MarkedCurvePair) -> Q:
     return total
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """One orbit class entering the threshold minimum."""
+class OrbitClass(Record):
+    """One orbit class entering the threshold minimum.
 
-    kind: str  # marked | exceptional | generic
-    size: int
-    coeff: object  # rational, or NEG_INFINITY on a relaxed marked orbit
-    orbit: Orbit | None  # None for the generic class
+    ``kind`` is marked, exceptional or generic; ``coeff`` is rational, or
+    NEG_INFINITY on a relaxed marked orbit; ``orbit`` is None for the
+    generic class.
+    """
+
+    __slots__ = _fields = ("kind", "size", "coeff", "orbit")
+
+    def __init__(self, kind: str, size: int, coeff, orbit: Orbit | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "orbit", orbit)
 
     def describe(self) -> str:
         where = "generic orbit" if self.orbit is None else f"orbit {self.orbit}"
@@ -137,12 +142,14 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
     return classes
 
 
-@dataclass(frozen=True)
-class LctResult:
+class LctResult(Record):
     """Threshold value (None means no constraint at all) plus the tight class."""
 
-    value: Q | None
-    witness: OrbitClass | None
+    __slots__ = _fields = ("value", "witness")
+
+    def __init__(self, value: Q | None, witness: OrbitClass | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def is_infinite(self) -> bool:

@@ -8,10 +8,48 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .rationals import Q, rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
+
+
+class Record:
+    """Immutable value compared, hashed and printed by the attributes in ``_fields``.
+
+    A subclass names its fields in ``_fields``, and in ``__slots__`` too
+    unless it keeps cached properties, and sets them in its own ``__init__``
+    with ``object.__setattr__``; its positional parameters are the fields in
+    order.  Records of one class are equal when their fields are; a record
+    with a dict field is not hashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through ``__init__``, whose positional
+        # parameters are the fields in order; slots cannot be set afterwards
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class ProjPoint:
@@ -405,11 +443,13 @@ class PositiveCombination:
         return f"PositiveCombination(coefficients={self.coefficients!r})"
 
 
-@dataclass(frozen=True)
-class SemipositiveWitness:
+class SemipositiveWitness(Record):
     """Integer v with <v, w_i> >= 0 for every column and > 0 for at least one."""
 
-    vector: tuple[int, ...]
+    __slots__ = _fields = ("vector",)
+
+    def __init__(self, vector: tuple[int, ...]):
+        object.__setattr__(self, "vector", vector)
 
 
 def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:

@@ -13,11 +13,10 @@ points, hashes and sort keys build no rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
-from .exact import IntMatrix, ProjPoint, integer_kernel
+from .exact import IntMatrix, ProjPoint, Record, integer_kernel
 from .rationals import Q, rat, rational_pair, ratio_key, squarefree_decompose
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
@@ -143,11 +142,13 @@ class MoebiusElement:
         return f"MoebiusElement([[{e[0][0]}, {e[0][1]}], [{e[1][0]}, {e[1][1]}]])"
 
 
-@dataclass(frozen=True)
-class MoebiusGroup:
+class MoebiusGroup(Record):
     """Complete closed list of projective classes, identity included."""
 
-    elements: tuple[MoebiusElement, ...]
+    _fields = ("elements",)
+
+    def __init__(self, elements: tuple[MoebiusElement, ...]):
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:
@@ -237,10 +238,12 @@ def _fixed_coords(g: MoebiusElement) -> tuple[list[tuple[int, ...]], int]:
     return [(*form, 1), (*form, -1)], disc
 
 
-@dataclass(frozen=True)
-class Orbit:
-    points: tuple[ProjPoint, ...]
-    stabilizer_order: int
+class Orbit(Record):
+    __slots__ = _fields = ("points", "stabilizer_order")
+
+    def __init__(self, points: tuple[ProjPoint, ...], stabilizer_order: int):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
 
     @property
     def size(self) -> int:

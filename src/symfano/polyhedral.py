@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InputError, InternalError
-from .exact import IntMatrix, _primitive
+from .exact import IntMatrix, Record, _primitive
 from .rationals import rat
 
 
@@ -370,13 +369,15 @@ def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
     return is_face(meet, c1) and is_face(meet, c2)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Finite collection of cones closed under faces with proper pairwise
     intersections (validated on the outputs of the refinement)."""
 
-    ambient_rank: int
-    cones: tuple[Cone, ...]
+    _fields = ("ambient_rank", "cones")
+
+    def __init__(self, ambient_rank: int, cones: tuple[Cone, ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "cones", cones)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:

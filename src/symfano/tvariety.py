@@ -12,7 +12,6 @@ the fibers decide, since each forces glct = 1 and without one glct <= 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
@@ -28,7 +27,7 @@ from .errors import (
     NotSymmetric,
     PreconditionError,
 )
-from .exact import ProjPoint
+from .exact import ProjPoint, Record
 from .groups import (
     LatticeAutGroup,
     MoebiusElement,
@@ -42,30 +41,34 @@ from .groups import (
 from .rationals import ONE, Q, TWO, ZERO, rat_str
 
 
-@dataclass(frozen=True)
-class VerticalDivisor:
+class VerticalDivisor(Record):
     """Invariant divisor in one fiber with its generic stabilizer order."""
 
-    name: str
-    order: int
+    __slots__ = _fields = ("name", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise InputError(f"divisor {self.name}: order must be >= 1")
-
-
-@dataclass(frozen=True)
-class HorizontalDivisor:
-    name: str
+    def __init__(self, name: str, order: int):
+        if order < 1:
+            raise InputError(f"divisor {name}: order must be >= 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Fiber:
+class HorizontalDivisor(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+
+class Fiber(Record):
     """Marked point with its vertical divisors; an empty list is a declared
     gap in the image of the quotient map."""
 
-    point: ProjPoint
-    divisors: tuple[VerticalDivisor, ...]
+    __slots__ = _fields = ("point", "divisors")
+
+    def __init__(self, point: ProjPoint, divisors: tuple[VerticalDivisor, ...]):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "divisors", divisors)
 
     @property
     def declared_empty(self) -> bool:
@@ -107,36 +110,52 @@ class FiberBook:
         return tuple(f.point for f in self.fibers)
 
 
-@dataclass(frozen=True)
-class DeclaredAction:
+class DeclaredAction(Record):
     """Fallback symmetry input: how each generator permutes the marked fibers,
     plus whether the induced group on the line is cyclic (trivial counts as
     cyclic)."""
 
-    permutations: tuple[tuple[int, ...], ...]
-    induced_cyclic: bool
+    __slots__ = _fields = ("permutations", "induced_cyclic")
+
+    def __init__(self, permutations: tuple[tuple[int, ...], ...], induced_cyclic: bool):
+        object.__setattr__(self, "permutations", permutations)
+        object.__setattr__(self, "induced_cyclic", induced_cyclic)
 
 
-@dataclass(frozen=True)
-class CxOneVariety:
+class CxOneVariety(Record):
     """Complexity-one torus variety given combinatorially.
 
     Either symmetry input yields ``permutations``: for each generator, the
-    index of the fiber it sends each marked fiber to.
+    index of the fiber it sends each marked fiber to.  It is derived from the
+    fields, so it takes no part in equality or the repr.
     """
 
-    name: str
-    dim: int
-    fibers: FiberBook
-    horizontals: tuple[HorizontalDivisor, ...]
-    lattice: LatticeAutGroup
-    moebius_generators: tuple[MoebiusElement, ...] | None = None
-    declared: DeclaredAction | None = None
-    fano: bool = True
-    log_terminal: bool = True
-    permutations: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = (
+        "name", "dim", "fibers", "horizontals", "lattice",
+        "moebius_generators", "declared", "fano", "log_terminal",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        fibers: FiberBook,
+        horizontals: tuple[HorizontalDivisor, ...],
+        lattice: LatticeAutGroup,
+        moebius_generators: tuple[MoebiusElement, ...] | None = None,
+        declared: DeclaredAction | None = None,
+        fano: bool = True,
+        log_terminal: bool = True,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "horizontals", horizontals)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "moebius_generators", moebius_generators)
+        object.__setattr__(self, "declared", declared)
+        object.__setattr__(self, "fano", fano)
+        object.__setattr__(self, "log_terminal", log_terminal)
         if self.dim < 2:
             raise InputError("dim must be >= 2")
         if self.lattice.rank != self.dim - 1:
@@ -284,36 +303,53 @@ def _lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlctInfo:
-    value: Q
-    is_lower_bound: bool
-    witness: str | None
+class GlctInfo(Record):
+    __slots__ = _fields = ("value", "is_lower_bound", "witness")
+
+    def __init__(self, value: Q, is_lower_bound: bool, witness: str | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "is_lower_bound", is_lower_bound)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class KEVerdict:
-    certified: bool
-    route: str | None
-    details: dict
-    warnings: tuple[str, ...]
+class KEVerdict(Record):
+    __slots__ = _fields = ("certified", "route", "details", "warnings")
+
+    def __init__(self, certified: bool, route: str | None, details: dict, warnings: tuple[str, ...]):
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "warnings", warnings)
 
 
-@dataclass(frozen=True)
-class VarietyAnalysis:
+class VarietyAnalysis(Record):
     """Every quantity of the verdict pipeline, each computed once.  A stopped
     ``glct`` or ``verdict`` holds its PreconditionError; ``quotient_lct`` is the
     uncapped boundary threshold, present when an explicit action gave the glct,
     and ``divisor`` the invariant D ~ -K_X bounding it from above, present when
     that threshold is finite."""
 
-    symmetric: bool
-    boundary: MarkedCurvePair
-    non_reduced: tuple[ProjPoint, ...]
-    quotient_lct: LctResult | None
-    divisor: dict[str, Q] | None
-    glct: GlctInfo | PreconditionError
-    verdict: KEVerdict | PreconditionError
+    __slots__ = _fields = (
+        "symmetric", "boundary", "non_reduced", "quotient_lct", "divisor", "glct", "verdict",
+    )
+
+    def __init__(
+        self,
+        symmetric: bool,
+        boundary: MarkedCurvePair,
+        non_reduced: tuple[ProjPoint, ...],
+        quotient_lct: LctResult | None,
+        divisor: dict[str, Q] | None,
+        glct: GlctInfo | PreconditionError,
+        verdict: KEVerdict | PreconditionError,
+    ):
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "non_reduced", non_reduced)
+        object.__setattr__(self, "quotient_lct", quotient_lct)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "glct", glct)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def _check_verdict_preconditions(variety: CxOneVariety, symmetric: bool):

@@ -626,6 +626,19 @@ def test_exit_code_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document",
+    [b'{"name": "\xff"}', b"[" * 100000, b'{"name": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-too-deep", "int-over-digit-limit"],
+)
+def test_an_unreadable_document_is_an_input_error(tmp_path, capsys, document):
+    target = tmp_path / "document.json"
+    target.write_bytes(document)
+    assert run(["validate", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {target} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_exit_code_cap_error(tmp_path, capsys):
     data = read_json(fixture_path("pair-involution.json"))
     data["moebius_generators"] = [[["1", "1"], ["0", "1"]]]  # infinite translation group

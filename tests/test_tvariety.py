@@ -1,10 +1,17 @@
-import dataclasses
+import copy
 import random
 from itertools import count
 
 import pytest
 
-from symfano.curvepair import finite_degree, is_neg_infinity, lct_g
+from symfano.curvepair import (
+    LctResult,
+    MarkedCurvePair,
+    OrbitClass,
+    finite_degree,
+    is_neg_infinity,
+    lct_g,
+)
 from symfano.errors import (
     DegreeError,
     InputError,
@@ -15,8 +22,17 @@ from symfano.errors import (
     NotLogTerminal,
     NotSymmetric,
 )
-from symfano.exact import ProjPoint
-from symfano.groups import LatticeAutGroup, MoebiusElement, closure, exceptional_orbits, orbit_of
+from symfano.exact import ProjPoint, SemipositiveWitness
+from symfano.groups import (
+    LatticeAutGroup,
+    MoebiusElement,
+    MoebiusGroup,
+    Orbit,
+    closure,
+    exceptional_orbits,
+    orbit_of,
+)
+from symfano.polyhedral import Cone, Fan
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
 from symfano.selftest import _GROUP_GENERATORS, suite_effectivity
@@ -27,7 +43,10 @@ from symfano.tvariety import (
     DeclaredAction,
     Fiber,
     FiberBook,
+    GlctInfo,
     HorizontalDivisor,
+    KEVerdict,
+    VarietyAnalysis,
     VerticalDivisor,
     analyze,
     anticanonical_lift,
@@ -264,10 +283,64 @@ def test_variety_is_immutable_and_closes_its_own_group():
             moebius_generators=(MoebiusElement.identity(),),
             _moebius_group=closure([swap]),
         )
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         v.moebius_generators = (swap,)
     assert v.moebius_group() is v.moebius_group()
     assert v.moebius_group().order == 1
+
+
+def _record_cases():
+    """(class, keyword arguments, a field, another value for it) per value record;
+    fields compared by identity are shared between builds."""
+    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))])
+    lattice = LatticeAutGroup(2, NEG_LATTICE)
+    pair = MarkedCurvePair([(pt(0), rat(1, 2))])
+    info = GlctInfo(rat(1, 2), False, None)
+    verdict = KEVerdict(False, None, {}, ())
+    return [
+        (SemipositiveWitness, dict(vector=(1, 0)), "vector", (0, 1)),
+        (OrbitClass, dict(kind="generic", size=2, coeff=rat(0), orbit=None), "size", 3),
+        (LctResult, dict(value=rat(1, 2), witness=None), "value", rat(1, 3)),
+        (MoebiusGroup, dict(elements=(MoebiusElement.identity(),)), "elements", ()),
+        (Orbit, dict(points=(pt(0),), stabilizer_order=2), "stabilizer_order", 1),
+        (Fan, dict(ambient_rank=1, cones=(Cone(1, [(1,)]),)), "cones", ()),
+        (VerticalDivisor, dict(name="a", order=2), "order", 3),
+        (HorizontalDivisor, dict(name="h"), "name", "k"),
+        (Fiber, dict(point=pt(0), divisors=()), "point", INF),
+        (DeclaredAction, dict(permutations=((0,),), induced_cyclic=True), "induced_cyclic", False),
+        (
+            CxOneVariety,
+            dict(name="a", dim=3, fibers=fibers, horizontals=(), lattice=lattice,
+                 declared=DeclaredAction(((0,),), True)),
+            "name",
+            "b",
+        ),
+        (GlctInfo, dict(value=rat(1, 2), is_lower_bound=False, witness=None), "is_lower_bound", True),
+        (KEVerdict, dict(certified=False, route=None, details={}, warnings=()), "certified", True),
+        (
+            VarietyAnalysis,
+            dict(symmetric=True, boundary=pair, non_reduced=(pt(0),), quotient_lct=None,
+                 divisor=None, glct=info, verdict=verdict),
+            "symmetric",
+            False,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", _record_cases(), ids=lambda case: case[0].__name__)
+def test_value_records_are_immutable_values(case):
+    cls, kwargs, field, other = case
+    record, again = cls(**kwargs), cls(**kwargs)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(record, field, other)
+    assert record == again and not record != again
+    if cls in (KEVerdict, VarietyAnalysis):  # a dict field, its own or its verdict's
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(again)
+    assert record != cls(**{**kwargs, field: other})
+    assert copy.copy(record) == record
 
 
 COUNTING_ROUTES = ("three-non-reduced-fibers", "swapped-pair", "fixed-point-free")
