@@ -128,21 +128,23 @@ class Report(_Record):
         return "\n".join(lines)
 
 
+#: the JSON text of a str, int, bool or None, by its exact type
+_LEAF_ENCODERS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _write_json(node, newline: str, out: list) -> None:
     """Append the indent-2 JSON text of ``node`` to ``out``; ``newline`` is a
     line break and the indentation of the line that holds ``node``.  Dict keys
     must be strings; a leaf that is not a str, bool, None or int goes to
     ``json.dumps``."""
-    if isinstance(node, str):
-        out.append(_encode_str(node))
-    elif node is None:
-        out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif type(node) is int:
-        out.append(int.__repr__(node))
+    encode = _LEAF_ENCODERS.get(type(node))
+    if encode is not None:
+        out.append(encode(node))
     elif isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -150,8 +152,13 @@ def _write_json(node, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(node):
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(node[key], inner, out)
+            value = node[key]
+            encode = _LEAF_ENCODERS.get(type(value))
+            if encode is None:
+                out.append(sep + _encode_str(key) + ": ")
+                _write_json(value, inner, out)
+            else:
+                out.append(sep + _encode_str(key) + ": " + encode(value))
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(node, (list, tuple)):
@@ -159,10 +166,10 @@ def _write_json(node, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is str for x in node):
-            out.append("[" + inner + ("," + inner).join(map(_encode_str, node)) + newline + "]")
-        elif all(type(x) is int for x in node):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, node)) + newline + "]")
+        # a list of leaves of one type is joined in one go
+        kind = type(node[0])
+        if kind in _LEAF_ENCODERS and set(map(type, node)) == {kind}:
+            out.append("[" + inner + ("," + inner).join(map(_LEAF_ENCODERS[kind], node)) + newline + "]")
         else:
             sep = "[" + inner
             for item in node:
@@ -171,7 +178,7 @@ def _write_json(node, newline: str, out: list) -> None:
                 sep = "," + inner
             out.append(newline + "]")
     else:
-        out.append(json.dumps(node))
+        out.append(json.dumps(node, ensure_ascii=False))
 
 
 def _cert_dict(polystable: bool, cert) -> dict:

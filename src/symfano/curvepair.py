@@ -41,10 +41,10 @@ def is_neg_infinity(coeff) -> bool:
     return coeff is NEG_INFINITY
 
 
-class MarkedCurvePair:
+class MarkedCurvePair(Record):
     """Projective line with pairwise distinct marked points and coefficients."""
 
-    __slots__ = ("marked",)
+    __slots__ = _fields = ("marked",)
 
     def __init__(self, marked):
         entries = []
@@ -57,9 +57,6 @@ class MarkedCurvePair:
             seen.add(point)
             entries.append((point, coeff if is_neg_infinity(coeff) else rat(coeff)))
         object.__setattr__(self, "marked", tuple(entries))
-
-    def __setattr__(self, *_):
-        raise AttributeError("MarkedCurvePair is immutable")
 
     def __iter__(self):
         return iter(self.marked)

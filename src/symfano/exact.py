@@ -8,6 +8,7 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import InputError, InternalError
 from .rationals import Q, rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
@@ -94,6 +95,9 @@ class ProjPoint:
 
     def __setattr__(self, *_):
         raise AttributeError("ProjPoint is immutable")
+
+    def __reduce__(self):
+        return ProjPoint._make, (self.coords, self.d)
 
     @classmethod
     def from_affine(cls, a, b=0, d: int | None = None) -> "ProjPoint":
@@ -195,6 +199,9 @@ class IntMatrix:
 
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):
+        return IntMatrix._make, (self.entries, self.cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -424,6 +431,9 @@ class PositiveCombination:
     def __setattr__(self, *_):
         raise AttributeError("PositiveCombination is immutable")
 
+    def __reduce__(self):
+        return PositiveCombination._make, (self.numerators, self.denominator)
+
     @property
     def coefficients(self) -> tuple[Q, ...]:
         return tuple(Q(n, self.denominator) for n in self.numerators)
@@ -471,11 +481,11 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows])
     if feasible:
         lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
-        if min(nums) < 0 or any(sum(c * l for c, l in zip(row, lam)) for row in rows):
+        if min(nums) < 0 or any(sum(map(mul, row, lam)) for row in rows):
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
         return PositiveCombination._make(lam, den)
     v = _primitive(tuple(-x for x in nums))
-    pairings = [sum(a * b for a, b in zip(v, col)) for col in zip(*rows)]
+    pairings = [sum(map(mul, v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:
         raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")
     return SemipositiveWitness(v)
@@ -498,36 +508,53 @@ def _phase_one(a_rows, rhs):
     n = len(a_rows[0])
     ncols = n + m
     signs = [-1 if b < 0 else 1 for b in rhs]
-    tab = [
-        [s * x for x in row] + [int(j == i) for j in range(m)] + [s * b]
-        for i, (row, b, s) in enumerate(zip(a_rows, rhs, signs))
-    ]
+    tab = []
+    for i, (row, b, s) in enumerate(zip(a_rows, rhs, signs)):
+        t = [0] * (ncols + 1)
+        t[:n] = row if s > 0 else [-x for x in row]
+        t[n + i] = 1
+        t[ncols] = s * b
+        tab.append(t)
     basis = list(range(n, ncols))
-    # reduced-cost row for minimising the artificial sum
-    z = [int(n <= j < ncols) - sum(col) for j, col in enumerate(zip(*tab))]
+    # reduced-cost row for minimising the artificial sum: minus the column
+    # sums, plus the cost 1 of each artificial column (whose sum is 1)
+    z = [-sum(col) for col in zip(*tab)]
+    z[n:ncols] = [0] * m
     den = 1
 
-    while (enter := next((j for j in range(ncols) if z[j] < 0), None)) is not None:
-        leave = None
+    while True:
+        for enter in range(ncols):
+            if z[enter] < 0:
+                break
+        else:
+            break
+        leave = -1
         for i, row in enumerate(tab):
-            if row[enter] <= 0:
+            r = row[enter]
+            if r <= 0:
                 continue
-            if leave is not None:
-                # ratio row[-1] / row[enter] against the best one, cross-multiplied
-                a, b = row[-1] * tab[leave][enter], tab[leave][-1] * row[enter]
+            if leave >= 0:
+                # ratio row[-1] / r against the best one, cross-multiplied
+                a, b = row[-1] * best_r, best_rhs * r
                 if a > b or (a == b and basis[i] > basis[leave]):
                     continue
-            leave = i
-        if leave is None:  # phase one is bounded below by zero
+            leave, best_r, best_rhs = i, r, row[-1]
+        if leave < 0:  # phase one is bounded below by zero
             raise InternalError("unbounded phase-one objective")
         prow = tab[leave]
-        piv = prow[enter]
+        piv = best_r
         for i, row in enumerate(tab):
             if i != leave:
                 f = row[enter]
-                tab[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
+                if den == 1:
+                    tab[i] = [x * piv - f * p for x, p in zip(row, prow)]
+                else:
+                    tab[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
         f = z[enter]
-        z = [(x * piv - f * p) // den for x, p in zip(z, prow)]
+        if den == 1:
+            z = [x * piv - f * p for x, p in zip(z, prow)]
+        else:
+            z = [(x * piv - f * p) // den for x, p in zip(z, prow)]
         den = piv
         basis[leave] = enter
 

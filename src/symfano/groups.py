@@ -74,6 +74,9 @@ class MoebiusElement:
     def __setattr__(self, *_):
         raise AttributeError("MoebiusElement is immutable")
 
+    def __reduce__(self):
+        return MoebiusElement._primitive, (self.a, self.b, self.c, self.d)
+
     @classmethod
     def identity(cls) -> "MoebiusElement":
         return cls._primitive(1, 0, 0, 1)
@@ -282,10 +285,10 @@ def has_global_fixed_point(group: MoebiusGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class LatticeAutGroup:
+class LatticeAutGroup(Record):
     """Group of lattice automorphisms given by unimodular integer generators."""
 
-    __slots__ = ("rank", "generators")
+    __slots__ = _fields = ("rank", "generators")
 
     def __init__(self, rank: int, generators):
         gens = tuple(g if isinstance(g, IntMatrix) else IntMatrix(g) for g in generators)
@@ -298,9 +301,6 @@ class LatticeAutGroup:
                 raise InputError("lattice generators must be unimodular")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", gens)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LatticeAutGroup is immutable")
 
     def __repr__(self):
         return f"LatticeAutGroup(rank={self.rank}, generators={list(self.generators)})"

@@ -9,12 +9,11 @@ integer arithmetic against the weight matrix.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import InputError, NotSurjective, TooManyCoordinates
 from .exact import (
     IntMatrix,
     PositiveCombination,
+    Record,
     SemipositiveWitness,
     smith_normal_form,
     solve_positive_combination,
@@ -24,10 +23,11 @@ from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
 LOCUS_COORDINATE_CAP = 20
 
 
-class WeightMatrix:
+class WeightMatrix(Record):
     """Diagonal torus action: column i is the weight vector of coordinate i."""
 
     __slots__ = ("torus_rank", "labels", "weights")
+    _fields = ("labels", "weights")  # torus_rank is weights.rows
 
     def __init__(self, labels, weights: IntMatrix):
         labels = tuple(str(x) for x in labels)
@@ -38,9 +38,6 @@ class WeightMatrix:
         object.__setattr__(self, "torus_rank", weights.rows)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, *_):
-        raise AttributeError("WeightMatrix is immutable")
 
     @property
     def coordinates(self) -> int:
@@ -73,16 +70,11 @@ def is_polystable(weight_matrix: WeightMatrix, support) -> tuple[bool, Stability
     The empty support is the origin, a fixed point with a closed orbit.
     """
     support = _normalize_support(weight_matrix, support)
-    return _decide(weight_matrix.weights, [weight_matrix.labels.index(l) for l in support])
-
-
-def _decide(weights: IntMatrix, columns) -> tuple[bool, StabilityCert]:
-    """Verdict and certificate for the support made of the given column indices."""
-    if not columns:
+    if not support:
         return True, PositiveCombination(())
-    # the entries were checked when ``weights`` was built
-    sub = IntMatrix._make(tuple(tuple(row[j] for j in columns) for row in weights.entries), len(columns))
-    result = solve_positive_combination(sub)
+    # the entries were checked when ``weight_matrix.weights`` was built
+    sub = tuple(zip(*(weight_matrix.column(l) for l in support)))
+    result = solve_positive_combination(IntMatrix._make(sub, len(support)))
     return isinstance(result, PositiveCombination), result
 
 
@@ -109,19 +101,37 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
 
 def polystable_locus(weight_matrix: WeightMatrix):
     """Verdict and certificate for every one of the 2^n supports, in
-    lexicographic support order."""
+    lexicographic support order.
+
+    Verdict and certificate depend only on the support's ordered submatrix,
+    so each distinct submatrix is decided once, by one call of
+    ``solve_positive_combination``; supports whose columns repeat the same
+    weights in the same order share its answer.
+    """
     n = weight_matrix.coordinates
     if n > LOCUS_COORDINATE_CAP:
         raise TooManyCoordinates(f"{n} coordinates exceed the 2^n enumeration cap")
     labels = weight_matrix.labels
-    subsets = sorted(
-        (columns for r in range(n + 1) for columns in combinations(range(n), r)),
-        key=lambda columns: [labels[j] for j in columns],
-    )
-    return [
-        (tuple(labels[j] for j in columns), *_decide(weight_matrix.weights, columns))
-        for columns in subsets
-    ]
+    columns = [weight_matrix.weights.col(j) for j in range(n)]
+    # the later coordinates in reverse label order: popped from the stack,
+    # the extensions of a support come after it, in label order
+    reverse_by_label = sorted(range(n), key=labels.__getitem__, reverse=True)
+    # a support's weight columns, in coordinate order, key its answer
+    decided = {(): (True, PositiveCombination(()))}
+    rows = []
+    stack = [((), (), 0)]
+    while stack:
+        support, sub, start = stack.pop()
+        answer = decided.get(sub)
+        if answer is None:
+            # the entries were checked when ``weight_matrix.weights`` was built
+            result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub)), len(sub)))
+            answer = decided[sub] = (isinstance(result, PositiveCombination), result)
+        rows.append((support, *answer))
+        stack.extend(
+            (support + (labels[j],), sub + (columns[j],), j + 1) for j in reverse_by_label if j >= start
+        )
+    return rows
 
 
 def destabilizer_candidates(weight_matrix: WeightMatrix, support) -> tuple[tuple[int, ...], ...]:

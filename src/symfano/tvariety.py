@@ -79,10 +79,10 @@ class Fiber(Record):
         return max((d.order for d in self.divisors), default=0)
 
 
-class FiberBook:
+class FiberBook(Record):
     """All marked fibers; unmarked points carry one implicit order-1 divisor."""
 
-    __slots__ = ("fibers",)
+    __slots__ = _fields = ("fibers",)
 
     def __init__(self, fibers):
         fibers = tuple(fibers)
@@ -90,9 +90,6 @@ class FiberBook:
         if len(set(pts)) != len(pts):
             raise InputError("marked points must be pairwise distinct")
         object.__setattr__(self, "fibers", fibers)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FiberBook is immutable")
 
     def __iter__(self):
         return iter(self.fibers)

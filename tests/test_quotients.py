@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -111,8 +112,8 @@ def test_oracle_equivalence_random(rng, property_cases):
         assert verify_stability_cert(wm, labels, cert)
 
 
-def test_locus_calls_the_simplex_once_per_nonempty_support(monkeypatch, rng):
-    # the benchmark's exact.simplex_calls counts these calls
+def _count_simplex_calls(monkeypatch) -> list:
+    """The matrices ``solve_positive_combination`` is called with from now on."""
     calls = []
     original = exact.solve_positive_combination
 
@@ -124,23 +125,62 @@ def test_locus_calls_the_simplex_once_per_nonempty_support(monkeypatch, rng):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symfano" and getattr(module, "solve_positive_combination", None) is original:
             monkeypatch.setattr(module, "solve_positive_combination", counted)
+    return calls
+
+
+def test_locus_calls_the_simplex_once_per_nonempty_support(monkeypatch, rng):
+    # the benchmark's exact.simplex_calls counts these calls; with pairwise
+    # distinct columns every nonempty support has its own submatrix
+    calls = _count_simplex_calls(monkeypatch)
+    vectors = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b]
     for n in (1, 3, 6, 8):
         calls.clear()
         # a zero column makes supports that a shortcut could settle without the simplex
-        weights = IntMatrix([[0] + [rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(2)])
+        columns = [(0, 0)] + rng.sample(vectors, n - 1)
+        weights = IntMatrix([[col[i] for col in columns] for i in range(2)])
         rows = polystable_locus(WeightMatrix([f"x{i}" for i in range(n)], weights))
         assert len(rows) == 2**n
         assert len(calls) == 2**n - 1
 
 
+def test_locus_calls_the_simplex_once_per_distinct_submatrix(monkeypatch, rng):
+    calls = _count_simplex_calls(monkeypatch)
+    for n in (2, 4, 7, 9):
+        calls.clear()
+        # few distinct columns, the zero column among them, so supports repeat submatrices
+        pool = [(0, 0)] + [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
+        columns = [rng.choice(pool) for _ in range(n - 2)] + [pool[0], pool[0]]
+        rng.shuffle(columns)
+        weights = IntMatrix([[col[i] for col in columns] for i in range(2)])
+        rows = polystable_locus(WeightMatrix([f"x{i}" for i in range(n)], weights))
+        distinct = {
+            tuple(columns[j] for j in support)
+            for r in range(1, n + 1)
+            for support in combinations(range(n), r)
+        }
+        assert len(rows) == 2**n
+        assert len(calls) == len(distinct) < 2**n - 1
+        assert {tuple(zip(*w.entries)) for w in calls} == distinct
+
+
 def test_locus_matches_the_simplex_on_validated_submatrices(rng):
     for _ in range(60):
-        d = rng.randint(1, 3)
-        n = rng.randint(1, 6)
-        weights = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
-        labels = [f"x{i}" for i in range(n)]
-        for support, verdict, cert in polystable_locus(WeightMatrix(labels, weights)):
-            columns = [labels.index(l) for l in support]
+        d = rng.randint(1, 4)
+        n = rng.randint(2, 9)
+        cols = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(n - 2)]
+        cols.append([0] * d)
+        cols.append(list(rng.choice(cols)))  # a repeated column
+        rng.shuffle(cols)
+        weights = IntMatrix([[col[i] for col in cols] for i in range(d)])
+        # labels out of coordinate order, so the support order is the labels'
+        labels = rng.sample([f"x{i}" for i in range(12)], n)
+        rows = polystable_locus(WeightMatrix(labels, weights))
+        supports = sorted(
+            (columns for r in range(n + 1) for columns in combinations(range(n), r)),
+            key=lambda columns: [labels[j] for j in columns],
+        )
+        assert [support for support, _, _ in rows] == [tuple(labels[j] for j in c) for c in supports]
+        for (support, verdict, cert), columns in zip(rows, supports):
             if not columns:
                 assert (verdict, cert) == (True, PositiveCombination(()))
                 continue

@@ -1,10 +1,12 @@
 import copy
+import pickle
 import random
 from itertools import count
 
 import pytest
 
 from symfano.curvepair import (
+    NEG_INFINITY,
     LctResult,
     MarkedCurvePair,
     OrbitClass,
@@ -22,7 +24,7 @@ from symfano.errors import (
     NotLogTerminal,
     NotSymmetric,
 )
-from symfano.exact import ProjPoint, SemipositiveWitness
+from symfano.exact import IntMatrix, PositiveCombination, ProjPoint, SemipositiveWitness
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
@@ -33,6 +35,7 @@ from symfano.groups import (
     orbit_of,
 )
 from symfano.polyhedral import Cone, Fan
+from symfano.quotients import WeightMatrix
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
 from symfano.selftest import _GROUP_GENERATORS, suite_effectivity
@@ -290,37 +293,34 @@ def test_variety_is_immutable_and_closes_its_own_group():
 
 
 def _record_cases():
-    """(class, keyword arguments, a field, another value for it) per value record;
-    fields compared by identity are shared between builds."""
-    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))])
-    lattice = LatticeAutGroup(2, NEG_LATTICE)
-    pair = MarkedCurvePair([(pt(0), rat(1, 2))])
-    info = GlctInfo(rat(1, 2), False, None)
-    verdict = KEVerdict(False, None, {}, ())
+    """(class, a builder of fresh keyword arguments, a field, another value
+    for it) per value record."""
     return [
-        (SemipositiveWitness, dict(vector=(1, 0)), "vector", (0, 1)),
-        (OrbitClass, dict(kind="generic", size=2, coeff=rat(0), orbit=None), "size", 3),
-        (LctResult, dict(value=rat(1, 2), witness=None), "value", rat(1, 3)),
-        (MoebiusGroup, dict(elements=(MoebiusElement.identity(),)), "elements", ()),
-        (Orbit, dict(points=(pt(0),), stabilizer_order=2), "stabilizer_order", 1),
-        (Fan, dict(ambient_rank=1, cones=(Cone(1, [(1,)]),)), "cones", ()),
-        (VerticalDivisor, dict(name="a", order=2), "order", 3),
-        (HorizontalDivisor, dict(name="h"), "name", "k"),
-        (Fiber, dict(point=pt(0), divisors=()), "point", INF),
-        (DeclaredAction, dict(permutations=((0,),), induced_cyclic=True), "induced_cyclic", False),
+        (SemipositiveWitness, lambda: dict(vector=(1, 0)), "vector", (0, 1)),
+        (OrbitClass, lambda: dict(kind="generic", size=2, coeff=rat(0), orbit=None), "size", 3),
+        (LctResult, lambda: dict(value=rat(1, 2), witness=None), "value", rat(1, 3)),
+        (MoebiusGroup, lambda: dict(elements=(MoebiusElement.identity(),)), "elements", ()),
+        (Orbit, lambda: dict(points=(pt(0),), stabilizer_order=2), "stabilizer_order", 1),
+        (Fan, lambda: dict(ambient_rank=1, cones=(Cone(1, [(1,)]),)), "cones", ()),
+        (VerticalDivisor, lambda: dict(name="a", order=2), "order", 3),
+        (HorizontalDivisor, lambda: dict(name="h"), "name", "k"),
+        (Fiber, lambda: dict(point=pt(0), divisors=()), "point", INF),
+        (DeclaredAction, lambda: dict(permutations=((0,),), induced_cyclic=True), "induced_cyclic", False),
         (
             CxOneVariety,
-            dict(name="a", dim=3, fibers=fibers, horizontals=(), lattice=lattice,
-                 declared=DeclaredAction(((0,),), True)),
+            lambda: dict(name="a", dim=3, fibers=FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))]),
+                         horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE),
+                         declared=DeclaredAction(((0,),), True)),
             "name",
             "b",
         ),
-        (GlctInfo, dict(value=rat(1, 2), is_lower_bound=False, witness=None), "is_lower_bound", True),
-        (KEVerdict, dict(certified=False, route=None, details={}, warnings=()), "certified", True),
+        (GlctInfo, lambda: dict(value=rat(1, 2), is_lower_bound=False, witness=None), "is_lower_bound", True),
+        (KEVerdict, lambda: dict(certified=False, route=None, details={}, warnings=()), "certified", True),
         (
             VarietyAnalysis,
-            dict(symmetric=True, boundary=pair, non_reduced=(pt(0),), quotient_lct=None,
-                 divisor=None, glct=info, verdict=verdict),
+            lambda: dict(symmetric=True, boundary=MarkedCurvePair([(pt(0), rat(1, 2))]),
+                         non_reduced=(pt(0),), quotient_lct=None, divisor=None,
+                         glct=GlctInfo(rat(1, 2), False, None), verdict=KEVerdict(False, None, {}, ())),
             "symmetric",
             False,
         ),
@@ -329,8 +329,8 @@ def _record_cases():
 
 @pytest.mark.parametrize("case", _record_cases(), ids=lambda case: case[0].__name__)
 def test_value_records_are_immutable_values(case):
-    cls, kwargs, field, other = case
-    record, again = cls(**kwargs), cls(**kwargs)
+    cls, make, field, other = case
+    record, again = cls(**make()), cls(**make())
     with pytest.raises(AttributeError, match="immutable"):
         setattr(record, field, other)
     assert record == again and not record != again
@@ -339,8 +339,50 @@ def test_value_records_are_immutable_values(case):
             hash(record)
     else:
         assert hash(record) == hash(again)
-    assert record != cls(**{**kwargs, field: other})
+    assert record != cls(**{**make(), field: other})
     assert copy.copy(record) == record
+
+
+def _value_type_cases():
+    """A value of each immutable type that keeps its own constructors."""
+    quadratic = ProjPoint.from_affine(rat(1, 2), rat(-3, 5), 12)
+    return [
+        pt(rat(-3, 7)),
+        quadratic,
+        INF,
+        IntMatrix([[1, -2, 0], [3, 4, 5]]),
+        IntMatrix([]),
+        PositiveCombination((rat(1), rat(3, 2), rat(5, 4))),
+        PositiveCombination(()),
+        MoebiusElement([[0, rat(1, 2)], [-3, 1]]),
+        LatticeAutGroup(2, NEG_LATTICE),
+        FiberBook([Fiber(quadratic, (VerticalDivisor("a", 2),)), Fiber(INF, ())]),
+        WeightMatrix(("alpha", "beta"), IntMatrix([[1, -1], [0, 2]])),
+        MarkedCurvePair([(pt(0), rat(1, 2)), (INF, NEG_INFINITY), (quadratic, rat(-1))]),
+    ]
+
+
+@pytest.mark.parametrize("method", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("value", _value_type_cases(), ids=lambda v: type(v).__name__)
+def test_value_types_round_trip_through_copy_and_pickle(value, method):
+    clone = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    }[method](value)
+    assert type(clone) is type(value)
+    assert clone == value and hash(clone) == hash(value)
+    assert repr(clone) == repr(value) and str(clone) == str(value)
+    if isinstance(value, MarkedCurvePair):  # the -inf marker stays the one marker
+        assert [is_neg_infinity(c) for _, c in clone] == [is_neg_infinity(c) for _, c in value]
+
+
+@pytest.mark.parametrize("name", ["bidegree12", "p2-cstar", "quadric", "quadric-blowup"])
+def test_the_same_document_loads_to_equal_varieties(name):
+    data = read_json(fixture_path(name + ".json"))
+    first, second = load_variety(data), load_variety(data)
+    assert first is not second and first.fibers is not second.fibers
+    assert first == second and hash(first) == hash(second)
 
 
 COUNTING_ROUTES = ("three-non-reduced-fibers", "swapped-pair", "fixed-point-free")
