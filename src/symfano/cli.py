@@ -331,11 +331,10 @@ def _git_locus(report: Report, data: dict, args) -> int:
 
 
 def _chow(report: Report, data: dict, args) -> int:
-    from .quotients import chow_quotient_fan, lower_dimensional_images
+    from .quotients import chow_quotient_fan
     from .schemas import load_chow
 
-    fan, projection = load_chow(data)
-    out = chow_quotient_fan(fan, projection)
+    out, flat = chow_quotient_fan(*load_chow(data))
     report.add("target_rank", out.ambient_rank)
     report.add("cell_count", len(out.cones))
     report.add("maximal_cell_count", len(out.maximal_cones))
@@ -346,7 +345,6 @@ def _chow(report: Report, data: dict, args) -> int:
             for c in out.maximal_cones
         ],
     )
-    flat = lower_dimensional_images(fan, projection)
     if flat:
         report.warn(
             "the images of these maximal cones are lower-dimensional and hold no cell: "

@@ -2,58 +2,67 @@
 quadratic field, integer matrices with Smith normal form, and the
 strict-positivity alternative for integer weight families.
 
-Everything here is a pure function on immutable values.
+Every value of the package is a ``Record``: immutable after construction,
+compared and hashed by its fields (a ``polyhedral.Cone`` by the set it is),
+and copied and pickled through a constructor.  Everything here is a pure
+function on such values.  The one mutable kind is the report a command
+builds, ``cli.Report`` with its ``cli.Verdict`` lines.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import InputError, InternalError
-from .rationals import Q, rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
+from .rationals import rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
 
 
 class Record:
-    """Immutable value compared, hashed and printed by the attributes in ``_fields``.
+    """Immutable value compared, hashed and copied by the attributes in ``_fields``.
 
-    A subclass names its fields in ``_fields``, and in ``__slots__`` too
-    unless it keeps cached properties, and sets them in its own ``__init__``
-    with ``object.__setattr__``; its positional parameters are the fields in
-    order.  Records of one class are equal when their fields are; a record
-    with a dict field is not hashable.
+    The one base of the package's values.  A subclass names its fields in
+    ``_fields``, and in ``__slots__`` too unless it keeps cached properties;
+    ``__slots__`` may hold more, which then play no part in equality.  Its
+    own ``__init__`` sets them with ``object.__setattr__``, and its
+    positional parameters are the fields in order.  Records of one class are
+    equal when their fields are, and a one-field record compares and hashes
+    as its field; a record with a dict field is not hashable.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # not a descriptor: called as ``self._get(self)``
+        cls._get = attrgetter(*cls._fields)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        get = self._get
+        return get(self) == get(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get(self))
 
     def __reduce__(self):
         # copy and pickle rebuild through ``__init__``, whose positional
         # parameters are the fields in order; slots cannot be set afterwards
-        return type(self), self._values()
+        return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
-class ProjPoint:
+class ProjPoint(Record):
     """Point of the projective line over Q or a quadratic field, in integers.
 
     ``coords`` alone decides equality and hashing:
@@ -75,6 +84,7 @@ class ProjPoint:
     """
 
     __slots__ = ("coords", "d")
+    _fields = ("coords",)
 
     def __init__(self, x, y):
         x, y = rat(x), rat(y)
@@ -92,9 +102,6 @@ class ProjPoint:
         self = object.__new__(cls)
         self._set(coords, d)
         return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("ProjPoint is immutable")
 
     def __reduce__(self):
         return ProjPoint._make, (self.coords, self.d)
@@ -123,18 +130,6 @@ class ProjPoint:
     @classmethod
     def infinity(cls) -> "ProjPoint":
         return cls._make((1, 0), None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.coords == (1, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def _parts(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """``ratio_key`` of a and b of a quadratic point ``a + b*sqrt(d)``: with
@@ -169,10 +164,11 @@ class ProjPoint:
         return ratio_str(*a) + ("" if term.startswith("-") else "+") + term
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable rectangular matrix of arbitrary-precision integers."""
 
     __slots__ = ("rows", "cols", "entries")
+    _fields = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -196,12 +192,6 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __reduce__(self):
-        return IntMatrix._make, (self.entries, self.cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -266,14 +256,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
@@ -401,15 +383,14 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-class PositiveCombination:
+class PositiveCombination(Record):
     """Strictly positive rational lambda with sum(lambda_i * w_i) = 0.
 
     Held as integer ``numerators`` over one ``denominator`` > 0 with no
-    common factor; the public constructor takes the rationals lambda_i and
-    ``coefficients`` builds them again.
+    common factor; the public constructor takes the rationals lambda_i.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coefficients):
         lam = [rat(c) for c in coefficients]
@@ -428,29 +409,8 @@ class PositiveCombination:
         self._set(tuple(n // g for n in numerators), denominator // g)
         return self
 
-    def __setattr__(self, *_):
-        raise AttributeError("PositiveCombination is immutable")
-
     def __reduce__(self):
         return PositiveCombination._make, (self.numerators, self.denominator)
-
-    @property
-    def coefficients(self) -> tuple[Q, ...]:
-        return tuple(Q(n, self.denominator) for n in self.numerators)
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def __eq__(self, other):
-        if not isinstance(other, PositiveCombination):
-            return NotImplemented
-        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
-
-    def __hash__(self):
-        return hash((self.numerators, self.denominator))
-
-    def __repr__(self):
-        return f"PositiveCombination(coefficients={self.coefficients!r})"
 
 
 class SemipositiveWitness(Record):

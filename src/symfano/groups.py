@@ -26,7 +26,7 @@ from .rationals import Q, rat, rational_pair, ratio_key, squarefree_decompose
 MAX_FINITE_GROUP_ORDER = 12
 
 
-class MoebiusElement:
+class MoebiusElement(Record):
     """Invertible projective 2x2 transformation with rational entries.
 
     Stored as a primitive integer matrix: entries with gcd 1 and a positive
@@ -38,7 +38,7 @@ class MoebiusElement:
     ``_primitive``.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, matrix):
         try:
@@ -70,9 +70,6 @@ class MoebiusElement:
         self = object.__new__(cls)
         self._set(a, b, c, d)
         return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("MoebiusElement is immutable")
 
     def __reduce__(self):
         return MoebiusElement._primitive, (self.a, self.b, self.c, self.d)
@@ -126,14 +123,6 @@ class MoebiusElement:
         if A1 < 0:
             g = -g
         return ProjPoint._make((A1 // g, B1 // g, C1 // g, s), p.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusElement):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def sort_key(self):
         """The entries of ``matrix``, each as (numerator, denominator)."""

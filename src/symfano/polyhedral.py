@@ -26,7 +26,6 @@ from functools import cache, cached_property
 
 from .errors import InputError, InternalError
 from .exact import IntMatrix, Record, _primitive
-from .rationals import rat
 
 
 def _dot(u, v):
@@ -164,15 +163,17 @@ def _negatives(vectors):
     return [tuple(-x for x in v) for v in vectors]
 
 
-class Cone:
+class Cone(Record):
     """Convex rational polyhedral cone, possibly containing lines.
 
     The public constructors are the input boundary: they accept exactly int
     vectors of length ``ambient_rank``.  Cones derived from known ones are
-    built without re-checking.
+    built without re-checking.  Two cones are equal when they are the same
+    set, whatever generators they were given.
     """
 
     __slots__ = ("ambient_rank", "generators", "__dict__")
+    _fields = ("ambient_rank", "generators")
 
     def __init__(self, ambient_rank: int, generators=()):
         gens = _int_vectors(ambient_rank, generators, "generator")
@@ -255,10 +256,6 @@ class Cone:
     def dim(self) -> int:
         """The rank of the generators: len(lineality) + rank(rays) for a known V-form."""
         return len(_orthogonal_basis(self.generators))
-
-    def contains_point(self, point) -> bool:
-        point = [rat(x) for x in point]
-        return all(_dot(h, point) >= 0 for h in self._inequalities)
 
     def contains(self, other: "Cone") -> bool:
         return all(_dot(h, g) >= 0 for g in other.generators for h in self._inequalities)

@@ -156,11 +156,13 @@ def is_polystable_oracle(weight_matrix: WeightMatrix, support) -> bool:
     return True
 
 
-def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
+def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> tuple[Fan, tuple[Cone, ...]]:
     """A common refinement of the full-dimensional images of the maximal
-    cones that is a fan; the others neither hold nor cut a cell.
+    cones that is a fan, and the maximal cones whose image spans less than
+    the target: those neither hold nor cut a cell.
 
     The projection must be onto the target lattice (all invariant factors 1).
+    Each maximal cone is mapped once.
     """
     if projection.cols != fan.ambient_rank:
         raise InputError("projection columns must match the fan's ambient rank")
@@ -168,13 +170,7 @@ def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> Fan:
     diag = [d[i, i] for i in range(min(d.rows, d.cols))]
     if len(diag) < projection.rows or any(x != 1 for x in diag[: projection.rows]):
         raise NotSurjective("projection is not onto the target lattice")
-    images = [image_cone(c, projection) for c in fan.maximal_cones]
-    return common_refinement(images)
-
-
-def lower_dimensional_images(fan: Fan, projection: IntMatrix) -> tuple[Cone, ...]:
-    """The maximal cones of ``fan`` whose image spans less than the target.
-
-    Their images neither hold nor cut a cell of ``chow_quotient_fan``.
-    """
-    return tuple(c for c in fan.maximal_cones if image_cone(c, projection).dim < projection.rows)
+    maximal = fan.maximal_cones
+    images = [image_cone(c, projection) for c in maximal]
+    flat = tuple(c for c, image in zip(maximal, images) if image.dim < projection.rows)
+    return common_refinement(images), flat

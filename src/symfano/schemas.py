@@ -198,7 +198,7 @@ def _validate_variety(data: dict, out: list):
             out.append("symmetry.marked_permutations: one permutation per lattice generator")
         else:
             for i, p in enumerate(perms):
-                if not (isinstance(p, list) and sorted(p) == list(range(nf))):
+                if not (isinstance(p, list) and all(map(_is_int, p)) and sorted(p) == list(range(nf))):
                     out.append(
                         f"symmetry.marked_permutations[{i}]: must be a permutation of 0..{nf - 1}"
                     )

@@ -686,6 +686,47 @@ def test_chow_warns_about_lower_dimensional_images(tmp_path, capsys):
         assert "warning" not in run_capture(capsys, "chow", fixture(name))[1]
 
 
+def corpus_document(command, name):
+    """The document of the generated case ``name`` of a command."""
+    path = Path(__file__).resolve().parent / "goldens" / "corpus" / f"{command}.jsonl"
+    for line in path.read_text(encoding="utf-8").splitlines():
+        document = json.loads(line)["document"]
+        if document and document["name"] == name:
+            return document
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["tvar", "check"]], ids=" ".join)
+@pytest.mark.parametrize("permutation", [[1, "x", 2, 3], [1, 0.0, 2, 3], [True, 0, 2, 3]], ids=str)
+def test_marked_permutation_holds_only_ints(tmp_path, capsys, argv, permutation):
+    data = corpus_document("tvar-check", "tvar-g3-2")  # four fibers, a declared action
+    data["symmetry"]["marked_permutations"] = [permutation]
+    target = tmp_path / "variety.json"
+    target.write_text(json.dumps(data))
+    code = run([*argv, str(target)])
+    captured = capsys.readouterr()
+    problem = "symmetry.marked_permutations[0]: must be a permutation of 0..3"
+    if argv == ["validate"]:
+        assert code == 1 and f"  problem: {problem}" in captured.out.splitlines()
+    else:
+        assert (code, captured.out, captured.err) == (1, "", f"input error: {problem}\n")
+
+
+def test_chow_maps_each_maximal_cone_once(tmp_path, monkeypatch, capsys):
+    from symfano import quotients
+
+    calls = []
+    image_cone = quotients.image_cone
+    monkeypatch.setattr(quotients, "image_cone", lambda cone, p: calls.append(cone) or image_cone(cone, p))
+    flat = tmp_path / "chow.json"
+    flat.write_text(json.dumps(corpus_document("chow", "three-cones-one-flat")))
+    for path in (fixture("p2-chow.json"), fixture("p1xp1-chow.json"), str(flat)):
+        calls.clear()
+        assert run(["chow", path]) == 0
+        assert calls == list(load_chow(read_json(path))[0].maximal_cones)
+    assert "warning: the images of these maximal cones" in capsys.readouterr().out
+
+
 def gap_variety_data(extra_fibers):
     return {
         "name": "gap",

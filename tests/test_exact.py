@@ -166,7 +166,7 @@ def test_projpoint_canonical_form(rng, property_cases):
         p = ProjPoint(x, y)
         u, v = p.coords
         assert v > 0 and math.gcd(u, v) == 1 if v else (u, v) == (1, 0)
-        assert p.is_infinity == (not y) and p.d is None
+        assert (p == ProjPoint.infinity()) == (not y) and p.d is None
         assert p == ProjPoint(*p.coords) and hash(p) == hash(ProjPoint(*p.coords))
         if y:
             assert p == ProjPoint.from_affine(x / y) and Fraction(str(p)) == x / y
@@ -205,24 +205,25 @@ def test_projpoint_across_extensions():
 
 def test_positive_combination_keeps_integers(rng):
     """lambda is held as numerators over one denominator: the public
-    constructor on its coefficients gives it back, and the report renders
-    each coefficient as ``rat_str`` does."""
+    constructor on the rationals lambda_i gives it back, and the report
+    renders each coefficient as ``rat_str`` does."""
     seen = 0
     for _ in range(200):
         w = IntMatrix([[rng.randint(-5, 5) for _ in range(5)] for _ in range(2)])
         out = solve_positive_combination(w)
         if isinstance(out, PositiveCombination):
             seen += 1
-            again = PositiveCombination(out.coefficients)
+            coefficients = [Fraction(n, out.denominator) for n in out.numerators]
+            again = PositiveCombination(coefficients)
             assert again == out and hash(again) == hash(out)
             assert (again.numerators, again.denominator) == (out.numerators, out.denominator)
             assert out.denominator > 0 and math.gcd(out.denominator, *out.numerators) == 1
             rendered = [ratio_str(n, out.denominator) for n in out.numerators]
-            assert rendered == [rat_str(c) for c in out.coefficients]
+            assert rendered == [rat_str(c) for c in coefficients]
     assert seen
     lam = PositiveCombination(("1/2", 3, Fraction(-2, 3)))
     assert (lam.numerators, lam.denominator) == ((3, 18, -4), 6)
-    assert lam.coefficients == (Fraction(1, 2), Fraction(3), Fraction(-2, 3))
+    assert repr(lam) == "PositiveCombination(numerators=(3, 18, -4), denominator=6)"
 
 
 def test_rational_serialization():
@@ -245,7 +246,7 @@ def check_witness(w, result):
 
 def test_solve_positive_combination_examples():
     out = solve_positive_combination(IntMatrix([[-1, 1], [1, -1]]))
-    assert isinstance(out, PositiveCombination) and list(out) == [1, 1]
+    assert isinstance(out, PositiveCombination) and (out.numerators, out.denominator) == ((1, 1), 1)
 
     w = IntMatrix([[-2, 1], [1, -2]])
     out = solve_positive_combination(w)
@@ -254,7 +255,7 @@ def test_solve_positive_combination_examples():
 
     out = solve_positive_combination(IntMatrix([[-2, 1, 1], [1, -2, 1]]))
     assert isinstance(out, PositiveCombination)
-    assert list(out) == [1, 1, 1]
+    assert (out.numerators, out.denominator) == ((1, 1, 1), 1)
 
 
 def test_solve_positive_combination_random(rng, property_cases):
@@ -263,10 +264,10 @@ def test_solve_positive_combination_random(rng, property_cases):
         w = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
         out = solve_positive_combination(w)
         if isinstance(out, PositiveCombination):
-            lam = list(out)
-            assert all(c >= 1 for c in lam)
+            lam = out.numerators  # lambda_i = lam[i] / out.denominator
+            assert all(c >= out.denominator for c in lam)
             for i in range(d):
-                assert sum(rat(x) * c for x, c in zip(w.entries[i], lam)) == 0
+                assert sum(x * c for x, c in zip(w.entries[i], lam)) == 0
         else:
             check_witness(w, out)
 

@@ -13,7 +13,6 @@ from symfano.quotients import (
     chow_quotient_fan,
     is_polystable,
     is_polystable_oracle,
-    lower_dimensional_images,
     polystable_locus,
     verify_stability_cert,
 )
@@ -36,7 +35,7 @@ def test_is_polystable_examples():
     assert [sum(a * b for a, b in zip(v, HYP.column(l))) for l in ("alpha", "beta")] == [1, 1]
 
     ok, cert = is_polystable(HYP, ())
-    assert ok and isinstance(cert, PositiveCombination) and not cert.coefficients
+    assert ok and isinstance(cert, PositiveCombination) and cert.numerators == ()
 
 
 def test_first_family_locus():
@@ -209,8 +208,8 @@ def p2_fan():
 
 
 def test_chow_p2():
-    fan = chow_quotient_fan(p2_fan(), IntMatrix([[1, -1]]))
-    assert len(fan.cones) == 3
+    fan, flat = chow_quotient_fan(p2_fan(), IntMatrix([[1, -1]]))
+    assert len(fan.cones) == 3 and flat == ()
     keys = {c.key() for c in fan.cones}
     assert Cone(1, [(1,)]).key() in keys
     assert Cone(1, [(-1,)]).key() in keys
@@ -218,8 +217,8 @@ def test_chow_p2():
 
 
 def test_chow_identity():
-    fan = chow_quotient_fan(p2_fan(), IntMatrix.identity(2))
-    assert len(fan.maximal_cones) == 3
+    fan, flat = chow_quotient_fan(p2_fan(), IntMatrix.identity(2))
+    assert len(fan.maximal_cones) == 3 and flat == ()
     for cone in p2_fan().cones:
         assert any(cone == c for c in fan.maximal_cones)
 
@@ -233,8 +232,8 @@ def test_chow_p1xp1():
             for sy in (1, -1)
         ),
     )
-    fan = chow_quotient_fan(quadrants, IntMatrix([[1, 1]]))
-    assert len(fan.cones) == 3
+    fan, flat = chow_quotient_fan(quadrants, IntMatrix([[1, 1]]))
+    assert len(fan.cones) == 3 and flat == ()
     assert len(fan.maximal_cones) == 2
 
 
@@ -246,13 +245,13 @@ def test_chow_p3_drop_one_coordinate():
     from itertools import combinations
 
     p3 = Fan(3, tuple(Cone(3, list(trip)) for trip in combinations(rays, 3)))
-    fan = chow_quotient_fan(p3, IntMatrix([[1, 0, 0], [0, 1, 0]]))
+    fan, flat = chow_quotient_fan(p3, IntMatrix([[1, 0, 0], [0, 1, 0]]))
     expected = [
         Cone(2, [(1, 0), (0, 1)]),
         Cone(2, [(0, 1), (-1, -1)]),
         Cone(2, [(1, 0), (-1, -1)]),
     ]
-    assert len(fan.maximal_cones) == 3
+    assert len(fan.maximal_cones) == 3 and flat == ()
     for cone in expected:
         assert any(cone == c for c in fan.maximal_cones)
 
@@ -262,18 +261,18 @@ def test_chow_project_to_factor():
         2,
         tuple(Cone(2, [(sx, 0), (0, sy)]) for sx in (1, -1) for sy in (1, -1)),
     )
-    fan = chow_quotient_fan(quadrants, IntMatrix([[1, 0]]))
-    assert len(fan.cones) == 3  # both halflines and the origin
+    fan, flat = chow_quotient_fan(quadrants, IntMatrix([[1, 0]]))
+    assert len(fan.cones) == 3 and flat == ()  # both halflines and the origin
 
 
-def test_lower_dimensional_images():
+def test_chow_quotient_fan_names_the_maximal_cones_with_flat_images():
     orthant, ray = Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, -1)])
     fan = Fan(2, (orthant, ray))
-    assert lower_dimensional_images(fan, IntMatrix.identity(2)) == (ray,)
-    assert lower_dimensional_images(fan, IntMatrix([[1, 0]])) == ()
-    assert lower_dimensional_images(Fan(2, (orthant,)), IntMatrix([[1, -1], [0, 1]])) == ()
-    assert len(chow_quotient_fan(fan, IntMatrix.identity(2)).maximal_cones) == 1
-    assert chow_quotient_fan(Fan(2, (ray,)), IntMatrix.identity(2)).cones == ()
+    out, flat = chow_quotient_fan(fan, IntMatrix.identity(2))
+    assert flat == (ray,) and len(out.maximal_cones) == 1
+    assert chow_quotient_fan(fan, IntMatrix([[1, 0]]))[1] == ()
+    assert chow_quotient_fan(Fan(2, (orthant,)), IntMatrix([[1, -1], [0, 1]]))[1] == ()
+    assert chow_quotient_fan(Fan(2, (ray,)), IntMatrix.identity(2)) == (Fan(2, ()), (ray,))
 
 
 def test_flat_image_neither_holds_nor_cuts_a_cell():
@@ -282,8 +281,8 @@ def test_flat_image_neither_holds_nor_cuts_a_cell():
     flat = Cone(4, [(0, -2, -3, 1), (-4, 1, -1, -2), (0, 1, 2, -1), (-1, 1, 1, -1)])
     last = Cone(4, [(-1, 2, 4, -2), (2, -1, 0, 0), (0, -3, -1, 2), (1, -1, -1, 1)])
     fan, projection = Fan(4, (first, flat, last)), IntMatrix([[1, 0, 0, -1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    assert lower_dimensional_images(fan, projection) == (flat,)
-    out = chow_quotient_fan(fan, projection)
+    out, flat_images = chow_quotient_fan(fan, projection)
+    assert flat_images == (flat,)
     out.validate()
     full = common_refinement([image_cone(first, projection), image_cone(last, projection)])
     assert [c.key() for c in out.cones] == [c.key() for c in full.cones]

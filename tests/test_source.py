@@ -25,6 +25,30 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """The names a class body defines, by ``def`` or by assignment."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_record_writes_the_immutability_rule():
+    # every value type is an ``exact.Record``, which alone refuses attribute writes
+    found = {
+        (str(path.relative_to(PACKAGE)), node.name, name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for name in _class_members(node) & {"__setattr__", "__delattr__"}
+    }
+    assert found == {("exact.py", "Record", "__setattr__"), ("exact.py", "Record", "__delattr__")}
+
+
 def _modules_loaded_by(argv: list[str]) -> set[str]:
     """The package modules that a fresh interpreter has loaded after one command."""
     script = (

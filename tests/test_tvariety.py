@@ -24,7 +24,7 @@ from symfano.errors import (
     NotLogTerminal,
     NotSymmetric,
 )
-from symfano.exact import IntMatrix, PositiveCombination, ProjPoint, SemipositiveWitness
+from symfano.exact import IntMatrix, PositiveCombination, ProjPoint, Record, SemipositiveWitness
 from symfano.groups import (
     LatticeAutGroup,
     MoebiusElement,
@@ -302,6 +302,7 @@ def _record_cases():
         (MoebiusGroup, lambda: dict(elements=(MoebiusElement.identity(),)), "elements", ()),
         (Orbit, lambda: dict(points=(pt(0),), stabilizer_order=2), "stabilizer_order", 1),
         (Fan, lambda: dict(ambient_rank=1, cones=(Cone(1, [(1,)]),)), "cones", ()),
+        (Cone, lambda: dict(ambient_rank=2, generators=[(1, 0), (0, 1)]), "generators", ((5, 5),)),
         (VerticalDivisor, lambda: dict(name="a", order=2), "order", 3),
         (HorizontalDivisor, lambda: dict(name="h"), "name", "k"),
         (Fiber, lambda: dict(point=pt(0), divisors=()), "point", INF),
@@ -344,7 +345,7 @@ def test_value_records_are_immutable_values(case):
 
 
 def _value_type_cases():
-    """A value of each immutable type that keeps its own constructors."""
+    """A value of each type that keeps its own constructors, equality or repr."""
     quadratic = ProjPoint.from_affine(rat(1, 2), rat(-3, 5), 12)
     return [
         pt(rat(-3, 7)),
@@ -359,6 +360,7 @@ def _value_type_cases():
         FiberBook([Fiber(quadratic, (VerticalDivisor("a", 2),)), Fiber(INF, ())]),
         WeightMatrix(("alpha", "beta"), IntMatrix([[1, -1], [0, 2]])),
         MarkedCurvePair([(pt(0), rat(1, 2)), (INF, NEG_INFINITY), (quadratic, rat(-1))]),
+        Cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 2), (0, 3, 1)]),  # a wedge around a line
     ]
 
 
@@ -370,7 +372,9 @@ def test_value_types_round_trip_through_copy_and_pickle(value, method):
         "deepcopy": copy.deepcopy,
         "pickle": lambda x: pickle.loads(pickle.dumps(x)),
     }[method](value)
-    assert type(clone) is type(value)
+    assert type(clone) is type(value) and isinstance(clone, Record)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(clone, clone._fields[0], None)
     assert clone == value and hash(clone) == hash(value)
     assert repr(clone) == repr(value) and str(clone) == str(value)
     if isinstance(value, MarkedCurvePair):  # the -inf marker stays the one marker
