@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _encode_str
 
 from .errors import (
@@ -57,6 +58,34 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
+# A verdict's text in a JSON report (an item of its "verdicts" list) and in a
+# text report, from its four fields written for that report, given in the
+# sorted order of their keys: certificate, claim, route, value.
+_VERDICT_JSON = (
+    '{{\n      "certificate": {0},\n      "claim": {1},\n      "route": {2},\n      "value": {3}\n    }}'
+).format
+_VERDICT_TEXT = "\n  {1}: {3}{2}{0}".format
+# ``run`` writes a report in pieces of this many verdicts
+_PIECE_VERDICTS = 1024
+
+
+def _json_text(node, newline: str = "\n      ") -> str:
+    """The indent-2 JSON text of ``node`` on a line that starts with
+    ``newline``; by default, a verdict field's line."""
+    out = []
+    _write_json(node, newline, out)
+    return "".join(out)
+
+
+def _compact_json(node) -> str:
+    return json.dumps(node, sort_keys=True, ensure_ascii=False)
+
+
+def _certificate_line(certificate) -> str:
+    """A verdict's certificate in a text report: a line, or none for None."""
+    return "" if certificate is None else "\n    certificate: " + _compact_json(certificate)
+
+
 class Verdict(_Record):
     def __init__(self, claim: str, value, route: str | None = None, certificate=None):
         self.claim = claim
@@ -64,12 +93,64 @@ class Verdict(_Record):
         self.route = route
         self.certificate = certificate
 
+    def _dicts(self):
+        return (dict(vars(self)),)
+
+    def _fields(self, as_json: bool):
+        if as_json:
+            fields = (self.certificate, self.claim, self.route, self.value)
+            return (tuple(map(_json_text, fields)),)
+        route = "" if self.route is None else f"  [{self.route}]"
+        value = self.value if isinstance(self.value, str) else _compact_json(self.value)
+        return ((_certificate_line(self.certificate), self.claim, route, value),)
+
+
+class StabilityVerdicts(_Record):
+    """Stability verdicts held as decided rows ``(support, polystable,
+    certificate)``, as ``quotients.polystable_locus`` returns them, and
+    written straight from those rows.  A row's claim is ``claim``, or else
+    names its support.  Writing them builds no ``Verdict`` or certificate
+    dict per row: each distinct certificate's text is built once, and rows
+    with equal certificates share it."""
+
+    def __init__(self, rows, claim: str | None = None):
+        self.rows = rows
+        self.claim = claim
+
+    def _claims(self):
+        if self.claim is not None:
+            return repeat(self.claim, len(self.rows))
+        return (f"support {{{', '.join(support) or 'empty'}}}" for support, _, _ in self.rows)
+
+    def _dicts(self):
+        return [
+            {"claim": claim, "value": polystable, "route": None, "certificate": _cert_dict(polystable, cert)}
+            for claim, (_, polystable, cert) in zip(self._claims(), self.rows)
+        ]
+
+    def _fields(self, as_json: bool):
+        claims = self._claims()
+        if as_json:
+            claims, route, write_certificate = map(_encode_str, claims), "null", _json_text
+        else:
+            route, write_certificate = "", _certificate_line
+        texts = {}
+        for claim, (_, polystable, cert) in zip(claims, self.rows):
+            text = texts.get(cert)
+            if text is None:
+                text = texts[cert] = write_certificate(_cert_dict(polystable, cert))
+            yield text, claim, route, "true" if polystable else "false"
+
 
 class Report(_Record):
+    """What a command reports: a subject, verdicts and warnings.  An item of
+    ``verdicts`` is a ``Verdict`` or a block of ``StabilityVerdicts``; two
+    reports are equal when their ``to_dict()`` are."""
+
     def __init__(
         self,
         subject: str,
-        verdicts: list[Verdict] | None = None,
+        verdicts: list | None = None,
         warnings: list[str] | None = None,
         report_version: int = REPORT_VERSION,
     ):
@@ -77,6 +158,9 @@ class Report(_Record):
         self.verdicts = [] if verdicts is None else verdicts
         self.warnings = [] if warnings is None else warnings
         self.report_version = report_version
+
+    def __eq__(self, other):
+        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
 
     def add(self, claim, value, route=None, certificate=None):
         self.verdicts.append(Verdict(claim, value, route, certificate))
@@ -88,17 +172,18 @@ class Report(_Record):
         return {
             "report_version": self.report_version,
             "subject": self.subject,
-            "verdicts": [dict(vars(v)) for v in self.verdicts],
+            "verdicts": [d for v in self.verdicts for d in v._dicts()],
             "warnings": list(self.warnings),
         }
 
     def to_json(self) -> str:
         """The report as JSON: two-space indent, sorted keys, non-ASCII written
-        unescaped.  The bytes are those of ``json.dumps`` with an indent of 2,
-        sorted keys and ``ensure_ascii`` off, without its pure-Python encoder."""
-        out = []
-        _write_json(self.to_dict(), "\n", out)
-        return "".join(out)
+        unescaped.  The bytes are those of ``json.dumps(self.to_dict(),
+        indent=2, sort_keys=True, ensure_ascii=False)``, built without that
+        pure-Python encoder and without ``to_dict``: each verdict is written
+        through one template over its four keys, and a block of stability
+        verdicts straight from its rows."""
+        return "".join(self.pieces(as_json=True))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -114,18 +199,30 @@ class Report(_Record):
         return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
-        lines = [f"subject: {self.subject}"]
-        for v in self.verdicts:
-            value = json.dumps(v.value, sort_keys=True, ensure_ascii=False) if not isinstance(v.value, str) else v.value
-            line = f"  {v.claim}: {value}"
-            if v.route is not None:
-                line += f"  [{v.route}]"
-            lines.append(line)
-            if v.certificate is not None:
-                lines.append(f"    certificate: {json.dumps(v.certificate, sort_keys=True, ensure_ascii=False)}")
-        for w in self.warnings:
-            lines.append(f"  warning: {w}")
-        return "\n".join(lines)
+        return "".join(self.pieces(as_json=False))
+
+    def pieces(self, as_json: bool):
+        """The text of ``to_json()`` or of ``render()`` in pieces of at most
+        ``_PIECE_VERDICTS`` verdicts, for writing a large report out."""
+        template = _VERDICT_JSON if as_json else _VERDICT_TEXT
+        verdicts = chain.from_iterable(starmap(template, v._fields(as_json)) for v in self.verdicts)
+        if not as_json:
+            yield f"subject: {self.subject}"
+            while piece := "".join(islice(verdicts, _PIECE_VERDICTS)):
+                yield piece
+            yield "".join(f"\n  warning: {w}" for w in self.warnings)
+            return
+        yield (
+            '{\n  "report_version": ' + _json_text(self.report_version, "\n  ")
+            + ',\n  "subject": ' + _json_text(self.subject, "\n  ")
+            + ',\n  "verdicts": '
+        )
+        separator = "[\n    "
+        while batch := list(islice(verdicts, _PIECE_VERDICTS)):
+            yield separator + ",\n    ".join(batch)
+            separator = ",\n    "
+        close = "[]" if separator == "[\n    " else "\n  ]"
+        yield close + ',\n  "warnings": ' + _json_text(list(self.warnings), "\n  ") + "\n}"
 
 
 #: the JSON text of a str, int, bool or None, by its exact type
@@ -290,14 +387,8 @@ def _git_polystable(report: Report, data: dict, args) -> int:
     support = [s for s in (part.strip() for part in args.support.split(",")) if s]
     verdict, cert = is_polystable(weights, support)
     report.add("support", support)
-    report.add("polystable", verdict, certificate=_cert_dict(verdict, cert))
+    report.verdicts.append(StabilityVerdicts([(support, verdict, cert)], "polystable"))
     return EXIT_OK
-
-
-def _claimed_polystable(support, claimed) -> bool:
-    if not support:
-        return True
-    return any(set(piece) <= set(support) for piece in claimed)
 
 
 def _git_locus(report: Report, data: dict, args) -> int:
@@ -305,20 +396,16 @@ def _git_locus(report: Report, data: dict, args) -> int:
     from .schemas import load_weights
 
     weights, claimed = load_weights(data)
-    mismatches = []
-    polystable_supports = []
-    for support, verdict, cert in polystable_locus(weights):
-        report.add(
-            f"support {{{', '.join(support) or 'empty'}}}",
-            verdict,
-            certificate=_cert_dict(verdict, cert),
-        )
-        if verdict:
-            polystable_supports.append(list(support))
-        if claimed is not None and _claimed_polystable(support, claimed) != verdict:
-            mismatches.append(support)
-    report.add("polystable_supports", polystable_supports)
+    rows = polystable_locus(weights)
+    report.verdicts.append(StabilityVerdicts(rows))
+    report.add("polystable_supports", [list(support) for support, verdict, _ in rows if verdict])
     if claimed is not None:
+        stated = [set(piece) for piece in claimed]
+        mismatches = [
+            support
+            for support, verdict, _ in rows
+            if (not support or any(piece.issubset(support) for piece in stated)) != verdict
+        ]
         if mismatches:
             report.warn(
                 "computed verdicts disagree with the stated locus on: "
@@ -445,7 +532,9 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(report.to_json() if args.json else report.render())
+    # everything is decided before the first byte is written
+    sys.stdout.writelines(report.pieces(args.json))
+    sys.stdout.write("\n")
     return code
 
 

@@ -6,7 +6,7 @@ Every value of the package is a ``Record``: immutable after construction,
 compared and hashed by its fields (a ``polyhedral.Cone`` by the set it is),
 and copied and pickled through a constructor.  Everything here is a pure
 function on such values.  The one mutable kind is the report a command
-builds, ``cli.Report`` with its ``cli.Verdict`` lines.
+builds, ``cli.Report``.
 """
 
 from __future__ import annotations

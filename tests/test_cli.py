@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from symfano import cli, curvepair, exact, rationals, schemas, tvariety
 from symfano.cli import Report, Verdict, run
 from symfano.errors import InputError, SymfanoError
+from symfano.quotients import polystable_locus
 from symfano.schemas import (
     detect_kind,
     fixture_path,
@@ -254,6 +256,110 @@ def test_git_locus(capsys):
     assert code == 0
     assert "warning:" in out and "disagree" in out
     assert "{alpha, beta, gamma}" in out
+
+
+def reference_locus_report(document, rows):
+    """The ``git locus`` report on the decided rows, built one ``Verdict`` per
+    support with its certificate as a dict, the way the command built it
+    before it wrote straight from the rows."""
+    _, claimed = load_weights(document)
+    report = Report(document["name"])
+    mismatches = []
+    polystable_supports = []
+    for support, verdict, cert in rows:
+        if verdict:
+            den = cert.denominator
+            certificate = {
+                "type": "positive-combination",
+                "coefficients": [rationals.ratio_str(n, den) for n in cert.numerators],
+            }
+            polystable_supports.append(list(support))
+        else:
+            certificate = {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
+        report.add(f"support {{{', '.join(support) or 'empty'}}}", verdict, certificate=certificate)
+        if claimed is not None:
+            said = not support or any(set(piece) <= set(support) for piece in claimed)
+            if said != verdict:
+                mismatches.append(support)
+    report.add("polystable_supports", polystable_supports)
+    if claimed is not None:
+        if mismatches:
+            report.warn(
+                "computed verdicts disagree with the stated locus on: "
+                + "; ".join("{" + ", ".join(s) + "}" for s in mismatches)
+                + " (the computed limit certificates are authoritative)"
+            )
+        else:
+            report.add("stated_locus_check", "agrees")
+    return report
+
+
+def random_weight_documents(rng):
+    """Weight documents with n = 1 to 12 coordinates and torus rank 1 to 3,
+    entries in [-2, 2] so that submatrices repeat, without a claimed locus,
+    with a claim that agrees and with claims that mostly disagree."""
+    for n in range(1, 13):
+        labels = [f"x{i}" for i in range(n)]
+        weights = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(1 + n % 3)]
+        document = {"name": f"random-{n}x{len(weights)}", "labels": labels, "weights": weights}
+        yield document
+        claim = [rng.sample(labels, rng.randint(1, n)) for _ in range(rng.randint(1, 2))]
+        yield {**document, "claimed_polystable_supports_any_of": claim}
+        if n <= 7:
+            # the minimal polystable supports: the claim agrees exactly when
+            # every enlargement of a polystable support is polystable
+            stable = [set(s) for s, verdict, _ in polystable_locus(load_weights(document)[0]) if s and verdict]
+            minimal = [sorted(s, key=labels.index) for s in stable if not any(t < s for t in stable)]
+            yield {**document, "claimed_polystable_supports_any_of": minimal}
+        # one row without zeros: a support is polystable when it holds a
+        # positive and a negative weight, and the pairs of those are the claim
+        row = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+        pairs = [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n) if row[i] * row[j] < 0]
+        yield {"name": f"signs-{n}", "labels": labels, "weights": [row], "claimed_polystable_supports_any_of": pairs}
+
+
+def git_locus_documents():
+    yield from (read_json(fixture_path(name)) for name in ("hyp12-deform.json", "blowup-deform.json"))
+    path = Path(__file__).resolve().parent / "goldens" / "corpus" / "git-locus.jsonl"
+    for line in path.read_text(encoding="utf-8").splitlines():
+        case = json.loads(line)
+        if case["exit"] == 0:
+            yield case["document"]
+
+
+def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
+    # the report written from the decided rows has the bytes of the report
+    # built one Verdict per support, in JSON and in text
+    outcomes = {"unclaimed": 0, "agrees": 0, "disagrees": 0}
+    shared = 0
+    documents = [*git_locus_documents(), *random_weight_documents(random.Random(20261019))]
+    for document in documents:
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        rows = polystable_locus(load_weights(document)[0])
+        reference = reference_locus_report(document, rows)
+        code, out = run_capture(capsys, "git", "locus", str(path), "--json")
+        assert code == 0
+        assert out == reference.to_json() + "\n"
+        if len(rows) <= 64:  # the standard library's pure-Python indenting encoder
+            assert out == json.dumps(reference.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        code, text = run_capture(capsys, "git", "locus", str(path))
+        assert code == 0
+        assert text == reference.render() + "\n"
+        if len(rows) <= 256:
+            # a report that holds the rows themselves compares and writes as the built one
+            held = Report(reference.subject, [cli.StabilityVerdicts(rows), *reference.verdicts[len(rows):]])
+            held.warnings = reference.warnings
+            assert held == reference == Report.from_json(out)
+            assert (held.to_json(), held.render()) == (out[:-1], text[:-1])
+
+        shared += len({cert for _, _, cert in rows}) < len(rows)
+        if reference.warnings:
+            outcomes["disagrees"] += 1
+        else:
+            outcomes["agrees" if "claimed_polystable_supports_any_of" in document else "unclaimed"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+    assert shared >= len(documents) // 2
 
 
 def test_chow_subcommand(capsys):
@@ -667,8 +773,12 @@ def test_precondition_error_raised_by_a_computation_exits_3(tmp_path, capsys):
 def test_exit_code_internal_error(monkeypatch, capsys):
     # a simplex that always claims the all-ones balancing fails the integer check
     monkeypatch.setattr(exact, "_phase_one", lambda rows, rhs: (True, [0] * len(rows[0]), 1))
-    assert run(["git", "locus", fixture("hyp12-deform.json")]) == 4
-    assert "internal error: phase one returned" in capsys.readouterr().err
+    for json_flag in ([], ["--json"]):
+        # the whole locus is decided before a byte of the report is written
+        assert run(["git", "locus", fixture("hyp12-deform.json"), *json_flag]) == 4
+        captured = capsys.readouterr()
+        assert "internal error: phase one returned" in captured.err
+        assert captured.out == ""
 
 
 def test_chow_warns_about_lower_dimensional_images(tmp_path, capsys):
@@ -803,6 +913,8 @@ def test_selftest_subcommand(capsys):
         ("git", "locus", "hyp12-deform.json"),
         ("chow", "p1xp1-chow.json"),
         ("lattice", "symmetric", "lattice-rotation.json"),
+        ("git", "locus", "blowup-deform.json"),  # the mismatch warning
+        ("git", "polystable", "hyp12-deform.json", "--support", "alpha,beta,gamma"),
     ],
 )
 def test_json_reports_round_trip_everywhere(capsys, argv):
