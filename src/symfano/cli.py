@@ -13,21 +13,31 @@ Subcommands::
     symfano selftest [--seed N] [--cases N]
 
 ``--json`` switches any reporting command to a machine-readable report that
-round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error, 2 blown
+round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error (or a
+stdout closed before the report was written, as by ``| head``), 2 blown
 computation cap (Moebius generators of an infinite group, a support
-enumeration too large), 3 violated mathematical precondition, 4 internal
-error (a computed result failed its own run-time check; a bug, not a property
-of the input).
+enumeration too large) or a usage error (argparse's convention), 3 violated
+mathematical precondition, 4 internal error (a computed result failed its
+own run-time check; a bug, not a property of the input).
+
+The command line is read from ``COMMANDS`` when it has one of the forms
+above, written out in full: the words of a command, then its FILE (not
+starting with ``-``) and its options in any order.  Any other command line,
+``--help`` and every usage error among them, goes to the argparse parser
+that ``build_parser`` builds from the same table, so help texts and errors
+are argparse's; a command line that the table reads parses to the same
+arguments under argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring as _encode_str
+from types import SimpleNamespace
 
 from .errors import (
     ComputationCapError,
@@ -485,7 +495,9 @@ COMMANDS = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="symfano",
         description="Exact existence certificates for complexity-one torus varieties.",
@@ -508,8 +520,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]):
+    """The arguments of ``argv`` when it has one of the forms the module
+    docstring lists, else None.  A FILE or value that starts with ``-``, an
+    option written with ``=`` or abbreviated, ``--help``, and a missing or
+    second FILE are all left to argparse."""
+    for words, _, handler in COMMANDS:
+        if tuple(argv[: len(words)]) == words:
+            break
+    else:
+        return None
+    # each argument with its default; None marks a required one
+    fields = {"seed": 0, "cases": 200} if handler is None else {"file": None}
+    if handler is _git_polystable:
+        fields["support"] = None
+    as_json = False
+    rest = iter(argv[len(words) :])
+    for token in rest:
+        name = token[2:]
+        if token == "--json":
+            as_json = True
+        elif token.startswith("--") and name in fields and name != "file":
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                fields[name] = value if name == "support" else int(value)
+            except ValueError:
+                return None
+        elif token.startswith("-") or fields.get("file", "") is not None:
+            return None
+        else:
+            fields["file"] = token
+    if None in fields.values():
+        return None
+    return SimpleNamespace(handler=handler, json=as_json, **fields)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         if args.handler is None:
             from .selftest import run_selftest
@@ -539,7 +590,16 @@ def run(argv=None) -> int:
 
 
 def main():
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: as in the note on SIGPIPE in the
+        # ``signal`` docs, point it at devnull so that the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, Record, integer_kernel
-from .rationals import Q, rat, rational_pair, ratio_key, squarefree_decompose
+from .rationals import rat, rational_pair, ratio_key, squarefree_decompose
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -82,7 +82,7 @@ class MoebiusElement(Record):
     def matrix(self):
         """The entries as rationals, scaled to a first nonzero entry 1."""
         s = self.a or self.b
-        return ((Q(self.a, s), Q(self.b, s)), (Q(self.c, s), Q(self.d, s)))
+        return ((rat(self.a, s), rat(self.b, s)), (rat(self.c, s), rat(self.d, s)))
 
     def is_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d

@@ -13,32 +13,48 @@ read an integer numerator and denominator as a rational with one gcd;
 shared by the schema check and the line itself; ``squarefree_decompose``
 reduces the radicand ``d`` that a quadratic point prints with, without
 factoring it in full.  ``parse_rat`` builds ``"p/q"`` with one reduction.
+
+Importing this module loads no ``fractions`` (nor the ``decimal`` and
+``numbers`` that it imports): ``Q``, ``ZERO``, ``ONE`` and ``TWO`` are bound
+the first time one of them is read (PEP 562) or a rational is built, so a
+command that computes in integers never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InputError
 
 BACKEND = "fractions"
 
-#: the scalar constructor; ``rat`` below is the preferred entry point
-Q = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
-TWO = Q(2)
+def __getattr__(name):
+    """``Q``, the scalar constructor (``rat`` below is the preferred entry
+    point), and the constants ``ZERO``, ``ONE`` and ``TWO``: reading one
+    imports ``fractions`` and binds all four, and ``_Q`` with them."""
+    if name not in ("Q", "ZERO", "ONE", "TWO"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global Q, ZERO, ONE, TWO, _Q
+    from fractions import Fraction as Q
+
+    _Q = Q
+    ZERO, ONE, TWO = Q(0), Q(1), Q(2)
+    return globals()[name]
+
+
+def _Q(*args):
+    """``Q(*args)``; the first call binds ``Q``, and this name to it."""
+    return __getattr__("Q")(*args)
 
 
 def rat(p, q=None):
     """Exact rational from ints, strings like ``"-3/4"``, or another rational."""
     if q is not None:
-        return Q(p) / Q(q)
+        return _Q(p) / _Q(q)
     if isinstance(p, str):
         return parse_rat(p)
-    return Q(p)
+    return _Q(p)
 
 
 def parse_rat(text) -> Q:
@@ -46,7 +62,7 @@ def parse_rat(text) -> Q:
     if isinstance(text, bool):
         raise InputError(f"not a rational: {text!r}")
     if isinstance(text, int):
-        return Q(text)
+        return _Q(text)
     if not isinstance(text, str):
         raise InputError(f"not a rational: {text!r}")
     s = text.strip()
@@ -56,8 +72,8 @@ def parse_rat(text) -> Q:
             d = int(den)
             if d == 0:
                 raise InputError(f"zero denominator in {text!r}")
-            return Q(int(num), d)
-        return Q(int(s))
+            return _Q(int(num), d)
+        return _Q(int(s))
     except ValueError:
         raise InputError(f"not a rational: {text!r}") from None
 

@@ -15,6 +15,7 @@ import zlib
 
 from .cli import Report
 from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
+from .errors import InputError
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
 from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, verify_stability_cert
@@ -322,7 +323,11 @@ def suite_seed(base: int, name: str) -> int:
 
 
 def run_selftest(seed: int = 0, cases: int = 200):
-    """Run every suite with its own seeded generator; returns (report, all_ok)."""
+    """Run every suite with its own seeded generator; returns (report, all_ok).
+    A suite of no cases would pass without checking anything, so ``cases``
+    must be at least 1."""
+    if cases < 1:
+        raise InputError(f"selftest needs at least 1 case per suite, not {cases}")
     report = Report(subject=f"selftest(seed={seed}, cases={cases})")
     all_ok = True
     for name, suite in SUITES:

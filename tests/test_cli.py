@@ -903,6 +903,15 @@ def test_selftest_subcommand(capsys):
     assert again == out
 
 
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_selftest_without_cases_is_an_input_error(capsys, cases):
+    # a suite of no cases would report pass without checking anything
+    assert run(["selftest", "--cases", cases]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: selftest needs at least 1 case per suite, not {cases}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,10 +1,13 @@
 """The command table: pinned ``--help`` texts, a parser shared across runs,
-and the modules each command loads."""
+the command lines the table reads without argparse, and the modules each
+command loads."""
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -135,11 +138,15 @@ def _argv(command):
     return [str(fixture_path(a)) if a.endswith(".json") else a for a in command]
 
 
-def _python(*argv):
-    """A fresh interpreter that imports the package from this checkout."""
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _python(*argv):
+    return subprocess.run([sys.executable, *argv], env=_env(), capture_output=True)
 
 
 def test_shared_parser_leaks_no_state_between_runs(capsys):
@@ -177,7 +184,17 @@ LOADS = {
     "lattice symmetric lattice-rotation.json": GROUPS,
     "lct pair-involution.json": PAIR,
     "tvar check bidegree12.json": PAIR | {"tvariety"},
+    "validate hyp12-deform.json": BASE,
 }
+# the commands that compute in integers alone, and the modules that loading
+# ``fractions`` brings
+INTEGER_COMMANDS = {
+    "git locus hyp12-deform.json",
+    "chow p2-chow.json",
+    "lattice symmetric lattice-rotation.json",
+    "validate hyp12-deform.json",
+}
+FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
 @pytest.mark.parametrize("command", LOADS)
@@ -185,7 +202,9 @@ def test_command_loads_only_the_modules_it_computes_with(command):
     code, loaded = json.loads(_python("-c", LOADED_BY, *_argv(command.split())).stdout)
     assert code == 0
     assert {m.removeprefix("symfano.") for m in loaded if m.split(".")[0] == "symfano"} == LOADS[command]
-    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    assert {"dataclasses", "inspect", "argparse", "gettext", "locale"}.isdisjoint(loaded)
+    if command in INTEGER_COMMANDS:
+        assert FRACTIONS.isdisjoint(loaded)
 
 
 def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used():
@@ -197,3 +216,81 @@ def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used():
         ["symfano"],
         ["symfano", "symfano.errors", "symfano.rationals"],
     ]
+
+
+def _documented_argvs() -> list[list[str]]:
+    """Each command line of the fixture goldens and of the generated corpus."""
+    goldens = Path(__file__).parent / "goldens"
+    argvs = [line.split(" ")[2:] for line in (goldens / "commands.txt").read_text(encoding="utf-8").splitlines()]
+    for path in sorted((goldens / "corpus").glob("*.jsonl")):
+        argvs += [json.loads(line)["argv"] for line in path.read_text(encoding="utf-8").splitlines()]
+    return argvs
+
+
+def test_the_table_reads_every_documented_command_line():
+    argvs = _documented_argvs()
+    assert len(argvs) >= 52 + 282
+    assert [argv for argv in argvs if cli._read_argv(argv) is None] == []
+
+
+ARGUMENT_FIELDS = ("handler", "file", "json", "support", "seed", "cases")
+WORDS = sorted({word for words, _, _ in cli.COMMANDS for word in words})
+TOKENS = [
+    *WORDS, "a.json", "b.json", "x0,x1", "3", "12", "--json", "--support", "--support=a",
+    "--seed", "--cases", "-1", "", "--js", "-h", "--", "-",
+]
+
+
+def _generated_argvs(rng: random.Random, count: int):
+    """Command lines near the documented forms: a command's words (or all but
+    the last), some of its arguments in a random order, and then up to three
+    tokens of ``TOKENS`` put in or tokens dropped."""
+    for _ in range(count):
+        words, _, handler = rng.choice(cli.COMMANDS)
+        if handler is None:
+            groups = [["--seed", rng.choice(["3", "12"])], ["--cases", rng.choice(["3", "12"])], ["--json"]]
+        else:
+            groups = [[rng.choice(["a.json", "b.json"])], ["--json"]]
+            if handler is cli._git_polystable:
+                groups.append(["--support", rng.choice(["x0,x1", ""])])
+        argv = [t for group in rng.sample(groups, rng.randrange(len(groups) + 1)) for t in group]
+        for _ in range(rng.randrange(4)):
+            if argv and rng.random() < 0.3:
+                del argv[rng.randrange(len(argv))]
+            else:
+                argv.insert(rng.randrange(len(argv) + 1), rng.choice(TOKENS))
+        yield list(words if rng.random() < 0.9 else words[:-1]) + argv
+
+
+def test_the_table_reads_a_command_line_as_argparse_does(capsys):
+    read, left = Counter(), 0
+    for argv in _generated_argvs(random.Random(23), 4000):
+        args = cli._read_argv(argv)
+        if args is None:
+            left += 1
+            continue
+        read[args.handler] += 1
+        parsed = cli.build_parser().parse_args(argv)
+        assert [getattr(args, f, None) for f in ARGUMENT_FIELDS] == [
+            getattr(parsed, f, None) for f in ARGUMENT_FIELDS
+        ], argv
+    # the table reads each command many times and leaves many lines to argparse
+    assert len(read) == len(cli.COMMANDS) and min(read.values()) >= 40 and left >= 1000
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    # 2^11 verdicts: a report far larger than the pipe's buffer
+    n = 11
+    document = tmp_path / "wide.json"
+    document.write_text(json.dumps({
+        "name": "wide",
+        "labels": [f"x{i}" for i in range(n)],
+        "weights": [[i % 5 - 2 for i in range(n)], [(3 * i + 1) % 5 - 2 for i in range(n)]],
+    }))
+    command = [sys.executable, "-m", "symfano.cli", "git", "locus", str(document), "--json"]
+    with subprocess.Popen(command, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "report_version": 1,\n']
+        proc.stdout.close()  # as ``| head -2`` does
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
