@@ -565,8 +565,12 @@ def run(argv=None) -> int:
         if args.handler is None:
             from .selftest import run_selftest
 
-            report, ok = run_selftest(seed=args.seed, cases=args.cases)
-            code = EXIT_OK if ok else EXIT_INPUT
+            report = Report(subject=f"selftest(seed={args.seed}, cases={args.cases})")
+            code = EXIT_OK
+            for name, failures in run_selftest(seed=args.seed, cases=args.cases):
+                report.add(name, "FAIL" if failures else "pass", certificate=failures[:3] or None)
+                if failures:
+                    code = EXIT_INPUT
         else:
             data = read_json(args.file)
             report = Report(subject=data.get("name", str(args.file)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import CoefficientOutOfRange, InputError, NotInvariant
 from .exact import ProjPoint, Record
-from .groups import MoebiusGroup, Orbit, exceptional_orbits, orbit_of
+from .groups import MoebiusGroup, exceptional_orbits, orbit_of
 from .rationals import ONE, Q, TWO, ZERO, rat
 
 
@@ -56,7 +56,7 @@ class MarkedCurvePair(Record):
                 raise InputError(f"point {point} marked twice")
             seen.add(point)
             entries.append((point, coeff if is_neg_infinity(coeff) else rat(coeff)))
-        object.__setattr__(self, "marked", tuple(entries))
+        super().__init__(tuple(entries))
 
     def __iter__(self):
         return iter(self.marked)
@@ -98,12 +98,6 @@ class OrbitClass(Record):
 
     __slots__ = _fields = ("kind", "size", "coeff", "orbit")
 
-    def __init__(self, kind: str, size: int, coeff, orbit: Orbit | None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "orbit", orbit)
-
     def describe(self) -> str:
         where = "generic orbit" if self.orbit is None else f"orbit {self.orbit}"
         return f"{self.kind} {where} of size {self.size} with coefficient {self.coeff}"
@@ -143,10 +137,6 @@ class LctResult(Record):
     """Threshold value (None means no constraint at all) plus the tight class."""
 
     __slots__ = _fields = ("value", "witness")
-
-    def __init__(self, value: Q | None, witness: OrbitClass | None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def is_infinite(self) -> bool:

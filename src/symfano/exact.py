@@ -23,9 +23,13 @@ class Record:
 
     The one base of the package's values.  A subclass names its fields in
     ``_fields``, and in ``__slots__`` too unless it keeps cached properties;
-    ``__slots__`` may hold more, which then play no part in equality.  Its
-    own ``__init__`` sets them with ``object.__setattr__``, and its
-    positional parameters are the fields in order.  Records of one class are
+    ``__slots__`` may hold more, which then play no part in equality.
+    ``Record(*values, **named)`` sets each field once, from the positional
+    arguments in ``_fields`` order and then by name, and raises
+    ``TypeError`` on a field missing, unknown or given twice, or on more
+    positional arguments than fields; there are no defaults.  A subclass that checks or normalises its input keeps its own
+    ``__init__``, whose positional parameters are still the fields in order,
+    and stores them through ``super().__init__``.  Records of one class are
     equal when their fields are, and a one-field record compares and hashes
     as its field; a record with a dict field is not hashable.
     """
@@ -37,6 +41,23 @@ class Record:
         super().__init_subclass__(**kwargs)
         # not a descriptor: called as ``self._get(self)``
         cls._get = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values = self._bind(values, named)
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """All fields in order: the leading ones from ``values``, the rest from ``named``."""
+        fields = cls._fields
+        rest = fields[len(values):]
+        if len(values) > len(fields) or named.keys() != set(rest):
+            raise TypeError(f"{cls.__name__} takes each of the fields {fields} once, not "
+                            f"{len(values)} by position and {sorted(named)} by name")
+        return (*values, *[named[field] for field in rest])
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -53,8 +74,8 @@ class Record:
         return hash(self._get(self))
 
     def __reduce__(self):
-        # copy and pickle rebuild through ``__init__``, whose positional
-        # parameters are the fields in order; slots cannot be set afterwards
+        # copy and pickle rebuild through ``__init__`` from the fields in
+        # order; slots cannot be set afterwards
         return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
@@ -182,7 +203,7 @@ class IntMatrix(Record):
             raise InputError("ragged matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
@@ -417,9 +438,6 @@ class SemipositiveWitness(Record):
     """Integer v with <v, w_i> >= 0 for every column and > 0 for at least one."""
 
     __slots__ = _fields = ("vector",)
-
-    def __init__(self, vector: tuple[int, ...]):
-        object.__setattr__(self, "vector", vector)
 
 
 def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:

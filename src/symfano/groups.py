@@ -139,9 +139,6 @@ class MoebiusGroup(Record):
 
     _fields = ("elements",)
 
-    def __init__(self, elements: tuple[MoebiusElement, ...]):
-        object.__setattr__(self, "elements", elements)
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -233,10 +230,6 @@ def _fixed_coords(g: MoebiusElement) -> tuple[list[tuple[int, ...]], int]:
 class Orbit(Record):
     __slots__ = _fields = ("points", "stabilizer_order")
 
-    def __init__(self, points: tuple[ProjPoint, ...], stabilizer_order: int):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "stabilizer_order", stabilizer_order)
-
     @property
     def size(self) -> int:
         return len(self.points)
@@ -288,8 +281,7 @@ class LatticeAutGroup(Record):
                 raise InputError(f"generator is not {rank}x{rank}")
             if not g.is_unimodular():
                 raise InputError("lattice generators must be unimodular")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", gens)
+        super().__init__(rank, gens)
 
     def __repr__(self):
         return f"LatticeAutGroup(rank={self.rank}, generators={list(self.generators)})"

@@ -177,8 +177,7 @@ class Cone(Record):
 
     def __init__(self, ambient_rank: int, generators=()):
         gens = _int_vectors(ambient_rank, generators, "generator")
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", tuple(_dedupe(map(_primitive, gens))))
+        super().__init__(ambient_rank, tuple(_dedupe(map(_primitive, gens))))
 
     @classmethod
     def _from_vform(cls, ambient_rank: int, lineality, rays) -> "Cone":
@@ -367,14 +366,16 @@ def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
 
 
 class Fan(Record):
-    """Finite collection of cones closed under faces with proper pairwise
-    intersections (validated on the outputs of the refinement)."""
+    """Finite collection of cones in one ambient rank.
+
+    Building one checks nothing, so a ``Fan`` need not be a fan:
+    ``schemas.load_chow`` makes one from any document, overlapping cones
+    included.  ``validate`` checks that every two cones meet in a common
+    face, and the refinement runs it on its output; closure under faces is
+    not required, so a fan may list its maximal cones alone.
+    """
 
     _fields = ("ambient_rank", "cones")
-
-    def __init__(self, ambient_rank: int, cones: tuple[Cone, ...]):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "cones", cones)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:

@@ -36,8 +36,7 @@ class WeightMatrix(Record):
         if weights.cols != len(labels):
             raise InputError("one weight column per coordinate label")
         object.__setattr__(self, "torus_rank", weights.rows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(labels, weights)
 
     @property
     def coordinates(self) -> int:

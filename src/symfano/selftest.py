@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import zlib
 
-from .cli import Report
 from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
 from .errors import InputError
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
@@ -322,17 +321,10 @@ def suite_seed(base: int, name: str) -> int:
     return base ^ zlib.crc32(name.encode())
 
 
-def run_selftest(seed: int = 0, cases: int = 200):
-    """Run every suite with its own seeded generator; returns (report, all_ok).
-    A suite of no cases would pass without checking anything, so ``cases``
-    must be at least 1."""
+def run_selftest(seed: int = 0, cases: int = 200) -> list[tuple[str, list[str]]]:
+    """Run every suite with its own seeded generator; returns each suite's
+    name and failures, in ``SUITES`` order.  A suite of no cases would pass
+    without checking anything, so ``cases`` must be at least 1."""
     if cases < 1:
         raise InputError(f"selftest needs at least 1 case per suite, not {cases}")
-    report = Report(subject=f"selftest(seed={seed}, cases={cases})")
-    all_ok = True
-    for name, suite in SUITES:
-        failures = suite(random.Random(suite_seed(seed, name)), cases)
-        ok = not failures
-        all_ok = all_ok and ok
-        report.add(name, "pass" if ok else "FAIL", certificate=failures[:3] or None)
-    return report, all_ok
+    return [(name, suite(random.Random(suite_seed(seed, name)), cases)) for name, suite in SUITES]

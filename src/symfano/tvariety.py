@@ -49,15 +49,11 @@ class VerticalDivisor(Record):
     def __init__(self, name: str, order: int):
         if order < 1:
             raise InputError(f"divisor {name}: order must be >= 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", order)
+        super().__init__(name, order)
 
 
 class HorizontalDivisor(Record):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class Fiber(Record):
@@ -65,10 +61,6 @@ class Fiber(Record):
     gap in the image of the quotient map."""
 
     __slots__ = _fields = ("point", "divisors")
-
-    def __init__(self, point: ProjPoint, divisors: tuple[VerticalDivisor, ...]):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "divisors", divisors)
 
     @property
     def declared_empty(self) -> bool:
@@ -89,7 +81,7 @@ class FiberBook(Record):
         pts = [f.point for f in fibers]
         if len(set(pts)) != len(pts):
             raise InputError("marked points must be pairwise distinct")
-        object.__setattr__(self, "fibers", fibers)
+        super().__init__(fibers)
 
     def __iter__(self):
         return iter(self.fibers)
@@ -113,10 +105,6 @@ class DeclaredAction(Record):
     cyclic)."""
 
     __slots__ = _fields = ("permutations", "induced_cyclic")
-
-    def __init__(self, permutations: tuple[tuple[int, ...], ...], induced_cyclic: bool):
-        object.__setattr__(self, "permutations", permutations)
-        object.__setattr__(self, "induced_cyclic", induced_cyclic)
 
 
 class CxOneVariety(Record):
@@ -144,15 +132,9 @@ class CxOneVariety(Record):
         fano: bool = True,
         log_terminal: bool = True,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "horizontals", horizontals)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "moebius_generators", moebius_generators)
-        object.__setattr__(self, "declared", declared)
-        object.__setattr__(self, "fano", fano)
-        object.__setattr__(self, "log_terminal", log_terminal)
+        super().__init__(
+            name, dim, fibers, horizontals, lattice, moebius_generators, declared, fano, log_terminal
+        )
         if self.dim < 2:
             raise InputError("dim must be >= 2")
         if self.lattice.rank != self.dim - 1:
@@ -303,20 +285,9 @@ def _lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:
 class GlctInfo(Record):
     __slots__ = _fields = ("value", "is_lower_bound", "witness")
 
-    def __init__(self, value: Q, is_lower_bound: bool, witness: str | None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "is_lower_bound", is_lower_bound)
-        object.__setattr__(self, "witness", witness)
-
 
 class KEVerdict(Record):
     __slots__ = _fields = ("certified", "route", "details", "warnings")
-
-    def __init__(self, certified: bool, route: str | None, details: dict, warnings: tuple[str, ...]):
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "route", route)
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "warnings", warnings)
 
 
 class VarietyAnalysis(Record):
@@ -329,24 +300,6 @@ class VarietyAnalysis(Record):
     __slots__ = _fields = (
         "symmetric", "boundary", "non_reduced", "quotient_lct", "divisor", "glct", "verdict",
     )
-
-    def __init__(
-        self,
-        symmetric: bool,
-        boundary: MarkedCurvePair,
-        non_reduced: tuple[ProjPoint, ...],
-        quotient_lct: LctResult | None,
-        divisor: dict[str, Q] | None,
-        glct: GlctInfo | PreconditionError,
-        verdict: KEVerdict | PreconditionError,
-    ):
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "non_reduced", non_reduced)
-        object.__setattr__(self, "quotient_lct", quotient_lct)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "glct", glct)
-        object.__setattr__(self, "verdict", verdict)
 
 
 def _check_verdict_preconditions(variety: CxOneVariety, symmetric: bool):

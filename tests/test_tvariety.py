@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from itertools import count
 
 import pytest
@@ -328,8 +329,22 @@ def _record_cases():
     ]
 
 
-@pytest.mark.parametrize("case", _record_cases(), ids=lambda case: case[0].__name__)
-def test_value_records_are_immutable_values(case):
+_CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize(
+    "case, method",
+    [
+        pytest.param(case, method, id=case[0].__name__ + ("" if method == "copy" else f"-{method}"))
+        for case in _record_cases()
+        for method in _CLONES
+    ],
+)
+def test_value_records_are_immutable_values(case, method):
     cls, make, field, other = case
     record, again = cls(**make()), cls(**make())
     with pytest.raises(AttributeError, match="immutable"):
@@ -341,7 +356,26 @@ def test_value_records_are_immutable_values(case):
     else:
         assert hash(record) == hash(again)
     assert record != cls(**{**make(), field: other})
-    assert copy.copy(record) == record
+    clone = _CLONES[method](record)
+    assert type(clone) is cls and clone == record
+
+
+def test_a_record_takes_each_field_once_by_position_or_name():
+    value, witness = rat(1, 2), "generic orbit"
+    record = GlctInfo(value, False, witness)
+    assert record == GlctInfo(value=value, is_lower_bound=False, witness=witness)
+    assert record == GlctInfo(value, witness=witness, is_lower_bound=False)
+    assert (record.value, record.is_lower_bound, record.witness) == (value, False, witness)
+    rule = re.escape("GlctInfo takes each of the fields ('value', 'is_lower_bound', 'witness') once")
+    for args, named in [
+        ((value, False), {}),  # a field missing
+        ((value,), {"witness": witness}),  # a field missing between named and positional ones
+        ((value, False, witness, 1), {}),  # one positional argument too many
+        ((value, False, witness), {"route": None}),  # an unknown field
+        ((value, False), {"witness": witness, "value": value}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError, match=rule):
+            GlctInfo(*args, **named)
 
 
 def _value_type_cases():
@@ -364,14 +398,10 @@ def _value_type_cases():
     ]
 
 
-@pytest.mark.parametrize("method", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("method", list(_CLONES))
 @pytest.mark.parametrize("value", _value_type_cases(), ids=lambda v: type(v).__name__)
 def test_value_types_round_trip_through_copy_and_pickle(value, method):
-    clone = {
-        "copy": copy.copy,
-        "deepcopy": copy.deepcopy,
-        "pickle": lambda x: pickle.loads(pickle.dumps(x)),
-    }[method](value)
+    clone = _CLONES[method](value)
     assert type(clone) is type(value) and isinstance(clone, Record)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(clone, clone._fields[0], None)
