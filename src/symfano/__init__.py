@@ -37,8 +37,8 @@ _API = {
         ("rationals", "BACKEND Q rat"),
         (
             "tvariety",
-            "CxOneVariety DeclaredAction Fiber FiberBook HorizontalDivisor KEVerdict VerticalDivisor"
-            " anticanonical_lift boundary glct glct_info ke_verdict non_reduced_fibers",
+            "CxOneVariety DeclaredAction Fiber KEVerdict VerticalDivisor anticanonical_lift"
+            " boundary glct glct_info ke_verdict non_reduced_fibers",
         ),
     )
     for name in names.split()

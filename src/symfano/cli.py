@@ -348,7 +348,7 @@ def _tvar_check(report: Report, data: dict, args) -> int:
         "ke_certified",
         verdict.certified,
         route=verdict.route if verdict.certified else "inconclusive",
-        certificate={k: verdict.details[k] for k in sorted(verdict.details)},
+        certificate=verdict.details,
     )
     for w in verdict.warnings:
         report.warn(w)

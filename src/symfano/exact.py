@@ -27,11 +27,16 @@ class Record:
     ``Record(*values, **named)`` sets each field once, from the positional
     arguments in ``_fields`` order and then by name, and raises
     ``TypeError`` on a field missing, unknown or given twice, or on more
-    positional arguments than fields; there are no defaults.  A subclass that checks or normalises its input keeps its own
-    ``__init__``, whose positional parameters are still the fields in order,
-    and stores them through ``super().__init__``.  Records of one class are
-    equal when their fields are, and a one-field record compares and hashes
-    as its field; a record with a dict field is not hashable.
+    positional arguments than fields; there are no defaults.  A subclass
+    that checks or normalises its input keeps its own ``__init__``, whose
+    positional parameters are the fields in order, and stores them through
+    ``super().__init__``.  ``ProjPoint``, ``PositiveCombination`` and
+    ``MoebiusElement`` break that rule: their constructors take other input,
+    so each overrides ``__reduce__`` to rebuild through its trusted
+    constructor (``_make``, ``MoebiusElement._primitive``) from the stored
+    fields.  Records of one class are equal when their fields are, and a
+    one-field record compares and hashes as its field; a record with a dict
+    field is not hashable.
     """
 
     __slots__ = ()
@@ -207,7 +212,8 @@ class IntMatrix(Record):
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """The matrix of a tuple of int tuples, each of length ``cols``, kept as is."""
+        """The matrix of a tuple of int tuples, each of length ``cols``, kept as
+        is; ``cols`` is 0 when there are no rows, as the public constructor gives."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
@@ -216,7 +222,7 @@ class IntMatrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -229,11 +235,12 @@ class IntMatrix(Record):
         if self.cols != other.rows:
             raise InputError("dimension mismatch in product")
         ot = other.entries
-        return IntMatrix(
-            [
-                [sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols)]
+        return IntMatrix._make(
+            tuple(
+                tuple(sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols))
                 for row in self.entries
-            ]
+            ),
+            other.cols if self.rows else 0,
         )
 
     def apply(self, vector):
@@ -245,9 +252,8 @@ class IntMatrix(Record):
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("dimension mismatch in difference")
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        rows = zip(self.entries, other.entries)
+        return IntMatrix._make(tuple(tuple(a - b for a, b in zip(*r)) for r in rows), self.cols)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -374,7 +380,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    return IntMatrix(u), IntMatrix(m), IntMatrix(v)
+    shapes = ((u, rows), (m, cols if rows else 0), (v, cols))
+    return tuple(IntMatrix._make(tuple(map(tuple, x)), n) for x, n in shapes)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

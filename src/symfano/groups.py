@@ -297,7 +297,7 @@ def fixed_sublattice(group: LatticeAutGroup) -> list[tuple[int, ...]]:
     stacked = []
     for g in group.generators:
         stacked.extend((g - ident).entries)
-    return integer_kernel(IntMatrix(stacked))
+    return integer_kernel(IntMatrix._make(tuple(stacked), group.rank))
 
 
 def is_symmetric(group: LatticeAutGroup) -> bool:

@@ -349,17 +349,10 @@ def _require_valid(data: dict, kind: str):
 def load_variety(data: dict) -> CxOneVariety:
     from .exact import IntMatrix, ProjPoint
     from .groups import LatticeAutGroup, MoebiusElement
-    from .tvariety import (
-        CxOneVariety,
-        DeclaredAction,
-        Fiber,
-        FiberBook,
-        HorizontalDivisor,
-        VerticalDivisor,
-    )
+    from .tvariety import CxOneVariety, DeclaredAction, Fiber, VerticalDivisor
 
     points, moebius = _require_valid(data, "variety")
-    fibers = FiberBook(
+    fibers = tuple(
         Fiber(
             ProjPoint._make(pt, None),
             tuple(VerticalDivisor(d["name"], d["order"]) for d in f["divisors"]),
@@ -380,7 +373,7 @@ def load_variety(data: dict) -> CxOneVariety:
         name=data["name"],
         dim=data["dim"],
         fibers=fibers,
-        horizontals=tuple(HorizontalDivisor(h) for h in data.get("horizontal", [])),
+        horizontals=tuple(data.get("horizontal", [])),
         lattice=lattice,
         moebius_generators=moebius,
         declared=declared,

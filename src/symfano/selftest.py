@@ -22,8 +22,6 @@ from .rationals import ONE, Q, TWO, ZERO, rat
 from .tvariety import (
     CxOneVariety,
     Fiber,
-    FiberBook,
-    HorizontalDivisor,
     LatticeAutGroup,
     VerticalDivisor,
     anticanonical_lift,
@@ -204,17 +202,17 @@ def _random_variety(rng: random.Random) -> CxOneVariety:
             )
             counter += len(orders)
             fibers.append(Fiber(p, divisors))
-    horizontals = tuple(HorizontalDivisor(f"h{i}") for i in range(rng.randint(0, 2)))
+    horizontals = tuple(f"h{i}" for i in range(rng.randint(0, 2)))
     lattice = LatticeAutGroup(2, [[[-1, 0], [0, -1]]])
     moebius = (swap,) if use_swap else (MoebiusElement.identity(),)
     return CxOneVariety(
-        name="random", dim=3, fibers=FiberBook(fibers), horizontals=horizontals,
+        name="random", dim=3, fibers=tuple(fibers), horizontals=horizontals,
         lattice=lattice, moebius_generators=moebius,
     )
 
 
 def _random_invariant_degree2(rng: random.Random, variety: CxOneVariety) -> dict[ProjPoint, Q]:
-    group = variety.moebius_group()
+    group = variety.moebius_group
     orbits = []
     seen = set()
     for f in variety.fibers:
@@ -248,7 +246,8 @@ def suite_effectivity(rng: random.Random, cases: int) -> list[str]:
         b = boundary(variety)
         dominates = all(q_y.get(p, ZERO) >= c for p, c in b if not is_neg_infinity(c))
         if all(c >= 0 for c in lift.values()) != dominates:
-            failures.append(f"case {k}: effectivity mismatch on {variety.fibers.points()}")
+            points = tuple(f.point for f in variety.fibers)
+            failures.append(f"case {k}: effectivity mismatch on {points}")
     return failures
 
 

@@ -1,11 +1,11 @@
 """Combinatorial model of a complexity-one torus variety.
 
-The variety is presented by its quotient data: for finitely many marked points
-of the quotient line, the list of invariant divisors in the fiber with their
-generic stabilizer orders; every unmarked point implicitly carries a single
-divisor of order 1, and an explicitly empty list records a point missing from
-the image of the quotient map.  On top sit the boundary pair, the anticanonical
-lift and its threshold bound, and the existence verdict: the symmetry test,
+The variety holds its quotient data itself: a ``Fiber`` per marked point of
+the quotient line, with the invariant divisors over it and their generic
+stabilizer orders, and the names of the horizontal divisors.  Every unmarked
+point implicitly carries a single divisor of order 1, and an empty fiber
+records a point missing from the image of the quotient map.  On top sit the
+boundary pair, the anticanonical lift and its threshold bound, and the existence verdict: the symmetry test,
 then Tian's criterion glct > dim/(dim+1), which the counting conditions on
 the fibers decide, since each forces glct = 1 and without one glct <= 1/2.
 """
@@ -52,10 +52,6 @@ class VerticalDivisor(Record):
         super().__init__(name, order)
 
 
-class HorizontalDivisor(Record):
-    __slots__ = _fields = ("name",)
-
-
 class Fiber(Record):
     """Marked point with its vertical divisors; an empty list is a declared
     gap in the image of the quotient map."""
@@ -71,34 +67,6 @@ class Fiber(Record):
         return max((d.order for d in self.divisors), default=0)
 
 
-class FiberBook(Record):
-    """All marked fibers; unmarked points carry one implicit order-1 divisor."""
-
-    __slots__ = _fields = ("fibers",)
-
-    def __init__(self, fibers):
-        fibers = tuple(fibers)
-        pts = [f.point for f in fibers]
-        if len(set(pts)) != len(pts):
-            raise InputError("marked points must be pairwise distinct")
-        super().__init__(fibers)
-
-    def __iter__(self):
-        return iter(self.fibers)
-
-    def __len__(self):
-        return len(self.fibers)
-
-    def get(self, point: ProjPoint) -> Fiber | None:
-        for f in self.fibers:
-            if f.point == point:
-                return f
-        return None
-
-    def points(self) -> tuple[ProjPoint, ...]:
-        return tuple(f.point for f in self.fibers)
-
-
 class DeclaredAction(Record):
     """Fallback symmetry input: how each generator permutes the marked fibers,
     plus whether the induced group on the line is cyclic (trivial counts as
@@ -110,9 +78,12 @@ class DeclaredAction(Record):
 class CxOneVariety(Record):
     """Complexity-one torus variety given combinatorially.
 
-    Either symmetry input yields ``permutations``: for each generator, the
-    index of the fiber it sends each marked fiber to.  It is derived from the
-    fields, so it takes no part in equality or the repr.
+    ``fibers`` is a tuple of ``Fiber`` over pairwise distinct points, and
+    ``horizontals`` a tuple of the horizontal divisors' names.  Either
+    symmetry input yields ``permutations``: for each generator, the index of
+    the fiber it sends each marked fiber to.  It and the closed groups
+    ``moebius_group`` and ``marked_permutation_group``, each computed once,
+    are derived from the fields, so they take no part in equality or the repr.
     """
 
     _fields = (
@@ -124,8 +95,8 @@ class CxOneVariety(Record):
         self,
         name: str,
         dim: int,
-        fibers: FiberBook,
-        horizontals: tuple[HorizontalDivisor, ...],
+        fibers: tuple[Fiber, ...],
+        horizontals: tuple[str, ...],
         lattice: LatticeAutGroup,
         moebius_generators: tuple[MoebiusElement, ...] | None = None,
         declared: DeclaredAction | None = None,
@@ -139,8 +110,10 @@ class CxOneVariety(Record):
             raise InputError("dim must be >= 2")
         if self.lattice.rank != self.dim - 1:
             raise InputError(f"lattice rank must be dim - 1 = {self.dim - 1}")
-        names = [d.name for f in self.fibers for d in f.divisors]
-        names += [h.name for h in self.horizontals]
+        fibs = self.fibers
+        if len({f.point for f in fibs}) != len(fibs):
+            raise InputError("marked points must be pairwise distinct")
+        names = [d.name for f in fibs for d in f.divisors] + list(self.horizontals)
         if len(set(names)) != len(names):
             raise InputError("divisor names must be globally unique")
         if (self.moebius_generators is None) == (self.declared is None):
@@ -153,7 +126,6 @@ class CxOneVariety(Record):
             if len(self.declared.permutations) != len(self.lattice.generators):
                 raise InputError("permutations must pair with lattice generators")
             perms = self.declared.permutations
-        fibs = self.fibers.fibers
         for perm in perms:
             if sorted(perm) != list(range(len(fibs))):
                 raise InputError("declared permutation is not a bijection of the fibers")
@@ -165,7 +137,7 @@ class CxOneVariety(Record):
         object.__setattr__(self, "permutations", perms)
 
     def _induced_permutation(self, g: MoebiusElement) -> tuple[int, ...]:
-        index = {p: i for i, p in enumerate(self.fibers.points())}
+        index = {f.point: i for i, f in enumerate(self.fibers)}
         perm = []
         for p in index:
             image = g.apply(p)
@@ -181,27 +153,21 @@ class CxOneVariety(Record):
         return self.moebius_generators is not None
 
     @cached_property
-    def _induced_group(self) -> MoebiusGroup:
-        return closure(self.moebius_generators)
-
     def moebius_group(self) -> MoebiusGroup:
         if not self.explicit_action:
             raise InputError("no explicit induced action was given")
-        return self._induced_group
+        return closure(self.moebius_generators)
 
     def induced_cyclic(self) -> bool:
         """Whether the induced group on the line is trivial or cyclic, that is
         (Beauville) whether it has a global fixed point."""
         if self.explicit_action:
-            return has_global_fixed_point(self.moebius_group())
+            return has_global_fixed_point(self.moebius_group)
         return self.declared.induced_cyclic
 
-    def marked_permutation_group(self) -> tuple[tuple[int, ...], ...]:
-        """Closure of the generators' permutations of the marked fibers, computed once."""
-        return self._permutation_group
-
     @cached_property
-    def _permutation_group(self) -> tuple[tuple[int, ...], ...]:
+    def marked_permutation_group(self) -> tuple[tuple[int, ...], ...]:
+        """Closure of the generators' permutations of the marked fibers."""
         n = len(self.fibers)
         ident = tuple(range(n))
         seen = {ident}
@@ -256,7 +222,7 @@ def anticanonical_lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[s
     if sum(q_y.values(), ZERO) != 2:
         raise DegreeError("anticanonical divisor on the line must have degree 2")
     if variety.explicit_action:
-        for g in variety.moebius_group():
+        for g in variety.moebius_group:
             for p, c in q_y.items():
                 if q_y.get(g.apply(p), ZERO) != c:
                     raise NotInvariant("divisor is not invariant under the induced group")
@@ -270,9 +236,10 @@ def _lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:
         for d in f.divisors:
             out[d.name] = d.order * c + 1 - d.order
     for h in variety.horizontals:
-        out[h.name] = ONE
+        out[h] = ONE
+    marked = {f.point for f in variety.fibers}
     for p, c in q_y.items():
-        if variety.fibers.get(p) is None:
+        if p not in marked:
             out[f"fiber({p})"] = c
     return {name: c for name, c in out.items() if c}
 
@@ -327,7 +294,7 @@ def analyze(variety: CxOneVariety) -> VarietyAnalysis:
         )
     elif variety.explicit_action:
         # the validated action makes b invariant, so lct_g raises nothing here
-        quotient_lct = lct_g(b, variety.moebius_group())
+        quotient_lct = lct_g(b, variety.moebius_group)
         witness = None if quotient_lct.witness is None else quotient_lct.witness.describe()
         info = GlctInfo(quotient_lct.capped_at_one(), False, witness)
         if not quotient_lct.is_infinite:
@@ -347,7 +314,7 @@ def _tight_divisor(variety: CxOneVariety, b: MarkedCurvePair, res: LctResult) ->
     because B is (``lct_g`` checked it) and O is an orbit, so the public
     lift's re-check is skipped.
     """
-    group = variety.moebius_group()
+    group = variety.moebius_group
     orbit = res.witness.orbit or _free_orbit(variety, group)
     f = (TWO - finite_degree(b)) / Q(res.witness.size)
     q_y = dict(b)
@@ -366,7 +333,7 @@ def _tight_divisor(variety: CxOneVariety, b: MarkedCurvePair, res: LctResult) ->
 
 def _free_orbit(variety: CxOneVariety, group: MoebiusGroup) -> Orbit:
     """Orbit of the first t = 0, 1, 2, ... with |G| points, none of them marked."""
-    marked = set(variety.fibers.points())
+    marked = {f.point for f in variety.fibers}
     for t in count():
         orbit = orbit_of(group, ProjPoint.from_affine(t))
         if orbit.size == group.order and marked.isdisjoint(orbit.points):
@@ -413,8 +380,8 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
     if deg >= 2:
         return GlctInfo(ONE, False, None)
     free = TWO - deg
-    fibs = variety.fibers.fibers
-    perms = variety.marked_permutation_group()
+    fibs = variety.fibers
+    perms = variety.marked_permutation_group
     candidates = []
     # each declared orbit once, named by its first fiber; a fiber of
     # multiplicity m has coefficient (m - 1)/m, so 1 - coeff = 1/m
@@ -429,10 +396,9 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
 
 
 def _swapped_pair(variety: CxOneVariety, p: ProjPoint, q: ProjPoint) -> bool:
-    fibs = variety.fibers.points()
-    i = fibs.index(p)
-    j = fibs.index(q)
-    return any(perm[i] == j for perm in variety.marked_permutation_group())
+    points = [f.point for f in variety.fibers]
+    i, j = points.index(p), points.index(q)
+    return any(perm[i] == j for perm in variety.marked_permutation_group)
 
 
 def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:

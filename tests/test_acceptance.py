@@ -81,7 +81,7 @@ def test_criterion_03_quadric_pipeline():
     v = variety("quadric")
     nr = non_reduced_fibers(v)
     assert nr == (pt(-1),)
-    assert v.fibers.get(pt(-1)).multiplicity == 2
+    assert next(f for f in v.fibers if f.point == pt(-1)).multiplicity == 2
     verdict = ke_verdict(v)
     assert not verdict.certified and verdict.route is None
     value = glct(v)

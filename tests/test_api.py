@@ -21,7 +21,7 @@ def test_public_names_are_the_submodule_objects():
 
 def test_star_import_and_dir_give_the_public_names():
     names = set(symfano._API)
-    assert len(names) == 52 and set(symfano.__all__) == names
+    assert len(names) == 50 and set(symfano.__all__) == names
     assert names <= set(dir(symfano))
     namespace = {}
     exec("from symfano import *", namespace)

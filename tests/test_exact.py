@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from symfano import exact
+from symfano.cli import run
 from symfano.errors import InputError
 from symfano.exact import (
     IntMatrix,
@@ -20,11 +21,15 @@ from symfano.exact import (
     solve_positive_combination,
 )
 from symfano.rationals import parse_rat, rat, rat_str, ratio_str, squarefree_decompose
+from symfano.schemas import fixture_path
 
 
 def snf_invariants(a):
     u, d, v = smith_normal_form(a)
     assert u * a * v == d
+    for m in (u, d, v, u * a, u * a * v, u - u):  # the shapes the public constructor gives
+        rebuilt = IntMatrix(m.entries)
+        assert (m.rows, m.cols) == (rebuilt.rows, rebuilt.cols)
     assert u.is_unimodular() and v.is_unimodular()
     diag = [d[i, i] for i in range(min(d.rows, d.cols))]
     assert all(x >= 0 for x in diag)
@@ -47,6 +52,23 @@ def test_snf_random(rng, property_cases):
     for _ in range(property_cases):
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
         snf_invariants(IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
+
+
+def test_tvar_check_builds_only_input_matrices_through_the_checking_constructor(monkeypatch, capsys):
+    # the one lattice generator of quadric.json; the identity, difference,
+    # stacked matrix and Smith normal form of the symmetry test are the
+    # package's own ints and are built unchecked
+    calls = []
+    init = IntMatrix.__init__
+
+    def counting_init(self, entries):
+        calls.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    assert run(["tvar", "check", str(fixture_path("quadric.json"))]) == 0
+    assert "ke_certified: false" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_intmatrix_accepts_only_ints():

@@ -3,13 +3,16 @@
 import ast
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import symfano
+from symfano.exact import Record
 from symfano.selftest import SUITES
 
 PACKAGE = Path(symfano.__file__).resolve().parent
@@ -78,6 +81,23 @@ def test_no_record_writes_a_constructor_that_only_stores_its_arguments():
                     if body and all(_stores_a_parameter(s, parameters) for s in body):
                         found.append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert found == []
+
+
+def test_every_record_has_a_value_case():
+    # the immutability, copy and pickle checks of ``test_tvariety`` run on
+    # the classes its two case lists name, so no value type may be missing
+    from test_tvariety import _record_cases, _value_type_cases
+
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        import_module(f"symfano.{info.name}")
+    records, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("symfano."):
+                records.add(cls)
+    covered = {case[0] for case in _record_cases()} | {type(value) for value in _value_type_cases()}
+    assert sorted(cls.__qualname__ for cls in records - covered) == []
 
 
 def _env() -> dict[str, str]:

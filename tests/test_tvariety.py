@@ -46,9 +46,7 @@ from symfano.tvariety import (
     CxOneVariety,
     DeclaredAction,
     Fiber,
-    FiberBook,
     GlctInfo,
-    HorizontalDivisor,
     KEVerdict,
     VarietyAnalysis,
     VerticalDivisor,
@@ -75,12 +73,10 @@ def variety(name):
 
 
 def bidegree_fibers():
-    return FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("u0", 1), VerticalDivisor("v0", 2))),
-            Fiber(INF, (VerticalDivisor("u1", 1), VerticalDivisor("v1", 2))),
-            Fiber(pt(-1), (VerticalDivisor("u2", 1), VerticalDivisor("v2", 2))),
-        ]
+    return (
+        Fiber(pt(0), (VerticalDivisor("u0", 1), VerticalDivisor("v0", 2))),
+        Fiber(INF, (VerticalDivisor("u1", 1), VerticalDivisor("v1", 2))),
+        Fiber(pt(-1), (VerticalDivisor("u2", 1), VerticalDivisor("v2", 2))),
     )
 
 
@@ -106,7 +102,7 @@ def test_boundary():
     b = boundary(variety("bidegree12"))
     assert {(p, c) for p, c in b} == {(pt(0), rat(1, 2)), (INF, rat(1, 2)), (pt(-1), rat(1, 2))}
     assert len(boundary(variety("p2-cstar"))) == 0
-    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 1), VerticalDivisor("b", 3)))])
+    fibers = (Fiber(pt(0), (VerticalDivisor("a", 1), VerticalDivisor("b", 3))),)
     b = boundary(trivial_symmetry_variety(fibers))
     assert list(b) == [(pt(0), rat(2, 3))]
 
@@ -119,9 +115,9 @@ def test_boundary_support_is_non_reduced_locus():
 
 
 def test_declared_empty_fiber():
-    fibers = FiberBook([Fiber(pt(0), ()), Fiber(INF, (VerticalDivisor("w", 2),))])
+    fibers = (Fiber(pt(0), ()), Fiber(INF, (VerticalDivisor("w", 2),)))
     v = trivial_symmetry_variety(fibers)
-    assert v.fibers.get(pt(0)).multiplicity == 0
+    assert v.fibers[0].multiplicity == 0
     b = boundary(v)
     assert is_neg_infinity(b.coefficient(pt(0)))
     assert b.coefficient(INF) == rat(1, 2)
@@ -137,7 +133,7 @@ def test_anticanonical_lift_effectivity():
     # the marked part is invariant; the extra generic point breaks invariance for S3
     with pytest.raises(NotInvariant):
         anticanonical_lift(v, q)
-    vt = trivial_symmetry_variety(bidegree_fibers(), horizontals=(HorizontalDivisor("h"),))
+    vt = trivial_symmetry_variety(bidegree_fibers(), horizontals=("h",))
     lift = anticanonical_lift(vt, q)
     assert lift == {
         "u0": rat(1, 2), "u1": rat(1, 2), "u2": rat(1, 2), "h": 1, f"fiber({pt(1)})": rat(1, 2)
@@ -195,11 +191,9 @@ def test_ke_verdict_fixtures():
 
 
 def test_ke_verdict_swapped_pair_route():
-    fibers = FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("a", 2),)),
-            Fiber(INF, (VerticalDivisor("b", 2),)),
-        ]
+    fibers = (
+        Fiber(pt(0), (VerticalDivisor("a", 2),)),
+        Fiber(INF, (VerticalDivisor("b", 2),)),
     )
     v = CxOneVariety(
         name="swap", dim=3, fibers=fibers, horizontals=(),
@@ -217,7 +211,7 @@ def test_ke_verdict_swapped_pair_route():
 def test_ke_verdict_fixed_point_free_route():
     s3_moebius = (MoebiusElement([[-1, -1], [1, 0]]), MoebiusElement([[1, 0], [-1, -1]]))
     s3_lattice = LatticeAutGroup(2, [[[0, -1], [1, -1]], [[1, -1], [0, -1]]])
-    fibers = FiberBook([])
+    fibers = ()
     v = CxOneVariety(
         name="free", dim=3, fibers=fibers, horizontals=(),
         lattice=s3_lattice, moebius_generators=s3_moebius,
@@ -233,11 +227,9 @@ def test_counting_routes_imply_threshold_one():
         verdict = ke_verdict(v)
         assert verdict.certified
         assert glct(v) == 1
-    fibers = FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("a", 2),)),
-            Fiber(INF, (VerticalDivisor("b", 2),)),
-        ]
+    fibers = (
+        Fiber(pt(0), (VerticalDivisor("a", 2),)),
+        Fiber(INF, (VerticalDivisor("b", 2),)),
     )
     v = CxOneVariety(
         name="swap", dim=3, fibers=fibers, horizontals=(),
@@ -253,11 +245,9 @@ def test_no_counting_route_pins_threshold_at_one_half(order):
     # swapped; the tight class is the fixed marked orbit, whose minimand
     # (1 - b)/(2 - 2b) is exactly 1/2 whatever the order, below every
     # dim/(dim+1) bound, so the verdict stays inconclusive
-    fibers = FiberBook(
-        [
-            Fiber(pt(1), (VerticalDivisor("a", order),)),
-            Fiber(pt(-1), (VerticalDivisor("b", order),)),
-        ]
+    fibers = (
+        Fiber(pt(1), (VerticalDivisor("a", order),)),
+        Fiber(pt(-1), (VerticalDivisor("b", order),)),
     )
     v = CxOneVariety(
         name="fixed-pair", dim=2, fibers=fibers, horizontals=(),
@@ -270,11 +260,9 @@ def test_no_counting_route_pins_threshold_at_one_half(order):
 
 
 def test_variety_is_immutable_and_closes_its_own_group():
-    fibers = FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("a", 2),)),
-            Fiber(INF, (VerticalDivisor("b", 2),)),
-        ]
+    fibers = (
+        Fiber(pt(0), (VerticalDivisor("a", 2),)),
+        Fiber(INF, (VerticalDivisor("b", 2),)),
     )
     v = trivial_symmetry_variety(fibers)
     assert glct(v) == rat(1, 2) and not ke_verdict(v).certified
@@ -289,8 +277,10 @@ def test_variety_is_immutable_and_closes_its_own_group():
         )
     with pytest.raises(AttributeError, match="immutable"):
         v.moebius_generators = (swap,)
-    assert v.moebius_group() is v.moebius_group()
-    assert v.moebius_group().order == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        v.moebius_group = closure([swap])
+    assert v.moebius_group is v.moebius_group
+    assert v.moebius_group.order == 1
 
 
 def _record_cases():
@@ -305,12 +295,11 @@ def _record_cases():
         (Fan, lambda: dict(ambient_rank=1, cones=(Cone(1, [(1,)]),)), "cones", ()),
         (Cone, lambda: dict(ambient_rank=2, generators=[(1, 0), (0, 1)]), "generators", ((5, 5),)),
         (VerticalDivisor, lambda: dict(name="a", order=2), "order", 3),
-        (HorizontalDivisor, lambda: dict(name="h"), "name", "k"),
         (Fiber, lambda: dict(point=pt(0), divisors=()), "point", INF),
         (DeclaredAction, lambda: dict(permutations=((0,),), induced_cyclic=True), "induced_cyclic", False),
         (
             CxOneVariety,
-            lambda: dict(name="a", dim=3, fibers=FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))]),
+            lambda: dict(name="a", dim=3, fibers=(Fiber(pt(0), (VerticalDivisor("a", 2),)),),
                          horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE),
                          declared=DeclaredAction(((0,),), True)),
             "name",
@@ -391,7 +380,11 @@ def _value_type_cases():
         PositiveCombination(()),
         MoebiusElement([[0, rat(1, 2)], [-3, 1]]),
         LatticeAutGroup(2, NEG_LATTICE),
-        FiberBook([Fiber(quadratic, (VerticalDivisor("a", 2),)), Fiber(INF, ())]),
+        CxOneVariety(
+            name="q", dim=2, fibers=(Fiber(quadratic, (VerticalDivisor("a", 2),)), Fiber(INF, ())),
+            horizontals=("h",), lattice=LatticeAutGroup(1, [[[-1]]]),
+            declared=DeclaredAction(((0, 1),), True),
+        ),
         WeightMatrix(("alpha", "beta"), IntMatrix([[1, -1], [0, 2]])),
         MarkedCurvePair([(pt(0), rat(1, 2)), (INF, NEG_INFINITY), (quadratic, rat(-1))]),
         Cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 2), (0, 3, 1)]),  # a wedge around a line
@@ -415,7 +408,7 @@ def test_value_types_round_trip_through_copy_and_pickle(value, method):
 def test_the_same_document_loads_to_equal_varieties(name):
     data = read_json(fixture_path(name + ".json"))
     first, second = load_variety(data), load_variety(data)
-    assert first is not second and first.fibers is not second.fibers
+    assert first is not second
     assert first == second and hash(first) == hash(second)
 
 
@@ -441,7 +434,7 @@ def _random_explicit_variety(rng: random.Random) -> CxOneVariety:
                 Fiber(p, tuple(VerticalDivisor(f"d{base + i}", o) for i, o in enumerate(orders)))
             )
     return CxOneVariety(
-        name="random", dim=3, fibers=FiberBook(fibers), horizontals=(),
+        name="random", dim=3, fibers=tuple(fibers), horizontals=(),
         lattice=LatticeAutGroup(2, NEG_LATTICE * len(moebius)),
         moebius_generators=moebius,
     )
@@ -452,8 +445,8 @@ def test_explicit_and_declared_actions_agree(property_cases):
     routes = set()
     for _ in range(property_cases):
         v = _random_explicit_variety(rng)
-        points = v.fibers.points()
-        group = v.moebius_group()
+        points = tuple(f.point for f in v.fibers)
+        group = v.moebius_group
         # the equivalent declared input, derived here without the variety's code
         perms = tuple(tuple(points.index(g.apply(p)) for p in points) for g in v.moebius_generators)
         cyclic = any(closure([g]).order == group.order for g in group)
@@ -495,7 +488,7 @@ def test_declared_action_witness_prefers_first_minimal_orbit():
     lattice = LatticeAutGroup(2, NEG_LATTICE)
 
     def declared(name, orders, perm, cyclic):
-        fibers = FiberBook(
+        fibers = tuple(
             Fiber(pt(i), (VerticalDivisor(f"{name}{i}", m),)) for i, m in enumerate(orders)
         )
         return CxOneVariety(
@@ -517,19 +510,21 @@ def test_declared_action_witness_prefers_first_minimal_orbit():
 def test_declared_permutation_group_is_computed_once():
     # two swapped non-reduced fibers: the threshold and the swapped-pair
     # route both read the closure of the declared permutations
-    fibers = FiberBook(Fiber(pt(i), (VerticalDivisor(f"s{i}", 2),)) for i in range(2))
+    fibers = tuple(Fiber(pt(i), (VerticalDivisor(f"s{i}", 2),)) for i in range(2))
     v = CxOneVariety(
         name="swap", dim=3, fibers=fibers, horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE),
         declared=DeclaredAction(((1, 0),), induced_cyclic=True),
     )
     assert ke_verdict(v).route == "swapped-pair"
-    group = v.marked_permutation_group()
+    group = v.marked_permutation_group
     assert group == ((0, 1), (1, 0))
-    assert v.marked_permutation_group() is group
+    assert v.marked_permutation_group is group
+    with pytest.raises(InputError, match="no explicit induced action was given"):
+        v.moebius_group
 
 
 def test_declared_action_cyclic_flag_controls_fixed_point_route():
-    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 2),))])
+    fibers = (Fiber(pt(0), (VerticalDivisor("a", 2),)),)
     lattice = LatticeAutGroup(2, NEG_LATTICE)
     free = CxOneVariety(
         name="declfree", dim=3, fibers=fibers, horizontals=(),
@@ -553,11 +548,9 @@ def test_construction_validation():
             lattice=lattice, moebius_generators=(MoebiusElement([[1, 1], [0, 1]]),),
         )
     # multiplicity mismatch under a declared permutation
-    uneven = FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("a", 2),)),
-            Fiber(INF, (VerticalDivisor("b", 3),)),
-        ]
+    uneven = (
+        Fiber(pt(0), (VerticalDivisor("a", 2),)),
+        Fiber(INF, (VerticalDivisor("b", 3),)),
     )
     with pytest.raises(NotInvariant):
         CxOneVariety(
@@ -570,16 +563,22 @@ def test_construction_validation():
             lattice=lattice, moebius_generators=None, declared=None,
         )
     # duplicate divisor names
-    dup = FiberBook(
-        [
-            Fiber(pt(0), (VerticalDivisor("a", 1),)),
-            Fiber(INF, (VerticalDivisor("a", 1),)),
-        ]
+    dup = (
+        Fiber(pt(0), (VerticalDivisor("a", 1),)),
+        Fiber(INF, (VerticalDivisor("a", 1),)),
     )
     with pytest.raises(InputError):
         trivial_symmetry_variety(dup)
     with pytest.raises(InputError):
         VerticalDivisor("zero", 0)
+
+
+def test_marked_points_are_pairwise_distinct():
+    # the schema check refuses a repeated point before a variety is built;
+    # the constructor refuses it for the Python API
+    fibers = (Fiber(pt(0), (VerticalDivisor("a", 2),)), Fiber(pt(0), (VerticalDivisor("b", 2),)))
+    with pytest.raises(InputError, match="^marked points must be pairwise distinct$"):
+        trivial_symmetry_variety(fibers)
 
 
 def test_routes_and_threshold_agree_random(rng, property_cases):
@@ -599,7 +598,7 @@ def test_routes_and_threshold_agree_random(rng, property_cases):
 def test_glct_matches_direct_lct_on_fixtures():
     for name in ("bidegree12", "quadric", "quadric-blowup"):
         v = variety(name)
-        res = lct_g(boundary(v), v.moebius_group())
+        res = lct_g(boundary(v), v.moebius_group)
         assert glct(v) == res.capped_at_one()
 
 
@@ -621,8 +620,8 @@ def test_fixture_divisors_bound_the_threshold(name, divisor, bound):
 def test_generic_tight_class_lifts_the_first_free_orbit():
     # only a trivial group with reduced fibers leaves the generic class tight;
     # t = 0 is marked, so the free orbit lifted is {1}
-    fibers = FiberBook([Fiber(pt(0), (VerticalDivisor("a", 1),))])
-    v = trivial_symmetry_variety(fibers, horizontals=(HorizontalDivisor("h"),))
+    fibers = (Fiber(pt(0), (VerticalDivisor("a", 1),)),)
+    v = trivial_symmetry_variety(fibers, horizontals=("h",))
     analysis = analyze(v)
     assert analysis.quotient_lct.witness.kind == "generic"
     assert analysis.divisor == {"h": 1, "fiber(1)": 2}
@@ -640,11 +639,11 @@ def test_tight_divisor_certifies_the_threshold(property_cases):
             assert analysis.divisor is None
             continue
         kinds.add(res.witness.kind)
-        group = v.moebius_group()
+        group = v.moebius_group
         orbit = res.witness.orbit or next(
             o
             for o in (orbit_of(group, pt(t)) for t in count())
-            if o.size == group.order and not set(o.points) & set(v.fibers.points())
+            if o.size == group.order and not set(o.points) & {f.point for f in v.fibers}
         )
         q_y = dict(analysis.boundary)
         for p in orbit.points:
