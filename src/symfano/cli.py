@@ -18,7 +18,8 @@ stdout closed before the report was written, as by ``| head``), 2 blown
 computation cap (Moebius generators of an infinite group, a support
 enumeration too large) or a usage error (argparse's convention), 3 violated
 mathematical precondition, 4 internal error (a computed result failed its
-own run-time check; a bug, not a property of the input).
+own run-time check, or a ``selftest`` suite found a failing case; a bug, not
+a property of the input).
 
 The command line is read from ``COMMANDS`` when it has one of the forms
 above, written out in full: the words of a command, then its FILE (not
@@ -35,7 +36,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring as _encode_str
 from types import SimpleNamespace
 
@@ -68,15 +69,35 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-# A verdict's text in a JSON report (an item of its "verdicts" list) and in a
-# text report, from its four fields written for that report, given in the
-# sorted order of their keys: certificate, claim, route, value.
-_VERDICT_JSON = (
-    '{{\n      "certificate": {0},\n      "claim": {1},\n      "route": {2},\n      "value": {3}\n    }}'
-).format
-_VERDICT_TEXT = "\n  {1}: {3}{2}{0}".format
-# ``run`` writes a report in pieces of this many verdicts
+# A verdict's text in a JSON report (an item of its "verdicts" list, with the
+# separator written before every item) and in a text report, split at its
+# value: the text before the value and the text after it, each a template
+# over the verdict's other fields written for that report, given in the
+# sorted order of their keys: certificate, claim, route.
+_VERDICT_JSON = (',\n    {{\n      "certificate": {0},\n      "claim": {1},\n      "route": {2},\n      "value": ', "\n    }}")
+_VERDICT_TEXT = ("\n  {1}: ", "{2}{0}")
+#: per report kind, the template of a whole verdict, with its value as a
+#: fourth field, and the two templates it splits into
+_TEMPLATES = {
+    as_json: ((before + "{3}" + after).format, before.format, after.format)
+    for as_json, (before, after) in ((True, _VERDICT_JSON), (False, _VERDICT_TEXT))
+}
+# ``run`` writes a report in pieces of this many verdicts, or of this many
+# items of a value written item by item
 _PIECE_VERDICTS = 1024
+
+# A stability certificate's text on a verdict's certificate line, in a JSON
+# report and in a text report, from the text of its one list's items, keyed
+# by the verdict: a positive combination for a polystable support, else a
+# destabilizer.  Coefficients are ``ratio_str``s, which need no escaping.
+_CERT_JSON = {
+    True: '{{\n        "coefficients": {0},\n        "type": "positive-combination"\n      }}'.format,
+    False: '{{\n        "one_parameter_subgroup": {0},\n        "type": "destabilizer"\n      }}'.format,
+}
+_CERT_TEXT = {
+    True: '\n    certificate: {{"coefficients": [{0}], "type": "positive-combination"}}'.format,
+    False: '\n    certificate: {{"one_parameter_subgroup": [{0}], "type": "destabilizer"}}'.format,
+}
 
 
 def _json_text(node, newline: str = "\n      ") -> str:
@@ -96,6 +117,31 @@ def _certificate_line(certificate) -> str:
     return "" if certificate is None else "\n    certificate: " + _compact_json(certificate)
 
 
+def _json_list(texts: list[str], newline: str) -> str:
+    """The indent-2 JSON text of a list whose items are written as ``texts``,
+    on a line that starts with ``newline``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _cert_text(polystable: bool, cert, as_json: bool) -> str:
+    """``_json_text`` or ``_certificate_line`` of ``_cert_dict(polystable,
+    cert)``, written through the certificate templates."""
+    if polystable:
+        den = cert.denominator
+        if den == 1:
+            items = [f'"{n}"' for n in cert.numerators]
+        else:
+            items = [f'"{ratio_str(n, den)}"' for n in cert.numerators]
+    else:
+        items = list(map(int.__repr__, cert.vector))
+    if as_json:
+        return _CERT_JSON[polystable](_json_list(items, "\n        "))
+    return _CERT_TEXT[polystable](", ".join(items))
+
+
 class Verdict(_Record):
     def __init__(self, claim: str, value, route: str | None = None, certificate=None):
         self.claim = claim
@@ -106,13 +152,16 @@ class Verdict(_Record):
     def _dicts(self):
         return (dict(vars(self)),)
 
-    def _fields(self, as_json: bool):
+    def _fields(self, as_json: bool) -> tuple:
+        """The verdict's certificate, claim, route and value written for the report."""
         if as_json:
-            fields = (self.certificate, self.claim, self.route, self.value)
-            return (tuple(map(_json_text, fields)),)
+            return tuple(map(_json_text, (self.certificate, self.claim, self.route, self.value)))
         route = "" if self.route is None else f"  [{self.route}]"
         value = self.value if isinstance(self.value, str) else _compact_json(self.value)
-        return ((_certificate_line(self.certificate), self.claim, route, value),)
+        return _certificate_line(self.certificate), self.claim, route, value
+
+    def _texts(self, as_json: bool):
+        return (_TEMPLATES[as_json][0](*self._fields(as_json)),)
 
 
 class StabilityVerdicts(_Record):
@@ -120,8 +169,8 @@ class StabilityVerdicts(_Record):
     certificate)``, as ``quotients.polystable_locus`` returns them, and
     written straight from those rows.  A row's claim is ``claim``, or else
     names its support.  Writing them builds no ``Verdict`` or certificate
-    dict per row: each distinct certificate's text is built once, and rows
-    with equal certificates share it."""
+    dict per row: each distinct certificate's text is built once, through
+    the certificate templates, and rows with equal certificates share it."""
 
     def __init__(self, rows, claim: str | None = None):
         self.rows = rows
@@ -138,24 +187,60 @@ class StabilityVerdicts(_Record):
             for claim, (_, polystable, cert) in zip(self._claims(), self.rows)
         ]
 
-    def _fields(self, as_json: bool):
+    def _texts(self, as_json: bool):
+        template = _TEMPLATES[as_json][0]
         claims = self._claims()
         if as_json:
-            claims, route, write_certificate = map(_encode_str, claims), "null", _json_text
+            claims, route = map(_encode_str, claims), "null"
         else:
-            route, write_certificate = "", _certificate_line
+            route = ""
         texts = {}
         for claim, (_, polystable, cert) in zip(claims, self.rows):
             text = texts.get(cert)
             if text is None:
-                text = texts[cert] = write_certificate(_cert_dict(polystable, cert))
-            yield text, claim, route, "true" if polystable else "false"
+                text = texts[cert] = _cert_text(polystable, cert, as_json)
+            yield template(text, claim, route, "true" if polystable else "false")
+
+
+class PolystableSupports(_Record):
+    """The ``polystable_supports`` verdict of ``git locus``: the supports of
+    the decided rows that are polystable, in row order, as lists of labels.
+    Written straight from the rows, one support at a time, so that a report
+    in pieces holds no list or text of the whole value.  The rows start with
+    the empty support, which is polystable, so the value is never empty."""
+
+    claim = "polystable_supports"
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def _dicts(self):
+        value = [list(support) for support, polystable, _ in self.rows if polystable]
+        return Verdict(self.claim, value)._dicts()
+
+    def _texts(self, as_json: bool):
+        _, before, after = _TEMPLATES[as_json]
+        certificate, claim, route, _ = Verdict(self.claim, None)._fields(as_json)
+        # the value's list written item by item, as ``_json_list`` or
+        # ``_compact_json`` would write it whole
+        if as_json:
+            first, separator, close = "[\n        ", ",\n        ", "\n      ]"
+        else:
+            first, separator, close = "[", ", ", "]"
+        start = before(certificate, claim, route) + first
+        for support, polystable, _ in self.rows:
+            if polystable:
+                labels = list(map(_encode_str, support))
+                yield start + (_json_list(labels, "\n        ") if as_json else "[" + ", ".join(labels) + "]")
+                start = separator
+        yield close + after(certificate, claim, route)
 
 
 class Report(_Record):
     """What a command reports: a subject, verdicts and warnings.  An item of
-    ``verdicts`` is a ``Verdict`` or a block of ``StabilityVerdicts``; two
-    reports are equal when their ``to_dict()`` are."""
+    ``verdicts`` is a ``Verdict``, a block of ``StabilityVerdicts`` or a
+    ``PolystableSupports``; two reports are equal when their ``to_dict()``
+    are."""
 
     def __init__(
         self,
@@ -192,7 +277,7 @@ class Report(_Record):
         indent=2, sort_keys=True, ensure_ascii=False)``, built without that
         pure-Python encoder and without ``to_dict``: each verdict is written
         through one template over its four keys, and a block of stability
-        verdicts straight from its rows."""
+        verdicts and the polystable supports straight from their rows."""
         return "".join(self.pieces(as_json=True))
 
     @classmethod
@@ -213,26 +298,25 @@ class Report(_Record):
 
     def pieces(self, as_json: bool):
         """The text of ``to_json()`` or of ``render()`` in pieces of at most
-        ``_PIECE_VERDICTS`` verdicts, for writing a large report out."""
-        template = _VERDICT_JSON if as_json else _VERDICT_TEXT
-        verdicts = chain.from_iterable(starmap(template, v._fields(as_json)) for v in self.verdicts)
+        ``_PIECE_VERDICTS`` verdicts, or items of a value written item by
+        item, for writing a large report out."""
+        texts = chain.from_iterable(v._texts(as_json) for v in self.verdicts)
         if not as_json:
             yield f"subject: {self.subject}"
-            while piece := "".join(islice(verdicts, _PIECE_VERDICTS)):
+            while piece := "".join(islice(texts, _PIECE_VERDICTS)):
                 yield piece
             yield "".join(f"\n  warning: {w}" for w in self.warnings)
             return
+        # every verdict starts with its separator; the first one's opens the list
+        first = "".join(islice(texts, _PIECE_VERDICTS))
         yield (
             '{\n  "report_version": ' + _json_text(self.report_version, "\n  ")
             + ',\n  "subject": ' + _json_text(self.subject, "\n  ")
-            + ',\n  "verdicts": '
+            + ',\n  "verdicts": ' + ("[" + first[1:] if first else "[]")
         )
-        separator = "[\n    "
-        while batch := list(islice(verdicts, _PIECE_VERDICTS)):
-            yield separator + ",\n    ".join(batch)
-            separator = ",\n    "
-        close = "[]" if separator == "[\n    " else "\n  ]"
-        yield close + ',\n  "warnings": ' + _json_text(list(self.warnings), "\n  ") + "\n}"
+        while piece := "".join(islice(texts, _PIECE_VERDICTS)):
+            yield piece
+        yield ("\n  ]" if first else "") + ',\n  "warnings": ' + _json_text(list(self.warnings), "\n  ") + "\n}"
 
 
 #: the JSON text of a str, int, bool or None, by its exact type
@@ -276,7 +360,7 @@ def _write_json(node, newline: str, out: list) -> None:
         # a list of leaves of one type is joined in one go
         kind = type(node[0])
         if kind in _LEAF_ENCODERS and set(map(type, node)) == {kind}:
-            out.append("[" + inner + ("," + inner).join(map(_LEAF_ENCODERS[kind], node)) + newline + "]")
+            out.append(_json_list(list(map(_LEAF_ENCODERS[kind], node)), newline))
         else:
             sep = "[" + inner
             for item in node:
@@ -407,8 +491,7 @@ def _git_locus(report: Report, data: dict, args) -> int:
 
     weights, claimed = load_weights(data)
     rows = polystable_locus(weights)
-    report.verdicts.append(StabilityVerdicts(rows))
-    report.add("polystable_supports", [list(support) for support, verdict, _ in rows if verdict])
+    report.verdicts += [StabilityVerdicts(rows), PolystableSupports(rows)]
     if claimed is not None:
         stated = [set(piece) for piece in claimed]
         mismatches = [
@@ -570,7 +653,7 @@ def run(argv=None) -> int:
             for name, failures in run_selftest(seed=args.seed, cases=args.cases):
                 report.add(name, "FAIL" if failures else "pass", certificate=failures[:3] or None)
                 if failures:
-                    code = EXIT_INPUT
+                    code = EXIT_INTERNAL
         else:
             data = read_json(args.file)
             report = Report(subject=data.get("name", str(args.file)))

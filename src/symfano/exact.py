@@ -34,7 +34,10 @@ class Record:
     ``MoebiusElement`` break that rule: their constructors take other input,
     so each overrides ``__reduce__`` to rebuild through its trusted
     constructor (``_make``, ``MoebiusElement._primitive``) from the stored
-    fields.  Records of one class are equal when their fields are, and a
+    fields.  ``IntMatrix._make`` and ``SemipositiveWitness._make`` are
+    trusted constructors as well: they store fields their caller computed,
+    without the checks and binding of ``__init__``, which copying still goes
+    through.  Records of one class are equal when their fields are, and a
     one-field record compares and hashes as its field; a record with a dict
     field is not hashable.
     """
@@ -434,7 +437,10 @@ class PositiveCombination(Record):
         """lambda_i = numerators[i] / denominator for ints with denominator > 0."""
         self = object.__new__(cls)
         g = math.gcd(denominator, *numerators)
-        self._set(tuple(n // g for n in numerators), denominator // g)
+        if g != 1:
+            numerators = [n // g for n in numerators]
+            denominator //= g
+        self._set(tuple(numerators), denominator)
         return self
 
     def __reduce__(self):
@@ -445,6 +451,13 @@ class SemipositiveWitness(Record):
     """Integer v with <v, w_i> >= 0 for every column and > 0 for at least one."""
 
     __slots__ = _fields = ("vector",)
+
+    @classmethod
+    def _make(cls, vector: tuple[int, ...]) -> "SemipositiveWitness":
+        """The witness ``vector``, an int tuple, taken as it is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vector", vector)
+        return self
 
 
 def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:
@@ -469,11 +482,11 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
         if min(nums) < 0 or any(sum(map(mul, row, lam)) for row in rows):
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
         return PositiveCombination._make(lam, den)
-    v = _primitive(tuple(-x for x in nums))
+    v = _primitive(tuple([-x for x in nums]))
     pairings = [sum(map(mul, v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:
         raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")
-    return SemipositiveWitness(v)
+    return SemipositiveWitness._make(v)
 
 
 def _phase_one(a_rows, rhs):

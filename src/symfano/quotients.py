@@ -105,31 +105,42 @@ def polystable_locus(weight_matrix: WeightMatrix):
     Verdict and certificate depend only on the support's ordered submatrix,
     so each distinct submatrix is decided once, by one call of
     ``solve_positive_combination``; supports whose columns repeat the same
-    weights in the same order share its answer.
+    weights in the same order share its answer.  The submatrix is keyed by
+    an int: number the distinct weight columns 1..k, and read the numbers of
+    the support's columns, in coordinate order, as the digits of a number in
+    base k + 1.  No digit is 0, so distinct submatrices get distinct keys,
+    and the empty support gets 0.
     """
     n = weight_matrix.coordinates
     if n > LOCUS_COORDINATE_CAP:
         raise TooManyCoordinates(f"{n} coordinates exceed the 2^n enumeration cap")
     labels = weight_matrix.labels
     columns = [weight_matrix.weights.col(j) for j in range(n)]
-    # the later coordinates in reverse label order: popped from the stack,
-    # the extensions of a support come after it, in label order
+    classes = list(dict.fromkeys(columns))
+    base = len(classes) + 1
+    # per start, the extensions of a support by a coordinate j >= start, in
+    # reverse label order: popped from the stack, they come after it in label
+    # order; each as its label, its column, its digit and the next start
     reverse_by_label = sorted(range(n), key=labels.__getitem__, reverse=True)
-    # a support's weight columns, in coordinate order, key its answer
-    decided = {(): (True, PositiveCombination(()))}
+    later = [
+        [((labels[j],), (columns[j],), classes.index(columns[j]) + 1, j + 1) for j in reverse_by_label if j >= start]
+        for start in range(n + 1)
+    ]
+    decided = {0: (True, PositiveCombination(()))}
     rows = []
-    stack = [((), (), 0)]
+    # a support, its weight columns in coordinate order, their key and the
+    # first coordinate that may extend it
+    stack = [((), (), 0, 0)]
     while stack:
-        support, sub, start = stack.pop()
-        answer = decided.get(sub)
+        support, sub, key, start = stack.pop()
+        answer = decided.get(key)
         if answer is None:
             # the entries were checked when ``weight_matrix.weights`` was built
             result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub)), len(sub)))
-            answer = decided[sub] = (isinstance(result, PositiveCombination), result)
+            answer = decided[key] = (isinstance(result, PositiveCombination), result)
         rows.append((support, *answer))
-        stack.extend(
-            (support + (labels[j],), sub + (columns[j],), j + 1) for j in reverse_by_label if j >= start
-        )
+        key *= base
+        stack += [(support + label, sub + column, key + digit, j) for label, column, digit, j in later[start]]
     return rows
 
 

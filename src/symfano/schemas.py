@@ -240,8 +240,13 @@ def _validate_weights(data: dict, out: list):
     if not (isinstance(labels, list) and labels and all(isinstance(l, str) for l in labels)):
         out.append("labels: must be a nonempty array of strings")
         labels = None
-    elif len(set(labels)) != len(labels):
-        out.append("labels: must be distinct")
+    else:
+        if len(set(labels)) != len(labels):
+            out.append("labels: must be distinct")
+        # a support is written and read as labels joined by commas
+        for i, label in enumerate(labels):
+            if not label or "," in label or label != label.strip():
+                out.append(f"labels[{i}]: {label!r} must be nonempty, without a comma or surrounding whitespace")
     weights = data.get("weights")
     _check_matrix(weights, "weights", out)
     if isinstance(weights, list) and labels and all(isinstance(r, list) for r in weights):

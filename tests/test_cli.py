@@ -1,10 +1,13 @@
 import json
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from symfano import cli, curvepair, exact, rationals, schemas, tvariety
+from symfano import cli, curvepair, exact, rationals, schemas, selftest, tvariety
 from symfano.cli import Report, Verdict, run
 from symfano.errors import InputError, SymfanoError
 from symfano.quotients import polystable_locus
@@ -362,6 +365,96 @@ def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
     assert shared >= len(documents) // 2
 
 
+def certificate_dict(polystable, cert):
+    """A stability certificate as a report holds it, built without ``cli``."""
+    if polystable:
+        return {
+            "type": "positive-combination",
+            "coefficients": [rationals.ratio_str(n, cert.denominator) for n in cert.numerators],
+        }
+    return {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
+
+
+def test_reports_write_labels_that_need_escaping(tmp_path, capsys):
+    # labels with a quote, a backslash, a non-ASCII letter and a tab, in every
+    # claim, support list, polystable_supports item and warning
+    labels = ['a"b', "c\\d", "\u03b1", "e\tf"]
+    document = {
+        "name": "escapes \u03b1",
+        "labels": labels,
+        "weights": [[1, -1, 2, -2], [0, 1, -1, 1]],
+        "claimed_polystable_supports_any_of": [['a"b', "c\\d"]],
+    }
+    path = tmp_path / "escapes.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    rows = polystable_locus(load_weights(document)[0])
+    assert {verdict for support, verdict, _ in rows if support} == {True, False}
+
+    def check(argv, reference):
+        code, out = run_capture(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(reference.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        code, text = run_capture(capsys, *argv)
+        assert code == 0
+        assert text == reference.render() + "\n"
+
+    locus = reference_locus_report(document, rows)
+    assert locus.warnings
+    check(("git", "locus", str(path)), locus)
+    for support, verdict, cert in rows:
+        reference = Report(document["name"])
+        reference.add("support", list(support))
+        reference.add("polystable", verdict, certificate=certificate_dict(verdict, cert))
+        check(("git", "polystable", str(path), "--support", ",".join(support)), reference)
+
+
+def test_certificate_templates_write_the_certificate_dicts(rng):
+    combinations = [exact.PositiveCombination(())]
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:  # integers
+            coefficients = [rng.randint(1, 9) for _ in range(size)]
+        elif kind == 1:  # fractions
+            coefficients = [Fraction(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(size)]
+        else:  # large numerators, large or unit denominators
+            den = rng.choice((1, rng.randrange(2, 10**25)))
+            coefficients = [Fraction(rng.randrange(1, 10**40), den) for _ in range(size)]
+        combinations.append(exact.PositiveCombination(coefficients))
+    assert {c.denominator == 1 for c in combinations} == {True, False}
+    witnesses = [exact.SemipositiveWitness((0,)), exact.SemipositiveWitness((-(10**30), 0, 7))]
+    for _ in range(300):
+        entries = rng.choice(((-3, 3), (-(10**20), 10**20)))
+        witnesses.append(exact.SemipositiveWitness(tuple(rng.randint(*entries) for _ in range(rng.randint(1, 3)))))
+    assert any(0 in w.vector for w in witnesses) and any(min(w.vector) < 0 for w in witnesses)
+    for polystable, certificates in ((True, combinations), (False, witnesses)):
+        for cert in certificates:
+            expected = cli._cert_dict(polystable, cert)
+            assert expected == certificate_dict(polystable, cert)
+            assert cli._cert_text(polystable, cert, True) == cli._json_text(expected)
+            assert cli._cert_text(polystable, cert, False) == cli._certificate_line(expected)
+
+
+def test_polystable_supports_are_written_in_pieces(tmp_path, monkeypatch):
+    # 14 coordinates, 7 of weight 1 and 7 of weight -1: 1 + 127^2 polystable supports
+    labels = [f"x{i}" for i in range(14)]
+    document = {"name": "signs-14", "labels": labels, "weights": [[1] * 7 + [-1] * 7]}
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    pieces = []
+    sink = SimpleNamespace(writelines=pieces.extend, write=pieces.append)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(["git", "locus", str(path), "--json"]) == 0
+    verdict = json.loads("".join(pieces))["verdicts"][-1]
+    rows = polystable_locus(load_weights(document)[0])
+    assert verdict["claim"] == "polystable_supports"
+    assert verdict["value"] == [list(support) for support, polystable, _ in rows if polystable]
+    assert len(verdict["value"]) == 1 + 127**2
+    # each support of the value starts a line at its items' indentation
+    assert sum(piece.count("\n        [") for piece in pieces) == len(verdict["value"])
+    assert max(piece.count("\n        [") for piece in pieces) <= cli._PIECE_VERDICTS
+
+
 def test_chow_subcommand(capsys):
     code, out = run_capture(capsys, "chow", fixture("p2-chow.json"))
     assert code == 0 and "cell_count: 3" in out
@@ -562,6 +655,40 @@ def test_validate_reports_each_problem_by_path(tmp_path, capsys, document, probl
         assert f"  problem: {problem}\n" in out
     else:
         assert err == f"input error: {target}: {problem}\n"
+
+
+def label_problem(i, label):
+    return f"labels[{i}]: {label!r} must be nonempty, without a comma or surrounding whitespace"
+
+
+@pytest.mark.parametrize("label", ["", "a, b", "a,b", ",", " a", "a ", "\ta", "a\n"])
+def test_a_label_that_cannot_name_a_support_is_an_input_error(tmp_path, capsys, label):
+    # a support is printed and read by --support as labels joined by commas
+    target = tmp_path / "labels.json"
+    target.write_text(json.dumps({"name": "labels", "labels": ["c", label, "d"], "weights": [[1, -1, 1]]}))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if "problem:" in line] == [f"  problem: {label_problem(1, label)}"]
+    for argv in (["git", "locus", str(target)], ["git", "polystable", str(target), "--support", "c"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {label_problem(1, label)}\n"
+
+
+def test_labels_that_would_give_two_verdicts_one_claim_are_rejected(tmp_path, capsys):
+    # "support {empty}" and "support {a, b}" would each name two supports
+    target = tmp_path / "labels.json"
+    target.write_text(json.dumps({"name": "labels", "labels": ["", "a, b", "a", "b"], "weights": [[1, -1, 1, -1]]}))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if "problem:" in line] == [
+        f"  problem: {label_problem(0, '')}",
+        f"  problem: {label_problem(1, 'a, b')}",
+    ]
+    for argv in (["git", "locus", str(target)], ["git", "polystable", str(target), "--support", "a, b"]):
+        assert run(argv) == 1
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("dim, problem", [(True, "dim: must be int"), (1, "dim: must be >= 2")])
@@ -910,6 +1037,17 @@ def test_selftest_without_cases_is_an_input_error(capsys, cases):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: selftest needs at least 1 case per suite, not {cases}\n"
+
+
+def test_a_failing_selftest_suite_is_an_internal_error(capsys, monkeypatch):
+    # a failed property is a bug in the package, not bad input
+    def suite_fails(rng, cases):
+        return [f"case {i} failed" for i in range(cases)]
+
+    monkeypatch.setattr(selftest, "SUITES", (*selftest.SUITES[:1], ("always_fails", suite_fails)))
+    code, out = run_capture(capsys, "selftest", "--cases", "5")
+    assert code == 4
+    assert "snf_identity: pass" in out and "always_fails: FAIL" in out
 
 
 @pytest.mark.parametrize(
