@@ -36,7 +36,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring as _encode_str
 from types import SimpleNamespace
 
@@ -56,17 +56,6 @@ EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
-
-
-class _Record:
-    """Value equality and a keyword repr over the instance's fields."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
 
 
 # A verdict's text in a JSON report (an item of its "verdicts" list, with the
@@ -142,7 +131,7 @@ def _cert_text(polystable: bool, cert, as_json: bool) -> str:
     return _CERT_TEXT[polystable](", ".join(items))
 
 
-class Verdict(_Record):
+class Verdict:
     def __init__(self, claim: str, value, route: str | None = None, certificate=None):
         self.claim = claim
         self.value = value
@@ -152,94 +141,78 @@ class Verdict(_Record):
     def _dicts(self):
         return (dict(vars(self)),)
 
-    def _fields(self, as_json: bool) -> tuple:
-        """The verdict's certificate, claim, route and value written for the report."""
-        if as_json:
-            return tuple(map(_json_text, (self.certificate, self.claim, self.route, self.value)))
-        route = "" if self.route is None else f"  [{self.route}]"
-        value = self.value if isinstance(self.value, str) else _compact_json(self.value)
-        return _certificate_line(self.certificate), self.claim, route, value
-
     def _texts(self, as_json: bool):
-        return (_TEMPLATES[as_json][0](*self._fields(as_json)),)
-
-
-class StabilityVerdicts(_Record):
-    """Stability verdicts held as decided rows ``(support, polystable,
-    certificate)``, as ``quotients.polystable_locus`` returns them, and
-    written straight from those rows.  A row's claim is ``claim``, or else
-    names its support.  Writing them builds no ``Verdict`` or certificate
-    dict per row: each distinct certificate's text is built once, through
-    the certificate templates, and rows with equal certificates share it."""
-
-    def __init__(self, rows, claim: str | None = None):
-        self.rows = rows
-        self.claim = claim
-
-    def _claims(self):
-        if self.claim is not None:
-            return repeat(self.claim, len(self.rows))
-        return (f"support {{{', '.join(support) or 'empty'}}}" for support, _, _ in self.rows)
-
-    def _dicts(self):
-        return [
-            {"claim": claim, "value": polystable, "route": None, "certificate": _cert_dict(polystable, cert)}
-            for claim, (_, polystable, cert) in zip(self._claims(), self.rows)
-        ]
-
-    def _texts(self, as_json: bool):
-        template = _TEMPLATES[as_json][0]
-        claims = self._claims()
+        # the verdict's certificate, claim, route and value written for the report
         if as_json:
-            claims, route = map(_encode_str, claims), "null"
+            fields = map(_json_text, (self.certificate, self.claim, self.route, self.value))
         else:
-            route = ""
-        texts = {}
-        for claim, (_, polystable, cert) in zip(claims, self.rows):
-            text = texts.get(cert)
-            if text is None:
-                text = texts[cert] = _cert_text(polystable, cert, as_json)
-            yield template(text, claim, route, "true" if polystable else "false")
+            route = "" if self.route is None else f"  [{self.route}]"
+            value = self.value if isinstance(self.value, str) else _compact_json(self.value)
+            fields = _certificate_line(self.certificate), self.claim, route, value
+        return (_TEMPLATES[as_json][0](*fields),)
 
 
-class PolystableSupports(_Record):
-    """The ``polystable_supports`` verdict of ``git locus``: the supports of
-    the decided rows that are polystable, in row order, as lists of labels.
-    Written straight from the rows, one support at a time, so that a report
-    in pieces holds no list or text of the whole value.  The rows start with
-    the empty support, which is polystable, so the value is never empty."""
+def _support_claim(support) -> str:
+    return f"support {{{', '.join(support) or 'empty'}}}"
 
-    claim = "polystable_supports"
+
+class StabilityVerdicts:
+    """The verdicts of ``git locus``, held as the decided rows ``(support,
+    polystable, certificate)`` that ``quotients.polystable_locus`` returns
+    and written straight from them: one verdict per row, whose claim names
+    its support, then ``polystable_supports``, the supports of the rows that
+    are polystable, in row order, as lists of labels.  Writing builds no
+    ``Verdict`` or certificate dict per row: each certificate object's text
+    is built once, through the certificate templates, and the rows that
+    share the object share it.  The supports are written one at a time, so
+    that a report in pieces holds no list or text of the whole value.  The
+    rows start with the empty support, which is polystable, so that value
+    is never empty."""
 
     def __init__(self, rows):
         self.rows = rows
 
     def _dicts(self):
-        value = [list(support) for support, polystable, _ in self.rows if polystable]
-        return Verdict(self.claim, value)._dicts()
+        dicts = [
+            {"claim": _support_claim(support), "value": polystable, "route": None, "certificate": _cert_dict(polystable, cert)}
+            for support, polystable, cert in self.rows
+        ]
+        supports = [list(support) for support, polystable, _ in self.rows if polystable]
+        dicts.append({"claim": "polystable_supports", "value": supports, "route": None, "certificate": None})
+        return dicts
 
     def _texts(self, as_json: bool):
-        _, before, after = _TEMPLATES[as_json]
-        certificate, claim, route, _ = Verdict(self.claim, None)._fields(as_json)
-        # the value's list written item by item, as ``_json_list`` or
-        # ``_compact_json`` would write it whole
+        template, before, after = _TEMPLATES[as_json]
+        route = "null" if as_json else ""
+        # ``polystable_locus`` gives equal certificates as one object
+        texts = {}
+        for support, polystable, cert in self.rows:
+            claim = _support_claim(support)
+            text = texts.get(id(cert))
+            if text is None:
+                text = texts[id(cert)] = _cert_text(polystable, cert, as_json)
+            yield template(text, _encode_str(claim) if as_json else claim, route, "true" if polystable else "false")
+        # the polystable supports' list written item by item, as
+        # ``_json_list`` or ``_compact_json`` would write it whole
         if as_json:
+            fields = ("null", '"polystable_supports"', "null")
             first, separator, close = "[\n        ", ",\n        ", "\n      ]"
         else:
+            fields = ("", "polystable_supports", "")
             first, separator, close = "[", ", ", "]"
-        start = before(certificate, claim, route) + first
+        start = before(*fields) + first
         for support, polystable, _ in self.rows:
             if polystable:
                 labels = list(map(_encode_str, support))
                 yield start + (_json_list(labels, "\n        ") if as_json else "[" + ", ".join(labels) + "]")
                 start = separator
-        yield close + after(certificate, claim, route)
+        yield close + after(*fields)
 
 
-class Report(_Record):
+class Report:
     """What a command reports: a subject, verdicts and warnings.  An item of
-    ``verdicts`` is a ``Verdict``, a block of ``StabilityVerdicts`` or a
-    ``PolystableSupports``; two reports are equal when their ``to_dict()``
+    ``verdicts`` is a ``Verdict`` or, for ``git locus``, a block of
+    ``StabilityVerdicts``; two reports are equal when their ``to_dict()``
     are."""
 
     def __init__(
@@ -481,7 +454,7 @@ def _git_polystable(report: Report, data: dict, args) -> int:
     support = [s for s in (part.strip() for part in args.support.split(",")) if s]
     verdict, cert = is_polystable(weights, support)
     report.add("support", support)
-    report.verdicts.append(StabilityVerdicts([(support, verdict, cert)], "polystable"))
+    report.add("polystable", verdict, certificate=_cert_dict(verdict, cert))
     return EXIT_OK
 
 
@@ -491,7 +464,7 @@ def _git_locus(report: Report, data: dict, args) -> int:
 
     weights, claimed = load_weights(data)
     rows = polystable_locus(weights)
-    report.verdicts += [StabilityVerdicts(rows), PolystableSupports(rows)]
+    report.verdicts.append(StabilityVerdicts(rows))
     if claimed is not None:
         stated = [set(piece) for piece in claimed]
         mismatches = [

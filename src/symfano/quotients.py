@@ -109,7 +109,8 @@ def polystable_locus(weight_matrix: WeightMatrix):
     an int: number the distinct weight columns 1..k, and read the numbers of
     the support's columns, in coordinate order, as the digits of a number in
     base k + 1.  No digit is 0, so distinct submatrices get distinct keys,
-    and the empty support gets 0.
+    and the empty support gets 0.  Equal certificates of distinct
+    submatrices are returned as one object.
     """
     n = weight_matrix.coordinates
     if n > LOCUS_COORDINATE_CAP:
@@ -127,6 +128,8 @@ def polystable_locus(weight_matrix: WeightMatrix):
         for start in range(n + 1)
     ]
     decided = {0: (True, PositiveCombination(()))}
+    # each distinct certificate, as the object that first carried it
+    certificates = {}
     rows = []
     # a support, its weight columns in coordinate order, their key and the
     # first coordinate that may extend it
@@ -137,6 +140,7 @@ def polystable_locus(weight_matrix: WeightMatrix):
         if answer is None:
             # the entries were checked when ``weight_matrix.weights`` was built
             result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub)), len(sub)))
+            result = certificates.setdefault(result, result)
             answer = decided[key] = (isinstance(result, PositiveCombination), result)
         rows.append((support, *answer))
         key *= base

@@ -81,9 +81,11 @@ class CxOneVariety(Record):
     ``fibers`` is a tuple of ``Fiber`` over pairwise distinct points, and
     ``horizontals`` a tuple of the horizontal divisors' names.  Either
     symmetry input yields ``permutations``: for each generator, the index of
-    the fiber it sends each marked fiber to.  It and the closed groups
-    ``moebius_group`` and ``marked_permutation_group``, each computed once,
-    are derived from the fields, so they take no part in equality or the repr.
+    the fiber it sends each marked fiber to.  It, the closed group
+    ``moebius_group`` and the ``marked_orbits``, each computed once, are
+    derived from the fields, so they take no part in equality or the repr.
+    A declared action that is not cyclic must move every marked fiber: a
+    finite group of the line that fixes a point is cyclic.
     """
 
     _fields = (
@@ -135,6 +137,14 @@ class CxOneVariety(Record):
                         f"{self.name}: fiber multiplicity not preserved at {f.point}"
                     )
         object.__setattr__(self, "permutations", perms)
+        if not (self.explicit_action or self.declared.induced_cyclic):
+            for orbit in self.marked_orbits:
+                if len(orbit) == 1:
+                    raise InputError(
+                        f"{self.name}: induced_cyclic is false, but the declared action fixes the "
+                        f"marked point {fibs[orbit[0]].point} (a finite group of the line that "
+                        "fixes a point is cyclic)"
+                    )
 
     def _induced_permutation(self, g: MoebiusElement) -> tuple[int, ...]:
         index = {f.point: i for i, f in enumerate(self.fibers)}
@@ -166,22 +176,26 @@ class CxOneVariety(Record):
         return self.declared.induced_cyclic
 
     @cached_property
-    def marked_permutation_group(self) -> tuple[tuple[int, ...], ...]:
-        """Closure of the generators' permutations of the marked fibers."""
-        n = len(self.fibers)
-        ident = tuple(range(n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.permutations:
-                    q = tuple(g[p[i]] for i in range(n))
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return tuple(sorted(seen))
+    def marked_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of the marked fibers under the group the generators'
+        permutations generate, as sorted tuples of fiber indices, in order of
+        their first fiber.  Each is the closure of one fiber under the
+        permutations, so the group itself, of up to n! elements on n fibers,
+        is never built."""
+        orbits, seen = [], set()
+        for i in range(len(self.fibers)):
+            if i in seen:
+                continue
+            orbit, frontier = {i}, [i]
+            while frontier:
+                j = frontier.pop()
+                for perm in self.permutations:
+                    if perm[j] not in orbit:
+                        orbit.add(perm[j])
+                        frontier.append(perm[j])
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +395,10 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
         return GlctInfo(ONE, False, None)
     free = TWO - deg
     fibs = variety.fibers
-    perms = variety.marked_permutation_group
     candidates = []
-    # each declared orbit once, named by its first fiber; a fiber of
+    # each declared orbit, named by its first fiber; a fiber of
     # multiplicity m has coefficient (m - 1)/m, so 1 - coeff = 1/m
-    for orbit in dict.fromkeys(tuple(sorted({p[i] for p in perms})) for i in range(len(fibs))):
+    for orbit in variety.marked_orbits:
         f = fibs[orbit[0]]
         value = Q(len(orbit)) / Q(f.multiplicity) / free
         candidates.append((value, f"declared orbit of {f.point} (size {len(orbit)})"))
@@ -398,7 +411,7 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
 def _swapped_pair(variety: CxOneVariety, p: ProjPoint, q: ProjPoint) -> bool:
     points = [f.point for f in variety.fibers]
     i, j = points.index(p), points.index(q)
-    return any(perm[i] == j for perm in variety.marked_permutation_group)
+    return any(i in orbit and j in orbit for orbit in variety.marked_orbits)
 
 
 def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:

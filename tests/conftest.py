@@ -1,8 +1,18 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symfano
 from symfano.schemas import fixture_path, read_json
+
+#: the address space and the seconds that a bounded CLI run may take
+BOUNDED_BYTES = 256 * 2**20
+BOUNDED_SECONDS = 60
 
 
 @pytest.fixture
@@ -30,3 +40,28 @@ def pytest_addoption(parser):
 @pytest.fixture
 def property_cases(request):
     return request.config.getoption("--property-cases")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (BOUNDED_BYTES, BOUNDED_BYTES))
+
+
+@pytest.fixture
+def run_bounded():
+    """Run ``python -m symfano.cli`` with the given arguments in a child
+    process whose address space is capped at ``BOUNDED_BYTES`` and that is
+    killed after ``BOUNDED_SECONDS``, with the package's source first on
+    ``PYTHONPATH``; the cap acts on the child only.  A run that needs more
+    fails in seconds, as a ``MemoryError`` or a timeout, instead of taking
+    the machine's memory."""
+    src = str(Path(symfano.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "symfano.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=BOUNDED_SECONDS,
+            preexec_fn=_cap_address_space,
+        )
+
+    return run

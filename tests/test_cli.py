@@ -351,7 +351,7 @@ def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
         assert text == reference.render() + "\n"
         if len(rows) <= 256:
             # a report that holds the rows themselves compares and writes as the built one
-            held = Report(reference.subject, [cli.StabilityVerdicts(rows), *reference.verdicts[len(rows):]])
+            held = Report(reference.subject, [cli.StabilityVerdicts(rows), *reference.verdicts[len(rows) + 1:]])
             held.warnings = reference.warnings
             assert held == reference == Report.from_json(out)
             assert (held.to_json(), held.render()) == (out[:-1], text[:-1])
@@ -363,6 +363,14 @@ def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
             outcomes["agrees" if "claimed_polystable_supports_any_of" in document else "unclaimed"] += 1
     assert min(outcomes.values()) >= 10, outcomes
     assert shared >= len(documents) // 2
+
+
+def test_locus_rows_share_equal_certificates():
+    # rows whose certificates are equal hold one object, so that a report
+    # builds each certificate's text once, keyed by the object
+    for document in git_locus_documents():
+        certificates = [cert for _, _, cert in polystable_locus(load_weights(document)[0])]
+        assert len(set(map(id, certificates))) == len(set(certificates))
 
 
 def certificate_dict(polystable, cert):
@@ -793,11 +801,18 @@ def test_a_repeat_is_reported_exactly_for_equal_points(tmp_path, capsys, first, 
             "lattice generators must be unimodular",
             ("tvar check",),
         ),
+        (
+            declared(marked_permutations=[[1, 0, 2]], induced_cyclic=False),
+            "quadric: induced_cyclic is false, but the declared action fixes the marked point -1"
+            " (a finite group of the line that fixes a point is cyclic)",
+            ("tvar check",),
+        ),
     ],
 )
 def test_constructor_checks_reject_a_well_formed_document(tmp_path, capsys, document, message, commands):
     # the schema checks shape only; the public constructors the loaders build
-    # through reject a singular Moebius matrix and a non-unimodular generator
+    # through reject a singular Moebius matrix, a non-unimodular generator
+    # and a declared non-cyclic action that fixes a marked point
     target = tmp_path / "document.json"
     target.write_text(json.dumps(document))
     code, out = run_capture(capsys, "validate", str(target))
@@ -805,7 +820,7 @@ def test_constructor_checks_reject_a_well_formed_document(tmp_path, capsys, docu
     assert "  schema: OK\n" in out
     for command in commands:
         assert run([*command.split(), str(target)]) == 1
-        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def _rational_entries(data: dict) -> int:

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import re
@@ -507,35 +508,86 @@ def test_declared_action_witness_prefers_first_minimal_orbit():
     assert (info.value, info.witness) == (rat(1, 3), "declared orbit of 0 (size 1)")
 
 
-def test_declared_permutation_group_is_computed_once():
+def test_declared_orbits_are_computed_once():
     # two swapped non-reduced fibers: the threshold and the swapped-pair
-    # route both read the closure of the declared permutations
+    # route both read the orbits of the declared permutations
     fibers = tuple(Fiber(pt(i), (VerticalDivisor(f"s{i}", 2),)) for i in range(2))
     v = CxOneVariety(
         name="swap", dim=3, fibers=fibers, horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE),
         declared=DeclaredAction(((1, 0),), induced_cyclic=True),
     )
     assert ke_verdict(v).route == "swapped-pair"
-    group = v.marked_permutation_group
-    assert group == ((0, 1), (1, 0))
-    assert v.marked_permutation_group is group
+    orbits = v.marked_orbits
+    assert orbits == ((0, 1),)
+    assert v.marked_orbits is orbits
     with pytest.raises(InputError, match="no explicit induced action was given"):
         v.moebius_group
 
 
 def test_declared_action_cyclic_flag_controls_fixed_point_route():
-    fibers = (Fiber(pt(0), (VerticalDivisor("a", 2),)),)
+    fibers = (Fiber(pt(0), (VerticalDivisor("a", 1),)), Fiber(INF, (VerticalDivisor("b", 1),)))
     lattice = LatticeAutGroup(2, NEG_LATTICE)
     free = CxOneVariety(
         name="declfree", dim=3, fibers=fibers, horizontals=(),
-        lattice=lattice, declared=DeclaredAction(((0,),), induced_cyclic=False),
+        lattice=lattice, declared=DeclaredAction(((1, 0),), induced_cyclic=False),
     )
     assert ke_verdict(free).route == "fixed-point-free"
     cyc = CxOneVariety(
         name="declcyc", dim=3, fibers=fibers, horizontals=(),
-        lattice=lattice, declared=DeclaredAction(((0,),), induced_cyclic=True),
+        lattice=lattice, declared=DeclaredAction(((1, 0),), induced_cyclic=True),
     )
     assert not ke_verdict(cyc).certified
+    # a finite group of the line that fixes a point is cyclic
+    fixed = (Fiber(pt(0), (VerticalDivisor("a", 2),)),)
+    with pytest.raises(InputError, match="declared action fixes the marked point 0 "):
+        CxOneVariety(
+            name="declfixed", dim=3, fibers=fixed, horizontals=(),
+            lattice=lattice, declared=DeclaredAction(((0,),), induced_cyclic=False),
+        )
+
+
+def test_declared_orbits_are_those_of_the_generated_group():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        perms = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3)))
+        v = CxOneVariety(
+            name="orbits", dim=3, fibers=tuple(Fiber(pt(i), (VerticalDivisor(f"d{i}", 1),)) for i in range(n)),
+            horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE * len(perms)),
+            declared=DeclaredAction(perms, induced_cyclic=True),
+        )
+        # the whole group, closed under composition with the generators
+        group, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier:
+            p = frontier.pop()
+            for g in perms:
+                q = tuple(g[i] for i in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        orbits = dict.fromkeys(tuple(sorted({p[i] for p in group})) for i in range(n))
+        assert v.marked_orbits == tuple(orbits), perms
+
+
+def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bounded):
+    # an n-cycle and a transposition generate S_n, of n! elements: on 12
+    # fibers the orbits are read without building the group
+    n = 12
+    document = {
+        "name": "s12", "dim": 3, "fano": True, "log_terminal": True,
+        "fibers": [{"point": [str(i), "1"], "divisors": [{"name": f"d{i}", "order": 1}]} for i in range(n)],
+        "horizontal": [],
+        "symmetry": {
+            "lattice_generators": NEG_LATTICE * 2,
+            "marked_permutations": [[*range(1, n), 0], [1, 0, *range(2, n)]],
+            "induced_cyclic": False,
+        },
+    }
+    path = tmp_path / "s12.json"
+    path.write_text(json.dumps(document))
+    done = run_bounded(["tvar", "check", str(path)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "\n  ke_certified: true  [fixed-point-free]\n" in done.stdout
 
 
 def test_construction_validation():
