@@ -23,23 +23,25 @@ class Record:
 
     The one base of the package's values.  A subclass names its fields in
     ``_fields``, and in ``__slots__`` too unless it keeps cached properties;
-    ``__slots__`` may hold more, which then play no part in equality.
-    ``Record(*values, **named)`` sets each field once, from the positional
-    arguments in ``_fields`` order and then by name, and raises
-    ``TypeError`` on a field missing, unknown or given twice, or on more
-    positional arguments than fields; there are no defaults.  A subclass
-    that checks or normalises its input keeps its own ``__init__``, whose
-    positional parameters are the fields in order, and stores them through
-    ``super().__init__``.  ``ProjPoint``, ``PositiveCombination`` and
-    ``MoebiusElement`` break that rule: their constructors take other input,
-    so each overrides ``__reduce__`` to rebuild through its trusted
-    constructor (``_make``, ``MoebiusElement._primitive``) from the stored
-    fields.  ``IntMatrix._make`` and ``SemipositiveWitness._make`` are
-    trusted constructors as well: they store fields their caller computed,
-    without the checks and binding of ``__init__``, which copying still goes
-    through.  Records of one class are equal when their fields are, and a
-    one-field record compares and hashes as its field; a record with a dict
-    field is not hashable.
+    whatever else it offers is computed from the fields.  It has two
+    constructors:
+
+    * ``__init__`` checks input.  ``Record(*values, **named)`` sets each
+      field once, from the positional arguments in ``_fields`` order and
+      then by name, and raises ``TypeError`` on a field missing, unknown or
+      given twice, or on more positional arguments than fields; there are no
+      defaults.  A subclass that checks or normalises its input keeps its own
+      ``__init__`` and stores the fields through ``super().__init__``.
+    * ``_make(*fields)`` stores the fields as given, in order.  Code builds
+      values it computed, and knows to be valid, through it, and ``copy``,
+      ``deepcopy`` and ``pickle`` rebuild every record through it, so a copy
+      re-runs no input check.
+
+    ``ProjPoint`` is the one exception: it stores its radicand ``d`` beside
+    its one field, so it keeps its own ``_make(coords, d)`` and
+    ``__reduce__``.  Records of one class are equal when their fields are,
+    and a one-field record compares and hashes as its field; a record with a
+    dict field is not hashable.
     """
 
     __slots__ = ()
@@ -81,10 +83,16 @@ class Record:
     def __hash__(self):
         return hash(self._get(self))
 
+    @classmethod
+    def _make(cls, *fields):
+        """The record with ``fields`` in ``_fields`` order, taken as they are."""
+        self = object.__new__(cls)
+        for field, value in zip(cls._fields, fields):
+            object.__setattr__(self, field, value)
+        return self
+
     def __reduce__(self):
-        # copy and pickle rebuild through ``__init__`` from the fields in
-        # order; slots cannot be set afterwards
-        return type(self), tuple([getattr(self, f) for f in self._fields])
+        return self._make, tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -194,10 +202,14 @@ class ProjPoint(Record):
 
 
 class IntMatrix(Record):
-    """Immutable rectangular matrix of arbitrary-precision integers."""
+    """Immutable rectangular matrix of arbitrary-precision integers.
 
-    __slots__ = ("rows", "cols", "entries")
-    _fields = ("entries",)
+    ``entries``, a tuple of int tuples of one length, is the one field;
+    ``rows`` and ``cols`` are computed from it, ``cols`` being 0 when there
+    are no rows.
+    """
+
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -205,34 +217,30 @@ class IntMatrix(Record):
             for x in row:
                 if type(x) is not int:
                     raise InputError(f"matrix entry {x!r} is not an int")
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
+        cols = len(entries[0]) if entries else 0
         if any(len(row) != cols for row in entries):
             raise InputError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         super().__init__(entries)
 
-    @classmethod
-    def _make(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """The matrix of a tuple of int tuples, each of length ``cols``, kept as
-        is; ``cols`` is 0 when there are no rows, as the public constructor gives."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        return self
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        entries = self.entries
+        return len(entries[0]) if entries else 0
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._make(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._make(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -242,8 +250,7 @@ class IntMatrix(Record):
             tuple(
                 tuple(sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols))
                 for row in self.entries
-            ),
-            other.cols if self.rows else 0,
+            )
         )
 
     def apply(self, vector):
@@ -256,7 +263,7 @@ class IntMatrix(Record):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("dimension mismatch in difference")
         rows = zip(self.entries, other.entries)
-        return IntMatrix._make(tuple(tuple(a - b for a, b in zip(*r)) for r in rows), self.cols)
+        return IntMatrix._make(tuple(tuple(a - b for a, b in zip(*r)) for r in rows))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -383,8 +390,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    shapes = ((u, rows), (m, cols if rows else 0), (v, cols))
-    return tuple(IntMatrix._make(tuple(map(tuple, x)), n) for x, n in shapes)
+    return tuple(IntMatrix._make(tuple(map(tuple, x))) for x in (u, m, v))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -426,38 +432,13 @@ class PositiveCombination(Record):
     def __init__(self, coefficients):
         lam = [rat(c) for c in coefficients]
         den = math.lcm(*(c.denominator for c in lam))
-        self._set(tuple(c.numerator * (den // c.denominator) for c in lam), den)
-
-    def _set(self, numerators: tuple[int, ...], denominator: int) -> None:
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-
-    @classmethod
-    def _make(cls, numerators: list[int], denominator: int) -> "PositiveCombination":
-        """lambda_i = numerators[i] / denominator for ints with denominator > 0."""
-        self = object.__new__(cls)
-        g = math.gcd(denominator, *numerators)
-        if g != 1:
-            numerators = [n // g for n in numerators]
-            denominator //= g
-        self._set(tuple(numerators), denominator)
-        return self
-
-    def __reduce__(self):
-        return PositiveCombination._make, (self.numerators, self.denominator)
+        super().__init__(tuple(c.numerator * (den // c.denominator) for c in lam), den)
 
 
 class SemipositiveWitness(Record):
     """Integer v with <v, w_i> >= 0 for every column and > 0 for at least one."""
 
     __slots__ = _fields = ("vector",)
-
-    @classmethod
-    def _make(cls, vector: tuple[int, ...]) -> "SemipositiveWitness":
-        """The witness ``vector``, an int tuple, taken as it is."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "vector", vector)
-        return self
 
 
 def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:
@@ -468,9 +449,9 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     integer witness pairing nonnegatively with every column and positively
     with at least one.  Decided by phase-one simplex on ``{w x = -w 1, x >= 0}``
     with the witness read off the Farkas dual.  The simplex pivots in plain
-    integers, and lambda keeps its integer numerators and denominator.  Either
-    outcome is re-checked in integers, and a failed check raises
-    ``InternalError``.
+    integers, and lambda keeps its integer numerators and denominator, in
+    lowest terms.  Either outcome is re-checked in integers, and a failed
+    check raises ``InternalError``.
     """
     n = w.cols
     if n < 1:
@@ -481,7 +462,10 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
         lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
         if min(nums) < 0 or any(sum(map(mul, row, lam)) for row in rows):
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
-        return PositiveCombination._make(lam, den)
+        g = math.gcd(den, *lam)
+        if g != 1:
+            lam, den = [x // g for x in lam], den // g
+        return PositiveCombination._make(tuple(lam), den)
     v = _primitive(tuple([-x for x in nums]))
     pairings = [sum(map(mul, v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:

@@ -50,29 +50,19 @@ class MoebiusElement(Record):
         if a * d - b * c == 0:
             raise InputError("Moebius matrix must have nonzero determinant")
         scale = math.lcm(*(x.denominator for x in entries))
-        self._set(*(x.numerator * (scale // x.denominator) for x in entries))
+        p = self._primitive(*(x.numerator * (scale // x.denominator) for x in entries))
+        super().__init__(p.a, p.b, p.c, p.d)
 
-    def _set(self, a: int, b: int, c: int, d: int) -> None:
+    @classmethod
+    def _primitive(cls, a: int, b: int, c: int, d: int) -> "MoebiusElement":
+        """The class of an invertible integer matrix, taken without checks."""
         # an invertible matrix with a == 0 has b != 0
         g = math.gcd(a, b, c, d)
         if (a or b) < 0:
             g = -g
         if g != 1:
             a, b, c, d = a // g, b // g, c // g, d // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def _primitive(cls, a: int, b: int, c: int, d: int) -> "MoebiusElement":
-        """The class of an invertible integer matrix, taken without checks."""
-        self = object.__new__(cls)
-        self._set(a, b, c, d)
-        return self
-
-    def __reduce__(self):
-        return MoebiusElement._primitive, (self.a, self.b, self.c, self.d)
+        return cls._make(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "MoebiusElement":
@@ -297,7 +287,7 @@ def fixed_sublattice(group: LatticeAutGroup) -> list[tuple[int, ...]]:
     stacked = []
     for g in group.generators:
         stacked.extend((g - ident).entries)
-    return integer_kernel(IntMatrix._make(tuple(stacked), group.rank))
+    return integer_kernel(IntMatrix._make(tuple(stacked)))
 
 
 def is_symmetric(group: LatticeAutGroup) -> bool:

@@ -182,9 +182,7 @@ class Cone(Record):
     @classmethod
     def _from_vform(cls, ambient_rank: int, lineality, rays) -> "Cone":
         """The cone with a known (sorted) lineality basis and extreme rays, which it keeps."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "ambient_rank", ambient_rank)
-        object.__setattr__(cone, "generators", tuple(sorted([*rays, *lineality, *_negatives(lineality)])))
+        cone = cls._make(ambient_rank, tuple(sorted([*rays, *lineality, *_negatives(lineality)])))
         cone.__dict__["_canonical"] = (tuple(lineality), tuple(rays))
         return cone
 

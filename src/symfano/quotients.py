@@ -24,10 +24,12 @@ LOCUS_COORDINATE_CAP = 20
 
 
 class WeightMatrix(Record):
-    """Diagonal torus action: column i is the weight vector of coordinate i."""
+    """Diagonal torus action: column i is the weight vector of coordinate i.
 
-    __slots__ = ("torus_rank", "labels", "weights")
-    _fields = ("labels", "weights")  # torus_rank is weights.rows
+    ``torus_rank`` is computed from ``weights``, as its number of rows.
+    """
+
+    __slots__ = _fields = ("labels", "weights")
 
     def __init__(self, labels, weights: IntMatrix):
         labels = tuple(str(x) for x in labels)
@@ -35,8 +37,11 @@ class WeightMatrix(Record):
             raise InputError("coordinate labels must be distinct")
         if weights.cols != len(labels):
             raise InputError("one weight column per coordinate label")
-        object.__setattr__(self, "torus_rank", weights.rows)
         super().__init__(labels, weights)
+
+    @property
+    def torus_rank(self) -> int:
+        return self.weights.rows
 
     @property
     def coordinates(self) -> int:
@@ -73,7 +78,7 @@ def is_polystable(weight_matrix: WeightMatrix, support) -> tuple[bool, Stability
         return True, PositiveCombination(())
     # the entries were checked when ``weight_matrix.weights`` was built
     sub = tuple(zip(*(weight_matrix.column(l) for l in support)))
-    result = solve_positive_combination(IntMatrix._make(sub, len(support)))
+    result = solve_positive_combination(IntMatrix._make(sub))
     return isinstance(result, PositiveCombination), result
 
 
@@ -139,7 +144,7 @@ def polystable_locus(weight_matrix: WeightMatrix):
         answer = decided.get(key)
         if answer is None:
             # the entries were checked when ``weight_matrix.weights`` was built
-            result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub)), len(sub)))
+            result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub))))
             result = certificates.setdefault(result, result)
             answer = decided[key] = (isinstance(result, PositiveCombination), result)
         rows.append((support, *answer))

@@ -84,8 +84,9 @@ class CxOneVariety(Record):
     the fiber it sends each marked fiber to.  It, the closed group
     ``moebius_group`` and the ``marked_orbits``, each computed once, are
     derived from the fields, so they take no part in equality or the repr.
-    A declared action that is not cyclic must move every marked fiber: a
-    finite group of the line that fixes a point is cyclic.
+    A declared action that is not cyclic must move every marked fiber, and
+    one that is cyclic and moves a marked fiber must fix at most two and
+    move the others in orbits of one size.
     """
 
     _fields = (
@@ -123,12 +124,9 @@ class CxOneVariety(Record):
         if self.explicit_action:
             if len(self.moebius_generators) != len(self.lattice.generators):
                 raise InputError("Moebius generators must pair with lattice generators")
-            perms = tuple(self._induced_permutation(g) for g in self.moebius_generators)
-        else:
-            if len(self.declared.permutations) != len(self.lattice.generators):
-                raise InputError("permutations must pair with lattice generators")
-            perms = self.declared.permutations
-        for perm in perms:
+        elif len(self.declared.permutations) != len(self.lattice.generators):
+            raise InputError("permutations must pair with lattice generators")
+        for perm in self.permutations:
             if sorted(perm) != list(range(len(fibs))):
                 raise InputError("declared permutation is not a bijection of the fibers")
             for f, j in zip(fibs, perm):
@@ -136,15 +134,27 @@ class CxOneVariety(Record):
                     raise NotInvariant(
                         f"{self.name}: fiber multiplicity not preserved at {f.point}"
                     )
-        object.__setattr__(self, "permutations", perms)
-        if not (self.explicit_action or self.declared.induced_cyclic):
-            for orbit in self.marked_orbits:
-                if len(orbit) == 1:
-                    raise InputError(
-                        f"{self.name}: induced_cyclic is false, but the declared action fixes the "
-                        f"marked point {fibs[orbit[0]].point} (a finite group of the line that "
-                        "fixes a point is cyclic)"
-                    )
+        if self.explicit_action:
+            return
+        # a finite group of the line that fixes a point is cyclic, and a
+        # nontrivial cyclic one fixes at most two points and moves every
+        # other point in an orbit of its order
+        orbits = self.marked_orbits
+        sizes = [len(orbit) for orbit in orbits]
+        fixed = [fibs[orbit[0]].point for orbit in orbits if len(orbit) == 1]
+        if not self.declared.induced_cyclic:
+            if fixed:
+                raise InputError(
+                    f"{self.name}: induced_cyclic is false, but the declared action fixes the "
+                    f"marked point {fixed[0]} (a finite group of the line that fixes a point is "
+                    "cyclic)"
+                )
+        elif len(fixed) < len(orbits) and (len(fixed) > 2 or len(set(sizes) - {1}) > 1):
+            raise InputError(
+                f"{self.name}: induced_cyclic is true, but the declared action has orbits of sizes "
+                f"{sizes} on the marked fibers (a nontrivial cyclic group of the line fixes at most "
+                "two points and moves every other point in an orbit of its order)"
+            )
 
     def _induced_permutation(self, g: MoebiusElement) -> tuple[int, ...]:
         index = {f.point: i for i, f in enumerate(self.fibers)}
@@ -161,6 +171,13 @@ class CxOneVariety(Record):
     @property
     def explicit_action(self) -> bool:
         return self.moebius_generators is not None
+
+    @cached_property
+    def permutations(self) -> tuple[tuple[int, ...], ...]:
+        """For each generator, the index of the fiber it sends each marked fiber to."""
+        if self.explicit_action:
+            return tuple(self._induced_permutation(g) for g in self.moebius_generators)
+        return self.declared.permutations
 
     @cached_property
     def moebius_group(self) -> MoebiusGroup:

@@ -525,6 +525,22 @@ def declared(**symmetry):
     return data
 
 
+def cyclic_on_five_fibers(name, orders, permutation):
+    """A variety on fibers over 0..4 of the given orders, with one declared cyclic generator."""
+    data = declared(marked_permutations=[permutation], induced_cyclic=True)
+    data["name"] = name
+    data["fibers"] = [
+        {"point": [str(i), "1"], "divisors": [{"name": f"d{i}", "order": order}]} for i, order in enumerate(orders)
+    ]
+    return data
+
+
+CYCLIC_RULE = (
+    "(a nontrivial cyclic group of the line fixes at most two points and moves every other point"
+    " in an orbit of its order)"
+)
+
+
 MALFORMED = [
     (edited("quadric.json", {("name",): DROP}), "name: missing"),
     (edited("quadric.json", {("fano",): "yes"}), "fano: must be bool"),
@@ -807,12 +823,26 @@ def test_a_repeat_is_reported_exactly_for_equal_points(tmp_path, capsys, first, 
             " (a finite group of the line that fixes a point is cyclic)",
             ("tvar check",),
         ),
+        (
+            cyclic_on_five_fibers("pair-and-triple", (2, 2, 1, 1, 1), [1, 0, 3, 4, 2]),
+            "pair-and-triple: induced_cyclic is true, but the declared action has orbits of sizes [2, 3]"
+            f" on the marked fibers {CYCLIC_RULE}",
+            ("tvar check",),
+        ),
+        (
+            cyclic_on_five_fibers("three-fixed", (2, 2, 2, 1, 1), [0, 1, 2, 4, 3]),
+            "three-fixed: induced_cyclic is true, but the declared action has orbits of sizes [1, 1, 1, 2]"
+            f" on the marked fibers {CYCLIC_RULE}",
+            ("tvar check",),
+        ),
     ],
 )
 def test_constructor_checks_reject_a_well_formed_document(tmp_path, capsys, document, message, commands):
     # the schema checks shape only; the public constructors the loaders build
-    # through reject a singular Moebius matrix, a non-unimodular generator
-    # and a declared non-cyclic action that fixes a marked point
+    # through reject a singular Moebius matrix, a non-unimodular generator,
+    # a declared non-cyclic action that fixes a marked point and declared
+    # cyclic actions whose orbits no cyclic group has, which the counting
+    # routes would otherwise certify
     target = tmp_path / "document.json"
     target.write_text(json.dumps(document))
     code, out = run_capture(capsys, "validate", str(target))

@@ -81,6 +81,22 @@ def test_intmatrix_accepts_only_ints():
         IntMatrix([[1, 2], [3]])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntMatrix([[1, 2]]) * IntMatrix([[1, 2]]), "dimension mismatch in product"),
+        (lambda: IntMatrix([[1, 2]]) - IntMatrix([[1], [2]]), "dimension mismatch in difference"),
+        (lambda: IntMatrix([[1, 2]]).apply((1, 2, 3)), "dimension mismatch in matrix-vector product"),
+        (lambda: IntMatrix([[1, 2]]).det(), "determinant of a non-square matrix"),
+        (lambda: solve_positive_combination(IntMatrix([[], []])), "need at least one column"),
+    ],
+    ids=["product", "difference", "apply", "det", "no-columns"],
+)
+def test_exact_input_checks(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def vector_gcd(v):
     g = 0
     for x in v:

@@ -589,10 +589,17 @@ def test_fixed_sublattice_characterizes_fixed_vectors(rng, property_cases):
                 assert rank == len(basis)
 
 
-def test_lattice_generator_validation():
-    with pytest.raises(InputError):
-        LatticeAutGroup(2, [[[2, 0], [0, 1]]])
-    with pytest.raises(InputError):
-        LatticeAutGroup(2, [])
-    with pytest.raises(InputError):
-        LatticeAutGroup(2, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[[2, 0], [0, 1]]], "lattice generators must be unimodular"),
+        # det's elimination finds no pivot in the first column and returns 0
+        ([[[0, 1], [0, 1]]], "lattice generators must be unimodular"),
+        ([], "generator list must be nonempty"),
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "generator is not 2x2"),
+    ],
+    ids=["det-2", "singular", "none", "3x3"],
+)
+def test_lattice_generator_validation(generators, message):
+    with pytest.raises(InputError, match=message):
+        LatticeAutGroup(2, generators)

@@ -517,3 +517,17 @@ def test_refinement_that_fails_validation_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(Fan, "validate", reject)
     with pytest.raises(InternalError, match="the refinement is not a fan"):
         common_refinement([FIRST_ORTHANT])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: image_cone(Cone(2, [(1, 0)]), IntMatrix([[1, 0, 0]])), "projection has the wrong number of columns"),
+        (lambda: common_refinement([]), "need at least one cone"),
+        (lambda: common_refinement([Cone(1, [(1,)]), Cone(2, [(1, 0)])]), "mixed ambient ranks"),
+    ],
+    ids=["image-columns", "no-cones", "mixed-ranks"],
+)
+def test_polyhedral_input_checks(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

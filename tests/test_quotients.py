@@ -300,6 +300,10 @@ def test_verify_stability_cert_rejects_bad_certificates():
     assert not verify_stability_cert(HYP, cols, PositiveCombination((rat(0), rat(0), rat(0))))
     assert not verify_stability_cert(HYP, ("alpha", "beta"), Destabilizer((0, 0)))
     assert verify_stability_cert(HYP, ("alpha", "beta"), Destabilizer((-1, -1)))
+    # the origin's orbit is closed, and only the two certificate types certify
+    assert not verify_stability_cert(HYP, (), Destabilizer((1, 0)))
+    for cert in ("not a certificate", None, (1, 1, 1)):
+        assert verify_stability_cert(HYP, cols, cert) is False
 
 
 def test_chow_not_surjective():
@@ -316,3 +320,8 @@ def test_weight_matrix_validation():
         WeightMatrix(("a",), IntMatrix([[1, 2]]))
     with pytest.raises(InputError):
         is_polystable(HYP, ("alpha", "alpha"))
+
+
+def test_chow_projection_must_match_the_fan():
+    with pytest.raises(InputError, match="projection columns must match the fan's ambient rank"):
+        chow_quotient_fan(p2_fan(), IntMatrix([[1, 0, 0]]))

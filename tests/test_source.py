@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import symfano
-from symfano.exact import Record
+from symfano.exact import ProjPoint, Record
 from symfano.selftest import SUITES
 
 PACKAGE = Path(symfano.__file__).resolve().parent
@@ -41,16 +41,68 @@ def _class_members(node: ast.ClassDef) -> set[str]:
     return names
 
 
-def test_only_record_writes_the_immutability_rule():
-    # every value type is an ``exact.Record``, which alone refuses attribute writes
-    found = {
+def _classes_defining(names: set[str]) -> set[tuple[str, str, str]]:
+    """Each (file, class, member) of the package whose class defines one of ``names``."""
+    return {
         (str(path.relative_to(PACKAGE)), node.name, name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.ClassDef)
-        for name in _class_members(node) & {"__setattr__", "__delattr__"}
+        for name in _class_members(node) & names
     }
+
+
+def test_only_record_writes_the_immutability_rule():
+    # every value type is an ``exact.Record``, which alone refuses attribute writes
+    found = _classes_defining({"__setattr__", "__delattr__"})
     assert found == {("exact.py", "Record", "__setattr__"), ("exact.py", "Record", "__delattr__")}
+
+
+def _calls_to(func: str) -> list[tuple[str, tuple[str, ...], ast.Call]]:
+    """Each call of ``func`` in the package: its file, the classes and
+    functions it sits in, outermost first, and the call."""
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == func:
+                found.append((path, scope, child))
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), str(path.relative_to(PACKAGE)), ())
+    return found
+
+
+def test_only_the_trusted_constructors_build_past_init():
+    # ``Record._make`` stores fields as given and serves every copy; only
+    # ``ProjPoint``, whose radicand is stored beside its one field, keeps its own
+    found = {(path, scope) for path, scope, _ in _calls_to("object.__new__")}
+    assert found == {("exact.py", ("Record", "_make")), ("exact.py", ("ProjPoint", "_make"))}
+
+
+def test_only_record_and_projpoint_say_how_a_value_is_copied():
+    found = _classes_defining({"__reduce__", "__reduce_ex__", "__copy__", "__deepcopy__", "__getstate__", "__setstate__"})
+    assert found == {("exact.py", "Record", "__reduce__"), ("exact.py", "ProjPoint", "__reduce__")}
+
+
+def test_no_record_stores_an_attribute_beside_its_fields():
+    # a copy rebuilt from the fields alone keeps everything else a value
+    # offers only when it is computed; ``ProjPoint`` stores its radicand
+    # and copies it itself
+    found = []
+    for path, scope, call in _calls_to("object.__setattr__"):
+        module = import_module("symfano." + path.removesuffix(".py").replace(os.sep, "."))
+        cls = getattr(module, scope[0], None) if scope else None
+        if cls in (Record, ProjPoint):
+            continue
+        name = call.args[1].value if len(call.args) == 3 and isinstance(call.args[1], ast.Constant) else None
+        if not (isinstance(cls, type) and issubclass(cls, Record) and name in cls._fields):
+            found.append(f"{path}:{call.lineno}")
+    assert found == []
 
 
 def _stores_a_parameter(statement: ast.stmt, parameters: set[str]) -> bool:

@@ -25,6 +25,7 @@ from symfano.errors import (
     NotInvariant,
     NotLogTerminal,
     NotSymmetric,
+    PreconditionError,
 )
 from symfano.exact import IntMatrix, PositiveCombination, ProjPoint, Record, SemipositiveWitness
 from symfano.groups import (
@@ -405,6 +406,35 @@ def test_value_types_round_trip_through_copy_and_pickle(value, method):
         assert [is_neg_infinity(c) for _, c in clone] == [is_neg_infinity(c) for _, c in value]
 
 
+def _derived_state(value):
+    """What a value computes from its fields instead of storing, or None."""
+    if isinstance(value, IntMatrix):
+        return value.rows, value.cols
+    if isinstance(value, WeightMatrix):
+        return value.torus_rank
+    if isinstance(value, CxOneVariety):
+        try:
+            verdict = ke_verdict(value)
+        except PreconditionError as error:  # the case's declared gap blocks every route
+            verdict = type(error), str(error)
+        return value.permutations, value.marked_orbits, verdict
+    if isinstance(value, Cone):
+        return value.rays, value.lineality_basis, value.faces()
+    return None
+
+
+@pytest.mark.parametrize("method", list(_CLONES))
+@pytest.mark.parametrize(
+    "value",
+    [v for v in _value_type_cases() if _derived_state(v) is not None],
+    ids=lambda v: type(v).__name__,
+)
+def test_copies_keep_the_derived_attributes(value, method):
+    # a copy is built from the fields alone, so whatever else a value offers
+    # must be computed from them
+    assert _derived_state(_CLONES[method](value)) == _derived_state(value)
+
+
 @pytest.mark.parametrize("name", ["bidegree12", "p2-cstar", "quadric", "quadric-blowup"])
 def test_the_same_document_loads_to_equal_varieties(name):
     data = read_json(fixture_path(name + ".json"))
@@ -546,16 +576,44 @@ def test_declared_action_cyclic_flag_controls_fixed_point_route():
         )
 
 
+def _two_fibers(**changes):
+    """Two reduced fibers swapped by a declared action on a threefold, with ``changes``."""
+    fields = dict(
+        name="v", dim=3, fibers=(Fiber(pt(0), (VerticalDivisor("a", 1),)), Fiber(INF, (VerticalDivisor("b", 1),))),
+        horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE), declared=DeclaredAction(((1, 0),), True),
+    )
+    return CxOneVariety(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(dim=1, lattice=LatticeAutGroup(0, [[]])), "dim must be >= 2"),
+        (dict(lattice=LatticeAutGroup(1, [[[-1]]])), "lattice rank must be dim - 1 = 2"),
+        (
+            dict(declared=None, moebius_generators=(MoebiusElement([[0, 1], [1, 0]]),) * 2),
+            "Moebius generators must pair with lattice generators",
+        ),
+        (dict(declared=DeclaredAction(((1, 0), (1, 0)), True)), "permutations must pair with lattice generators"),
+        (dict(declared=DeclaredAction(((0, 0),), True)), "declared permutation is not a bijection of the fibers"),
+    ],
+    ids=["dim", "lattice-rank", "moebius-count", "permutation-count", "not-a-bijection"],
+)
+def test_variety_input_checks(changes, message):
+    with pytest.raises(InputError, match=message):
+        _two_fibers(**changes)
+    _two_fibers()  # the unchanged input is accepted
+
+
 def test_declared_orbits_are_those_of_the_generated_group():
+    # each flag is accepted exactly when the orbits are those of such a group:
+    # a non-cyclic one fixes no point, and a nontrivial cyclic one fixes at
+    # most two and moves the others in orbits of its order
     rng = random.Random(20261019)
+    outcomes = set()
     for _ in range(200):
         n = rng.randint(1, 6)
         perms = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3)))
-        v = CxOneVariety(
-            name="orbits", dim=3, fibers=tuple(Fiber(pt(i), (VerticalDivisor(f"d{i}", 1),)) for i in range(n)),
-            horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE * len(perms)),
-            declared=DeclaredAction(perms, induced_cyclic=True),
-        )
         # the whole group, closed under composition with the generators
         group, frontier = {tuple(range(n))}, [tuple(range(n))]
         while frontier:
@@ -565,8 +623,27 @@ def test_declared_orbits_are_those_of_the_generated_group():
                 if q not in group:
                     group.add(q)
                     frontier.append(q)
-        orbits = dict.fromkeys(tuple(sorted({p[i] for p in group})) for i in range(n))
-        assert v.marked_orbits == tuple(orbits), perms
+        orbits = tuple(dict.fromkeys(tuple(sorted({p[i] for p in group})) for i in range(n)))
+        sizes = [len(orbit) for orbit in orbits]
+        moved = {size for size in sizes if size > 1}
+        accepted = {
+            True: not moved or (sizes.count(1) <= 2 and len(moved) == 1),
+            False: 1 not in sizes,
+        }
+        for cyclic, ok in accepted.items():
+            outcomes.add((cyclic, ok))
+            fields = dict(
+                name="orbits", dim=3, fibers=tuple(Fiber(pt(i), (VerticalDivisor(f"d{i}", 1),)) for i in range(n)),
+                horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE * len(perms)),
+                declared=DeclaredAction(perms, induced_cyclic=cyclic),
+            )
+            if ok:
+                assert CxOneVariety(**fields).marked_orbits == orbits, perms
+            else:
+                rule = re.escape(f"orbits of sizes {sizes} ") if cyclic else "fixes the marked point"
+                with pytest.raises(InputError, match=rule):
+                    CxOneVariety(**fields)
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bounded):
