@@ -71,6 +71,9 @@ _TEMPLATES = {
     as_json: ((before + "{3}" + after).format, before.format, after.format)
     for as_json, (before, after) in ((True, _VERDICT_JSON), (False, _VERDICT_TEXT))
 }
+#: stand-ins for a verdict's certificate and claim, which a block of stability
+#: verdicts fills in per row after filling the rest of the template once
+_CERT_SLOT, _CLAIM_SLOT = "\0certificate\0", "\0claim\0"
 # ``run`` writes a report in pieces of this many verdicts, or of this many
 # items of a value written item by item
 _PIECE_VERDICTS = 1024
@@ -162,9 +165,11 @@ class StabilityVerdicts:
     and written straight from them: one verdict per row, whose claim names
     its support, then ``polystable_supports``, the supports of the rows that
     are polystable, in row order, as lists of labels.  Writing builds no
-    ``Verdict`` or certificate dict per row: each certificate object's text
-    is built once, through the certificate templates, and the rows that
-    share the object share it.  The supports are written one at a time, so
+    ``Verdict`` or certificate dict per row: the verdict template is filled
+    in with its route and value once per verdict value, each certificate
+    object's text is built once, through the certificate templates, and put
+    into that template once, and each row is that text and its claim
+    concatenated.  The supports are written one at a time, so
     that a report in pieces holds no list or text of the whole value.  The
     rows start with the empty support, which is polystable, so that value
     is never empty."""
@@ -184,14 +189,23 @@ class StabilityVerdicts:
     def _texts(self, as_json: bool):
         template, before, after = _TEMPLATES[as_json]
         route = "null" if as_json else ""
+        # per verdict value, the verdict template with its route and value
+        # filled in, split at the claim; the certificate lies before the
+        # claim in a JSON report and after it in a text report
+        halves = {
+            polystable: template(_CERT_SLOT, _CLAIM_SLOT, route, "true" if polystable else "false").split(_CLAIM_SLOT)
+            for polystable in (True, False)
+        }
+        # per certificate, the text before and after its rows' claims;
         # ``polystable_locus`` gives equal certificates as one object
-        texts = {}
+        around = {}
         for support, polystable, cert in self.rows:
             claim = _support_claim(support)
-            text = texts.get(id(cert))
-            if text is None:
-                text = texts[id(cert)] = _cert_text(polystable, cert, as_json)
-            yield template(text, _encode_str(claim) if as_json else claim, route, "true" if polystable else "false")
+            parts = around.get(id(cert))
+            if parts is None:
+                text = _cert_text(polystable, cert, as_json)
+                parts = around[id(cert)] = [half.replace(_CERT_SLOT, text) for half in halves[polystable]]
+            yield parts[0] + (_encode_str(claim) if as_json else claim) + parts[1]
         # the polystable supports' list written item by item, as
         # ``_json_list`` or ``_compact_json`` would write it whole
         if as_json:

@@ -447,17 +447,31 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     Exactly one of the two outcomes exists: either a strictly positive rational
     vector lambda (normalised to lambda_i >= 1) with ``w @ lambda = 0``, or an
     integer witness pairing nonnegatively with every column and positively
-    with at least one.  Decided by phase-one simplex on ``{w x = -w 1, x >= 0}``
-    with the witness read off the Farkas dual.  The simplex pivots in plain
-    integers, and lambda keeps its integer numerators and denominator, in
-    lowest terms.  Either outcome is re-checked in integers, and a failed
-    check raises ``InternalError``.
+    with at least one.  Decided by ``_decide``: phase-one simplex on
+    ``{w x = -w 1, x >= 0}`` with the witness read off the Farkas dual.  The
+    simplex pivots in plain integers, and lambda keeps its integer numerators
+    and denominator, in lowest terms.  Either outcome is re-checked in
+    integers, and a failed check raises ``InternalError``.
     """
-    n = w.cols
-    if n < 1:
+    if w.cols < 1:
         raise InputError("need at least one column")
-    rows = w.entries
+    return _decide(w.entries, ({}, {}))[1]
+
+
+def _decide(rows, interned) -> tuple[bool, PositiveCombination | SemipositiveWitness]:
+    """``solve_positive_combination`` on the integer rows of a matrix with at
+    least one column, as the pair (is the outcome a positive combination,
+    the outcome).
+
+    ``interned`` is a pair of dicts, which the caller creates, that share
+    equal outcomes: the positive combinations keyed by ``(*numerators,
+    denominator)`` and the witnesses by their vector.  One dict would not do,
+    as the witness (1, 1) has the key of lambda = (1,)/1.  Each distinct
+    outcome is built once, and an equal one later comes back as the same
+    pair.
+    """
     feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows])
+    combinations, witnesses = interned
     if feasible:
         lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
         if min(nums) < 0 or any(sum(map(mul, row, lam)) for row in rows):
@@ -465,12 +479,19 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
         g = math.gcd(den, *lam)
         if g != 1:
             lam, den = [x // g for x in lam], den // g
-        return PositiveCombination._make(tuple(lam), den)
+        key = (*lam, den)
+        answer = combinations.get(key)
+        if answer is None:
+            answer = combinations[key] = (True, PositiveCombination._make(tuple(lam), den))
+        return answer
     v = _primitive(tuple([-x for x in nums]))
     pairings = [sum(map(mul, v, col)) for col in zip(*rows)]
     if min(pairings) < 0 or max(pairings) <= 0:
         raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")
-    return SemipositiveWitness._make(v)
+    answer = witnesses.get(v)
+    if answer is None:
+        answer = witnesses[v] = (False, SemipositiveWitness._make(v))
+    return answer
 
 
 def _phase_one(a_rows, rhs):

@@ -15,8 +15,8 @@ from .exact import (
     PositiveCombination,
     Record,
     SemipositiveWitness,
+    _decide,
     smith_normal_form,
-    solve_positive_combination,
 )
 from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
 
@@ -77,9 +77,7 @@ def is_polystable(weight_matrix: WeightMatrix, support) -> tuple[bool, Stability
     if not support:
         return True, PositiveCombination(())
     # the entries were checked when ``weight_matrix.weights`` was built
-    sub = tuple(zip(*(weight_matrix.column(l) for l in support)))
-    result = solve_positive_combination(IntMatrix._make(sub))
-    return isinstance(result, PositiveCombination), result
+    return _decide(tuple(zip(*(weight_matrix.column(l) for l in support))), ({}, {}))
 
 
 def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityCert) -> bool:
@@ -108,14 +106,15 @@ def polystable_locus(weight_matrix: WeightMatrix):
     lexicographic support order.
 
     Verdict and certificate depend only on the support's ordered submatrix,
-    so each distinct submatrix is decided once, by one call of
-    ``solve_positive_combination``; supports whose columns repeat the same
-    weights in the same order share its answer.  The submatrix is keyed by
-    an int: number the distinct weight columns 1..k, and read the numbers of
-    the support's columns, in coordinate order, as the digits of a number in
-    base k + 1.  No digit is 0, so distinct submatrices get distinct keys,
-    and the empty support gets 0.  Equal certificates of distinct
-    submatrices are returned as one object.
+    so each distinct submatrix is decided once, by one phase-one LP in
+    ``exact._decide`` on its integer rows; supports whose columns repeat the
+    same weights in the same order share its answer.  The submatrix is keyed
+    by an int: number the distinct weight columns 1..k, and read the numbers
+    of the support's columns, in coordinate order, as the digits of a number
+    in base k + 1.  No digit is 0, so distinct submatrices get distinct keys,
+    and the empty support gets 0.  Certificates are shared by their
+    integers, so each distinct certificate is built once and the rows that
+    carry it hold one object.
     """
     n = weight_matrix.coordinates
     if n > LOCUS_COORDINATE_CAP:
@@ -133,8 +132,8 @@ def polystable_locus(weight_matrix: WeightMatrix):
         for start in range(n + 1)
     ]
     decided = {0: (True, PositiveCombination(()))}
-    # each distinct certificate, as the object that first carried it
-    certificates = {}
+    # each distinct answer, keyed by the integers of its certificate
+    interned = ({}, {})
     rows = []
     # a support, its weight columns in coordinate order, their key and the
     # first coordinate that may extend it
@@ -144,9 +143,7 @@ def polystable_locus(weight_matrix: WeightMatrix):
         answer = decided.get(key)
         if answer is None:
             # the entries were checked when ``weight_matrix.weights`` was built
-            result = solve_positive_combination(IntMatrix._make(tuple(zip(*sub))))
-            result = certificates.setdefault(result, result)
-            answer = decided[key] = (isinstance(result, PositiveCombination), result)
+            answer = decided[key] = _decide(tuple(zip(*sub)), interned)
         rows.append((support, *answer))
         key *= base
         stack += [(support + label, sub + column, key + digit, j) for label, column, digit, j in later[start]]

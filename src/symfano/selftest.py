@@ -17,7 +17,7 @@ from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
 from .errors import InputError
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
-from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, verify_stability_cert
+from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, polystable_locus, verify_stability_cert
 from .rationals import ONE, Q, TWO, ZERO, rat
 from .tvariety import (
     CxOneVariety,
@@ -288,21 +288,28 @@ def suite_conjugation_invariance(rng: random.Random, cases: int) -> list[str]:
 
 
 def suite_stiemke(rng: random.Random, cases: int) -> list[str]:
+    """Every row of the stability locus, for torus rank 1-3 as ``git locus``
+    draws it: its certificate against its own inequalities, its verdict
+    against the candidate-ray oracle, and the full support's row against
+    ``is_polystable``."""
     failures = []
     for k in range(cases):
-        d = rng.randint(1, 2)
+        d = rng.randint(1, 3)
         n = rng.randint(1, 6)
         weights = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
         labels = [f"x{i}" for i in range(n)]
         wm = WeightMatrix(labels, weights)
-        verdict, cert = is_polystable(wm, labels)
-        if not verify_stability_cert(wm, labels, cert):
-            failures.append(f"case {k}: certificate fails its own inequalities")
-            continue
-        if verdict != is_polystable_oracle(wm, labels):
-            failures.append(f"case {k}: simplex and candidate-ray oracle disagree")
-        if verdict and not isinstance(cert, PositiveCombination):
-            failures.append(f"case {k}: positive verdict without positive combination")
+        rows = polystable_locus(wm)
+        for support, verdict, cert in rows:
+            if not verify_stability_cert(wm, support, cert):
+                failures.append(f"case {k}: certificate of {support} fails its own inequalities")
+            elif verdict != is_polystable_oracle(wm, support):
+                failures.append(f"case {k}: locus and candidate-ray oracle disagree on {support}")
+            elif verdict != isinstance(cert, PositiveCombination):
+                failures.append(f"case {k}: verdict {verdict} on {support} with the other certificate")
+        full = next(row for row in rows if row[0] == tuple(labels))
+        if full[1:] != is_polystable(wm, labels):
+            failures.append(f"case {k}: locus row of the full support differs from is_polystable")
     return failures
 
 

@@ -401,7 +401,10 @@ def ke_verdict(variety: CxOneVariety) -> KEVerdict:
     non-reduced fibers are at most two points fixed by a cyclic action, whose
     minimands (1 - b_p)/(2 - deg) sum to 1 (one fiber of multiplicity m gives
     1/(m + 1), none gives 1/2), so glct <= 1/2 < 2/3 <= dim/(dim+1).  A False
-    verdict is inconclusive, never a disproof.
+    verdict is inconclusive, never a disproof.  When the threshold is exact
+    (an explicit action), the verdict is re-checked against it: a route with
+    glct other than 1, or no route with glct above 1/2, raises
+    ``InternalError``.
     """
     return _result(analyze(variety).verdict)
 
@@ -453,6 +456,11 @@ def _verdict(variety: CxOneVariety, nr, info) -> KEVerdict | PreconditionError:
         details["glct_is_lower_bound"] = info.is_lower_bound
         if info.witness is not None:
             details["glct_witness"] = info.witness
+        # an exact threshold is 1 with a route and at most 1/2 without one
+        if not info.is_lower_bound and not (info.value == ONE if route else 2 * info.value <= ONE):
+            raise InternalError(
+                f"{variety.name}: route {route or 'none'} with exact glct {rat_str(info.value)}"
+            )
         if info.is_lower_bound:
             warnings.append(
                 "induced action given only as a declared permutation: the threshold "

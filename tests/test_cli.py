@@ -953,6 +953,34 @@ def test_exit_code_internal_error(monkeypatch, capsys):
         assert captured.out == ""
 
 
+def test_route_that_disagrees_with_the_exact_threshold_exits_4(monkeypatch, tmp_path, capsys):
+    # z -> -z fixes both fibers of multiplicity 2, over 0 and infinity, so
+    # no route applies and the exact glct is 1/2; a swapped-pair condition
+    # that says otherwise claims a route that needs glct 1
+    data = {
+        "name": "z to -z",
+        "dim": 3,
+        "fano": True,
+        "log_terminal": True,
+        "fibers": [
+            {"point": ["0", "1"], "divisors": [{"name": "a", "order": 2}]},
+            {"point": ["1", "0"], "divisors": [{"name": "b", "order": 2}]},
+        ],
+        "horizontal": [],
+        "symmetry": {"lattice_generators": [[[-1, 0], [0, -1]]], "moebius_generators": [[["-1", "0"], ["0", "1"]]]},
+    }
+    target = tmp_path / "variety.json"
+    target.write_text(json.dumps(data))
+    code, out = run_capture(capsys, "tvar", "check", str(target))
+    assert code == 0 and "ke_certified: false  [inconclusive]" in out and "glct: 1/2  [exact]" in out
+    monkeypatch.setattr(tvariety, "_swapped_pair", lambda variety, p, q: True)
+    for json_flag in ([], ["--json"]):
+        assert run(["tvar", "check", str(target), *json_flag]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: z to -z: route swapped-pair with exact glct 1/2\n"
+        assert captured.out == ""
+
+
 def test_chow_warns_about_lower_dimensional_images(tmp_path, capsys):
     data = {
         "name": "orthant and a ray",

@@ -1,4 +1,3 @@
-import sys
 from itertools import combinations
 
 import pytest
@@ -112,24 +111,22 @@ def test_oracle_equivalence_random(rng, property_cases):
 
 
 def _count_simplex_calls(monkeypatch) -> list:
-    """The matrices ``solve_positive_combination`` is called with from now on."""
+    """The submatrices phase one is run on from now on, one per LP, each as
+    the ``IntMatrix`` of the rows it is called with."""
     calls = []
-    original = exact.solve_positive_combination
+    original = exact._phase_one
 
-    def counted(w):
-        calls.append(w)
-        return original(w)
+    def counted(rows, rhs):
+        calls.append(IntMatrix._make(tuple(rows)))
+        return original(rows, rhs)
 
-    # patch every module namespace that holds the function
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "symfano" and getattr(module, "solve_positive_combination", None) is original:
-            monkeypatch.setattr(module, "solve_positive_combination", counted)
+    monkeypatch.setattr(exact, "_phase_one", counted)
     return calls
 
 
 def test_locus_calls_the_simplex_once_per_nonempty_support(monkeypatch, rng):
-    # the benchmark's exact.simplex_calls counts these calls; with pairwise
-    # distinct columns every nonempty support has its own submatrix
+    # with pairwise distinct columns every nonempty support has its own
+    # submatrix, so its own LP
     calls = _count_simplex_calls(monkeypatch)
     vectors = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b]
     for n in (1, 3, 6, 8):
