@@ -11,6 +11,11 @@ a point is achieved by piling the whole free mass evenly on that point's
 orbit.  Both computations therefore reduce to one minimum over orbit classes:
 the orbits of the marked points, the finitely many orbits with nontrivial
 stabilizer, and the free orbit class of full group size.
+
+Coefficients and thresholds are ``Fraction`` values, but the minimum and the
+test compare them in ints: each side is an integer ratio, and two ratios
+with positive denominators compare by cross-multiplication.  ``lct_g`` builds
+one ``Fraction``, the value it returns, and ``is_valuable`` builds none.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from .errors import CoefficientOutOfRange, InputError, NotInvariant
 from .exact import ProjPoint, Record
 from .groups import MoebiusGroup, exceptional_orbits, orbit_of
-from .rationals import ONE, Q, TWO, ZERO, rat
+from .rationals import ONE, Q, ZERO, rat
 
 
 class _NegInfinity:
@@ -81,11 +86,15 @@ class MarkedCurvePair(Record):
 
 def finite_degree(pair: MarkedCurvePair) -> Q:
     """Sum of the finite coefficients; -infinity entries contribute nothing."""
-    total = ZERO
-    for _, c in pair:
-        if not is_neg_infinity(c):
-            total += c
-    return total
+    return Q(*_ratio_sum(c for _, c in pair if not is_neg_infinity(c)))
+
+
+def _ratio_sum(coeffs) -> tuple[int, int]:
+    """The sum of rationals as ints (numerator, denominator > 0), unreduced."""
+    n, d = 0, 1
+    for c in coeffs:
+        n, d = n * c.denominator + c.numerator * d, d * c.denominator
+    return n, d
 
 
 class OrbitClass(Record):
@@ -151,51 +160,53 @@ class LctResult(Record):
 def lct_g(pair: MarkedCurvePair, group: MoebiusGroup) -> LctResult:
     """Equivariant global log canonical threshold of the pair.
 
-    Coefficients must be finite with 0 <= b <= 1 and constant on orbits.  A
-    boundary of degree >= 2 leaves no invariant divisor to test, so the
-    threshold is reported as infinite; callers cap at 1.
+    The minimum over orbit classes of size * (1 - c) / (2 - deg), where c is
+    the class's coefficient and deg the boundary's degree; the first minimum
+    is the witness.  Coefficients must be finite with 0 <= b <= 1 and
+    constant on orbits.  A boundary of degree >= 2 leaves no invariant divisor
+    to test, so the threshold is reported as infinite; callers cap at 1.
     """
     for p, c in pair:
         if is_neg_infinity(c):
             raise CoefficientOutOfRange(f"-infinity coefficient at {p}")
-        if c < 0 or c > 1:
+        if c.numerator < 0 or c.numerator > c.denominator:
             raise CoefficientOutOfRange(f"coefficient {c} at {p} outside [0, 1]")
-    deg = finite_degree(pair)
+    dn, dd = _ratio_sum(c for _, c in pair)
     classes = orbit_classes(pair, group)
-    if deg >= 2:
+    if dn >= 2 * dd:
         return LctResult(None, None)
-    free = TWO - deg
-    best: Q | None = None
-    witness: OrbitClass | None = None
+    # 2 - deg > 0 is common to all classes: minimise size * (1 - c) = bn/bd
+    bn = bd = witness = None
     for cls in classes:
-        value = Q(cls.size) * (ONE - cls.coeff) / free
-        if best is None or value < best:
-            best = value
-            witness = cls
-    return LctResult(best, witness)
+        c = cls.coeff
+        n, d = cls.size * (c.denominator - c.numerator), c.denominator
+        if witness is None or n * bd < bn * d:
+            bn, bd, witness = n, d, cls
+    return LctResult(Q(bn * dd, bd * (2 * dd - dn)), witness)
 
 
 def is_valuable(pair: MarkedCurvePair, group: MoebiusGroup) -> tuple[bool, OrbitClass | None]:
     """Whether every invariant degree-2 divisor above the boundary is log canonical.
 
-    Finite coefficients must be <= 1; -infinity and negative entries are
-    allowed and simply impose no lower bound beyond effectivity.  Returns the
-    violating orbit class on failure.
+    With sigma the sum of the nonnegative finite coefficients, that fails at
+    the first orbit class with bound + (2 - sigma) / size > 1, where bound is
+    the class's coefficient, or 0 when it is negative or -infinity; sigma > 2
+    makes it vacuously true.  Finite coefficients must be <= 1; -infinity and
+    negative entries are allowed and simply impose no lower bound beyond
+    effectivity.  Returns the violating orbit class on failure.
     """
     for p, c in pair:
-        if not is_neg_infinity(c) and c > 1:
+        if not is_neg_infinity(c) and c.numerator > c.denominator:
             raise CoefficientOutOfRange(f"coefficient {c} at {p} exceeds 1")
     classes = orbit_classes(pair, group)
-    sigma = ZERO
-    for _, c in pair:
-        if not is_neg_infinity(c) and c >= 0:
-            sigma += c
-    if sigma > 2:
+    sn, sd = _ratio_sum(c for _, c in pair if not is_neg_infinity(c) and c.numerator >= 0)
+    if sn > 2 * sd:
         # no effective invariant divisor dominates the boundary: vacuously true
         return True, None
-    free = TWO - sigma
     for cls in classes:
-        bound = ZERO if is_neg_infinity(cls.coeff) else max(cls.coeff, ZERO)
-        if bound + free / Q(cls.size) > 1:
+        c = cls.coeff
+        bn, bd = (0, 1) if is_neg_infinity(c) else (max(c.numerator, 0), c.denominator)
+        # bn/bd + (2 - sn/sd)/size > 1, times bd * sd * size > 0
+        if (bn - bd) * sd * cls.size + (2 * sd - sn) * bd > 0:
             return False, cls
     return True, None

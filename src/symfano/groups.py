@@ -33,9 +33,9 @@ class MoebiusElement(Record):
     first nonzero entry, so two proportional matrices compare and hash equal
     and a product costs one gcd.  ``matrix`` gives the same class scaled to a
     first nonzero entry 1, as rationals.  The public constructor validates its
-    input and clears denominators; products and inverses of valid elements are
-    invertible by multiplicativity of the determinant and go through
-    ``_primitive``.
+    input and, like the loaders, clears denominators in ``_from_ratios``;
+    products and inverses of valid elements are invertible by multiplicativity
+    of the determinant and go through ``_primitive``.
     """
 
     __slots__ = _fields = ("a", "b", "c", "d")
@@ -45,13 +45,19 @@ class MoebiusElement(Record):
             (a, b), (c, d) = matrix
         except (TypeError, ValueError):
             raise InputError("a Moebius element needs a 2x2 matrix") from None
-        entries = [rat(x) for x in (a, b, c, d)]
-        a, b, c, d = entries
-        if a * d - b * c == 0:
-            raise InputError("Moebius matrix must have nonzero determinant")
-        scale = math.lcm(*(x.denominator for x in entries))
-        p = self._primitive(*(x.numerator * (scale // x.denominator) for x in entries))
+        p = self._from_ratios([(x.numerator, x.denominator) for x in map(rat, (a, b, c, d))])
         super().__init__(p.a, p.b, p.c, p.d)
+
+    @classmethod
+    def _from_ratios(cls, entries) -> "MoebiusElement":
+        """The class of the matrix whose entries, row by row, are the
+        rationals n/d of the four int pairs (n, d != 0) in ``entries``;
+        InputError when it is singular."""
+        scale = math.lcm(*(den for _, den in entries))
+        a, b, c, d = (n * (scale // den) for n, den in entries)
+        if a * d == b * c:
+            raise InputError("Moebius matrix must have nonzero determinant")
+        return cls._primitive(a, b, c, d)
 
     @classmethod
     def _primitive(cls, a: int, b: int, c: int, d: int) -> "MoebiusElement":

@@ -12,7 +12,15 @@ read an integer numerator and denominator as a rational with one gcd;
 ``rational_pair`` is the one integer form of a rational point of the line,
 shared by the schema check and the line itself; ``squarefree_decompose``
 reduces the radicand ``d`` that a quadratic point prints with, without
-factoring it in full.  ``parse_rat`` builds ``"p/q"`` with one reduction.
+factoring it in full.
+
+``parse_ratio`` is the one parser of the text form: it reads ``"p/q"`` or a
+bare integer into an int numerator and a nonzero int denominator, and the
+schema check keeps what it parsed as those pairs.  A ``Fraction`` is built
+only for a value that the package reports (``parse_rat`` and ``rat`` build
+one, as do the coefficients of a marked pair and the thresholds), so
+``validate`` loads no ``fractions``.  ``rat`` accepts ints, rationals and
+strings only: a float, a bool or a zero denominator is an ``InputError``.
 
 Importing this module loads no ``fractions`` (nor the ``decimal`` and
 ``numbers`` that it imports): ``Q``, ``ZERO``, ``ONE`` and ``TWO`` are bound
@@ -49,33 +57,50 @@ def _Q(*args):
 
 
 def rat(p, q=None):
-    """Exact rational from ints, strings like ``"-3/4"``, or another rational."""
-    if q is not None:
-        return _Q(p) / _Q(q)
-    if isinstance(p, str):
-        return parse_rat(p)
-    return _Q(p)
+    """Exact rational p, or p/q, from ints, strings like ``"-3/4"`` or rationals.
+
+    Anything else, a float or a bool among them, and a zero q raise InputError.
+    """
+    x = _rational(p)
+    if q is None:
+        return x
+    y = _rational(q)
+    if not y:
+        raise InputError(f"zero denominator in rat({p!r}, {q!r})")
+    return x / y
+
+
+def _rational(x) -> Q:
+    """``parse_rat`` of an int or a string, or the rational x as a ``Q``."""
+    if isinstance(x, (int, str)):
+        return parse_rat(x)
+    from numbers import Rational
+
+    if isinstance(x, Rational):
+        return _Q(x)
+    raise InputError(f"not a rational: {x!r}")
 
 
 def parse_rat(text) -> Q:
     """Parse ``"p/q"`` or a bare integer (string or int) into a rational."""
-    if isinstance(text, bool):
-        raise InputError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return _Q(text)
-    if not isinstance(text, str):
-        raise InputError(f"not a rational: {text!r}")
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            d = int(den)
-            if d == 0:
-                raise InputError(f"zero denominator in {text!r}")
-            return _Q(int(num), d)
-        return _Q(int(s))
-    except ValueError:
-        raise InputError(f"not a rational: {text!r}") from None
+    return _Q(*parse_ratio(text))
+
+
+def parse_ratio(text) -> tuple[int, int]:
+    """Parse ``"p/q"`` or a bare integer (string or int) into ints (p, q),
+    q nonzero and neither reduced nor made positive."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        try:
+            d = int(den) if slash else 1
+            if d:
+                return int(num), d
+        except ValueError:
+            raise InputError(f"not a rational: {text!r}") from None
+        raise InputError(f"zero denominator in {text!r}")
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text, 1
+    raise InputError(f"not a rational: {text!r}")
 
 
 def rat_str(x) -> str:

@@ -3,7 +3,11 @@
 One format per subject.  One walk checks a document and returns what it
 parsed: ``validate_data`` reports every problem with its JSON path, and the
 ``load_*`` functions build the domain objects from the parsed points,
-coefficients and Moebius matrices without parsing again.  Checks beyond
+coefficients and Moebius matrices without parsing again.  The check keeps
+every rational as the int pair of ``rationals.parse_ratio`` and builds no
+``Fraction``: a point becomes its ``ProjPoint.coords``, a Moebius matrix its
+entries' pairs, and only ``load_pair`` builds one ``Fraction`` per finite
+coefficient, so ``validate`` loads no ``fractions``.  Checks beyond
 schema shape (Moebius determinant, unimodularity, invariance) live in the
 public constructors of the domain types.  Each loader imports its own domain
 types, so validation loads no subject module.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .rationals import parse_rat, rational_pair
+from .rationals import parse_ratio, rational_pair
 
 
 def read_json(path) -> dict:
@@ -67,10 +71,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rational(x):
-    """``parse_rat`` of x, or None when x is not a rational."""
+def _ratio(x):
+    """``parse_ratio`` of x, or None when x is not a rational."""
     try:
-        return parse_rat(x)
+        return parse_ratio(x)
     except InputError:
         return None
 
@@ -82,14 +86,14 @@ def _check_point(value, path, out, seen):
     try:
         if not (isinstance(value, list) and len(value) == 2):
             raise InputError("not a pair")
-        x, y = parse_rat(value[0]), parse_rat(value[1])
+        (xn, xd), (yn, yd) = parse_ratio(value[0]), parse_ratio(value[1])
     except InputError:
         out.append(f"{path}: must be a pair of rationals")
         return None
-    if not x and not y:
+    if not xn and not yn:
         out.append(f"{path}: (0, 0) is not a projective point")
         return None
-    pair = rational_pair(x.numerator * y.denominator, y.numerator * x.denominator)
+    pair = rational_pair(xn * yd, yn * xd)
     first = seen.setdefault(pair, path)
     if first != path:
         out.append(f"{path}: the same point as {first}")
@@ -97,8 +101,9 @@ def _check_point(value, path, out, seen):
 
 
 def _check_matrix(value, path, out, square=None, integer=True):
-    """Its rows, rationals parsed once unless ``integer`` (None for an entry
-    that is not one); None when it is not an array of equal rows."""
+    """Its rows, each rational parsed once into its ``parse_ratio`` pair unless
+    ``integer`` (None for an entry that is not one); None when it is not an
+    array of equal rows."""
     if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
         out.append(f"{path}: must be a nonempty array of rows")
         return None
@@ -108,7 +113,7 @@ def _check_matrix(value, path, out, square=None, integer=True):
         if len(row) != width:
             out.append(f"{path}[{i}]: ragged row")
             return None
-        parsed = row if integer else [_rational(x) for x in row]
+        parsed = row if integer else [_ratio(x) for x in row]
         for j, (x, q) in enumerate(zip(row, parsed)):
             if integer and not _is_int(x):
                 out.append(f"{path}[{i}][{j}]: must be an integer")
@@ -208,7 +213,8 @@ def _validate_variety(data: dict, out: list):
 
 
 def _validate_pair(data: dict, out: list):
-    """The marked points, their coefficients (None for "-inf") and the Moebius generators."""
+    """The marked points, their coefficients as ``parse_ratio`` pairs (None
+    for "-inf") and the Moebius generators."""
     entries = data.get("points")
     points, coeffs, moebius = [], [], []
     if not isinstance(entries, list):
@@ -221,7 +227,7 @@ def _validate_pair(data: dict, out: list):
                 continue
             points.append(_check_point(entry.get("pt"), f"points[{i}].pt", out, seen))
             coeff = entry.get("coeff")
-            coeffs.append(None if coeff == "-inf" else _rational(coeff))
+            coeffs.append(None if coeff == "-inf" else _ratio(coeff))
             if coeffs[-1] is None and coeff != "-inf":
                 out.append(f"points[{i}].coeff: must be a rational or \"-inf\"")
     mg = data.get("moebius_generators")
@@ -368,7 +374,7 @@ def load_variety(data: dict) -> CxOneVariety:
     lattice = LatticeAutGroup(data["dim"] - 1, [IntMatrix(g) for g in sym["lattice_generators"]])
     declared = None
     if moebius is not None:
-        moebius = tuple(MoebiusElement(g) for g in moebius)
+        moebius = tuple(MoebiusElement._from_ratios(g[0] + g[1]) for g in moebius)
     else:
         declared = DeclaredAction(
             tuple(tuple(p) for p in sym["marked_permutations"]),
@@ -391,13 +397,16 @@ def load_pair(data: dict) -> tuple[MarkedCurvePair, tuple[MoebiusElement, ...]]:
     from .curvepair import NEG_INFINITY, MarkedCurvePair
     from .exact import ProjPoint
     from .groups import MoebiusElement
+    from .rationals import Q
 
     points, coeffs, moebius = _require_valid(data, "pair")
-    marked = [
-        (ProjPoint._make(pt, None), NEG_INFINITY if c is None else c)
+    # the check rejected a repeated point, so the pair is built unchecked
+    marked = tuple(
+        (ProjPoint._make(pt, None), NEG_INFINITY if c is None else Q(*c))
         for pt, c in zip(points, coeffs)
-    ]
-    return MarkedCurvePair(marked), tuple(MoebiusElement(g) for g in moebius)
+    )
+    generators = tuple(MoebiusElement._from_ratios(g[0] + g[1]) for g in moebius)
+    return MarkedCurvePair._make(marked), generators
 
 
 def load_weights(data: dict) -> tuple[WeightMatrix, list[tuple[str, ...]] | None]:

@@ -228,7 +228,8 @@ def non_reduced_fibers(variety: CxOneVariety) -> tuple[ProjPoint, ...]:
 def boundary(variety: CxOneVariety) -> MarkedCurvePair:
     """Boundary pair (m-1)/m at each marked point, -infinity on declared gaps.
 
-    Points of multiplicity 1 contribute coefficient 0 and are omitted.
+    Points of multiplicity 1 contribute coefficient 0 and are omitted.  The
+    fibers' points are pairwise distinct, so the pair is built unchecked.
     """
     entries = []
     for f in variety.fibers:
@@ -237,9 +238,9 @@ def boundary(variety: CxOneVariety) -> MarkedCurvePair:
         else:
             m = f.multiplicity
             if m > 1:
-                entries.append((f.point, Q(m - 1) / Q(m)))
+                entries.append((f.point, Q(m - 1, m)))
     entries.sort(key=lambda pc: pc[0].sort_key())
-    return MarkedCurvePair(entries)
+    return MarkedCurvePair._make(tuple(entries))
 
 
 def anticanonical_lift(variety: CxOneVariety, q_y: dict[ProjPoint, Q]) -> dict[str, Q]:

@@ -875,14 +875,14 @@ def _line_documents() -> list:
 
 def test_each_rational_is_parsed_once(monkeypatch):
     calls = []
-    original = rationals.parse_rat
+    original = rationals.parse_ratio
 
     def counted(text):
         calls.append(text)
         return original(text)
 
-    monkeypatch.setattr(rationals, "parse_rat", counted)
-    monkeypatch.setattr(schemas, "parse_rat", counted)
+    monkeypatch.setattr(rationals, "parse_ratio", counted)
+    monkeypatch.setattr(schemas, "parse_ratio", counted)
     documents = _line_documents()
     assert len(documents) > 100
     for data in documents:

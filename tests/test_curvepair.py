@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from test_groups import d4, d6
 
 from symfano.curvepair import (
     NEG_INFINITY,
+    LctResult,
     MarkedCurvePair,
     finite_degree,
     is_valuable,
@@ -185,3 +189,97 @@ def test_witness_reproduces_value(rng, property_cases):
             continue
         w = res.witness
         assert rat(w.size) * (1 - w.coeff) / (2 - finite_degree(pair)) == res.value
+
+
+# ---------------------------------------------------------------------------
+# the integer comparisons against the documented formulas in Fraction
+# ---------------------------------------------------------------------------
+
+
+def fraction_lct(pair, group):
+    """``lct_g`` by its formula: the first minimum of size * (1 - c) / (2 - deg)."""
+    deg = sum((c for _, c in pair), Fraction(0))
+    classes = orbit_classes(pair, group)
+    if deg >= 2:
+        return None, None
+    best = witness = None
+    for cls in classes:
+        value = Fraction(cls.size) * (1 - cls.coeff) / (2 - deg)
+        if best is None or value < best:
+            best, witness = value, cls
+    return best, witness
+
+
+def fraction_valuable(pair, group):
+    """``is_valuable`` by its formula: the first class with
+    max(c, 0) + (2 - sigma) / size > 1, vacuously none when sigma > 2."""
+    classes = orbit_classes(pair, group)
+    sigma = sum((c for _, c in pair if c is not NEG_INFINITY and c >= 0), Fraction(0))
+    if sigma > 2:
+        return True, None
+    for cls in classes:
+        bound = 0 if cls.coeff is NEG_INFINITY else max(cls.coeff, 0)
+        if bound + (2 - sigma) / Fraction(cls.size) > 1:
+            return False, cls
+    return True, None
+
+
+def test_integer_comparisons_match_fraction_formulas(rng, property_cases):
+    pool = _group_pool() + [d4(), d6()]
+    for _ in range(property_cases):
+        group = rng.choice(pool)
+        pair = _random_invariant_pair(rng, group)
+        res = lct_g(pair, group)
+        assert (res.value, res.witness) == fraction_lct(pair, group)
+        assert res.value is None or type(res.value) is Fraction
+        assert is_valuable(pair, group) == fraction_valuable(pair, group)
+
+
+def test_lct_tie_keeps_the_first_class():
+    # 0 and infinity are each an orbit of size 1 with coefficient 1/2: both give 1/2
+    pair = halves(pt(0), INF)
+    res = lct_g(pair, TRIVIAL)
+    classes = orbit_classes(pair, TRIVIAL)
+    assert res.value == rat(1, 2) and res.witness == classes[0] != classes[1]
+    assert (res.value, res.witness) == fraction_lct(pair, TRIVIAL)
+
+
+def test_lct_degree_exactly_two_is_infinite():
+    pair = MarkedCurvePair([(pt(0), rat(2, 3)), (pt(1), rat(2, 3)), (INF, rat(2, 3))])
+    assert finite_degree(pair) == 2
+    assert lct_g(pair, TRIVIAL) == LctResult(None, None)
+
+
+def test_is_valuable_sigma_exactly_two_is_not_vacuous():
+    # no free mass is left, so every class sits at its own coefficient 2/3 <= 1
+    pair = MarkedCurvePair([(pt(0), rat(2, 3)), (pt(1), rat(2, 3)), (INF, rat(2, 3))])
+    assert is_valuable(pair, TRIVIAL) == (True, None) == fraction_valuable(pair, TRIVIAL)
+    # with a relaxed point the same sigma leaves that point at bound 0 + 0/1
+    relaxed = MarkedCurvePair([(pt(0), rat(1)), (pt(1), rat(1)), (INF, NEG_INFINITY)])
+    assert is_valuable(relaxed, TRIVIAL) == (True, None) == fraction_valuable(relaxed, TRIVIAL)
+
+
+def test_is_valuable_class_exactly_at_one_does_not_violate():
+    # x -> 1/x swaps 0 and infinity and fixes 1 and -1.  With 1/2 on {0, inf},
+    # sigma = 1: the marked class reaches 1/2 + 1/2 = 1 and each fixed point
+    # 0 + 1/1 = 1, both exactly 1
+    pair = halves(pt(0), INF)
+    assert is_valuable(pair, INVOLUTION) == (True, None) == fraction_valuable(pair, INVOLUTION)
+    # with 1/3 the marked class is again at 1/3 + 2/3 = 1, a fixed point at 4/3
+    thirds = MarkedCurvePair([(pt(0), rat(1, 3)), (INF, rat(1, 3))])
+    ok, witness = is_valuable(thirds, INVOLUTION)
+    assert not ok and witness.kind == "exceptional"
+    assert (ok, witness) == fraction_valuable(thirds, INVOLUTION)
+
+
+def test_is_valuable_relaxed_and_negative_coefficients_match_formula():
+    cases = [
+        MarkedCurvePair([(pt(0), NEG_INFINITY), (pt(1), rat(-7, 3)), (INF, rat(1, 2))]),
+        MarkedCurvePair([(pt(0), NEG_INFINITY), (pt(1), NEG_INFINITY)]),
+        MarkedCurvePair([(pt(0), rat(-1, 2)), (pt(1), rat(1)), (INF, rat(1))]),
+        MarkedCurvePair([(pt(t), rat(-1)) for t in (0, 1, 2)]),
+    ]
+    for pair in cases:
+        assert is_valuable(pair, TRIVIAL) == fraction_valuable(pair, TRIVIAL)
+    pair = MarkedCurvePair([(pt(1), NEG_INFINITY), (pt(0), rat(-1, 3)), (INF, rat(-1, 3))])
+    assert is_valuable(pair, INVOLUTION) == fraction_valuable(pair, INVOLUTION)

@@ -20,7 +20,7 @@ from symfano.exact import (
     smith_normal_form,
     solve_positive_combination,
 )
-from symfano.rationals import parse_rat, rat, rat_str, ratio_str, squarefree_decompose
+from symfano.rationals import parse_rat, parse_ratio, rat, rat_str, ratio_str, squarefree_decompose
 from symfano.schemas import fixture_path
 
 
@@ -274,6 +274,42 @@ def test_rational_serialization():
         parse_rat("1/0")
     with pytest.raises(InputError):
         parse_rat("x")
+
+
+def test_parse_ratio_keeps_the_written_integers():
+    assert parse_ratio("-3/4") == (-3, 4)
+    assert parse_ratio(" 2/-6 ") == (2, -6)
+    assert parse_ratio("7") == parse_ratio(7) == (7, 1)
+    for text, message in (("1/0", "zero denominator in '1/0'"), ("x", "not a rational: 'x'"),
+                          ("1/2/3", "not a rational: '1/2/3'"), (True, "not a rational: True"),
+                          (0.5, "not a rational: 0.5")):
+        for parse in (parse_ratio, parse_rat):
+            with pytest.raises(InputError) as info:
+                parse(text)
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.5,), "not a rational: 0.5"),
+        ((True,), "not a rational: True"),
+        ((1, 0.5), "not a rational: 0.5"),
+        ((1, 0), "zero denominator in rat(1, 0)"),
+        ((1, "0/3"), "zero denominator in rat(1, '0/3')"),
+    ],
+    ids=["float", "bool", "float-denominator", "zero-denominator", "zero-rational-denominator"],
+)
+def test_rat_refuses_what_is_not_an_exact_rational(args, message):
+    with pytest.raises(InputError) as info:
+        rat(*args)
+    assert str(info.value) == message
+
+
+def test_rat_takes_ints_strings_and_rationals():
+    assert rat(Fraction(1, 2)) == rat("1/2") == rat(1, 2) == rat(3, "6")
+    assert rat(Fraction(1, 2), Fraction(-1, 3)) == rat(-3, 2)
+    assert type(rat(5)) is type(rat(Fraction(5))) is Fraction
 
 
 def check_witness(w, result):

@@ -339,6 +339,20 @@ def test_moebius_constructor_validates():
     for bad in ([[1, 0, 0], [0, 1, 0]], [[1, 0]], [1, 0, 0, 1], 5, [[1, 0], [0]]):
         with pytest.raises(InputError):
             MoebiusElement(bad)
+    for bad in ([[1.5, 0], [0, 1]], [[True, 0], [0, 1]], [["1/0", 0], [0, 1]]):
+        with pytest.raises(InputError, match="not a rational|zero denominator"):
+            MoebiusElement(bad)
+
+
+def test_moebius_from_rationals_clears_denominators_once():
+    # the loaders' int pairs and the public constructor's rationals meet in one routine
+    written = [["1/2", "-3/4"], ["2/-3", "5"]]
+    element = MoebiusElement(written)
+    assert (element.a, element.b, element.c, element.d) == (6, -9, -8, 60)
+    assert MoebiusElement._from_ratios([(1, 2), (-3, 4), (2, -3), (5, 1)]) == element
+    assert MoebiusElement([[Fraction(1, 2), Fraction(-3, 4)], [Fraction(-2, 3), 5]]) == element
+    with pytest.raises(InputError, match="Moebius matrix must have nonzero determinant"):
+        MoebiusElement._from_ratios([(1, 2), (1, 3), (3, -1), (-2, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,14 @@ def _env() -> dict[str, str]:
 
 
 def _modules_loaded_by(argv: list[str]) -> set[str]:
-    """The package modules that a fresh interpreter has loaded after one command."""
+    """The package modules, and ``fractions`` if it is loaded, that a fresh
+    interpreter has loaded after one command."""
     script = (
         "import contextlib, io, json, sys\n"
         "from symfano.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    run({argv!r})\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'symfano')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('symfano', 'fractions'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True, check=True)
     return set(json.loads(out.stdout))
@@ -173,8 +174,10 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
 
 @pytest.mark.parametrize("fixture", ["pair-involution.json", "quadric.json", "p2-chow.json"])
 def test_validate_loads_no_subject_module(fixture):
-    # checking a document computes nothing, so it imports nothing that computes
+    # checking a document computes nothing, so it imports nothing that computes;
+    # it keeps each rational as an int pair, so it builds no Fraction either
     loaded = _modules_loaded_by(["validate", str(PACKAGE / "fixtures" / fixture)])
+    assert "fractions" not in loaded
     assert loaded == {"symfano", "symfano.cli", "symfano.errors", "symfano.rationals", "symfano.schemas"}
 
 
