@@ -191,6 +191,16 @@ def closure(generators) -> MoebiusGroup:
     return MoebiusGroup(tuple(sorted(seen, key=MoebiusElement.sort_key)))
 
 
+def moebius_through(points, images) -> MoebiusElement:
+    """The one map (PGL2 is sharply 3-transitive) sending three distinct rational points to three
+    distinct ones in order: frame(images) * frame(points)^-1, a frame sending (1:0), (0:1), (1:1) to them."""
+    frames = []
+    for (x1, y1), (x2, y2), (x3, y3) in ([p.coords for p in three] for three in (points, images)):
+        s, t = x3 * y2 - x2 * y3, x1 * y3 - x3 * y1
+        frames.append(MoebiusElement._primitive(s * x1, t * x2, s * y1, t * y2))
+    return frames[1] * frames[0].inverse()
+
+
 def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
     """The one or two fixed points of a non-identity element, sorted.
 

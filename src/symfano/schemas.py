@@ -18,7 +18,8 @@ Formats (rationals are ``"p/q"`` strings or bare integers; points are
 * variety     -- name, dim, fano, log_terminal, fibers: [{point, divisors:
                  [{name, order}]}], horizontal: [names], symmetry:
                  {lattice_generators, and either moebius_generators or
-                 marked_permutations + induced_cyclic}
+                 marked_permutations + induced_cyclic, solved into Moebius
+                 maps on three or more fibers and a lower bound on fewer}
 * pair        -- points: [{pt, coeff ("-inf" allowed)}], moebius_generators
 * weights     -- labels, weights (one row per torus factor), optional
                  claimed_polystable_supports_any_of

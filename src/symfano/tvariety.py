@@ -36,6 +36,7 @@ from .groups import (
     closure,
     has_global_fixed_point,
     is_symmetric,
+    moebius_through,
     orbit_of,
 )
 from .rationals import ONE, Q, TWO, ZERO, rat_str
@@ -70,7 +71,8 @@ class Fiber(Record):
 class DeclaredAction(Record):
     """Fallback symmetry input: how each generator permutes the marked fibers,
     plus whether the induced group on the line is cyclic (trivial counts as
-    cyclic)."""
+    cyclic).  A variety keeps one only on two fibers or fewer, where the
+    maps stay open; on three or more it solves the maps and checks both."""
 
     __slots__ = _fields = ("permutations", "induced_cyclic")
 
@@ -84,9 +86,9 @@ class CxOneVariety(Record):
     the fiber it sends each marked fiber to.  It, the closed group
     ``moebius_group`` and the ``marked_orbits``, each computed once, are
     derived from the fields, so they take no part in equality or the repr.
-    A declared action that is not cyclic must move every marked fiber, and
-    one that is cyclic and moves a marked fiber must fix at most two and
-    move the others in orbits of one size.
+    A declared action on three or more fibers is loaded as the Moebius maps
+    its first three fibers fix, so its analysis is exact; on two or fewer it
+    stays declared, and its threshold is a labelled lower bound.
     """
 
     _fields = (
@@ -136,25 +138,31 @@ class CxOneVariety(Record):
                     )
         if self.explicit_action:
             return
-        # a finite group of the line that fixes a point is cyclic, and a
-        # nontrivial cyclic one fixes at most two points and moves every
-        # other point in an orbit of its order
-        orbits = self.marked_orbits
-        sizes = [len(orbit) for orbit in orbits]
-        fixed = [fibs[orbit[0]].point for orbit in orbits if len(orbit) == 1]
-        if not self.declared.induced_cyclic:
-            if fixed:
-                raise InputError(
-                    f"{self.name}: induced_cyclic is false, but the declared action fixes the "
-                    f"marked point {fixed[0]} (a finite group of the line that fixes a point is "
-                    "cyclic)"
-                )
-        elif len(fixed) < len(orbits) and (len(fixed) > 2 or len(set(sizes) - {1}) > 1):
-            raise InputError(
-                f"{self.name}: induced_cyclic is true, but the declared action has orbits of sizes "
-                f"{sizes} on the marked fibers (a nontrivial cyclic group of the line fixes at most "
-                "two points and moves every other point in an orbit of its order)"
-            )
+        if len(fibs) < 3:
+            # the data leave the maps open; a finite group of the line that
+            # fixes a point is cyclic, and so is a group with one generator
+            fixed = [fibs[orbit[0]].point for orbit in self.marked_orbits if len(orbit) == 1]
+            if not self.declared.induced_cyclic and (fixed or len(self.permutations) == 1):
+                why = (f"fixes the marked point {fixed[0]} (a finite group of the line that fixes a point "
+                       "is cyclic)" if fixed else "has one generator (a group with one generator is cyclic)")
+                raise InputError(f"{self.name}: induced_cyclic is false, but the declared action {why}")
+            return
+        # PGL2 is sharply 3-transitive: three marked fibers and their images
+        # fix each map, and maps permuting them have a finite group
+        points = [f.point for f in fibs]
+        if any(len(p.coords) != 2 for p in points):
+            raise InputError(f"{self.name}: a declared action on three or more fibers needs rational points")
+        maps = tuple(moebius_through(points[:3], [points[j] for j in perm[:3]]) for perm in self.permutations)
+        for g, perm in zip(maps, self.permutations):
+            for p, j in zip(points, perm):
+                if g.apply(p) != points[j]:
+                    raise InputError(f"{self.name}: the map [[{g.a}, {g.b}], [{g.c}, {g.d}]] through the first "
+                                     f"three marked fibers sends {p} to {g.apply(p)}, not to {points[j]}")
+        super().__init__(name, dim, fibers, horizontals, lattice, maps, None, fano, log_terminal)
+        cyclic = self.induced_cyclic()
+        if cyclic != declared.induced_cyclic:
+            raise InputError(f"{self.name}: induced_cyclic is {str(not cyclic).lower()}, but the maps through "
+                             f"the marked fibers generate a {'' if cyclic else 'non-'}cyclic group")
 
     def _induced_permutation(self, g: MoebiusElement) -> tuple[int, ...]:
         index = {f.point: i for i, f in enumerate(self.fibers)}
@@ -194,25 +202,16 @@ class CxOneVariety(Record):
 
     @cached_property
     def marked_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The orbits of the marked fibers under the group the generators'
-        permutations generate, as sorted tuples of fiber indices, in order of
-        their first fiber.  Each is the closure of one fiber under the
-        permutations, so the group itself, of up to n! elements on n fibers,
-        is never built."""
-        orbits, seen = [], set()
-        for i in range(len(self.fibers)):
-            if i in seen:
-                continue
-            orbit, frontier = {i}, [i]
-            while frontier:
-                j = frontier.pop()
-                for perm in self.permutations:
-                    if perm[j] not in orbit:
-                        orbit.add(perm[j])
-                        frontier.append(perm[j])
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)
+        """The orbits of the marked fibers, as sorted tuples of fiber indices,
+        in order of their first fiber: those of the closed group under an
+        explicit action, and under a declared one, which has at most two
+        fibers, one orbit when a generator swaps them and else one each."""
+        if self.explicit_action:
+            index = {f.point: i for i, f in enumerate(self.fibers)}
+            return tuple(sorted({tuple(sorted({index[g.apply(p)] for g in self.moebius_group})) for p in index}))
+        if (1, 0) in self.permutations:
+            return ((0, 1),)
+        return tuple((i,) for i in range(len(self.fibers)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +380,10 @@ def _result(value):
 def glct_info(variety: CxOneVariety) -> GlctInfo:
     """Global log canonical threshold, capped at 1.
 
-    With an explicit induced action this is exact; with a declared action only
-    the marked orbits are visible, so the untouched orbit classes are bounded
-    below by the smallest size they could have (1 for a cyclic group, else 2)
-    and the result is a certified lower bound.
+    With an explicit induced action, which a declaration on three or more
+    fibers becomes, this is exact; a declared action on two fibers or fewer
+    shows only its marked orbits, so ``_declared_glct`` gives a certified
+    lower bound.
     """
     return _result(analyze(variety).glct)
 
@@ -411,6 +410,10 @@ def ke_verdict(variety: CxOneVariety) -> KEVerdict:
 
 
 def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
+    """Lower bound of a declared action on two fibers or fewer, whose maps
+    the data leave open: each marked orbit gives its minimand, and an unseen
+    orbit is bounded below by the smallest size it could have, 1 for a
+    cyclic group and else 2."""
     deg = finite_degree(b)
     if deg >= 2:
         return GlctInfo(ONE, False, None)

@@ -1,5 +1,9 @@
 """Record the generated-input goldens: ``python tests/goldens/make_corpus.py``.
 
+``--check`` rewrites nothing: it replays every recorded case, prints a
+unified diff of the exit code and stdout of each one that differs, and exits
+1 if any does.  It needs no pytest.
+
 The fixture goldens never print a quadratic point, a declared action, a
 -inf boundary, big entries, exit codes 2 and 3, torus ranks 2-3 or fans in
 rank 3-4.  This script builds seeded documents that do, runs each command on
@@ -17,6 +21,7 @@ marked sets are unions of orbits of rational points.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import random
@@ -424,7 +429,30 @@ def run_case(argv: list[str], document, directory: Path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def check() -> int:
+    """Replay every recorded case; print a diff for each that differs."""
+    differ = total = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(CORPUS.glob("*.jsonl")):
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+                case = json.loads(line)
+                code, stdout = run_case(case["argv"], case["document"], Path(tmp))
+                total += 1
+                expected, now = f"exit {case['exit']}\n{case['stdout']}", f"exit {code}\n{stdout}"
+                if now != expected:
+                    differ += 1
+                    diff = difflib.unified_diff(
+                        expected.splitlines(keepends=True), now.splitlines(keepends=True),
+                        f"{path.stem}-{i} (recorded)", f"{path.stem}-{i} (now)",
+                    )
+                    print("".join(diff), end="")
+    print(f"{differ} of {total} cases differ")
+    return 1 if differ else 0
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     CORPUS.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for command, cases in build().items():

@@ -535,10 +535,18 @@ def cyclic_on_five_fibers(name, orders, permutation):
     return data
 
 
-CYCLIC_RULE = (
-    "(a nontrivial cyclic group of the line fixes at most two points and moves every other point"
-    " in an orbit of its order)"
-)
+def declared_on_points(name, points, lattice_generators, permutations, induced_cyclic):
+    """A threefold with one reduced fiber over each point and a declared action."""
+    return {
+        "name": name, "dim": 3, "fano": True, "log_terminal": True,
+        "fibers": [{"point": p, "divisors": [{"name": f"d{i}", "order": 1}]} for i, p in enumerate(points)],
+        "horizontal": [],
+        "symmetry": {
+            "lattice_generators": lattice_generators,
+            "marked_permutations": permutations,
+            "induced_cyclic": induced_cyclic,
+        },
+    }
 
 
 MALFORMED = [
@@ -819,29 +827,53 @@ def test_a_repeat_is_reported_exactly_for_equal_points(tmp_path, capsys, first, 
         ),
         (
             declared(marked_permutations=[[1, 0, 2]], induced_cyclic=False),
-            "quadric: induced_cyclic is false, but the declared action fixes the marked point -1"
-            " (a finite group of the line that fixes a point is cyclic)",
-            ("tvar check",),
+            "quadric: induced_cyclic is false, but the maps through the marked fibers generate a cyclic"
+            " group",
+            ("tvar check", "tvar check --json"),
         ),
         (
             cyclic_on_five_fibers("pair-and-triple", (2, 2, 1, 1, 1), [1, 0, 3, 4, 2]),
-            "pair-and-triple: induced_cyclic is true, but the declared action has orbits of sizes [2, 3]"
-            f" on the marked fibers {CYCLIC_RULE}",
+            "pair-and-triple: the map [[3, -3], [2, -3]] through the first three marked fibers sends 3 to 2,"
+            " not to 4",
             ("tvar check",),
         ),
         (
             cyclic_on_five_fibers("three-fixed", (2, 2, 2, 1, 1), [0, 1, 2, 4, 3]),
-            "three-fixed: induced_cyclic is true, but the declared action has orbits of sizes [1, 1, 1, 2]"
-            f" on the marked fibers {CYCLIC_RULE}",
+            "three-fixed: the map [[1, 0], [0, 1]] through the first three marked fibers sends 3 to 3, not"
+            " to 4",
             ("tvar check",),
+        ),
+        (
+            declared_on_points("one-generator", [], [[[-1, 0], [0, -1]]], [[]], False),
+            "one-generator: induced_cyclic is false, but the declared action has one generator (a group"
+            " with one generator is cyclic)",
+            ("tvar check", "tvar check --json"),
+        ),
+        (
+            declared_on_points(
+                "five-cycle", [[str(i), "1"] for i in range(5)], [[[-1, 0], [0, -1]]], [[1, 2, 3, 4, 0]], False
+            ),
+            "five-cycle: the map [[1, 1], [0, 1]] through the first three marked fibers sends 4 to 5, not"
+            " to 0",
+            ("tvar check", "tvar check --json"),
+        ),
+        (
+            declared_on_points(
+                "order-three", [["0", "1"], ["1", "1"], ["1", "0"]], [[[-1, 0], [0, -1]], [[0, -1], [1, -1]]],
+                [[1, 2, 0], [1, 2, 0]], False,
+            ),
+            "order-three: induced_cyclic is false, but the maps through the marked fibers generate a cyclic"
+            " group",
+            ("tvar check", "tvar check --json"),
         ),
     ],
 )
 def test_constructor_checks_reject_a_well_formed_document(tmp_path, capsys, document, message, commands):
     # the schema checks shape only; the public constructors the loaders build
     # through reject a singular Moebius matrix, a non-unimodular generator,
-    # a declared non-cyclic action that fixes a marked point and declared
-    # cyclic actions whose orbits no cyclic group has, which the counting
+    # a declared action on three or more fibers that the maps through its
+    # first three fibers do not realise or whose flag misreads their group,
+    # and a non-cyclic declaration with one generator, which the counting
     # routes would otherwise certify
     target = tmp_path / "document.json"
     target.write_text(json.dumps(document))

@@ -19,6 +19,7 @@ from symfano.groups import (
     fixed_sublattice,
     has_global_fixed_point,
     is_symmetric,
+    moebius_through,
     orbit_of,
 )
 from symfano.rationals import rat, rat_str, squarefree_decompose
@@ -322,6 +323,22 @@ def test_orbit_of():
     assert set(orbit.points) == {pt(2), pt(rat(1, 2))} and orbit.stabilizer_order == 1
     orbit = orbit_of(group, pt(1))
     assert orbit.points == (pt(1),) and orbit.stabilizer_order == 2
+
+
+def test_moebius_through_three_points(rng, property_cases):
+    inf = ProjPoint.infinity()
+    assert moebius_through([pt(0), inf, pt(-1)], [inf, pt(-1), pt(0)]) == THREE_CYCLE
+    assert moebius_through([pt(0), pt(1), pt(2)], [pt(1), pt(2), pt(3)]) == MoebiusElement([[1, 1], [0, 1]])
+    assert moebius_through([pt(0), pt(1), inf], [pt(0), pt(1), inf]).is_identity()
+    for _ in range(property_cases):
+        entries = [[rat(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)]
+        if entries[0][0] * entries[1][1] == entries[0][1] * entries[1][0]:
+            continue
+        g = MoebiusElement(entries)
+        candidates = [inf] + [pt(rat(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(6)]
+        points = list(dict.fromkeys(candidates))[:3]
+        # the map through three points and their images is the map itself
+        assert moebius_through(points, [g.apply(p) for p in points]) == g
 
 
 def test_moebius_projective_equality():

@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+from fractions import Fraction
 from itertools import count
 
 import pytest
@@ -481,12 +482,21 @@ def test_explicit_and_declared_actions_agree(property_cases):
         # the equivalent declared input, derived here without the variety's code
         perms = tuple(tuple(points.index(g.apply(p)) for p in points) for g in v.moebius_generators)
         cyclic = any(closure([g]).order == group.order for g in group)
-        d = CxOneVariety(
+        fields = dict(
             name="random", dim=3, fibers=v.fibers, horizontals=(), lattice=v.lattice,
             declared=DeclaredAction(perms, induced_cyclic=cyclic),
         )
-        exact, declared = ke_verdict(v), ke_verdict(d)
+        exact = ke_verdict(v)
         routes.add(exact.route)
+        if len(points) >= 3 and any(len(p.coords) != 2 for p in points):
+            with pytest.raises(InputError, match="three or more fibers needs rational points"):
+                CxOneVariety(**fields)
+            continue
+        d = CxOneVariety(**fields)
+        declared = ke_verdict(d)
+        if len(points) >= 3:
+            # three marked fibers fix the maps: the declaration is the explicit action
+            assert d == v and d.explicit_action and declared == exact, points
         if exact.route in COUNTING_ROUTES or declared.route in COUNTING_ROUTES:
             assert exact.route == declared.route, points
         assert glct(d) <= glct(v), points
@@ -499,42 +509,53 @@ def test_explicit_and_declared_actions_agree(property_cases):
 
 
 def test_declared_action_lower_bound():
-    fibers = bidegree_fibers()
     lattice = LatticeAutGroup(2, [[[0, -1], [1, -1]], [[1, -1], [0, -1]]])
+    # two swapped fibers leave the maps open
     v = CxOneVariety(
-        name="declared", dim=3, fibers=fibers, horizontals=(),
+        name="declared", dim=3, fibers=bidegree_fibers()[:2], horizontals=(),
+        lattice=lattice,
+        declared=DeclaredAction(((1, 0), (1, 0)), induced_cyclic=False),
+    )
+    info = glct_info(v)
+    assert info.is_lower_bound
+    # marked orbit of size 2 gives 2/2/1 = 1; unseen orbits bounded below by 2/1 = 2
+    assert info.value == 1
+    verdict = ke_verdict(v)
+    assert verdict.certified and verdict.route == "swapped-pair"
+    assert any("lower bound" in w for w in verdict.warnings)
+    # three fibers fix the maps, here those of S3, and the threshold is exact
+    v = CxOneVariety(
+        name="declared", dim=3, fibers=bidegree_fibers(), horizontals=(),
         lattice=lattice,
         declared=DeclaredAction(((1, 2, 0), (0, 2, 1)), induced_cyclic=False),
     )
     info = glct_info(v)
-    assert info.is_lower_bound
-    # marked orbit of size 3 gives 3; unseen orbits bounded below by 2/(1/2)=4
-    assert info.value == 1
+    assert v.explicit_action and v.moebius_group.order == 6
+    assert (info.value, info.is_lower_bound) == (1, False)
     verdict = ke_verdict(v)
     assert verdict.certified and verdict.route == "three-non-reduced-fibers"
-    assert any("lower bound" in w for w in verdict.warnings)
+    assert verdict.warnings == ()
 
 
 def test_declared_action_witness_prefers_first_minimal_orbit():
-    lattice = LatticeAutGroup(2, NEG_LATTICE)
-
-    def declared(name, orders, perm, cyclic):
+    def declared(name, orders, perms, cyclic):
         fibers = tuple(
             Fiber(pt(i), (VerticalDivisor(f"{name}{i}", m),)) for i, m in enumerate(orders)
         )
         return CxOneVariety(
-            name=name, dim=3, fibers=fibers, horizontals=(), lattice=lattice,
-            declared=DeclaredAction((perm,), induced_cyclic=cyclic),
+            name=name, dim=3, fibers=fibers, horizontals=(),
+            lattice=LatticeAutGroup(2, NEG_LATTICE * len(perms)),
+            declared=DeclaredAction(perms, induced_cyclic=cyclic),
         )
 
     # two fixed fibers of multiplicity 2: free degree 1, both orbits give 1/2
-    info = glct_info(declared("tie", (2, 2), (0, 1), True))
+    info = glct_info(declared("tie", (2, 2), ((0, 1),), True))
     assert (info.value, info.witness) == (rat(1, 2), "declared orbit of 0 (size 1)")
     # an orbit of two reduced fibers ties with the unseen-orbit floor 2/2
-    info = glct_info(declared("floor", (1, 1), (1, 0), False))
+    info = glct_info(declared("floor", (1, 1), ((1, 0), (1, 0)), False))
     assert (info.value, info.witness) == (1, "declared orbit of 0 (size 2)")
     # a fixed fiber of multiplicity 2 beats the cyclic floor 1/(3/2)
-    info = glct_info(declared("fixed", (2,), (0,), True))
+    info = glct_info(declared("fixed", (2,), ((0,),), True))
     assert (info.value, info.witness) == (rat(1, 3), "declared orbit of 0 (size 1)")
 
 
@@ -559,9 +580,16 @@ def test_declared_action_cyclic_flag_controls_fixed_point_route():
     lattice = LatticeAutGroup(2, NEG_LATTICE)
     free = CxOneVariety(
         name="declfree", dim=3, fibers=fibers, horizontals=(),
-        lattice=lattice, declared=DeclaredAction(((1, 0),), induced_cyclic=False),
+        lattice=LatticeAutGroup(2, NEG_LATTICE * 2),
+        declared=DeclaredAction(((1, 0), (1, 0)), induced_cyclic=False),
     )
     assert ke_verdict(free).route == "fixed-point-free"
+    # a group with one generator is cyclic
+    with pytest.raises(InputError, match="declared action has one generator "):
+        CxOneVariety(
+            name="declone", dim=3, fibers=fibers, horizontals=(),
+            lattice=lattice, declared=DeclaredAction(((1, 0),), induced_cyclic=False),
+        )
     cyc = CxOneVariety(
         name="declcyc", dim=3, fibers=fibers, horizontals=(),
         lattice=lattice, declared=DeclaredAction(((1, 0),), induced_cyclic=True),
@@ -605,13 +633,20 @@ def test_variety_input_checks(changes, message):
     _two_fibers()  # the unchanged input is accepted
 
 
+def _cross_ratio(a, b, c, d):
+    return Fraction((c - a) * (d - b), (c - b) * (d - a))
+
+
 def test_declared_orbits_are_those_of_the_generated_group():
-    # each flag is accepted exactly when the orbits are those of such a group:
-    # a non-cyclic one fixes no point, and a nontrivial cyclic one fixes at
-    # most two and moves the others in orbits of its order
+    # on fibers over 0..n-1, a declaration is accepted exactly when a group
+    # can have it.  With two fibers or fewer the maps stay open: a non-cyclic
+    # group fixes no point and has two generators or more.  With three or
+    # more, each permutation must keep every cross-ratio, as a Moebius map
+    # does, and the group of the maps, which acts faithfully, is cyclic
+    # exactly when the permutation group is.
     rng = random.Random(20261019)
     outcomes = set()
-    for _ in range(200):
+    for _ in range(300):
         n = rng.randint(1, 6)
         perms = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3)))
         # the whole group, closed under composition with the generators
@@ -625,30 +660,50 @@ def test_declared_orbits_are_those_of_the_generated_group():
                     frontier.append(q)
         orbits = tuple(dict.fromkeys(tuple(sorted({p[i] for p in group})) for i in range(n)))
         sizes = [len(orbit) for orbit in orbits]
-        moved = {size for size in sizes if size > 1}
-        accepted = {
-            True: not moved or (sizes.count(1) <= 2 and len(moved) == 1),
-            False: 1 not in sizes,
-        }
-        for cyclic, ok in accepted.items():
-            outcomes.add((cyclic, ok))
+
+        def order(p):
+            q, k = p, 1
+            while q != tuple(range(n)):
+                q, k = tuple(p[i] for i in q), k + 1
+            return k
+
+        group_is_cyclic = any(order(p) == len(group) for p in group)
+        realised = n <= 2 or all(
+            _cross_ratio(0, 1, 2, k) == _cross_ratio(g[0], g[1], g[2], g[k]) for g in perms for k in range(3, n)
+        )
+        for cyclic in (True, False):
+            if not realised:
+                ok, rule = False, "through the first three marked fibers sends"
+            elif n >= 3:
+                ok, rule = cyclic == group_is_cyclic, "the maps through the marked fibers generate a"
+            elif cyclic:
+                ok, rule = True, None
+            elif 1 in sizes:
+                ok, rule = False, "fixes the marked point"
+            else:
+                ok, rule = len(perms) > 1, "has one generator"
+            outcomes.add((n >= 3, cyclic, ok))
             fields = dict(
                 name="orbits", dim=3, fibers=tuple(Fiber(pt(i), (VerticalDivisor(f"d{i}", 1),)) for i in range(n)),
                 horizontals=(), lattice=LatticeAutGroup(2, NEG_LATTICE * len(perms)),
                 declared=DeclaredAction(perms, induced_cyclic=cyclic),
             )
             if ok:
-                assert CxOneVariety(**fields).marked_orbits == orbits, perms
+                v = CxOneVariety(**fields)
+                assert v.marked_orbits == orbits, perms
+                assert v.explicit_action == (n >= 3) and v.permutations == perms, perms
             else:
-                rule = re.escape(f"orbits of sizes {sizes} ") if cyclic else "fixes the marked point"
                 with pytest.raises(InputError, match=rule):
                     CxOneVariety(**fields)
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # every outcome but a rejected cyclic declaration on two fibers or fewer
+    everything = {(many, cyclic, ok) for many in (True, False) for cyclic in (True, False) for ok in (True, False)}
+    assert outcomes == everything - {(False, True, False)}
 
 
 def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bounded):
-    # an n-cycle and a transposition generate S_n, of n! elements: on 12
-    # fibers the orbits are read without building the group
+    # an n-cycle and a transposition generate S_n, of n! elements, which no
+    # group of the line has: on 12 fibers the map through the first three
+    # is found to miss a declared image without building a group
     n = 12
     document = {
         "name": "s12", "dim": 3, "fano": True, "log_terminal": True,
@@ -663,8 +718,76 @@ def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bound
     path = tmp_path / "s12.json"
     path.write_text(json.dumps(document))
     done = run_bounded(["tvar", "check", str(path)])
-    assert (done.returncode, done.stderr) == (0, "")
-    assert "\n  ke_certified: true  [fixed-point-free]\n" in done.stdout
+    message = "s12: the map [[1, 1], [0, 1]] through the first three marked fibers sends 11 to 12, not to 0"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"input error: {message}\n")
+
+
+# the selftest pool's generators, then D4 and D6
+_TWIN_GENERATORS = [gens or ([[1, 0], [0, 1]],) for gens in _GROUP_GENERATORS] + [
+    ([[1, -1], [1, 1]], [[-1, 0], [0, 1]]),
+    ([[2, -1], [1, 1]], [[0, 1], [1, 0]]),
+]
+
+
+def _random_sl2z(rng: random.Random) -> MoebiusElement:
+    m = MoebiusElement.identity()
+    for _ in range(3):
+        k = rng.randint(-3, 3)
+        m = m * MoebiusElement([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
+    return m
+
+
+def _explicit_document(rng: random.Random, k: int) -> dict:
+    """A threefold with three or more fibers on orbits of rational points
+    under a pool group conjugated by a random matrix of SL2(Z)."""
+    h = _random_sl2z(rng)
+    gens = [h * MoebiusElement(g) * h.inverse() for g in _TWIN_GENERATORS[k % len(_TWIN_GENERATORS)]]
+    group = closure(gens)
+    special = [o.points for o in exceptional_orbits(group) if all(len(p.coords) == 2 for p in o.points)]
+    orders = {}  # one order per orbit
+    while len(orders) < 3:
+        if special and rng.random() < 0.3:
+            orbit = rng.choice(special)
+        else:
+            orbit = orbit_of(group, pt(rat(rng.randint(-6, 6), rng.randint(1, 3)))).points
+        if orders.keys().isdisjoint(orbit):
+            orders.update(dict.fromkeys(orbit, rng.choice((1, 1, 2, 3))))
+    points = list(orders)
+    return {
+        "name": f"twin-{k}", "dim": 3, "fano": True, "log_terminal": True,
+        "fibers": [
+            {"point": [str(x) for x in p.coords], "divisors": [{"name": f"d{i}", "order": orders[p]}]}
+            for i, p in enumerate(points)
+        ],
+        "horizontal": [],
+        "symmetry": {
+            "lattice_generators": NEG_LATTICE + [[[1, 0], [0, 1]]] * (len(gens) - 1),
+            "moebius_generators": [[[str(g.a), str(g.b)], [str(g.c), str(g.d)]] for g in gens],
+        },
+    }
+
+
+def test_a_declaration_on_three_fibers_is_its_explicit_twin(tmp_path, capsys):
+    rng = random.Random(20261020)
+    for k in range(80):
+        explicit = _explicit_document(rng, k)
+        points = [ProjPoint(*f["point"]) for f in explicit["fibers"]]
+        gens = [MoebiusElement(g) for g in explicit["symmetry"]["moebius_generators"]]
+        group = closure(gens)
+        declared = json.loads(json.dumps(explicit))
+        declared["symmetry"] = {
+            "lattice_generators": explicit["symmetry"]["lattice_generators"],
+            "marked_permutations": [[points.index(g.apply(p)) for p in points] for g in gens],
+            "induced_cyclic": any(closure([g]).order == group.order for g in group),
+        }
+        assert load_variety(declared) == load_variety(explicit), explicit
+        outputs = []
+        for document in (explicit, declared):
+            path = tmp_path / "document.json"
+            path.write_text(json.dumps(document))
+            code = run(["tvar", "check", str(path)] + (["--json"] if k % 2 else []))
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1], explicit
 
 
 def test_construction_validation():
