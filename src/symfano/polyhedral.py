@@ -9,8 +9,10 @@ every cone built from halfspaces, and a cone cut out of a known one by more
 halfspaces resumes that state instead of starting from the whole space.  So a
 split cell costs one cut and an intersection the other cone's halfspaces.
 The double description of a cone's generators gives the dual, whose extreme
-rays are the facet normals.  Dimensions, faces and face tests are read off
-the generators and the ray-halfspace incidence, with no further conversion.
+rays are the facet normals.  Dimensions are read off the generators.  Faces
+and face tests read the ray-halfspace incidence from the zero masks that the
+double description keeps, with no further conversion and no dot product per
+ray and halfspace.
 The refinement splits cells by the facet hyperplanes of the full-dimensional
 inputs one at a time, so it builds only the nonempty sign cells.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from .errors import InputError, InternalError
 from .exact import IntMatrix, Record, _primitive
@@ -290,24 +292,26 @@ class Cone(Record):
         A face is the cone's lineality space plus the cone over the extreme
         rays tight on some of the halfspaces that cut the cone out, so the
         faces are the intersections of the halfspaces' sets of tight rays:
-        they are read off the ray-halfspace incidence (Fukuda-Prodon, *Double
-        description method revisited*, 1996), with no double description.
+        they are read off the ray-halfspace incidence, the zero masks of the
+        cone's description (Fukuda-Prodon, *Double description method
+        revisited*, 1996), with no double description of a face.
         Those rays are primitive and orthogonal to the lineality, so they are
         the face's canonical rays, and the face is cut out by the cone's
         halfspaces and the negatives of those tight on it.
         """
-        lin, rays = self._canonical
-        inequalities = self._inequalities
-        tight = [frozenset(i for i, r in enumerate(rays) if not _dot(h, r)) for h in inequalities]
-        everything = frozenset(range(len(rays)))
+        _, rays, masks, inequalities = self._state
+        # bit j of tight[i] is set when inequalities[i] vanishes on rays[j]
+        tight = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(inequalities))]
+        everything = (1 << len(rays)) - 1
         found, frontier = {everything}, {everything}
         while frontier:
             frontier = {face & t for face in frontier for t in tight} - found
             found |= frontier
         faces = []
         for f in found - {everything}:
-            face = Cone._from_vform(self.ambient_rank, lin, [rays[i] for i in sorted(f)])
-            equalities = _negatives(h for h, t in zip(inequalities, tight) if t >= f)
+            face_rays = [r for j, r in enumerate(rays) if f >> j & 1]
+            face = Cone._from_vform(self.ambient_rank, self.lineality_basis, face_rays)
+            equalities = _negatives(h for h, t in zip(inequalities, tight) if t & f == f)
             face.__dict__["_inequalities"] = (*inequalities, *equalities)
             faces.append(face)
         return sorted([self, *faces], key=Cone.key)
@@ -341,26 +345,49 @@ def image_cone(cone: Cone, p: IntMatrix) -> Cone:
     return Cone(p.rows, (p.apply(g) for g in cone.generators))
 
 
+def _is_face_of(cone: Cone, lines: int, rays, tight: int) -> bool:
+    """Whether a cone inside ``cone`` is a face of it, from the dimension of
+    its lineality space, its canonical rays and the bit mask of the
+    halfspaces of ``cone`` tight on it.
+
+    It is one when it has the lineality space of ``cone`` and its rays are
+    exactly the rays of ``cone`` whose zero mask holds ``tight``: those span
+    the smallest face of ``cone`` that holds it.
+    """
+    lineality, cone_rays, masks, _ = cone._state
+    return lines == len(lineality) and rays == tuple(r for r, m in zip(cone_rays, masks) if m & tight == tight)
+
+
 def is_face(face: Cone, cone: Cone) -> bool:
     """True when ``face`` equals the part of ``cone`` tight on some halfspaces.
 
-    Compared on canonical V-forms, with no double description of ``face``: a
-    face of ``cone`` lies in it with the same lineality space, and its rays
-    are exactly the rays of ``cone`` tight on every halfspace of ``cone``
-    that is tight on ``face`` (those tight at the sum of its rays, a point in
-    its relative interior modulo the lineality).
+    Read off the zero masks that the double description of ``cone`` keeps,
+    with no double description of ``face``: a face of ``cone`` lies in it
+    with the same lineality space, and its rays are exactly the rays of
+    ``cone`` whose masks hold every halfspace of ``cone`` tight on ``face``
+    (those tight at the sum of its rays, a point in its relative interior
+    modulo the lineality).
     """
-    if not cone.contains(face) or len(face.lineality_basis) != len(cone.lineality_basis):
+    if not cone.contains(face):
         return False
     point = [sum(col) for col in zip(*face.rays)] or [0] * cone.ambient_rank
-    tight = [h for h in cone._inequalities if not _dot(h, point)]
-    return face.rays == tuple(r for r in cone.rays if not any(_dot(h, r) for h in tight))
+    tight = sum(1 << i for i, h in enumerate(cone._state[3]) if not _dot(h, point))
+    return _is_face_of(cone, len(face.lineality_basis), face.rays, tight)
 
 
 def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
-    """Whether the intersection of two cones is a face of both."""
-    meet = intersect(c1, c2)
-    return is_face(meet, c1) and is_face(meet, c2)
+    """Whether the intersection of two cones is a face of both.
+
+    The meet lies in both, and its description processed the halfspaces of
+    ``c1`` and then those of ``c2``, so the AND of its rays' zero masks holds,
+    in its low bits, the halfspaces of ``c1`` tight on the meet and, above
+    them, those of ``c2``: the face tests take no dot product.
+    """
+    lineality, rays, masks, _ = intersect(c1, c2)._state
+    tight, n1 = reduce(operator.and_, masks, -1), len(c1._inequalities)
+    return _is_face_of(c1, len(lineality), rays, tight & ((1 << n1) - 1)) and _is_face_of(
+        c2, len(lineality), rays, tight >> n1
+    )
 
 
 class Fan(Record):
@@ -400,7 +427,9 @@ class Fan(Record):
 
         Checked as: every two maximal cones meet in a common face, and every
         cone is a face of a maximal cone.  If faces t1, t2 lie in maximal
-        s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.
+        s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.  Both
+        checks read the zero masks of the maximal cones' double descriptions
+        (see ``is_face`` and ``_meets_in_common_face``).
         """
         maximal = self.maximal_cones
         if not (

@@ -269,6 +269,62 @@ def test_is_face_agrees_with_the_smallest_face_test(rng, property_cases):
     assert min(verdicts.values()) > property_cases // 4
 
 
+def test_meet_in_common_face_agrees_with_the_smallest_face_test(rng, property_cases):
+    """Random pairs mostly meet in no ray, so pairs that meet in a common
+    face with rays come too: two faces of one cone, and its two sides of a
+    hyperplane.  The second of each is rebuilt from its generators, so the
+    two do not share the cone's list of halfspaces."""
+    verdicts = {True: 0, False: 0}
+    with_rays = 0
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        a, b = _random_cone(rng, rank), _random_cone(rng, rank)
+        face, other_face = rng.choice(a.faces()), rng.choice(a.faces())
+        h = _random_vectors(rng, rank, 1)[0]
+        above, below = a._cut([h]), a._cut([tuple(-x for x in h)])
+        pairs = [(a, b), (face, Cone(rank, other_face.generators)), (above, Cone(rank, below.generators))]
+        for c1, c2 in pairs:
+            meet = intersect(c1, c2)
+            verdict = polyhedral._meets_in_common_face(c1, c2)
+            assert verdict == (_reference_is_face(meet, c1) and _reference_is_face(meet, c2))
+            verdicts[verdict] += 1
+            with_rays += verdict and bool(meet.rays)
+    assert min(verdicts.values()) > property_cases // 4 and with_rays > property_cases // 4
+
+
+def _assert_state_matches(cone):
+    """The kept description has the cone's rays and lineality, and its zero
+    masks are the ray-halfspace incidence over the cone's halfspaces."""
+    lineality, rays, masks, inequalities = cone._state
+    assert inequalities == cone._inequalities
+    assert rays == cone.rays and tuple(sorted(lineality)) == cone.lineality_basis
+    assert masks == tuple(sum(1 << i for i, h in enumerate(inequalities) if not _dot(h, r)) for r in rays)
+
+
+def test_kept_description_matches_the_cone_on_every_construction_path(rng, property_cases):
+    paths = set()
+    for _ in range(property_cases):
+        rank = rng.randint(1, 4)
+        vectors = _random_vectors(rng, rank, rng.randint(0, 5))
+        built, cut_out = Cone(rank, vectors), Cone.from_halfspaces(rank, vectors)
+        other = _random_cone(rng, rank)
+        proj = IntMatrix([_random_vectors(rng, rank, 1)[0] for _ in range(rng.randint(1, 4))])
+        cones = {
+            "generators": [built],
+            "halfspaces": [cut_out],
+            "cut": [cut_out._cut(_random_vectors(rng, rank, rng.randint(1, 2)))],
+            "intersect": [intersect(built, other), intersect(other, cut_out)],
+            "faces": [*built.faces(), *cut_out.faces(), *other.faces()],
+            "dual": [dual_cone(built), dual_cone(cut_out)],
+            "image": [image_cone(built, proj)],
+        }
+        for path, made in cones.items():
+            for cone in made:
+                _assert_state_matches(cone)
+                paths.add((path, bool(cone.lineality_basis)))
+    assert len(paths) == 2 * 7
+
+
 def test_cones_built_along_different_paths_are_equal_with_equal_keys(rng, property_cases):
     """The lineality basis is part of the key, so it must not depend on the path."""
     lines = 0
@@ -319,6 +375,30 @@ def test_flat_input_double_description_budget(dd_count):
     # the flat sector cuts nothing: with its cuts, 14 maximal cells
     assert len(common_refinement(THREE_CONES_ONE_FLAT).maximal_cones) == 6
     assert dd_count == [78, 191]
+
+
+@pytest.fixture
+def dot_count(monkeypatch):
+    """[calls] of the dot product from now on."""
+    counted = [0]
+    dot = polyhedral._dot
+
+    def counting(u, v):
+        counted[0] += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(polyhedral, "_dot", counting)
+    return counted
+
+
+# Face tests read the zero masks of the double description: a change that
+# brings back a dot product per ray and halfspace fails.  The inputs are
+# built afresh, so no earlier test has computed their descriptions.
+def test_refinement_dot_product_budget(dot_count):
+    fan = common_refinement([Cone(3, cone.generators) for cone in T_JUNCTION])
+    refined = dot_count[0]
+    Fan(fan.ambient_rank, fan.cones).validate()
+    assert [refined, dot_count[0] - refined] == [4868, 3347]
 
 
 def test_refinement_line():
@@ -421,6 +501,21 @@ def test_refinement_properties_random(rng, property_cases):
                     assert cone.contains(cell)
 
 
+def _assert_refines(fan, cones, rng):
+    """The union is preserved (random rational points, exact membership), and
+    every maximal cell lies inside every input whose interior it meets."""
+    rank = fan.ambient_rank
+    for _ in range(20):
+        # a point with denominators up to 3, times 6: the cones hold it or not alike
+        point = tuple(rng.randint(-9, 9) * 6 // rng.randint(1, 3) for _ in range(rank))
+        assert any(holds(c, point) for c in cones) == any(holds(c, point) for c in fan.cones)
+    for cell in fan.maximal_cones:
+        interior_point = tuple(sum(g[i] for g in cell.generators) for i in range(rank))
+        for cone in cones:
+            if holds(cone, interior_point):
+                assert cone.contains(cell)
+
+
 def test_refinement_properties_random_rank3(rng, property_cases):
     def random_cone():
         while True:
@@ -435,9 +530,6 @@ def test_refinement_properties_random_rank3(rng, property_cases):
             if cone.dim:
                 return cone
 
-    def random_point():
-        return tuple(rat(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
-
     for _ in range(property_cases // 10):
         cones = [random_cone() for _ in range(rng.randint(1, 3))]
         fan = common_refinement(cones)
@@ -446,16 +538,21 @@ def test_refinement_properties_random_rank3(rng, property_cases):
         mixed = cones + [random_flat_cone() for _ in range(rng.randint(1, 2))]
         rng.shuffle(mixed)
         assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
-        for _ in range(20):
-            point = random_point()
-            assert any(holds(c, point) for c in cones) == any(
-                holds(c, point) for c in fan.cones
-            )
-        for cell in fan.maximal_cones:
-            interior_point = tuple(sum(g[i] for g in cell.generators) for i in range(3))
-            for cone in cones:
-                if holds(cone, interior_point):
-                    assert cone.contains(cell)
+        _assert_refines(fan, cones, rng)
+
+
+def test_refinement_properties_random_rank4(rng, property_cases):
+    def random_cone():
+        while True:
+            cone = Cone(4, [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+            if cone.dim == 4:
+                return cone
+
+    for _ in range(property_cases // 10):
+        cones = [random_cone() for _ in range(2)]
+        fan = common_refinement(cones)
+        fan.validate()
+        _assert_refines(fan, cones, rng)
 
 
 def test_fan_validate_counts_equal_cones_once():
