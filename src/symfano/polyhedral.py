@@ -14,7 +14,7 @@ and face tests read the ray-halfspace incidence from the zero masks that the
 double description keeps, with no further conversion and no dot product per
 ray and halfspace.
 The refinement splits cells by the facet hyperplanes of the full-dimensional
-inputs one at a time, so it builds only the nonempty sign cells.
+inputs one at a time, so it builds only the cells that some input can hold.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -378,12 +378,13 @@ def is_face(face: Cone, cone: Cone) -> bool:
 def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
     """Whether the intersection of two cones is a face of both.
 
-    The meet lies in both, and its description processed the halfspaces of
-    ``c1`` and then those of ``c2``, so the AND of its rays' zero masks holds,
-    in its low bits, the halfspaces of ``c1`` tight on the meet and, above
-    them, those of ``c2``: the face tests take no dot product.
+    The meet lies in both.  Its description, that of ``c1`` resumed with the
+    halfspaces of ``c2`` and built into no ``Cone``, processed the halfspaces
+    of ``c1`` and then those of ``c2``, so the AND of its rays' zero masks
+    holds, in its low bits, the halfspaces of ``c1`` tight on the meet and,
+    above them, those of ``c2``: the face tests take no dot product.
     """
-    lineality, rays, masks, _ = intersect(c1, c2)._state
+    lineality, rays, masks, _ = _dd_from_halfspaces(c1.ambient_rank, c2._inequalities, c1._state)
     tight, n1 = reduce(operator.and_, masks, -1), len(c1._inequalities)
     return _is_face_of(c1, len(lineality), rays, tight & ((1 << n1) - 1)) and _is_face_of(
         c2, len(lineality), rays, tight >> n1
@@ -410,7 +411,8 @@ class Fan(Record):
         The cones are taken largest dimension first, and each is tested only
         against the maximal cones kept so far, which suffices as containment
         is transitive.  A kept cone that a new one contains has its dimension,
-        so it is strictly smaller and is dropped.
+        so it is strictly smaller and is dropped.  ``common_refinement`` gives
+        its fan its cells instead, in the same order (see there).
         """
         cones = self.cones
         kept: list[int] = []
@@ -429,7 +431,8 @@ class Fan(Record):
         cone is a face of a maximal cone.  If faces t1, t2 lie in maximal
         s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.  Both
         checks read the zero masks of the maximal cones' double descriptions
-        (see ``is_face`` and ``_meets_in_common_face``).
+        (see ``is_face`` and ``_meets_in_common_face``), and both run in full
+        on the cells that ``common_refinement`` gives as maximal cones.
         """
         maximal = self.maximal_cones
         if not (
@@ -447,15 +450,21 @@ def common_refinement(cones) -> Fan:
     inputs' facet hyperplanes one at a time; a cell on one closed side of a
     hyperplane stays whole, so only nonempty cells are built, each by
     resuming its parent's description with one cut, and each keeps its sign
-    vector.  The cells inside some input are kept.  Merge: two cells in the
-    same inputs whose sign vectors differ in one place become the cell of the
-    relaxed vector, their union, if it meets every other cell in a common
-    face; the scan restarts after each merge.  So the cells stay a fan, and
-    each lies in exactly the inputs whose interior it meets.  It need not be
-    coarsest, and no coarsest one need exist: beside the cone spanned by
-    (1, 1) and (3, 1), the half-plane {x >= 3y} must be cut along some ray
-    inside it, and no cut is coarser than another.  The cells are closed
-    under faces.
+    vector and the inputs it may still lie in.  A full-dimensional cell lies
+    in a full-dimensional input exactly when its sign on each facet
+    hyperplane of the input is the side the input lies on, so a side that
+    leaves no such input is neither cut nor kept, and the inputs left are
+    the cell's owners.  Merge: two cells in the same inputs whose sign
+    vectors differ in one place become the cell of the relaxed vector, their
+    union, if it meets every other cell in a common face; the scan restarts
+    after each merge.  So the cells stay a fan, and each lies in exactly the
+    inputs whose interior it meets.  It need not be coarsest, and no
+    coarsest one need exist: beside the cone spanned by (1, 1) and (3, 1),
+    the half-plane {x >= 3y} must be cut along some ray inside it, and no cut
+    is coarser than another.  The cells are closed under faces, and the
+    fan's maximal cones are the cells: none lies in another, as a
+    full-dimensional face of a cone is the cone itself, and ``validate``
+    checks that every other cone is a face of one.
     """
     cones = list(cones)
     if not cones:
@@ -464,27 +473,28 @@ def common_refinement(cones) -> Fan:
     if any(c.ambient_rank != rank for c in cones):
         raise InputError("mixed ambient ranks")
     cones = [c for c in cones if c.dim == rank]
-    hyperplanes = sorted({max(h, tuple(-x for x in h)) for cone in cones for h in cone.facet_normals()})
+    outside: dict[tuple[int, ...], int] = {}  # cut normal -> bit mask of the inputs beyond it
+    for i, cone in enumerate(cones):
+        for n in _negatives(cone.facet_normals()):
+            outside[n] = outside.get(n, 0) | 1 << i
+    hyperplanes = sorted({max(n, tuple(-x for x in n)) for n in outside})
 
-    split = [((), Cone.full_space(rank))]  # (sign vector, cell)
+    everyone = (1 << len(cones)) - 1
+    # (sign vector, cell, the inputs it may lie in); with no input, no cell
+    split = [((), Cone.full_space(rank), everyone)] if everyone else []
     for h in hyperplanes:
         out = []
-        for signs, cell in split:
+        for signs, cell, owners in split:
             vals = [_dot(h, r) for r in cell.rays]
-            if not any(_dot(h, l) for l in cell.lineality_basis) and not min(vals) < 0 < max(vals):
-                out.append((signs + (1 if max(vals) > 0 else -1,), cell))
-                continue
-            for s in (1, -1):
-                out.append((signs + (s,), cell._cut([tuple(s * x for x in h)])))
+            whole = not any(_dot(h, l) for l in cell.lineality_basis) and not min(vals) < 0 < max(vals)
+            for s in ((1 if max(vals) > 0 else -1,) if whole else (1, -1)):
+                cut = tuple(s * x for x in h)
+                if left := owners & ~outside.get(cut, 0):
+                    out.append((signs + (s,), cell if whole else cell._cut([cut]), left))
         split = out
 
-    cell_of: dict[frozenset, Cone] = {}
-    cells: dict[frozenset, frozenset] = {}  # sign pattern -> owner set
-    for signs, cell in split:
-        owners = frozenset(i for i, cone in enumerate(cones) if cone.contains(cell))
-        if owners:
-            cell_of[frozenset(enumerate(signs))] = cell
-            cells[frozenset(enumerate(signs))] = owners
+    cell_of = {frozenset(enumerate(signs)): cell for signs, cell, _ in split}
+    cells = {frozenset(enumerate(signs)): owners for signs, _, owners in split}  # sign pattern -> owner mask
 
     @cache
     def meets_properly(p, q) -> bool:
@@ -512,6 +522,7 @@ def common_refinement(cones) -> Fan:
 
     closed = {face.key(): face for pattern in cells for face in cell_of[pattern].faces()}
     fan = Fan(rank, tuple(sorted(closed.values(), key=Cone.key)))
+    fan.__dict__["maximal_cones"] = tuple(sorted((cell_of[pattern] for pattern in cells), key=Cone.key))
     try:
         fan.validate()
     except InputError as exc:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -368,13 +369,13 @@ def test_chow_fixture_double_description_budget(dd_count, capsys, name, budget):
 
 def test_refinement_double_description_budget(dd_count):
     assert len(common_refinement(T_JUNCTION).maximal_cones) == 10
-    assert dd_count == [144, 461]
+    assert dd_count == [111, 428]
 
 
 def test_flat_input_double_description_budget(dd_count):
     # the flat sector cuts nothing: with its cuts, 14 maximal cells
     assert len(common_refinement(THREE_CONES_ONE_FLAT).maximal_cones) == 6
-    assert dd_count == [78, 191]
+    assert dd_count == [50, 163]
 
 
 @pytest.fixture
@@ -398,7 +399,62 @@ def test_refinement_dot_product_budget(dot_count):
     fan = common_refinement([Cone(3, cone.generators) for cone in T_JUNCTION])
     refined = dot_count[0]
     Fan(fan.ambient_rank, fan.cones).validate()
-    assert [refined, dot_count[0] - refined] == [4868, 3347]
+    assert [refined, dot_count[0] - refined] == [3178, 3347]
+
+
+# Cells that no input can hold are neither cut further nor kept, and the
+# owners of a cell are read off its sign vector.  The inputs are built inside
+# the test, so no earlier test has computed their descriptions.
+@pytest.mark.parametrize(
+    "inputs, budget",
+    [
+        # two opposite sectors: two of the four sign cells lie in no input
+        (lambda: [cone2((1, 0), (1, 1)), cone2((-1, 0), (-1, -1))], [8, 10]),
+        # an orthant and its negative: six of the eight orthants lie in no input
+        (lambda: [Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), Cone(3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])], [10, 15]),
+    ],
+    ids=["opposite-sectors", "opposite-orthants"],
+)
+def test_refinement_budget_with_cells_outside_every_input(dd_count, rng, inputs, budget):
+    cones = inputs()
+    fan = common_refinement(cones)
+    assert dd_count == budget
+    assert fan.maximal_cones == tuple(sorted(cones, key=Cone.key))
+    _assert_refines(fan, cones, rng)
+
+
+@pytest.mark.parametrize(
+    "inputs, cells, budget",
+    [
+        # only flat inputs: no input can hold a cell, so the split starts with none
+        (lambda: [cone2((1, 0)), cone2((1, 1), (-1, -1))], [], [0, 0]),
+        # the whole plane: no hyperplane, and the one cell
+        (lambda: [Cone.full_space(2)], [Cone.full_space(2)], [3, 4]),
+        # a single input: every cell beside it lies in no input
+        (lambda: [cone2((1, 0), (1, 2))], [cone2((1, 0), (1, 2))], [4, 4]),
+    ],
+    ids=["only-flat", "full-space", "single-input"],
+)
+def test_refinement_at_the_edges_of_the_owner_masks(dd_count, rng, inputs, cells, budget):
+    cones = inputs()
+    fan = common_refinement(cones)
+    assert dd_count == budget
+    assert fan.maximal_cones == tuple(cells)
+    _assert_refines(fan, [c for c in cones if c.dim == fan.ambient_rank], rng)
+
+
+@pytest.mark.parametrize(
+    "cones",
+    [
+        T_JUNCTION,
+        THREE_CONES_ONE_FLAT,
+        [Cone.from_halfspaces(2, [(1, 0)]), Cone.from_halfspaces(2, [(0, 1)])],
+        [cone2((-3, -1), (0, -1), (3, 1)), cone2((1, 1), (3, 1))],
+    ],
+    ids=["t-junction", "three-cones-one-flat", "halfplanes", "halfplane-meeting-cone-in-a-ray"],
+)
+def test_refinement_gives_its_cells_as_the_maximal_cones(cones):
+    _assert_maximal_cells(common_refinement(cones))
 
 
 def test_refinement_line():
@@ -501,14 +557,27 @@ def test_refinement_properties_random(rng, property_cases):
                     assert cone.contains(cell)
 
 
+def _assert_maximal_cells(fan):
+    """The maximal cones the refinement gave its fan are the ones found by
+    definition and by a fresh ``Fan``, in order, and a pickled copy, which
+    finds its own, has them too."""
+    assert fan.maximal_cones == tuple(_maximal_by_definition(fan.cones))
+    assert fan.maximal_cones == Fan(fan.ambient_rank, fan.cones).maximal_cones
+    assert pickle.loads(pickle.dumps(fan)).maximal_cones == fan.maximal_cones
+
+
 def _assert_refines(fan, cones, rng):
     """The union is preserved (random rational points, exact membership), and
-    every maximal cell lies inside every input whose interior it meets."""
+    every maximal cell lies inside every input whose interior it meets.
+
+    Once ``validate`` has passed, every cone is a face of a maximal cell, so
+    the union of the maximal cells is the union of all cones."""
     rank = fan.ambient_rank
+    _assert_maximal_cells(fan)
     for _ in range(20):
         # a point with denominators up to 3, times 6: the cones hold it or not alike
         point = tuple(rng.randint(-9, 9) * 6 // rng.randint(1, 3) for _ in range(rank))
-        assert any(holds(c, point) for c in cones) == any(holds(c, point) for c in fan.cones)
+        assert any(holds(c, point) for c in cones) == any(holds(c, point) for c in fan.maximal_cones)
     for cell in fan.maximal_cones:
         interior_point = tuple(sum(g[i] for g in cell.generators) for i in range(rank))
         for cone in cones:
