@@ -71,9 +71,9 @@ _TEMPLATES = {
     as_json: ((before + "{3}" + after).format, before.format, after.format)
     for as_json, (before, after) in ((True, _VERDICT_JSON), (False, _VERDICT_TEXT))
 }
-#: stand-ins for a verdict's certificate and claim, which a block of stability
-#: verdicts fills in per row after filling the rest of the template once
-_CERT_SLOT, _CLAIM_SLOT = "\0certificate\0", "\0claim\0"
+#: stand-in for a verdict's claim, which a block of stability verdicts fills
+#: in per row after filling the rest of the template once per certificate
+_CLAIM_SLOT = "\0claim\0"
 # ``run`` writes a report in pieces of this many verdicts, or of this many
 # items of a value written item by item
 _PIECE_VERDICTS = 1024
@@ -165,12 +165,12 @@ class StabilityVerdicts:
     and written straight from them: one verdict per row, whose claim names
     its support, then ``polystable_supports``, the supports of the rows that
     are polystable, in row order, as lists of labels.  Writing builds no
-    ``Verdict`` or certificate dict per row: the verdict template is filled
-    in with its route and value once per verdict value, each certificate
-    object's text is built once, through the certificate templates, and put
-    into that template once, and each row is that text and its claim
-    concatenated.  The supports are written one at a time, so
-    that a report in pieces holds no list or text of the whole value.  The
+    ``Verdict`` or certificate dict per row: once per certificate object,
+    the verdict template is filled in with the certificate's text, built
+    through the certificate templates, and with its route and value, and
+    each row puts its claim into that text.  The supports are written one
+    at a time, so that a report in pieces holds no list or text of the
+    whole value.  The
     rows start with the empty support, which is polystable, so that value
     is never empty."""
 
@@ -189,22 +189,18 @@ class StabilityVerdicts:
     def _texts(self, as_json: bool):
         template, before, after = _TEMPLATES[as_json]
         route = "null" if as_json else ""
-        # per verdict value, the verdict template with its route and value
-        # filled in, split at the claim; the certificate lies before the
-        # claim in a JSON report and after it in a text report
-        halves = {
-            polystable: template(_CERT_SLOT, _CLAIM_SLOT, route, "true" if polystable else "false").split(_CLAIM_SLOT)
-            for polystable in (True, False)
-        }
-        # per certificate, the text before and after its rows' claims;
-        # ``polystable_locus`` gives equal certificates as one object
+        # per certificate, the verdict template with everything but the claim
+        # filled in, split at the claim; ``polystable_locus`` gives equal
+        # certificates as one object
         around = {}
         for support, polystable, cert in self.rows:
             claim = _support_claim(support)
             parts = around.get(id(cert))
             if parts is None:
-                text = _cert_text(polystable, cert, as_json)
-                parts = around[id(cert)] = [half.replace(_CERT_SLOT, text) for half in halves[polystable]]
+                value = "true" if polystable else "false"
+                parts = around[id(cert)] = template(
+                    _cert_text(polystable, cert, as_json), _CLAIM_SLOT, route, value
+                ).split(_CLAIM_SLOT)
             yield parts[0] + (_encode_str(claim) if as_json else claim) + parts[1]
         # the polystable supports' list written item by item, as
         # ``_json_list`` or ``_compact_json`` would write it whole

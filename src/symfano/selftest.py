@@ -16,7 +16,7 @@ import zlib
 from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
 from .errors import InputError
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
-from .groups import MoebiusElement, MoebiusGroup, closure, exceptional_orbits, orbit_of
+from .groups import MoebiusElement, MoebiusGroup, Orbit, closure, exceptional_orbits, orbit_of
 from .quotients import WeightMatrix, is_polystable, is_polystable_oracle, polystable_locus, verify_stability_cert
 from .rationals import ONE, Q, TWO, ZERO, rat
 from .tvariety import (
@@ -28,7 +28,9 @@ from .tvariety import (
     boundary,
 )
 
-# finite groups of projective transformations over Q, by generator sets
+# finite groups of projective transformations over Q, by generator sets: one
+# of each of the nine types that PGL2(Q) has, C2 with three kinds of fixed
+# points
 _GROUP_GENERATORS = (
     (),                                             # trivial
     ([[0, 1], [1, 0]],),                            # involution fixing 1, -1
@@ -39,6 +41,8 @@ _GROUP_GENERATORS = (
     ([[2, -1], [1, 1]],),                           # order 6
     ([[-1, -1], [1, 0]], [[1, 0], [-1, -1]]),       # permutations of 0, -1, infinity
     ([[0, 1], [1, 0]], [[-1, 0], [0, 1]]),          # Klein four-group
+    ([[1, -1], [1, 1]], [[-1, 0], [0, 1]]),         # dihedral of order 8
+    ([[2, -1], [1, 1]], [[0, 1], [1, 0]]),          # dihedral of order 12
 )
 
 
@@ -81,6 +85,14 @@ def _random_invariant_pair(rng: random.Random, group: MoebiusGroup, max_orbits=3
     return MarkedCurvePair(items)
 
 
+def _distinct_orbits(orbits: list[Orbit]) -> list[Orbit]:
+    """The orbits in their order, each once."""
+    distinct: dict[tuple[ProjPoint, ...], Orbit] = {}
+    for orbit in orbits:
+        distinct.setdefault(orbit.points, orbit)
+    return list(distinct.values())
+
+
 def _divisor_threshold(pair: MarkedCurvePair, divisor: dict[ProjPoint, Q]) -> Q | None:
     """Largest t with every coefficient of (boundary + t * divisor) at most 1."""
     best = None
@@ -106,17 +118,7 @@ def lct_oracle(pair: MarkedCurvePair, group: MoebiusGroup, rng: random.Random) -
     if degree >= 2:
         return None
     total = TWO - degree
-    orbits = []
-    seen = set()
-    for p, _ in pair:
-        orbit = orbit_of(group, p)
-        if orbit.points not in seen:
-            seen.add(orbit.points)
-            orbits.append(orbit)
-    for orbit in exceptional_orbits(group):
-        if orbit.points not in seen:
-            seen.add(orbit.points)
-            orbits.append(orbit)
+    orbits = _distinct_orbits([orbit_of(group, p) for p, _ in pair] + exceptional_orbits(group))
     busy = {p for orbit in orbits for p in orbit.points}
     free_orbits = []
     while len(free_orbits) < 3:
@@ -175,57 +177,33 @@ def suite_snf_identity(rng: random.Random, cases: int) -> list[str]:
 
 
 def _random_variety(rng: random.Random) -> CxOneVariety:
-    swap = MoebiusElement([[0, 1], [1, 0]])
-    use_swap = rng.random() < 0.4
-    points = []
-    zero = ProjPoint.from_affine(rat(0))
-    inf = ProjPoint.infinity()
-    if use_swap:
-        if rng.random() < 0.8:
-            points.append((zero, inf))
-        if rng.random() < 0.5:
-            points.append((ProjPoint.from_affine(rat(1)),))
-        if rng.random() < 0.4:
-            points.append((ProjPoint.from_affine(rat(2)), ProjPoint.from_affine(rat(1, 2))))
-    else:
-        for t in rng.sample((0, 1, -1, 2, -2, 3), rng.randint(0, 3)):
-            points.append((ProjPoint.from_affine(rat(t)),))
-        if rng.random() < 0.3:
-            points.append((inf,))
+    """A threefold under a pool group: fibers on a random union of orbits,
+    one multiplicity pattern per orbit, and 0-2 horizontal divisors."""
+    moebius = tuple(MoebiusElement(g) for g in rng.choice(_GROUP_GENERATORS))
+    moebius = moebius or (MoebiusElement.identity(),)
+    group = closure(moebius)
+    candidates = exceptional_orbits(group)
+    candidates += [orbit_of(group, ProjPoint.from_affine(rat(t))) for t in rng.sample(range(-5, 6), 3)]
+    candidates.append(orbit_of(group, ProjPoint.infinity()))
     fibers = []
-    counter = 0
-    for orbit in points:
-        orders = sorted(rng.choices((1, 1, 2, 2, 3, 4), k=rng.randint(1, 3)))
-        for p in orbit:
-            divisors = tuple(
-                VerticalDivisor(f"d{counter + i}", o) for i, o in enumerate(orders)
-            )
-            counter += len(orders)
-            fibers.append(Fiber(p, divisors))
+    for orbit in rng.sample(candidates, rng.randint(0, 4)):
+        if any(f.point in orbit.points for f in fibers):
+            continue
+        orders = rng.choice(((1,), (2,), (3,), (1, 2), (2, 4)))
+        for p in orbit.points:
+            base = 2 * len(fibers)
+            fibers.append(Fiber(p, tuple(VerticalDivisor(f"d{base + i}", o) for i, o in enumerate(orders))))
     horizontals = tuple(f"h{i}" for i in range(rng.randint(0, 2)))
-    lattice = LatticeAutGroup(2, [[[-1, 0], [0, -1]]])
-    moebius = (swap,) if use_swap else (MoebiusElement.identity(),)
     return CxOneVariety(
         name="random", dim=3, fibers=tuple(fibers), horizontals=horizontals,
-        lattice=lattice, moebius_generators=moebius,
+        lattice=LatticeAutGroup(2, [[[-1, 0], [0, -1]]] * len(moebius)), moebius_generators=moebius,
     )
 
 
 def _random_invariant_degree2(rng: random.Random, variety: CxOneVariety) -> dict[ProjPoint, Q]:
     group = variety.moebius_group
-    orbits = []
-    seen = set()
-    for f in variety.fibers:
-        orbit = orbit_of(group, f.point)
-        if orbit.points not in seen:
-            seen.add(orbit.points)
-            orbits.append(orbit)
     extra = [ProjPoint.from_affine(rat(t)) for t in (5, 7, -3)] + [ProjPoint.infinity()]
-    for p in extra:
-        orbit = orbit_of(group, p)
-        if orbit.points not in seen:
-            seen.add(orbit.points)
-            orbits.append(orbit)
+    orbits = _distinct_orbits([orbit_of(group, p) for p in [f.point for f in variety.fibers] + extra])
     masses = [rat(rng.randint(0, 4)) for _ in orbits]
     if all(m == 0 for m in masses):
         masses[0] = ONE

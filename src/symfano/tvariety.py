@@ -413,11 +413,10 @@ def _declared_glct(variety: CxOneVariety, b: MarkedCurvePair) -> GlctInfo:
     """Lower bound of a declared action on two fibers or fewer, whose maps
     the data leave open: each marked orbit gives its minimand, and an unseen
     orbit is bounded below by the smallest size it could have, 1 for a
-    cyclic group and else 2."""
-    deg = finite_degree(b)
-    if deg >= 2:
-        return GlctInfo(ONE, False, None)
-    free = TWO - deg
+    cyclic group and else 2.  The boundary has degree below 2: at most two
+    points, each of coefficient (m - 1)/m < 1 (``analyze`` stops a
+    -infinity boundary before this)."""
+    free = TWO - finite_degree(b)
     fibs = variety.fibers
     candidates = []
     # each declared orbit, named by its first fiber; a fiber of

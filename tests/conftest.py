@@ -28,18 +28,10 @@ def fixture_data():
     return load
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--property-cases",
-        type=int,
-        default=200,
-        help="iterations per randomized property suite",
-    )
-
-
 @pytest.fixture
-def property_cases(request):
-    return request.config.getoption("--property-cases")
+def property_cases():
+    """Iterations per randomized property test."""
+    return 200
 
 
 def _cap_address_space():

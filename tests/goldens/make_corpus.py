@@ -1,8 +1,9 @@
 """Record the generated-input goldens: ``python tests/goldens/make_corpus.py``.
 
-``--check`` rewrites nothing: it replays every recorded case, prints a
-unified diff of the exit code and stdout of each one that differs, and exits
-1 if any does.  It needs no pytest.
+``--check`` rewrites nothing: it replays the fixture goldens of
+``tests/goldens/commands.txt`` from the repository root and every corpus
+case, prints a unified diff of the exit code and stdout of each one that
+differs, and exits 1 if any does.  It needs no pytest.
 
 The fixture goldens never print a quadratic point, a declared action, a
 -inf boundary, big entries, exit codes 2 and 3, torus ranks 2-3 or fans in
@@ -13,9 +14,9 @@ case a line, ``{"argv", "document", "exit", "stdout"}``, with ``{file}`` in
 every case.  Re-record only for a change that is meant to alter reports, and
 review the diff of the corpus as the diff of those reports.
 
-Groups come from the ``selftest`` pool (plus the dihedral groups of order 8
-and 12), conjugated by random matrices of SL2(Z) and GL2(Q); invariant
-marked sets are unions of orbits of rational points.
+Groups come from the ``selftest`` pool, conjugated by random matrices of
+SL2(Z) and GL2(Q); invariant marked sets are unions of orbits of rational
+points.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import contextlib
 import difflib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parents[1] / "src"))
+ROOT = HERE.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from symfano.cli import run  # noqa: E402
 from symfano.exact import ProjPoint  # noqa: E402
@@ -48,11 +51,8 @@ CORPUS = HERE / "corpus"
 
 IDENTITY = [[1, 0], [0, 1]]
 # the selftest pool, the trivial group written as the identity since a
-# document needs a generator, then D4 and D6
-GROUPS = [list(gens) or [IDENTITY] for gens in _GROUP_GENERATORS] + [
-    [[[1, -1], [1, 1]], [[-1, 0], [0, 1]]],
-    [[[2, -1], [1, 1]], [[0, 1], [1, 0]]],
-]
+# document needs a generator
+GROUPS = [list(gens) or [IDENTITY] for gens in _GROUP_GENERATORS]
 # the groups whose exceptional orbits are quadratic points: C2 with
 # irrational fixed points, C3, C4, C6, D4 and D6
 QUADRATIC = [3, 4, 5, 6, 9, 10]
@@ -429,29 +429,42 @@ def run_case(argv: list[str], document, directory: Path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def recorded_cases():
+    """Every recorded case as ``(name, argv, document, exit, stdout)``: the
+    fixture goldens of ``commands.txt``, whose paths are relative to the
+    repository root, then the corpus."""
+    for line in (HERE / "commands.txt").read_text(encoding="utf-8").splitlines():
+        code, name, command = line.split(" ", 2)
+        yield name, command.split(" "), None, int(code), (HERE / name).read_bytes().decode("utf-8")
+    for path in sorted(CORPUS.glob("*.jsonl")):
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            case = json.loads(line)
+            yield f"{path.stem}-{i}", case["argv"], case["document"], case["exit"], case["stdout"]
+
+
 def check() -> int:
-    """Replay every recorded case; print a diff for each that differs."""
+    """Replay every recorded case; print a diff for each that differs.  Run
+    from the repository root, where the fixture goldens' paths start."""
     differ = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted(CORPUS.glob("*.jsonl")):
-            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-                case = json.loads(line)
-                code, stdout = run_case(case["argv"], case["document"], Path(tmp))
-                total += 1
-                expected, now = f"exit {case['exit']}\n{case['stdout']}", f"exit {code}\n{stdout}"
-                if now != expected:
-                    differ += 1
-                    diff = difflib.unified_diff(
-                        expected.splitlines(keepends=True), now.splitlines(keepends=True),
-                        f"{path.stem}-{i} (recorded)", f"{path.stem}-{i} (now)",
-                    )
-                    print("".join(diff), end="")
+        for name, argv, document, exit_code, stdout in recorded_cases():
+            code, now = run_case(argv, document, Path(tmp))
+            total += 1
+            expected, now = f"exit {exit_code}\n{stdout}", f"exit {code}\n{now}"
+            if now != expected:
+                differ += 1
+                diff = difflib.unified_diff(
+                    expected.splitlines(keepends=True), now.splitlines(keepends=True),
+                    f"{name} (recorded)", f"{name} (now)",
+                )
+                print("".join(diff), end="")
     print(f"{differ} of {total} cases differ")
     return 1 if differ else 0
 
 
 def main() -> None:
     if sys.argv[1:] == ["--check"]:
+        os.chdir(ROOT)
         sys.exit(check())
     CORPUS.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from test_groups import d4, d6
 
 from symfano.curvepair import (
     NEG_INFINITY,
@@ -225,7 +224,7 @@ def fraction_valuable(pair, group):
 
 
 def test_integer_comparisons_match_fraction_formulas(rng, property_cases):
-    pool = _group_pool() + [d4(), d6()]
+    pool = _group_pool()
     for _ in range(property_cases):
         group = rng.choice(pool)
         pair = _random_invariant_pair(rng, group)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
+from test_groups import random_sl2z
 
 from symfano.curvepair import (
     NEG_INFINITY,
@@ -42,7 +43,7 @@ from symfano.polyhedral import Cone, Fan
 from symfano.quotients import WeightMatrix
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
-from symfano.selftest import _GROUP_GENERATORS, suite_effectivity
+from symfano.selftest import _GROUP_GENERATORS, _random_variety, suite_effectivity
 from symfano import tvariety
 from symfano.cli import run
 from symfano.tvariety import (
@@ -447,43 +448,18 @@ def test_the_same_document_loads_to_equal_varieties(name):
 COUNTING_ROUTES = ("three-non-reduced-fibers", "swapped-pair", "fixed-point-free")
 
 
-def _random_explicit_variety(rng: random.Random) -> CxOneVariety:
-    """Fibers on a random union of orbits, one multiplicity pattern per orbit."""
-    moebius = tuple(MoebiusElement(g) for g in rng.choice(_GROUP_GENERATORS))
-    moebius = moebius or (MoebiusElement.identity(),)
-    group = closure(moebius)
-    candidates = exceptional_orbits(group)
-    candidates += [orbit_of(group, pt(t)) for t in rng.sample(range(-5, 6), 3)]
-    candidates.append(orbit_of(group, INF))
-    fibers = []
-    for orbit in rng.sample(candidates, rng.randint(0, 4)):
-        if any(f.point in orbit.points for f in fibers):
-            continue
-        orders = rng.choice(((1,), (2,), (3,), (1, 2), (2, 4)))
-        for p in orbit.points:
-            base = 2 * len(fibers)
-            fibers.append(
-                Fiber(p, tuple(VerticalDivisor(f"d{base + i}", o) for i, o in enumerate(orders)))
-            )
-    return CxOneVariety(
-        name="random", dim=3, fibers=tuple(fibers), horizontals=(),
-        lattice=LatticeAutGroup(2, NEG_LATTICE * len(moebius)),
-        moebius_generators=moebius,
-    )
-
-
 def test_explicit_and_declared_actions_agree(property_cases):
     rng = random.Random(20261018)
     routes = set()
     for _ in range(property_cases):
-        v = _random_explicit_variety(rng)
+        v = _random_variety(rng)
         points = tuple(f.point for f in v.fibers)
         group = v.moebius_group
         # the equivalent declared input, derived here without the variety's code
         perms = tuple(tuple(points.index(g.apply(p)) for p in points) for g in v.moebius_generators)
         cyclic = any(closure([g]).order == group.order for g in group)
         fields = dict(
-            name="random", dim=3, fibers=v.fibers, horizontals=(), lattice=v.lattice,
+            name="random", dim=3, fibers=v.fibers, horizontals=v.horizontals, lattice=v.lattice,
             declared=DeclaredAction(perms, induced_cyclic=cyclic),
         )
         exact = ke_verdict(v)
@@ -722,25 +698,15 @@ def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bound
     assert (done.returncode, done.stdout, done.stderr) == (1, "", f"input error: {message}\n")
 
 
-# the selftest pool's generators, then D4 and D6
-_TWIN_GENERATORS = [gens or ([[1, 0], [0, 1]],) for gens in _GROUP_GENERATORS] + [
-    ([[1, -1], [1, 1]], [[-1, 0], [0, 1]]),
-    ([[2, -1], [1, 1]], [[0, 1], [1, 0]]),
-]
-
-
-def _random_sl2z(rng: random.Random) -> MoebiusElement:
-    m = MoebiusElement.identity()
-    for _ in range(3):
-        k = rng.randint(-3, 3)
-        m = m * MoebiusElement([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
-    return m
+# the selftest pool, the trivial group written as the identity since a
+# document needs a generator
+_TWIN_GENERATORS = [gens or ([[1, 0], [0, 1]],) for gens in _GROUP_GENERATORS]
 
 
 def _explicit_document(rng: random.Random, k: int) -> dict:
     """A threefold with three or more fibers on orbits of rational points
     under a pool group conjugated by a random matrix of SL2(Z)."""
-    h = _random_sl2z(rng)
+    h = random_sl2z(rng)
     gens = [h * MoebiusElement(g) * h.inverse() for g in _TWIN_GENERATORS[k % len(_TWIN_GENERATORS)]]
     group = closure(gens)
     special = [o.points for o in exceptional_orbits(group) if all(len(p.coords) == 2 for p in o.points)]
@@ -834,8 +800,6 @@ def test_marked_points_are_pairwise_distinct():
 
 
 def test_routes_and_threshold_agree_random(rng, property_cases):
-    from symfano.selftest import _random_variety
-
     threshold = rat(3, 4)  # the random varieties have dim 3
     for _ in range(property_cases):
         v = _random_variety(rng)
@@ -884,7 +848,7 @@ def test_tight_divisor_certifies_the_threshold(property_cases):
     rng = random.Random(20261019)
     kinds = set()
     for _ in range(property_cases):
-        v = _random_explicit_variety(rng)
+        v = _random_variety(rng)
         analysis = analyze(v)
         res = analysis.quotient_lct
         if res.is_infinite:
