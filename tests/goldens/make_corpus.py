@@ -1,18 +1,27 @@
-"""Record the generated-input goldens: ``python tests/goldens/make_corpus.py``.
+"""The one reader of ``tests/goldens/``, and the recorder of its corpus.
 
-``--check`` rewrites nothing: it replays the fixture goldens of
-``tests/goldens/commands.txt`` from the repository root and every corpus
-case, prints a unified diff of the exit code and stdout of each one that
-differs, and exits 1 if any does.  It needs no pytest.
+``tests/goldens/commands.txt`` lists each documented fixture command line,
+run from the repository root, as ``EXIT FILE COMMAND``: its exit code and the
+file under ``tests/goldens/`` that holds its stdout.  The fixture goldens
+never print a quadratic point, a declared action, a -inf boundary, big
+entries, exit codes 2 and 3, torus ranks 2-3 or fans in rank 3-4.
+``python tests/goldens/make_corpus.py`` builds seeded documents that do, runs
+each command on them in process, and writes
+``tests/goldens/corpus/<command>.jsonl``: one case a line, ``{"argv",
+"document", "exit", "stdout"}``, with ``{file}`` in ``argv`` standing for the
+document's path.  Re-record only for a change that is meant to alter reports,
+and review the diff of the corpus as the diff of those reports.
 
-The fixture goldens never print a quadratic point, a declared action, a
--inf boundary, big entries, exit codes 2 and 3, torus ranks 2-3 or fans in
-rank 3-4.  This script builds seeded documents that do, runs each command on
-them in process, and writes ``tests/goldens/corpus/<command>.jsonl``: one
-case a line, ``{"argv", "document", "exit", "stdout"}``, with ``{file}`` in
-``argv`` standing for the document's path.  ``tests/test_goldens.py`` replays
-every case.  Re-record only for a change that is meant to alter reports, and
-review the diff of the corpus as the diff of those reports.
+``fixture_goldens()`` parses ``commands.txt``, ``corpus()`` reads the corpus,
+and ``recorded_cases()`` chains the two.  The tests read the recorded cases,
+the random matrices ``sl2z`` and ``gl2q`` and the hard inputs below only
+from here (``pyproject.toml`` puts this directory on their path).
+
+``--check`` rewrites nothing and needs no pytest.  It replays every recorded
+case and prints a unified diff of the exit code and stdout of each one that
+differs.  It also reads each ``--json`` report back through
+``Report.from_json``, and compares the recorded documents with ``build()``.
+It exits 1 if anything differs.
 
 Groups come from the ``selftest`` pool, conjugated by random matrices of
 SL2(Z) and GL2(Q); invariant marked sets are unions of orbits of rational
@@ -35,7 +44,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from symfano.cli import run  # noqa: E402
+from symfano.cli import Report, run  # noqa: E402
 from symfano.exact import ProjPoint  # noqa: E402
 from symfano.groups import (  # noqa: E402
     MoebiusElement,
@@ -62,8 +71,9 @@ BIG_INVOLUTIONS = [
     [["10000000000000000051", "10000000000000000039"], ["10000000000000000061", "-10000000000000000051"]],
 ]
 BIG_ENTRIES = [[10**19 + 51, 10**19 + 39], [10**19 + 61, 10**19 + 7]]
-# C4 and a reflection conjugated by x -> 65537 x + 1: a dihedral group of
-# order 8 with fixed points over d = BIG_PRIME and d = 65537^2 * BIG_PRIME
+# 65537 is the first prime above 2^16, and BIG_A^2 + 65537^2 a prime p above
+# 2^48.  C4 and a reflection conjugated by x -> 65537 x + 1: a dihedral group
+# of order 8 with fixed points over d = p and d = 65537^2 * p
 BIG_A = 16777238
 D4_BIG = ([[1, -1], [1, 1]], [[BIG_A, 65537], [65537, -BIG_A]])
 D4_BIG_CONJUGATOR = [[65537, 1], [0, 1]]
@@ -429,37 +439,76 @@ def run_case(argv: list[str], document, directory: Path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def recorded_cases():
-    """Every recorded case as ``(name, argv, document, exit, stdout)``: the
-    fixture goldens of ``commands.txt``, whose paths are relative to the
-    repository root, then the corpus."""
+def fixture_goldens():
+    """Each line of ``commands.txt`` as ``(name, argv, None, exit, stdout)``:
+    ``name`` is the file under ``tests/goldens/`` that holds the stdout, and
+    the paths in ``argv`` are relative to the repository root."""
     for line in (HERE / "commands.txt").read_text(encoding="utf-8").splitlines():
         code, name, command = line.split(" ", 2)
         yield name, command.split(" "), None, int(code), (HERE / name).read_bytes().decode("utf-8")
-    for path in sorted(CORPUS.glob("*.jsonl")):
-        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-            case = json.loads(line)
-            yield f"{path.stem}-{i}", case["argv"], case["document"], case["exit"], case["stdout"]
+
+
+def corpus() -> dict[str, list[dict]]:
+    """The recorded corpus: for each command, in file order, its cases
+    ``{"argv", "document", "exit", "stdout"}``, read anew on each call."""
+    return {
+        path.stem: [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for path in sorted(CORPUS.glob("*.jsonl"))
+    }
+
+
+def recorded_cases():
+    """Every recorded case as ``(name, argv, document, exit, stdout)``: the
+    fixture goldens, then the corpus cases, named ``<command>-<line>``."""
+    yield from fixture_goldens()
+    for command, cases in corpus().items():
+        for i, case in enumerate(cases):
+            yield f"{command}-{i}", case["argv"], case["document"], case["exit"], case["stdout"]
+
+
+def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, directory: Path) -> str:
+    """Run one recorded case again.  Returns a unified diff of its exit code
+    and stdout against the recorded ones, or a line saying that its
+    ``--json`` report does not read back through ``Report.from_json`` to the
+    same bytes, or "" when the case holds."""
+    code, now = run_case(argv, document, directory)
+    expected, now = f"exit {exit_code}\n{stdout}", f"exit {code}\n{now}"
+    if now != expected:
+        diff = difflib.unified_diff(
+            expected.splitlines(keepends=True), now.splitlines(keepends=True), f"{name} (recorded)", f"{name} (now)",
+        )
+        return "".join(diff)
+    if "--json" in argv and stdout and Report.from_json(stdout).to_json() != stdout.rstrip("\n"):
+        return f"{name}: the --json report does not read back to itself\n"
+    return ""
+
+
+def stale_commands() -> list[str]:
+    """The commands whose recorded argv and documents are not what
+    ``build()`` makes: a generator edit that was not re-recorded, or a
+    corpus line edited by hand."""
+    built = json.loads(json.dumps({command: list(cases) for command, cases in build().items()}))
+    recorded = {command: [[c["argv"], c["document"]] for c in cases] for command, cases in corpus().items()}
+    return sorted(c for c in built.keys() | recorded.keys() if built.get(c) != recorded.get(c))
 
 
 def check() -> int:
-    """Replay every recorded case; print a diff for each that differs.  Run
-    from the repository root, where the fixture goldens' paths start."""
+    """Replay every recorded case and compare the corpus with ``build()``;
+    print what differs.  Run from the repository root, where the fixture
+    goldens' paths start."""
     differ = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, document, exit_code, stdout in recorded_cases():
-            code, now = run_case(argv, document, Path(tmp))
+        for case in recorded_cases():
             total += 1
-            expected, now = f"exit {exit_code}\n{stdout}", f"exit {code}\n{now}"
-            if now != expected:
+            problem = replay(*case, Path(tmp))
+            if problem:
                 differ += 1
-                diff = difflib.unified_diff(
-                    expected.splitlines(keepends=True), now.splitlines(keepends=True),
-                    f"{name} (recorded)", f"{name} (now)",
-                )
-                print("".join(diff), end="")
+                print(problem, end="")
+    stale = stale_commands()
+    for command in stale:
+        print(f"corpus/{command}.jsonl: the recorded documents are not what build() makes")
     print(f"{differ} of {total} cases differ")
-    return 1 if differ else 0
+    return 1 if differ or stale else 0
 
 
 def main() -> None:

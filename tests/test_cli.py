@@ -2,9 +2,9 @@ import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
+import make_corpus
 import pytest
 
 from symfano import cli, curvepair, exact, rationals, schemas, selftest, tvariety
@@ -207,25 +207,19 @@ def test_lct_and_valuable(capsys):
     assert code == 0 and "valuable: true" in out
 
 
-BIG_INVOLUTIONS = (
-    (
-        ["1000000000007", "1000000000039"], ["1000000000061", "-1000000000007"],
-        "{1000000000007/1000000000061-2/1000000000061*sqrt(500000000028500000000607)}",
-    ),
-    (
-        ["10000000000000000051", "10000000000000000039"],
-        ["10000000000000000061", "-10000000000000000051"],
-        "{10000000000000000051/10000000000000000061-6/10000000000000000061"
-        "*sqrt(5555555555555555611666666666666666805)}",
-    ),
+BIG_INVOLUTION_ORBITS = (
+    "{1000000000007/1000000000061-2/1000000000061*sqrt(500000000028500000000607)}",
+    "{10000000000000000051/10000000000000000061-6/10000000000000000061*sqrt(5555555555555555611666666666666666805)}",
 )
 
 
-@pytest.mark.parametrize("row0, row1, orbit", BIG_INVOLUTIONS, ids=("13-digit", "20-digit"))
-def test_lct_of_an_involution_with_big_entries(tmp_path, capsys, row0, row1, orbit):
+@pytest.mark.parametrize(
+    "matrix, orbit", zip(make_corpus.BIG_INVOLUTIONS, BIG_INVOLUTION_ORBITS), ids=("13-digit", "20-digit")
+)
+def test_lct_of_an_involution_with_big_entries(tmp_path, capsys, matrix, orbit):
     # the fixed points' discriminant is reduced without factoring it in full
     doc = tmp_path / "pair.json"
-    doc.write_text(json.dumps({"name": "big", "points": [], "moebius_generators": [[row0, row1]]}))
+    doc.write_text(json.dumps({"name": "big", "points": [], "moebius_generators": [matrix]}))
     code, out = run_capture(capsys, "lct", str(doc))
     assert code == 0
     assert out == (
@@ -323,11 +317,7 @@ def random_weight_documents(rng):
 
 def git_locus_documents():
     yield from (read_json(fixture_path(name)) for name in ("hyp12-deform.json", "blowup-deform.json"))
-    path = Path(__file__).resolve().parent / "goldens" / "corpus" / "git-locus.jsonl"
-    for line in path.read_text(encoding="utf-8").splitlines():
-        case = json.loads(line)
-        if case["exit"] == 0:
-            yield case["document"]
+    yield from (case["document"] for case in make_corpus.corpus()["git-locus"] if case["exit"] == 0)
 
 
 def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
@@ -893,18 +883,6 @@ def _rational_entries(data: dict) -> int:
     return 2 * len(data["fibers"]) + 4 * len(data["symmetry"].get("moebius_generators", []))
 
 
-def _line_documents() -> list:
-    """Every well-formed pair and variety document of the fixtures and the corpus."""
-    documents = [read_json(path) for path in sorted(fixture_path("").glob("*.json"))]
-    for path in sorted((Path(__file__).parent / "goldens" / "corpus").glob("*.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            documents.append(json.loads(line)["document"])
-    return [
-        d for d in documents
-        if isinstance(d, dict) and not validate_data(d) and detect_kind(d) in ("pair", "variety")
-    ]
-
-
 def test_each_rational_is_parsed_once(monkeypatch):
     calls = []
     original = rationals.parse_ratio
@@ -915,7 +893,10 @@ def test_each_rational_is_parsed_once(monkeypatch):
 
     monkeypatch.setattr(rationals, "parse_ratio", counted)
     monkeypatch.setattr(schemas, "parse_ratio", counted)
-    documents = _line_documents()
+    # every well-formed pair and variety document of the fixtures and the corpus
+    documents = [read_json(path) for path in sorted(fixture_path("").glob("*.json"))]
+    documents += [case["document"] for cases in make_corpus.corpus().values() for case in cases]
+    documents = [d for d in documents if d and not validate_data(d) and detect_kind(d) in ("pair", "variety")]
     assert len(documents) > 100
     for data in documents:
         calls.clear()
@@ -1028,20 +1009,11 @@ def test_chow_warns_about_lower_dimensional_images(tmp_path, capsys):
         assert "warning" not in run_capture(capsys, "chow", fixture(name))[1]
 
 
-def corpus_document(command, name):
-    """The document of the generated case ``name`` of a command."""
-    path = Path(__file__).resolve().parent / "goldens" / "corpus" / f"{command}.jsonl"
-    for line in path.read_text(encoding="utf-8").splitlines():
-        document = json.loads(line)["document"]
-        if document and document["name"] == name:
-            return document
-    raise KeyError(name)
-
-
 @pytest.mark.parametrize("argv", [["validate"], ["tvar", "check"]], ids=" ".join)
 @pytest.mark.parametrize("permutation", [[1, "x", 2, 3], [1, 0.0, 2, 3], [True, 0, 2, 3]], ids=str)
 def test_marked_permutation_holds_only_ints(tmp_path, capsys, argv, permutation):
-    data = corpus_document("tvar-check", "tvar-g3-2")  # four fibers, a declared action
+    # four fibers, a declared action
+    data = next(c["document"] for c in make_corpus.corpus()["tvar-check"] if c["document"]["name"] == "tvar-g3-2")
     data["symmetry"]["marked_permutations"] = [permutation]
     target = tmp_path / "variety.json"
     target.write_text(json.dumps(data))
@@ -1061,7 +1033,7 @@ def test_chow_maps_each_maximal_cone_once(tmp_path, monkeypatch, capsys):
     image_cone = quotients.image_cone
     monkeypatch.setattr(quotients, "image_cone", lambda cone, p: calls.append(cone) or image_cone(cone, p))
     flat = tmp_path / "chow.json"
-    flat.write_text(json.dumps(corpus_document("chow", "three-cones-one-flat")))
+    flat.write_text(json.dumps(make_corpus.THREE_CONES_ONE_FLAT))
     for path in (fixture("p2-chow.json"), fixture("p1xp1-chow.json"), str(flat)):
         calls.clear()
         assert run(["chow", path]) == 0

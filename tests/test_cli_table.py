@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import make_corpus
 import pytest
 
 from symfano import cli
@@ -218,17 +219,8 @@ def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used():
     ]
 
 
-def _documented_argvs() -> list[list[str]]:
-    """Each command line of the fixture goldens and of the generated corpus."""
-    goldens = Path(__file__).parent / "goldens"
-    argvs = [line.split(" ")[2:] for line in (goldens / "commands.txt").read_text(encoding="utf-8").splitlines()]
-    for path in sorted((goldens / "corpus").glob("*.jsonl")):
-        argvs += [json.loads(line)["argv"] for line in path.read_text(encoding="utf-8").splitlines()]
-    return argvs
-
-
 def test_the_table_reads_every_documented_command_line():
-    argvs = _documented_argvs()
+    argvs = [argv for _, argv, *_ in make_corpus.recorded_cases()]
     assert len(argvs) >= 52 + 282
     assert [argv for argv in argvs if cli._read_argv(argv) is None] == []
 

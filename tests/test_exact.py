@@ -403,8 +403,10 @@ def test_internal_check_survives_python_O():
         wrong = {
             "point": lambda rows, rhs: (True, [0] * len(rows[0]), 1),
             "witness": lambda rows, rhs: (False, [1] * len(rows), 1),
+            # x = (-1, -1) solves w x = -w 1, so only its sign is wrong
+            "negative": lambda rows, rhs: (True, [-1, -1], 1),
         }
-        for name, matrix in (("point", [[-2, 1], [1, -2]]), ("witness", [[-1, 1], [1, -1]])):
+        for name, matrix in (("point", [[-2, 1], [1, -2]]), ("witness", [[-1, 1], [1, -1]]), ("negative", [[1, -1]])):
             exact._phase_one = wrong[name]
             try:
                 exact.solve_positive_combination(exact.IntMatrix(matrix))
@@ -415,4 +417,4 @@ def test_internal_check_survives_python_O():
     src = str(Path(exact.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["point InternalError 1", "witness InternalError 1"]
+    assert out.stdout.splitlines() == ["point InternalError 1", "witness InternalError 1", "negative InternalError 1"]

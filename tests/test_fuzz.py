@@ -1,6 +1,6 @@
 """Bad input ends as an input error, never as a traceback.
 
-Documents of the generated corpus (``tests/goldens/corpus/``) are mutated
+Documents of the generated corpus (``make_corpus.corpus()``) are mutated
 with a fixed seed and run through ``cli.run`` in process, with the command
 each case records.  A mutation deletes a key or a list item, duplicates a
 list item, prepends a value to a list, or puts a value in place of any node;
@@ -16,11 +16,10 @@ import io
 import json
 import random
 import traceback
-from pathlib import Path
+
+import make_corpus
 
 from symfano.cli import EXIT_INPUT, EXIT_INTERNAL, run
-
-CORPUS = Path(__file__).resolve().parent / "goldens" / "corpus"
 
 SEED = 0
 DOCUMENTS = 600
@@ -29,15 +28,6 @@ VALUES = (
     "x", "", 1.5, 0, -1, 10**30, 2**63, None, True, [], {}, "1/0", "-inf", " 3 ", "٣",
     [[]], [0, 0], ["1", "0"], {"name": "a"}, [[1, 0], [0, 1]],
 )
-
-
-def _cases() -> list[dict]:
-    return [
-        case
-        for path in sorted(CORPUS.glob("*.jsonl"))
-        for case in map(json.loads, path.read_text(encoding="utf-8").splitlines())
-        if case["document"] is not None
-    ]
 
 
 def _places(document) -> list:
@@ -89,7 +79,7 @@ def _problem(argv: list[str]) -> str | None:
 
 def test_mutated_corpus_documents_end_in_an_exit_code(tmp_path):
     rng = random.Random(SEED)
-    cases = _cases()
+    cases = [case for cases in make_corpus.corpus().values() for case in cases if case["document"] is not None]
     path = tmp_path / "document.json"
     failures = []
     for _ in range(DOCUMENTS):

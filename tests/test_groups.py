@@ -5,9 +5,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from make_corpus import BIG_A, BIG_ENTRIES, D4_BIG, D4_BIG_CONJUGATOR, gl2q, sl2z
 
 from symfano import groups
-from symfano.errors import IdentityElement, InputError, NotFiniteWithinCap
+from symfano.cli import EXIT_INTERNAL, run
+from symfano.errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
@@ -23,6 +25,7 @@ from symfano.groups import (
     orbit_of,
 )
 from symfano.rationals import rat, rat_str, squarefree_decompose
+from symfano.schemas import fixture_path
 from symfano.selftest import _GROUP_GENERATORS, _conjugate_group, _group_pool
 
 INVOLUTION = MoebiusElement([[0, 1], [1, 0]])          # x -> 1/x
@@ -268,17 +271,13 @@ def test_orbit_counting(rng):
                     assert g.apply(p) in orbit.points
 
 
-# 65537 is the first prime above 2^16, and BIG_A^2 + 65537^2 a prime above 2^48
-BIG_A = 16777238
-BIG_PRIME = BIG_A**2 + 65537**2
-BIG_ENTRIES = MoebiusElement([[10**19 + 51, 10**19 + 39], [10**19 + 61, 10**19 + 7]])
+BIG_PRIME = BIG_A**2 + 65537**2  # a prime above 2^48
 
 
 def d4_over_big_fields() -> MoebiusGroup:
     """A dihedral group of order 8 with fixed points over d = BIG_PRIME and
     over d = 65537^2 * BIG_PRIME, whose square factor the reduction keeps."""
-    reflection = MoebiusElement([[BIG_A, 65537], [65537, -BIG_A]])
-    return _conjugate_group(closure([C4, reflection]), MoebiusElement([[65537, 1], [0, 1]]))
+    return _conjugate_group(closure(D4_BIG), MoebiusElement(D4_BIG_CONJUGATOR))
 
 
 def test_exceptional_orbits_reduce_one_radicand_per_orbit(monkeypatch):
@@ -299,8 +298,8 @@ def test_exceptional_orbits_over_big_fields():
     d4_big = d4_over_big_fields()
     cases = (
         (d4_big, [2, 4, 4]),
-        (_conjugate_group(closure([C4]), BIG_ENTRIES), [1, 1]),
-        (_conjugate_group(d6(), BIG_ENTRIES), [2, 6, 6]),
+        (_conjugate_group(closure([C4]), MoebiusElement(BIG_ENTRIES)), [1, 1]),
+        (_conjugate_group(d6(), MoebiusElement(BIG_ENTRIES)), [2, 6, 6]),
     )
     for group, sizes in cases:
         orbits = exceptional_orbits(group)
@@ -322,6 +321,19 @@ def test_orbit_of():
     assert set(orbit.points) == {pt(2), pt(rat(1, 2))} and orbit.stabilizer_order == 1
     orbit = orbit_of(group, pt(1))
     assert orbit.points == (pt(1),) and orbit.stabilizer_order == 2
+    # three elements that are no group: the orbit {2, 1/2} has a size that does not divide 3
+    not_a_group = MoebiusGroup((MoebiusElement.identity(), INVOLUTION, MoebiusElement([[2, -3], [0, 2]])))
+    with pytest.raises(InternalError, match="orbit size does not divide the group order"):
+        orbit_of(not_a_group, pt(2))
+
+
+def test_a_fixed_point_with_a_trivial_stabilizer_is_an_internal_error(monkeypatch, capsys):
+    # 2 given as the fixed point of x -> 1/x: its orbit {2, 1/2} has a trivial stabilizer
+    monkeypatch.setattr(groups, "_fixed_coords", lambda g: ([(2, 1)], 1))
+    with pytest.raises(InternalError, match="an orbit of fixed points has a trivial stabilizer"):
+        exceptional_orbits(closure([INVOLUTION]))
+    assert run(["lct", str(fixture_path("pair-involution.json"))]) == EXIT_INTERNAL
+    assert capsys.readouterr().out == ""
 
 
 def test_moebius_through_three_points(rng, property_cases):
@@ -470,21 +482,6 @@ def reference_exceptional_orbits(group: MoebiusGroup) -> list[tuple[int, list[st
     return [(stabilizer, printed) for _, _, stabilizer, printed in orbits]
 
 
-def random_sl2z(rng) -> MoebiusElement:
-    m = IntMatrix.identity(2)
-    for _ in range(3):
-        k = rng.randint(-3, 3)
-        m = m * IntMatrix([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
-    return MoebiusElement(m.entries)
-
-
-def random_gl2q(rng) -> MoebiusElement:
-    while True:
-        m = [[rat(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)] for _ in range(2)]
-        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
-            return MoebiusElement(m)
-
-
 def random_points(rng) -> list[Quad | None]:
     r = rng.choice((-3, -1, 2, 3, 5))
     t = rat(rng.randint(-9, 9), rng.randint(1, 5))
@@ -498,9 +495,9 @@ def conjugated_pool(rng, rounds: int) -> list[MoebiusGroup]:
     is (with a hidden square in one d) and under one conjugation of each
     kind (its big discriminants cost milliseconds each to reduce)."""
     big = d4_over_big_fields()
-    out = [big, _conjugate_group(big, random_sl2z(rng)), _conjugate_group(big, random_gl2q(rng))]
+    out = [big, _conjugate_group(big, sl2z(rng)), _conjugate_group(big, gl2q(rng))]
     for group in _group_pool():
-        out += [_conjugate_group(group, random_sl2z(rng) if k % 2 else random_gl2q(rng)) for k in range(rounds)]
+        out += [_conjugate_group(group, sl2z(rng) if k % 2 else gl2q(rng)) for k in range(rounds)]
     return out
 
 
@@ -559,7 +556,7 @@ def test_proportional_matrices_give_one_element():
     matrix under positive and negative scalings give one element."""
     rng = random.Random(20261019)
     for group in _group_pool():
-        for g in _conjugate_group(group, random_gl2q(rng)):
+        for g in _conjugate_group(group, gl2q(rng)):
             entries = [x for row in g.matrix for x in row]
             assert g.sort_key() == tuple((x.numerator, x.denominator) for x in entries)
             for _ in range(3):

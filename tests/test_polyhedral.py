@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import make_corpus
 import pytest
 
 from symfano import cli, polyhedral
@@ -17,7 +18,7 @@ from symfano.polyhedral import (
     is_face,
 )
 from symfano.rationals import rat
-from symfano.schemas import fixture_path
+from symfano.schemas import fixture_path, load_chow
 
 
 def cone2(*gens):
@@ -38,11 +39,8 @@ T_JUNCTION = [
 ]
 # the images of the maximal cones of the chow corpus case three-cones-one-flat:
 # two full-dimensional cones and a flat sector between them
-THREE_CONES_ONE_FLAT = [
-    Cone(3, [(-1, 0, -1), (1, 0, 2), (2, -1, -2)]),
-    Cone(3, [(-2, -1, -3), (-1, -1, -2), (1, 0, 1)]),
-    Cone(3, [(-2, -1, 1), (1, 0, 2), (2, -1, 0)]),
-]
+_FAN, _PROJECTION = load_chow(make_corpus.THREE_CONES_ONE_FLAT)
+THREE_CONES_ONE_FLAT = [image_cone(cone, _PROJECTION) for cone in _FAN.maximal_cones]
 
 
 def test_dual_examples():

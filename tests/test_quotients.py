@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import make_corpus
 import pytest
 
 from symfano import exact
@@ -16,6 +17,7 @@ from symfano.quotients import (
     verify_stability_cert,
 )
 from symfano.rationals import rat
+from symfano.schemas import load_chow
 
 HYP = WeightMatrix(("alpha", "beta", "gamma"), IntMatrix([[-2, 1, 1], [1, -2, 1]]))
 BLOW = WeightMatrix(("alpha", "beta", "gamma", "delta"), IntMatrix([[-1, 1, -1, 1], [1, -1, -1, 1]]))
@@ -274,10 +276,8 @@ def test_chow_quotient_fan_names_the_maximal_cones_with_flat_images():
 
 def test_flat_image_neither_holds_nor_cuts_a_cell():
     # the chow corpus case three-cones-one-flat: the middle cone's image is flat
-    first = Cone(4, [(1, -2, -3, 2), (1, 0, 2, 0), (1, 0, -1, -1), (-1, 1, 1, -1)])
-    flat = Cone(4, [(0, -2, -3, 1), (-4, 1, -1, -2), (0, 1, 2, -1), (-1, 1, 1, -1)])
-    last = Cone(4, [(-1, 2, 4, -2), (2, -1, 0, 0), (0, -3, -1, 2), (1, -1, -1, 1)])
-    fan, projection = Fan(4, (first, flat, last)), IntMatrix([[1, 0, 0, -1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    fan, projection = load_chow(make_corpus.THREE_CONES_ONE_FLAT)
+    first, flat, last = fan.maximal_cones
     out, flat_images = chow_quotient_fan(fan, projection)
     assert flat_images == (flat,)
     out.validate()

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from test_groups import random_sl2z
+from make_corpus import GROUPS, sl2z
 
 from symfano.curvepair import (
     NEG_INFINITY,
@@ -43,7 +43,7 @@ from symfano.polyhedral import Cone, Fan
 from symfano.quotients import WeightMatrix
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
-from symfano.selftest import _GROUP_GENERATORS, _random_variety, suite_effectivity
+from symfano.selftest import _random_variety, suite_effectivity
 from symfano import tvariety
 from symfano.cli import run
 from symfano.tvariety import (
@@ -698,16 +698,11 @@ def test_a_declared_symmetric_group_is_checked_within_bounds(tmp_path, run_bound
     assert (done.returncode, done.stdout, done.stderr) == (1, "", f"input error: {message}\n")
 
 
-# the selftest pool, the trivial group written as the identity since a
-# document needs a generator
-_TWIN_GENERATORS = [gens or ([[1, 0], [0, 1]],) for gens in _GROUP_GENERATORS]
-
-
 def _explicit_document(rng: random.Random, k: int) -> dict:
     """A threefold with three or more fibers on orbits of rational points
     under a pool group conjugated by a random matrix of SL2(Z)."""
-    h = random_sl2z(rng)
-    gens = [h * MoebiusElement(g) * h.inverse() for g in _TWIN_GENERATORS[k % len(_TWIN_GENERATORS)]]
+    h = sl2z(rng)
+    gens = [h * MoebiusElement(g) * h.inverse() for g in GROUPS[k % len(GROUPS)]]
     group = closure(gens)
     special = [o.points for o in exceptional_orbits(group) if all(len(p.coords) == 2 for p in o.points)]
     orders = {}  # one order per orbit
