@@ -12,9 +12,12 @@ The double description of a cone's generators gives the dual, whose extreme
 rays are the facet normals.  Dimensions are read off the generators.  Faces
 and face tests read the ray-halfspace incidence from the zero masks that the
 double description keeps, with no further conversion and no dot product per
-ray and halfspace.
+ray and halfspace.  Two cones cut out on opposite sides of the same
+hyperplanes meet in a common face when their faces on those hyperplanes
+agree, which the zero masks show with no description of the meet.
 The refinement splits cells by the facet hyperplanes of the full-dimensional
-inputs one at a time, so it builds only the cells that some input can hold.
+inputs one at a time, so it builds only the cells that some input can hold,
+and a merged cell is cut out by the cuts of its two halves.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -162,7 +165,7 @@ def _int_vectors(rank: int, vectors, what: str) -> list[tuple[int, ...]]:
 
 
 def _negatives(vectors):
-    return [tuple(-x for x in v) for v in vectors]
+    return [tuple(map(operator.neg, v)) for v in vectors]
 
 
 class Cone(Record):
@@ -345,6 +348,12 @@ def image_cone(cone: Cone, p: IntMatrix) -> Cone:
     return Cone(p.rows, (p.apply(g) for g in cone.generators))
 
 
+def _tight_rays(rays, masks, tight: int) -> tuple[tuple[int, ...], ...]:
+    """The rays whose zero mask holds the bit mask ``tight``: with the
+    lineality space, they span the face tight on those halfspaces."""
+    return tuple(r for r, m in zip(rays, masks) if m & tight == tight)
+
+
 def _is_face_of(cone: Cone, lines: int, rays, tight: int) -> bool:
     """Whether a cone inside ``cone`` is a face of it, from the dimension of
     its lineality space, its canonical rays and the bit mask of the
@@ -355,7 +364,7 @@ def _is_face_of(cone: Cone, lines: int, rays, tight: int) -> bool:
     the smallest face of ``cone`` that holds it.
     """
     lineality, cone_rays, masks, _ = cone._state
-    return lines == len(lineality) and rays == tuple(r for r, m in zip(cone_rays, masks) if m & tight == tight)
+    return lines == len(lineality) and rays == _tight_rays(cone_rays, masks, tight)
 
 
 def is_face(face: Cone, cone: Cone) -> bool:
@@ -378,14 +387,36 @@ def is_face(face: Cone, cone: Cone) -> bool:
 def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
     """Whether the intersection of two cones is a face of both.
 
-    The meet lies in both.  Its description, that of ``c1`` resumed with the
-    halfspaces of ``c2`` and built into no ``Cone``, processed the halfspaces
-    of ``c1`` and then those of ``c2``, so the AND of its rays' zero masks
-    holds, in its low bits, the halfspaces of ``c1`` tight on the meet and,
-    above them, those of ``c2``: the face tests take no dot product.
+    First the separation argument, from the zero masks alone: take the
+    halfspaces that ``c1`` processed and whose negatives ``c2`` processed.
+    The cones lie on opposite sides of each of those hyperplanes, so their
+    meet lies in all of them, and it is the meet of the face of each cone
+    tight on all of them.  When those two faces are one cone, the meet is
+    that cone, a face of both.  This is the easy half of the separation
+    lemma, which says that two cones meeting in a common face lie on
+    opposite sides of a hyperplane that cuts that face out of each (Fulton,
+    *Introduction to Toric Varieties*, 1993, §1.2; Cox-Little-Schenck,
+    *Toric Varieties*, 2011, Lemma 1.2.13).
+    Otherwise, a T-junction or an overlap for one, the meet is built: its
+    description, that of ``c1`` resumed with the halfspaces of ``c2`` and
+    built into no ``Cone``, processed the halfspaces of ``c1`` and then those
+    of ``c2``, so the AND of its rays' zero masks holds, in its low bits, the
+    halfspaces of ``c1`` tight on the meet and, above them, those of ``c2``:
+    the face tests take no dot product.
     """
-    lineality, rays, masks, _ = _dd_from_halfspaces(c1.ambient_rank, c2._inequalities, c1._state)
-    tight, n1 = reduce(operator.and_, masks, -1), len(c1._inequalities)
+    _, rays1, masks1, processed1 = c1._state
+    _, rays2, masks2, processed2 = c2._state
+    opposite = {h: 1 << j for j, h in enumerate(_negatives(processed2))}
+    cut1 = cut2 = 0  # bit masks of the halfspaces of c1, and of c2, that the other cone processed negated
+    for i, h in enumerate(processed1):
+        if h in opposite:
+            cut1 |= 1 << i
+            cut2 |= opposite[h]
+    face1, face2 = _tight_rays(rays1, masks1, cut1), _tight_rays(rays2, masks2, cut2)
+    if c1.lineality_basis == c2.lineality_basis and face1 == face2:
+        return True
+    lineality, rays, masks, _ = _dd_from_halfspaces(c1.ambient_rank, processed2, c1._state)
+    tight, n1 = reduce(operator.and_, masks, -1), len(processed1)
     return _is_face_of(c1, len(lineality), rays, tight & ((1 << n1) - 1)) and _is_face_of(
         c2, len(lineality), rays, tight >> n1
     )
@@ -432,12 +463,22 @@ class Fan(Record):
         s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.  Both
         checks read the zero masks of the maximal cones' double descriptions
         (see ``is_face`` and ``_meets_in_common_face``), and both run in full
-        on the cells that ``common_refinement`` gives as maximal cones.
+        on the cells that ``common_refinement`` gives as maximal cones.  A
+        cone is tested only against the maximal cones with its lineality
+        dimension whose rays hold all of its rays: a face of a cone has the
+        cone's lineality space, and its canonical rays are some of the
+        cone's, so no face is passed over.
         """
         maximal = self.maximal_cones
+        spans = [(len(m.lineality_basis), set(m.rays), m) for m in maximal]
+
+        def is_a_face(c):
+            lines = len(c.lineality_basis)
+            return any(is_face(c, m) for n, rays, m in spans if n == lines and rays.issuperset(c.rays))
+
         if not (
             all(_meets_in_common_face(c1, c2) for c1, c2 in itertools.combinations(maximal, 2))
-            and all(any(is_face(c, m) for m in maximal) for c in self.cones)
+            and all(map(is_a_face, self.cones))
         ):
             raise InputError("cone intersection is not a common face")
 
@@ -465,6 +506,16 @@ def common_refinement(cones) -> Fan:
     fan's maximal cones are the cells: none lies in another, as a
     full-dimensional face of a cone is the cone itself, and ``validate``
     checks that every other cone is a face of one.
+
+    A merged cell keeps the cuts of its two halves but those along the
+    relaxed hyperplane h, and they cut out the union.  Every cut of a cell is
+    one of the signs of its vector, which hold on the cell, so a cut of one
+    half other than +-h is a sign of both vectors and holds on both halves.
+    Conversely a point that satisfies the kept cuts and lies on the side of h
+    of one half satisfies every cut of that half (the half has no cut on the
+    other side of h), so it lies in that half.  So the merged cell is the
+    union, with the key and generators it had when it was cut out by all
+    the signs of its vector.
     """
     cones = list(cones)
     if not cones:
@@ -508,9 +559,11 @@ def common_refinement(cones) -> Fan:
                 if cells.get(twin) != cells[pattern]:
                     continue
                 if relaxed not in cell_of:
-                    cell_of[relaxed] = Cone.from_halfspaces(
-                        rank, [tuple(t * x for x in hyperplanes[j]) for j, t in sorted(relaxed)]
-                    )
+                    # the cuts of both halves but those along hyperplane i
+                    along = {hyperplanes[i], tuple(-x for x in hyperplanes[i])}
+                    halves = dict.fromkeys((*cell_of[pattern]._inequalities, *cell_of[twin]._inequalities))
+                    cuts = [h for h in halves if h not in along]
+                    cell_of[relaxed] = Cone.from_halfspaces(rank, cuts)
                 if all(meets_properly(relaxed, q) for q in cells if q != pattern and q != twin):
                     return pattern, twin, relaxed
         return None
