@@ -2,6 +2,10 @@
 quadratic field, integer matrices with Smith normal form, and the
 strict-positivity alternative for integer weight families.
 
+The alternative has one decision, ``_decide``, and one check of its
+certificates, ``_certifies``: every decision passes the check before it is
+returned, and ``quotients.verify_stability_cert`` is the same check.
+
 Every value of the package is a ``Record``: immutable after construction,
 compared and hashed by its fields (a ``polyhedral.Cone`` by the set it is),
 and copied and pickled through a constructor.  Everything here is a pure
@@ -451,46 +455,71 @@ def solve_positive_combination(w: IntMatrix) -> PositiveCombination | Semipositi
     ``{w x = -w 1, x >= 0}`` with the witness read off the Farkas dual.  The
     simplex pivots in plain integers, and lambda keeps its integer numerators
     and denominator, in lowest terms.  Either outcome is re-checked in
-    integers, and a failed check raises ``InternalError``.
+    integers by ``_certifies``, and a failed check raises ``InternalError``.
     """
     if w.cols < 1:
         raise InputError("need at least one column")
-    return _decide(w.entries, ({}, {}))[1]
+    return _decide(w.entries, {})[1]
 
 
-def _decide(rows, interned) -> tuple[bool, PositiveCombination | SemipositiveWitness]:
-    """``solve_positive_combination`` on the integer rows of a matrix with at
-    least one column, as the pair (is the outcome a positive combination,
-    the outcome).
+def _certifies(rows, polystable: bool, ints: tuple[int, ...]) -> bool:
+    """Whether ``ints`` certifies the outcome ``polystable`` of the strict
+    alternative for the columns of the integer ``rows``: the one check of
+    either certificate, which every decision passes.
 
-    ``interned`` is a pair of dicts, which the caller creates, that share
-    equal outcomes: the positive combinations keyed by ``(*numerators,
-    denominator)`` and the witnesses by their vector.  One dict would not do,
-    as the witness (1, 1) has the key of lambda = (1,)/1.  Each distinct
-    outcome is built once, and an equal one later comes back as the same
-    pair.
+    * A positive combination is ``(*numerators, denominator)``: one numerator
+      per column, all of them and the denominator > 0, and every row pairs
+      to 0 with the numerators.
+    * A witness is its vector: one entry per row, pairing >= 0 with every
+      column and > 0 with one.  With no column nothing pairs > 0, so no
+      witness certifies the empty column set.
+
+    Lengths are compared before any pairing, as ``map`` and ``zip`` would
+    silently cut the longer of two vectors.
     """
-    feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows])
-    combinations, witnesses = interned
+    if polystable:
+        # with one entry more than a row, ``map`` pairs the row with the
+        # numerators and leaves the denominator out
+        return (
+            len(ints) == 1 + (len(rows[0]) if rows else 0)
+            and min(ints) > 0
+            and not any(sum(map(mul, row, ints)) for row in rows)
+        )
+    pairings = [sum(map(mul, ints, col)) for col in zip(*rows)]
+    return len(ints) == len(rows) and max(pairings, default=0) > 0 and min(pairings) >= 0
+
+
+def _decide(rows, interned: dict) -> tuple[bool, PositiveCombination | SemipositiveWitness]:
+    """The strict alternative for the columns of the integer ``rows``, as
+    the pair (is the outcome a positive combination, the outcome).
+
+    Every column set is answered, the empty one too: ``zip`` hands it over
+    as no rows, and its answer is the empty positive combination, lambda =
+    () over 1, without the simplex.  Every outcome must pass
+    ``_certifies``, else ``InternalError`` is raised.
+
+    ``interned`` is a dict, which the caller creates, that shares equal
+    outcomes: each is keyed by its kind and integers, ``(True, (*numerators,
+    denominator))`` or ``(False, vector)``.  Each distinct outcome is built
+    once, and an equal one later comes back as the same pair.
+    """
+    feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows]) if rows else (True, [], 1)
     if feasible:
-        lam = [den + x for x in nums]  # lambda = 1 + x = lam / den
-        if min(nums) < 0 or any(sum(map(mul, row, lam)) for row in rows):
+        ints = [den + x for x in nums]  # lambda = 1 + x = (den + x) / den
+        ints.append(den)
+    else:
+        ints = [-y for y in nums]  # the witness is -y
+    ints = _primitive(tuple(ints))
+    if not _certifies(rows, feasible, ints):
+        if feasible:
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
-        g = math.gcd(den, *lam)
-        if g != 1:
-            lam, den = [x // g for x in lam], den // g
-        key = (*lam, den)
-        answer = combinations.get(key)
-        if answer is None:
-            answer = combinations[key] = (True, PositiveCombination._make(tuple(lam), den))
-        return answer
-    v = _primitive(tuple([-x for x in nums]))
-    pairings = [sum(map(mul, v, col)) for col in zip(*rows)]
-    if min(pairings) < 0 or max(pairings) <= 0:
-        raise InternalError(f"phase one returned {v}, which pairs with the columns as {pairings}")
-    answer = witnesses.get(v)
+        pairings = [sum(map(mul, ints, col)) for col in zip(*rows)]
+        raise InternalError(f"phase one returned {ints}, which pairs with the columns as {pairings}")
+    key = (feasible, ints)
+    answer = interned.get(key)
     if answer is None:
-        answer = witnesses[v] = (False, SemipositiveWitness._make(v))
+        cert = PositiveCombination._make(ints[:-1], ints[-1]) if feasible else SemipositiveWitness._make(ints)
+        answer = interned[key] = (feasible, cert)
     return answer
 
 
@@ -502,6 +531,12 @@ def _phase_one(a_rows, rhs):
     A pivot on (l, e) keeps row l and maps every other row x of T and z to
     (x*piv - x[e]*T[l]) // den, then sets den = piv; each division is exact,
     and den > 0 because the ratio test only picks piv > 0.
+
+    The ratio test always finds a row.  The objective is the sum of the
+    artificials, all of them >= 0, so it is bounded below by 0.  A column
+    with a negative reduced cost and no positive entry would be a ray along
+    which the objective falls without bound; so the entering column has a
+    positive entry, and phase one is never unbounded.
 
     Returns (True, X, den) with x = X / den feasible, else (False, Y, den)
     with y = Y / den satisfying y^T A <= 0 and y^T b > 0 (a Farkas witness
@@ -542,8 +577,7 @@ def _phase_one(a_rows, rhs):
                 if a > b or (a == b and basis[i] > basis[leave]):
                     continue
             leave, best_r, best_rhs = i, r, row[-1]
-        if leave < 0:  # phase one is bounded below by zero
-            raise InternalError("unbounded phase-one objective")
+        # some row has r > 0, as phase one is bounded below by zero
         prow = tab[leave]
         piv = best_r
         for i, row in enumerate(tab):

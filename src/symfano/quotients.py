@@ -3,8 +3,9 @@ refinement fan of a toric quotient.
 
 A point is polystable (closed orbit) exactly when the active weight columns
 admit a strictly positive balancing; otherwise a one-parameter subgroup whose
-limit leaves the orbit is produced.  Both certificates verify by plain
-integer arithmetic against the weight matrix.
+limit leaves the orbit is produced.  This module hands the support's weight
+columns to ``exact``, which decides the alternative and checks either
+certificate by plain integer arithmetic, in one predicate for both.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .exact import (
     PositiveCombination,
     Record,
     SemipositiveWitness,
+    _certifies,
     _decide,
     smith_normal_form,
 )
@@ -71,34 +73,30 @@ def _normalize_support(weight_matrix: WeightMatrix, support) -> tuple[str, ...]:
 def is_polystable(weight_matrix: WeightMatrix, support) -> tuple[bool, StabilityCert]:
     """Decide orbit-closedness for a point with the given active coordinates.
 
-    The empty support is the origin, a fixed point with a closed orbit.
+    The empty support is the origin, a fixed point with a closed orbit: its
+    certificate is the empty positive combination.
     """
-    support = _normalize_support(weight_matrix, support)
-    if not support:
-        return True, PositiveCombination(())
     # the entries were checked when ``weight_matrix.weights`` was built
-    return _decide(tuple(zip(*(weight_matrix.column(l) for l in support))), ({}, {}))
+    return _decide(_rows(weight_matrix, support), {})
+
+
+def _rows(weight_matrix: WeightMatrix, support) -> tuple[tuple[int, ...], ...]:
+    """The rows of the support's weight columns, in coordinate order; no rows for the empty support."""
+    return tuple(zip(*(weight_matrix.column(l) for l in _normalize_support(weight_matrix, support))))
 
 
 def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityCert) -> bool:
-    """Independent exact check of either certificate against the weight columns."""
-    support = _normalize_support(weight_matrix, support)
-    cols = [weight_matrix.column(l) for l in support]
-    if isinstance(cert, PositiveCombination):
-        # lambda_i = numerators[i] / denominator with denominator > 0
-        lam = cert.numerators
-        if len(lam) != len(cols) or any(c <= 0 for c in lam):
-            return False
-        return all(
-            sum(c * col[i] for c, col in zip(lam, cols)) == 0
-            for i in range(weight_matrix.torus_rank)
-        )
-    if isinstance(cert, Destabilizer):
-        if not support:
-            return False
-        pairings = [sum(a * b for a, b in zip(cert.vector, col)) for col in cols]
-        return all(p >= 0 for p in pairings) and any(p > 0 for p in pairings)
-    return False
+    """Exact check of either certificate against the support's weight columns.
+
+    It is ``exact._certifies``, the check that every decision of
+    ``is_polystable`` and ``polystable_locus`` has passed before it is
+    returned; anything but the two certificate types is rejected.
+    """
+    rows = _rows(weight_matrix, support)
+    polystable = isinstance(cert, PositiveCombination)
+    if not polystable and not isinstance(cert, Destabilizer):
+        return False
+    return _certifies(rows, polystable, (*cert.numerators, cert.denominator) if polystable else cert.vector)
 
 
 def polystable_locus(weight_matrix: WeightMatrix):
@@ -131,9 +129,9 @@ def polystable_locus(weight_matrix: WeightMatrix):
         [((labels[j],), (columns[j],), classes.index(columns[j]) + 1, j + 1) for j in reverse_by_label if j >= start]
         for start in range(n + 1)
     ]
-    decided = {0: (True, PositiveCombination(()))}
-    # each distinct answer, keyed by the integers of its certificate
-    interned = ({}, {})
+    decided = {}
+    # each distinct answer, keyed by its kind and the integers of its certificate
+    interned = {}
     rows = []
     # a support, its weight columns in coordinate order, their key and the
     # first coordinate that may extend it

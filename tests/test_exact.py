@@ -401,20 +401,43 @@ def test_internal_check_survives_python_O():
         from symfano.errors import InternalError
 
         wrong = {
-            "point": lambda rows, rhs: (True, [0] * len(rows[0]), 1),
-            "witness": lambda rows, rhs: (False, [1] * len(rows), 1),
+            "point": ([[-2, 1], [1, -2]], (True, [0, 0], 1)),
+            "witness": ([[-1, 1], [1, -1]], (False, [1, 1], 1)),
             # x = (-1, -1) solves w x = -w 1, so only its sign is wrong
-            "negative": lambda rows, rhs: (True, [-1, -1], 1),
+            "negative": ([[1, -1]], (True, [-1, -1], 1)),
+            # the witness (1, 0) pairs as (-2, 1): positive with one column only
+            "mixed": ([[-2, 1], [1, -2]], (False, [-1, 0], 1)),
         }
-        for name, matrix in (("point", [[-2, 1], [1, -2]]), ("witness", [[-1, 1], [1, -1]]), ("negative", [[1, -1]])):
-            exact._phase_one = wrong[name]
+        for name, (matrix, answer) in wrong.items():
+            exact._phase_one = lambda rows, rhs: answer
             try:
                 exact.solve_positive_combination(exact.IntMatrix(matrix))
-            except InternalError:
-                print(name, "InternalError", sys.flags.optimize)
+            except InternalError as exc:
+                print(name, sys.flags.optimize, exc, sep=": ")
         """
     )
     src = str(Path(exact.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["point InternalError 1", "witness InternalError 1", "negative InternalError 1"]
+    assert out.stdout.splitlines() == [
+        "point: 1: phase one returned [0, 0]/1, not a point of w x = -w 1, x >= 0",
+        "witness: 1: phase one returned (-1, -1), which pairs with the columns as [0, 0]",
+        "negative: 1: phase one returned [-1, -1]/1, not a point of w x = -w 1, x >= 0",
+        "mixed: 1: phase one returned (1, 0), which pairs with the columns as [-2, 1]",
+    ]
+
+
+def test_decide_answers_no_columns_and_shares_both_kinds_in_one_dict(monkeypatch):
+    # the witness (1, 1) and lambda = (1,) over 1 have the same integers
+    interned = {}
+    combination = exact._decide(((0,),), interned)
+    witness = exact._decide(((2, -1), (-1, 2)), interned)
+    assert combination == (True, PositiveCombination((1,)))
+    assert witness == (False, SemipositiveWitness((1, 1)))
+    assert exact._decide(((0,),), interned) is combination
+    assert exact._decide(((2, -1), (-1, 2)), interned) is witness
+    assert len(interned) == 2
+    # no rows, which is how ``zip`` hands over no columns: the empty
+    # combination, without the simplex
+    monkeypatch.setattr(exact, "_phase_one", None)
+    assert exact._decide((), {}) == (True, PositiveCombination(()))

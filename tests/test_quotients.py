@@ -17,7 +17,7 @@ from symfano.quotients import (
     verify_stability_cert,
 )
 from symfano.rationals import rat
-from symfano.schemas import load_chow
+from symfano.schemas import fixture_path, load_chow, load_weights, read_json
 
 HYP = WeightMatrix(("alpha", "beta", "gamma"), IntMatrix([[-2, 1, 1], [1, -2, 1]]))
 BLOW = WeightMatrix(("alpha", "beta", "gamma", "delta"), IntMatrix([[-1, 1, -1, 1], [1, -1, -1, 1]]))
@@ -301,6 +301,27 @@ def test_verify_stability_cert_rejects_bad_certificates():
     assert not verify_stability_cert(HYP, (), Destabilizer((1, 0)))
     for cert in ("not a certificate", None, (1, 1, 1)):
         assert verify_stability_cert(HYP, cols, cert) is False
+
+
+def test_verify_stability_cert_rejects_what_each_clause_alone_rejects():
+    """Each certificate here fails one clause of the check and would pass
+    the others, so each clause has a certificate that only it rejects."""
+    weights, _ = load_weights(read_json(fixture_path("hyp12-deform.json")))
+    halves = WeightMatrix(("a", "b"), IntMatrix([[1, -2]]))
+    # one entry too few, and one too many: cut to the shorter vector by
+    # ``zip``, each pairs as (1, 1) with the two columns
+    assert not verify_stability_cert(weights, ("beta", "gamma"), Destabilizer((1,)))
+    assert not verify_stability_cert(weights, ("alpha", "beta"), Destabilizer((-1, -1, 5)))
+    # pairs as (-2, 1): positive with one column, negative with the other
+    assert not verify_stability_cert(weights, ("alpha", "beta"), Destabilizer((1, 0)))
+    # three coefficients for two columns, whose first two balance them
+    assert not verify_stability_cert(halves, ("a", "b"), PositiveCombination((2, 1, 7)))
+    # a negative denominator makes every lambda_i negative
+    assert not verify_stability_cert(halves, ("a", "b"), PositiveCombination._make((2, 1), -1))
+    assert verify_stability_cert(halves, ("a", "b"), PositiveCombination((2, 1)))
+    assert verify_stability_cert(weights, ("alpha", "beta"), Destabilizer((-1, -1)))
+    for support, _, cert in polystable_locus(weights):
+        assert verify_stability_cert(weights, support, cert)
 
 
 def test_chow_not_surjective():

@@ -198,3 +198,49 @@ def test_selftest_run_as_a_module_imports_cli_once():
         "subject: selftest(seed=0, cases=1)",
         *(f"  {name}: pass" for name, _ in SUITES),
     ]
+
+
+def _functions_raising_internal_error(path: Path) -> list[ast.FunctionDef]:
+    """The innermost function around each ``raise InternalError`` in ``path``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc) == "InternalError":
+                    found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return found
+
+
+def test_every_internal_check_has_a_listed_mutant():
+    # ``python tests/run_mutants.py`` shows that each listed mutant is killed;
+    # this rule keeps the list in step with the source it mutates
+    from mutants import MUTANTS
+
+    root = PACKAGE.parent.parent
+    spans = {}
+    for m in MUTANTS:
+        text = (root / m.file).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1, (m.file, m.old)
+        first = text[: text.index(m.old)].count("\n") + 1
+        spans.setdefault(m.file, []).append((first, first + m.old.rstrip("\n").count("\n")))
+        for test in m.tests:
+            file, name = test.split("::")
+            tree = ast.parse((root / file).read_text(encoding="utf-8"))
+            assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test
+    unlisted = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        file = str(path.relative_to(root))
+        for function in _functions_raising_internal_error(path):
+            if function is None or not any(
+                function.lineno <= first and last <= function.end_lineno for first, last in spans.get(file, ())
+            ):
+                unlisted.append(f"{file}:{getattr(function, 'name', '<module>')}")
+    assert unlisted == []
