@@ -545,18 +545,20 @@ GROUPS = {
     "lattice": "character lattice commands",
 }
 
-# (words, help, handler) per leaf command, in ``--help`` order; ``selftest``
-# has no handler: it reads no file and builds its own report
+# (words, help, handler, options) per leaf command, in ``--help`` order; options
+# maps each option but ``--json`` to (type, default, help), a default of None
+# marking it required.  ``selftest`` reads no FILE and has no handler.
 COMMANDS = (
-    (("tvar", "check"), "full verdict pipeline for a variety file", _tvar_check),
-    (("lct",), "equivariant threshold of a marked pair file", _lct),
-    (("valuable",), "invariant log canonicity test for a pair file", _valuable),
-    (("git", "polystable"), "verdict for one support", _git_polystable),
-    (("git", "locus"), "verdicts for every support subset", _git_locus),
-    (("chow",), "refinement fan of the projected maximal cones", _chow),
-    (("lattice", "symmetric"), "fixed sublattice and symmetry test", _lattice_symmetric),
-    (("validate",), "schema diagnostics, no computation", _validate),
-    (("selftest",), "seeded randomized property suites", None),
+    (("tvar", "check"), "full verdict pipeline for a variety file", _tvar_check, {}),
+    (("lct",), "equivariant threshold of a marked pair file", _lct, {}),
+    (("valuable",), "invariant log canonicity test for a pair file", _valuable, {}),
+    (("git", "polystable"), "verdict for one support", _git_polystable,
+     {"support": (str, None, "comma-separated labels (empty for the origin)")}),
+    (("git", "locus"), "verdicts for every support subset", _git_locus, {}),
+    (("chow",), "refinement fan of the projected maximal cones", _chow, {}),
+    (("lattice", "symmetric"), "fixed sublattice and symmetry test", _lattice_symmetric, {}),
+    (("validate",), "schema diagnostics, no computation", _validate, {}),
+    (("selftest",), "seeded randomized property suites", None, {"seed": (int, 0, None), "cases": (int, 200, None)}),
 )
 
 
@@ -569,18 +571,15 @@ def build_parser():
         description="Exact existence certificates for complexity-one torus varieties.",
     )
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    for words, help_text, handler in COMMANDS:
+    for words, help_text, handler, options in COMMANDS:
         if words[:-1] not in subparsers:
             group = subparsers[()].add_parser(words[0], help=GROUPS[words[0]])
             subparsers[words[:-1]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
         leaf = subparsers[words[:-1]].add_parser(words[-1], help=help_text)
-        if handler is None:
-            leaf.add_argument("--seed", type=int, default=0)
-            leaf.add_argument("--cases", type=int, default=200)
-        else:
+        if handler is not None:
             leaf.add_argument("file")
-        if handler is _git_polystable:
-            leaf.add_argument("--support", required=True, help="comma-separated labels (empty for the origin)")
+        for name, (kind, default, option_help) in options.items():
+            leaf.add_argument(f"--{name}", type=kind, default=default, required=default is None, help=option_help)
         leaf.add_argument("--json", action="store_true", help="machine-readable report")
         leaf.set_defaults(handler=handler)
     return parser
@@ -588,30 +587,31 @@ def build_parser():
 
 def _read_argv(argv: list[str]):
     """The arguments of ``argv`` when it has one of the forms the module
-    docstring lists, else None.  A FILE or value that starts with ``-``, an
-    option written with ``=`` or abbreviated, ``--help``, and a missing or
-    second FILE are all left to argparse."""
-    for words, _, handler in COMMANDS:
+    docstring lists, else None, with each option's default and conversion
+    taken from the command's ``COMMANDS`` entry.  A FILE or value that starts
+    with ``-``, an option written with ``=`` or abbreviated, ``--help``, and a
+    missing or second FILE are all left to argparse."""
+    for words, _, handler, options in COMMANDS:
         if tuple(argv[: len(words)]) == words:
             break
     else:
         return None
     # each argument with its default; None marks a required one
-    fields = {"seed": 0, "cases": 200} if handler is None else {"file": None}
-    if handler is _git_polystable:
-        fields["support"] = None
+    fields = {name: default for name, (_, default, _) in options.items()}
+    if handler is not None:
+        fields["file"] = None
     as_json = False
     rest = iter(argv[len(words) :])
     for token in rest:
         name = token[2:]
         if token == "--json":
             as_json = True
-        elif token.startswith("--") and name in fields and name != "file":
+        elif token.startswith("--") and name in options:
             value = next(rest, "-")
             if value.startswith("-"):
                 return None
             try:
-                fields[name] = value if name == "support" else int(value)
+                fields[name] = options[name][0](value)
             except ValueError:
                 return None
         elif token.startswith("-") or fields.get("file", "") is not None:

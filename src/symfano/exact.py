@@ -205,6 +205,15 @@ class ProjPoint(Record):
         return ratio_str(*a) + ("" if term.startswith("-") else "+") + term
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; InputError on an entry whose type is not exactly int, a bool among them."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise InputError(f"{what} entry {x!r} is not an int")
+    return values
+
+
 class IntMatrix(Record):
     """Immutable rectangular matrix of arbitrary-precision integers.
 
@@ -216,11 +225,7 @@ class IntMatrix(Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        for row in entries:
-            for x in row:
-                if type(x) is not int:
-                    raise InputError(f"matrix entry {x!r} is not an int")
+        entries = tuple(_int_tuple(row, "matrix") for row in entries)
         cols = len(entries[0]) if entries else 0
         if any(len(row) != cols for row in entries):
             raise InputError("ragged matrix")
@@ -444,6 +449,9 @@ class SemipositiveWitness(Record):
 
     __slots__ = _fields = ("vector",)
 
+    def __init__(self, vector):
+        super().__init__(_int_tuple(vector, "witness"))
+
 
 def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:
     """Decide the strict alternative for the columns w_1..w_n of ``w``.
@@ -583,15 +591,9 @@ def _phase_one(a_rows, rhs):
         for i, row in enumerate(tab):
             if i != leave:
                 f = row[enter]
-                if den == 1:
-                    tab[i] = [x * piv - f * p for x, p in zip(row, prow)]
-                else:
-                    tab[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
+                tab[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
         f = z[enter]
-        if den == 1:
-            z = [x * piv - f * p for x, p in zip(z, prow)]
-        else:
-            z = [(x * piv - f * p) // den for x, p in zip(z, prow)]
+        z = [(x * piv - f * p) // den for x, p in zip(z, prow)]
         den = piv
         basis[leave] = enter
 

@@ -30,7 +30,7 @@ import operator
 from functools import cache, cached_property, reduce
 
 from .errors import InputError, InternalError
-from .exact import IntMatrix, Record, _primitive
+from .exact import IntMatrix, Record, _int_tuple, _primitive
 
 
 def _dot(u, v):
@@ -152,15 +152,9 @@ def _dedupe(vectors) -> list[tuple[int, ...]]:
 
 def _int_vectors(rank: int, vectors, what: str) -> list[tuple[int, ...]]:
     """The vectors as int tuples of length ``rank``; anything else is an input error."""
-    out = []
-    for v in vectors:
-        v = tuple(v)
-        if len(v) != rank:
-            raise InputError(f"{what} has the wrong length")
-        for x in v:
-            if type(x) is not int:
-                raise InputError(f"{what} entry {x!r} is not an int")
-        out.append(v)
+    out = [_int_tuple(v, what) for v in vectors]
+    if any(len(v) != rank for v in out):
+        raise InputError(f"{what} has the wrong length")
     return out
 
 

@@ -5,7 +5,8 @@ A point is polystable (closed orbit) exactly when the active weight columns
 admit a strictly positive balancing; otherwise a one-parameter subgroup whose
 limit leaves the orbit is produced.  This module hands the support's weight
 columns to ``exact``, which decides the alternative and checks either
-certificate by plain integer arithmetic, in one predicate for both.
+certificate by plain integer arithmetic, in one predicate for both.  Only
+the functions that build cones import ``polyhedral``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .exact import (
     _decide,
     smith_normal_form,
 )
-from .polyhedral import Cone, Fan, common_refinement, dual_cone, image_cone
 
 LOCUS_COORDINATE_CAP = 20
 
@@ -151,6 +151,8 @@ def polystable_locus(weight_matrix: WeightMatrix):
 def destabilizer_candidates(weight_matrix: WeightMatrix, support) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the dual of the active-weight cone: a finite exhaustive
     candidate set for one-parameter subgroups (used as the independent oracle)."""
+    from .polyhedral import Cone, dual_cone
+
     support = _normalize_support(weight_matrix, support)
     cone = Cone(weight_matrix.torus_rank, [weight_matrix.column(l) for l in support])
     return dual_cone(cone).rays
@@ -178,6 +180,8 @@ def chow_quotient_fan(fan: Fan, projection: IntMatrix) -> tuple[Fan, tuple[Cone,
     The projection must be onto the target lattice (all invariant factors 1).
     Each maximal cone is mapped once.
     """
+    from .polyhedral import common_refinement, image_cone
+
     if projection.cols != fan.ambient_rank:
         raise InputError("projection columns must match the fan's ambient rank")
     _, d, _ = smith_normal_form(projection)

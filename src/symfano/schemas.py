@@ -12,8 +12,9 @@ schema shape (Moebius determinant, unimodularity, invariance) live in the
 public constructors of the domain types.  Each loader imports its own domain
 types, so validation loads no subject module.
 
-Formats (rationals are ``"p/q"`` strings or bare integers; points are
-``[x, y]`` homogeneous pairs):
+Formats, in the order of ``_KINDS``, the one table of each format's key and
+check: a document is of the first format whose key it has.  Rationals are
+``"p/q"`` strings or bare integers; points are ``[x, y]`` homogeneous pairs.
 
 * variety     -- name, dim, fano, log_terminal, fibers: [{point, divisors:
                  [{name, order}]}], horizontal: [names], symmetry:
@@ -47,20 +48,6 @@ def read_json(path) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be an object")
     return data
-
-
-def detect_kind(data: dict) -> str:
-    if "fibers" in data:
-        return "variety"
-    if "points" in data:
-        return "pair"
-    if "weights" in data:
-        return "weights"
-    if "fan" in data:
-        return "chow"
-    if "generators" in data:
-        return "lattice"
-    raise InputError("unrecognized file format (no fibers/points/weights/fan/generators key)")
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +304,37 @@ def _validate_lattice(data: dict, out: list):
             _check_matrix(g, f"generators[{i}]", out, square=rank)
 
 
-_VALIDATORS = {
-    "variety": _validate_variety,
-    "pair": _validate_pair,
-    "weights": _validate_weights,
-    "chow": _validate_chow,
-    "lattice": _validate_lattice,
-}
+# (key, kind, check) per document kind, in the order they are tried
+_KINDS = (
+    ("fibers", "variety", _validate_variety),
+    ("points", "pair", _validate_pair),
+    ("weights", "weights", _validate_weights),
+    ("fan", "chow", _validate_chow),
+    ("generators", "lattice", _validate_lattice),
+)
+
+
+def _kind_of(data: dict):
+    """The ``_KINDS`` entry of ``data``; InputError when it has none."""
+    for entry in _KINDS:
+        if entry[0] in data:
+            return entry
+    raise InputError(f"unrecognized file format (no {'/'.join(key for key, _, _ in _KINDS)} key)")
+
+
+def detect_kind(data: dict) -> str:
+    return _kind_of(data)[1]
 
 
 def _check_document(data: dict) -> tuple[str | None, list[str], object]:
     """The kind of ``data`` (None when unrecognized), its structural problems
-    and what its validator parsed (None for a kind with nothing to parse)."""
+    and what its check parsed (None for a kind with nothing to parse)."""
     try:
-        kind = detect_kind(data)
+        _, kind, check = _kind_of(data)
     except InputError as exc:
         return None, [str(exc)], None
     out: list[str] = []
-    parsed = _VALIDATORS[kind](data, out)
-    return kind, out, parsed
+    return kind, out, check(data, out)
 
 
 def validate_data(data: dict) -> list[str]:

@@ -265,15 +265,8 @@ def reference_locus_report(document, rows):
     polystable_supports = []
     for support, verdict, cert in rows:
         if verdict:
-            den = cert.denominator
-            certificate = {
-                "type": "positive-combination",
-                "coefficients": [rationals.ratio_str(n, den) for n in cert.numerators],
-            }
             polystable_supports.append(list(support))
-        else:
-            certificate = {"type": "destabilizer", "one_parameter_subgroup": list(cert.vector)}
-        report.add(f"support {{{', '.join(support) or 'empty'}}}", verdict, certificate=certificate)
+        report.add(f"support {{{', '.join(support) or 'empty'}}}", verdict, certificate=certificate_dict(verdict, cert))
         if claimed is not None:
             said = not support or any(set(piece) <= set(support) for piece in claimed)
             if said != verdict:
@@ -1027,11 +1020,11 @@ def test_marked_permutation_holds_only_ints(tmp_path, capsys, argv, permutation)
 
 
 def test_chow_maps_each_maximal_cone_once(tmp_path, monkeypatch, capsys):
-    from symfano import quotients
+    from symfano import polyhedral
 
     calls = []
-    image_cone = quotients.image_cone
-    monkeypatch.setattr(quotients, "image_cone", lambda cone, p: calls.append(cone) or image_cone(cone, p))
+    image_cone = polyhedral.image_cone
+    monkeypatch.setattr(polyhedral, "image_cone", lambda cone, p: calls.append(cone) or image_cone(cone, p))
     flat = tmp_path / "chow.json"
     flat.write_text(json.dumps(make_corpus.THREE_CONES_ONE_FLAT))
     for path in (fixture("p2-chow.json"), fixture("p1xp1-chow.json"), str(flat)):

@@ -3,12 +3,10 @@ the command lines the table reads without argparse, and the modules each
 command loads."""
 
 import json
-import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import make_corpus
 import pytest
@@ -139,19 +137,12 @@ def _argv(command):
     return [str(fixture_path(a)) if a.endswith(".json") else a for a in command]
 
 
-def _env() -> dict:
-    """The environment of a fresh interpreter that imports the package from
-    this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def _python(env, *argv):
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True)
 
 
-def _python(*argv):
-    return subprocess.run([sys.executable, *argv], env=_env(), capture_output=True)
-
-
-def test_shared_parser_leaks_no_state_between_runs(capsys):
-    alone = [_python("-m", "symfano.cli", *_argv(c)) for c in SEQUENCE]
+def test_shared_parser_leaks_no_state_between_runs(capsys, fresh_env):
+    alone = [_python(fresh_env, "-m", "symfano.cli", *_argv(c)) for c in SEQUENCE]
     expected = [(p.returncode, p.stdout.decode("utf-8")) for p in alone]
     assert [code for code, _ in expected] == [0, 0, 0, 0]
     for order in (SEQUENCE, SEQUENCE[::-1]):
@@ -174,33 +165,44 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
+# checking a document computes nothing, so ``validate`` loads no subject
+# module; the stability commands load no polyhedral code, and a pair
+# command none of a variety's
 BASE = {"symfano", "cli", "errors", "rationals", "schemas"}
-LOCUS = BASE | {"exact", "polyhedral", "quotients"}
+GIT = BASE | {"exact", "quotients"}
 GROUPS = BASE | {"exact", "groups"}
 PAIR = GROUPS | {"curvepair"}
 LOADS = {
     "validate quadric.json": BASE,
-    "git locus hyp12-deform.json": LOCUS,
-    "chow p2-chow.json": LOCUS,
+    "validate pair-involution.json": BASE,
+    "validate p2-chow.json": BASE,
+    "validate hyp12-deform.json": BASE,
+    "git polystable hyp12-deform.json --support alpha,beta": GIT,
+    "git locus hyp12-deform.json": GIT,
+    "chow p2-chow.json": GIT | {"polyhedral"},
     "lattice symmetric lattice-rotation.json": GROUPS,
     "lct pair-involution.json": PAIR,
+    "lct pair-triangle.json": PAIR,
     "tvar check bidegree12.json": PAIR | {"tvariety"},
-    "validate hyp12-deform.json": BASE,
 }
 # the commands that compute in integers alone, and the modules that loading
-# ``fractions`` brings
+# ``fractions`` brings; the schema check keeps every rational as an int pair
 INTEGER_COMMANDS = {
+    "validate quadric.json",
+    "validate pair-involution.json",
+    "validate p2-chow.json",
+    "validate hyp12-deform.json",
+    "git polystable hyp12-deform.json --support alpha,beta",
     "git locus hyp12-deform.json",
     "chow p2-chow.json",
     "lattice symmetric lattice-rotation.json",
-    "validate hyp12-deform.json",
 }
 FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
 @pytest.mark.parametrize("command", LOADS)
-def test_command_loads_only_the_modules_it_computes_with(command):
-    code, loaded = json.loads(_python("-c", LOADED_BY, *_argv(command.split())).stdout)
+def test_command_loads_only_the_modules_it_computes_with(command, fresh_env):
+    code, loaded = json.loads(_python(fresh_env, "-c", LOADED_BY, *_argv(command.split())).stdout)
     assert code == 0
     assert {m.removeprefix("symfano.") for m in loaded if m.split(".")[0] == "symfano"} == LOADS[command]
     assert {"dataclasses", "inspect", "argparse", "gettext", "locale"}.isdisjoint(loaded)
@@ -208,12 +210,12 @@ def test_command_loads_only_the_modules_it_computes_with(command):
         assert FRACTIONS.isdisjoint(loaded)
 
 
-def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used():
+def test_import_symfano_loads_a_submodule_when_one_of_its_names_is_first_used(fresh_env):
     code = (
         "import json, sys; loaded = lambda: sorted(m for m in sys.modules if m.startswith('symfano'));"
         " import symfano; first = loaded(); symfano.rat; print(json.dumps([first, loaded()]))"
     )
-    assert json.loads(_python("-c", code).stdout) == [
+    assert json.loads(_python(fresh_env, "-c", code).stdout) == [
         ["symfano"],
         ["symfano", "symfano.errors", "symfano.rationals"],
     ]
@@ -226,25 +228,25 @@ def test_the_table_reads_every_documented_command_line():
 
 
 ARGUMENT_FIELDS = ("handler", "file", "json", "support", "seed", "cases")
-WORDS = sorted({word for words, _, _ in cli.COMMANDS for word in words})
+WORDS = sorted({word for words, *_ in cli.COMMANDS for word in words})
 TOKENS = [
     *WORDS, "a.json", "b.json", "x0,x1", "3", "12", "--json", "--support", "--support=a",
     "--seed", "--cases", "-1", "", "--js", "-h", "--", "-",
 ]
+#: the values an option of each type is given
+VALUES = {int: ["3", "12"], str: ["x0,x1", ""]}
 
 
 def _generated_argvs(rng: random.Random, count: int):
     """Command lines near the documented forms: a command's words (or all but
-    the last), some of its arguments in a random order, and then up to three
-    tokens of ``TOKENS`` put in or tokens dropped."""
+    the last), some of its arguments (its FILE, the options of its
+    ``COMMANDS`` entry and ``--json``) in a random order, and then up to
+    three tokens of ``TOKENS`` put in or tokens dropped."""
     for _ in range(count):
-        words, _, handler = rng.choice(cli.COMMANDS)
-        if handler is None:
-            groups = [["--seed", rng.choice(["3", "12"])], ["--cases", rng.choice(["3", "12"])], ["--json"]]
-        else:
-            groups = [[rng.choice(["a.json", "b.json"])], ["--json"]]
-            if handler is cli._git_polystable:
-                groups.append(["--support", rng.choice(["x0,x1", ""])])
+        words, _, handler, options = rng.choice(cli.COMMANDS)
+        groups = [] if handler is None else [[rng.choice(["a.json", "b.json"])]]
+        groups += [[f"--{name}", rng.choice(VALUES[kind])] for name, (kind, _, _) in options.items()]
+        groups.append(["--json"])
         argv = [t for group in rng.sample(groups, rng.randrange(len(groups) + 1)) for t in group]
         for _ in range(rng.randrange(4)):
             if argv and rng.random() < 0.3:
@@ -271,7 +273,7 @@ def test_the_table_reads_a_command_line_as_argparse_does(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path, fresh_env):
     # 2^11 verdicts: a report far larger than the pipe's buffer
     n = 11
     document = tmp_path / "wide.json"
@@ -281,7 +283,7 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
         "weights": [[i % 5 - 2 for i in range(n)], [(3 * i + 1) % 5 - 2 for i in range(n)]],
     }))
     command = [sys.executable, "-m", "symfano.cli", "git", "locus", str(document), "--json"]
-    with subprocess.Popen(command, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(command, env=fresh_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "report_version": 1,\n']
         proc.stdout.close()  # as ``| head -2`` does
         err = proc.stderr.read()

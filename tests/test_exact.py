@@ -1,10 +1,8 @@
 import math
-import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -393,7 +391,7 @@ def test_phase_one_matches_fraction_reference(rng):
         assert solve_positive_combination(w) == reference_certificate(w), w
 
 
-def test_internal_check_survives_python_O():
+def test_internal_check_survives_python_O(fresh_env):
     script = textwrap.dedent(
         """
         import sys
@@ -416,9 +414,8 @@ def test_internal_check_survives_python_O():
                 print(name, sys.flags.optimize, exc, sep=": ")
         """
     )
-    src = str(Path(exact.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True)
+    command = [sys.executable, "-O", "-c", script]
+    out = subprocess.run(command, env=fresh_env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "point: 1: phase one returned [0, 0]/1, not a point of w x = -w 1, x >= 0",
         "witness: 1: phase one returned (-1, -1), which pairs with the columns as [0, 0]",

@@ -324,6 +324,20 @@ def test_verify_stability_cert_rejects_what_each_clause_alone_rejects():
         assert verify_stability_cert(weights, support, cert)
 
 
+@pytest.mark.parametrize("vector", [(-0.5, -0.5), (True, 0), (1.0,)])
+def test_a_destabilizer_takes_integers_only(vector):
+    # a one-parameter subgroup is an integer vector: without this check the
+    # half-integer (-0.5, -0.5) certified (alpha, beta) of hyp12-deform
+    with pytest.raises(InputError, match="witness entry .* is not an int"):
+        Destabilizer(vector)
+
+
+def test_a_destabilizer_built_from_a_list_is_the_one_built_from_its_tuple():
+    listed, tupled = Destabilizer([-1, -1]), Destabilizer((-1, -1))
+    assert listed.vector == (-1, -1) and listed == tupled and hash(listed) == hash(tupled)
+    assert verify_stability_cert(HYP, ("alpha", "beta"), listed)
+
+
 def test_chow_not_surjective():
     with pytest.raises(NotSurjective):
         chow_quotient_fan(p2_fan(), IntMatrix([[2, 0]]))

@@ -1,15 +1,12 @@
 """Rules on the package source itself."""
 
 import ast
-import json
 import os
 import pkgutil
 import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
-
-import pytest
 
 import symfano
 from symfano.exact import ProjPoint, Record
@@ -152,46 +149,11 @@ def test_every_record_has_a_value_case():
     assert sorted(cls.__qualname__ for cls in records - covered) == []
 
 
-def _env() -> dict[str, str]:
-    """The environment with the package's source first on ``PYTHONPATH``."""
-    src = str(PACKAGE.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
-def _modules_loaded_by(argv: list[str]) -> set[str]:
-    """The package modules, and ``fractions`` if it is loaded, that a fresh
-    interpreter has loaded after one command."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from symfano.cli import run\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    run({argv!r})\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('symfano', 'fractions'))))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True, check=True)
-    return set(json.loads(out.stdout))
-
-
-@pytest.mark.parametrize("fixture", ["pair-involution.json", "quadric.json", "p2-chow.json"])
-def test_validate_loads_no_subject_module(fixture):
-    # checking a document computes nothing, so it imports nothing that computes;
-    # it keeps each rational as an int pair, so it builds no Fraction either
-    loaded = _modules_loaded_by(["validate", str(PACKAGE / "fixtures" / fixture)])
-    assert "fractions" not in loaded
-    assert loaded == {"symfano", "symfano.cli", "symfano.errors", "symfano.rationals", "symfano.schemas"}
-
-
-def test_lct_loads_no_polyhedral_or_variety_module():
-    loaded = _modules_loaded_by(["lct", str(PACKAGE / "fixtures" / "pair-triangle.json")])
-    assert "symfano.groups" in loaded
-    assert loaded.isdisjoint({"symfano.polyhedral", "symfano.quotients", "symfano.tvariety"})
-
-
-def test_selftest_run_as_a_module_imports_cli_once():
+def test_selftest_run_as_a_module_imports_cli_once(fresh_env):
     # under ``python -m symfano.cli`` the module runs as ``__main__``;
     # importing it by name would load a second copy with a second ``Report``
     command = [sys.executable, "-X", "importtime", "-m", "symfano.cli", "selftest", "--cases", "1"]
-    out = subprocess.run(command, env=_env(), capture_output=True, text=True, check=True)
+    out = subprocess.run(command, env=fresh_env, capture_output=True, text=True, check=True)
     imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")]
     assert "symfano.selftest" in imported and "symfano.cli" not in imported
     assert out.stdout.splitlines() == [
