@@ -11,13 +11,16 @@ split cell costs one cut and an intersection the other cone's halfspaces.
 The double description of a cone's generators gives the dual, whose extreme
 rays are the facet normals.  Dimensions are read off the generators.  Faces
 and face tests read the ray-halfspace incidence from the zero masks that the
-double description keeps, with no further conversion and no dot product per
-ray and halfspace.  Two cones cut out on opposite sides of the same
-hyperplanes meet in a common face when their faces on those hyperplanes
-agree, which the zero masks show with no description of the meet.
+double description keeps, with no further conversion and no dot product: a
+face of a cone is its lineality space and some of its rays, and those rays
+span a face when no other ray's mask holds the AND of theirs.  Two cones cut
+out on opposite sides of the same hyperplanes meet in their faces on those
+hyperplanes, so when one of those faces lies in the other, the meet is the
+smaller one and the zero masks settle it with no description of the meet.
 The refinement splits cells by the facet hyperplanes of the full-dimensional
 inputs one at a time, so it builds only the cells that some input can hold,
-and a merged cell is cut out by the cuts of its two halves.
+a merged cell is cut out by the cuts of its two halves, and each face of
+the cells is built once.
 
 Intended scale is ambient rank <= 4 and a few dozen cones; everything favors
 verifiable exactness over speed.
@@ -162,6 +165,16 @@ def _negatives(vectors):
     return [tuple(map(operator.neg, v)) for v in vectors]
 
 
+def _rays_in(rays, mask: int) -> tuple:
+    """The entries j of ``rays`` with bit j of ``mask`` set."""
+    return tuple(r for j, r in enumerate(rays) if mask >> j & 1)
+
+
+def _same_rank(c1: "Cone", c2: "Cone", verb: str):
+    if c1.ambient_rank != c2.ambient_rank:
+        raise InputError(f"cannot {verb} cones of different ambient rank")
+
+
 class Cone(Record):
     """Convex rational polyhedral cone, possibly containing lines.
 
@@ -254,6 +267,9 @@ class Cone(Record):
         return len(_orthogonal_basis(self.generators))
 
     def contains(self, other: "Cone") -> bool:
+        """Whether ``other`` lies in this cone; cones of different ambient
+        rank are an input error."""
+        _same_rank(self, other, "compare")
         return all(_dot(h, g) >= 0 for g in other.generators for h in self._inequalities)
 
     def __eq__(self, other):
@@ -269,7 +285,11 @@ class Cone(Record):
         return hash((self.ambient_rank, self.key()))
 
     def key(self):
-        """Deterministic identity key from the canonical V-form."""
+        """Deterministic identity key from the canonical V-form, computed once."""
+        return self._key
+
+    @cached_property
+    def _key(self):
         lin, rays = self._canonical
         oriented = sorted(min(l, tuple(-x for x in l)) for l in lin)
         return (self.dim, rays, tuple(oriented))
@@ -283,8 +303,15 @@ class Cone(Record):
         """
         return self._dual[1]
 
-    def faces(self) -> list["Cone"]:
-        """Every face, the cone itself and its minimal face included.
+    @cached_property
+    def _ray_masks(self) -> dict[tuple[int, ...], int]:
+        """The zero mask of each extreme ray in the kept description, by ray."""
+        _, rays, masks, _ = self._state
+        return dict(zip(rays, masks))
+
+    def _face_masks(self) -> set[int]:
+        """Every face as the bit mask of its extreme rays among the cone's
+        (bit j for ``rays[j]``), the cone itself and its minimal face included.
 
         A face is the cone's lineality space plus the cone over the extreme
         rays tight on some of the halfspaces that cut the cone out, so the
@@ -292,9 +319,6 @@ class Cone(Record):
         they are read off the ray-halfspace incidence, the zero masks of the
         cone's description (Fukuda-Prodon, *Double description method
         revisited*, 1996), with no double description of a face.
-        Those rays are primitive and orthogonal to the lineality, so they are
-        the face's canonical rays, and the face is cut out by the cone's
-        halfspaces and the negatives of those tight on it.
         """
         _, rays, masks, inequalities = self._state
         # bit j of tight[i] is set when inequalities[i] vanishes on rays[j]
@@ -304,14 +328,31 @@ class Cone(Record):
         while frontier:
             frontier = {face & t for face in frontier for t in tight} - found
             found |= frontier
-        faces = []
-        for f in found - {everything}:
-            face_rays = [r for j, r in enumerate(rays) if f >> j & 1]
-            face = Cone._from_vform(self.ambient_rank, self.lineality_basis, face_rays)
-            equalities = _negatives(h for h, t in zip(inequalities, tight) if t & f == f)
-            face.__dict__["_inequalities"] = (*inequalities, *equalities)
-            faces.append(face)
-        return sorted([self, *faces], key=Cone.key)
+        return found
+
+    def _face(self, face_mask: int) -> "Cone":
+        """The face of the rays in ``face_mask`` (see ``_face_masks``); the
+        cone itself for all of them.
+
+        Those rays are primitive and orthogonal to the lineality, so they are
+        the face's canonical rays, and the face is cut out by the cone's
+        halfspaces and the negatives of those tight on it, the halfspaces in
+        the AND of its rays' zero masks.
+        """
+        _, rays, masks, inequalities = self._state
+        if face_mask == (1 << len(rays)) - 1:
+            return self
+        face_rays = _rays_in(rays, face_mask)
+        tight = reduce(operator.and_, _rays_in(masks, face_mask), -1)
+        face = Cone._from_vform(self.ambient_rank, self.lineality_basis, face_rays)
+        equalities = _negatives(h for i, h in enumerate(inequalities) if tight >> i & 1)
+        face.__dict__["_inequalities"] = (*inequalities, *equalities)
+        return face
+
+    def faces(self) -> list["Cone"]:
+        """Every face, the cone itself and its minimal face included, sorted
+        by key: one ``Cone`` per mask of ``_face_masks``."""
+        return sorted(map(self._face, self._face_masks()), key=Cone.key)
 
     def __repr__(self):
         lin, rays = self._canonical
@@ -330,8 +371,7 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     both halfspace forms: its rays are canonical, and its lineality basis
     depends only on its span (see ``_dd_from_halfspaces``).
     """
-    if c1.ambient_rank != c2.ambient_rank:
-        raise InputError("cannot intersect cones of different ambient rank")
+    _same_rank(c1, c2, "intersect")
     return c1._cut(c2._inequalities)
 
 
@@ -361,21 +401,32 @@ def _is_face_of(cone: Cone, lines: int, rays, tight: int) -> bool:
     return lines == len(lineality) and rays == _tight_rays(cone_rays, masks, tight)
 
 
+def _spans_a_face(cone: Cone, rays) -> bool:
+    """Whether some of the extreme rays of ``cone``, sorted, span a face of
+    it with its lineality space: the halfspaces tight on them are the AND of
+    their zero masks (all of them for no ray)."""
+    tight = reduce(operator.and_, map(cone._ray_masks.__getitem__, rays), -1)
+    return _is_face_of(cone, len(cone.lineality_basis), rays, tight)
+
+
 def is_face(face: Cone, cone: Cone) -> bool:
     """True when ``face`` equals the part of ``cone`` tight on some halfspaces.
 
     Read off the zero masks that the double description of ``cone`` keeps,
-    with no double description of ``face``: a face of ``cone`` lies in it
-    with the same lineality space, and its rays are exactly the rays of
-    ``cone`` whose masks hold every halfspace of ``cone`` tight on ``face``
-    (those tight at the sum of its rays, a point in its relative interior
-    modulo the lineality).
+    with no dot product and no double description of ``face``.  A face of a
+    cone has the cone's lineality space, whose sorted basis is canonical for
+    the span (see ``_dd_from_halfspaces``), and some of its extreme rays, a
+    face of a face being a face (Cox-Little-Schenck, *Toric Varieties*,
+    2011, §1.2).  Such a cone is a face exactly when its rays are the rays of
+    ``cone`` whose masks hold the AND of their masks (``_spans_a_face``).
+    Cones of different ambient rank are an input error.
     """
-    if not cone.contains(face):
-        return False
-    point = [sum(col) for col in zip(*face.rays)] or [0] * cone.ambient_rank
-    tight = sum(1 << i for i, h in enumerate(cone._state[3]) if not _dot(h, point))
-    return _is_face_of(cone, len(face.lineality_basis), face.rays, tight)
+    _same_rank(face, cone, "compare")
+    return (
+        face.lineality_basis == cone.lineality_basis
+        and cone._ray_masks.keys() >= set(face.rays)
+        and _spans_a_face(cone, face.rays)
+    )
 
 
 def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
@@ -384,13 +435,16 @@ def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
     First the separation argument, from the zero masks alone: take the
     halfspaces that ``c1`` processed and whose negatives ``c2`` processed.
     The cones lie on opposite sides of each of those hyperplanes, so their
-    meet lies in all of them, and it is the meet of the face of each cone
-    tight on all of them.  When those two faces are one cone, the meet is
-    that cone, a face of both.  This is the easy half of the separation
-    lemma, which says that two cones meeting in a common face lie on
-    opposite sides of a hyperplane that cuts that face out of each (Fulton,
-    *Introduction to Toric Varieties*, 1993, §1.2; Cox-Little-Schenck,
-    *Toric Varieties*, 2011, Lemma 1.2.13).
+    meet lies in all of them, and it is the meet F1 & F2 of the face of each
+    cone tight on all of them (each cone itself when there is none).  This
+    is the easy half of the separation lemma, which says that two cones
+    meeting in a common face lie on opposite sides of a hyperplane that cuts
+    that face out of each (Fulton, *Introduction to Toric Varieties*, 1993,
+    §1.2; Cox-Little-Schenck, *Toric Varieties*, 2011, Lemma 1.2.13).
+    When the cones have one lineality space and the rays of one of those
+    faces, say F1, are some of the other's, F1 lies in F2, so the meet is
+    F1: a face of ``c1``, and a face of ``c2`` exactly when its rays span one
+    (``_spans_a_face``; F1 = F2 is the case where they agree).
     Otherwise, a T-junction or an overlap for one, the meet is built: its
     description, that of ``c1`` resumed with the halfspaces of ``c2`` and
     built into no ``Cone``, processed the halfspaces of ``c1`` and then those
@@ -407,8 +461,11 @@ def _meets_in_common_face(c1: Cone, c2: Cone) -> bool:
             cut1 |= 1 << i
             cut2 |= opposite[h]
     face1, face2 = _tight_rays(rays1, masks1, cut1), _tight_rays(rays2, masks2, cut2)
-    if c1.lineality_basis == c2.lineality_basis and face1 == face2:
-        return True
+    if c1.lineality_basis == c2.lineality_basis:
+        if set(face2).issuperset(face1):
+            return _spans_a_face(c2, face1)
+        if set(face1).issuperset(face2):
+            return _spans_a_face(c1, face2)
     lineality, rays, masks, _ = _dd_from_halfspaces(c1.ambient_rank, processed2, c1._state)
     tight, n1 = reduce(operator.and_, masks, -1), len(processed1)
     return _is_face_of(c1, len(lineality), rays, tight & ((1 << n1) - 1)) and _is_face_of(
@@ -456,23 +513,14 @@ class Fan(Record):
         cone is a face of a maximal cone.  If faces t1, t2 lie in maximal
         s1, s2, then t1 & t2 is a face of s1 & s2 and so of both.  Both
         checks read the zero masks of the maximal cones' double descriptions
-        (see ``is_face`` and ``_meets_in_common_face``), and both run in full
-        on the cells that ``common_refinement`` gives as maximal cones.  A
-        cone is tested only against the maximal cones with its lineality
-        dimension whose rays hold all of its rays: a face of a cone has the
-        cone's lineality space, and its canonical rays are some of the
-        cone's, so no face is passed over.
+        and take no dot product (see ``is_face`` and
+        ``_meets_in_common_face``), and both run in full on the cells that
+        ``common_refinement`` gives as maximal cones.
         """
         maximal = self.maximal_cones
-        spans = [(len(m.lineality_basis), set(m.rays), m) for m in maximal]
-
-        def is_a_face(c):
-            lines = len(c.lineality_basis)
-            return any(is_face(c, m) for n, rays, m in spans if n == lines and rays.issuperset(c.rays))
-
         if not (
             all(_meets_in_common_face(c1, c2) for c1, c2 in itertools.combinations(maximal, 2))
-            and all(map(is_a_face, self.cones))
+            and all(any(is_face(c, m) for m in maximal) for c in self.cones)
         ):
             raise InputError("cone intersection is not a common face")
 
@@ -499,7 +547,10 @@ def common_refinement(cones) -> Fan:
     is coarser than another.  The cells are closed under faces, and the
     fan's maximal cones are the cells: none lies in another, as a
     full-dimensional face of a cone is the cone itself, and ``validate``
-    checks that every other cone is a face of one.
+    checks that every other cone is a face of one.  The faces are read off
+    each cell as ray masks and deduplicated by lineality basis and rays, both
+    canonical, before any is built, so each is built once; which cell builds
+    it changes no output, as the face tests read only those two.
 
     A merged cell keeps the cuts of its two halves but those along the
     relaxed hyperplane h, and they cut out the union.  Every cut of a cell is
@@ -567,8 +618,11 @@ def common_refinement(cones) -> Fan:
         cells[relaxed] = cells.pop(pattern)
         del cells[twin]
 
-    closed = {face.key(): face for pattern in cells for face in cell_of[pattern].faces()}
-    fan = Fan(rank, tuple(sorted(closed.values(), key=Cone.key)))
+    closed = {}  # (lineality basis, rays) of each face -> a cell and the face's ray mask in it
+    for cell in map(cell_of.__getitem__, cells):
+        for face in cell._face_masks():
+            closed.setdefault((cell.lineality_basis, _rays_in(cell.rays, face)), (cell, face))
+    fan = Fan(rank, tuple(sorted((cell._face(face) for cell, face in closed.values()), key=Cone.key)))
     fan.__dict__["maximal_cones"] = tuple(sorted((cell_of[pattern] for pattern in cells), key=Cone.key))
     try:
         fan.validate()

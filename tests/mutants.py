@@ -24,6 +24,7 @@ EXACT = "src/symfano/exact.py"
 PYTHON_O = "tests/test_exact.py::test_internal_check_survives_python_O"
 BAD_CERTIFICATES = "tests/test_quotients.py::test_verify_stability_cert_rejects_bad_certificates"
 EACH_CLAUSE = "tests/test_quotients.py::test_verify_stability_cert_rejects_what_each_clause_alone_rejects"
+DIAGONAL_SECTION = "tests/test_polyhedral.py::test_a_diagonal_section_is_no_face_and_no_meet"
 
 MUTANTS = (
     # ``exact._decide``: every outcome of the simplex is checked before it is returned
@@ -115,6 +116,21 @@ MUTANTS = (
             "tests/test_polyhedral.py::test_refinement_that_fails_validation_is_an_internal_error",
         ),
         "a merge that accepts every union leaves a T-junction that only validate finds",
+    ),
+    # the two verdicts that the zero masks give without a double description
+    Mutant(
+        "src/symfano/polyhedral.py",
+        "            return _spans_a_face(c2, face1)\n",
+        "            return True\n",
+        (DIAGONAL_SECTION,),
+        "a diagonal section of a cone holds some of its rays but meets it in no face of it",
+    ),
+    Mutant(
+        "src/symfano/polyhedral.py",
+        "            and all(any(is_face(c, m) for m in maximal) for c in self.cones)\n",
+        "            and True\n",
+        (DIAGONAL_SECTION,),
+        "a fan of a cone and a diagonal section of it has one maximal cone, so only the face check sees the section",
     ),
     Mutant(
         "src/symfano/tvariety.py",

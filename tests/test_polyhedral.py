@@ -349,6 +349,23 @@ def test_validate_rejects_a_t_junction_across_an_opposite_cut():
         Fan(3, (sector_below, quadrant_above)).validate()
 
 
+def test_a_diagonal_section_is_no_face_and_no_meet(dd_count):
+    """The rays of ``section`` are two opposite rays of ``pyramid``, so it is
+    a diagonal section of it, inside it with some of its rays but no face of
+    it: the zero masks say so in the smaller-face case of the meet, in
+    ``is_face`` and in the face check of ``validate``."""
+    pyramid = Cone(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    section = Cone(3, [(1, 0, 1), (-1, 0, 1)])
+    assert set(section.rays) < set(pyramid.rays) and pyramid.contains(section)
+    dd_count[:] = [0, 0]
+    assert not polyhedral._meets_in_common_face(pyramid, section)
+    assert not polyhedral._meets_in_common_face(section, pyramid)
+    assert dd_count == [0, 0]
+    assert not is_face(section, pyramid)
+    with pytest.raises(InputError, match="cone intersection is not a common face"):
+        Fan(3, (pyramid, section)).validate()
+
+
 def test_refinement_validate_rejects_the_merge_it_did_not_check(monkeypatch):
     """With every union accepted by the merge, the greedy merge leaves a
     T-junction in the refinement of ``T_JUNCTION``, and the refinement's own
@@ -441,22 +458,24 @@ def test_chow_fixture_double_description_budget(dd_count, capsys, name, budget):
 
 def test_refinement_double_description_budget(dd_count):
     assert len(common_refinement(T_JUNCTION).maximal_cones) == 10
-    assert dd_count == [66, 199]
+    assert dd_count == [50, 122]
 
 
-# Adjacent cells that share a cut meet by the separation argument, with no
-# double description: a change that brings back one per pair fails.
+# Adjacent cells that share a cut meet by the separation argument, and cells
+# that meet in a smaller face than their shared cut by the zero masks of the
+# bigger one, with no double description: a change that brings back one per
+# pair fails.
 def test_refinement_validate_double_description_budget(dd_count):
     fan = common_refinement([Cone(3, cone.generators) for cone in T_JUNCTION])
     dd_count[:] = [0, 0]
     Fan(fan.ambient_rank, fan.cones).validate()
-    assert len(fan.maximal_cones) == 10 and dd_count == [8, 40]
+    assert len(fan.maximal_cones) == 10 and dd_count == [0, 0]
 
 
 def test_flat_input_double_description_budget(dd_count):
     # the flat sector cuts nothing: with its cuts, 14 maximal cells
     assert len(common_refinement(THREE_CONES_ONE_FLAT).maximal_cones) == 6
-    assert dd_count == [38, 96]
+    assert dd_count == [33, 66]
 
 
 @pytest.fixture
@@ -474,13 +493,14 @@ def dot_count(monkeypatch):
 
 
 # Face tests read the zero masks of the double description: a change that
-# brings back a dot product per ray and halfspace fails.  The inputs are
-# built afresh, so no earlier test has computed their descriptions.
+# brings back a dot product per ray and halfspace fails.  The dot products
+# of ``validate`` are those of ``maximal_cones``.  The inputs are built
+# afresh, so no earlier test has computed their descriptions.
 def test_refinement_dot_product_budget(dot_count):
     fan = common_refinement([Cone(3, cone.generators) for cone in T_JUNCTION])
     refined = dot_count[0]
     Fan(fan.ambient_rank, fan.cones).validate()
-    assert [refined, dot_count[0] - refined] == [1875, 2200]
+    assert [refined, dot_count[0] - refined] == [773, 1214]
 
 
 # Cells that no input can hold are neither cut further nor kept, and the
@@ -772,8 +792,13 @@ def test_refinement_that_fails_validation_is_an_internal_error(monkeypatch):
         (lambda: image_cone(Cone(2, [(1, 0)]), IntMatrix([[1, 0, 0]])), "projection has the wrong number of columns"),
         (lambda: common_refinement([]), "need at least one cone"),
         (lambda: common_refinement([Cone(1, [(1,)]), Cone(2, [(1, 0)])]), "mixed ambient ranks"),
+        # without the check, the dot products would cut the longer vectors short
+        (lambda: FIRST_ORTHANT.contains(Cone(3, [(1, 0, 5), (0, 1, -7)])), "cannot compare cones of different ambient rank"),
+        (lambda: Cone(3, [(1, 0, 5), (0, 1, -7)]).contains(FIRST_ORTHANT), "cannot compare cones of different ambient rank"),
+        (lambda: is_face(Cone(3, [(1, 0, 0)]), FIRST_ORTHANT), "cannot compare cones of different ambient rank"),
+        (lambda: intersect(FIRST_ORTHANT, Cone(3, [])), "cannot intersect cones of different ambient rank"),
     ],
-    ids=["image-columns", "no-cones", "mixed-ranks"],
+    ids=["image-columns", "no-cones", "mixed-ranks", "contains-longer", "contains-shorter", "is-face-ranks", "intersect-ranks"],
 )
 def test_polyhedral_input_checks(call, message):
     with pytest.raises(InputError, match=message):
