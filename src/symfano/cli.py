@@ -141,9 +141,6 @@ class Verdict:
         self.route = route
         self.certificate = certificate
 
-    def _dicts(self):
-        return (dict(vars(self)),)
-
     def _texts(self, as_json: bool):
         # the verdict's certificate, claim, route and value written for the report
         if as_json:
@@ -176,15 +173,6 @@ class StabilityVerdicts:
 
     def __init__(self, rows):
         self.rows = rows
-
-    def _dicts(self):
-        dicts = [
-            {"claim": _support_claim(support), "value": polystable, "route": None, "certificate": _cert_dict(polystable, cert)}
-            for support, polystable, cert in self.rows
-        ]
-        supports = [list(support) for support, polystable, _ in self.rows if polystable]
-        dicts.append({"claim": "polystable_supports", "value": supports, "route": None, "certificate": None})
-        return dicts
 
     def _texts(self, as_json: bool):
         template, before, after = _TEMPLATES[as_json]
@@ -222,23 +210,18 @@ class StabilityVerdicts:
 class Report:
     """What a command reports: a subject, verdicts and warnings.  An item of
     ``verdicts`` is a ``Verdict`` or, for ``git locus``, a block of
-    ``StabilityVerdicts``; two reports are equal when their ``to_dict()``
-    are."""
+    ``StabilityVerdicts``; two reports are equal when they write the same
+    JSON."""
 
-    def __init__(
-        self,
-        subject: str,
-        verdicts: list | None = None,
-        warnings: list[str] | None = None,
-        report_version: int = REPORT_VERSION,
-    ):
+    report_version = REPORT_VERSION
+
+    def __init__(self, subject: str):
         self.subject = subject
-        self.verdicts = [] if verdicts is None else verdicts
-        self.warnings = [] if warnings is None else warnings
-        self.report_version = report_version
+        self.verdicts = []
+        self.warnings = []
 
     def __eq__(self, other):
-        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
+        return self.to_json() == other.to_json() if type(other) is type(self) else NotImplemented
 
     def add(self, claim, value, route=None, certificate=None):
         self.verdicts.append(Verdict(claim, value, route, certificate))
@@ -246,35 +229,27 @@ class Report:
     def warn(self, message: str):
         self.warnings.append(message)
 
-    def to_dict(self) -> dict:
-        return {
-            "report_version": self.report_version,
-            "subject": self.subject,
-            "verdicts": [d for v in self.verdicts for d in v._dicts()],
-            "warnings": list(self.warnings),
-        }
-
     def to_json(self) -> str:
-        """The report as JSON: two-space indent, sorted keys, non-ASCII written
-        unescaped.  The bytes are those of ``json.dumps(self.to_dict(),
-        indent=2, sort_keys=True, ensure_ascii=False)``, built without that
-        pure-Python encoder and without ``to_dict``: each verdict is written
-        through one template over its four keys, and a block of stability
-        verdicts and the polystable supports straight from their rows."""
+        """The report as JSON: the bytes that ``json.dumps`` writes with
+        ``indent=2, sort_keys=True, ensure_ascii=False`` for the object of
+        ``report_version``, ``subject``, ``verdicts`` (each an object of its
+        four fields) and ``warnings``, built without that pure-Python
+        encoder: each verdict is written through one template over its four
+        keys, and a block of stability verdicts and the polystable supports
+        straight from their rows."""
         return "".join(self.pieces(as_json=True))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(
-            subject=data["subject"],
-            verdicts=[Verdict(**v) for v in data["verdicts"]],
-            warnings=list(data["warnings"]),
-            report_version=data["report_version"],
-        )
-
-    @classmethod
     def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
+        """The report that writes ``text``; ``to_json`` writes no version
+        but ``REPORT_VERSION``, so another is an input error."""
+        data = json.loads(text)
+        if data["report_version"] != REPORT_VERSION:
+            raise InputError(f"report version {data['report_version']!r} is not {REPORT_VERSION}")
+        report = cls(data["subject"])
+        report.verdicts = [Verdict(**v) for v in data["verdicts"]]
+        report.warnings = list(data["warnings"])
+        return report
 
     def render(self) -> str:
         return "".join(self.pieces(as_json=False))

@@ -181,7 +181,8 @@ class Cone(Record):
     The public constructors are the input boundary: they accept exactly int
     vectors of length ``ambient_rank``.  Cones derived from known ones are
     built without re-checking.  Two cones are equal when they are the same
-    set, whatever generators they were given.
+    set, whatever generators they were given: they compare by ambient rank
+    and ``key()``, the canonical form of the set.
     """
 
     __slots__ = ("ambient_rank", "generators", "__dict__")
@@ -275,11 +276,7 @@ class Cone(Record):
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
-        return (
-            self.ambient_rank == other.ambient_rank
-            and self.contains(other)
-            and other.contains(self)
-        )
+        return self.ambient_rank == other.ambient_rank and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.ambient_rank, self.key()))

@@ -60,6 +60,24 @@ def _random_rational(rng: random.Random) -> Q:
     return rat(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3)))
 
 
+def sl2z(rng: random.Random) -> MoebiusElement:
+    """A product of three random elementary matrices of SL2(Z)."""
+    m = [[1, 0], [0, 1]]
+    for _ in range(3):
+        k = rng.randint(-3, 3)
+        e = [[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]]
+        m = [[sum(m[i][t] * e[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+    return MoebiusElement(m)
+
+
+def gl2q(rng: random.Random) -> MoebiusElement:
+    """A random invertible matrix of small rationals."""
+    while True:
+        m = [[Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+            return MoebiusElement(m)
+
+
 def _random_invariant_pair(rng: random.Random, group: MoebiusGroup, max_orbits=3):
     """Random pair with orbit-closed support, constant coefficients, degree < 2."""
     marked: dict[ProjPoint, Q] = {}
@@ -249,11 +267,7 @@ def suite_conjugation_invariance(rng: random.Random, cases: int) -> list[str]:
     for k in range(cases):
         group = rng.choice(pool)
         pair = _random_invariant_pair(rng, group)
-        while True:
-            entries = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-            if entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0] != 0:
-                break
-        h = MoebiusElement(entries)
+        h = gl2q(rng)
         conj_pair = MarkedCurvePair(
             sorted(((h.apply(p), c) for p, c in pair), key=lambda pc: pc[0].sort_key())
         )

@@ -8,20 +8,23 @@ entries, exit codes 2 and 3, torus ranks 2-3 or fans in rank 3-4.
 ``python tests/goldens/make_corpus.py`` builds seeded documents that do, runs
 each command on them in process, and writes
 ``tests/goldens/corpus/<command>.jsonl``: one case a line, ``{"argv",
-"document", "exit", "stdout"}``, with ``{file}`` in ``argv`` standing for the
-document's path.  Re-record only for a change that is meant to alter reports,
-and review the diff of the corpus as the diff of those reports.
+"document", "exit", "stdout"}`` and, for a case that exits non-zero, its
+``"stderr"``, with ``{file}`` in ``argv`` standing for the document's path.
+Re-record only for a change that is meant to alter reports, and review the
+diff of the corpus as the diff of those reports.
 
 ``fixture_goldens()`` parses ``commands.txt``, ``corpus()`` reads the corpus,
-and ``recorded_cases()`` chains the two.  The tests read the recorded cases,
-the random matrices ``sl2z`` and ``gl2q`` and the hard inputs below only
-from here (``pyproject.toml`` puts this directory on their path).
+and ``recorded_cases()`` chains the two.  The tests read the recorded cases
+and the hard inputs below only from here (``pyproject.toml`` puts this
+directory on their path); the random matrices ``sl2z`` and ``gl2q`` come
+from ``selftest``.
 
 ``--check`` rewrites nothing and needs no pytest.  It replays every recorded
-case and prints a unified diff of the exit code and stdout of each one that
-differs.  It also reads each ``--json`` report back through
-``Report.from_json``, and compares the recorded documents with ``build()``.
-It exits 1 if anything differs.
+case and prints a unified diff of the exit code, stdout and stderr of each
+one that differs.  It also reads each ``--json`` report back through
+``Report.from_json``, fails a recorded stderr that holds a traceback, and
+compares the recorded documents with ``build()``.  It exits 1 if anything
+differs.
 
 Groups come from the ``selftest`` pool, conjugated by random matrices of
 SL2(Z) and GL2(Q); invariant marked sets are unions of orbits of rational
@@ -54,7 +57,7 @@ from symfano.groups import (  # noqa: E402
     orbit_of,
 )
 from symfano.rationals import Q, rat_str  # noqa: E402
-from symfano.selftest import _GROUP_GENERATORS  # noqa: E402
+from symfano.selftest import _GROUP_GENERATORS, gl2q, sl2z  # noqa: E402
 
 CORPUS = HERE / "corpus"
 
@@ -111,22 +114,6 @@ def point_json(p: ProjPoint, rng: random.Random) -> list:
     if str(p) == "inf":
         return [str(k), "0"]
     return [rat_str(Q(str(p)) * k), str(k)]
-
-
-def sl2z(rng: random.Random) -> MoebiusElement:
-    m = IDENTITY
-    for _ in range(3):
-        k = rng.randint(-3, 3)
-        e = [[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]]
-        m = [[sum(m[i][t] * e[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
-    return MoebiusElement(m)
-
-
-def gl2q(rng: random.Random) -> MoebiusElement:
-    while True:
-        m = [[Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)] for _ in range(2)]
-        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
-            return MoebiusElement(m)
 
 
 def conjugated(gens, h: MoebiusElement | None) -> list[MoebiusElement]:
@@ -428,29 +415,32 @@ def build() -> dict[str, list[tuple]]:
     }
 
 
-def run_case(argv: list[str], document, directory: Path) -> tuple[int, str]:
-    """Exit code and stdout of one case, with the document written to ``directory``."""
+def run_case(argv: list[str], document, directory: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one case, with the document written to
+    ``directory``."""
     path = directory / "document.json"
     if document is not None:
         path.write_text(json.dumps(document), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([str(path) if a == "{file}" else a for a in argv])
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def fixture_goldens():
-    """Each line of ``commands.txt`` as ``(name, argv, None, exit, stdout)``:
-    ``name`` is the file under ``tests/goldens/`` that holds the stdout, and
-    the paths in ``argv`` are relative to the repository root."""
+    """Each line of ``commands.txt`` as ``(name, argv, None, exit, stdout,
+    "")``: ``name`` is the file under ``tests/goldens/`` that holds the
+    stdout, the paths in ``argv`` are relative to the repository root, and
+    the stderr is empty, as no fixture command writes one."""
     for line in (HERE / "commands.txt").read_text(encoding="utf-8").splitlines():
         code, name, command = line.split(" ", 2)
-        yield name, command.split(" "), None, int(code), (HERE / name).read_bytes().decode("utf-8")
+        yield name, command.split(" "), None, int(code), (HERE / name).read_bytes().decode("utf-8"), ""
 
 
 def corpus() -> dict[str, list[dict]]:
     """The recorded corpus: for each command, in file order, its cases
-    ``{"argv", "document", "exit", "stdout"}``, read anew on each call."""
+    ``{"argv", "document", "exit", "stdout"}`` (and ``"stderr"`` for a
+    non-zero exit), read anew on each call."""
     return {
         path.stem: [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         for path in sorted(CORPUS.glob("*.jsonl"))
@@ -458,21 +448,22 @@ def corpus() -> dict[str, list[dict]]:
 
 
 def recorded_cases():
-    """Every recorded case as ``(name, argv, document, exit, stdout)``: the
-    fixture goldens, then the corpus cases, named ``<command>-<line>``."""
+    """Every recorded case as ``(name, argv, document, exit, stdout,
+    stderr)``: the fixture goldens, then the corpus cases, named
+    ``<command>-<line>``, whose stderr is "" where none is recorded."""
     yield from fixture_goldens()
     for command, cases in corpus().items():
         for i, case in enumerate(cases):
-            yield f"{command}-{i}", case["argv"], case["document"], case["exit"], case["stdout"]
+            yield f"{command}-{i}", case["argv"], case["document"], case["exit"], case["stdout"], case.get("stderr", "")
 
 
-def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, directory: Path) -> str:
-    """Run one recorded case again.  Returns a unified diff of its exit code
-    and stdout against the recorded ones, or a line saying that its
-    ``--json`` report does not read back through ``Report.from_json`` to the
-    same bytes, or "" when the case holds."""
-    code, now = run_case(argv, document, directory)
-    expected, now = f"exit {exit_code}\n{stdout}", f"exit {code}\n{now}"
+def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, stderr: str, directory: Path) -> str:
+    """Run one recorded case again.  Returns a unified diff of its exit code,
+    stdout and stderr against the recorded ones, or a line saying that its ``--json`` report does not read back through
+    ``Report.from_json`` to the same bytes or that its recorded stderr holds
+    a traceback, or "" when the case holds."""
+    code, now, err = run_case(argv, document, directory)
+    expected, now = f"exit {exit_code}\n{stdout}stderr:\n{stderr}", f"exit {code}\n{now}stderr:\n{err}"
     if now != expected:
         diff = difflib.unified_diff(
             expected.splitlines(keepends=True), now.splitlines(keepends=True), f"{name} (recorded)", f"{name} (now)",
@@ -480,6 +471,8 @@ def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, di
         return "".join(diff)
     if "--json" in argv and stdout and Report.from_json(stdout).to_json() != stdout.rstrip("\n"):
         return f"{name}: the --json report does not read back to itself\n"
+    if "Traceback" in stderr:
+        return f"{name}: the recorded stderr holds a traceback\n"
     return ""
 
 
@@ -520,8 +513,10 @@ def main() -> None:
         for command, cases in build().items():
             lines = []
             for argv, document in cases:
-                code, stdout = run_case(argv, document, Path(tmp))
+                code, stdout, stderr = run_case(argv, document, Path(tmp))
                 case = {"argv": argv, "document": document, "exit": code, "stdout": stdout}
+                if code:
+                    case["stderr"] = stderr
                 lines.append(json.dumps(case, sort_keys=True, ensure_ascii=False))
             (CORPUS / f"{command}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
             codes = sorted({json.loads(line)["exit"] for line in lines})

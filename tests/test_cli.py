@@ -8,7 +8,7 @@ import make_corpus
 import pytest
 
 from symfano import cli, curvepair, exact, rationals, schemas, selftest, tvariety
-from symfano.cli import Report, Verdict, run
+from symfano.cli import Report, run
 from symfano.errors import InputError, SymfanoError
 from symfano.quotients import polystable_locus
 from symfano.schemas import (
@@ -105,8 +105,16 @@ def test_report_round_trip():
     again = Report.from_json(text)
     assert again == report
     assert again.to_json() == text
-    assert again != Report("demo") == Report(subject="demo", verdicts=[], warnings=[])
+    assert again != Report("demo")
     assert list(vars(again.verdicts[0])) == ["claim", "value", "route", "certificate"]
+
+
+def test_a_report_of_another_version_does_not_read():
+    # the writer writes version 1 only, so it could not write such a report back
+    for version in ("0", "2", '"1"', "null"):
+        text = Report("demo").to_json().replace('"report_version": 1', f'"report_version": {version}')
+        with pytest.raises(InputError, match="report version"):
+            Report.from_json(text)
 
 
 TEXTS = [
@@ -141,53 +149,36 @@ def random_tree(rng, depth):
     return items if kind == 7 else tuple(items)
 
 
+def dumps(report):
+    """The byte contract of ``to_json``: ``json.dumps`` with indent 2, sorted
+    keys and ``ensure_ascii`` off of the report's JSON value, built here from
+    its ``Verdict``s."""
+    value = {
+        "report_version": 1,
+        "subject": report.subject,
+        "verdicts": [vars(verdict) for verdict in report.verdicts],
+        "warnings": report.warnings,
+    }
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def test_to_json_is_json_dumps_with_indent_2(rng):
-    # the byte contract: the text json.dumps writes with indent=2, sorted keys, ensure_ascii off
     for _ in range(400):
-        report = Report(
-            subject=rng.choice(TEXTS),
-            verdicts=[
-                Verdict(rng.choice(TEXTS), random_tree(rng, 4), rng.choice((None, "route")), random_tree(rng, 4))
-                for _ in range(rng.randint(0, 3))
-            ],
-            warnings=[rng.choice(TEXTS) for _ in range(rng.randint(0, 2))],
-        )
-        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False)
-        assert report.to_json() == expected
+        report = Report(rng.choice(TEXTS))
+        for _ in range(rng.randint(0, 3)):
+            report.add(rng.choice(TEXTS), random_tree(rng, 4), rng.choice((None, "route")), random_tree(rng, 4))
+        for _ in range(rng.randint(0, 2)):
+            report.warn(rng.choice(TEXTS))
+        assert report.to_json() == dumps(report)
     for value in ({}, [], (), [True, 1], [1, True], ["a", 1], [None, 0], 0, -0.0, True):
-        report = Report("edge", [Verdict("c", value)])
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False)
-
-
-def test_cli_json_round_trip(capsys):
-    code, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"), "--json")
-    assert code == 0
-    report = Report.from_json(out)
-    assert report.subject == "bidegree12"
-    assert report.to_dict() == json.loads(out)
+        report = Report("edge")
+        report.add("c", value)
+        assert report.to_json() == dumps(report)
 
 
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------
-
-
-def test_tvar_check_fixtures(capsys):
-    code, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"))
-    assert code == 0
-    assert "ke_certified: true" in out and "three-non-reduced-fibers" in out
-
-    code, out = run_capture(capsys, "tvar", "check", fixture("quadric.json"))
-    assert code == 0
-    assert "ke_certified: false" in out and "inconclusive" in out
-
-    code, out = run_capture(capsys, "tvar", "check", fixture("quadric-blowup.json"))
-    assert code == 0
-    assert "ke_certified: true" in out
-
-    code, out = run_capture(capsys, "tvar", "check", fixture("p2-cstar.json"))
-    assert code == 3
-    assert "symmetric: false" in out
 
 
 def test_tvar_check_deterministic(capsys):
@@ -196,15 +187,6 @@ def test_tvar_check_deterministic(capsys):
         _, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"), "--json")
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_lct_and_valuable(capsys):
-    code, out = run_capture(capsys, "lct", fixture("pair-involution.json"))
-    assert code == 0 and "lct: 1" in out
-    code, out = run_capture(capsys, "lct", fixture("pair-triangle.json"))
-    assert code == 0 and "lct: 3" in out
-    code, out = run_capture(capsys, "valuable", fixture("pair-involution.json"))
-    assert code == 0 and "valuable: true" in out
 
 
 BIG_INVOLUTION_ORBITS = (
@@ -234,25 +216,9 @@ def test_git_polystable(capsys):
     )
     assert code == 0 and "polystable: true" in out and "positive-combination" in out
     code, out = run_capture(
-        capsys, "git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta"
-    )
-    assert code == 0 and "polystable: false" in out and "destabilizer" in out
-    code, out = run_capture(
         capsys, "git", "polystable", fixture("hyp12-deform.json"), "--support", ""
     )
     assert code == 0 and "polystable: true" in out
-
-
-def test_git_locus(capsys):
-    code, out = run_capture(capsys, "git", "locus", fixture("hyp12-deform.json"))
-    assert code == 0
-    assert "stated_locus_check: agrees" in out
-    assert "polystable_supports" in out
-
-    code, out = run_capture(capsys, "git", "locus", fixture("blowup-deform.json"))
-    assert code == 0
-    assert "warning:" in out and "disagree" in out
-    assert "{alpha, beta, gamma}" in out
 
 
 def reference_locus_report(document, rows):
@@ -328,13 +294,14 @@ def test_streamed_locus_report_is_the_built_report(tmp_path, capsys):
         assert code == 0
         assert out == reference.to_json() + "\n"
         if len(rows) <= 64:  # the standard library's pure-Python indenting encoder
-            assert out == json.dumps(reference.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            assert out == dumps(reference) + "\n"
         code, text = run_capture(capsys, "git", "locus", str(path))
         assert code == 0
         assert text == reference.render() + "\n"
         if len(rows) <= 256:
             # a report that holds the rows themselves compares and writes as the built one
-            held = Report(reference.subject, [cli.StabilityVerdicts(rows), *reference.verdicts[len(rows) + 1:]])
+            held = Report(reference.subject)
+            held.verdicts = [cli.StabilityVerdicts(rows), *reference.verdicts[len(rows) + 1:]]
             held.warnings = reference.warnings
             assert held == reference == Report.from_json(out)
             assert (held.to_json(), held.render()) == (out[:-1], text[:-1])
@@ -384,7 +351,7 @@ def test_reports_write_labels_that_need_escaping(tmp_path, capsys):
     def check(argv, reference):
         code, out = run_capture(capsys, *argv, "--json")
         assert code == 0
-        assert out == json.dumps(reference.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert out == dumps(reference) + "\n"
         code, text = run_capture(capsys, *argv)
         assert code == 0
         assert text == reference.render() + "\n"
@@ -446,18 +413,6 @@ def test_polystable_supports_are_written_in_pieces(tmp_path, monkeypatch):
     assert max(piece.count("\n        [") for piece in pieces) <= cli._PIECE_VERDICTS
 
 
-def test_chow_subcommand(capsys):
-    code, out = run_capture(capsys, "chow", fixture("p2-chow.json"))
-    assert code == 0 and "cell_count: 3" in out
-    code, out = run_capture(capsys, "chow", fixture("p1xp1-chow.json"))
-    assert code == 0 and "cell_count: 3" in out
-
-
-def test_lattice_symmetric(capsys):
-    code, out = run_capture(capsys, "lattice", "symmetric", fixture("lattice-rotation.json"))
-    assert code == 0 and "symmetric: true" in out
-
-
 def test_lattice_symmetric_computes_the_kernel_once(tmp_path, monkeypatch, capsys):
     calls = []
     snf = exact.smith_normal_form
@@ -469,18 +424,6 @@ def test_lattice_symmetric_computes_the_kernel_once(tmp_path, monkeypatch, capsy
     code, out = run_capture(capsys, "lattice", "symmetric", str(target))
     assert code == 0 and "fixed_sublattice_rank: 1" in out and "symmetric: false" in out
     assert len(calls) == 2
-
-
-def test_validate_subcommand(tmp_path, capsys):
-    code, out = run_capture(capsys, "validate", fixture("quadric.json"))
-    assert code == 0 and "schema: OK" in out
-
-    bad = tmp_path / "bad.json"
-    data = read_json(fixture_path("quadric.json"))
-    data["fibers"][2]["divisors"][0]["order"] = 0
-    bad.write_text(json.dumps(data))
-    code, out = run_capture(capsys, "validate", str(bad))
-    assert code == 1 and "order must be >= 1" in out
 
 
 DROP = object()
@@ -933,11 +876,6 @@ def test_exit_code_cap_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_precondition(capsys):
-    assert run(["tvar", "check", fixture("p2-cstar.json")]) == 3
-    capsys.readouterr()
-
-
 def test_precondition_error_raised_by_a_computation_exits_3(tmp_path, capsys):
     data = read_json(fixture_path("pair-involution.json"))
     for entry in data["points"]:
@@ -1120,23 +1058,10 @@ def test_a_failing_selftest_suite_is_an_internal_error(capsys, monkeypatch):
     assert "snf_identity: pass" in out and "always_fails: FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("tvar", "check", "bidegree12.json"),
-        ("tvar", "check", "quadric.json"),
-        ("lct", "pair-triangle.json"),
-        ("valuable", "pair-involution.json"),
-        ("git", "locus", "hyp12-deform.json"),
-        ("chow", "p1xp1-chow.json"),
-        ("lattice", "symmetric", "lattice-rotation.json"),
-        ("git", "locus", "blowup-deform.json"),  # the mismatch warning
-        ("git", "polystable", "hyp12-deform.json", "--support", "alpha,beta,gamma"),
-    ],
-)
-def test_json_reports_round_trip_everywhere(capsys, argv):
-    argv = [a if not a.endswith(".json") else fixture(a) for a in argv]
-    code, out = run_capture(capsys, *argv, "--json")
+def test_polystable_json_report_reads_back(capsys):
+    # a --json report of a support that no golden records
+    argv = ["git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta,gamma", "--json"]
+    code, out = run_capture(capsys, *argv)
     assert code == 0
     report = Report.from_json(out)
     assert report.to_json() == out.rstrip("\n")

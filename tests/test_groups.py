@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from make_corpus import BIG_A, BIG_ENTRIES, D4_BIG, D4_BIG_CONJUGATOR, gl2q, sl2z
+from make_corpus import BIG_A, BIG_ENTRIES, D4_BIG, D4_BIG_CONJUGATOR
 
 from symfano import groups
 from symfano.cli import EXIT_INTERNAL, run
@@ -26,7 +26,7 @@ from symfano.groups import (
 )
 from symfano.rationals import rat, rat_str, squarefree_decompose
 from symfano.schemas import fixture_path
-from symfano.selftest import _GROUP_GENERATORS, _conjugate_group, _group_pool
+from symfano.selftest import _GROUP_GENERATORS, _conjugate_group, _group_pool, gl2q, sl2z
 
 INVOLUTION = MoebiusElement([[0, 1], [1, 0]])          # x -> 1/x
 THREE_CYCLE = MoebiusElement([[-1, -1], [1, 0]])       # 0 -> inf -> -1 -> 0
@@ -112,13 +112,6 @@ def _two_sided_closure(generators):
     return None if len(seen) > 12 else sorted(seen, key=MoebiusElement.sort_key)
 
 
-def _random_moebius(rng):
-    while True:
-        h = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        if h[0][0] * h[1][1] != h[0][1] * h[1][0]:
-            return MoebiusElement(h)
-
-
 def test_one_sided_closure_matches_two_sided_reference(rng, property_cases):
     finite = [[MoebiusElement(g) for g in gens] for gens in _GROUP_GENERATORS]
     finite.append([THREE_CYCLE, TRANSPOSITION, INVOLUTION])
@@ -131,11 +124,11 @@ def test_one_sided_closure_matches_two_sided_reference(rng, property_cases):
     kinds = set()
     for k in range(property_cases):
         if k % 3 == 2:
-            gens = [_random_moebius(rng) for _ in range(rng.randint(1, 2))]
+            gens = [gl2q(rng) for _ in range(rng.randint(1, 2))]
         else:
             gens = rng.choice(finite + infinite)
             if k % 3:
-                h = _random_moebius(rng)
+                h = gl2q(rng)
                 gens = [h * g * h.inverse() for g in gens]
         expected = _two_sided_closure(gens)
         kinds.add(expected is None)
