@@ -176,9 +176,35 @@ def test_to_json_is_json_dumps_with_indent_2(rng):
         assert report.to_json() == dumps(report)
 
 
+def test_cli_json_round_trip(capsys):
+    code, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"), "--json")
+    assert code == 0
+    report = Report.from_json(out)
+    assert report.subject == "bidegree12"
+    assert dumps(report) == out.rstrip("\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------
+
+
+def test_tvar_check_fixtures(capsys):
+    code, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"))
+    assert code == 0
+    assert "ke_certified: true" in out and "three-non-reduced-fibers" in out
+
+    code, out = run_capture(capsys, "tvar", "check", fixture("quadric.json"))
+    assert code == 0
+    assert "ke_certified: false" in out and "inconclusive" in out
+
+    code, out = run_capture(capsys, "tvar", "check", fixture("quadric-blowup.json"))
+    assert code == 0
+    assert "ke_certified: true" in out
+
+    code, out = run_capture(capsys, "tvar", "check", fixture("p2-cstar.json"))
+    assert code == 3
+    assert "symmetric: false" in out
 
 
 def test_tvar_check_deterministic(capsys):
@@ -187,6 +213,15 @@ def test_tvar_check_deterministic(capsys):
         _, out = run_capture(capsys, "tvar", "check", fixture("bidegree12.json"), "--json")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_lct_and_valuable(capsys):
+    code, out = run_capture(capsys, "lct", fixture("pair-involution.json"))
+    assert code == 0 and "lct: 1" in out
+    code, out = run_capture(capsys, "lct", fixture("pair-triangle.json"))
+    assert code == 0 and "lct: 3" in out
+    code, out = run_capture(capsys, "valuable", fixture("pair-involution.json"))
+    assert code == 0 and "valuable: true" in out
 
 
 BIG_INVOLUTION_ORBITS = (
@@ -216,9 +251,25 @@ def test_git_polystable(capsys):
     )
     assert code == 0 and "polystable: true" in out and "positive-combination" in out
     code, out = run_capture(
+        capsys, "git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta"
+    )
+    assert code == 0 and "polystable: false" in out and "destabilizer" in out
+    code, out = run_capture(
         capsys, "git", "polystable", fixture("hyp12-deform.json"), "--support", ""
     )
     assert code == 0 and "polystable: true" in out
+
+
+def test_git_locus(capsys):
+    code, out = run_capture(capsys, "git", "locus", fixture("hyp12-deform.json"))
+    assert code == 0
+    assert "stated_locus_check: agrees" in out
+    assert "polystable_supports" in out
+
+    code, out = run_capture(capsys, "git", "locus", fixture("blowup-deform.json"))
+    assert code == 0
+    assert "warning:" in out and "disagree" in out
+    assert "{alpha, beta, gamma}" in out
 
 
 def reference_locus_report(document, rows):
@@ -413,6 +464,18 @@ def test_polystable_supports_are_written_in_pieces(tmp_path, monkeypatch):
     assert max(piece.count("\n        [") for piece in pieces) <= cli._PIECE_VERDICTS
 
 
+def test_chow_subcommand(capsys):
+    code, out = run_capture(capsys, "chow", fixture("p2-chow.json"))
+    assert code == 0 and "cell_count: 3" in out
+    code, out = run_capture(capsys, "chow", fixture("p1xp1-chow.json"))
+    assert code == 0 and "cell_count: 3" in out
+
+
+def test_lattice_symmetric(capsys):
+    code, out = run_capture(capsys, "lattice", "symmetric", fixture("lattice-rotation.json"))
+    assert code == 0 and "symmetric: true" in out
+
+
 def test_lattice_symmetric_computes_the_kernel_once(tmp_path, monkeypatch, capsys):
     calls = []
     snf = exact.smith_normal_form
@@ -424,6 +487,18 @@ def test_lattice_symmetric_computes_the_kernel_once(tmp_path, monkeypatch, capsy
     code, out = run_capture(capsys, "lattice", "symmetric", str(target))
     assert code == 0 and "fixed_sublattice_rank: 1" in out and "symmetric: false" in out
     assert len(calls) == 2
+
+
+def test_validate_subcommand(tmp_path, capsys):
+    code, out = run_capture(capsys, "validate", fixture("quadric.json"))
+    assert code == 0 and "schema: OK" in out
+
+    bad = tmp_path / "bad.json"
+    data = read_json(fixture_path("quadric.json"))
+    data["fibers"][2]["divisors"][0]["order"] = 0
+    bad.write_text(json.dumps(data))
+    code, out = run_capture(capsys, "validate", str(bad))
+    assert code == 1 and "order must be >= 1" in out
 
 
 DROP = object()
@@ -876,6 +951,11 @@ def test_exit_code_cap_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_precondition(capsys):
+    assert run(["tvar", "check", fixture("p2-cstar.json")]) == 3
+    capsys.readouterr()
+
+
 def test_precondition_error_raised_by_a_computation_exits_3(tmp_path, capsys):
     data = read_json(fixture_path("pair-involution.json"))
     for entry in data["points"]:
@@ -1058,10 +1138,23 @@ def test_a_failing_selftest_suite_is_an_internal_error(capsys, monkeypatch):
     assert "snf_identity: pass" in out and "always_fails: FAIL" in out
 
 
-def test_polystable_json_report_reads_back(capsys):
-    # a --json report of a support that no golden records
-    argv = ["git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta,gamma", "--json"]
-    code, out = run_capture(capsys, *argv)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tvar", "check", "bidegree12.json"),
+        ("tvar", "check", "quadric.json"),
+        ("lct", "pair-triangle.json"),
+        ("valuable", "pair-involution.json"),
+        ("git", "locus", "hyp12-deform.json"),
+        ("chow", "p1xp1-chow.json"),
+        ("lattice", "symmetric", "lattice-rotation.json"),
+        ("git", "locus", "blowup-deform.json"),  # the mismatch warning
+        ("git", "polystable", "hyp12-deform.json", "--support", "alpha,beta,gamma"),
+    ],
+)
+def test_json_reports_round_trip_everywhere(capsys, argv):
+    argv = [a if not a.endswith(".json") else fixture(a) for a in argv]
+    code, out = run_capture(capsys, *argv, "--json")
     assert code == 0
     report = Report.from_json(out)
     assert report.to_json() == out.rstrip("\n")

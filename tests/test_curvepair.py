@@ -167,6 +167,16 @@ def test_is_valuable_matches_lct_at_one(rng, property_cases):
         assert valuable == (res.is_infinite or res.value >= 1)
 
 
+def test_lct_matches_oracle(rng, property_cases):
+    pool = _group_pool()
+    for _ in range(property_cases):
+        group = rng.choice(pool)
+        pair = _random_invariant_pair(rng, group)
+        res = lct_g(pair, group)
+        expected = lct_oracle(pair, group, rng)
+        assert (None if res.is_infinite else res.value) == expected
+
+
 def test_witness_reproduces_value(rng, property_cases):
     pool = _group_pool()
     for _ in range(property_cases):

@@ -100,6 +100,18 @@ def test_polystable_unimodular_invariance(rng, property_cases):
         assert is_polystable(wm, support)[0] == is_polystable(wm2, support)[0]
 
 
+def test_oracle_equivalence_random(rng, property_cases):
+    for _ in range(property_cases):
+        d = rng.randint(1, 2)
+        n = rng.randint(1, 6)
+        weights = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
+        labels = [f"x{i}" for i in range(n)]
+        wm = WeightMatrix(labels, weights)
+        verdict, cert = is_polystable(wm, labels)
+        assert verdict == is_polystable_oracle(wm, labels)
+        assert verify_stability_cert(wm, labels, cert)
+
+
 def _count_simplex_calls(monkeypatch) -> list:
     """The submatrices phase one is run on from now on, one per LP, each as
     the ``IntMatrix`` of the rows it is called with."""
