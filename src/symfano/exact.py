@@ -549,7 +549,73 @@ def _phase_one(a_rows, rhs):
     Returns (True, X, den) with x = X / den feasible, else (False, Y, den)
     with y = Y / den satisfying y^T A <= 0 and y^T b > 0 (a Farkas witness
     for the original row orientation).
+
+    Two paths make the same pivots and return the same triple.  A has two
+    rows exactly when the torus has rank 2, the rank on the paper's Fano
+    threefolds with a complexity-one action, so every LP of their loci has
+    two rows: ``_two_row_phase_one`` holds that tableau in locals, which
+    saves the general kernel's loop overhead.  Every other A goes to
+    ``_general_phase_one``.  The row count, which the input fixes, chooses
+    the path.
     """
+    if len(a_rows) == 2:
+        return _two_row_phase_one(a_rows, rhs)
+    return _general_phase_one(a_rows, rhs)
+
+
+def _two_row_phase_one(a_rows, rhs):
+    """``_phase_one`` on two rows: the general kernel's pivots, unrolled.
+
+    The two tableau rows, the reduced-cost row and the two basis indices are
+    locals.  The leaving row is row 0 unless row 1 has a positive entry and
+    a smaller ratio, or the same ratio and the smaller basis index (Bland's
+    tie-break); the ratios are compared cross-multiplied.  Each pivot maps
+    the other row and z by the same Bareiss step as the general kernel.
+    """
+    (r0, r1), (c0, c1) = a_rows, rhs
+    n = len(r0)
+    ncols = n + 2
+    s0 = -1 if c0 < 0 else 1
+    s1 = -1 if c1 < 0 else 1
+    t0 = [*r0, 1, 0, c0] if s0 > 0 else [*(-x for x in r0), 1, 0, -c0]
+    t1 = [*r1, 0, 1, c1] if s1 > 0 else [*(-x for x in r1), 0, 1, -c1]
+    b0, b1 = n, n + 1
+    z = [-x - y for x, y in zip(t0, t1)]
+    z[n] = z[n + 1] = 0
+    den = 1
+
+    while True:
+        for enter in range(ncols):
+            if z[enter] < 0:
+                break
+        else:
+            break
+        p0 = t0[enter]
+        p1 = t1[enter]
+        # row 0 has p0 > 0 whenever row 1 does not leave, as phase one is bounded
+        if p1 > 0 and (p0 <= 0 or (a := t1[-1] * p0) < (b := t0[-1] * p1) or (a == b and b1 < b0)):
+            t0 = [(x * p1 - p0 * y) // den for x, y in zip(t0, t1)]
+            prow, piv, b1 = t1, p1, enter
+        else:
+            t1 = [(x * p0 - p1 * y) // den for x, y in zip(t1, t0)]
+            prow, piv, b0 = t0, p0, enter
+        f = z[enter]
+        z = [(x * piv - f * y) // den for x, y in zip(z, prow)]
+        den = piv
+
+    if z[-1] == 0:
+        x = [0] * n
+        if b0 < n:
+            x[b0] = t0[-1]
+        if b1 < n:
+            x[b1] = t1[-1]
+        return True, x, den
+    return False, [s0 * (den - z[n]), s1 * (den - z[n + 1])], den
+
+
+def _general_phase_one(a_rows, rhs):
+    """``_phase_one`` on any number of rows, and the reference that
+    ``_two_row_phase_one`` is tested against."""
     m = len(a_rows)
     n = len(a_rows[0])
     ncols = n + m

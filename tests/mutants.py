@@ -1,4 +1,7 @@
-"""Mutants of the package's run-time checks, each with the tests that kill it.
+"""Mutants of the package's run-time checks, and of kernels whose output the
+goldens pin, each with the tests that kill it.  A kernel is listed where a
+mutant can slip past the goldens: the flipped tie-break of the two-row phase
+one changes pivots on ties but leaves every golden and corpus case as it is.
 
 A ``Mutant`` names a file relative to the repository root, the exact ``old``
 text, which occurs once in that file, the ``new`` text that replaces it, the
@@ -25,6 +28,7 @@ PYTHON_O = "tests/test_exact.py::test_internal_check_survives_python_O"
 BAD_CERTIFICATES = "tests/test_quotients.py::test_verify_stability_cert_rejects_bad_certificates"
 EACH_CLAUSE = "tests/test_quotients.py::test_verify_stability_cert_rejects_what_each_clause_alone_rejects"
 DIAGONAL_SECTION = "tests/test_polyhedral.py::test_a_diagonal_section_is_no_face_and_no_meet"
+TWO_ROWS = "tests/test_exact.py::test_two_row_phase_one_makes_the_general_pivots"
 
 MUTANTS = (
     # ``exact._decide``: every outcome of the simplex is checked before it is returned
@@ -91,6 +95,21 @@ MUTANTS = (
         "True",
         (BAD_CERTIFICATES, PYTHON_O),
         "a subgroup pairing to zero with every active weight fixes the point",
+    ),
+    # ``exact._two_row_phase_one`` makes the general kernel's pivots
+    Mutant(
+        EXACT,
+        "(a == b and b1 < b0)",
+        "(a == b and b1 > b0)",
+        (TWO_ROWS,),
+        "on a ratio tie Bland's rule takes the smaller basis index, and zero or repeated columns make ties",
+    ),
+    Mutant(
+        EXACT,
+        "s0 = -1 if c0 < 0 else 1",
+        "s0 = -1 if c0 <= 0 else 1",
+        (TWO_ROWS, "tests/test_exact.py::test_phase_one_matches_fraction_reference"),
+        "a row with a zero right-hand side is not negated, and negating it changes the pivots",
     ),
     # the group, refinement and verdict checks
     Mutant(

@@ -18,6 +18,7 @@ from symfano.exact import (
     smith_normal_form,
     solve_positive_combination,
 )
+from symfano.quotients import WeightMatrix, polystable_locus
 from symfano.rationals import parse_rat, parse_ratio, rat, rat_str, ratio_str, squarefree_decompose
 from symfano.schemas import fixture_path
 
@@ -375,20 +376,59 @@ def reference_certificate(w):
     return SemipositiveWitness(tuple(-v // math.gcd(*ints) for v in ints))
 
 
+def random_columns(rng, d: int, n: int, bound: int) -> list[list[int]]:
+    """n columns of length d with entries in [-bound, bound], some of them
+    zero and some repeating an earlier one: both make degenerate ties."""
+    cols = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            cols.append([0] * d)
+        elif roll < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))
+        else:
+            cols.append([rng.randint(-bound, bound) for _ in range(d)])
+    return cols
+
+
 def test_phase_one_matches_fraction_reference(rng):
-    for _ in range(600):
+    # a third of the cases have entries in [-2, 2], where ratio ties are
+    # common, so Bland's tie-break of both kernels meets the reference too
+    for case in range(600):
         d, n = rng.randint(1, 4), rng.randint(1, 9)
-        cols = []
-        for _ in range(n):
-            roll = rng.random()
-            if roll < 0.1:
-                cols.append([0] * d)
-            elif roll < 0.3 and cols:
-                cols.append(list(rng.choice(cols)))  # duplicates make degenerate ties
-            else:
-                cols.append([rng.randint(-7, 7) for _ in range(d)])
+        cols = random_columns(rng, d, n, 2 if case % 3 == 0 else 7)
         w = IntMatrix([[col[i] for col in cols] for i in range(d)])
         assert solve_positive_combination(w) == reference_certificate(w), w
+
+
+def test_two_row_phase_one_makes_the_general_pivots(monkeypatch, rng):
+    # ``_decide`` reaches the two-row kernel with two rows and the general
+    # one with any other number; the LPs of the rank-2 loci are recorded
+    calls = []
+
+    def recorded(kind, kernel):
+        def run(rows, rhs):
+            calls.append((kind, rows, rhs))
+            return kernel(rows, rhs)
+
+        return run
+
+    two_row, general = exact._two_row_phase_one, exact._general_phase_one
+    monkeypatch.setattr(exact, "_two_row_phase_one", recorded(2, two_row))
+    monkeypatch.setattr(exact, "_general_phase_one", recorded("*", general))
+    for d in (1, 2, 3, 2, 2, 2) * 4:
+        n = rng.randint(3, 7)
+        cols = random_columns(rng, d, n, 2)
+        polystable_locus(WeightMatrix([f"x{i}" for i in range(n)], IntMatrix([[c[i] for c in cols] for i in range(d)])))
+    assert {(kind, len(rows)) for kind, rows, _ in calls} == {("*", 1), (2, 2), ("*", 3)}
+    lps = [(rows, rhs) for kind, rows, rhs in calls if kind == 2]
+    # and two rows with any right-hand side, zeros included
+    for _ in range(400):
+        cols = random_columns(rng, 2, rng.randint(1, 6), 2)
+        lps.append((tuple(zip(*cols)), [rng.randint(-3, 3) for _ in range(2)]))
+    assert len(lps) > 1000
+    for rows, rhs in lps:
+        assert two_row(rows, rhs) == general(rows, rhs), (rows, rhs)
 
 
 def test_internal_check_survives_python_O(fresh_env):
