@@ -557,6 +557,13 @@ def _phase_one(a_rows, rhs):
     saves the general kernel's loop overhead.  Every other A goes to
     ``_general_phase_one``.  The row count, which the input fixes, chooses
     the path.
+
+    z is determined by the tableau, T = adj(B) [A | I | b] over den = det B
+    (Bareiss): den * z_j is den*[j is artificial] minus the sum of T[i][j]
+    over the rows whose basic variable is artificial.  The two-row kernel
+    reads Bland's reduced costs that way and keeps no z.  The general
+    kernel keeps z: in its row loops, summing the artificial rows for each
+    scan costs more than updating z at each pivot.
     """
     if len(a_rows) == 2:
         return _two_row_phase_one(a_rows, rhs)
@@ -564,53 +571,80 @@ def _phase_one(a_rows, rhs):
 
 
 def _two_row_phase_one(a_rows, rhs):
-    """``_phase_one`` on two rows: the general kernel's pivots, unrolled.
+    """``_phase_one`` on two rows: the general kernel's pivots, unrolled,
+    with no reduced-cost row.
 
-    The two tableau rows, the reduced-cost row and the two basis indices are
-    locals.  The leaving row is row 0 unless row 1 has a positive entry and
-    a smaller ratio, or the same ratio and the smaller basis index (Bland's
+    The two tableau rows, the two basis indices and ``den`` are locals.
+    Phase one costs 1 on each artificial column and 0 on each x column, so
+    the reduced costs follow from the artificial rows, as ``_phase_one``
+    says.  Bland's rule reads them in column order, up to the first
+    negative one; with no artificial row every reduced cost is >= 0.  At
+    the end den times the objective is the sum of the artificial rows'
+    right-hand sides, and den * y_i / s_i is the sum of their entries in
+    column n + i: the numbers ``-z[-1]`` and ``den - z[n + i]`` of the
+    general kernel.
+
+    The leaving row is row 0 unless row 1 has a positive entry and a
+    smaller ratio, or the same ratio and the smaller basis index (Bland's
     tie-break); the ratios are compared cross-multiplied.  Each pivot maps
-    the other row and z by the same Bareiss step as the general kernel.
+    the other row by the same Bareiss step as the general kernel.
     """
     (r0, r1), (c0, c1) = a_rows, rhs
     n = len(r0)
-    ncols = n + 2
     s0 = -1 if c0 < 0 else 1
     s1 = -1 if c1 < 0 else 1
     t0 = [*r0, 1, 0, c0] if s0 > 0 else [*(-x for x in r0), 1, 0, -c0]
     t1 = [*r1, 0, 1, c1] if s1 > 0 else [*(-x for x in r1), 0, 1, -c1]
     b0, b1 = n, n + 1
-    z = [-x - y for x, y in zip(t0, t1)]
-    z[n] = z[n + 1] = 0
     den = 1
 
     while True:
-        for enter in range(ncols):
-            if z[enter] < 0:
+        if b0 >= n and b1 >= n:
+            # both artificial columns are basic, so only an x column enters
+            for enter in range(n):
+                if t0[enter] + t1[enter] > 0:
+                    break
+            else:
                 break
         else:
-            break
+            if b0 >= n:
+                art = t0
+            elif b1 >= n:
+                art = t1
+            else:
+                break
+            for enter in range(n):
+                if art[enter] > 0:
+                    break
+            else:
+                # no two-row LP has been seen to bring an artificial column
+                # back, but nothing rules it out
+                if den < art[n]:
+                    enter = n
+                elif den < art[n + 1]:
+                    enter = n + 1
+                else:
+                    break
         p0 = t0[enter]
         p1 = t1[enter]
         # row 0 has p0 > 0 whenever row 1 does not leave, as phase one is bounded
         if p1 > 0 and (p0 <= 0 or (a := t1[-1] * p0) < (b := t0[-1] * p1) or (a == b and b1 < b0)):
             t0 = [(x * p1 - p0 * y) // den for x, y in zip(t0, t1)]
-            prow, piv, b1 = t1, p1, enter
+            den, b1 = p1, enter
         else:
             t1 = [(x * p0 - p1 * y) // den for x, y in zip(t1, t0)]
-            prow, piv, b0 = t0, p0, enter
-        f = z[enter]
-        z = [(x * piv - f * y) // den for x, y in zip(z, prow)]
-        den = piv
+            den, b0 = p0, enter
 
-    if z[-1] == 0:
+    art0 = b0 >= n
+    art1 = b1 >= n
+    if art0 * t0[-1] + art1 * t1[-1] == 0:
         x = [0] * n
         if b0 < n:
             x[b0] = t0[-1]
         if b1 < n:
             x[b1] = t1[-1]
         return True, x, den
-    return False, [s0 * (den - z[n]), s1 * (den - z[n + 1])], den
+    return False, [s0 * (art0 * t0[n] + art1 * t1[n]), s1 * (art0 * t0[n + 1] + art1 * t1[n + 1])], den
 
 
 def _general_phase_one(a_rows, rhs):

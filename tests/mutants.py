@@ -7,7 +7,9 @@ A ``Mutant`` names a file relative to the repository root, the exact ``old``
 text, which occurs once in that file, the ``new`` text that replaces it, the
 ids of the tests that must each fail once it is applied, and one line on why
 they must.  ``python tests/run_mutants.py`` applies each mutant to a scratch
-copy of the working tree and prints those that survive.  A tier-1 rule in
+copy of the working tree and prints those that survive; a mutant whose tests
+do not finish, such as one that makes Bland's rule cycle, is stopped at the
+runner's timeout and counts as killed.  A tier-1 rule in
 ``test_source.py`` checks that every ``raise InternalError`` in ``src/`` has
 a mutant in its function and that every ``old`` text occurs once.
 """
@@ -29,6 +31,7 @@ BAD_CERTIFICATES = "tests/test_quotients.py::test_verify_stability_cert_rejects_
 EACH_CLAUSE = "tests/test_quotients.py::test_verify_stability_cert_rejects_what_each_clause_alone_rejects"
 DIAGONAL_SECTION = "tests/test_polyhedral.py::test_a_diagonal_section_is_no_face_and_no_meet"
 TWO_ROWS = "tests/test_exact.py::test_two_row_phase_one_makes_the_general_pivots"
+FRACTION_REFERENCE = "tests/test_exact.py::test_phase_one_matches_fraction_reference"
 
 MUTANTS = (
     # ``exact._decide``: every outcome of the simplex is checked before it is returned
@@ -108,8 +111,31 @@ MUTANTS = (
         EXACT,
         "s0 = -1 if c0 < 0 else 1",
         "s0 = -1 if c0 <= 0 else 1",
-        (TWO_ROWS, "tests/test_exact.py::test_phase_one_matches_fraction_reference"),
+        (TWO_ROWS, FRACTION_REFERENCE),
         "a row with a zero right-hand side is not negated, and negating it changes the pivots",
+    ),
+    # ... and reads the reduced costs, the objective and the Farkas entries off
+    # its artificial rows
+    Mutant(
+        EXACT,
+        "art1 * t1[n + 1]",
+        "art0 * t1[n + 1]",
+        (TWO_ROWS, FRACTION_REFERENCE),
+        "row 1's entry of y is read from row 1 when row 1's basic variable is artificial, not row 0's",
+    ),
+    Mutant(
+        EXACT,
+        "art1 * t1[-1] == 0",
+        "t1[-1] == 0",
+        (TWO_ROWS, FRACTION_REFERENCE),
+        "an x column basic at a positive value is no infeasibility",
+    ),
+    Mutant(
+        EXACT,
+        "if den < art[n]:",
+        "if 0 < art[n]:",
+        (TWO_ROWS,),
+        "an artificial column enters only at a negative reduced cost; a basic one would pivot on itself forever",
     ),
     # the group, refinement and verdict checks
     Mutant(

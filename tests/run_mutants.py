@@ -8,10 +8,12 @@ and caches.  The tests that the mutants list must first pass on the copy as
 it is.  Then each mutant in turn replaces its ``old`` text by its ``new``
 text, runs its tests in one pytest process, and is restored.  A mutant is
 killed when every test it lists fails; otherwise it survives, and the runner
-prints which of its tests passed.  The exit code is 0 when every mutant is
-killed, 1 when one survives, and 2 when the copy cannot be set up: an
-``old`` text that does not occur exactly once, or a listed test that fails
-or is missing before any mutant is applied.  Runs one process at a time.
+prints which of its tests passed.  A run that outlasts ``TIMEOUT_S`` is
+stopped, and a mutant whose run is stopped counts as killed: its tests do
+not pass.  The exit code is 0 when every mutant is killed, 1 when one
+survives, and 2 when the copy cannot be set up: an ``old`` text that does
+not occur exactly once, or a listed test that fails, times out or is
+missing before any mutant is applied.  Runs one process at a time.
 """
 
 from __future__ import annotations
@@ -27,13 +29,23 @@ from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_run", "*.egg-info")
+# A mutant can break a loop's termination (Bland's rule in the two-row phase
+# one cycles once a basic artificial column may enter), and its tests then
+# never finish.  Every run of listed tests, the unmutated one included, takes
+# a few seconds on a 2-CPU machine; a minute leaves a slow or shared machine
+# more than ten times that, and bounds what a hung mutant costs.
+TIMEOUT_S = 60
 
 
-def run_tests(copy: Path, tests) -> tuple[int, set[str], str]:
-    """pytest on ``tests`` in ``copy``: its exit code, the ids that failed, and its output."""
+def run_tests(copy: Path, tests) -> tuple[int | None, set[str], str]:
+    """pytest on ``tests`` in ``copy``: its exit code, the ids that failed, and its
+    output; the exit code is None, and no id failed, when the run timed out."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *tests]
-    out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+    try:
+        out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, set(), f"timed out after {TIMEOUT_S} s"
     failed = {
         line.removeprefix("FAILED ").split(" - ", 1)[0]
         for line in out.stdout.splitlines()
@@ -66,8 +78,9 @@ def main() -> int:
             finally:
                 path.write_text(original, encoding="utf-8")
             passed = [test for test in m.tests if test not in failed]
-            killed = code == 1 and not passed
-            print(f"{k:2d} {'killed' if killed else 'SURVIVED'}  {m.file}: {m.old.strip()!r} -> {m.new.strip()!r}")
+            killed = code is None or (code == 1 and not passed)
+            verdict = f"killed (timed out after {TIMEOUT_S} s)" if code is None else "killed" if killed else "SURVIVED"
+            print(f"{k:2d} {verdict}  {m.file}: {m.old.strip()!r} -> {m.new.strip()!r}")
             if not killed:
                 survivors.append((k, m, passed, code))
         print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")

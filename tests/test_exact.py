@@ -426,7 +426,13 @@ def test_two_row_phase_one_makes_the_general_pivots(monkeypatch, rng):
     for _ in range(400):
         cols = random_columns(rng, 2, rng.randint(1, 6), 2)
         lps.append((tuple(zip(*cols)), [rng.randint(-3, 3) for _ in range(2)]))
-    assert len(lps) > 1000
+    # and the workload's sizes, up to 11 columns with entries in [-7, 7], with
+    # a locus's right-hand side -w 1 and with any other
+    for case in range(300):
+        rows = tuple(zip(*random_columns(rng, 2, rng.randint(8, 11), 7)))
+        rhs = [-sum(row) for row in rows] if case % 2 else [rng.randint(-7, 7) for _ in range(2)]
+        lps.append((rows, rhs))
+    assert len(lps) > 1300
     for rows, rhs in lps:
         assert two_row(rows, rhs) == general(rows, rhs), (rows, rhs)
 
