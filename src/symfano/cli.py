@@ -15,11 +15,11 @@ Subcommands::
 ``--json`` switches any reporting command to a machine-readable report that
 round-trips losslessly.  Exit codes: 0 ok, 1 input or schema error (or a
 stdout closed before the report was written, as by ``| head``), 2 blown
-computation cap (Moebius generators of an infinite group, a support
-enumeration too large) or a usage error (argparse's convention), 3 violated
-mathematical precondition, 4 internal error (a computed result failed its
-own run-time check, or a ``selftest`` suite found a failing case; a bug, not
-a property of the input).
+computation cap (Moebius or lattice generators of an infinite group, a
+lattice rank above 5, a support enumeration too large) or a usage error
+(argparse's convention), 3 violated mathematical precondition, 4 internal
+error (a computed result failed its own run-time check, or a ``selftest``
+suite found a failing case; a bug, not a property of the input).
 
 The command line is read from ``COMMANDS`` when it has one of the forms
 above, written out in full: the words of a command, then its FILE (not

@@ -21,8 +21,9 @@ class ComputationCapError(SymfanoError):
 
 
 class NotFiniteWithinCap(ComputationCapError):
-    """Group closure reached 13 elements, so the group is infinite: finite
-    subgroups of PGL2(Q) have at most 12."""
+    """Group closure passed the largest order of a finite subgroup, so the
+    group is infinite: 12 in PGL2(Q), and 2, 12, 48, 1152 and 3840 in GL_n(Z)
+    for n = 1 to 5."""
 
 
 class TooManyCoordinates(ComputationCapError):

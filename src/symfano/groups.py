@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
+from .errors import ComputationCapError, IdentityElement, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, Record, integer_kernel
 from .rationals import rat, rational_pair, ratio_key, squarefree_decompose
 
@@ -24,6 +24,11 @@ from .rationals import rat, rational_pair, ratio_key, squarefree_decompose
 # closure reaching a 13th element proves its group infinite, and a group has a
 # global fixed point exactly when it is trivial or cyclic.
 MAX_FINITE_GROUP_ORDER = 12
+# The largest order of a finite subgroup of GL_n(Z) for n = 0..5: the trivial
+# group, then 2, 12 (dihedral), 48, 1152 and 3840 (Kuzmanovich-Pavlichenkov,
+# "Finite groups of matrices whose entries are integers", Amer. Math. Monthly
+# 2002).  At n = 6 it is 103 680, more than a closure should walk.
+MAX_LATTICE_GROUP_ORDER = (1, 2, 12, 48, 1152, 3840)
 
 
 class MoebiusElement(Record):
@@ -164,30 +169,36 @@ class MoebiusGroup(Record):
         return tuple(orbits)
 
 
-def closure(generators) -> MoebiusGroup:
-    """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite.
+def _close(generators, identity, cap: int, where: str) -> set:
+    """The elements of the group that ``generators`` generate, identity
+    included; NotFiniteWithinCap once there are more than ``cap``, the
+    largest order of a finite subgroup of ``where``.
 
-    Right products h * g suffice: in a finite group each generator's inverse
-    is a positive power of it, and an infinite group has infinitely many words.
+    Breadth first from the generators, identities and repeats dropped, by
+    right products h * g: in a finite group each generator's inverse is a
+    positive power of it, and an infinite group has infinitely many words.
     """
+    gens = [g for g in dict.fromkeys(generators) if g != identity]
+    seen, layer = {identity}, gens
+    while layer:
+        new = []
+        for h in layer:
+            if h not in seen:
+                if len(seen) == cap:
+                    raise NotFiniteWithinCap(
+                        f"group closure reached {cap + 1} elements, so the group is infinite: "
+                        f"finite subgroups of {where} have at most {cap}"
+                    )
+                seen.add(h)
+                new.append(h)
+        layer = [h * g for h in new for g in gens]
+    return seen
+
+
+def closure(generators) -> MoebiusGroup:
+    """Projective group generated by ``generators``; NotFiniteWithinCap if it is infinite."""
     gens = [g if isinstance(g, MoebiusElement) else MoebiusElement(g) for g in generators]
-    seen = {MoebiusElement.identity()}
-    frontier = [MoebiusElement.identity()]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = h * g
-                if prod not in seen:
-                    if len(seen) == MAX_FINITE_GROUP_ORDER:
-                        raise NotFiniteWithinCap(
-                            f"group closure reached {MAX_FINITE_GROUP_ORDER + 1} elements, so "
-                            "the group is infinite: finite subgroups of PGL2(Q) have at most "
-                            f"{MAX_FINITE_GROUP_ORDER}"
-                        )
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    seen = _close(gens, MoebiusElement.identity(), MAX_FINITE_GROUP_ORDER, "PGL2(Q)")
     return MoebiusGroup(tuple(sorted(seen, key=MoebiusElement.sort_key)))
 
 
@@ -294,12 +305,23 @@ class LatticeAutGroup(Record):
 
 
 def fixed_sublattice(group: LatticeAutGroup) -> list[tuple[int, ...]]:
-    """Saturated basis of the common fixed sublattice of all generators.
+    """Saturated basis of the common fixed sublattice of all generators, of a
+    group that is finite.
 
-    A vector fixed by every generator is fixed by the whole group, so no
-    closure is needed on the lattice side.
+    The group is closed first, as a symmetry of a complete variety acts on
+    the lattice with finite order: NotFiniteWithinCap when it is infinite,
+    and ComputationCapError above rank 5, where no order bound is kept.  A
+    vector fixed by every generator is fixed by the whole group, so the
+    kernel reads the generators alone.
     """
-    ident = IntMatrix.identity(group.rank)
+    rank = group.rank
+    if rank >= len(MAX_LATTICE_GROUP_ORDER):
+        raise ComputationCapError(
+            f"cannot tell whether a lattice group of rank {rank} is finite: "
+            f"lattice ranks above {len(MAX_LATTICE_GROUP_ORDER) - 1} are not supported"
+        )
+    ident = IntMatrix.identity(rank)
+    _close(group.generators, ident, MAX_LATTICE_GROUP_ORDER[rank], f"GL{rank}(Z)")
     stacked = []
     for g in group.generators:
         stacked.extend((g - ident).entries)

@@ -10,6 +10,7 @@ candidate set of one-parameter subgroups.  The CLI exposes this as
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 
@@ -216,6 +217,85 @@ def _random_variety(rng: random.Random) -> CxOneVariety:
         name="random", dim=3, fibers=tuple(fibers), horizontals=horizontals,
         lattice=LatticeAutGroup(2, [[[-1, 0], [0, -1]]] * len(moebius)), moebius_generators=moebius,
     )
+
+
+def unimodular(rng: random.Random, rank: int) -> list[list[int]]:
+    """Three steps on the identity, each negating a row or adding another row
+    to it with a sign drawn per entry: the determinant is odd, but not always
+    +-1 (about one draw in ten in ranks 2-5).  The corpus draws its ``chow``
+    bases and ``lattice`` generators with it as it is."""
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(3):
+        i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
+        if i != j and rng.random() < 0.7:
+            u[i] = [a + rng.choice((1, -1)) * b for a, b in zip(u[i], u[j])]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def apply(m, v) -> list[int]:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def projective_space_fan(rank: int) -> list[list[list[int]]]:
+    """The fan of P^rank: the cones on all but one of e_1..e_rank, -(e_1+..+e_rank)."""
+    rays = [[int(i == j) for j in range(rank)] for i in range(rank)] + [[-1] * rank]
+    return [[r for k, r in enumerate(rays) if k != skip] for skip in range(rank + 1)]
+
+
+def product_fan(*ranks: int) -> list[list[list[int]]]:
+    """The fan of P^a x P^b x ... for ``ranks`` a, b, ...: each cone is one
+    cone of each factor's fan, the factors in consecutive coordinates.  A
+    factor of rank 0 is a point."""
+    total, offset, cones = sum(ranks), 0, [[]]
+    for a in ranks:
+        pad = [0] * offset, [0] * (total - offset - a)
+        cones = [c + [pad[0] + r + pad[1] for r in f] for c in cones for f in projective_space_fan(a)]
+        offset += a
+    return cones
+
+
+def _unimodular_basis(rng: random.Random, rank: int) -> list[list[int]]:
+    """The first draw of ``unimodular`` whose determinant is +-1."""
+    while True:
+        u = unimodular(rng, rank)
+        if IntMatrix(u).is_unimodular():
+            return u
+
+
+def _random_complete_fan(rng: random.Random, rank: int) -> list[list[list[int]]]:
+    """The maximal cones of a complete simplicial fan in ``rank`` >= 2, each as its
+    integer rays, as a ``chow`` document holds them: P^rank, (P^1)^rank or
+    P^2 x P^(rank-2), star-subdivided 0-3 times, in a random basis.
+
+    A star subdivision at a primitive v in [-2, 2]^rank replaces each maximal
+    cone that holds v by the full-dimensional cones that swap one of its rays
+    for v; the fan stays complete and simplicial."""
+    from .polyhedral import Cone
+
+    cones = product_fan(*rng.choice(((rank,), (1,) * rank, (2, rank - 2))))
+    for _ in range(rng.randint(0, 3)):
+        v = [0]
+        while math.gcd(*v) != 1:
+            v = [rng.randint(-2, 2) for _ in range(rank)]
+        star = []
+        for cone in cones:
+            held = Cone(rank, cone).contains(Cone(rank, [v]))
+            swaps = [cone[:k] + [v] + cone[k + 1:] for k in range(rank)] if held else [cone]
+            star += [s for s in swaps if Cone(rank, s).dim == rank]
+        cones = star
+    basis = _unimodular_basis(rng, rank)
+    return [[apply(basis, r) for r in cone] for cone in cones]
+
+
+def _random_surjection(rng: random.Random, rank: int, target: int) -> list[list[int]]:
+    """An integer projection from ``rank`` onto the lattice of rank ``target``:
+    an identity block beside random entries in [-1, 1], in a random basis."""
+    block = [[int(i == j) for j in range(target)] + [rng.randint(-1, 1) for _ in range(rank - target)]
+             for i in range(target)]
+    columns = list(zip(*_unimodular_basis(rng, rank)))
+    return [apply(columns, row) for row in block]
 
 
 def _random_invariant_degree2(rng: random.Random, variety: CxOneVariety) -> dict[ProjPoint, Q]:

@@ -16,8 +16,9 @@ diff of the corpus as the diff of those reports.
 ``fixture_goldens()`` parses ``commands.txt``, ``corpus()`` reads the corpus,
 and ``recorded_cases()`` chains the two.  The tests read the recorded cases
 and the hard inputs below only from here (``pyproject.toml`` puts this
-directory on their path); the random matrices ``sl2z`` and ``gl2q`` come
-from ``selftest``.
+directory on their path); the random matrices (``sl2z``, ``gl2q``,
+``unimodular``), ``apply`` and ``projective_space_fan`` come from
+``selftest``.
 
 ``--check`` rewrites nothing and needs no pytest.  It replays every recorded
 case and prints a unified diff of the exit code, stdout and stderr of each
@@ -57,7 +58,7 @@ from symfano.groups import (  # noqa: E402
     orbit_of,
 )
 from symfano.rationals import Q, rat_str  # noqa: E402
-from symfano.selftest import _GROUP_GENERATORS, gl2q, sl2z  # noqa: E402
+from symfano.selftest import _GROUP_GENERATORS, apply, gl2q, projective_space_fan, sl2z, unimodular  # noqa: E402
 
 CORPUS = HERE / "corpus"
 
@@ -212,27 +213,6 @@ def weights_document(rng: random.Random, name: str, n: int, rank: int) -> dict:
             sorted(rng.sample(labels, rng.randint(2, n)), key=labels.index) for _ in range(rng.randint(1, 2))
         ]
     return doc
-
-
-def unimodular(rng: random.Random, rank: int) -> list[list[int]]:
-    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    for _ in range(3):
-        i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
-        if i != j and rng.random() < 0.7:
-            u[i] = [a + rng.choice((1, -1)) * b for a, b in zip(u[i], u[j])]
-        else:
-            u[i] = [-a for a in u[i]]
-    return u
-
-
-def apply(m, v) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def projective_space_fan(rank: int) -> list[list[list[int]]]:
-    """The fan of P^rank: the cones on all but one of e_1..e_rank, -(e_1+..+e_rank)."""
-    rays = [[int(i == j) for j in range(rank)] for i in range(rank)] + [[-1] * rank]
-    return [[r for k, r in enumerate(rays) if k != skip] for skip in range(rank + 1)]
 
 
 def chow_document(rng: random.Random, name: str, rank: int, target: int) -> dict:

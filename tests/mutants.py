@@ -153,6 +153,13 @@ MUTANTS = (
         "three elements that are no group give an orbit whose size does not divide 3",
     ),
     Mutant(
+        "src/symfano/groups.py",
+        "    _close(group.generators, ident, MAX_LATTICE_GROUP_ORDER[rank], f\"GL{rank}(Z)\")\n",
+        "",
+        ("tests/test_cli.py::test_exit_code_cap_error",),
+        "an infinite lattice group fixes no vector, so without the closure the swapped-pair route certifies KE",
+    ),
+    Mutant(
         "src/symfano/polyhedral.py",
         "        fan.validate()\n    except InputError as exc:\n",
         "        pass\n    except InputError as exc:\n",

@@ -609,6 +609,20 @@ def test_fixed_sublattice_characterizes_fixed_vectors(rng, property_cases):
                 assert rank == len(basis)
 
 
+def test_lattice_groups_of_the_largest_finite_orders_close():
+    # {1, -1}, the dihedral group of order 12, and the signed permutations of three coordinates
+    for generators in (
+        [[[-1]]],
+        [[[1, -1], [1, 0]], [[0, 1], [1, 0]]],
+        [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    ):
+        rank = len(generators[0])
+        group = LatticeAutGroup(rank, generators)
+        cap = groups.MAX_LATTICE_GROUP_ORDER[rank]
+        assert len(groups._close(group.generators, IntMatrix.identity(rank), cap, "")) == cap
+        assert fixed_sublattice(group) == []
+
+
 @pytest.mark.parametrize(
     "generators, message",
     [

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import make_corpus
@@ -8,7 +9,7 @@ import pytest
 
 from symfano import cli, polyhedral
 from symfano.errors import InputError, InternalError
-from symfano.exact import IntMatrix, integer_kernel
+from symfano.exact import IntMatrix, integer_kernel, smith_normal_form
 from symfano.polyhedral import (
     Cone,
     Fan,
@@ -18,8 +19,9 @@ from symfano.polyhedral import (
     intersect,
     is_face,
 )
-from symfano.rationals import rat
+from symfano.quotients import chow_quotient_fan
 from symfano.schemas import fixture_path, load_chow
+from symfano.selftest import _random_complete_fan, _random_surjection
 
 
 def cone2(*gens):
@@ -618,46 +620,6 @@ def test_refinement_halfplane_meeting_cone_in_a_ray():
     assert all(halfplane.contains(c) for c in fan.maximal_cones if c != cone)
 
 
-def test_refinement_properties_random(rng, property_cases):
-    def random_cone():
-        while True:
-            cone = cone2(
-                (rng.randint(-3, 3), rng.randint(-3, 3)),
-                (rng.randint(-3, 3), rng.randint(-3, 3)),
-            )
-            if cone.dim == 2:
-                return cone
-
-    def random_ray():
-        while True:
-            ray = cone2((rng.randint(-3, 3), rng.randint(-3, 3)))
-            if ray.dim == 1:
-                return ray
-
-    for _ in range(property_cases // 4):
-        cones = [random_cone() for _ in range(rng.randint(1, 4))]
-        fan = common_refinement(cones)
-        fan.validate()
-        # lower-dimensional inputs neither hold nor cut a cell
-        mixed = cones + [random_ray() for _ in range(rng.randint(1, 2))]
-        rng.shuffle(mixed)
-        assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
-        # the union is preserved (random rational points, exact membership)
-        for _ in range(20):
-            point = (rat(rng.randint(-9, 9), rng.randint(1, 3)), rat(rng.randint(-9, 9), rng.randint(1, 3)))
-            assert any(holds(c, point) for c in cones) == any(
-                holds(c, point) for c in fan.cones
-            )
-        # every full-dimensional cell lies inside every input whose interior it meets
-        for cell in fan.maximal_cones:
-            if cell.dim < 2:
-                continue
-            interior_point = tuple(sum(g[i] for g in cell.generators) for i in range(2))
-            for cone in cones:
-                if holds(cone, interior_point):
-                    assert cone.contains(cell)
-
-
 def _assert_maximal_cells(fan):
     """The maximal cones the refinement gave its fan are the ones found by
     definition and by a fresh ``Fan``, in order, and a pickled copy, which
@@ -686,43 +648,67 @@ def _assert_refines(fan, cones, rng):
                 assert cone.contains(cell)
 
 
-def test_refinement_properties_random_rank3(rng, property_cases):
-    def random_cone():
+# per rank: the divisor of ``property_cases``, the count of full-dimensional
+# inputs, the bound on their generators' entries, and the count of flat inputs
+REFINEMENT_FAMILIES = {2: (4, (1, 4), 3, (1, 2)), 3: (10, (1, 3), 2, (1, 2)), 4: (10, (2, 2), 2, (0, 0))}
+
+
+@pytest.mark.parametrize("rank", REFINEMENT_FAMILIES)
+def test_refinement_properties_random(rng, property_cases, rank):
+    divisor, inputs, bound, flats = REFINEMENT_FAMILIES[rank]
+
+    def random_cone(generators, dims):
         while True:
-            cone = Cone(3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
-            if cone.dim == 3:
+            cone = Cone(rank, [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(generators)])
+            if cone.dim in dims:
                 return cone
 
-    def random_flat_cone():
-        # a ray or a two-dimensional sector
-        while True:
-            cone = Cone(3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(rng.randint(1, 2))])
-            if cone.dim:
-                return cone
-
-    for _ in range(property_cases // 10):
-        cones = [random_cone() for _ in range(rng.randint(1, 3))]
+    for _ in range(property_cases // divisor):
+        cones = [random_cone(rank, (rank,)) for _ in range(rng.randint(*inputs))]
         fan = common_refinement(cones)
         fan.validate()
         # lower-dimensional inputs neither hold nor cut a cell
-        mixed = cones + [random_flat_cone() for _ in range(rng.randint(1, 2))]
-        rng.shuffle(mixed)
-        assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
+        flat = [random_cone(rng.randint(1, rank - 1), range(1, rank)) for _ in range(rng.randint(*flats))]
+        if flat:
+            mixed = cones + flat
+            rng.shuffle(mixed)
+            assert [c.key() for c in common_refinement(mixed).cones] == [c.key() for c in fan.cones]
         _assert_refines(fan, cones, rng)
 
 
-def test_refinement_properties_random_rank4(rng, property_cases):
-    def random_cone():
-        while True:
-            cone = Cone(4, [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
-            if cone.dim == 4:
-                return cone
+def fan_of(cones):
+    rank = len(cones[0][0])
+    return Fan(rank, tuple(Cone(rank, c) for c in cones))
 
+
+@pytest.mark.parametrize("rank", (2, 3, 4))
+def test_random_complete_fans(rng, property_cases, rank):
+    """Each generated fan is complete: it is a fan, its maximal cones are
+    full-dimensional, and each facet of one lies in exactly two of them.
+    Each generated projection has all its invariant factors 1."""
     for _ in range(property_cases // 10):
-        cones = [random_cone() for _ in range(2)]
-        fan = common_refinement(cones)
+        fan = fan_of(_random_complete_fan(rng, rank))
         fan.validate()
-        _assert_refines(fan, cones, rng)
+        assert all(c.dim == rank for c in fan.maximal_cones)
+        facets = Counter(f for c in fan.maximal_cones for f in c.faces() if f.dim == rank - 1)
+        assert set(facets.values()) == {2}
+        for target in range(1, rank):
+            _, d, _ = smith_normal_form(IntMatrix(_random_surjection(rng, rank, target)))
+            assert [d[i, i] for i in range(target)] == [1] * target
+
+
+@pytest.mark.parametrize("rank, target", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_chow_on_random_complete_fans(rng, property_cases, rank, target):
+    """``chow`` on generated inputs: no maximal cone has a flat image, and the
+    output refines the images, whose union is the target, so it covers the
+    target.  Coarseness is not checked."""
+    # a 4 -> 3 output has up to about 200 maximal cells, and one case takes up to a few seconds
+    for _ in range(property_cases // (100 if target == 3 else 20)):
+        fan = fan_of(_random_complete_fan(rng, rank))
+        projection = IntMatrix(_random_surjection(rng, rank, target))
+        out, flat = chow_quotient_fan(fan, projection)
+        assert flat == ()
+        _assert_refines(out, [image_cone(c, projection) for c in fan.maximal_cones], rng)
 
 
 def test_fan_validate_counts_equal_cones_once():

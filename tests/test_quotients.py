@@ -18,6 +18,7 @@ from symfano.quotients import (
 )
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_chow, load_weights, read_json
+from symfano.selftest import product_fan, projective_space_fan
 
 HYP = WeightMatrix(("alpha", "beta", "gamma"), IntMatrix([[-2, 1, 1], [1, -2, 1]]))
 BLOW = WeightMatrix(("alpha", "beta", "gamma", "delta"), IntMatrix([[-1, 1, -1, 1], [1, -1, -1, 1]]))
@@ -98,18 +99,6 @@ def test_polystable_unimodular_invariance(rng, property_cases):
         wm2 = WeightMatrix(labels, u * weights)
         support = tuple(l for l in labels if rng.random() < 0.7)
         assert is_polystable(wm, support)[0] == is_polystable(wm2, support)[0]
-
-
-def test_oracle_equivalence_random(rng, property_cases):
-    for _ in range(property_cases):
-        d = rng.randint(1, 2)
-        n = rng.randint(1, 6)
-        weights = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
-        labels = [f"x{i}" for i in range(n)]
-        wm = WeightMatrix(labels, weights)
-        verdict, cert = is_polystable(wm, labels)
-        assert verdict == is_polystable_oracle(wm, labels)
-        assert verify_stability_cert(wm, labels, cert)
 
 
 def _count_simplex_calls(monkeypatch) -> list:
@@ -195,15 +184,13 @@ def test_locus_cap():
         polystable_locus(wm)
 
 
+def fan_of(cones):
+    rank = len(cones[0][0])
+    return Fan(rank, tuple(Cone(rank, c) for c in cones))
+
+
 def p2_fan():
-    return Fan(
-        2,
-        (
-            Cone(2, [(1, 0), (0, 1)]),
-            Cone(2, [(0, 1), (-1, -1)]),
-            Cone(2, [(1, 0), (-1, -1)]),
-        ),
-    )
+    return fan_of(projective_space_fan(2))
 
 
 def test_chow_p2():
@@ -223,45 +210,24 @@ def test_chow_identity():
 
 
 def test_chow_p1xp1():
-    quadrants = Fan(
-        2,
-        tuple(
-            Cone(2, [(sx, 0), (0, sy)])
-            for sx in (1, -1)
-            for sy in (1, -1)
-        ),
-    )
-    fan, flat = chow_quotient_fan(quadrants, IntMatrix([[1, 1]]))
-    assert len(fan.cones) == 3 and flat == ()
-    assert len(fan.maximal_cones) == 2
+    out, flat = chow_quotient_fan(fan_of(product_fan(1, 1)), IntMatrix([[1, 1]]))
+    assert len(out.cones) == 3 and flat == ()
+    assert len(out.maximal_cones) == 2
 
 
 def test_chow_p3_drop_one_coordinate():
     # quotient of three-space by the torus scaling the third coordinate: the
     # image cones are the quadrant, the whole plane, and two lower sectors,
     # and the refinement merges back to the standard fan of the plane
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    from itertools import combinations
-
-    p3 = Fan(3, tuple(Cone(3, list(trip)) for trip in combinations(rays, 3)))
-    fan, flat = chow_quotient_fan(p3, IntMatrix([[1, 0, 0], [0, 1, 0]]))
-    expected = [
-        Cone(2, [(1, 0), (0, 1)]),
-        Cone(2, [(0, 1), (-1, -1)]),
-        Cone(2, [(1, 0), (-1, -1)]),
-    ]
-    assert len(fan.maximal_cones) == 3 and flat == ()
-    for cone in expected:
-        assert any(cone == c for c in fan.maximal_cones)
+    out, flat = chow_quotient_fan(fan_of(projective_space_fan(3)), IntMatrix([[1, 0, 0], [0, 1, 0]]))
+    assert len(out.maximal_cones) == 3 and flat == ()
+    for cone in p2_fan().cones:
+        assert any(cone == c for c in out.maximal_cones)
 
 
 def test_chow_project_to_factor():
-    quadrants = Fan(
-        2,
-        tuple(Cone(2, [(sx, 0), (0, sy)]) for sx in (1, -1) for sy in (1, -1)),
-    )
-    fan, flat = chow_quotient_fan(quadrants, IntMatrix([[1, 0]]))
-    assert len(fan.cones) == 3 and flat == ()  # both halflines and the origin
+    out, flat = chow_quotient_fan(fan_of(product_fan(1, 1)), IntMatrix([[1, 0]]))
+    assert len(out.cones) == 3 and flat == ()  # both halflines and the origin
 
 
 def test_chow_quotient_fan_names_the_maximal_cones_with_flat_images():

@@ -43,7 +43,7 @@ from symfano.polyhedral import Cone, Fan
 from symfano.quotients import WeightMatrix
 from symfano.rationals import rat
 from symfano.schemas import fixture_path, load_variety, read_json
-from symfano.selftest import _random_variety, sl2z, suite_effectivity
+from symfano.selftest import _random_variety, sl2z
 from symfano import tvariety
 from symfano.cli import run
 from symfano.tvariety import (
@@ -150,10 +150,6 @@ def test_anticanonical_lift_effectivity():
 
     with pytest.raises(DegreeError):
         anticanonical_lift(vt, {pt(1): rat(1)})
-
-
-def test_effectivity_suite(rng, property_cases):
-    assert suite_effectivity(rng, property_cases) == []
 
 
 def test_glct_fixtures():
