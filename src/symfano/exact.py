@@ -558,6 +558,11 @@ def _phase_one(a_rows, rhs):
     ``_general_phase_one``.  The row count, which the input fixes, chooses
     the path.
 
+    With two rows a departed artificial column never enters again: its
+    reduced cost stays > 0, as ``_two_row_phase_one`` proves, so that kernel
+    scans no artificial column.  With three rows Bland's rule does bring one
+    back on some LPs w x = -w 1, so the general kernel scans every column.
+
     z is determined by the tableau, T = adj(B) [A | I | b] over den = det B
     (Bareiss): den * z_j is den*[j is artificial] minus the sum of T[i][j]
     over the rows whose basic variable is artificial.  The two-row kernel
@@ -572,17 +577,35 @@ def _phase_one(a_rows, rhs):
 
 def _two_row_phase_one(a_rows, rhs):
     """``_phase_one`` on two rows: the general kernel's pivots, unrolled,
-    with no reduced-cost row.
+    with no reduced-cost row and no scan of the artificial columns.
 
     The two tableau rows, the two basis indices and ``den`` are locals.
     Phase one costs 1 on each artificial column and 0 on each x column, so
     the reduced costs follow from the artificial rows, as ``_phase_one``
     says.  Bland's rule reads them in column order, up to the first
-    negative one; with no artificial row every reduced cost is >= 0.  At
-    the end den times the objective is the sum of the artificial rows'
-    right-hand sides, and den * y_i / s_i is the sum of their entries in
-    column n + i: the numbers ``-z[-1]`` and ``den - z[n + i]`` of the
-    general kernel.
+    negative one.  At the end den times the objective is the sum of the
+    artificial rows' right-hand sides, and den * y_i / s_i is the sum of
+    their entries in column n + i: the numbers ``-z[-1]`` and
+    ``den - z[n + i]`` of the general kernel.
+
+    No artificial column enters after it has left.  Let A' be A with each
+    row negated where its right-hand side is negative.  Suppose a_1 is basic
+    in row 1 and x_e in row 0 (the other case is symmetric).  Then
+    den = A'0e, row 1 holds -A'1e in column n, and den times the reduced
+    cost of the departed a_0 is A'0e + A'1e, which is > 0 by induction on
+    the pivots:
+
+    * if x_e entered at the start, A'0e + A'1e > 0 is Bland's entering test;
+    * if x_e replaced x_f while a_1 stayed basic, row 0 left, so A'0e > 0;
+      Bland's test on row 1 gave A'0f A'1e - A'1f A'0e > 0; and
+      A'1f > -A'0f, with A'0f = den > 0, by induction.  So
+      A'0f A'1e > A'1f A'0e > -A'0f A'0e, and A'1e > -A'0e.
+
+    The basic artificial's reduced cost is 0, so only x columns enter; each
+    pivot makes one basic, so after the first pivot at most one row is
+    artificial, and only it is scanned.  The kernel stops when that row has
+    no positive x entry, or when no row is artificial and so no reduced
+    cost is negative.
 
     The leaving row is row 0 unless row 1 has a positive entry and a
     smaller ratio, or the same ratio and the smaller basis index (Bland's
@@ -598,33 +621,13 @@ def _two_row_phase_one(a_rows, rhs):
     b0, b1 = n, n + 1
     den = 1
 
-    while True:
-        if b0 >= n and b1 >= n:
-            # both artificial columns are basic, so only an x column enters
-            for enter in range(n):
-                if t0[enter] + t1[enter] > 0:
-                    break
-            else:
-                break
-        else:
-            if b0 >= n:
-                art = t0
-            elif b1 >= n:
-                art = t1
-            else:
-                break
-            for enter in range(n):
-                if art[enter] > 0:
-                    break
-            else:
-                # no two-row LP has been seen to bring an artificial column
-                # back, but nothing rules it out
-                if den < art[n]:
-                    enter = n
-                elif den < art[n + 1]:
-                    enter = n + 1
-                else:
-                    break
+    # both rows are artificial only here, before the first pivot
+    for enter in range(n):
+        if t0[enter] + t1[enter] > 0:
+            break
+    else:
+        enter = n
+    while enter < n:
         p0 = t0[enter]
         p1 = t1[enter]
         # row 0 has p0 > 0 whenever row 1 does not leave, as phase one is bounded
@@ -634,6 +637,17 @@ def _two_row_phase_one(a_rows, rhs):
         else:
             t1 = [(x * p0 - p1 * y) // den for x, y in zip(t1, t0)]
             den, b0 = p0, enter
+        if b0 >= n:
+            art = t0
+        elif b1 >= n:
+            art = t1
+        else:
+            break
+        for enter in range(n):
+            if art[enter] > 0:
+                break
+        else:
+            break
 
     art0 = b0 >= n
     art1 = b1 >= n

@@ -80,6 +80,12 @@ def _dd_from_halfspaces(rank: int, halfspaces, start=None):
     primitive representatives orthogonal to the current lineality, which
     makes deduplication and the adjacency bookkeeping exact.
 
+    A ray r moved by a lineality pivot l0, with a.l0 = v0 > 0, becomes the
+    rejection of v0 r - (a.r) l0 from the new lineality, and that is never
+    zero: the ray r is nonzero and orthogonal to the old lineality, whose
+    span holds l0 and the new lineality, so the rejection keeps the
+    component v0 r, and v0 > 0.
+
     The lineality pivot is the first basis vector the halfspace does not
     vanish on, so every basis vector keeps its own coordinate at which the
     others vanish: the basis is the one of its span for that coordinate set,
@@ -118,8 +124,7 @@ def _dd_from_halfspaces(rank: int, halfspaces, start=None):
             for r in rays:
                 vr = _dot(a, r)
                 w = _primitive(_reject(tuple(v0 * x - vr * y for x, y in zip(r, l0)), ortho))
-                if any(w):
-                    moved[w] = zeros[r] | bit
+                moved[w] = zeros[r] | bit
             w = _primitive(_reject(l0, ortho))
             moved[w] = bit - 1
             zeros = moved

@@ -15,12 +15,13 @@ reduces the radicand ``d`` that a quadratic point prints with, without
 factoring it in full.
 
 ``parse_ratio`` is the one parser of the text form: it reads ``"p/q"`` or a
-bare integer into an int numerator and a nonzero int denominator, and the
-schema check keeps what it parsed as those pairs.  A ``Fraction`` is built
-only for a value that the package reports (``parse_rat`` and ``rat`` build
-one, as do the coefficients of a marked pair and the thresholds), so
-``validate`` loads no ``fractions``.  ``rat`` accepts ints, rationals and
-strings only: a float, a bool or a zero denominator is an ``InputError``.
+bare integer, each part ASCII digits after an optional sign, into an int
+numerator and a nonzero int denominator, and the schema check keeps what it
+parsed as those pairs.  A ``Fraction`` is built only for a value that the
+package reports (``parse_rat`` and ``rat`` build one, as do the coefficients
+of a marked pair and the thresholds), so ``validate`` loads no
+``fractions``.  ``rat`` accepts ints, rationals and strings only: a float, a
+bool or a zero denominator is an ``InputError``.
 
 Importing this module loads no ``fractions`` (nor the ``decimal`` and
 ``numbers`` that it imports): ``Q``, ``ZERO``, ``ONE`` and ``TWO`` are bound
@@ -88,19 +89,34 @@ def parse_rat(text) -> Q:
 
 def parse_ratio(text) -> tuple[int, int]:
     """Parse ``"p/q"`` or a bare integer (string or int) into ints (p, q),
-    q nonzero and neither reduced nor made positive."""
+    q nonzero and neither reduced nor made positive.
+
+    A string is read only in that text form: each part is ASCII digits
+    after an optional sign, so ``"1/-2"`` and ``"+3"`` are rationals, while
+    whitespace, ``_`` and other decimal digits, which ``int`` would accept,
+    are not.
+    """
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         try:
-            d = int(den) if slash else 1
+            d = _int(den) if slash else 1
             if d:
-                return int(num), d
+                return _int(num), d
         except ValueError:
             raise InputError(f"not a rational: {text!r}") from None
         raise InputError(f"zero denominator in {text!r}")
     if isinstance(text, int) and not isinstance(text, bool):
         return text, 1
     raise InputError(f"not a rational: {text!r}")
+
+
+def _int(part: str) -> int:
+    """``int(part)`` when ``part`` is ASCII digits after an optional sign;
+    else ValueError, which ``int`` also raises for too many digits."""
+    digits = part[1:] if part[:1] in ("+", "-") else part
+    if digits.isascii() and digits.isdigit():
+        return int(part)
+    raise ValueError(part)
 
 
 def rat_str(x) -> str:

@@ -8,8 +8,8 @@ text, which occurs once in that file, the ``new`` text that replaces it, the
 ids of the tests that must each fail once it is applied, and one line on why
 they must.  ``python tests/run_mutants.py`` applies each mutant to a scratch
 copy of the working tree and prints those that survive; a mutant whose tests
-do not finish, such as one that makes Bland's rule cycle, is stopped at the
-runner's timeout and counts as killed.  A tier-1 rule in
+do not finish is stopped at the runner's timeout and counts as killed, though
+none of those listed here needs it.  A tier-1 rule in
 ``test_source.py`` checks that every ``raise InternalError`` in ``src/`` has
 a mutant in its function and that every ``old`` text occurs once.
 """
@@ -32,6 +32,7 @@ EACH_CLAUSE = "tests/test_quotients.py::test_verify_stability_cert_rejects_what_
 DIAGONAL_SECTION = "tests/test_polyhedral.py::test_a_diagonal_section_is_no_face_and_no_meet"
 TWO_ROWS = "tests/test_exact.py::test_two_row_phase_one_makes_the_general_pivots"
 FRACTION_REFERENCE = "tests/test_exact.py::test_phase_one_matches_fraction_reference"
+SMALL_TWO_ROWS = "tests/test_exact.py::test_every_small_two_row_phase_one_makes_the_general_pivots"
 
 MUTANTS = (
     # ``exact._decide``: every outcome of the simplex is checked before it is returned
@@ -132,10 +133,10 @@ MUTANTS = (
     ),
     Mutant(
         EXACT,
-        "if den < art[n]:",
-        "if 0 < art[n]:",
-        (TWO_ROWS,),
-        "an artificial column enters only at a negative reduced cost; a basic one would pivot on itself forever",
+        "for enter in range(n):\n            if art[enter] > 0:",
+        "for enter in range(n - 1):\n            if art[enter] > 0:",
+        (TWO_ROWS, SMALL_TWO_ROWS),
+        "after each pivot Bland's rule reads every x column of the artificial row left, the last one too",
     ),
     # the group, refinement and verdict checks
     Mutant(

@@ -29,11 +29,11 @@ from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_run", "*.egg-info")
-# A mutant can break a loop's termination (Bland's rule in the two-row phase
-# one cycles once a basic artificial column may enter), and its tests then
-# never finish.  Every run of listed tests, the unmutated one included, takes
-# a few seconds on a 2-CPU machine; a minute leaves a slow or shared machine
-# more than ten times that, and bounds what a hung mutant costs.
+# A mutant can break a loop's termination, and its tests then never finish;
+# no listed mutant does so, and the bound is kept for one that would.  Every
+# run of listed tests, the unmutated one included, takes a few seconds on a
+# 2-CPU machine; a minute leaves a slow or shared machine more than ten times
+# that, and bounds what a hung mutant costs.
 TIMEOUT_S = 60
 
 

@@ -658,6 +658,26 @@ def test_a_label_that_cannot_name_a_support_is_an_input_error(tmp_path, capsys, 
         assert captured.err == f"input error: {label_problem(1, label)}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [" 3 ", "\t-1/2\n", "3/ 4", "1_0", "٣", "１/２"],
+    ids=["spaces", "tab-newline", "inner-space", "underscore", "arabic-indic", "fullwidth"],
+)
+def test_a_rational_off_its_text_form_is_an_input_error(tmp_path, capsys, text):
+    # ``int`` reads each part of these, but a rational is "p/q" in ASCII digits
+    target = tmp_path / "pair.json"
+    target.write_text(json.dumps(edited("pair-triangle.json", {("points", 0, "coeff"): text})))
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if "problem:" in line] == [
+        '  problem: points[0].coeff: must be a rational or "-inf"'
+    ]
+    assert run(["lct", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    with pytest.raises(InputError, match="^not a rational: "):
+        rationals.rat(text)
+
+
 def test_labels_that_would_give_two_verdicts_one_claim_are_rejected(tmp_path, capsys):
     # "support {empty}" and "support {a, b}" would each name two supports
     target = tmp_path / "labels.json"
@@ -1099,23 +1119,11 @@ def test_a_failing_selftest_suite_is_an_internal_error(capsys, monkeypatch):
     assert "snf_identity: pass" in out and "always_fails: FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("tvar", "check", "bidegree12.json"),
-        ("tvar", "check", "quadric.json"),
-        ("lct", "pair-triangle.json"),
-        ("valuable", "pair-involution.json"),
-        ("git", "locus", "hyp12-deform.json"),
-        ("chow", "p1xp1-chow.json"),
-        ("lattice", "symmetric", "lattice-rotation.json"),
-        ("git", "locus", "blowup-deform.json"),  # the mismatch warning
-        ("git", "polystable", "hyp12-deform.json", "--support", "alpha,beta,gamma"),
-    ],
-)
-def test_json_reports_round_trip_everywhere(capsys, argv):
-    argv = [a if not a.endswith(".json") else fixture(a) for a in argv]
-    code, out = run_capture(capsys, *argv, "--json")
+def test_json_report_that_no_golden_records_round_trips(capsys):
+    # make_corpus.replay reads every recorded --json report back through
+    # Report.from_json; no golden records this support
+    argv = ("git", "polystable", fixture("hyp12-deform.json"), "--support", "alpha,beta,gamma", "--json")
+    code, out = run_capture(capsys, *argv)
     assert code == 0
     report = Report.from_json(out)
     assert report.to_json() == out.rstrip("\n")

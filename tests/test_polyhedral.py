@@ -234,6 +234,19 @@ def test_resumed_description_equals_the_one_from_the_whole_space(rng, property_c
     assert lines >= {0, 1, 2}
 
 
+def test_rays_are_nonzero_and_orthogonal_to_the_lineality(rng, property_cases):
+    # a ray that a lineality pivot moves keeps its component orthogonal to the
+    # old lineality, so no moved ray vanishes and none needs dropping
+    for _ in range(property_cases):
+        rank = rng.randint(1, 5)
+        halfspaces = _random_vectors(rng, rank, rng.randint(0, 8))
+        k = rng.randint(0, len(halfspaces))
+        start = polyhedral._dd_from_halfspaces(rank, halfspaces[:k])
+        for lineality, rays, _, _ in (start, polyhedral._dd_from_halfspaces(rank, halfspaces[k:], start)):
+            assert all(any(r) for r in rays)
+            assert not any(_dot(r, l) for r in rays for l in lineality)
+
+
 def test_intersect_equals_the_description_of_both_halfspace_forms(rng, property_cases):
     for _ in range(property_cases):
         rank = rng.randint(1, 4)
