@@ -18,17 +18,13 @@ _API = {
     name: module
     for module, names in (
         ("curvepair", "NEG_INFINITY LctResult MarkedCurvePair finite_degree is_valuable lct_g"),
-        (
-            "exact",
-            "IntMatrix PositiveCombination ProjPoint SemipositiveWitness integer_kernel"
-            " smith_normal_form solve_positive_combination",
-        ),
+        ("exact", "IntMatrix PositiveCombination ProjPoint SemipositiveWitness integer_kernel smith_normal_form"),
         (
             "groups",
-            "LatticeAutGroup MoebiusElement MoebiusGroup Orbit closure exceptional_orbits fixed_points"
-            " fixed_sublattice has_global_fixed_point is_symmetric orbit_of",
+            "LatticeAutGroup MoebiusElement MoebiusGroup Orbit closure exceptional_orbits fixed_sublattice"
+            " has_global_fixed_point is_symmetric orbit_of",
         ),
-        ("polyhedral", "Cone Fan common_refinement dual_cone image_cone intersect"),
+        ("polyhedral", "Cone Fan common_refinement dual_cone image_cone"),
         (
             "quotients",
             "Destabilizer WeightMatrix chow_quotient_fan is_polystable polystable_locus"

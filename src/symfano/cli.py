@@ -614,7 +614,8 @@ def run(argv=None) -> int:
                     code = EXIT_INTERNAL
         else:
             data = read_json(args.file)
-            report = Report(subject=data.get("name", str(args.file)))
+            name = data.get("name")
+            report = Report(subject=name if isinstance(name, str) else str(args.file))
             code = args.handler(report, data, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -69,7 +69,3 @@ class DegreeError(PreconditionError):
 
 class NotSurjective(PreconditionError):
     """The lattice projection is not onto the target lattice."""
-
-
-class IdentityElement(PreconditionError):
-    """Fixed points of the projective identity are undefined."""

@@ -453,23 +453,6 @@ class SemipositiveWitness(Record):
         super().__init__(_int_tuple(vector, "witness"))
 
 
-def solve_positive_combination(w: IntMatrix) -> PositiveCombination | SemipositiveWitness:
-    """Decide the strict alternative for the columns w_1..w_n of ``w``.
-
-    Exactly one of the two outcomes exists: either a strictly positive rational
-    vector lambda (normalised to lambda_i >= 1) with ``w @ lambda = 0``, or an
-    integer witness pairing nonnegatively with every column and positively
-    with at least one.  Decided by ``_decide``: phase-one simplex on
-    ``{w x = -w 1, x >= 0}`` with the witness read off the Farkas dual.  The
-    simplex pivots in plain integers, and lambda keeps its integer numerators
-    and denominator, in lowest terms.  Either outcome is re-checked in
-    integers by ``_certifies``, and a failed check raises ``InternalError``.
-    """
-    if w.cols < 1:
-        raise InputError("need at least one column")
-    return _decide(w.entries, {})[1]
-
-
 def _certifies(rows, polystable: bool, ints: tuple[int, ...]) -> bool:
     """Whether ``ints`` certifies the outcome ``polystable`` of the strict
     alternative for the columns of the integer ``rows``: the one check of
@@ -499,7 +482,11 @@ def _certifies(rows, polystable: bool, ints: tuple[int, ...]) -> bool:
 
 def _decide(rows, interned: dict) -> tuple[bool, PositiveCombination | SemipositiveWitness]:
     """The strict alternative for the columns of the integer ``rows``, as
-    the pair (is the outcome a positive combination, the outcome).
+    the pair (is the outcome a positive combination, the outcome): exactly
+    one of lambda > 0 (normalised to lambda_i >= 1) with w lambda = 0 and an
+    integer witness that pairs nonnegatively with every column and
+    positively with one exists.  Phase one on {w x = -w 1, x >= 0} decides
+    it, and the witness is read off the Farkas dual.
 
     Every column set is answered, the empty one too: ``zip`` hands it over
     as no rows, and its answer is the empty positive combination, lambda =

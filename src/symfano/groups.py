@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import ComputationCapError, IdentityElement, InputError, InternalError, NotFiniteWithinCap
+from .errors import ComputationCapError, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, Record, integer_kernel
 from .rationals import rat, rational_pair, ratio_key, squarefree_decompose
 
@@ -212,31 +212,23 @@ def moebius_through(points, images) -> MoebiusElement:
     return frames[1] * frames[0].inverse()
 
 
-def fixed_points(g: MoebiusElement) -> tuple[ProjPoint, ...]:
-    """The one or two fixed points of a non-identity element, sorted.
+def _fixed_coords(g: MoebiusElement) -> tuple[list[tuple[int, ...]], int]:
+    """The ``coords`` of the two fixed points of a non-identity element of
+    finite order, unsorted, and the discriminant D of their form.
 
     They are the roots of the form c x^2 + (d - a) xy - b y^2, rational
-    exactly when its discriminant D = (d - a)^2 + 4bc is a square.  Otherwise
-    both roots print over the ``d`` that ``squarefree_decompose`` leaves of D.
-    A single point is returned exactly for parabolic elements (D == 0).
+    exactly when D = (d - a)^2 + 4bc is a square.  A finite subgroup of
+    PGL2(Q) has no parabolic element (Beauville, 2010), so D != 0: the two
+    roots differ, and with c == 0 the finite one has d != a.  The one
+    caller, ``MoebiusGroup._exceptional_orbits``, skips the identity.
     """
-    roots, disc = _fixed_coords(g)
-    d = squarefree_decompose(disc)[1] if len(roots[0]) == 4 else None
-    return tuple(sorted((ProjPoint._make(k, d) for k in roots), key=ProjPoint.sort_key))
-
-
-def _fixed_coords(g: MoebiusElement) -> tuple[list[tuple[int, ...]], int]:
-    """The ``coords`` of the fixed points of a non-identity element, unsorted,
-    and the discriminant D of their form."""
-    if g.is_identity():
-        raise IdentityElement("every point is fixed")
     a, b, c, d = g.a, g.b, g.c, g.d
     disc = (d - a) ** 2 + 4 * b * c
     r = math.isqrt(disc) if disc >= 0 else -1
     if r * r == disc:
         if c:
-            return list({rational_pair(a - d + r, 2 * c), rational_pair(a - d - r, 2 * c)}), disc
-        return list({(1, 0), rational_pair(b, d - a)}), disc
+            return [rational_pair(a - d + r, 2 * c), rational_pair(a - d - r, 2 * c)], disc
+        return [(1, 0), rational_pair(b, d - a)], disc
     k = math.gcd(c, d - a, b)
     if c < 0:
         k = -k

@@ -175,9 +175,9 @@ def _rays_in(rays, mask: int) -> tuple:
     return tuple(r for j, r in enumerate(rays) if mask >> j & 1)
 
 
-def _same_rank(c1: "Cone", c2: "Cone", verb: str):
+def _same_rank(c1: "Cone", c2: "Cone"):
     if c1.ambient_rank != c2.ambient_rank:
-        raise InputError(f"cannot {verb} cones of different ambient rank")
+        raise InputError("cannot compare cones of different ambient rank")
 
 
 class Cone(Record):
@@ -224,7 +224,12 @@ class Cone(Record):
         return cls.from_halfspaces(ambient_rank, [])
 
     def _cut(self, halfspaces) -> "Cone":
-        """This cone intersected with more halfspaces, resuming its description."""
+        """This cone intersected with more halfspaces, resuming its description.
+
+        The result is the one of a double description from the whole space
+        of both halfspace forms: its rays are canonical, and its lineality
+        basis depends only on its span (see ``_dd_from_halfspaces``).
+        """
         return Cone._from_state(self.ambient_rank, _dd_from_halfspaces(self.ambient_rank, halfspaces, self._state))
 
     @cached_property
@@ -275,7 +280,7 @@ class Cone(Record):
     def contains(self, other: "Cone") -> bool:
         """Whether ``other`` lies in this cone; cones of different ambient
         rank are an input error."""
-        _same_rank(self, other, "compare")
+        _same_rank(self, other)
         return all(_dot(h, g) >= 0 for g in other.generators for h in self._inequalities)
 
     def __eq__(self, other):
@@ -366,17 +371,6 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone._from_vform(cone.ambient_rank, *cone._dual)
 
 
-def intersect(c1: Cone, c2: Cone) -> Cone:
-    """The intersection: the description of ``c1`` resumed with the halfspaces of ``c2``.
-
-    The result is the one of a double description from the whole space of
-    both halfspace forms: its rays are canonical, and its lineality basis
-    depends only on its span (see ``_dd_from_halfspaces``).
-    """
-    _same_rank(c1, c2, "intersect")
-    return c1._cut(c2._inequalities)
-
-
 def image_cone(cone: Cone, p: IntMatrix) -> Cone:
     """Image under an integer linear map, with primitive regenerated rays."""
     if p.cols != cone.ambient_rank:
@@ -423,7 +417,7 @@ def is_face(face: Cone, cone: Cone) -> bool:
     ``cone`` whose masks hold the AND of their masks (``_spans_a_face``).
     Cones of different ambient rank are an input error.
     """
-    _same_rank(face, cone, "compare")
+    _same_rank(face, cone)
     return (
         face.lineality_basis == cone.lineality_basis
         and cone._ray_masks.keys() >= set(face.rays)

@@ -4,7 +4,7 @@ Every quantity in this package is an exact integer or rational; there are no
 floats and no tolerances anywhere.  The scalar type is ``fractions.Fraction``,
 which normalises to lowest terms with a positive denominator; ``BACKEND``
 names it.  The hot layers avoid it: the stability simplex
-(``exact.solve_positive_combination``) pivots in plain integers and keeps
+(``exact._decide``) pivots in plain integers and keeps
 its coefficients as integer numerators over one denominator, and the
 projective line (``groups.MoebiusElement``, ``exact.ProjPoint``) is integer
 matrices, pairs and binary quadratic forms.  ``ratio_key`` and ``ratio_str``

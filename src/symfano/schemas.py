@@ -1,7 +1,7 @@
 """JSON file formats: structural validation and loading.
 
 One format per subject.  One walk checks a document and returns what it
-parsed: ``validate_data`` reports every problem with its JSON path, and the
+parsed: ``_check_document`` reports every problem with its JSON path, and the
 ``load_*`` functions build the domain objects from the parsed points,
 coefficients and Moebius matrices without parsing again.  The check keeps
 every rational as the int pair of ``rationals.parse_ratio`` and builds no
@@ -15,6 +15,8 @@ types, so validation loads no subject module.
 Formats, in the order of ``_KINDS``, the one table of each format's key and
 check: a document is of the first format whose key it has.  Rationals are
 ``"p/q"`` strings or bare integers; points are ``[x, y]`` homogeneous pairs.
+A document of any format may carry a string ``name``, its report's subject,
+and a variety must.
 
 * variety     -- name, dim, fano, log_terminal, fibers: [{point, divisors:
                  [{name, order}]}], horizontal: [names], symmetry:
@@ -115,7 +117,9 @@ def _check_matrix(value, path, out, square=None, integer=True):
 
 def _validate_variety(data: dict, out: list):
     """The fibers' points and the Moebius generators (None for a declared action)."""
-    for key, typ in (("name", str), ("dim", int), ("fano", bool), ("log_terminal", bool)):
+    if "name" not in data:
+        out.append("name: missing")
+    for key, typ in (("dim", int), ("fano", bool), ("log_terminal", bool)):
         if key not in data:
             out.append(f"{key}: missing")
         elif not isinstance(data[key], typ) or (typ is int and isinstance(data[key], bool)):
@@ -314,32 +318,15 @@ _KINDS = (
 )
 
 
-def _kind_of(data: dict):
-    """The ``_KINDS`` entry of ``data``; InputError when it has none."""
-    for entry in _KINDS:
-        if entry[0] in data:
-            return entry
-    raise InputError(f"unrecognized file format (no {'/'.join(key for key, _, _ in _KINDS)} key)")
-
-
-def detect_kind(data: dict) -> str:
-    return _kind_of(data)[1]
-
-
 def _check_document(data: dict) -> tuple[str | None, list[str], object]:
-    """The kind of ``data`` (None when unrecognized), its structural problems
-    and what its check parsed (None for a kind with nothing to parse)."""
-    try:
-        _, kind, check = _kind_of(data)
-    except InputError as exc:
-        return None, [str(exc)], None
-    out: list[str] = []
-    return kind, out, check(data, out)
-
-
-def validate_data(data: dict) -> list[str]:
-    """All structural problems, each with its JSON path; empty means well-formed."""
-    return _check_document(data)[1]
+    """The kind of ``data`` (None when unrecognized), its structural problems,
+    each with its JSON path, and what its check parsed (None for a kind with
+    nothing to parse).  A document of any kind may carry a string ``name``."""
+    for key, kind, check in _KINDS:
+        if key in data:
+            out = [] if isinstance(data.get("name", ""), str) else ["name: must be str"]
+            return kind, out, check(data, out)
+    return None, [f"unrecognized file format (no {'/'.join(key for key, _, _ in _KINDS)} key)"], None
 
 
 # ---------------------------------------------------------------------------

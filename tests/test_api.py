@@ -1,6 +1,7 @@
 """The package's public names, resolved from their submodules on first use."""
 
 import ast
+import re
 from importlib import import_module
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 import symfano
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_names_are_the_submodule_objects():
@@ -21,7 +23,7 @@ def test_public_names_are_the_submodule_objects():
 
 def test_star_import_and_dir_give_the_public_names():
     names = set(symfano._API)
-    assert len(names) == 50 and set(symfano.__all__) == names
+    assert len(names) == 47 and set(symfano.__all__) == names
     assert names <= set(dir(symfano))
     namespace = {}
     exec("from symfano import *", namespace)
@@ -48,3 +50,34 @@ def test_readme_library_snippet_returns_one():
     namespace = {}
     exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), namespace)
     assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) == 1
+
+
+def referenced_names(node, own=frozenset()):
+    """The names that ``node`` loads, the attributes it reads and the names
+    it imports, except a definition's own name inside that definition."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            names |= referenced_names(child, own | {child.name})
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+        names |= referenced_names(child, own)
+    return names - own
+
+
+def test_every_public_name_is_reached_by_the_package_or_the_readme():
+    # a public name that no module of the package uses and the README does
+    # not document is surface that no command or reader reaches
+    package = ROOT / "src" / "symfano"
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.S))
+    documented = {name for name in symfano._API if re.search(rf"\b{name}\b", code)}
+    assert set(symfano._API) - used - documented == set()

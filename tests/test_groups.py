@@ -9,7 +9,7 @@ from make_corpus import BIG_A, BIG_ENTRIES, D4_BIG, D4_BIG_CONJUGATOR
 
 from symfano import groups
 from symfano.cli import EXIT_INTERNAL, run
-from symfano.errors import IdentityElement, InputError, InternalError, NotFiniteWithinCap
+from symfano.errors import InputError, InternalError, NotFiniteWithinCap
 from symfano.exact import IntMatrix, ProjPoint, smith_normal_form
 from symfano.groups import (
     LatticeAutGroup,
@@ -17,7 +17,6 @@ from symfano.groups import (
     MoebiusGroup,
     closure,
     exceptional_orbits,
-    fixed_points,
     fixed_sublattice,
     has_global_fixed_point,
     is_symmetric,
@@ -184,36 +183,30 @@ def test_has_global_fixed_point():
     assert has_global_fixed_point(closure([MoebiusElement.identity()]))
     group = closure([INVOLUTION])
     assert has_global_fixed_point(group)
-    # produce and verify the common fixed point
-    common = [p for p in fixed_points(INVOLUTION) if all(g.apply(p) == p for g in group)]
-    assert common
+    # produce and verify the common fixed points: the orbits of size 1
+    common = [o.points[0] for o in exceptional_orbits(group) if o.size == 1]
+    assert len(common) == 2 and all(g.apply(p) == p for g in group for p in common)
     assert not has_global_fixed_point(s3())
     for orbit in exceptional_orbits(s3()):
         assert orbit.size > 1
 
 
 def test_fixed_points_examples():
-    pts = fixed_points(INVOLUTION)
-    assert set(pts) == {pt(1), pt(-1)}
-    (single,) = fixed_points(MoebiusElement([[1, 1], [0, 1]]))
-    assert single == ProjPoint.infinity()
+    # the two fixed points of a generator are the orbits of size 1 of its group
     rot = MoebiusElement([[0, -1], [1, 0]])
-    a, b = fixed_points(rot)
-    assert {p.d for p in (a, b)} == {-1}
     for g in (INVOLUTION, THREE_CYCLE, TRANSPOSITION, rot):
-        for p in fixed_points(g):
-            assert g.apply(p) == p
-    with pytest.raises(IdentityElement):
-        fixed_points(MoebiusElement([[3, 0], [0, 3]]))
+        orbits = exceptional_orbits(closure([g]))
+        assert [o.size for o in orbits] == [1, 1] and all(g.apply(o.points[0]) == o.points[0] for o in orbits)
+    assert {o.points[0].d for o in exceptional_orbits(closure([rot]))} == {-1}
 
 
 def test_fixed_points_rational_past_the_trial_bound():
     """(t - q)(t + 3q) has the square discriminant 16 q^2, whose cofactor q^2
-    exceeds 2^32: the fixed points of t -> 3q^2/(t + 2q) come out rational."""
+    exceeds 2^32: the fixed points of t -> 3q^2/(t + 2q), an element of
+    infinite order, come out rational."""
     for q in (65537, 65539, 65543, 1000003, 2**31 - 1):
-        g = MoebiusElement([[0, 3 * q * q], [1, 2 * q]])
-        assert fixed_points(g) == (pt(-3 * q), pt(q))
-        assert all(p.d is None for p in fixed_points(g))
+        roots, disc = groups._fixed_coords(MoebiusElement([[0, 3 * q * q], [1, 2 * q]]))
+        assert sorted(roots) == [(-3 * q, 1), (q, 1)] and disc == 16 * q * q
 
 
 def test_exceptional_orbits_involution():
@@ -238,8 +231,8 @@ def test_exceptional_orbits_s3():
     for g in group:
         if g.is_identity():
             continue
-        for p in fixed_points(g):
-            assert any(p in o.points for o in orbits)
+        for t in reference_fixed_points(g):
+            assert any(reference_point(t) in o.points for o in orbits)
 
 
 def test_orbit_counting(rng):
@@ -253,7 +246,7 @@ def test_orbit_counting(rng):
     )
     for group in groups:
         total_fixed = sum(
-            len(fixed_points(g)) for g in group if not g.is_identity()
+            len(reference_fixed_points(g)) for g in group if not g.is_identity()
         )
         total_orbit = sum(o.size * (o.stabilizer_order - 1) for o in exceptional_orbits(group))
         assert total_fixed == total_orbit
@@ -299,9 +292,9 @@ def test_exceptional_orbits_over_big_fields():
         assert [o.size for o in orbits] == sizes
         points = [p for o in orbits for p in o.points]
         assert len(points) == len(set(points))
-        fixed = [p for g in group if not g.is_identity() for p in fixed_points(g)]
+        fixed = [reference_point(t) for g in group if not g.is_identity() for t in reference_fixed_points(g)]
         assert all(p in points for p in fixed)
-    fields = {p.d for g in d4_big if not g.is_identity() for p in fixed_points(g)}
+    fields = {reference_point(t).d for g in d4_big if not g.is_identity() for t in reference_fixed_points(g)}
     assert {BIG_PRIME, 65537**2 * BIG_PRIME} <= fields
 
 
@@ -503,12 +496,12 @@ def test_integer_action_agrees_with_quadratic_arithmetic():
     fields = set()
     for group in conjugated_pool(rng, 4):
         points = random_points(rng)
+        orbit_points = {p for o in exceptional_orbits(group) for p in o.points}
         for g in group:
             if not g.is_identity():
                 reference = reference_fixed_points(g)
-                fixed = fixed_points(g)
-                assert [str(p) for p in fixed] == [reference_str(t) for t in sorted(reference, key=reference_key)]
-                assert set(fixed) == {reference_point(t) for t in reference}
+                fixed = {reference_point(t) for t in reference}
+                assert len(fixed) == 2 and fixed <= orbit_points
                 assert all(g.apply(p) == p for p in fixed), g
                 points.extend(reference)
         fields.update(t.r for t in points if t is not None and t.v)

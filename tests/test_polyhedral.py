@@ -16,7 +16,6 @@ from symfano.polyhedral import (
     common_refinement,
     dual_cone,
     image_cone,
-    intersect,
     is_face,
 )
 from symfano.quotients import chow_quotient_fan
@@ -91,15 +90,13 @@ def test_cone_constructors_keep_big_ints():
     assert halfplane.rays == ((big, 1),) and halfplane.lineality_basis == ((-1, big),)
 
 
-def test_intersect_examples():
+def test_cut_examples():
     c = cone2((1, 0), (1, 2))
-    assert intersect(c, c) == c
+    assert c._cut(c._inequalities) == c
     second = cone2((-1, 0), (0, 1))
-    ray = intersect(FIRST_ORTHANT, second)
+    ray = FIRST_ORTHANT._cut(second._inequalities)
     assert ray.rays == ((0, 1),) and not ray.lineality_basis
-    assert intersect(c, ORIGIN2) == ORIGIN2
-    with pytest.raises(InputError):
-        intersect(c, Cone(3, [(1, 0, 0)]))
+    assert c._cut(ORIGIN2._inequalities) == ORIGIN2
 
 
 def test_image_examples():
@@ -247,11 +244,13 @@ def test_rays_are_nonzero_and_orthogonal_to_the_lineality(rng, property_cases):
             assert not any(_dot(r, l) for r in rays for l in lineality)
 
 
-def test_intersect_equals_the_description_of_both_halfspace_forms(rng, property_cases):
+def test_cut_equals_the_description_of_both_halfspace_forms(rng, property_cases):
+    # resuming the description of one cone with the halfspaces of another
+    # gives the rays and lineality basis of a description from scratch
     for _ in range(property_cases):
         rank = rng.randint(1, 4)
         a, b = _random_cone(rng, rank), _random_cone(rng, rank)
-        meet, both = intersect(a, b), Cone.from_halfspaces(rank, [*a.halfspaces, *b.halfspaces])
+        meet, both = a._cut(b._inequalities), Cone.from_halfspaces(rank, [*a.halfspaces, *b.halfspaces])
         assert (meet.lineality_basis, meet.rays) == (both.lineality_basis, both.rays)
         assert meet.generators == both.generators
 
@@ -277,7 +276,7 @@ def test_is_face_agrees_with_the_smallest_face_test(rng, property_cases):
         cone, other = _random_cone(rng, rank), _random_cone(rng, rank)
         for face in cone.faces():
             assert is_face(face, cone) and _reference_is_face(face, cone)
-        for candidate in [other, intersect(cone, other), *other.faces()]:
+        for candidate in [other, cone._cut(other._inequalities), *other.faces()]:
             verdict = is_face(candidate, cone)
             assert verdict == _reference_is_face(candidate, cone)
             verdicts[verdict] += 1
@@ -299,7 +298,7 @@ def test_meet_in_common_face_agrees_with_the_smallest_face_test(rng, property_ca
         above, below = a._cut([h]), a._cut([tuple(-x for x in h)])
         pairs = [(a, b), (face, Cone(rank, other_face.generators)), (above, Cone(rank, below.generators))]
         for c1, c2 in pairs:
-            meet = intersect(c1, c2)
+            meet = c1._cut(c2._inequalities)
             verdict = polyhedral._meets_in_common_face(c1, c2)
             assert verdict == (_reference_is_face(meet, c1) and _reference_is_face(meet, c2))
             verdicts[verdict] += 1
@@ -310,7 +309,7 @@ def test_meet_in_common_face_agrees_with_the_smallest_face_test(rng, property_ca
 def _resumed_meets_in_common_face(c1, c2):
     """Reference: the meet by the description of ``c1`` resumed with the
     halfspaces of ``c2``, and a face of both by their zero masks."""
-    meet = intersect(c1, c2)
+    meet = c1._cut(c2._inequalities)
     return is_face(meet, c1) and is_face(meet, c2)
 
 
@@ -418,7 +417,7 @@ def test_kept_description_matches_the_cone_on_every_construction_path(rng, prope
             "generators": [built],
             "halfspaces": [cut_out],
             "cut": [cut_out._cut(_random_vectors(rng, rank, rng.randint(1, 2)))],
-            "intersect": [intersect(built, other), intersect(other, cut_out)],
+            "meet": [built._cut(other._inequalities), other._cut(cut_out._inequalities)],
             "faces": [*built.faces(), *cut_out.faces(), *other.faces()],
             "dual": [dual_cone(built), dual_cone(cut_out)],
             "image": [image_cone(built, proj)],
@@ -439,8 +438,8 @@ def test_cones_built_along_different_paths_are_equal_with_equal_keys(rng, proper
         # few halfspaces leave lines, whose basis is the part a path could change
         b = Cone.from_halfspaces(rank, _random_vectors(rng, rank, rng.randint(0, 2)))
         a, b = (a, b) if rng.random() < 0.5 else (b, a)
-        meet = intersect(a, b)
-        for cone in (intersect(b, a), Cone(rank, meet.generators), Cone.from_halfspaces(rank, meet.halfspaces)):
+        meet = a._cut(b._inequalities)
+        for cone in (b._cut(a._inequalities), Cone(rank, meet.generators), Cone.from_halfspaces(rank, meet.halfspaces)):
             assert cone == meet and cone.key() == meet.key() and hash(cone) == hash(meet)
         lines += len(meet.lineality_basis) >= 2
     assert lines > property_cases // 20
@@ -795,9 +794,8 @@ def test_refinement_that_fails_validation_is_an_internal_error(monkeypatch):
         (lambda: FIRST_ORTHANT.contains(Cone(3, [(1, 0, 5), (0, 1, -7)])), "cannot compare cones of different ambient rank"),
         (lambda: Cone(3, [(1, 0, 5), (0, 1, -7)]).contains(FIRST_ORTHANT), "cannot compare cones of different ambient rank"),
         (lambda: is_face(Cone(3, [(1, 0, 0)]), FIRST_ORTHANT), "cannot compare cones of different ambient rank"),
-        (lambda: intersect(FIRST_ORTHANT, Cone(3, [])), "cannot intersect cones of different ambient rank"),
     ],
-    ids=["image-columns", "no-cones", "mixed-ranks", "contains-longer", "contains-shorter", "is-face-ranks", "intersect-ranks"],
+    ids=["image-columns", "no-cones", "mixed-ranks", "contains-longer", "contains-shorter", "is-face-ranks"],
 )
 def test_polyhedral_input_checks(call, message):
     with pytest.raises(InputError, match=message):

@@ -5,7 +5,7 @@ import pytest
 
 from symfano import exact
 from symfano.errors import InputError, NotSurjective, TooManyCoordinates
-from symfano.exact import IntMatrix, PositiveCombination, solve_positive_combination
+from symfano.exact import IntMatrix, PositiveCombination
 from symfano.polyhedral import Cone, Fan, common_refinement, image_cone
 from symfano.quotients import (
     Destabilizer,
@@ -172,7 +172,7 @@ def test_locus_matches_the_simplex_on_validated_submatrices(rng):
                 assert (verdict, cert) == (True, PositiveCombination(()))
                 continue
             sub = IntMatrix([[row[j] for j in columns] for row in weights.entries])
-            expected = solve_positive_combination(sub)
+            expected = exact._decide(sub.entries, {})[1]
             assert cert == expected
             assert verdict == isinstance(expected, PositiveCombination)
 
