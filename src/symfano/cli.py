@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .rationals import rat_str, ratio_str
-from .schemas import _check_document, read_json
+from .schemas import _check_document, _is_text, read_json
 
 REPORT_VERSION = 1
 
@@ -78,17 +78,13 @@ _CLAIM_SLOT = "\0claim\0"
 # items of a value written item by item
 _PIECE_VERDICTS = 1024
 
-# A stability certificate's text on a verdict's certificate line, in a JSON
-# report and in a text report, from the text of its one list's items, keyed
-# by the verdict: a positive combination for a polystable support, else a
-# destabilizer.  Coefficients are ``ratio_str``s, which need no escaping.
+# A stability certificate's text on a verdict's certificate line in a JSON
+# report, from the text of its one list, keyed by the verdict: a positive
+# combination for a polystable support, else a destabilizer.  Coefficients
+# are ``ratio_str``s, which need no escaping.
 _CERT_JSON = {
     True: '{{\n        "coefficients": {0},\n        "type": "positive-combination"\n      }}'.format,
     False: '{{\n        "one_parameter_subgroup": {0},\n        "type": "destabilizer"\n      }}'.format,
-}
-_CERT_TEXT = {
-    True: '\n    certificate: {{"coefficients": [{0}], "type": "positive-combination"}}'.format,
-    False: '\n    certificate: {{"one_parameter_subgroup": [{0}], "type": "destabilizer"}}'.format,
 }
 
 
@@ -118,9 +114,9 @@ def _json_list(texts: list[str], newline: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
-def _cert_text(polystable: bool, cert, as_json: bool) -> str:
-    """``_json_text`` or ``_certificate_line`` of ``_cert_dict(polystable,
-    cert)``, written through the certificate templates."""
+def _cert_json(polystable: bool, cert) -> str:
+    """``_json_text(_cert_dict(polystable, cert))``, written through the
+    certificate templates."""
     if polystable:
         den = cert.denominator
         if den == 1:
@@ -129,9 +125,7 @@ def _cert_text(polystable: bool, cert, as_json: bool) -> str:
             items = [f'"{ratio_str(n, den)}"' for n in cert.numerators]
     else:
         items = list(map(int.__repr__, cert.vector))
-    if as_json:
-        return _CERT_JSON[polystable](_json_list(items, "\n        "))
-    return _CERT_TEXT[polystable](", ".join(items))
+    return _CERT_JSON[polystable](_json_list(items, "\n        "))
 
 
 class Verdict:
@@ -163,13 +157,13 @@ class StabilityVerdicts:
     its support, then ``polystable_supports``, the supports of the rows that
     are polystable, in row order, as lists of labels.  Writing builds no
     ``Verdict`` or certificate dict per row: once per certificate object,
-    the verdict template is filled in with the certificate's text, built
-    through the certificate templates, and with its route and value, and
-    each row puts its claim into that text.  The supports are written one
-    at a time, so that a report in pieces holds no list or text of the
-    whole value.  The
-    rows start with the empty support, which is polystable, so that value
-    is never empty."""
+    the verdict template is filled in with the certificate's text (through
+    the certificate templates in a JSON report, from ``_cert_dict`` in a
+    text report) and with its route and value, and each row puts its claim
+    into that text.  The supports are written one at a time, so that a
+    report in pieces holds no list or text of the whole value.  The rows
+    start with the empty support, which is polystable, so that value is
+    never empty."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -186,9 +180,8 @@ class StabilityVerdicts:
             parts = around.get(id(cert))
             if parts is None:
                 value = "true" if polystable else "false"
-                parts = around[id(cert)] = template(
-                    _cert_text(polystable, cert, as_json), _CLAIM_SLOT, route, value
-                ).split(_CLAIM_SLOT)
+                text = _cert_json(polystable, cert) if as_json else _certificate_line(_cert_dict(polystable, cert))
+                parts = around[id(cert)] = template(text, _CLAIM_SLOT, route, value).split(_CLAIM_SLOT)
             yield parts[0] + (_encode_str(claim) if as_json else claim) + parts[1]
         # the polystable supports' list written item by item, as
         # ``_json_list`` or ``_compact_json`` would write it whole
@@ -201,8 +194,10 @@ class StabilityVerdicts:
         start = before(*fields) + first
         for support, polystable, _ in self.rows:
             if polystable:
-                labels = list(map(_encode_str, support))
-                yield start + (_json_list(labels, "\n        ") if as_json else "[" + ", ".join(labels) + "]")
+                if as_json:
+                    yield start + _json_list(list(map(_encode_str, support)), "\n        ")
+                else:
+                    yield start + _compact_json(list(support))
                 start = separator
         yield close + after(*fields)
 
@@ -615,7 +610,7 @@ def run(argv=None) -> int:
         else:
             data = read_json(args.file)
             name = data.get("name")
-            report = Report(subject=name if isinstance(name, str) else str(args.file))
+            report = Report(subject=name if _is_text(name) else str(args.file))
             code = args.handler(report, data, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

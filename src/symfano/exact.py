@@ -19,7 +19,7 @@ import math
 from operator import attrgetter, mul
 
 from .errors import InputError, InternalError
-from .rationals import rat, rational_pair, ratio_key, ratio_str, squarefree_decompose
+from .rationals import rat, rational_pair, ratio_str, squarefree_decompose
 
 
 class Record:
@@ -173,13 +173,13 @@ class ProjPoint(Record):
         return cls._make((1, 0), None)
 
     def _parts(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``ratio_key`` of a and b of a quadratic point ``a + b*sqrt(d)``: with
-        K = sqrt(D*d), an integer because D/d is a rational square,
-        a = -B/2A and b = s*K/(2A*|d|)."""
+        """``rational_pair`` of a and b of a quadratic point ``a + b*sqrt(d)``:
+        with K = sqrt(D*d), an integer because D/d is a rational square,
+        a = -B/2A and b = s*K/(2A*|d|), where 2A > 0."""
         A, B, C, s = self.coords
         d = self.d
         K = math.isqrt((B * B - 4 * A * C) * d)
-        return ratio_key(-B, 2 * A), ratio_key(s * K, 2 * A * abs(d))
+        return rational_pair(-B, 2 * A), rational_pair(s * K, 2 * A * abs(d))
 
     def sort_key(self):
         """``(0, (0, a, 0))`` for a rational a, ``(1, (0, 1, 0))`` for infinity
@@ -334,29 +334,18 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for row in mat:
                 row[p], row[q] = c00 * row[p] + c10 * row[q], c01 * row[p] + c11 * row[q]
 
-    def swap_rows(p, q):
-        m[p], m[q] = m[q], m[p]
-        u[p], u[q] = u[q], u[p]
-
-    def swap_cols(p, q):
-        for mat in (m, v):
-            for row in mat:
-                row[p], row[q] = row[q], row[p]
-
     t = 0
     while t < min(rows, cols):
-        # bring a smallest-magnitude nonzero entry of the trailing block to (t, t)
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        # bring a smallest-magnitude nonzero entry of the trailing block to
+        # (t, t), the first in row-major order; a swap is a row or column op
+        pivot = min(((abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]), default=None)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        _, i, j = pivot
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
 
         # plain elimination while the pivot divides; a gcd step otherwise
         # (each gcd step strictly shrinks the pivot, so this terminates)
@@ -382,14 +371,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
         # the pivot must divide the whole trailing block for the divisor chain
         d = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if m[i][j] % d), None)
         if offender is not None:
             row_op(t, offender, 1, 1, 0, 1)
             continue

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import ComputationCapError, InputError, InternalError, NotFiniteWithinCap
 from .exact import IntMatrix, ProjPoint, Record, integer_kernel
-from .rationals import rat, rational_pair, ratio_key, squarefree_decompose
+from .rationals import rat, rational_pair, squarefree_decompose
 
 # A finite subgroup of PGL2(Q) is cyclic of order 1, 2, 3, 4 or 6, or dihedral
 # of order 4, 6, 8 or 12 (Beauville, "Finite subgroups of PGL2(K)", 2010): a
@@ -128,7 +128,7 @@ class MoebiusElement(Record):
     def sort_key(self):
         """The entries of ``matrix``, each as (numerator, denominator)."""
         s = self.a or self.b  # the first nonzero entry, which is positive
-        return (ratio_key(self.a, s), ratio_key(self.b, s), ratio_key(self.c, s), ratio_key(self.d, s))
+        return (rational_pair(self.a, s), rational_pair(self.b, s), rational_pair(self.c, s), rational_pair(self.d, s))
 
     def __repr__(self):
         e = self.matrix

@@ -7,10 +7,10 @@ names it.  The hot layers avoid it: the stability simplex
 (``exact._decide``) pivots in plain integers and keeps
 its coefficients as integer numerators over one denominator, and the
 projective line (``groups.MoebiusElement``, ``exact.ProjPoint``) is integer
-matrices, pairs and binary quadratic forms.  ``ratio_key`` and ``ratio_str``
-read an integer numerator and denominator as a rational with one gcd;
-``rational_pair`` is the one integer form of a rational point of the line,
-shared by the schema check and the line itself; ``squarefree_decompose``
+matrices, pairs and binary quadratic forms.  ``rational_pair`` is the one
+integer form of a rational point of the line, shared by the schema check and
+the line itself, and the one reduction of a ratio n/d with d > 0, with one
+gcd; ``ratio_str`` writes such a ratio.  ``squarefree_decompose``
 reduces the radicand ``d`` that a quadratic point prints with, without
 factoring it in full.
 
@@ -124,22 +124,16 @@ def rat_str(x) -> str:
     return str(x)
 
 
-def ratio_key(n: int, d: int) -> tuple[int, int]:
-    """Sort key of the rational n/d for ints with d > 0: its numerator, then
-    its denominator, reduced with one gcd."""
-    g = math.gcd(n, d)
-    return (n // g, d // g)
-
-
 def ratio_str(n: int, d: int) -> str:
     """``rat_str`` of n/d for ints with d > 0, reduced with one gcd."""
-    n, d = ratio_key(n, d)
+    n, d = rational_pair(n, d)
     return str(n) if d == 1 else f"{n}/{d}"
 
 
 def rational_pair(x: int, y: int) -> tuple[int, int]:
     """The primitive pair of (x : y) != (0 : 0) with y > 0, or (1, 0): the
-    ``coords`` of a rational ``exact.ProjPoint``."""
+    ``coords`` of a rational ``exact.ProjPoint``, and for y > 0 the ratio
+    x/y in lowest terms, by which ratios are sorted and printed."""
     if not y:
         return (1, 0)
     g = math.gcd(x, y)

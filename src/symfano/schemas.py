@@ -16,7 +16,9 @@ Formats, in the order of ``_KINDS``, the one table of each format's key and
 check: a document is of the first format whose key it has.  Rationals are
 ``"p/q"`` strings or bare integers; points are ``[x, y]`` homogeneous pairs.
 A document of any format may carry a string ``name``, its report's subject,
-and a variety must.
+and a variety must.  A name, a label or a divisor name that is not Unicode
+text (a lone surrogate, which JSON's ``\\ud800`` escape gives) is a problem at
+its path, so no report has to write one.
 
 * variety     -- name, dim, fano, log_terminal, fibers: [{point, divisors:
                  [{name, order}]}], horizontal: [names], symmetry:
@@ -59,6 +61,21 @@ def read_json(path) -> dict:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_NOT_TEXT = "must be Unicode text, without a lone surrogate"
+
+
+def _is_text(x) -> bool:
+    """Whether x is a str that a report can write as UTF-8: one without the
+    lone surrogate that JSON's ``\\ud800`` escape reads as."""
+    if not isinstance(x, str):
+        return False
+    try:
+        x.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _ratio(x):
@@ -149,10 +166,13 @@ def _validate_variety(data: dict, out: list):
                 if not isinstance(div, dict):
                     out.append(f"fibers[{i}].divisors[{j}]: must be an object")
                     continue
-                if not isinstance(div.get("name"), str):
+                name = div.get("name")
+                if not isinstance(name, str):
                     out.append(f"fibers[{i}].divisors[{j}].name: missing or not a string")
+                elif not _is_text(name):
+                    out.append(f"fibers[{i}].divisors[{j}].name: {_NOT_TEXT}")
                 else:
-                    names.append(div["name"])
+                    names.append(name)
                 order = div.get("order")
                 if not _is_int(order) or order < 1:
                     out.append(f"fibers[{i}].divisors[{j}].order: order must be >= 1")
@@ -160,7 +180,11 @@ def _validate_variety(data: dict, out: list):
     if not isinstance(horizontal, list) or not all(isinstance(h, str) for h in horizontal):
         out.append("horizontal: must be an array of names")
     else:
-        names.extend(horizontal)
+        for k, name in enumerate(horizontal):
+            if _is_text(name):
+                names.append(name)
+            else:
+                out.append(f"horizontal[{k}]: {_NOT_TEXT}")
     dupes = sorted({n for n in names if names.count(n) > 1})
     for n in dupes:
         out.append(f"duplicate divisor name: {n}")
@@ -243,7 +267,9 @@ def _validate_weights(data: dict, out: list):
             out.append("labels: must be distinct")
         # a support is written and read as labels joined by commas
         for i, label in enumerate(labels):
-            if not label or "," in label or label != label.strip():
+            if not _is_text(label):
+                out.append(f"labels[{i}]: {_NOT_TEXT}")
+            elif not label or "," in label or label != label.strip():
                 out.append(f"labels[{i}]: {label!r} must be nonempty, without a comma or surrounding whitespace")
     weights = data.get("weights")
     _check_matrix(weights, "weights", out)
@@ -324,7 +350,8 @@ def _check_document(data: dict) -> tuple[str | None, list[str], object]:
     nothing to parse).  A document of any kind may carry a string ``name``."""
     for key, kind, check in _KINDS:
         if key in data:
-            out = [] if isinstance(data.get("name", ""), str) else ["name: must be str"]
+            name = data.get("name", "")
+            out = [] if _is_text(name) else [f"name: {_NOT_TEXT if isinstance(name, str) else 'must be str'}"]
             return kind, out, check(data, out)
     return None, [f"unrecognized file format (no {'/'.join(key for key, _, _ in _KINDS)} key)"], None
 

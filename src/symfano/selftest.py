@@ -79,12 +79,12 @@ def gl2q(rng: random.Random) -> MoebiusElement:
             return MoebiusElement(m)
 
 
-def _random_invariant_pair(rng: random.Random, group: MoebiusGroup, max_orbits=3):
-    """Random pair with orbit-closed support, constant coefficients, degree < 2."""
+def _random_invariant_pair(rng: random.Random, group: MoebiusGroup):
+    """Random pair on at most three orbits: orbit-closed support, constant coefficients, degree < 2."""
     marked: dict[ProjPoint, Q] = {}
     degree = ZERO
     exceptional = exceptional_orbits(group)
-    for _ in range(rng.randint(0, max_orbits)):
+    for _ in range(rng.randint(0, 3)):
         if exceptional and rng.random() < 0.4:
             orbit = rng.choice(exceptional)
         else:
@@ -399,7 +399,7 @@ def suite_seed(base: int, name: str) -> int:
     return base ^ zlib.crc32(name.encode())
 
 
-def run_selftest(seed: int = 0, cases: int = 200) -> list[tuple[str, list[str]]]:
+def run_selftest(seed: int, cases: int) -> list[tuple[str, list[str]]]:
     """Run every suite with its own seeded generator; returns each suite's
     name and failures, in ``SUITES`` order.  A suite of no cases would pass
     without checking anything, so ``cases`` must be at least 1."""

@@ -466,14 +466,14 @@ def stale_commands() -> list[str]:
 
 
 def check() -> int:
-    """Replay every recorded case and compare the corpus with ``build()``;
-    print what differs.  Run from the repository root, where the fixture
-    goldens' paths start."""
+    """Replay every recorded case, each in a fresh directory, and compare
+    the corpus with ``build()``; print what differs.  Run from the
+    repository root, where the fixture goldens' paths start."""
     differ = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in recorded_cases():
             total += 1
-            problem = replay(*case, Path(tmp))
+            problem = replay(*case, Path(tempfile.mkdtemp(dir=tmp)))
             if problem:
                 differ += 1
                 print(problem, end="")
@@ -493,7 +493,7 @@ def main() -> None:
         for command, cases in build().items():
             lines = []
             for argv, document in cases:
-                code, stdout, stderr = run_case(argv, document, Path(tmp))
+                code, stdout, stderr = run_case(argv, document, Path(tempfile.mkdtemp(dir=tmp)))
                 case = {"argv": argv, "document": document, "exit": code, "stdout": stdout}
                 if code:
                     case["stderr"] = stderr

@@ -9,9 +9,10 @@ ids of the tests that must each fail once it is applied, and one line on why
 they must.  ``python tests/run_mutants.py`` applies each mutant to a scratch
 copy of the working tree and prints those that survive; a mutant whose tests
 do not finish is stopped at the runner's timeout and counts as killed, though
-none of those listed here needs it.  A tier-1 rule in
-``test_source.py`` checks that every ``raise InternalError`` in ``src/`` has
-a mutant in its function and that every ``old`` text occurs once.
+none of those listed here needs it.  Two tier-1 rules in ``test_source.py``
+hold the list: one makes that run and fails on a survivor, and one checks
+that every ``raise InternalError`` in ``src/`` has a mutant in its function
+and that every ``old`` text occurs once.
 """
 
 from typing import NamedTuple

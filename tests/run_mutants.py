@@ -13,7 +13,8 @@ stopped, and a mutant whose run is stopped counts as killed: its tests do
 not pass.  The exit code is 0 when every mutant is killed, 1 when one
 survives, and 2 when the copy cannot be set up: an ``old`` text that does
 not occur exactly once, or a listed test that fails, times out or is
-missing before any mutant is applied.  Runs one process at a time.
+missing before any mutant is applied.  Runs one process at a time.  Tier-1
+runs ``main`` too, in ``test_source.py``, and fails unless it returns 0.
 """
 
 from __future__ import annotations

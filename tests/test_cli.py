@@ -369,8 +369,7 @@ def test_certificate_templates_write_the_certificate_dicts(rng):
         for cert in certificates:
             expected = cli._cert_dict(polystable, cert)
             assert expected == certificate_dict(polystable, cert)
-            assert cli._cert_text(polystable, cert, True) == cli._json_text(expected)
-            assert cli._cert_text(polystable, cert, False) == cli._certificate_line(expected)
+            assert cli._cert_json(polystable, cert) == cli._json_text(expected)
 
 
 def test_polystable_supports_are_written_in_pieces(tmp_path, monkeypatch):
@@ -679,6 +678,44 @@ def test_a_name_that_is_no_string_is_an_input_error(tmp_path, capsys, name, fixt
     assert [line for line in out.splitlines() if "problem:" in line] == ["  problem: name: must be str"]
     assert run([*command, str(target)]) == 1
     assert capsys.readouterr() == ("", "input error: name: must be str\n")
+
+
+NOT_TEXT = "must be Unicode text, without a lone surrogate"
+
+
+@pytest.mark.parametrize(
+    "fixture_name, edits, command, problems",
+    [
+        ("lattice-rotation.json", {("name",): "\ud800"}, ["lattice", "symmetric"], ["name"]),
+        ("pair-involution.json", {("name",): "x\udfff"}, ["lct", "--json"], ["name"]),
+        (
+            "hyp12-deform.json",
+            {("labels", 1): "a\ud800", ("claimed_polystable_supports_any_of", 0, 1): "a\ud800"},
+            ["git", "locus"],
+            ["labels[1]"],
+        ),
+        (
+            "bidegree12.json",
+            {("fibers", 0, "divisors", 1, "name"): "\ud800", ("fibers", 2, "divisors", 0, "name"): "\ud800"},
+            ["tvar", "check"],
+            ["fibers[0].divisors[1].name", "fibers[2].divisors[0].name"],
+        ),
+        ("p2-cstar.json", {("horizontal", 0): "\udfff"}, ["tvar", "check", "--json"], ["horizontal[0]"]),
+    ],
+    ids=["name", "name-json", "label", "divisor-names", "horizontal"],
+)
+def test_a_string_that_is_no_unicode_text_is_an_input_error(tmp_path, capsys, fixture_name, edits, command, problems):
+    # JSON's \ud800 escape reads as a lone surrogate, which no report can write as UTF-8
+    target = tmp_path / "surrogate.json"
+    target.write_text(json.dumps(edited(fixture_name, edits)))
+    subject = target if ("name",) in edits else read_json(target)["name"]
+    code, out = run_capture(capsys, "validate", str(target))
+    assert code == 1 and out.startswith(f"subject: {subject}\n")
+    assert [line for line in out.splitlines() if "problem:" in line] == [
+        f"  problem: {path}: {NOT_TEXT}" for path in problems
+    ]
+    assert run([*command, str(target)]) == 1
+    assert capsys.readouterr() == ("", f"input error: {'; '.join(f'{path}: {NOT_TEXT}' for path in problems)}\n")
 
 
 @pytest.mark.parametrize(

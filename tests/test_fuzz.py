@@ -80,14 +80,14 @@ def _problem(argv: list[str]) -> str | None:
 def test_mutated_corpus_documents_end_in_an_exit_code(tmp_path):
     rng = random.Random(SEED)
     cases = [case for cases in make_corpus.corpus().values() for case in cases if case["document"] is not None]
-    path = tmp_path / "document.json"
     failures = []
-    for _ in range(DOCUMENTS):
+    for k in range(DOCUMENTS):
         case = rng.choice(cases)
         document = copy.deepcopy(case["document"])
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, document)
         text = json.dumps(document)
+        path = tmp_path / f"document-{k}.json"
         path.write_text(text, encoding="utf-8")
         argv = [str(path) if a == "{file}" else a for a in case["argv"]]
         problem = _problem(argv)

@@ -181,9 +181,17 @@ def _functions_raising_internal_error(path: Path) -> list[ast.FunctionDef]:
     return found
 
 
+def test_every_listed_mutant_is_killed(capsys):
+    # one pytest child for the unmutated copy and one per mutant, as a hand
+    # run of ``python tests/run_mutants.py`` makes; its output names survivors
+    import run_mutants
+
+    assert run_mutants.main() == 0, capsys.readouterr().out
+
+
 def test_every_internal_check_has_a_listed_mutant():
-    # ``python tests/run_mutants.py`` shows that each listed mutant is killed;
-    # this rule keeps the list in step with the source it mutates
+    # ``test_every_listed_mutant_is_killed`` runs each listed mutant; this
+    # rule keeps the list in step with the source it mutates
     from mutants import MUTANTS
 
     root = PACKAGE.parent.parent

@@ -739,8 +739,8 @@ def test_a_declaration_on_three_fibers_is_its_explicit_twin(tmp_path, capsys):
         }
         assert load_variety(declared) == load_variety(explicit), explicit
         outputs = []
-        for document in (explicit, declared):
-            path = tmp_path / "document.json"
+        for twin, document in (("explicit", explicit), ("declared", declared)):
+            path = tmp_path / f"{twin}-{k}.json"
             path.write_text(json.dumps(document))
             code = run(["tvar", "check", str(path)] + (["--json"] if k % 2 else []))
             outputs.append((code, capsys.readouterr()))
