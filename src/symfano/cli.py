@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .rationals import rat_str, ratio_str
-from .schemas import _check_document, _is_text, read_json
+from .schemas import _check_document, _is_line, read_json
 
 REPORT_VERSION = 1
 
@@ -88,12 +88,36 @@ _CERT_JSON = {
 }
 
 
+#: the JSON text of a str, int, bool or None, by its exact type
+_LEAF_ENCODERS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json_text(node, newline: str = "\n      ") -> str:
     """The indent-2 JSON text of ``node`` on a line that starts with
-    ``newline``; by default, a verdict field's line."""
-    out = []
-    _write_json(node, newline, out)
-    return "".join(out)
+    ``newline`` (a line break and that line's indentation; by default, a
+    verdict field's line): what ``json.dumps`` writes with ``indent=2,
+    sort_keys=True, ensure_ascii=False``, every line indented by
+    ``newline``.  A str, int, bool or None is written by its
+    ``_LEAF_ENCODERS`` entry, a list or tuple as ``_json_list`` of its items'
+    texts, a dict as the same join of its members in the order of their
+    keys, which must be strings, and any other value by ``json.dumps``.
+    The one writer of every plain verdict field, report header value and
+    warning list."""
+    encode = _LEAF_ENCODERS.get(type(node))
+    if encode is not None:
+        return encode(node)
+    inner = newline + "  "
+    if isinstance(node, dict):
+        members = [_encode_str(key) + ": " + _json_text(node[key], inner) for key in sorted(node)]
+        return _json_list(members, newline, "{}")
+    if isinstance(node, (list, tuple)):
+        return _json_list([_json_text(item, inner) for item in node], newline)
+    return json.dumps(node, ensure_ascii=False)
 
 
 def _compact_json(node) -> str:
@@ -105,13 +129,14 @@ def _certificate_line(certificate) -> str:
     return "" if certificate is None else "\n    certificate: " + _compact_json(certificate)
 
 
-def _json_list(texts: list[str], newline: str) -> str:
+def _json_list(texts: list[str], newline: str, brackets: str = "[]") -> str:
     """The indent-2 JSON text of a list whose items are written as ``texts``,
-    on a line that starts with ``newline``."""
+    on a line that starts with ``newline``; with ``brackets`` ``"{}"``, of
+    an object whose members are."""
     if not texts:
-        return "[]"
+        return brackets
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
 def _cert_json(polystable: bool, cert) -> str:
@@ -270,59 +295,6 @@ class Report:
         while piece := "".join(islice(texts, _PIECE_VERDICTS)):
             yield piece
         yield ("\n  ]" if first else "") + ',\n  "warnings": ' + _json_text(list(self.warnings), "\n  ") + "\n}"
-
-
-#: the JSON text of a str, int, bool or None, by its exact type
-_LEAF_ENCODERS = {
-    str: _encode_str,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _write_json(node, newline: str, out: list) -> None:
-    """Append the indent-2 JSON text of ``node`` to ``out``; ``newline`` is a
-    line break and the indentation of the line that holds ``node``.  Dict keys
-    must be strings; a leaf that is not a str, bool, None or int goes to
-    ``json.dumps``."""
-    encode = _LEAF_ENCODERS.get(type(node))
-    if encode is not None:
-        out.append(encode(node))
-    elif isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(node):
-            value = node[key]
-            encode = _LEAF_ENCODERS.get(type(value))
-            if encode is None:
-                out.append(sep + _encode_str(key) + ": ")
-                _write_json(value, inner, out)
-            else:
-                out.append(sep + _encode_str(key) + ": " + encode(value))
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        # a list of leaves of one type is joined in one go
-        kind = type(node[0])
-        if kind in _LEAF_ENCODERS and set(map(type, node)) == {kind}:
-            out.append(_json_list(list(map(_LEAF_ENCODERS[kind], node)), newline))
-        else:
-            sep = "[" + inner
-            for item in node:
-                out.append(sep)
-                _write_json(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
-    else:
-        out.append(json.dumps(node, ensure_ascii=False))
 
 
 def _cert_dict(polystable: bool, cert) -> dict:
@@ -609,8 +581,11 @@ def run(argv=None) -> int:
                     code = EXIT_INTERNAL
         else:
             data = read_json(args.file)
+            # a subject is printed as one line of UTF-8: a name that cannot
+            # be is absent, and such a path is written as its ``ascii()``
             name = data.get("name")
-            report = Report(subject=name if _is_text(name) else str(args.file))
+            subject = name if _is_line(name) else str(args.file)
+            report = Report(subject=subject if _is_line(subject) else ascii(subject))
             code = args.handler(report, data, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -16,9 +16,11 @@ Formats, in the order of ``_KINDS``, the one table of each format's key and
 check: a document is of the first format whose key it has.  Rationals are
 ``"p/q"`` strings or bare integers; points are ``[x, y]`` homogeneous pairs.
 A document of any format may carry a string ``name``, its report's subject,
-and a variety must.  A name, a label or a divisor name that is not Unicode
-text (a lone surrogate, which JSON's ``\\ud800`` escape gives) is a problem at
-its path, so no report has to write one.
+and a variety must.  A report prints a name, a label or a divisor name
+(vertical or horizontal) as one line of UTF-8, so one that is not Unicode
+text (a lone surrogate, which JSON's ``\\ud800`` escape gives) or that holds
+a ``str.splitlines`` boundary, which would start a line of its own in a text
+report, is a problem at its path, and no report has to write one.
 
 * variety     -- name, dim, fano, log_terminal, fibers: [{point, divisors:
                  [{name, order}]}], horizontal: [names], symmetry:
@@ -64,18 +66,23 @@ def _is_int(x) -> bool:
 
 
 _NOT_TEXT = "must be Unicode text, without a lone surrogate"
+_NOT_LINE = "must be one line, without a line break"
 
 
-def _is_text(x) -> bool:
-    """Whether x is a str that a report can write as UTF-8: one without the
-    lone surrogate that JSON's ``\\ud800`` escape reads as."""
-    if not isinstance(x, str):
-        return False
+def _line_problem(x: str) -> str | None:
+    """Why a report cannot print the str x as one line of UTF-8, or None
+    when it can: a lone surrogate, which JSON's ``\\ud800`` escape reads
+    as, or a ``str.splitlines`` boundary."""
     try:
         x.encode()
     except UnicodeEncodeError:
-        return False
-    return True
+        return _NOT_TEXT
+    return None if x.splitlines() == [x] or not x else _NOT_LINE
+
+
+def _is_line(x) -> bool:
+    """Whether x is a str that a report can print as one line of UTF-8."""
+    return isinstance(x, str) and _line_problem(x) is None
 
 
 def _ratio(x):
@@ -169,8 +176,8 @@ def _validate_variety(data: dict, out: list):
                 name = div.get("name")
                 if not isinstance(name, str):
                     out.append(f"fibers[{i}].divisors[{j}].name: missing or not a string")
-                elif not _is_text(name):
-                    out.append(f"fibers[{i}].divisors[{j}].name: {_NOT_TEXT}")
+                elif problem := _line_problem(name):
+                    out.append(f"fibers[{i}].divisors[{j}].name: {problem}")
                 else:
                     names.append(name)
                 order = div.get("order")
@@ -181,10 +188,10 @@ def _validate_variety(data: dict, out: list):
         out.append("horizontal: must be an array of names")
     else:
         for k, name in enumerate(horizontal):
-            if _is_text(name):
-                names.append(name)
+            if problem := _line_problem(name):
+                out.append(f"horizontal[{k}]: {problem}")
             else:
-                out.append(f"horizontal[{k}]: {_NOT_TEXT}")
+                names.append(name)
     dupes = sorted({n for n in names if names.count(n) > 1})
     for n in dupes:
         out.append(f"duplicate divisor name: {n}")
@@ -265,12 +272,14 @@ def _validate_weights(data: dict, out: list):
     else:
         if len(set(labels)) != len(labels):
             out.append("labels: must be distinct")
-        # a support is written and read as labels joined by commas
+        # a support is written and read as labels joined by commas; a line
+        # break at either end is surrounding whitespace
         for i, label in enumerate(labels):
-            if not _is_text(label):
-                out.append(f"labels[{i}]: {_NOT_TEXT}")
-            elif not label or "," in label or label != label.strip():
-                out.append(f"labels[{i}]: {label!r} must be nonempty, without a comma or surrounding whitespace")
+            problem = _line_problem(label)
+            if problem != _NOT_TEXT and (not label or "," in label or label != label.strip()):
+                problem = f"{label!r} must be nonempty, without a comma or surrounding whitespace"
+            if problem:
+                out.append(f"labels[{i}]: {problem}")
     weights = data.get("weights")
     _check_matrix(weights, "weights", out)
     if isinstance(weights, list) and labels and all(isinstance(r, list) for r in weights):
@@ -347,11 +356,13 @@ _KINDS = (
 def _check_document(data: dict) -> tuple[str | None, list[str], object]:
     """The kind of ``data`` (None when unrecognized), its structural problems,
     each with its JSON path, and what its check parsed (None for a kind with
-    nothing to parse).  A document of any kind may carry a string ``name``."""
+    nothing to parse).  A document of any kind may carry a ``name``, a
+    string that a report can print as one line."""
     for key, kind, check in _KINDS:
         if key in data:
             name = data.get("name", "")
-            out = [] if _is_text(name) else [f"name: {_NOT_TEXT if isinstance(name, str) else 'must be str'}"]
+            problem = _line_problem(name) if isinstance(name, str) else "must be str"
+            out = [f"name: {problem}"] if problem else []
             return kind, out, check(data, out)
     return None, [f"unrecognized file format (no {'/'.join(key for key, _, _ in _KINDS)} key)"], None
 

@@ -23,9 +23,10 @@ directory on their path); the random matrices (``sl2z``, ``gl2q``,
 ``--check`` rewrites nothing and needs no pytest.  It replays every recorded
 case and prints a unified diff of the exit code, stdout and stderr of each
 one that differs.  It also reads each ``--json`` report back through
-``Report.from_json``, fails a recorded stderr that holds a traceback, and
-compares the recorded documents with ``build()``.  It exits 1 if anything
-differs.
+``Report.from_json``, fails a text report whose lines are not one subject
+line and indented ones (``text_lines_hold``) and a recorded stderr that
+holds a traceback, and compares the recorded documents with ``build()``.
+It exits 1 if anything differs.
 
 Groups come from the ``selftest`` pool, conjugated by random matrices of
 SL2(Z) and GL2(Q); invariant marked sets are unions of orbits of rational
@@ -437,11 +438,21 @@ def recorded_cases():
             yield f"{command}-{i}", case["argv"], case["document"], case["exit"], case["stdout"], case.get("stderr", "")
 
 
+def text_lines_hold(report: str) -> bool:
+    """Whether the lines of a text report are one ``subject: `` line and
+    then lines that start with two spaces: no printed string started a line
+    of its own."""
+    first, *rest = report.splitlines() or [""]
+    return first.startswith("subject: ") and all(line.startswith("  ") for line in rest)
+
+
 def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, stderr: str, directory: Path) -> str:
     """Run one recorded case again.  Returns a unified diff of its exit code,
-    stdout and stderr against the recorded ones, or a line saying that its ``--json`` report does not read back through
-    ``Report.from_json`` to the same bytes or that its recorded stderr holds
-    a traceback, or "" when the case holds."""
+    stdout and stderr against the recorded ones, or a line saying that its
+    ``--json`` report does not read back through ``Report.from_json`` to the
+    same bytes, that the lines of its text report do not hold
+    (``text_lines_hold``) or that its recorded stderr holds a traceback, or
+    "" when the case holds."""
     code, now, err = run_case(argv, document, directory)
     expected, now = f"exit {exit_code}\n{stdout}stderr:\n{stderr}", f"exit {code}\n{now}stderr:\n{err}"
     if now != expected:
@@ -451,6 +462,8 @@ def replay(name: str, argv: list[str], document, exit_code: int, stdout: str, st
         return "".join(diff)
     if "--json" in argv and stdout and Report.from_json(stdout).to_json() != stdout.rstrip("\n"):
         return f"{name}: the --json report does not read back to itself\n"
+    if "--json" not in argv and stdout and not text_lines_hold(stdout):
+        return f"{name}: a line of the text report is neither its subject nor indented\n"
     if "Traceback" in stderr:
         return f"{name}: the recorded stderr holds a traceback\n"
     return ""

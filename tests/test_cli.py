@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -681,41 +683,95 @@ def test_a_name_that_is_no_string_is_an_input_error(tmp_path, capsys, name, fixt
 
 
 NOT_TEXT = "must be Unicode text, without a lone surrogate"
+NOT_LINE = "must be one line, without a line break"
 
 
 @pytest.mark.parametrize(
-    "fixture_name, edits, command, problems",
+    "fixture_name, edits, command, problems, message",
     [
-        ("lattice-rotation.json", {("name",): "\ud800"}, ["lattice", "symmetric"], ["name"]),
-        ("pair-involution.json", {("name",): "x\udfff"}, ["lct", "--json"], ["name"]),
+        ("lattice-rotation.json", {("name",): "\ud800"}, ["lattice", "symmetric"], ["name"], NOT_TEXT),
+        ("pair-involution.json", {("name",): "x\udfff"}, ["lct", "--json"], ["name"], NOT_TEXT),
         (
             "hyp12-deform.json",
             {("labels", 1): "a\ud800", ("claimed_polystable_supports_any_of", 0, 1): "a\ud800"},
             ["git", "locus"],
             ["labels[1]"],
+            NOT_TEXT,
         ),
         (
             "bidegree12.json",
             {("fibers", 0, "divisors", 1, "name"): "\ud800", ("fibers", 2, "divisors", 0, "name"): "\ud800"},
             ["tvar", "check"],
             ["fibers[0].divisors[1].name", "fibers[2].divisors[0].name"],
+            NOT_TEXT,
         ),
-        ("p2-cstar.json", {("horizontal", 0): "\udfff"}, ["tvar", "check", "--json"], ["horizontal[0]"]),
+        ("p2-cstar.json", {("horizontal", 0): "\udfff"}, ["tvar", "check", "--json"], ["horizontal[0]"], NOT_TEXT),
+        # each would print a line of its own in a text report
+        (
+            "lattice-rotation.json",
+            {("name",): "x\n  symmetric: false"},
+            ["lattice", "symmetric"],
+            ["name"],
+            NOT_LINE,
+        ),
+        (
+            "hyp12-deform.json",
+            {("labels", 1): "a\nb", ("claimed_polystable_supports_any_of", 0, 1): "a\nb"},
+            ["git", "locus"],
+            ["labels[1]"],
+            NOT_LINE,
+        ),
+        (
+            "bidegree12.json",
+            {("fibers", 0, "divisors", 1, "name"): "d\r1", ("fibers", 2, "divisors", 0, "name"): "d\u20281"},
+            ["tvar", "check"],
+            ["fibers[0].divisors[1].name", "fibers[2].divisors[0].name"],
+            NOT_LINE,
+        ),
+        ("p2-cstar.json", {("horizontal", 0): "h\x85"}, ["tvar", "check", "--json"], ["horizontal[0]"], NOT_LINE),
     ],
-    ids=["name", "name-json", "label", "divisor-names", "horizontal"],
+    ids=[
+        "name", "name-json", "label", "divisor-names", "horizontal",
+        "name-line-break", "label-line-break", "divisor-names-line-break", "horizontal-line-break",
+    ],
 )
-def test_a_string_that_is_no_unicode_text_is_an_input_error(tmp_path, capsys, fixture_name, edits, command, problems):
-    # JSON's \ud800 escape reads as a lone surrogate, which no report can write as UTF-8
-    target = tmp_path / "surrogate.json"
+def test_a_string_that_is_no_unicode_text_is_an_input_error(
+    tmp_path, capsys, fixture_name, edits, command, problems, message
+):
+    # JSON's \ud800 escape reads as a lone surrogate, which no report can write
+    # as UTF-8, and a line break would forge a line of a text report
+    target = tmp_path / "strings.json"
     target.write_text(json.dumps(edited(fixture_name, edits)))
     subject = target if ("name",) in edits else read_json(target)["name"]
     code, out = run_capture(capsys, "validate", str(target))
     assert code == 1 and out.startswith(f"subject: {subject}\n")
     assert [line for line in out.splitlines() if "problem:" in line] == [
-        f"  problem: {path}: {NOT_TEXT}" for path in problems
+        f"  problem: {path}: {message}" for path in problems
     ]
     assert run([*command, str(target)]) == 1
-    assert capsys.readouterr() == ("", f"input error: {'; '.join(f'{path}: {NOT_TEXT}' for path in problems)}\n")
+    assert capsys.readouterr() == ("", f"input error: {'; '.join(f'{path}: {message}' for path in problems)}\n")
+
+
+@pytest.mark.parametrize("encoding", [None, "utf-8"], ids=["default", "utf-8"])
+def test_a_path_subject_that_is_no_unicode_text_is_written_as_its_ascii(tmp_path, fresh_env, encoding):
+    # a path byte that is not UTF-8 reaches ``run`` as a lone surrogate, which
+    # stdout either writes back raw or cannot write at all
+    target = os.path.join(os.fsencode(tmp_path), b"nameless\xff.json")
+    with open(target, "wb") as handle:
+        handle.write(json.dumps(edited("lattice-rotation.json", {("name",): DROP})).encode())
+    env = {key: value for key, value in fresh_env.items() if key != "PYTHONIOENCODING"}
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    subject = ascii(os.fsdecode(target))
+    for as_json in (False, True):
+        argv = [sys.executable, "-m", "symfano.cli", "lattice", "symmetric", target] + ["--json"] * as_json
+        proc = subprocess.run(argv, env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        out = proc.stdout.decode("utf-8")
+        if as_json:
+            assert Report.from_json(out).subject == subject
+        else:
+            assert out.startswith(f"subject: {subject}\n  fixed_sublattice_rank: ")
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ each case records.  A mutation deletes a key or a list item, duplicates a
 list item, prepends a value to a list, or puts a value in place of any node;
 the values are the bad leaves and shapes that a hand-written document gets
 wrong.  Whatever the document, a run returns an exit code, an exit 4
-(internal error) never comes from input, and a run that exits 1 for bad
-input prints no report, except ``validate``, whose report lists the problems.
+(internal error) never comes from input, a run that exits 1 for bad input
+prints no report, except ``validate``, whose report lists the problems, and
+the lines of a text report that exits 0 hold (``make_corpus.text_lines_hold``)
+whatever strings the document holds.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ SEED = 0
 DOCUMENTS = 600
 
 VALUES = (
-    "x", "", 1.5, 0, -1, 10**30, 2**63, None, True, [], {}, "1/0", "-inf", " 3 ", "٣",
+    "x", "", 1.5, 0, -1, 10**30, 2**63, None, True, [], {}, "1/0", "-inf", " 3 ", "٣", "x\ny: z",
     [[]], [0, 0], ["1", "0"], {"name": "a"}, [[1, 0], [0, 1]],
 )
 
@@ -74,6 +76,8 @@ def _problem(argv: list[str]) -> str | None:
         return f"exit 4: {err.getvalue()}"
     if code == EXIT_INPUT and argv[0] != "validate" and out.getvalue():
         return f"exit 1 with a report on stdout:\n{out.getvalue()}"
+    if code == 0 and "--json" not in argv and not make_corpus.text_lines_hold(out.getvalue()):
+        return f"a text report with a line that is neither its subject nor indented:\n{out.getvalue()}"
     return None
 
 
