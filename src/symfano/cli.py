@@ -171,10 +171,6 @@ class Verdict:
         return (_TEMPLATES[as_json][0](*fields),)
 
 
-def _support_claim(support) -> str:
-    return f"support {{{', '.join(support) or 'empty'}}}"
-
-
 class StabilityVerdicts:
     """The verdicts of ``git locus``, held as the decided rows ``(support,
     polystable, certificate)`` that ``quotients.polystable_locus`` returns
@@ -201,7 +197,7 @@ class StabilityVerdicts:
         # certificates as one object
         around = {}
         for support, polystable, cert in self.rows:
-            claim = _support_claim(support)
+            claim = f"support {{{', '.join(support) or 'empty'}}}"
             parts = around.get(id(cert))
             if parts is None:
                 value = "true" if polystable else "false"
@@ -317,7 +313,7 @@ def _cert_dict(polystable: bool, cert) -> dict:
 
 
 def _tvar_check(report: Report, data: dict, args) -> int:
-    from .curvepair import is_neg_infinity
+    from .curvepair import NEG_INFINITY
     from .schemas import load_variety
     from .tvariety import analyze
 
@@ -326,7 +322,7 @@ def _tvar_check(report: Report, data: dict, args) -> int:
     report.add(
         "boundary",
         [
-            {"point": str(p), "coeff": "-inf" if is_neg_infinity(c) else rat_str(c)}
+            {"point": str(p), "coeff": "-inf" if c is NEG_INFINITY else rat_str(c)}
             for p, c in analysis.boundary
         ],
     )

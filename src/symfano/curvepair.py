@@ -1,9 +1,11 @@
 """Log pairs on the projective line and their equivariant thresholds.
 
-A marked pair carries finitely many points with rational coefficients (or the
-marker ``NEG_INFINITY`` for a relaxed point).  The two predicates computed
-here are the equivariant global log canonical threshold and the "every
-invariant anticanonical divisor above the boundary stays log canonical" test.
+A marked pair carries finitely many points with rational coefficients, or
+with the sentinel ``NEG_INFINITY`` for a relaxed point: a singleton that
+keeps its identity through copy and pickle, so a coefficient is relaxed
+exactly when it ``is NEG_INFINITY``.  The two predicates computed here are
+the equivariant global log canonical threshold and the "every invariant
+anticanonical divisor above the boundary stays log canonical" test.
 
 On a curve a pair is log canonical iff every coefficient is at most 1, and
 among invariant effective divisors of fixed degree the largest coefficient at
@@ -42,10 +44,6 @@ class _NegInfinity:
 NEG_INFINITY = _NegInfinity()
 
 
-def is_neg_infinity(coeff) -> bool:
-    return coeff is NEG_INFINITY
-
-
 class MarkedCurvePair(Record):
     """Projective line with pairwise distinct marked points and coefficients."""
 
@@ -60,7 +58,7 @@ class MarkedCurvePair(Record):
             if point in seen:
                 raise InputError(f"point {point} marked twice")
             seen.add(point)
-            entries.append((point, coeff if is_neg_infinity(coeff) else rat(coeff)))
+            entries.append((point, coeff if coeff is NEG_INFINITY else rat(coeff)))
         super().__init__(tuple(entries))
 
     def __iter__(self):
@@ -77,7 +75,7 @@ class MarkedCurvePair(Record):
 
     @property
     def has_neg_infinity(self) -> bool:
-        return any(is_neg_infinity(c) for _, c in self.marked)
+        return any(c is NEG_INFINITY for _, c in self.marked)
 
     def __repr__(self):
         inner = " + ".join(f"{c}*({p})" for p, c in self.marked)
@@ -86,7 +84,7 @@ class MarkedCurvePair(Record):
 
 def finite_degree(pair: MarkedCurvePair) -> Q:
     """Sum of the finite coefficients; -infinity entries contribute nothing."""
-    return Q(*_ratio_sum(c for _, c in pair if not is_neg_infinity(c)))
+    return Q(*_ratio_sum(c for _, c in pair if c is not NEG_INFINITY))
 
 
 def _ratio_sum(coeffs) -> tuple[int, int]:
@@ -120,7 +118,6 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
     """
     classes: list[OrbitClass] = []
     coeff_of = {p: c for p, c in pair}
-    marked_orbits: set[tuple[ProjPoint, ...]] = set()
     consumed: set[ProjPoint] = set()
     for p, c in pair:
         if p in consumed:
@@ -133,10 +130,10 @@ def orbit_classes(pair: MarkedCurvePair, group: MoebiusGroup) -> list[OrbitClass
             if coeff_of[q] != c:
                 raise NotInvariant(f"coefficient not constant on the orbit of {p}")
             consumed.add(q)
-        marked_orbits.add(orb.points)
         classes.append(OrbitClass("marked", orb.size, c, orb))
+    # orbits partition the line, so an orbit is marked when its first point is consumed
     for orb in exceptional_orbits(group):
-        if orb.points not in marked_orbits:
+        if orb.points[0] not in consumed:
             classes.append(OrbitClass("exceptional", orb.size, ZERO, orb))
     classes.append(OrbitClass("generic", group.order, ZERO, None))
     return classes
@@ -167,7 +164,7 @@ def lct_g(pair: MarkedCurvePair, group: MoebiusGroup) -> LctResult:
     to test, so the threshold is reported as infinite; callers cap at 1.
     """
     for p, c in pair:
-        if is_neg_infinity(c):
+        if c is NEG_INFINITY:
             raise CoefficientOutOfRange(f"-infinity coefficient at {p}")
         if c.numerator < 0 or c.numerator > c.denominator:
             raise CoefficientOutOfRange(f"coefficient {c} at {p} outside [0, 1]")
@@ -196,16 +193,16 @@ def is_valuable(pair: MarkedCurvePair, group: MoebiusGroup) -> tuple[bool, Orbit
     effectivity.  Returns the violating orbit class on failure.
     """
     for p, c in pair:
-        if not is_neg_infinity(c) and c.numerator > c.denominator:
+        if c is not NEG_INFINITY and c.numerator > c.denominator:
             raise CoefficientOutOfRange(f"coefficient {c} at {p} exceeds 1")
     classes = orbit_classes(pair, group)
-    sn, sd = _ratio_sum(c for _, c in pair if not is_neg_infinity(c) and c.numerator >= 0)
+    sn, sd = _ratio_sum(c for _, c in pair if c is not NEG_INFINITY and c.numerator >= 0)
     if sn > 2 * sd:
         # no effective invariant divisor dominates the boundary: vacuously true
         return True, None
     for cls in classes:
         c = cls.coeff
-        bn, bd = (0, 1) if is_neg_infinity(c) else (max(c.numerator, 0), c.denominator)
+        bn, bd = (0, 1) if c is NEG_INFINITY else (max(c.numerator, 0), c.denominator)
         # bn/bd + (2 - sn/sd)/size > 1, times bd * sd * size > 0
         if (bn - bd) * sd * cls.size + (2 * sd - sn) * bd > 0:
             return False, cls

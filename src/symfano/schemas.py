@@ -192,8 +192,10 @@ def _validate_variety(data: dict, out: list):
                 out.append(f"horizontal[{k}]: {problem}")
             else:
                 names.append(name)
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    for n in dupes:
+    seen_names, dupes = set(), set()
+    for n in names:
+        (dupes if n in seen_names else seen_names).add(n)
+    for n in sorted(dupes):
         out.append(f"duplicate divisor name: {n}")
     sym = data.get("symmetry")
     if not isinstance(sym, dict):
@@ -434,16 +436,13 @@ def load_pair(data: dict) -> tuple[MarkedCurvePair, tuple[MoebiusElement, ...]]:
     return MarkedCurvePair._make(marked), generators
 
 
-def load_weights(data: dict) -> tuple[WeightMatrix, list[tuple[str, ...]] | None]:
+def load_weights(data: dict) -> tuple[WeightMatrix, list[list[str]] | None]:
     from .exact import IntMatrix
     from .quotients import WeightMatrix
 
     _require_valid(data, "weights")
     wm = WeightMatrix(data["labels"], IntMatrix(data["weights"]))
-    claimed = data.get("claimed_polystable_supports_any_of")
-    if claimed is not None:
-        claimed = [tuple(sorted(s, key=wm.labels.index)) for s in claimed]
-    return wm, claimed
+    return wm, data.get("claimed_polystable_supports_any_of")
 
 
 def load_chow(data: dict) -> tuple[Fan, IntMatrix]:

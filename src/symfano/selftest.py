@@ -14,7 +14,7 @@ import math
 import random
 import zlib
 
-from .curvepair import MarkedCurvePair, finite_degree, is_neg_infinity, lct_g
+from .curvepair import NEG_INFINITY, MarkedCurvePair, finite_degree, lct_g
 from .errors import InputError
 from .exact import IntMatrix, PositiveCombination, ProjPoint, smith_normal_form
 from .groups import MoebiusElement, MoebiusGroup, Orbit, closure, exceptional_orbits, orbit_of
@@ -320,7 +320,7 @@ def suite_effectivity(rng: random.Random, cases: int) -> list[str]:
         q_y = _random_invariant_degree2(rng, variety)
         lift = anticanonical_lift(variety, q_y)
         b = boundary(variety)
-        dominates = all(q_y.get(p, ZERO) >= c for p, c in b if not is_neg_infinity(c))
+        dominates = all(q_y.get(p, ZERO) >= c for p, c in b if c is not NEG_INFINITY)
         if all(c >= 0 for c in lift.values()) != dominates:
             points = tuple(f.point for f in variety.fibers)
             failures.append(f"case {k}: effectivity mismatch on {points}")

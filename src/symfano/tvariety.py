@@ -60,10 +60,6 @@ class Fiber(Record):
     __slots__ = _fields = ("point", "divisors")
 
     @property
-    def declared_empty(self) -> bool:
-        return not self.divisors
-
-    @property
     def multiplicity(self) -> int:
         return max((d.order for d in self.divisors), default=0)
 
@@ -232,7 +228,7 @@ def boundary(variety: CxOneVariety) -> MarkedCurvePair:
     """
     entries = []
     for f in variety.fibers:
-        if f.declared_empty:
+        if not f.divisors:
             entries.append((f.point, NEG_INFINITY))
         else:
             m = f.multiplicity
@@ -300,24 +296,25 @@ class VarietyAnalysis(Record):
     )
 
 
-def _check_verdict_preconditions(variety: CxOneVariety, symmetric: bool):
+def _unmet_precondition(variety: CxOneVariety, symmetric: bool) -> PreconditionError | None:
     if not symmetric:
-        raise NotSymmetric(f"{variety.name}: the lattice action fixes a nonzero vector")
+        return NotSymmetric(f"{variety.name}: the lattice action fixes a nonzero vector")
     if not variety.fano:
-        raise NotFano(f"{variety.name} is not declared Fano")
+        return NotFano(f"{variety.name} is not declared Fano")
     if not variety.log_terminal:
-        raise NotLogTerminal(f"{variety.name} is not declared log terminal")
+        return NotLogTerminal(f"{variety.name} is not declared log terminal")
+    return None
 
 
 def analyze(variety: CxOneVariety) -> VarietyAnalysis:
-    """Symmetry, boundary, non-reduced fibers, thresholds and verdict in one pass."""
+    """Symmetry, boundary, non-reduced fibers, thresholds and verdict in one
+    pass.  An unmet precondition is held as a value, its PreconditionError in
+    place of the glct and the verdict, and only ``_result`` raises it."""
     symmetric = is_symmetric(variety.lattice)
     b = boundary(variety)
     nr = non_reduced_fibers(variety)
-    try:
-        _check_verdict_preconditions(variety, symmetric)
-    except PreconditionError as exc:
-        return VarietyAnalysis(symmetric, b, nr, None, None, exc, exc)
+    if unmet := _unmet_precondition(variety, symmetric):
+        return VarietyAnalysis(symmetric, b, nr, None, None, unmet, unmet)
     quotient_lct = divisor = None
     if b.has_neg_infinity:
         info = MorphismHypothesisViolated(

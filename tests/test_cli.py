@@ -58,6 +58,22 @@ def test_validate_reports_paths(fixture_data):
     assert any("symmetry" in p for p in problems)
 
 
+def test_repeated_divisor_names_are_found_in_one_pass(tmp_path, fixture_data, run_bounded):
+    # 200 000 divisors, two names repeated: a count per name would take
+    # minutes, past the bound
+    data = fixture_data("bidegree12.json")
+    divisors = data["fibers"][0]["divisors"]
+    divisors += [{"name": f"w{i}", "order": 1} for i in range(200_000 - 6)]
+    divisors[1000]["name"], divisors[-1]["name"] = "w7", "u1"
+    path = tmp_path / "many-divisors.json"
+    path.write_text(json.dumps(data))
+    done = run_bounded(["validate", str(path)])
+    problems = [line for line in done.stdout.splitlines() if line.startswith("  problem: ")]
+    assert (done.returncode, problems) == (1, [
+        "  problem: duplicate divisor name: u1", "  problem: duplicate divisor name: w7",
+    ])
+
+
 def test_loaders(fixture_data):
     variety = load_variety(fixture_data("bidegree12.json"))
     assert variety.dim == 3 and len(variety.fibers) == 3
