@@ -3,7 +3,8 @@ quadratic field, integer matrices with Smith normal form, and the
 strict-positivity alternative for integer weight families.
 
 The alternative has one decision, ``_decide``, and one check of its
-certificates, ``_certifies``: every decision passes the check before it is
+certificates, ``_certifies``, written out for two rows as
+``_certifies_two_rows``: every decision passes the check before it is
 returned, and ``quotients.verify_stability_cert`` is the same check.
 
 Every value of the package is a ``Record``: immutable after construction,
@@ -438,7 +439,8 @@ class SemipositiveWitness(Record):
 def _certifies(rows, polystable: bool, ints: tuple[int, ...]) -> bool:
     """Whether ``ints`` certifies the outcome ``polystable`` of the strict
     alternative for the columns of the integer ``rows``: the one check of
-    either certificate, which every decision passes.
+    either certificate, which every decision passes, in the form of
+    ``_certifies_two_rows`` when there are two rows.
 
     * A positive combination is ``(*numerators, denominator)``: one numerator
       per column, all of them and the denominator > 0, and every row pairs
@@ -462,6 +464,35 @@ def _certifies(rows, polystable: bool, ints: tuple[int, ...]) -> bool:
     return len(ints) == len(rows) and max(pairings, default=0) > 0 and min(pairings) >= 0
 
 
+def _certifies_two_rows(r0, r1, polystable: bool, ints: tuple[int, ...]) -> bool:
+    """``_certifies`` for the two rows ``r0`` and ``r1``, clause by clause:
+    ``_decide`` checks every two-row outcome with it.  Like ``_certifies``
+    it is plain integer code, independent of the kernels.
+
+    A witness ``(v0, v1)`` pairs with the columns in one pass over
+    ``zip(r0, r1)``, with no transpose and no list of pairings, and fails at
+    the first negative pairing.
+    """
+    if polystable:
+        return (
+            len(ints) == 1 + len(r0)
+            and min(ints) > 0
+            and not sum(map(mul, r0, ints))
+            and not sum(map(mul, r1, ints))
+        )
+    if len(ints) != 2:
+        return False
+    v0, v1 = ints
+    positive = False
+    for x, y in zip(r0, r1):
+        pairing = v0 * x + v1 * y
+        if pairing < 0:
+            return False
+        if pairing:
+            positive = True
+    return positive
+
+
 def _decide(rows, interned: dict) -> tuple[bool, PositiveCombination | SemipositiveWitness]:
     """The strict alternative for the columns of the integer ``rows``, as
     the pair (is the outcome a positive combination, the outcome): exactly
@@ -473,21 +504,28 @@ def _decide(rows, interned: dict) -> tuple[bool, PositiveCombination | Semiposit
     Every column set is answered, the empty one too: ``zip`` hands it over
     as no rows, and its answer is the empty positive combination, lambda =
     () over 1, without the simplex.  Every outcome must pass
-    ``_certifies``, else ``InternalError`` is raised.
+    ``_certifies``, on two rows ``_certifies_two_rows``, else
+    ``InternalError`` is raised.
 
     ``interned`` is a dict, which the caller creates, that shares equal
     outcomes: each is keyed by its kind and integers, ``(True, (*numerators,
     denominator))`` or ``(False, vector)``.  Each distinct outcome is built
     once, and an equal one later comes back as the same pair.
     """
-    feasible, nums, den = _phase_one(rows, [-sum(row) for row in rows]) if rows else (True, [], 1)
+    two_rows = len(rows) == 2
+    if two_rows:
+        r0, r1 = rows
+        rhs = (-sum(r0), -sum(r1))
+    else:
+        rhs = tuple([-sum(row) for row in rows])
+    feasible, nums, den = _phase_one(rows, rhs) if rows else (True, [], 1)
     if feasible:
         ints = [den + x for x in nums]  # lambda = 1 + x = (den + x) / den
         ints.append(den)
     else:
         ints = [-y for y in nums]  # the witness is -y
     ints = _primitive(tuple(ints))
-    if not _certifies(rows, feasible, ints):
+    if not (_certifies_two_rows(r0, r1, feasible, ints) if two_rows else _certifies(rows, feasible, ints)):
         if feasible:
             raise InternalError(f"phase one returned {nums}/{den}, not a point of w x = -w 1, x >= 0")
         pairings = [sum(map(mul, ints, col)) for col in zip(*rows)]
@@ -519,25 +557,28 @@ def _phase_one(a_rows, rhs):
     with y = Y / den satisfying y^T A <= 0 and y^T b > 0 (a Farkas witness
     for the original row orientation).
 
+    The tableau is T = adj(B) [A' | I | b'] over den = det B (Bareiss), B
+    being the basis columns and A' and b' being A and b with each row
+    negated where b is negative.
+
     Two paths make the same pivots and return the same triple.  A has two
     rows exactly when the torus has rank 2, the rank on the paper's Fano
     threefolds with a complexity-one action, so every LP of their loci has
-    two rows: ``_two_row_phase_one`` holds that tableau in locals, which
-    saves the general kernel's loop overhead.  Every other A goes to
-    ``_general_phase_one``.  The row count, which the input fixes, chooses
-    the path.
+    two rows.  ``_two_row_phase_one`` then holds no tableau: it keeps the
+    two basis columns and reads each entry of T it needs as a 2x2 minor of
+    the basis.  Every other A goes to ``_general_phase_one``.  The row
+    count, which the input fixes, chooses the path.
 
     With two rows a departed artificial column never enters again: its
     reduced cost stays > 0, as ``_two_row_phase_one`` proves, so that kernel
     scans no artificial column.  With three rows Bland's rule does bring one
     back on some LPs w x = -w 1, so the general kernel scans every column.
 
-    z is determined by the tableau, T = adj(B) [A | I | b] over den = det B
-    (Bareiss): den * z_j is den*[j is artificial] minus the sum of T[i][j]
-    over the rows whose basic variable is artificial.  The two-row kernel
-    reads Bland's reduced costs that way and keeps no z.  The general
-    kernel keeps z: in its row loops, summing the artificial rows for each
-    scan costs more than updating z at each pivot.
+    z is determined by the tableau: den * z_j is den*[j is artificial] minus
+    the sum of T[i][j] over the rows whose basic variable is artificial.
+    The two-row kernel reads Bland's reduced costs that way and keeps no z.
+    The general kernel keeps z: in its row loops, summing the artificial
+    rows for each scan costs more than updating z at each pivot.
     """
     if len(a_rows) == 2:
         return _two_row_phase_one(a_rows, rhs)
@@ -545,17 +586,31 @@ def _phase_one(a_rows, rhs):
 
 
 def _two_row_phase_one(a_rows, rhs):
-    """``_phase_one`` on two rows: the general kernel's pivots, unrolled,
-    with no reduced-cost row and no scan of the artificial columns.
+    """``_phase_one`` on two rows: the general kernel's pivots, read off the
+    basis, with no tableau, no reduced-cost row and no scan of the
+    artificial columns.
 
-    The two tableau rows, the two basis indices and ``den`` are locals.
+    The tableau is T = adj(B) [A' | I | b'] over den = det B, as
+    ``_phase_one`` says.  The kernel holds only the basis: the columns
+    (p, r) and (q, s) of A' basic in rows 0 and 1, and their indices.  So
+    adj(B) is [[s, -q], [-r, p]], den = ps - qr, and each entry it needs is
+    a 2x2 minor of the basis: T0[j] = s A'0j - q A'1j and
+    T1[j] = p A'1j - r A'0j.  It reads the Bland scan of the artificial row,
+    the entering column, the two right-hand sides, and at the end x; no list
+    is built per pivot.  A pivot puts the entering column of A' into B in
+    place of the leaving one, and the new den is the pivot, as in the
+    general kernel's Bareiss step.
+
     Phase one costs 1 on each artificial column and 0 on each x column, so
-    the reduced costs follow from the artificial rows, as ``_phase_one``
-    says.  Bland's rule reads them in column order, up to the first
-    negative one.  At the end den times the objective is the sum of the
-    artificial rows' right-hand sides, and den * y_i / s_i is the sum of
-    their entries in column n + i: the numbers ``-z[-1]`` and
-    ``den - z[n + i]`` of the general kernel.
+    den times the reduced cost of x_j is minus the sum of the artificial
+    rows' entries in column j, as ``_phase_one`` says.  The kernel keeps
+    (y0, y1): the sum of the artificial rows of adj(B), each entry times its
+    row's sign.  That sum of entries is then y0 A0j + y1 A1j on A itself,
+    and Bland's rule enters the first x column where it is > 0.  At the end,
+    with b = (c0, c1), den times the objective is y0 c0 + y1 c1, and
+    (y0, y1) is den times the Farkas y: the numbers ``-z[-1]`` and
+    ``s_i (den - z[n + i])`` of the general kernel, s_i being the sign of
+    row i.
 
     No artificial column enters after it has left.  Let A' be A with each
     row negated where its right-hand side is negative.  Suppose a_1 is basic
@@ -578,56 +633,53 @@ def _two_row_phase_one(a_rows, rhs):
 
     The leaving row is row 0 unless row 1 has a positive entry and a
     smaller ratio, or the same ratio and the smaller basis index (Bland's
-    tie-break); the ratios are compared cross-multiplied.  Each pivot maps
-    the other row by the same Bareiss step as the general kernel.
+    tie-break); the ratios are compared cross-multiplied.
     """
     (r0, r1), (c0, c1) = a_rows, rhs
     n = len(r0)
-    s0 = -1 if c0 < 0 else 1
-    s1 = -1 if c1 < 0 else 1
-    t0 = [*r0, 1, 0, c0] if s0 > 0 else [*(-x for x in r0), 1, 0, -c0]
-    t1 = [*r1, 0, 1, c1] if s1 > 0 else [*(-x for x in r1), 0, 1, -c1]
+    sign0 = -1 if c0 < 0 else 1
+    sign1 = -1 if c1 < 0 else 1
+    d0, d1 = sign0 * c0, sign1 * c1  # b'
+    # before the first pivot both rows are artificial, and B = I
+    p, r, q, s = 1, 0, 0, 1
     b0, b1 = n, n + 1
-    den = 1
-
-    # both rows are artificial only here, before the first pivot
-    for enter in range(n):
-        if t0[enter] + t1[enter] > 0:
-            break
-    else:
-        enter = n
-    while enter < n:
-        p0 = t0[enter]
-        p1 = t1[enter]
-        # row 0 has p0 > 0 whenever row 1 does not leave, as phase one is bounded
-        if p1 > 0 and (p0 <= 0 or (a := t1[-1] * p0) < (b := t0[-1] * p1) or (a == b and b1 < b0)):
-            t0 = [(x * p1 - p0 * y) // den for x, y in zip(t0, t1)]
-            den, b1 = p1, enter
-        else:
-            t1 = [(x * p0 - p1 * y) // den for x, y in zip(t1, t0)]
-            den, b0 = p0, enter
-        if b0 >= n:
-            art = t0
-        elif b1 >= n:
-            art = t1
-        else:
-            break
+    y0, y1 = sign0, sign1
+    while True:
         for enter in range(n):
-            if art[enter] > 0:
+            if y0 * r0[enter] + y1 * r1[enter] > 0:
                 break
         else:
             break
+        # the entering column of A', and its entries T0[e] and T1[e]
+        u = sign0 * r0[enter]
+        v = sign1 * r1[enter]
+        p0 = s * u - q * v
+        p1 = p * v - r * u
+        # the ratios T1[-1] / p1 and T0[-1] / p0, cross-multiplied; row 0 has
+        # p0 > 0 whenever row 1 does not leave, as phase one is bounded
+        if p1 > 0 and (p0 <= 0 or (a := (p * d1 - r * d0) * p0) < (b := (s * d0 - q * d1) * p1) or (a == b and b1 < b0)):
+            q, s, b1 = u, v, enter
+        else:
+            p, r, b0 = u, v, enter
+        # the artificial row of adj(B), each entry times its row's sign
+        if b0 >= n:
+            y0, y1 = sign0 * s, -sign1 * q
+        elif b1 >= n:
+            y0, y1 = -sign0 * r, sign1 * p
+        else:
+            # no row is artificial
+            y0 = y1 = 0
+            break
 
-    art0 = b0 >= n
-    art1 = b1 >= n
-    if art0 * t0[-1] + art1 * t1[-1] == 0:
+    den = p * s - q * r
+    if y0 * c0 + y1 * c1 == 0:
         x = [0] * n
         if b0 < n:
-            x[b0] = t0[-1]
+            x[b0] = s * d0 - q * d1
         if b1 < n:
-            x[b1] = t1[-1]
+            x[b1] = p * d1 - r * d0
         return True, x, den
-    return False, [s0 * (art0 * t0[n] + art1 * t1[n]), s1 * (art0 * t0[n + 1] + art1 * t1[n + 1])], den
+    return False, [y0, y1], den
 
 
 def _general_phase_one(a_rows, rhs):

@@ -90,7 +90,8 @@ def verify_stability_cert(weight_matrix: WeightMatrix, support, cert: StabilityC
 
     It is ``exact._certifies``, the check that every decision of
     ``is_polystable`` and ``polystable_locus`` has passed before it is
-    returned; anything but the two certificate types is rejected.
+    returned (on two rows in its two-row form, which a test holds to it);
+    anything but the two certificate types is rejected.
     """
     rows = _rows(weight_matrix, support)
     polystable = isinstance(cert, PositiveCombination)

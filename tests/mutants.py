@@ -34,12 +34,14 @@ DIAGONAL_SECTION = "tests/test_polyhedral.py::test_a_diagonal_section_is_no_face
 TWO_ROWS = "tests/test_exact.py::test_two_row_phase_one_makes_the_general_pivots"
 FRACTION_REFERENCE = "tests/test_exact.py::test_phase_one_matches_fraction_reference"
 SMALL_TWO_ROWS = "tests/test_exact.py::test_every_small_two_row_phase_one_makes_the_general_pivots"
+HUGE_TWO_ROWS = "tests/test_exact.py::test_two_row_phase_one_makes_the_general_pivots_on_huge_entries"
+TWO_ROW_CHECK = "tests/test_exact.py::test_two_row_certificate_check_agrees_with_certifies"
 
 MUTANTS = (
     # ``exact._decide``: every outcome of the simplex is checked before it is returned
     Mutant(
         EXACT,
-        "    if not _certifies(rows, feasible, ints):\n",
+        "    if not (_certifies_two_rows(r0, r1, feasible, ints) if two_rows else _certifies(rows, feasible, ints)):\n",
         "    if False:\n",
         (PYTHON_O, "tests/test_cli.py::test_exit_code_internal_error"),
         "a patched simplex's false outcome must raise, in process and as exit code 4",
@@ -61,15 +63,15 @@ MUTANTS = (
     ),
     Mutant(
         EXACT,
-        "min(ints) > 0\n",
-        "True\n",
+        "min(ints) > 0\n            and not any(",
+        "True\n            and not any(",
         (BAD_CERTIFICATES, PYTHON_O),
         "zero coefficients balance every matrix",
     ),
     Mutant(
         EXACT,
-        "min(ints) > 0",
-        "min(ints[:-1], default=1) > 0",
+        "min(ints) > 0\n            and not any(",
+        "min(ints[:-1], default=1) > 0\n            and not any(",
         (EACH_CLAUSE,),
         "positive numerators over a negative denominator are negative coefficients",
     ),
@@ -77,7 +79,7 @@ MUTANTS = (
         EXACT,
         "not any(sum(map(mul, row, ints)) for row in rows)",
         "True",
-        (BAD_CERTIFICATES, PYTHON_O, "tests/test_cli.py::test_exit_code_internal_error"),
+        (BAD_CERTIFICATES, PYTHON_O),
         "coefficients that do not balance the columns certify nothing",
     ),
     Mutant(
@@ -101,6 +103,64 @@ MUTANTS = (
         (BAD_CERTIFICATES, PYTHON_O),
         "a subgroup pairing to zero with every active weight fixes the point",
     ),
+    # ``exact._certifies_two_rows``, one mutant per clause; the agreement
+    # test breaks each clause alone
+    Mutant(
+        EXACT,
+        "len(ints) == 1 + len(r0)",
+        "True",
+        (TWO_ROW_CHECK,),
+        "three coefficients for two columns balance them once map cuts off the third",
+    ),
+    Mutant(
+        EXACT,
+        "min(ints) > 0\n            and not sum(",
+        "True\n            and not sum(",
+        (TWO_ROW_CHECK,),
+        "zero or negative coefficients balance what positive ones balance",
+    ),
+    Mutant(
+        EXACT,
+        "min(ints) > 0\n            and not sum(",
+        "min(ints[:-1], default=1) > 0\n            and not sum(",
+        (TWO_ROW_CHECK,),
+        "positive numerators over a negative denominator are negative coefficients",
+    ),
+    Mutant(
+        EXACT,
+        "and not sum(map(mul, r0, ints))",
+        "and True",
+        (TWO_ROW_CHECK,),
+        "coefficients that balance row 1 alone do not balance the columns",
+    ),
+    Mutant(
+        EXACT,
+        "and not sum(map(mul, r1, ints))",
+        "and True",
+        (TWO_ROW_CHECK,),
+        "coefficients that balance row 0 alone do not balance the columns",
+    ),
+    Mutant(
+        EXACT,
+        "    if len(ints) != 2:\n",
+        "    if False:\n",
+        (TWO_ROW_CHECK,),
+        "a witness of one or three entries is no subgroup of a rank-2 torus; unpacked, it raises",
+    ),
+    Mutant(
+        EXACT,
+        "        if pairing < 0:\n            return False\n",
+        "",
+        (TWO_ROW_CHECK, PYTHON_O),
+        "a subgroup pairing negatively with one active weight does not destabilize",
+    ),
+    Mutant(
+        EXACT,
+        "    return positive\n",
+        "    return True\n",
+        (TWO_ROW_CHECK, PYTHON_O),
+        "a subgroup pairing to zero with every active weight fixes the point",
+    ),
     # ``exact._two_row_phase_one`` makes the general kernel's pivots
     Mutant(
         EXACT,
@@ -111,33 +171,33 @@ MUTANTS = (
     ),
     Mutant(
         EXACT,
-        "s0 = -1 if c0 < 0 else 1",
-        "s0 = -1 if c0 <= 0 else 1",
+        "sign0 = -1 if c0 < 0 else 1",
+        "sign0 = -1 if c0 <= 0 else 1",
         (TWO_ROWS, FRACTION_REFERENCE),
         "a row with a zero right-hand side is not negated, and negating it changes the pivots",
     ),
     # ... and reads the reduced costs, the objective and the Farkas entries off
-    # its artificial rows
+    # the artificial row of adj(B)
     Mutant(
         EXACT,
-        "art1 * t1[n + 1]",
-        "art0 * t1[n + 1]",
+        "return False, [y0, y1], den",
+        "return False, [sign0 * y0, sign1 * y1], den",
         (TWO_ROWS, FRACTION_REFERENCE),
-        "row 1's entry of y is read from row 1 when row 1's basic variable is artificial, not row 0's",
+        "(y0, y1) holds each row's sign already: the Farkas y is in the rows' own orientation",
     ),
     Mutant(
         EXACT,
-        "art1 * t1[-1] == 0",
-        "t1[-1] == 0",
+        "y0 * c0 + y1 * c1 == 0",
+        "y0 * c0 == 0",
         (TWO_ROWS, FRACTION_REFERENCE),
-        "an x column basic at a positive value is no infeasibility",
+        "an artificial row 1 at a positive value is no feasible point",
     ),
     Mutant(
         EXACT,
-        "for enter in range(n):\n            if art[enter] > 0:",
-        "for enter in range(n - 1):\n            if art[enter] > 0:",
+        "for enter in range(n):\n            if y0 * r0[enter]",
+        "for enter in range(n - 1):\n            if y0 * r0[enter]",
         (TWO_ROWS, SMALL_TWO_ROWS),
-        "after each pivot Bland's rule reads every x column of the artificial row left, the last one too",
+        "after each pivot Bland's rule reads every x column of the artificial row, the last one too",
     ),
     # the group, refinement and verdict checks
     Mutant(

@@ -453,6 +453,82 @@ def test_every_small_two_row_phase_one_makes_the_general_pivots():
     assert lps == 819 * 25
 
 
+def test_two_row_phase_one_makes_the_general_pivots_on_huge_entries(rng):
+    # the schema takes any int, so the minors must be as exact as the
+    # general kernel's row updates on entries of 10^18 to 10^30; exact
+    # powers of ten, zero and repeated columns make ties among them
+    def entry():
+        magnitude = 10 ** rng.randint(18, 30)
+        return rng.choice((-1, 1)) * (magnitude if rng.random() < 0.3 else rng.randint(10**18, magnitude))
+
+    for case in range(1000):
+        cols = []
+        for _ in range(rng.randint(1, 9)):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append((0, 0))
+            elif roll < 0.25 and cols:
+                cols.append(rng.choice(cols))
+            else:
+                cols.append((entry(), entry()))
+        rows = tuple(zip(*cols))
+        if case % 2:
+            rhs = (-sum(rows[0]), -sum(rows[1]))
+            exact._decide(rows, {})  # its certificate passes the check
+        else:
+            rhs = (entry(), rng.choice((0, entry())))
+        assert exact._two_row_phase_one(rows, rhs) == exact._general_phase_one(rows, rhs), (rows, rhs)
+
+
+def test_two_row_certificate_check_agrees_with_certifies(rng):
+    """``_certifies_two_rows`` gives ``_certifies``'s answer on right
+    certificates of both kinds, on certificates that break one clause
+    alone, and on random integers of any length."""
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        r0, r1 = rows = tuple(zip(*random_columns(rng, 2, n, 4)))
+        polystable, cert = exact._decide(rows, {})
+        if polystable:
+            *nums, den = ints = (*cert.numerators, cert.denominator)
+            cases += [
+                (rows, True, ints, True),
+                # one numerator too many: ``map`` pairs the rows with the first n
+                (rows, True, (*nums, 1, den), False),
+                # one too few, balancing once a zero column is appended
+                ((r0 + (0,), r1 + (0,)), True, ints, False),
+                (rows, True, (*nums, 0), False),
+                (rows, True, (*nums, -den), False),
+                (rows, True, (*(-x for x in nums), den), False),
+                # one row changed by one: only that row fails to balance
+                (((r0[0] + 1, *r0[1:]), r1), True, ints, False),
+                ((r0, (r1[0] + 1, *r1[1:])), True, ints, False),
+            ]
+        else:
+            v0, v1 = vector = cert.vector
+            cases += [
+                (rows, False, vector, True),
+                # a column that pairs to 0 leaves it right
+                ((r0 + (-v1,), r1 + (v0,)), False, vector, True),
+                (rows, False, (v0,), False),
+                (rows, False, (*vector, 5), False),
+                # every pairing 0, or one negative beside the positive ones
+                (rows, False, (0, 0), False),
+                ((r0 + (-v0,), r1 + (-v1,)), False, vector, False),
+            ]
+        for _ in range(3):
+            polystable = rng.random() < 0.5
+            length = rng.choice((n + 1, rng.randint(0, n + 2))) if polystable else rng.choice((2, 2, 1, 3))
+            cases.append((rows, polystable, tuple(rng.randint(-3, 3) for _ in range(length)), None))
+    for rows, polystable, ints, expected in cases:
+        answer = exact._certifies(rows, polystable, ints)
+        assert exact._certifies_two_rows(*rows, polystable, ints) is answer, (rows, polystable, ints)
+        if expected is not None:
+            assert answer is expected, (rows, polystable, ints)
+    kinds = {(polystable, expected) for _, polystable, _, expected in cases}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False), (True, None), (False, None)}
+
+
 def test_internal_check_survives_python_O(fresh_env):
     script = textwrap.dedent(
         """
@@ -468,6 +544,11 @@ def test_internal_check_survives_python_O(fresh_env):
             # the witness (1, 0) pairs as (-2, 1): positive with one column only
             "mixed": ([[-2, 1], [1, -2]], (False, [-1, 0], 1)),
         }
+        # the same columns under a zero row, which ``_certifies`` checks in
+        # place of ``_certifies_two_rows``
+        for name in ("point", "witness", "mixed"):
+            matrix, (feasible, nums, den) = wrong[name]
+            wrong[name + ", three rows"] = ([*matrix, [0, 0]], (feasible, nums if feasible else [*nums, 0], den))
         for name, (matrix, answer) in wrong.items():
             exact._phase_one = lambda rows, rhs: answer
             try:
@@ -483,6 +564,9 @@ def test_internal_check_survives_python_O(fresh_env):
         "witness: 1: phase one returned (-1, -1), which pairs with the columns as [0, 0]",
         "negative: 1: phase one returned [-1, -1]/1, not a point of w x = -w 1, x >= 0",
         "mixed: 1: phase one returned (1, 0), which pairs with the columns as [-2, 1]",
+        "point, three rows: 1: phase one returned [0, 0]/1, not a point of w x = -w 1, x >= 0",
+        "witness, three rows: 1: phase one returned (-1, -1, 0), which pairs with the columns as [0, 0]",
+        "mixed, three rows: 1: phase one returned (1, 0, 0), which pairs with the columns as [-2, 1]",
     ]
 
 
